@@ -14,17 +14,33 @@ A session-scoped autouse fixture warms the active kernel backend
 (:mod:`repro.kernels`) before the first benchmark runs, so one-time
 compilation / JIT warm-up cost can never land inside a timed region and
 masquerade as a wall-time regression in the ``BENCH_*.json`` keys.
+
+Benchmarks record their numbers through the ``bench_json`` fixture, which
+merges into the ``BENCH_*.json`` files only under ``--write-bench``.
 """
 
 import pytest
 
 from repro import kernels
+from repro.analysis.tables import merge_bench_json
 
 
 @pytest.fixture(scope="session", autouse=True)
 def warm_kernel_backend():
     """Pay kernel compilation/JIT warm-up once, before anything is timed."""
     return kernels.warmup()
+
+
+def _skip_write(path, name, entry):
+    return None
+
+
+@pytest.fixture(scope="session")
+def bench_json(request):
+    """``merge_bench_json`` under ``--write-bench``, else a no-op."""
+    if request.config.getoption("--write-bench"):
+        return merge_bench_json
+    return _skip_write
 
 
 def run_once(benchmark, func, *args, **kwargs):

@@ -6,8 +6,8 @@ scenario layers — arrival process x finite buffers x fault plan x reroute
 policy — over two topology families, the paper's layout target ``B(2, D)``
 and the OTIS substitution ``H(p, q, d)``, and record throughput–latency
 curves with their Pareto front into ``BENCH_scenarios.json`` at the
-repository root (``wall_time_s`` keys feed the bench-check gate, same
-scheme as every other ``BENCH_*.json``).
+repository root under ``--write-bench`` (``wall_time_s`` keys feed the
+bench-check gate, same scheme as every other ``BENCH_*.json``).
 
 All tests carry the ``scenarios`` marker and are opt-in: run them with
 ``pytest benchmarks/test_figures_scenarios.py --run-scenarios``.
@@ -17,7 +17,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.tables import merge_bench_json
 from repro.graphs import de_bruijn
 from repro.otis.h_digraph import h_digraph
 from repro.simulation import (
@@ -37,15 +36,15 @@ RATES = (None, 1.0, 4.0)
 SEEDS = range(3)
 
 
-def _record(name, sweep):
+def _record(bench_json, name, sweep):
     entry = sweep.to_json()
     front = [row for row in entry["curves"] if row["pareto"]]
     assert front, "every sweep must mark a non-empty Pareto front"
-    merge_bench_json(_BENCH_PATH, name, entry)
+    bench_json(_BENCH_PATH, name, entry)
     return entry
 
 
-def test_hotspot_buffered_pareto_otis_family():
+def test_hotspot_buffered_pareto_otis_family(bench_json):
     """Hotspot traffic into finite retry buffers on H(16, 32, 2) (n=256)."""
     graph = h_digraph(16, 32, 2)
     scenario = Scenario(
@@ -55,7 +54,7 @@ def test_hotspot_buffered_pareto_otis_family():
         link=BufferedLinkModel(capacity=4, on_full="retry"),
     )
     sweep = run_scenario_sweep(graph, scenario, rates=RATES, seeds=SEEDS)
-    entry = _record("hotspot_buffered_H(16,32,2)", sweep)
+    entry = _record(bench_json, "hotspot_buffered_H(16,32,2)", sweep)
     # every message either drains or exhausts its retry budget — no limbo
     for row in entry["curves"]:
         assert row["delivered"] + row["dropped_buffer"] == 3 * 2000
@@ -65,7 +64,7 @@ def test_hotspot_buffered_pareto_otis_family():
     assert by_rate[1.0]["dropped_buffer"] < by_rate[None]["dropped_buffer"]
 
 
-def test_fault_reroute_pareto_de_bruijn_family():
+def test_fault_reroute_pareto_de_bruijn_family(bench_json):
     """Uniform traffic on B(2, 6) (n=64) with mid-run link failures.
 
     ``reroute="arc-disjoint"`` turns would-be fault drops into extra hops;
@@ -79,7 +78,7 @@ def test_fault_reroute_pareto_de_bruijn_family():
         reroute="arc-disjoint",
     )
     sweep = run_scenario_sweep(graph, scenario, rates=RATES, seeds=SEEDS)
-    entry = _record("fault_reroute_B(2,6)", sweep)
+    entry = _record(bench_json, "fault_reroute_B(2,6)", sweep)
     assert any(row["rerouted_hops"] > 0 for row in entry["curves"])
 
     # the drop policy on the same fault plan strictly loses deliveries
@@ -93,10 +92,10 @@ def test_fault_reroute_pareto_de_bruijn_family():
     reroute_row = next(row for row in entry["curves"] if row["rate"] == 1.0)
     assert drop_row["dropped_fault"] > 0
     assert reroute_row["delivered"] > drop_row["delivered"]
-    merge_bench_json(_BENCH_PATH, "fault_drop_B(2,6)", dropping.to_json())
+    bench_json(_BENCH_PATH, "fault_drop_B(2,6)", dropping.to_json())
 
 
-def test_kitchen_sink_parity_at_bench_scale():
+def test_kitchen_sink_parity_at_bench_scale(bench_json):
     """Every layer at once on H(8, 16, 2): both engines, identical curves.
 
     The parity contract the unit suite checks on 4-node graphs, re-asserted
@@ -114,5 +113,5 @@ def test_kitchen_sink_parity_at_bench_scale():
         graph, scenario, rates=(None, 2.0), seeds=SEEDS, engine="event"
     )
     assert batched.curves() == reference.curves()
-    entry = _record("kitchen_sink_H(8,16,2)", batched)
+    entry = _record(bench_json, "kitchen_sink_H(8,16,2)", batched)
     assert entry["scenario_digest"] == scenario.digest()

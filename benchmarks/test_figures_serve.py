@@ -3,7 +3,8 @@
 Replays :func:`~repro.simulation.workloads.make_workload` traffic against a
 self-hosted :class:`~repro.serve.server.RouteQueryServer` (the exact stack
 ``repro serve run`` deploys) and records throughput plus client-side tail
-latency into ``BENCH_serve.json`` at the repository root.  The ``*_s`` keys
+latency into ``BENCH_serve.json`` at the repository root (with
+``--write-bench``).  The ``*_s`` keys
 feed the bench-check wall-time gate and the ``qps`` keys feed its
 throughput direction (fresh < committed / 2 fails), so a serve-layer
 slowdown trips the same tripwire as a simulator regression.
@@ -22,7 +23,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.tables import merge_bench_json
 from repro.serve import RouterRegistry, ServerThread, run_bench
 
 _BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_serve.json"
@@ -38,7 +38,7 @@ def _bench(registry, name, **bench_kwargs):
         return run_bench(server.host, server.port, topology=name, **bench_kwargs)
 
 
-def test_next_hop_throughput_de_bruijn():
+def test_next_hop_throughput_de_bruijn(bench_json):
     """>=100k q/s batch next-hop on B(2,10) (n=1024), closed-form router."""
     registry = RouterRegistry()
     registry.add("bench", "B(2,10)", "closed-form")
@@ -53,12 +53,12 @@ def test_next_hop_throughput_de_bruijn():
     assert result.queries == 200_000
     assert result.qps >= MIN_NEXT_HOP_QPS, result.describe()
     assert result.p50_s <= result.p99_s
-    merge_bench_json(
+    bench_json(
         _BENCH_PATH, "serve_next_hop_B(2,10)_uniform", result.to_json()
     )
 
 
-def test_eta_throughput_otis_hotspot():
+def test_eta_throughput_otis_hotspot(bench_json):
     """ETA queries under hotspot traffic on the H(16,32,2) OTIS row."""
     registry = RouterRegistry()
     registry.add("otis", "H(16,32,2)", "closed-form")
@@ -75,12 +75,12 @@ def test_eta_throughput_otis_hotspot():
     # The eta walk is a few vectorised hops instead of one lookup; hold it
     # to half the next-hop floor.
     assert result.qps >= MIN_NEXT_HOP_QPS / 2, result.describe()
-    merge_bench_json(
+    bench_json(
         _BENCH_PATH, "serve_eta_H(16,32,2)_hotspot", result.to_json()
     )
 
 
-def test_closed_form_scales_past_dense_reach():
+def test_closed_form_scales_past_dense_reach(bench_json):
     """Serve B(2,16) (n=65536): 8GB of dense table replaced by O(n) state.
 
     The registry refuses nothing here — the closed-form router carries zero
@@ -99,6 +99,6 @@ def test_closed_form_scales_past_dense_reach():
         connections=4,
     )
     assert result.qps >= MIN_NEXT_HOP_QPS / 2, result.describe()
-    merge_bench_json(
+    bench_json(
         _BENCH_PATH, "serve_next_hop_B(2,16)_uniform", result.to_json()
     )

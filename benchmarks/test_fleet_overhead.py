@@ -4,8 +4,8 @@ The fleet driver adds one lease claim (an ``O_EXCL`` create), a heartbeat
 thread and one lease release around every chunk.  This benchmark runs the
 same small diameter-6 manifest through :func:`repro.otis.sweep.run_sweep`
 (the serial chunk loop) and through :func:`repro.fleet.run_fleet` (claim →
-run → publish → release) and records both wall times in
-``BENCH_table1.json`` — the claim protocol is supposed to cost milliseconds
+run → publish → release) and, with ``--write-bench``, records both wall
+times in ``BENCH_table1.json`` — the claim protocol is supposed to cost milliseconds
 per chunk, not to tax the search itself.
 
 Correctness first, as everywhere: both stores must merge to byte-identical
@@ -17,7 +17,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.tables import merge_bench_json
 from repro.fleet import SweepFleetJob, run_fleet
 from repro.otis.sweep import ChunkManifest, ChunkStore, merge_sweep, run_sweep
 
@@ -27,7 +26,7 @@ pytestmark = pytest.mark.table1
 
 
 @pytest.mark.benchmark(group="fleet")
-def test_fleet_driver_overhead_diameter_6(benchmark, once, tmp_path):
+def test_fleet_driver_overhead_diameter_6(benchmark, once, tmp_path, bench_json):
     manifest = ChunkManifest.build(2, 6, range(60, 71), chunk_size=2)
 
     serial_store = ChunkStore(tmp_path / "serial")
@@ -52,7 +51,7 @@ def test_fleet_driver_overhead_diameter_6(benchmark, once, tmp_path):
     per_chunk_ms = (
         (fleet_seconds - serial_seconds) / len(manifest.chunks) * 1000.0
     )
-    merge_bench_json(
+    bench_json(
         _BENCH_PATH,
         "fleet_driver_overhead_diameter_6",
         {

@@ -9,16 +9,15 @@ diameter-10 flagship instance ``H(32, 64, 2)`` (n=1024, the largest Table 1
 row), asserting bit-identical :class:`NetworkStats` *and* a >=10x wall-clock
 win, and record the multi-workload sweep curves of the throughput driver.
 
-Every run merges its numbers into ``BENCH_sim.json`` at the repository root
-so the simulator performance trajectory is tracked across PRs (same scheme
-as ``BENCH_table1.json``).  Each payload records the active kernel backend
+With ``--write-bench`` every run merges its numbers into ``BENCH_sim.json``
+at the repository root, so the simulator performance trajectory is tracked
+across PRs (same scheme as ``BENCH_table1.json``).  Each payload records the active kernel backend
 (:mod:`repro.kernels`) next to its wall-time keys, so a regression hunt
 never compares a compiled-backend time against a numpy-fallback time
 without noticing.  All tests carry the ``sim`` marker and are opt-in: run
 them with ``pytest benchmarks/test_simulation_throughput.py --run-sim``.
 """
 
-import json
 import math
 import time
 from pathlib import Path
@@ -40,16 +39,9 @@ _BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_sim.json"
 pytestmark = pytest.mark.sim
 
 
-def _record(name, payload):
+def _record(bench_json, name, payload):
     """Merge one benchmark entry into BENCH_sim.json."""
-    data = {}
-    if _BENCH_PATH.exists():
-        try:
-            data = json.loads(_BENCH_PATH.read_text())
-        except (ValueError, OSError):
-            data = {}
-    data[name] = payload
-    _BENCH_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    bench_json(_BENCH_PATH, name, payload)
 
 
 def _messages_equal(reference, batched):
@@ -65,7 +57,7 @@ def _messages_equal(reference, batched):
     )
 
 
-def test_batched_engine_parity_and_speedup_100k():
+def test_batched_engine_parity_and_speedup_100k(bench_json):
     """100k uniform messages on H(32, 64, 2): identical stats, >=10x faster."""
     graph = h_digraph(32, 64, 2)
     traffic = uniform_random_pairs(graph.num_vertices, 100_000, rng=0)
@@ -117,6 +109,7 @@ def test_batched_engine_parity_and_speedup_100k():
     speedup = ref_seconds / bat_seconds
     kernel_speedup = engine_numpy_seconds / engine_seconds
     _record(
+        bench_json,
         "uniform_100k_H(32,64,2)",
         {
             "graph": graph.name,
@@ -143,7 +136,7 @@ def test_batched_engine_parity_and_speedup_100k():
         )
 
 
-def test_throughput_sweep_driver_records_curves():
+def test_throughput_sweep_driver_records_curves(bench_json):
     """Multi-workload sweep on H(16, 32, 2): all delivered, curves recorded."""
     graph = h_digraph(16, 32, 2)
     sweep = run_throughput_sweep(
@@ -164,10 +157,10 @@ def test_throughput_sweep_driver_records_curves():
     # delivered messages per time unit than the rate-limited low-load points
     uniform = {row["rate"]: row for row in rows if row["workload"] == "uniform"}
     assert uniform[None]["throughput"] > uniform[2.0]["throughput"]
-    _record("sweep_H(16,32,2)", sweep.to_json())
+    _record(bench_json, "sweep_H(16,32,2)", sweep.to_json())
 
 
-def test_run_many_amortises_many_seeds():
+def test_run_many_amortises_many_seeds(bench_json):
     """Stacking 10 seeds in one run_many pass beats 10 separate runs."""
     graph = h_digraph(16, 32, 2)
     link = LinkModel(latency=1.0, transmission_time=1.0)
@@ -187,6 +180,7 @@ def test_run_many_amortises_many_seeds():
 
     assert [stats for stats, _ in stacked] == separate
     _record(
+        bench_json,
         "run_many_10x10k_H(16,32,2)",
         {
             "stacked_s": round(stacked_seconds, 4),
@@ -198,7 +192,7 @@ def test_run_many_amortises_many_seeds():
     assert stacked_seconds < separate_seconds
 
 
-def test_router_comparison_100k_n1024():
+def test_router_comparison_100k_n1024(bench_json):
     """Closed-form vs dense-table routing at n = 1024: no regression.
 
     Identical NetworkStats (the routers are bit-identical on routes) and a
@@ -228,6 +222,7 @@ def test_router_comparison_100k_n1024():
     assert closed_bytes * 100 < dense_bytes  # O(n) vs O(n^2) state
     ratio = closed_s / dense_s
     _record(
+        bench_json,
         "routers_100k_H(32,64,2)",
         {
             "graph": graph.name,
@@ -244,7 +239,7 @@ def test_router_comparison_100k_n1024():
     assert ratio <= 1.75, f"closed-form routing {ratio:.2f}x slower than the table"
 
 
-def test_table_free_large_n_100k():
+def test_table_free_large_n_100k(bench_json):
     """100k uniform messages on H(64, 128, 2) without a dense (n, n) table.
 
     The headline unlock of the router abstraction: n = 4096 would need a
@@ -269,6 +264,7 @@ def test_table_free_large_n_100k():
     seconds = time.perf_counter() - start
     assert stats.delivered == 100_000
     _record(
+        bench_json,
         "uniform_100k_H(64,128,2)",
         {
             "graph": graph.name,
@@ -288,7 +284,7 @@ def test_table_free_large_n_100k():
     )
 
 
-def test_million_message_sharded_study_n_1e5():
+def test_million_message_sharded_study_n_1e5(bench_json):
     """10 seeds x 100k messages on H(128, 2048, 2) (n = 131072).
 
     The study the dense table made impossible: a million messages over a
@@ -335,6 +331,7 @@ def test_million_message_sharded_study_n_1e5():
     assert merged[3] == solo_stats
 
     _record(
+        bench_json,
         "sharded_1M_H(128,2048,2)",
         {
             "graph": graph.name,

@@ -5,9 +5,9 @@ verdicts on disk, keyed by ``(p, q, d, D)`` and scoped by the code version.
 This benchmark runs the diameter-8 Table 1 block twice against one cache
 directory: the first (cold) run computes and records every verdict, the
 second (warm) run must answer every split from disk and therefore skip the
-bit-parallel all-pairs stage entirely.  Both the timings and the hit/miss
-ledger go into ``BENCH_table1.json`` so the cache's effect is tracked across
-PRs alongside the raw search timings.
+bit-parallel all-pairs stage entirely.  With ``--write-bench`` both the
+timings and the hit/miss ledger go into ``BENCH_table1.json`` so the cache's
+effect is tracked across PRs alongside the raw search timings.
 
 The assertion is semantic first (identical rows with and without the cache,
 zero misses when warm) and performance second (the warm run must beat the
@@ -19,7 +19,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.tables import merge_bench_json
 from repro.otis.search import compare_with_paper, table1_rows
 from repro.otis.sweep import SplitVerdictCache
 
@@ -29,7 +28,7 @@ pytestmark = pytest.mark.table1
 
 
 @pytest.mark.benchmark(group="table1")
-def test_sweep_cache_cold_vs_warm_diameter_8(benchmark, once, tmp_path):
+def test_sweep_cache_cold_vs_warm_diameter_8(benchmark, once, tmp_path, bench_json):
     cache_dir = tmp_path / "verdicts"
 
     cold_cache = SplitVerdictCache(cache_dir, 2, 8)
@@ -56,7 +55,7 @@ def test_sweep_cache_cold_vs_warm_diameter_8(benchmark, once, tmp_path):
         f"({cold_seconds:.3f}s)"
     )
 
-    merge_bench_json(
+    bench_json(
         _BENCH_PATH,
         "sweep_cache_cold_vs_warm_diameter_8",
         {

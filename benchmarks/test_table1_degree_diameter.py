@@ -10,9 +10,9 @@ the full printed range 253..384.
 Every benchmark asserts that the measured splits agree with the paper rows —
 the reproduction claim, not just a timing.
 
-Each run also appends its wall time and the rows found to
-``BENCH_table1.json`` at the repository root, so the performance trajectory
-of the search path is tracked across PRs.  All three tests carry the
+With ``--write-bench`` each run also merges its wall time and the rows found
+into ``BENCH_table1.json`` at the repository root, so the performance
+trajectory of the search path is tracked across PRs.  All three tests carry the
 ``table1`` marker; deselect them with ``-m "not table1"`` when only the fast
 tier-1 suite is wanted.
 """
@@ -23,7 +23,6 @@ from pathlib import Path
 import pytest
 
 from repro import kernels
-from repro.analysis.tables import merge_bench_json
 from repro.otis.search import compare_with_paper, table1_rows
 
 _BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_table1.json"
@@ -31,9 +30,9 @@ _BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_table1.json"
 pytestmark = pytest.mark.table1
 
 
-def _record(name, result, seconds):
+def _record(bench_json, name, result, seconds):
     """Merge one benchmark entry into BENCH_table1.json."""
-    merge_bench_json(
+    bench_json(
         _BENCH_PATH,
         name,
         {
@@ -56,27 +55,27 @@ def _timed(once, benchmark, *args, **kwargs):
 
 
 @pytest.mark.benchmark(group="table1")
-def test_table1_diameter_8_full_range(benchmark, once):
+def test_table1_diameter_8_full_range(benchmark, once, bench_json):
     result, seconds = _timed(once, benchmark, 8)
     report = compare_with_paper(result)
     assert report["all_match"], report
     # the largest degree-2 diameter-8 OTIS digraph found is the Kautz digraph
     assert result.largest_n == 384
-    _record("diameter_8_full_range", result, seconds)
+    _record(bench_json, "diameter_8_full_range", result, seconds)
 
 
 @pytest.mark.benchmark(group="table1")
-def test_table1_diameter_9_printed_rows(benchmark, once):
+def test_table1_diameter_9_printed_rows(benchmark, once, bench_json):
     result, seconds = _timed(once, benchmark, 9, printed_rows_only=True)
     report = compare_with_paper(result)
     assert report["all_match"], report
     assert result.splits_for(512) == [(2, 512), (8, 128)]
     assert result.largest_n == 768
-    _record("diameter_9_printed_rows", result, seconds)
+    _record(bench_json, "diameter_9_printed_rows", result, seconds)
 
 
 @pytest.mark.benchmark(group="table1")
-def test_table1_diameter_10_printed_rows(benchmark, once):
+def test_table1_diameter_10_printed_rows(benchmark, once, bench_json):
     result, seconds = _timed(once, benchmark, 10, printed_rows_only=True)
     report = compare_with_paper(result)
     assert report["all_match"], report
@@ -88,4 +87,4 @@ def test_table1_diameter_10_printed_rows(benchmark, once):
         (32, 64),
     ]
     assert result.largest_n == 1536
-    _record("diameter_10_printed_rows", result, seconds)
+    _record(bench_json, "diameter_10_printed_rows", result, seconds)

@@ -32,6 +32,10 @@ the benchmark harness agree on their meaning:
   splitting; see docs/chaos.md).  Opt-in via ``--run-chaos`` or
   ``-m chaos``; a fast fixed-seed subset in ``tests/test_chaos.py`` runs
   unconditionally.
+
+The benchmarks under ``benchmarks/`` write their numbers into the
+``BENCH_*.json`` files at the repository root only when ``--write-bench`` is
+passed; a plain run checks every reproduction but leaves the tree clean.
 """
 
 import pytest
@@ -97,6 +101,12 @@ def pytest_addoption(parser):
         action="store_true",
         default=False,
         help="run the 'chaos'-marked full seeded fault-injection sweeps",
+    )
+    parser.addoption(
+        "--write-bench",
+        action="store_true",
+        default=False,
+        help="let the benchmarks merge their results into BENCH_*.json",
     )
 
 

@@ -212,9 +212,6 @@ class LeaseManager:
             return False
         return now - seen[1] > self.ttl
 
-    #: Backwards-compatible alias from before ``is_expired`` was public.
-    _expired = is_expired
-
     # ------------------------------------------------------------ claiming
     def try_acquire(self, chunk_id: str, *, worker: str) -> Lease | None:
         """One attempt to claim ``chunk_id``; None when someone holds it.

@@ -1,6 +1,7 @@
-"""Compiled kernel backends for the two engine hot loops.
+"""Compiled kernel backends for the engine hot loops.
 
-The uint64 bit-sweep behind :mod:`repro.graphs.apsp` and the
+The uint64 bit-sweep behind :mod:`repro.graphs.apsp`, the forward/reverse
+BFS connectivity screen of :func:`repro.otis.search.h_diameter` and the
 same-timestamp round resolution behind
 :class:`repro.simulation.network.BatchedNetworkSimulator` each have a
 compiled implementation here, selected at run time:
@@ -21,8 +22,9 @@ compiled implementation here, selected at run time:
 
 Selection: the ``REPRO_KERNELS`` environment variable (``auto`` — the
 default — or an explicit backend name) decides the process-wide default;
-``batched_eccentricities(..., backend=...)`` /
-``BatchedNetworkSimulator(..., kernels=...)`` override per call site.
+``batched_eccentricities(..., backend=...)`` / ``h_diameter(...,
+backend=...)`` / ``BatchedNetworkSimulator(..., kernels=...)`` override per
+call site.
 Requesting an unavailable backend explicitly warns and falls back to
 numpy; ``auto`` silently picks the best available
 (``numba`` > ``cnative`` > ``numpy``).
@@ -141,7 +143,7 @@ def active_backend() -> str:
 def get_kernels(backend: str | None = None):
     """The kernel namespace for ``backend`` (resolved), or None for numpy.
 
-    Returns an object with the six kernel functions (see
+    Returns an object with the kernel functions (see
     ``repro.kernels._pyimpl.KERNEL_NAMES``) for the compiled backends, and
     ``None`` for ``numpy`` — callers treat ``None`` as "run the original
     vectorised path".
@@ -161,20 +163,22 @@ def get_kernels(backend: str | None = None):
 def warmup(backend: str | None = None) -> str:
     """Force-compile every kernel of the resolved backend; returns its name.
 
-    One tiny end-to-end call per engine seam: a 2-vertex eccentricity
-    sweep, a 1-source subset sweep, and a 2-message simulation.  After this
-    returns, no JIT or C compile cost can land inside a benchmark key or a
-    first request.  A no-op (beyond resolution) for ``numpy``.
+    One tiny end-to-end call per engine seam: a 2-vertex ``h_diameter``
+    (BFS screen, then eccentricity sweep), a 1-source subset sweep, and a
+    2-message simulation.  After this returns, no JIT or C compile cost can
+    land inside a benchmark key or a first request.  A no-op (beyond
+    resolution) for ``numpy``.
     """
     resolved = resolve_backend(backend)
     if resolved == "numpy":
         return resolved
     from repro.graphs.apsp import batched_eccentricities, subset_distance_rows
-    from repro.graphs.digraph import Digraph
+    from repro.graphs.digraph import Digraph, RegularDigraph
+    from repro.otis.search import h_diameter
     from repro.simulation.network import BatchedNetworkSimulator
 
     graph = Digraph(2, [(0, 1), (1, 0)])
-    batched_eccentricities(graph, backend=resolved)
+    h_diameter(RegularDigraph([[1], [0]]), 1, backend=resolved)
     batched_eccentricities(graph, 1, sources=[0], backend=resolved)
     subset_distance_rows(graph, [0], backend=resolved)
     sim = BatchedNetworkSimulator(graph, kernels=resolved)

@@ -11,8 +11,9 @@ executes exactly this code —
   the two can be diffed side by side;
 * the plain-python build (``PY_KERNELS`` below) runs the very same loops
   interpreted.  It is far too slow to be a production fallback (that role
-  belongs to the vectorised numpy paths in ``repro.graphs.apsp`` and
-  ``repro.simulation.network``), but it is invaluable as a third independent
+  belongs to the vectorised numpy paths in ``repro.graphs.apsp``,
+  ``repro.graphs.traversal`` and ``repro.simulation.network``), but it is
+  invaluable as a third independent
   executable reference for the differential tests in
   ``tests/test_kernel_parity.py`` — it runs everywhere, numba or not.
 
@@ -61,6 +62,7 @@ KERNEL_NAMES = (
     "ecc_sweep",
     "subset_rows_sweep",
     "subset_ecc_sweep",
+    "bfs_screen",
     "make_round_driver",
 )
 
@@ -265,6 +267,82 @@ def build_kernels(jit):
                     ecc[i * 64 + b] = level
                     num_done += 1
                     newly &= newly - np.uint64(1)
+        return 0
+
+    # ------------------------------------------------------------ screen
+    @jit
+    def bfs_screen(succ, upper_bound, work):
+        """Forward and reverse queue BFS from vertex 0 in one call.
+
+        Replicates stages 1-2 of ``repro.otis.search.h_diameter`` (the
+        numpy ``bfs_distances_regular`` / ``reverse_bfs_distances_regular``
+        pair), in their order.  ``work`` is an int64 workspace of at least
+        ``n * (d + 3) + 1`` entries, laid out ``dist[n] | queue[n] |
+        indptr[n + 1] | tails[n * d]``; the reverse adjacency is built into
+        ``indptr``/``tails`` by a counting sort.  Returns -1 when some
+        vertex is unreachable (forward or reverse), 1 when a distance
+        exceeds ``upper_bound``, 0 when the digraph passed.
+        """
+        n = succ.shape[0]
+        d = succ.shape[1]
+        dist = work[0:n]
+        queue = work[n : 2 * n]
+        indptr = work[2 * n : 3 * n + 1]
+        tails = work[3 * n + 1 : 3 * n + 1 + n * d]
+        for v in range(n):
+            dist[v] = -1
+        dist[0] = 0
+        queue[0] = 0
+        head = 0
+        tail = 1
+        while head < tail:
+            u = queue[head]
+            head += 1
+            du = dist[u] + 1
+            for j in range(d):
+                v = succ[u, j]
+                if dist[v] < 0:
+                    dist[v] = du
+                    queue[tail] = v
+                    tail += 1
+        if tail < n:
+            return -1
+        if dist[queue[n - 1]] > upper_bound:
+            return 1
+        for v in range(n + 1):
+            indptr[v] = 0
+        for u in range(n):
+            for j in range(d):
+                indptr[succ[u, j] + 1] += 1
+        for v in range(n):
+            indptr[v + 1] += indptr[v]
+        for v in range(n):
+            queue[v] = indptr[v]  # the queue doubles as the fill cursor
+        for u in range(n):
+            for j in range(d):
+                v = succ[u, j]
+                tails[queue[v]] = u
+                queue[v] += 1
+        for v in range(n):
+            dist[v] = -1
+        dist[0] = 0
+        queue[0] = 0
+        head = 0
+        tail = 1
+        while head < tail:
+            v = queue[head]
+            head += 1
+            dv = dist[v] + 1
+            for k in range(indptr[v], indptr[v + 1]):
+                u = tails[k]
+                if dist[u] < 0:
+                    dist[u] = dv
+                    queue[tail] = u
+                    tail += 1
+        if tail < n:
+            return -1
+        if dist[queue[n - 1]] > upper_bound:
+            return 1
         return 0
 
     # -------------------------------------------------------- event queue
@@ -687,6 +765,7 @@ def build_kernels(jit):
         ecc_sweep=ecc_sweep,
         subset_rows_sweep=subset_rows_sweep,
         subset_ecc_sweep=subset_ecc_sweep,
+        bfs_screen=bfs_screen,
         make_round_driver=make_round_driver,
         # exposed for the differential tests (not used by the engines)
         queue_schedule=queue_schedule,

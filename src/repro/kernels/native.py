@@ -217,6 +217,59 @@ EXPORT int64_t subset_ecc_sweep(
     return 0;
 }
 
+/* ---------------------------------------------------------------- screen */
+
+EXPORT int64_t bfs_screen(
+    const int64_t *succ, int64_t *work, int64_t n, int64_t d,
+    int64_t upper_bound)
+{
+    int64_t *dist = work;
+    int64_t *queue = work + n;
+    int64_t *indptr = work + 2 * n;
+    int64_t *tails = work + 3 * n + 1;
+    for (int64_t v = 0; v < n; v++) dist[v] = -1;
+    dist[0] = 0;
+    queue[0] = 0;
+    int64_t head = 0, tail = 1;
+    while (head < tail) {
+        int64_t u = queue[head++];
+        int64_t du = dist[u] + 1;
+        for (int64_t j = 0; j < d; j++) {
+            int64_t v = succ[u * d + j];
+            if (dist[v] < 0) { dist[v] = du; queue[tail++] = v; }
+        }
+    }
+    if (tail < n) return -1;
+    if (dist[queue[n - 1]] > upper_bound) return 1;
+    for (int64_t v = 0; v <= n; v++) indptr[v] = 0;
+    for (int64_t u = 0; u < n; u++) {
+        for (int64_t j = 0; j < d; j++) indptr[succ[u * d + j] + 1]++;
+    }
+    for (int64_t v = 0; v < n; v++) indptr[v + 1] += indptr[v];
+    for (int64_t v = 0; v < n; v++) queue[v] = indptr[v];  /* fill cursor */
+    for (int64_t u = 0; u < n; u++) {
+        for (int64_t j = 0; j < d; j++) {
+            int64_t v = succ[u * d + j];
+            tails[queue[v]++] = u;
+        }
+    }
+    for (int64_t v = 0; v < n; v++) dist[v] = -1;
+    dist[0] = 0;
+    queue[0] = 0;
+    head = 0; tail = 1;
+    while (head < tail) {
+        int64_t v = queue[head++];
+        int64_t dv = dist[v] + 1;
+        for (int64_t k = indptr[v]; k < indptr[v + 1]; k++) {
+            int64_t u = tails[k];
+            if (dist[u] < 0) { dist[u] = dv; queue[tail++] = u; }
+        }
+    }
+    if (tail < n) return -1;
+    if (dist[queue[n - 1]] > upper_bound) return 1;
+    return 0;
+}
+
 /* ------------------------------------------------------------- simulator */
 
 /* The queue arrays travel together; same order as _pyimpl's QUEUE tuple
@@ -455,6 +508,7 @@ _SIGNATURES = {
         _I,
         [_i64, _u64, _u64, _u64, _u64, _i64, _I, _I, _I, _I, _I],
     ),
+    "bfs_screen": (_I, [_i64, _i64, _I, _I, _I]),
     "queue_schedule": (None, _QSIG + [_i64, _f64, _I]),
     "pop_round": (None, _QSIG + [_I, _i64, _i64, _i64, _i64, _i64, _i64]),
     "finish_round": (
@@ -615,6 +669,14 @@ def build_native_kernels() -> SimpleNamespace:
                 )
             )
 
+        def bfs_screen(succ, upper_bound, work):
+            n, d = succ.shape
+            if work.shape[0] < n * (d + 3) + 1:
+                raise ValueError("bfs_screen workspace needs n * (d + 3) + 1 entries")
+            return lib.bfs_screen(
+                _ptr(succ, _i64), _ptr(work, _i64), n, d, upper_bound
+            )
+
         # --- raw queue kernels: same python arg lists as _pyimpl (used by
         # --- the differential tests; the engines go through the driver)
 
@@ -721,6 +783,7 @@ def build_native_kernels() -> SimpleNamespace:
             ecc_sweep=ecc_sweep,
             subset_rows_sweep=subset_rows_sweep,
             subset_ecc_sweep=subset_ecc_sweep,
+            bfs_screen=bfs_screen,
             make_round_driver=make_round_driver,
             # exposed for the differential tests (not used by the engines)
             queue_schedule=queue_schedule,

@@ -25,7 +25,7 @@ This package models that architecture and everything the paper builds on it:
 """
 
 from repro.otis.architecture import OTISArchitecture
-from repro.otis.h_digraph import h_digraph, h_digraph_splits, otis_node_assignment
+from repro.otis.h_digraph import h_digraph, otis_node_assignment
 from repro.otis.hardware import HardwareModel, OpticalTechnology
 from repro.otis.layout import (
     OTISLayout,
@@ -34,7 +34,12 @@ from repro.otis.layout import (
     kautz_layout,
     optimal_debruijn_layout,
 )
-from repro.otis.search import DegreeDiameterResult, degree_diameter_search, table1_rows
+from repro.otis.search import (
+    DegreeDiameterResult,
+    candidate_splits,
+    degree_diameter_search,
+    table1_rows,
+)
 from repro.otis.sweep import (
     ChunkManifest,
     ChunkStore,
@@ -46,7 +51,7 @@ from repro.otis.sweep import (
 __all__ = [
     "OTISArchitecture",
     "h_digraph",
-    "h_digraph_splits",
+    "candidate_splits",
     "otis_node_assignment",
     "OTISLayout",
     "debruijn_layout",

@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.graphs.digraph import RegularDigraph
 
-__all__ = ["h_digraph", "h_digraph_splits", "otis_node_assignment", "NodeAssignment"]
+__all__ = ["h_digraph", "otis_node_assignment", "NodeAssignment"]
 
 
 def h_digraph(p: int, q: int, d: int) -> RegularDigraph:
@@ -62,32 +62,14 @@ def h_digraph(p: int, q: int, d: int) -> RegularDigraph:
         raise ValueError(f"d={d} must divide p*q={m}")
     n = m // d
 
-    transmitters = np.arange(m, dtype=np.int64)
-    i = transmitters // q
-    j = transmitters % q
-    receiver_global = (q - j - 1) * p + (p - i - 1)
-    owner = receiver_global // d
-    successors = owner.reshape(n, d)
+    # Transmitter i*q + j lights receiver (q-j-1)*p + (p-i-1): entry (i, j)
+    # of this (p, q) grid, so its row-major order is transmitter order.
+    receiver_global = (
+        np.arange(q - 1, -1, -1, dtype=np.int64) * p
+        + np.arange(p - 1, -1, -1, dtype=np.int64)[:, None]
+    )
+    successors = (receiver_global // d).reshape(n, d)
     return RegularDigraph(successors, name=f"H({p},{q},{d})")
-
-
-def h_digraph_splits(n: int, d: int) -> list[tuple[int, int]]:
-    """All ``(p, q)`` with ``p*q = n*d`` — the candidate OTIS systems for ``n`` nodes.
-
-    Used by the degree–diameter search of Table 1: every divisor pair of
-    ``m = n*d`` gives a candidate ``H(p, q, d)`` on ``n`` nodes.
-    Pairs are returned with ``p <= q`` first, in increasing ``p``.
-    """
-    if n < 1 or d < 1:
-        raise ValueError("n and d must be positive")
-    m = n * d
-    splits = []
-    p = 1
-    while p * p <= m:
-        if m % p == 0:
-            splits.append((p, m // p))
-        p += 1
-    return splits
 
 
 @dataclass(frozen=True)

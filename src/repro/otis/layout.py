@@ -261,12 +261,12 @@ def find_layout_by_search(graph: RegularDigraph) -> OTISLayout | None:
     force the paper's structural theory replaces; it is used by the tests and
     the ablation benchmarks as the baseline.
     """
-    from repro.otis.h_digraph import h_digraph_splits
+    from repro.otis.search import candidate_splits
 
     n = graph.num_vertices
     d = graph.degree
     candidates = []
-    for p, q in h_digraph_splits(n, d):
+    for p, q in candidate_splits(n, d):
         candidates.append((p, q))
         if p != q:
             candidates.append((q, p))

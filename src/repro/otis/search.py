@@ -16,7 +16,8 @@ This module re-runs that search:
   converse digraph, Section 4.2),
 * :func:`h_diameter` — staged diameter computation with early rejection: a
   forward BFS screen, a reverse BFS screen (together they decide strong
-  connectivity), then the batched bit-parallel eccentricity sweep of
+  connectivity; one compiled ``bfs_screen`` kernel call under a kernel
+  backend), then the batched bit-parallel eccentricity sweep of
   :mod:`repro.graphs.apsp` with early abort at the target diameter,
 * :func:`degree_diameter_search` — sweep a range of ``n`` and report every
   ``(n, p, q)`` whose OTIS digraph has exactly the requested diameter,
@@ -44,11 +45,13 @@ cross-checked reference).  See ``docs/apsp.md`` for the engine's contract.
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro import kernels as _kernels
 from repro.graphs.apsp import batched_eccentricities
 from repro.graphs.digraph import RegularDigraph
 from repro.graphs.moore import kautz_order
@@ -66,6 +69,10 @@ __all__ = [
     "table1_rows",
     "PAPER_TABLE1",
 ]
+
+#: Per-thread workspace of the compiled BFS screen (ctypes calls release
+#: the GIL, so threads must not share one).
+_SCREEN = threading.local()
 
 
 #: The rows of Table 1 exactly as printed in the paper: for each diameter,
@@ -120,8 +127,19 @@ def candidate_splits(n: int, d: int) -> list[tuple[int, int]]:
     return splits
 
 
+def _screen_workspace(size: int) -> np.ndarray:
+    """This thread's grow-only int64 workspace for the compiled screen."""
+    work = getattr(_SCREEN, "work", None)
+    if work is None or work.shape[0] < size:
+        work = _SCREEN.work = np.empty(size, dtype=np.int64)
+    return work
+
+
 def h_diameter(
-    graph: RegularDigraph, upper_bound: int | None = None
+    graph: RegularDigraph,
+    upper_bound: int | None = None,
+    *,
+    backend: str | None = None,
 ) -> int:
     """Diameter of an OTIS digraph with staged early rejection.
 
@@ -141,27 +159,47 @@ def h_diameter(
        (:func:`repro.graphs.apsp.batched_eccentricities`), which aborts the
        moment any eccentricity is certain to exceed ``upper_bound``.  No
        ``(n, n)`` int64 matrix is allocated at any stage.
+
+    ``backend`` selects the kernel backend (see :mod:`repro.kernels`);
+    ``None`` resolves ``REPRO_KERNELS``.  A compiled backend runs stages 1-2
+    as one ``bfs_screen`` kernel call; ``numpy`` runs the vectorised BFS
+    pair of :mod:`repro.graphs.traversal`.  Verdicts are identical.
     """
     n = graph.num_vertices
     if n <= 1:
         return 0
-    # Stage 1: forward BFS from vertex 0.
-    dist0 = bfs_distances_regular(graph, 0)
-    if np.any(dist0 < 0):
-        return -1
-    if upper_bound is not None and int(dist0.max()) > upper_bound:
-        return upper_bound + 1
-    # Stage 2: reverse BFS to vertex 0 — completes the connectivity check
-    # before the all-pairs stage is paid for.
-    rdist0 = reverse_bfs_distances_regular(graph, 0)
-    if np.any(rdist0 < 0):
-        return -1
-    if upper_bound is not None and int(rdist0.max()) > upper_bound:
-        return upper_bound + 1
+    kern = _kernels.get_kernels(backend)
+    if kern is not None:
+        # Stages 1-2 in one call; a bound of n can never fire (d(u, v) < n).
+        status = kern.bfs_screen(
+            graph.successors,
+            n if upper_bound is None else min(upper_bound, n),
+            _screen_workspace(n * (graph.degree + 3) + 1),
+        )
+        if status < 0:
+            return -1
+        if status > 0:
+            return upper_bound + 1
+    else:
+        # Stage 1: forward BFS from vertex 0.
+        dist0 = bfs_distances_regular(graph, 0)
+        if np.any(dist0 < 0):
+            return -1
+        if upper_bound is not None and int(dist0.max()) > upper_bound:
+            return upper_bound + 1
+        # Stage 2: reverse BFS to vertex 0 — completes the connectivity
+        # check before the all-pairs stage is paid for.
+        rdist0 = reverse_bfs_distances_regular(graph, 0)
+        if np.any(rdist0 < 0):
+            return -1
+        if upper_bound is not None and int(rdist0.max()) > upper_bound:
+            return upper_bound + 1
     # Stage 3: batched bit-parallel sweep over all sources at once.  The
     # digraph is strongly connected by now, so an abort can only mean the
     # diameter exceeds the bound.
-    ecc, aborted = batched_eccentricities(graph, upper_bound=upper_bound)
+    ecc, aborted = batched_eccentricities(
+        graph, upper_bound=upper_bound, backend=backend
+    )
     if aborted:
         return upper_bound + 1
     return int(ecc.max())

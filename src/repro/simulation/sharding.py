@@ -340,11 +340,6 @@ def run_replica_chunk(payload) -> list[dict]:
     ]
 
 
-#: Backwards-compatible alias from before ``run_replica_chunk`` was public
-#: (the fleet driver imports the public name).
-_run_replica_chunk = run_replica_chunk
-
-
 def run_replica_shard(
     manifest: ReplicaChunkManifest,
     store: ChunkStore | str | Path,

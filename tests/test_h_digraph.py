@@ -7,11 +7,8 @@ from repro.graphs.generators import de_bruijn, imase_itoh, kautz
 from repro.graphs.isomorphism import are_isomorphic
 from repro.graphs.properties import diameter
 from repro.otis.architecture import OTISArchitecture
-from repro.otis.h_digraph import (
-    h_digraph,
-    h_digraph_splits,
-    otis_node_assignment,
-)
+from repro.otis.h_digraph import h_digraph, otis_node_assignment
+from repro.otis.search import candidate_splits
 from repro.words import word_to_int
 
 
@@ -45,20 +42,21 @@ class TestConstruction:
         assert diameter(h_digraph(4, 8, 2)) == 4
 
     def test_consistency_with_architecture(self):
-        # Rebuild H(p, q, d) directly from the OTIS wiring and compare.
-        p, q, d = 6, 4, 2
-        otis = OTISArchitecture(p, q)
-        H = h_digraph(p, q, d)
-        n = p * q // d
-        for u in range(n):
-            expected = set()
-            for lam in range(d):
-                t = d * u + lam
-                i, j = otis.transmitter_coords(t)
-                a, b = otis.receiver_of(i, j)
-                r = otis.receiver_index(a, b)
-                expected.add(r // d)
-            assert set(H.out_neighbors(u)) == expected
+        # Rebuild H(p, q, d) slot by slot from the OTIS wiring and compare.
+        for p, q, d in [(6, 4, 2), (1, 8, 2), (8, 1, 2), (1, 1, 1), (3, 5, 1),
+                        (4, 6, 3), (9, 4, 6)]:
+            otis = OTISArchitecture(p, q)
+            H = h_digraph(p, q, d)
+            n = p * q // d
+            for u in range(n):
+                expected = []
+                for lam in range(d):
+                    t = d * u + lam
+                    i, j = otis.transmitter_coords(t)
+                    a, b = otis.receiver_of(i, j)
+                    r = otis.receiver_index(a, b)
+                    expected.append(r // d)
+                assert H.out_neighbors(u) == expected
 
     def test_imase_itoh_layout_identity(self):
         # H(d, n, d) equals II(d, n) on integer labels (known layout, ref [14]).
@@ -80,14 +78,14 @@ class TestConstruction:
 
 class TestSplits:
     def test_h_digraph_splits(self):
-        splits = h_digraph_splits(8, 2)
+        splits = candidate_splits(8, 2)
         assert splits == [(1, 16), (2, 8), (4, 4)]
         for p, q in splits:
             assert p * q == 16
 
     def test_splits_validation(self):
         with pytest.raises(ValueError):
-            h_digraph_splits(0, 2)
+            candidate_splits(0, 2)
 
 
 class TestNodeAssignment:

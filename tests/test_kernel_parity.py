@@ -9,6 +9,10 @@ equal.  This suite is the proof obligation:
   tiny digraphs and on hypothesis-randomised digraphs (with parallel arcs,
   self-loops, sinks and disconnected pieces), with and without the
   ``upper_bound`` early cut;
+* the BFS connectivity screen is compared through
+  ``h_diameter(..., backend=...)`` on every small ``H(p, q, d)`` split and
+  on hypothesis-randomised regular digraphs (degree 0-3, self-loops,
+  parallel arcs, not strongly connected), under several bounds;
 * the simulator kernels are compared against the numpy vector path on
   randomised workloads over parallel-arc topologies, zero-``T`` /
   zero-``L`` link timings (same-instant event cascades), truncated runs
@@ -29,6 +33,8 @@ the loop: reference engine == numpy path == every kernel backend.
 """
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -37,9 +43,10 @@ from hypothesis import strategies as st
 
 from repro import kernels
 from repro.graphs.apsp import batched_eccentricities, subset_distance_rows
-from repro.graphs.digraph import Digraph
+from repro.graphs.digraph import Digraph, RegularDigraph
 from repro.kernels._pyimpl import PY_KERNELS
 from repro.otis.h_digraph import h_digraph
+from repro.otis.search import candidate_splits, h_diameter
 from repro.simulation.network import (
     BatchedNetworkSimulator,
     BufferedLinkModel,
@@ -52,6 +59,22 @@ from repro.simulation.workloads import uniform_random_pairs
 BACKENDS = [b for b in kernels.available_backends() if b != "numpy"] + ["pyimpl"]
 
 
+def wire_pyimpl(monkeypatch):
+    """Teach the dispatch layer to resolve ``"pyimpl"`` to ``PY_KERNELS``."""
+    orig_resolve = kernels.resolve_backend
+    orig_get = kernels.get_kernels
+    monkeypatch.setattr(
+        kernels,
+        "resolve_backend",
+        lambda r=None: "pyimpl" if r == "pyimpl" else orig_resolve(r),
+    )
+    monkeypatch.setattr(
+        kernels,
+        "get_kernels",
+        lambda b=None: PY_KERNELS if b == "pyimpl" else orig_get(b),
+    )
+
+
 @pytest.fixture(params=BACKENDS)
 def backend(request, monkeypatch):
     """One kernel backend name, with ``"pyimpl"`` wired into the dispatch.
@@ -60,22 +83,12 @@ def backend(request, monkeypatch):
     production use); for the duration of a test we teach the dispatch layer
     to resolve it to ``PY_KERNELS`` so the exact integration paths under
     test — ``batched_eccentricities(backend=...)``,
-    ``BatchedNetworkSimulator(kernels=...)`` — run it end to end.
+    ``h_diameter(backend=...)``, ``BatchedNetworkSimulator(kernels=...)`` —
+    run it end to end.
     """
     name = request.param
     if name == "pyimpl":
-        orig_resolve = kernels.resolve_backend
-        orig_get = kernels.get_kernels
-        monkeypatch.setattr(
-            kernels,
-            "resolve_backend",
-            lambda r=None: "pyimpl" if r == "pyimpl" else orig_resolve(r),
-        )
-        monkeypatch.setattr(
-            kernels,
-            "get_kernels",
-            lambda b=None: PY_KERNELS if b == "pyimpl" else orig_get(b),
-        )
+        wire_pyimpl(monkeypatch)
     return name
 
 
@@ -185,6 +198,121 @@ def test_h_diameter_sized_sweep(backend):
     for graph in (h_digraph(4, 8, 2), h_digraph(2, 8, 4)):
         assert_apsp_parity(graph, backend)
         assert_apsp_parity(graph, backend, upper_bound=3)
+
+
+# ------------------------------------------------------------ bfs screen
+
+
+def assert_screen_parity(graph, back, upper_bound):
+    ref = h_diameter(graph, upper_bound, backend="numpy")
+    assert h_diameter(graph, upper_bound, backend=back) == ref
+    return ref
+
+
+def test_h_diameter_screen_every_split(backend):
+    # Every split H(p, q, d) on up to ~200 vertices (the interpreted build
+    # up to 64), under no bound, bounds that cut in stage 1, 2 or 3, and the
+    # exact diameter (the sweep completes).
+    max_n = 64 if backend == "pyimpl" else 200
+    for d in (2, 3):
+        for n in range(1, max_n + 1):
+            for p, q in candidate_splits(n, d):
+                graph = h_digraph(p, q, d)
+                exact = assert_screen_parity(graph, backend, None)
+                for bound in {0, 2, exact}:
+                    assert_screen_parity(graph, backend, bound)
+
+
+@st.composite
+def regular_digraphs(draw, max_n=40):
+    """Random ``d``-regular successor matrices, ``d`` in 0..3: self-loops,
+    parallel arcs and digraphs that are not strongly connected included."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    d = draw(st.integers(min_value=0, max_value=3))
+    heads = draw(
+        st.lists(
+            st.integers(min_value=0, max_value=n - 1),
+            min_size=n * d,
+            max_size=n * d,
+        )
+    )
+    return RegularDigraph(np.array(heads, dtype=np.int64).reshape(n, d))
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph=regular_digraphs(), data=st.data())
+def test_h_diameter_screen_randomised(graph, data):
+    ub = data.draw(
+        st.one_of(
+            st.none(), st.integers(min_value=0, max_value=graph.num_vertices + 1)
+        )
+    )
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        wire_pyimpl(monkeypatch)
+        for back in BACKENDS:
+            assert_screen_parity(graph, back, ub)
+
+
+def test_bfs_screen_kernel_corners(backend):
+    kern = PY_KERNELS if backend == "pyimpl" else kernels.get_kernels(backend)
+    work = np.full(64, -7, dtype=np.int64)  # stale workspace contents
+    for d in (0, 1, 2):
+        # n = 1: trivially strongly connected; only a negative bound cuts.
+        single = np.zeros((1, d), dtype=np.int64)
+        assert kern.bfs_screen(single, 1, work) == 0
+        assert kern.bfs_screen(single, 0, work) == 0
+        assert kern.bfs_screen(single, -1, work) == 1
+    # no arcs on two vertices: forward-unreachable before any bound check
+    assert kern.bfs_screen(np.zeros((2, 0), dtype=np.int64), 0, work) == -1
+    # 0 -> 1 -> 1: forward-connected, but 0 is unreachable in reverse
+    path = np.array([[1], [1]], dtype=np.int64)
+    assert kern.bfs_screen(path, 2, work) == -1
+    # forward too large wins over the reverse connectivity verdict
+    assert kern.bfs_screen(path, 0, work) == 1
+    # the 3-cycle: forward and reverse eccentricity of vertex 0 are both 2
+    cycle = np.array([[1], [2], [0]], dtype=np.int64)
+    assert kern.bfs_screen(cycle, 2, work) == 0
+    assert kern.bfs_screen(cycle, 1, work) == 1
+    if backend == "cnative":  # C would write past a short workspace
+        with pytest.raises(ValueError, match="workspace"):
+            kern.bfs_screen(cycle, 2, work[:12])
+
+
+def test_h_diameter_screen_threads_do_not_share_workspace():
+    # Compiled kernels run without the interpreter lock, so concurrent
+    # h_diameter calls must each screen in their own workspace.
+    compiled = [b for b in BACKENDS if b != "pyimpl"]
+    if not compiled:
+        pytest.skip("no compiled backend available")
+    graphs = [
+        h_digraph(p, q, 2)
+        for n in range(200, 260)
+        for p, q in candidate_splits(n, 2)
+    ]
+    expected = [h_diameter(g, 8, backend="numpy") for g in graphs]
+
+    def verdicts(offset):
+        order = graphs[offset:] + graphs[:offset]
+        got = [h_diameter(g, 8, backend=compiled[0]) for g in order]
+        return got[len(graphs) - offset:] + got[: len(graphs) - offset]
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(verdicts, 37 * k) for k in range(8)]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(switch)
+    for got in results:
+        assert got == expected
+
+
+def test_h_diameter_n1_every_backend(backend):
+    for d in (0, 1, 2):
+        graph = RegularDigraph(np.zeros((1, d), dtype=np.int64))
+        for bound in (None, 0, 3):
+            assert assert_screen_parity(graph, backend, bound) == 0
 
 
 # ----------------------------------------------------------------- simulator

@@ -20,10 +20,12 @@ Three contracts beyond bit-identity (which ``test_kernel_parity.py`` owns):
 """
 
 import builtins
+from types import SimpleNamespace
 
 import pytest
 
 from repro import kernels
+from repro.otis import search
 from repro.otis.h_digraph import h_digraph
 from repro.otis.sweep import SplitVerdictCache, StoreIdentityError, code_version
 from repro.simulation.network import BatchedNetworkSimulator, LinkModel
@@ -126,6 +128,28 @@ class TestResolution:
             else:
                 assert sparse_used == 0 and dense_used == 1
 
+    def test_env_var_numpy_takes_numpy_bfs_screen(self, monkeypatch):
+        # Under REPRO_KERNELS=numpy h_diameter runs the vectorised forward
+        # and reverse BFS stages; a compiled backend replaces both with one
+        # bfs_screen kernel call.  Same verdict either way.
+        calls = []
+        for name in ("bfs_distances_regular", "reverse_bfs_distances_regular"):
+            real = getattr(search, name)
+            monkeypatch.setattr(
+                search,
+                name,
+                lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a),
+            )
+        monkeypatch.setenv(kernels.ENV_VAR, "numpy")
+        assert search.h_diameter(GRAPH, 4) == 4
+        assert calls == ["bfs_distances_regular", "reverse_bfs_distances_regular"]
+        monkeypatch.setenv(kernels.ENV_VAR, "auto")
+        if kernels.active_backend() == "numpy":
+            pytest.skip("no compiled backend available")
+        calls.clear()
+        assert search.h_diameter(GRAPH, 4) == 4
+        assert calls == []
+
     def test_numpy_forced_simulation_matches_auto(self, monkeypatch):
         # The fallback is not merely "doesn't crash": forced-numpy results
         # equal whatever the auto backend produces (bit-identity contract).
@@ -140,6 +164,23 @@ class TestWarmupAndDiagnostics:
     def test_warmup_returns_resolved_backend(self):
         name = kernels.warmup()
         assert name in kernels.KERNEL_BACKENDS
+
+    def test_warmup_runs_the_bfs_screen(self, monkeypatch):
+        if kernels.resolve_backend("auto") == "numpy":
+            pytest.skip("no compiled backend available")
+        monkeypatch.setenv(kernels.ENV_VAR, "auto")
+        screens = []
+        real_get = kernels.get_kernels
+
+        def spying_get(backend=None):
+            ns = real_get(backend)
+            spy = SimpleNamespace(**vars(ns))
+            spy.bfs_screen = lambda *a: screens.append(a) or ns.bfs_screen(*a)
+            return spy
+
+        monkeypatch.setattr(kernels, "get_kernels", spying_get)
+        kernels.warmup()
+        assert len(screens) == 1
 
     def test_warmup_numpy_is_a_noop(self, monkeypatch):
         monkeypatch.setenv(kernels.ENV_VAR, "numpy")
