@@ -198,7 +198,9 @@ def test_router_comparison_100k_n1024(bench_json):
     Identical NetworkStats (the routers are bit-identical on routes) and a
     wall-clock ratio within noise of 1 — the closed form pays O(D) integer
     arithmetic per hop where the table pays one gather, but drops the
-    routing state from O(n^2) to O(n) bytes.
+    routing state from O(n^2) to O(n) bytes.  On a compiled backend the
+    closed form runs inside the fused round loop (measured ~0.87x the
+    dense table's time, 2 cores, cnative), hence the 1.2 bound.
     """
     graph = h_digraph(32, 64, 2)
     traffic = uniform_random_pairs(graph.num_vertices, 100_000, rng=0)
@@ -236,7 +238,53 @@ def test_router_comparison_100k_n1024(bench_json):
             "kernel_backend": kernels.active_backend(),
         },
     )
-    assert ratio <= 1.75, f"closed-form routing {ratio:.2f}x slower than the table"
+    assert ratio <= 1.2, f"closed-form routing {ratio:.2f}x slower than the table"
+
+
+def test_closed_form_next_hops_1m(bench_json, monkeypatch):
+    """1M closed-form next hops on H(64, 128, 2): kernel vs numpy oracle.
+
+    ``ClosedFormRouter.next_hops`` runs the compiled ``shift_next_hops``
+    kernel on a compiled backend and ``shift_route_next_hops`` under
+    ``REPRO_KERNELS=numpy``; the answers are byte-identical.
+    """
+    import numpy as np
+
+    from repro.routing.routers import ClosedFormRouter
+
+    graph = h_digraph(64, 128, 2)
+    router = ClosedFormRouter.for_graph(graph)
+    rng = np.random.default_rng(0)
+    sources = rng.integers(graph.num_vertices, size=1_000_000)
+    targets = rng.integers(graph.num_vertices, size=1_000_000)
+
+    def best_of_3():
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            hops = router.next_hops(sources, targets)
+            best = min(best, time.perf_counter() - start)
+        return hops, best
+
+    backend = kernels.active_backend()
+    kernel_hops, kernel_s = best_of_3()
+    monkeypatch.setenv(kernels.ENV_VAR, "numpy")
+    numpy_hops, numpy_s = best_of_3()
+    assert kernel_hops.tobytes() == numpy_hops.tobytes()
+    _record(
+        bench_json,
+        "closed_form_next_hops_1M",
+        {
+            "graph": graph.name,
+            "pairs": 1_000_000,
+            "kernel_s": round(kernel_s, 4),
+            "numpy_s": round(numpy_s, 4),
+            "speedup": round(numpy_s / kernel_s, 2),
+            "kernel_backend": backend,
+        },
+    )
+    if backend != "numpy":
+        assert kernel_s < numpy_s, "the compiled next-hop kernel lost to numpy"
 
 
 def test_table_free_large_n_100k(bench_json):

@@ -1,9 +1,11 @@
 """Compiled kernel backends for the engine hot loops.
 
 The uint64 bit-sweep behind :mod:`repro.graphs.apsp`, the forward/reverse
-BFS connectivity screen of :func:`repro.otis.search.h_diameter` and the
-same-timestamp round resolution behind
-:class:`repro.simulation.network.BatchedNetworkSimulator` each have a
+BFS connectivity screen of :func:`repro.otis.search.h_diameter`, the
+closed-form shift routing of :class:`repro.routing.routers.ClosedFormRouter`
+and the same-timestamp round resolution behind
+:class:`repro.simulation.network.BatchedNetworkSimulator` (with the whole
+round loop in one call when the router is closed-form) each have a
 compiled implementation here, selected at run time:
 
 ``numba``
@@ -164,17 +166,23 @@ def warmup(backend: str | None = None) -> str:
     """Force-compile every kernel of the resolved backend; returns its name.
 
     One tiny end-to-end call per engine seam: a 2-vertex ``h_diameter``
-    (BFS screen, then eccentricity sweep), a 1-source subset sweep, and a
-    2-message simulation.  After this returns, no JIT or C compile cost can
-    land inside a benchmark key or a first request.  A no-op (beyond
+    (BFS screen, then eccentricity sweep), a 1-source subset sweep, a
+    2-message simulation (the per-round loop), one closed-form
+    ``next_hops`` call and a 2-message closed-form simulation on ``B(2,2)``
+    (the fused round loop).  After this returns, no JIT or C compile cost
+    can land inside a benchmark key or a first request.  A no-op (beyond
     resolution) for ``numpy``.
     """
     resolved = resolve_backend(backend)
     if resolved == "numpy":
         return resolved
+    import numpy as np
+
     from repro.graphs.apsp import batched_eccentricities, subset_distance_rows
     from repro.graphs.digraph import Digraph, RegularDigraph
+    from repro.graphs.generators import de_bruijn
     from repro.otis.search import h_diameter
+    from repro.routing.routers import ClosedFormRouter
     from repro.simulation.network import BatchedNetworkSimulator
 
     graph = Digraph(2, [(0, 1), (1, 0)])
@@ -183,6 +191,11 @@ def warmup(backend: str | None = None) -> str:
     subset_distance_rows(graph, [0], backend=resolved)
     sim = BatchedNetworkSimulator(graph, kernels=resolved)
     sim.run_many([[(0, 1, 0.0), (1, 0, 0.0)]], return_messages=False)
+    b22 = de_bruijn(2, 2)
+    router = ClosedFormRouter.for_graph(b22)
+    router.next_hops(np.array([0, 3]), np.array([3, 0]))
+    sim = BatchedNetworkSimulator(b22, router=router, kernels=resolved)
+    sim.run_many([[(0, 3, 0.0), (3, 0, 0.0)]], return_messages=False)
     return resolved
 
 

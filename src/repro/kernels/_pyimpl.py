@@ -63,6 +63,7 @@ KERNEL_NAMES = (
     "subset_rows_sweep",
     "subset_ecc_sweep",
     "bfs_screen",
+    "shift_next_hops",
     "make_round_driver",
 )
 
@@ -345,6 +346,78 @@ def build_kernels(jit):
             return 1
         return 0
 
+    # ----------------------------------------------------------- routing
+    @jit
+    def shift_next_hops(
+        cur, tgt, count, base, D, to_code, from_code, sorted_codes, out
+    ):
+        """Closed-form next hops of ``count`` ``(current, target)`` vertex pairs.
+
+        Replicates ``ClosedFormRouter.next_hops`` — the vertex -> word-code
+        relabelling, ``repro.routing.paths.shift_route_next_hops`` and the
+        decode back — one pair at a time.  ``to_code`` / ``from_code`` are
+        the relabelling arrays (empty = identity); ``sorted_codes`` != 0
+        decodes by binary search over the sorted ``to_code`` (the
+        ``np.searchsorted`` insertion point).  Power-of-two bases shift and
+        mask, others divide.  Returns -1, or the index of the first pair
+        whose vertex or code falls outside a relabelling array (``out`` is
+        then only filled up to that pair).
+        """
+        shift = 0
+        while (1 << shift) < base:
+            shift += 1
+        pow2 = (1 << shift) == base
+        pw = np.empty(D, dtype=np.int64)  # pw[j] = base**j
+        pw[0] = 1
+        for j in range(1, D):
+            pw[j] = pw[j - 1] * base
+        n_to = to_code.shape[0]
+        n_from = from_code.shape[0]
+        for i in range(count):
+            u = cur[i]
+            v = tgt[i]
+            if n_to > 0:
+                if u < 0 or u >= n_to or v < 0 or v >= n_to:
+                    return i
+                u = to_code[u]
+                v = to_code[v]
+            if u == v:
+                code = u
+            elif pow2:
+                # the longest suffix(u) / prefix(v) overlap, longest first
+                overlap = 0
+                for j in range(D - 1, 0, -1):
+                    if (u & (pw[j] - 1)) == (v >> (shift * (D - j))):
+                        overlap = j
+                        break
+                digit = (v >> (shift * (D - 1 - overlap))) & (base - 1)
+                code = ((u & (pw[D - 1] - 1)) << shift) | digit
+            else:
+                overlap = 0
+                for j in range(D - 1, 0, -1):
+                    if u % pw[j] == v // pw[D - j]:
+                        overlap = j
+                        break
+                digit = (v // pw[D - 1 - overlap]) % base
+                code = (u % pw[D - 1]) * base + digit
+            if sorted_codes:
+                lo = 0
+                hi = n_to
+                while lo < hi:
+                    mid = (lo + hi) >> 1
+                    if to_code[mid] < code:
+                        lo = mid + 1
+                    else:
+                        hi = mid
+                out[i] = lo
+            elif n_from > 0:
+                if code < 0 or code >= n_from:
+                    return i
+                out[i] = from_code[code]
+            else:
+                out[i] = code
+        return -1
+
     # -------------------------------------------------------- event queue
     @jit
     def _hash_bits(fbits, ubits, t):
@@ -607,7 +680,9 @@ def build_kernels(jit):
         ``NetworkSimulator``.  ``nxt`` holds the router's next hops for the
         forwarding subset, aligned with the order ``pop_round`` emitted
         them.  Writes the per-transmission trace triple to ``out_*`` and
-        the moved-message count to ``meta[0]``.
+        the moved-message count to ``meta[0]``.  Returns 0, or 1 when a
+        hop is not an arc of the topology: the round stops at that event
+        and ``meta[2]`` / ``meta[3]`` hold its node and hop.
         """
         j = 0
         nm = 0
@@ -637,7 +712,10 @@ def build_kernels(jit):
                     g = q2
                     break
             if g < 0:
-                continue  # no such arc (cannot happen for router-valid hops)
+                meta[0] = nm
+                meta[2] = node
+                meta[3] = nx
+                return 1  # the router named a hop that is not an arc
             base = r * m
             p0 = group_ptr[g]
             p1 = group_ptr[g + 1]
@@ -679,6 +757,156 @@ def build_kernels(jit):
             out_movers[nm] = i
             nm += 1
         meta[0] = nm
+        return 0
+
+    @jit
+    def run_rounds(
+        T,
+        L,
+        has_until,
+        until,
+        max_events,
+        loc,
+        dst,
+        hops,
+        arrival,
+        prev_link,
+        rep,
+        last_time,
+        busy_until,
+        queue_len,
+        max_queue,
+        tx_count,
+        group_keys,
+        group_ptr,
+        flat_links,
+        vertex_groups,
+        n,
+        m,
+        heap_time,
+        heap_bid,
+        bucket_head,
+        bucket_tail,
+        next_slot,
+        free_bids,
+        hash_time,
+        hash_state,
+        qstate,
+        fbits,
+        ubits,
+        slots_buf,
+        tails_buf,
+        dests_buf,
+        nxt_buf,
+        out_links,
+        out_starts,
+        out_movers,
+        meta,
+        base,
+        D,
+        to_code,
+        from_code,
+        sorted_codes,
+    ):
+        """The whole round loop with closed-form routing: pop -> route -> finish.
+
+        The per-round driver loop of ``repro.simulation.network.
+        _run_rounds_kernel`` with :func:`shift_next_hops` standing in for
+        the router call, so no round leaves the kernel.  ``has_until`` = 0
+        disables the ``until`` cut; ``max_events`` caps the popped events.
+        Returns 0; 1 when a hop is not an arc (``meta[2]`` / ``meta[3]`` =
+        node, hop, as in :func:`finish_round`); 2 when a routed pair falls
+        outside the relabelling arrays (``meta[2]`` / ``meta[3]`` = node,
+        destination).
+        """
+        processed = 0
+        while qstate[0] > 0:
+            t = heap_time[0]
+            if has_until and t > until:
+                break
+            limit = max_events - processed
+            if limit <= 0:
+                break
+            pop_round(
+                heap_time,
+                heap_bid,
+                bucket_head,
+                bucket_tail,
+                next_slot,
+                free_bids,
+                hash_time,
+                hash_state,
+                qstate,
+                fbits,
+                ubits,
+                limit,
+                loc,
+                dst,
+                slots_buf,
+                tails_buf,
+                dests_buf,
+                meta,
+            )
+            count = meta[0]
+            processed += count
+            bad = shift_next_hops(
+                tails_buf,
+                dests_buf,
+                meta[1],
+                base,
+                D,
+                to_code,
+                from_code,
+                sorted_codes,
+                nxt_buf,
+            )
+            if bad >= 0:
+                meta[2] = tails_buf[bad]
+                meta[3] = dests_buf[bad]
+                return 2
+            status = finish_round(
+                t,
+                T,
+                L,
+                count,
+                slots_buf,
+                nxt_buf,
+                loc,
+                dst,
+                hops,
+                arrival,
+                prev_link,
+                rep,
+                last_time,
+                busy_until,
+                queue_len,
+                max_queue,
+                tx_count,
+                group_keys,
+                group_ptr,
+                flat_links,
+                vertex_groups,
+                n,
+                m,
+                heap_time,
+                heap_bid,
+                bucket_head,
+                bucket_tail,
+                next_slot,
+                free_bids,
+                hash_time,
+                hash_state,
+                qstate,
+                fbits,
+                ubits,
+                out_links,
+                out_starts,
+                out_movers,
+                meta,
+            )
+            if status != 0:
+                return status
+        return 0
 
     class RoundDriver:
         """Pre-bound per-run driver: the arrays are captured once.
@@ -727,7 +955,7 @@ def build_kernels(jit):
             busy_until, queue_len, max_queue, tx_count, last_time = self.links
             group_keys, group_ptr, flat_links, vertex_groups, n, m = self.topo
             slots_buf, _, _, out_links, out_starts, out_movers, meta = self.bufs
-            finish_round(
+            return finish_round(
                 t,
                 self.T,
                 self.L,
@@ -758,6 +986,57 @@ def build_kernels(jit):
                 meta,
             )
 
+        def run(self, until, max_events, route):
+            """Every remaining round in one :func:`run_rounds` call.
+
+            ``until`` / ``max_events`` may be None; ``route`` is the
+            router's ``shift_spec()``.  Returns the kernel status.
+            """
+            loc, dst, hops, arrival, prev_link, rep = self.msg
+            busy_until, queue_len, max_queue, tx_count, last_time = self.links
+            group_keys, group_ptr, flat_links, vertex_groups, n, m = self.topo
+            (slots_buf, tails_buf, dests_buf,
+             out_links, out_starts, out_movers, meta) = self.bufs
+            base, D, to_code, from_code, sorted_codes = route
+            return run_rounds(
+                self.T,
+                self.L,
+                until is not None,
+                0.0 if until is None else until,
+                (1 << 62) if max_events is None else max_events,
+                loc,
+                dst,
+                hops,
+                arrival,
+                prev_link,
+                rep,
+                last_time,
+                busy_until,
+                queue_len,
+                max_queue,
+                tx_count,
+                group_keys,
+                group_ptr,
+                flat_links,
+                vertex_groups,
+                n,
+                m,
+                *self.queue,
+                slots_buf,
+                tails_buf,
+                dests_buf,
+                np.empty_like(slots_buf),  # next hops, one per forwarder
+                out_links,
+                out_starts,
+                out_movers,
+                meta,
+                base,
+                D,
+                to_code,
+                from_code,
+                sorted_codes,
+            )
+
     def make_round_driver(queue, msg, links, topo, bufs, T, L):
         return RoundDriver(queue, msg, links, topo, bufs, T, L)
 
@@ -766,11 +1045,13 @@ def build_kernels(jit):
         subset_rows_sweep=subset_rows_sweep,
         subset_ecc_sweep=subset_ecc_sweep,
         bfs_screen=bfs_screen,
+        shift_next_hops=shift_next_hops,
         make_round_driver=make_round_driver,
         # exposed for the differential tests (not used by the engines)
         queue_schedule=queue_schedule,
         pop_round=pop_round,
         finish_round=finish_round,
+        run_rounds=run_rounds,
     )
 
 

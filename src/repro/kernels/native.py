@@ -37,6 +37,8 @@ import threading
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
+
 __all__ = ["NativeBuildError", "build_native_kernels", "library_path"]
 
 
@@ -270,6 +272,72 @@ EXPORT int64_t bfs_screen(
     return 0;
 }
 
+/* --------------------------------------------------------------- routing */
+
+/* Closed-form next hops; n_to / n_from = 0 means identity relabelling.
+ * Returns -1, or the first pair whose vertex or code is out of range. */
+EXPORT int64_t shift_next_hops(
+    const int64_t *cur, const int64_t *tgt, int64_t count, int64_t base,
+    int64_t D, const int64_t *to_code, int64_t n_to, const int64_t *from_code,
+    int64_t n_from, int64_t sorted_codes, int64_t *out)
+{
+    int64_t shift = 0;
+    while (((int64_t)1 << shift) < base) shift++;
+    int pow2 = ((int64_t)1 << shift) == base;
+    int64_t pw[64];  /* pw[j] = base**j; the wrapper keeps D <= 63 */
+    pw[0] = 1;
+    for (int64_t j = 1; j < D; j++) pw[j] = pw[j - 1] * base;
+    for (int64_t i = 0; i < count; i++) {
+        int64_t u = cur[i];
+        int64_t v = tgt[i];
+        if (n_to > 0) {
+            if (u < 0 || u >= n_to || v < 0 || v >= n_to) return i;
+            u = to_code[u];
+            v = to_code[v];
+        }
+        int64_t code;
+        if (u == v) {
+            code = u;
+        } else if (pow2) {
+            /* the longest suffix(u) / prefix(v) overlap, longest first */
+            int64_t overlap = 0;
+            for (int64_t j = D - 1; j > 0; j--) {
+                if ((u & (pw[j] - 1)) == (v >> (shift * (D - j)))) {
+                    overlap = j;
+                    break;
+                }
+            }
+            int64_t digit = (v >> (shift * (D - 1 - overlap))) & (base - 1);
+            code = ((u & (pw[D - 1] - 1)) << shift) | digit;
+        } else {
+            int64_t overlap = 0;
+            for (int64_t j = D - 1; j > 0; j--) {
+                if (u % pw[j] == v / pw[D - j]) {
+                    overlap = j;
+                    break;
+                }
+            }
+            int64_t digit = (v / pw[D - 1 - overlap]) % base;
+            code = (u % pw[D - 1]) * base + digit;
+        }
+        if (sorted_codes) {
+            int64_t lo = 0, hi = n_to;
+            while (lo < hi) {
+                int64_t mid = (lo + hi) >> 1;
+                if (to_code[mid] < code) lo = mid + 1;
+                else hi = mid;
+            }
+            out[i] = lo;
+        } else if (n_from > 0) {
+            if (code < 0 || code >= n_from) return i;
+            out[i] = from_code[code];
+        } else {
+            out[i] = code;
+        }
+    }
+    return -1;
+}
+
 /* ------------------------------------------------------------- simulator */
 
 /* The queue arrays travel together; same order as _pyimpl's QUEUE tuple
@@ -419,7 +487,7 @@ EXPORT void pop_round(
     meta[1] = nfwd;
 }
 
-EXPORT void finish_round(
+EXPORT int64_t finish_round(
     double t, double T, double L, int64_t count,
     const int64_t *slots, const int64_t *nxt,
     int64_t *loc, const int64_t *dst, int64_t *hops, double *arrival,
@@ -457,7 +525,12 @@ EXPORT void finish_round(
         for (int64_t q2 = vertex_groups[node]; q2 < vertex_groups[node + 1]; q2++) {
             if (group_keys[q2] == key) { g = q2; break; }
         }
-        if (g < 0) continue;
+        if (g < 0) {  /* the router named a hop that is not an arc */
+            meta[0] = nm;
+            meta[2] = node;
+            meta[3] = nx;
+            return 1;
+        }
         int64_t base = r * m;
         int64_t p0 = group_ptr[g], p1 = group_ptr[g + 1];
         int64_t best = base + flat_links[p0];
@@ -483,6 +556,51 @@ EXPORT void finish_round(
         nm++;
     }
     meta[0] = nm;
+    return 0;
+}
+
+EXPORT int64_t run_rounds(
+    double T, double L, int64_t has_until, double until, int64_t max_events,
+    int64_t *loc, const int64_t *dst, int64_t *hops, double *arrival,
+    int64_t *prev_link, const int64_t *rep, double *last_time,
+    double *busy_until, int64_t *queue_len, int64_t *max_queue,
+    int64_t *tx_count,
+    const int64_t *group_keys, const int64_t *group_ptr,
+    const int64_t *flat_links, const int64_t *vertex_groups,
+    int64_t n, int64_t m,
+    QUEUE_PARAMS,
+    int64_t *slots_buf, int64_t *tails_buf, int64_t *dests_buf,
+    int64_t *nxt_buf,
+    int64_t *out_links, double *out_starts, int64_t *out_movers, int64_t *meta,
+    int64_t base, int64_t D, const int64_t *to_code, int64_t n_to,
+    const int64_t *from_code, int64_t n_from, int64_t sorted_codes)
+{
+    int64_t processed = 0;
+    while (qstate[0] > 0) {
+        double t = heap_time[0];
+        if (has_until && t > until) break;
+        int64_t limit = max_events - processed;
+        if (limit <= 0) break;
+        pop_round(QUEUE_ARGS, limit, loc, dst, slots_buf, tails_buf,
+                  dests_buf, meta);
+        int64_t count = meta[0];
+        processed += count;
+        int64_t bad = shift_next_hops(
+            tails_buf, dests_buf, meta[1], base, D, to_code, n_to,
+            from_code, n_from, sorted_codes, nxt_buf);
+        if (bad >= 0) {
+            meta[2] = tails_buf[bad];
+            meta[3] = dests_buf[bad];
+            return 2;
+        }
+        int64_t status = finish_round(
+            t, T, L, count, slots_buf, nxt_buf, loc, dst, hops, arrival,
+            prev_link, rep, last_time, busy_until, queue_len, max_queue,
+            tx_count, group_keys, group_ptr, flat_links, vertex_groups, n, m,
+            QUEUE_ARGS, out_links, out_starts, out_movers, meta);
+        if (status != 0) return status;
+    }
+    return 0;
 }
 """
 
@@ -509,10 +627,13 @@ _SIGNATURES = {
         [_i64, _u64, _u64, _u64, _u64, _i64, _I, _I, _I, _I, _I],
     ),
     "bfs_screen": (_I, [_i64, _i64, _I, _I, _I]),
+    "shift_next_hops": (
+        _I, [_i64, _i64, _I, _I, _I, _i64, _I, _i64, _I, _I, _i64]
+    ),
     "queue_schedule": (None, _QSIG + [_i64, _f64, _I]),
     "pop_round": (None, _QSIG + [_I, _i64, _i64, _i64, _i64, _i64, _i64]),
     "finish_round": (
-        None,
+        _I,
         # fmt: off
         [_D, _D, _D, _I,                      # t, T, L, count
          _i64, _i64,                          # slots, nxt
@@ -523,6 +644,21 @@ _SIGNATURES = {
          _I, _I]                              # n, m
         + _QSIG
         + [_i64, _f64, _i64, _i64],           # out_links, out_starts, out_movers, meta
+        # fmt: on
+    ),
+    "run_rounds": (
+        _I,
+        # fmt: off
+        [_D, _D, _I, _D, _I,                  # T, L, has_until, until, max_events
+         _i64, _i64, _i64, _f64,              # loc, dst, hops, arrival
+         _i64, _i64, _f64,                    # prev_link, rep, last_time
+         _f64, _i64, _i64, _i64,              # busy_until, queue_len, max_queue, tx_count
+         _i64, _i64, _i64, _i64,              # group_keys, group_ptr, flat_links, vertex_groups
+         _I, _I]                              # n, m
+        + _QSIG
+        + [_i64, _i64, _i64, _i64,            # slots, tails, dests, nxt buffers
+           _i64, _f64, _i64, _i64,            # out_links, out_starts, out_movers, meta
+           _I, _I, _i64, _I, _i64, _I, _I],   # base, D, to_code, n_to, from_code, n_from, sorted
         # fmt: on
     ),
 }
@@ -622,6 +758,20 @@ def _queue_ptrs(queue):
     )
 
 
+def _route_args(base, D, to_code, from_code, sorted_codes):
+    """The C-side routing arguments of a closed-form description."""
+    if not (1 <= D < 64 and 1 <= base < 1 << 31):
+        raise ValueError(
+            f"shift routing needs 1 <= D < 64 and 1 <= base < 2**31, got {base}, {D}"
+        )
+    return (
+        base, D,
+        _ptr(to_code, _i64), to_code.shape[0],
+        _ptr(from_code, _i64), from_code.shape[0],
+        1 if sorted_codes else 0,
+    )
+
+
 def build_native_kernels() -> SimpleNamespace:
     """Compile (or reuse) the shared library and return wrapped kernels.
 
@@ -677,6 +827,17 @@ def build_native_kernels() -> SimpleNamespace:
                 _ptr(succ, _i64), _ptr(work, _i64), n, d, upper_bound
             )
 
+        def shift_next_hops(
+            cur, tgt, count, base, D, to_code, from_code, sorted_codes, out
+        ):
+            if min(cur.shape[0], tgt.shape[0], out.shape[0]) < count:
+                raise ValueError("shift_next_hops arrays hold fewer than count pairs")
+            return lib.shift_next_hops(
+                _ptr(cur, _i64), _ptr(tgt, _i64), count,
+                *_route_args(base, D, to_code, from_code, sorted_codes),
+                _ptr(out, _i64),
+            )
+
         # --- raw queue kernels: same python arg lists as _pyimpl (used by
         # --- the differential tests; the engines go through the driver)
 
@@ -704,7 +865,7 @@ def build_native_kernels() -> SimpleNamespace:
              n, m) = args[:23]
             queue = args[23:34]
             out_links, out_starts, out_movers, meta = args[34:]
-            lib.finish_round(
+            return lib.finish_round(
                 t, T, L, count,
                 _ptr(slots, _i64), _ptr(nxt, _i64),
                 _ptr(loc, _i64), _ptr(dst, _i64), _ptr(hops, _i64),
@@ -728,7 +889,10 @@ def build_native_kernels() -> SimpleNamespace:
             fresh ``nxt`` array.
             """
 
-            __slots__ = ("_q", "_pop_tail", "_fin_mid", "_slots_p", "_T", "_L")
+            __slots__ = (
+                "_q", "_pop_tail", "_state", "_outs", "_fin_tail", "_slots_p",
+                "_slots", "_round_bufs", "_T", "_L",
+            )
 
             def __init__(self, queue, msg, links, topo, bufs, T, L):
                 self._q = _queue_ptrs(queue)
@@ -740,12 +904,15 @@ def build_native_kernels() -> SimpleNamespace:
                 loc_p = _ptr(loc, _i64)
                 dst_p = _ptr(dst, _i64)
                 meta_p = _ptr(meta, _i64)
+                self._slots = slots_buf
                 self._slots_p = _ptr(slots_buf, _i64)
-                self._pop_tail = (
-                    loc_p, dst_p, self._slots_p,
-                    _ptr(tails_buf, _i64), _ptr(dests_buf, _i64), meta_p,
+                self._round_bufs = (
+                    self._slots_p, _ptr(tails_buf, _i64), _ptr(dests_buf, _i64),
                 )
-                self._fin_mid = (
+                self._pop_tail = (loc_p, dst_p, *self._round_bufs, meta_p)
+                # the message, link and topology arguments shared by
+                # finish_round and run_rounds (loc ... m, same order)
+                self._state = (
                     loc_p, dst_p, _ptr(hops, _i64), _ptr(arrival, _f64),
                     _ptr(prev_link, _i64), _ptr(rep, _i64),
                     _ptr(last_time, _f64),
@@ -754,10 +921,12 @@ def build_native_kernels() -> SimpleNamespace:
                     _ptr(group_keys, _i64), _ptr(group_ptr, _i64),
                     _ptr(flat_links, _i64), _ptr(vertex_groups, _i64),
                     n, m,
-                ) + self._q + (
+                )
+                self._outs = (
                     _ptr(out_links, _i64), _ptr(out_starts, _f64),
                     _ptr(out_movers, _i64), meta_p,
                 )
+                self._fin_tail = self._state + self._q + self._outs
                 self._T = T
                 self._L = L
 
@@ -771,9 +940,22 @@ def build_native_kernels() -> SimpleNamespace:
                 lib.pop_round(*self._q, limit, *self._pop_tail)
 
             def finish(self, t, count, nxt):
-                lib.finish_round(
+                return lib.finish_round(
                     t, self._T, self._L, count,
-                    self._slots_p, _ptr(nxt, _i64), *self._fin_mid,
+                    self._slots_p, _ptr(nxt, _i64), *self._fin_tail,
+                )
+
+            def run(self, until, max_events, route):
+                nxt = np.empty_like(self._slots)  # next hops, one per forwarder
+                return lib.run_rounds(
+                    self._T, self._L,
+                    0 if until is None else 1,
+                    0.0 if until is None else until,
+                    (1 << 62) if max_events is None else max_events,
+                    *self._state, *self._q,
+                    *self._round_bufs, _ptr(nxt, _i64),
+                    *self._outs,
+                    *_route_args(*route),
                 )
 
         def make_round_driver(queue, msg, links, topo, bufs, T, L):
@@ -784,6 +966,7 @@ def build_native_kernels() -> SimpleNamespace:
             subset_rows_sweep=subset_rows_sweep,
             subset_ecc_sweep=subset_ecc_sweep,
             bfs_screen=bfs_screen,
+            shift_next_hops=shift_next_hops,
             make_round_driver=make_round_driver,
             # exposed for the differential tests (not used by the engines)
             queue_schedule=queue_schedule,

@@ -12,9 +12,11 @@ routes** (enforced by ``tests/test_routers.py``):
 
 * :class:`DenseTableRouter` — wraps the all-pairs table; O(1) lookups,
   ``O(n^2)`` state.  The small-``n`` fast path.
-* :class:`ClosedFormRouter` — shift routing on word labels
-  (:func:`repro.routing.paths.shift_route_next_hops`), vectorised over whole
-  ``(current, target)`` arrays.  O(D) per hop, O(n) state (two relabelling
+* :class:`ClosedFormRouter` — shift routing on word labels: the compiled
+  ``shift_next_hops`` kernel of :mod:`repro.kernels` (inside the simulator's
+  fused round loop), or :func:`repro.routing.paths.shift_route_next_hops`
+  vectorised over whole ``(current, target)`` arrays under
+  ``REPRO_KERNELS=numpy``.  O(D) per hop, O(n) state (two relabelling
   arrays; zero for the de Bruijn itself).  Covers ``B(d, D)``, ``K(d, D)``,
   ``RRK(d, d^D)``, ``II(d, d^D)`` and every ``H(d^p', d^q', d)`` whose split
   passes the Corollary 4.2 cyclicity test — the next hop is computed in de
@@ -42,9 +44,11 @@ from __future__ import annotations
 
 import re
 import threading
+from typing import NamedTuple
 
 import numpy as np
 
+from repro import kernels as _kernels
 from repro.graphs.apsp import (
     padded_predecessor_matrix,
     padded_successor_matrix,
@@ -60,6 +64,7 @@ from repro.routing.paths import (
 
 __all__ = [
     "Router",
+    "ShiftSpec",
     "DenseTableRouter",
     "ClosedFormRouter",
     "LruRowRouter",
@@ -76,6 +81,22 @@ AUTO_DENSE_MAX_N = 2048
 
 #: Router kinds accepted by :func:`make_router` and the ``repro sim`` CLI.
 ROUTER_KINDS = ("auto", "dense", "closed-form", "lru")
+
+
+class ShiftSpec(NamedTuple):
+    """What a compiled kernel needs to route a :class:`ClosedFormRouter`.
+
+    Words of length ``D`` over ``Z_base``; ``to_code`` / ``from_code`` are
+    the int64 relabelling arrays (empty = identity), and ``sorted_codes``
+    decodes by binary search over the sorted ``to_code``.  The argument
+    order of ``repro.kernels`` ``shift_next_hops``.
+    """
+
+    base: int
+    D: int
+    to_code: np.ndarray
+    from_code: np.ndarray
+    sorted_codes: bool
 
 
 class Router:
@@ -125,6 +146,14 @@ class Router:
     def describe(self) -> str:
         """One-line human-readable summary (CLI output)."""
         return f"{self.kind} router ({self.state_bytes()} bytes of state)"
+
+    def shift_spec(self) -> ShiftSpec | None:
+        """The closed-form description compiled kernels can route with.
+
+        None (the default) for every router whose answers only
+        :meth:`next_hops` knows; the simulator then asks it round by round.
+        """
+        return None
 
     # ------------------------------------------------------ derived queries
     def path_lengths(
@@ -315,6 +344,14 @@ class ClosedFormRouter(Router):
         self._sorted_codes = bool(sorted_codes)
         if sorted_codes and self._to_code is None:
             raise ValueError("sorted_codes needs the code table in to_code")
+        identity = np.zeros(0, dtype=np.int64)
+        self._spec = ShiftSpec(
+            self.base,
+            self.D,
+            identity if self._to_code is None else np.ascontiguousarray(self._to_code),
+            identity if self._from_code is None else np.ascontiguousarray(self._from_code),
+            self._sorted_codes,
+        )
 
     # ------------------------------------------------------------- routing
     def next_hop(self, source: int, target: int) -> int:
@@ -327,19 +364,35 @@ class ClosedFormRouter(Router):
         return self._decode_scalar(code)
 
     def next_hops(self, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
+        """Vectorised next hops: the compiled ``shift_next_hops`` kernel on
+        a compiled backend, :func:`~repro.routing.paths.shift_route_next_hops`
+        under ``REPRO_KERNELS=numpy`` (bit-identical)."""
         sources = np.asarray(sources, dtype=np.int64)
         targets = np.asarray(targets, dtype=np.int64)
-        to_code = self._to_code
-        if to_code is not None:
-            codes = shift_route_next_hops(
-                to_code[sources], to_code[targets], self.base, self.D
+        kern = _kernels.get_kernels()
+        if kern is None:
+            to_code = self._to_code
+            if to_code is not None:
+                sources = to_code[sources]
+                targets = to_code[targets]
+            return self._decode(
+                shift_route_next_hops(sources, targets, self.base, self.D)
             )
-        else:
-            codes = shift_route_next_hops(sources, targets, self.base, self.D)
-        hops = self._decode(codes)
-        # Equal codes already map back to the vertex itself; the diagonal
-        # needs no special case beyond what shift_route_next_hops provides.
-        return hops
+        if sources.shape != targets.shape:
+            sources, targets = np.broadcast_arrays(sources, targets)
+        cur = np.ascontiguousarray(sources).reshape(-1)
+        tgt = np.ascontiguousarray(targets).reshape(-1)
+        out = np.empty(cur.shape[0], dtype=np.int64)
+        bad = kern.shift_next_hops(cur, tgt, cur.shape[0], *self._spec, out)
+        if bad >= 0:
+            raise IndexError(
+                f"pair ({cur[bad]}, {tgt[bad]}) is outside the "
+                f"{self.num_vertices()} vertices this router relabels"
+            )
+        return out.reshape(sources.shape)
+
+    def shift_spec(self) -> ShiftSpec:
+        return self._spec
 
     def _decode(self, codes: np.ndarray) -> np.ndarray:
         if self._sorted_codes:
@@ -475,8 +528,9 @@ class ClosedFormRouter(Router):
         :func:`repro.otis.h_digraph.h_digraph` stamp canonical names
         (``B(d,D)``, ``K(d,D)``, ``RRK(d,n)``, ``II(d,n)``, ``H(p,q,d)``);
         anything else — or a named instance whose parameters do not admit
-        shift routing — raises ``ValueError``.  A spot check of sampled
-        successor rows guards against a renamed impostor graph.
+        shift routing — raises ``ValueError``, and so does a graph whose
+        arcs are not exactly the family's (:func:`_verify_arcs`), so a
+        renamed impostor can never be routed over arcs it does not have.
         """
         name = graph.name or ""
         router: ClosedFormRouter | None = None
@@ -528,7 +582,7 @@ class ClosedFormRouter(Router):
                 f"no closed-form routing for {name or 'unnamed digraph'!r} "
                 f"(supported families: {sorted(_NAME_PATTERNS)})"
             )
-        _spot_check(router, graph)
+        _verify_arcs(router, graph)
         return router
 
     @classmethod
@@ -541,31 +595,54 @@ class ClosedFormRouter(Router):
         return True
 
 
-def _spot_check(router: ClosedFormRouter, graph: BaseDigraph, samples: int = 32) -> None:
-    """Verify on sampled vertices that shift-routing hops are real arcs.
+def _verify_arcs(router: ClosedFormRouter, graph: BaseDigraph) -> None:
+    """Refuse ``graph`` unless its arcs are exactly the router's shift arcs.
 
-    Cheap (``O(samples * d)``) insurance against a graph whose *name*
-    promises a family its arcs do not deliver; the full parity suite lives
-    in the tests.
+    In word space vertex ``c`` of ``B(base, D)`` has the ``base`` successors
+    ``(c mod base^(D-1)) * base + a``; the Kautz digraph keeps the ``d`` of
+    them whose new letter ``a`` differs from the last one.  Mapped back
+    through the router's relabelling, every vertex's sorted successor row
+    must equal the graph's, multiplicities included — an ``O(n d)``
+    comparison, so a name promising a family the arcs do not deliver is
+    refused instead of routed over a link that does not exist.
     """
     n = graph.num_vertices
-    if n < 2:
-        return
-    rng = np.random.default_rng(0)
-    sources = rng.integers(n, size=min(samples, n))
-    targets = rng.integers(n, size=sources.size)
-    hops = router.next_hops(sources, targets)
-    for source, target, hop in zip(
-        sources.tolist(), targets.tolist(), hops.tolist()
-    ):
-        if source == target:
-            continue
-        if hop not in graph.out_neighbors(source):
-            raise ValueError(
-                f"closed-form routing disagrees with the digraph: "
-                f"{source} -> {hop} is not an arc of {graph.name!r} "
-                "(the name does not match the topology)"
-            )
+    if router.num_vertices() != n:
+        raise ValueError(
+            f"{graph.name!r}: the closed form relabels "
+            f"{router.num_vertices()} vertices, the digraph has {n}"
+        )
+    base, D, to_code, from_code, sorted_codes = router.shift_spec()
+    codes = to_code if to_code.size else np.arange(n, dtype=np.int64)
+    letters = np.arange(base, dtype=np.int64)
+    heads = (codes % base ** (D - 1))[:, None] * base + letters
+    if sorted_codes:  # Kautz: the new letter differs from the last one
+        keep = letters[None, :] != (codes % base)[:, None]
+        heads = heads[keep].reshape(n, base - 1)
+        found = np.searchsorted(to_code, heads)
+        if np.any(found >= n) or np.any(to_code[np.minimum(found, n - 1)] != heads):
+            raise ValueError(f"{graph.name!r}: shift arcs leave the Kautz words")
+        heads = found
+    elif from_code.size:
+        heads = from_code[heads]
+    expected = np.sort(heads, axis=1)
+    try:
+        actual = np.sort(np.asarray(graph.successor_matrix(), dtype=np.int64), axis=1)
+    except ValueError:
+        actual = None  # not out-regular
+    if actual is None or actual.shape != expected.shape:
+        raise ValueError(
+            f"closed-form routing disagrees with the digraph: {graph.name!r} "
+            f"is not {expected.shape[1]}-out-regular like its family"
+        )
+    wrong = np.flatnonzero(np.any(actual != expected, axis=1))
+    if wrong.size:
+        u = int(wrong[0])
+        raise ValueError(
+            f"closed-form routing disagrees with the digraph: vertex {u} of "
+            f"{graph.name!r} has successors {actual[u].tolist()}, its family "
+            f"gives {expected[u].tolist()} (the name does not match the topology)"
+        )
 
 
 # --------------------------------------------------------------------------

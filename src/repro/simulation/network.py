@@ -270,6 +270,14 @@ class NetworkStats:
         return self.delivered / self.makespan
 
 
+def _not_an_arc(node: int, hop: int) -> ValueError:
+    """The error for a router that sends a message over a non-existent link."""
+    return ValueError(
+        f"the router's next hop from node {node} is {hop}, but ({node}, {hop}) "
+        "is not an arc of the topology"
+    )
+
+
 class _ScenarioState:
     """Mutable fault/reroute state of one scenario run, shared by both engines.
 
@@ -465,7 +473,9 @@ class NetworkSimulator:
                 return  # unreachable: drop (counted as undelivered)
             # Transmit over the earliest-free parallel link between the two
             # endpoints (ties broken by link id for determinism).
-            parallel = self._links_between[(node, next_node)]
+            parallel = self._links_between.get((node, next_node))
+            if parallel is None:
+                raise _not_an_arc(node, next_node)
             link_id = min(parallel, key=lambda lid: (float(link_free_at[lid]), lid))
             start = max(sim.now, float(link_free_at[link_id]))
             finish = start + self.link.transmission_time
@@ -682,6 +692,8 @@ class _LinkGroups:
         self.flat_links = order.astype(np.int64)
         self.group_ptr = np.concatenate((group_starts, [m])).astype(np.int64)
         self.group_keys = sorted_keys[group_starts]
+        # the keys plus a -1 sentinel, so a key past the last one misses
+        self._probe_keys = np.append(self.group_keys, -1)
         self.group_size = np.diff(self.group_ptr)
         self.num_groups = int(self.group_keys.shape[0])
         # the (lowest-id) link of every group — the only link for 1-arc groups
@@ -697,8 +709,17 @@ class _LinkGroups:
         }
 
     def group_of(self, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
-        """Group index of each ``(tail, head)`` arc pair (which must exist)."""
-        return np.searchsorted(self.group_keys, tails * self.num_vertices + heads)
+        """Group index of each ``(tail, head)`` arc pair.
+
+        Raises ``ValueError`` naming the first pair that is not an arc.
+        """
+        keys = tails * self.num_vertices + heads
+        gid = np.searchsorted(self.group_keys, keys)
+        missing = (self._probe_keys[gid] != keys) | (heads >= self.num_vertices)
+        if missing.any():
+            first = int(np.flatnonzero(missing)[0])
+            raise _not_an_arc(int(tails[first]), int(heads[first]))
+        return gid
 
 
 #: Batches at or below this size run the per-event scalar path; above it the
@@ -956,7 +977,9 @@ class BatchedNetworkSimulator:
                     next_node = router.next_hop(node, target)
                     if next_node < 0:
                         continue  # unreachable: drop
-                    local_links = groups.links_by_key[node * n + next_node]
+                    local_links = groups.links_by_key.get(node * n + next_node)
+                    if local_links is None or next_node >= n:
+                        raise _not_an_arc(node, next_node)
                     base = r * m
                     if len(local_links) == 1:
                         link = base + local_links[0]
@@ -1231,6 +1254,12 @@ class BatchedNetworkSimulator:
         pooled per-message / per-replica arrays in place;
         :meth:`run_many` computes the statistics afterwards exactly as
         for the numpy path.
+
+        When the router describes itself in closed form
+        (:meth:`~repro.routing.routers.Router.shift_spec`) and no ``trace``
+        is requested, the whole loop — pop, route, finish — runs in one
+        ``driver.run`` kernel call instead of three crossings per round.
+        A hop that is not an arc raises ``ValueError`` on either path.
         """
         kern = self._kernels
         groups = self._groups
@@ -1295,6 +1324,21 @@ class BatchedNetworkSimulator:
             np.arange(N, dtype=np.int64), np.ascontiguousarray(created)
         )
 
+        route = router.shift_spec() if trace is None else None
+        # a driver offering only the per-round calls (a wrapping proxy)
+        # keeps the per-round loop
+        run = getattr(driver, "run", None)
+        if route is not None and run is not None:
+            status = run(until, max_events, route)
+            if status == 2:
+                raise IndexError(
+                    f"the router cannot route ({meta[2]}, {meta[3]}): a "
+                    "vertex outside its relabelling"
+                )
+            if status:
+                raise _not_an_arc(int(meta[2]), int(meta[3]))
+            return
+
         processed = 0
         while qstate[0] > 0:
             t = float(heap_time[0])
@@ -1314,7 +1358,8 @@ class BatchedNetworkSimulator:
                 nxt = np.ascontiguousarray(nxt, dtype=np.int64)
             else:
                 nxt = empty_next
-            driver.finish(t, count, nxt)
+            if driver.finish(t, count, nxt):
+                raise _not_an_arc(int(meta[2]), int(meta[3]))
             moved = int(meta[0])
             if trace is not None and moved:
                 trace.append(

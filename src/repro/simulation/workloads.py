@@ -98,14 +98,59 @@ def uniform_random_pairs(
         if rate is not None
         else np.zeros(num_messages)
     )
-    traffic: Traffic = []
-    for k in range(num_messages):
-        source = int(generator.integers(num_nodes))
-        destination = int(generator.integers(num_nodes))
-        while destination == source:
-            destination = int(generator.integers(num_nodes))
-        traffic.append((source, destination, float(times[k])))
-    return traffic
+    sources, destinations = _uniform_endpoints(generator, num_nodes, num_messages)
+    return list(zip(sources.tolist(), destinations.tolist(), times.tolist()))
+
+
+def _uniform_endpoints(
+    generator: np.random.Generator, num_nodes: int, count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``count`` (source, destination) pairs, drawn in blocks.
+
+    Consumes the generator exactly like the scalar loop ``source =
+    integers(n); destination = integers(n); while destination == source:
+    destination = integers(n)`` — ``integers(n, size=k)`` returns the
+    values of ``k`` scalar calls and leaves the same state — so the pairs
+    and the generator state afterwards are identical.  Each block asks for
+    just the values the remaining messages are certain to draw (two each,
+    one fewer while a source waits for its destination), so nothing is
+    drawn that the scalar loop would not draw.
+    """
+    src = np.empty(count, dtype=np.int64)
+    dst = np.empty(count, dtype=np.int64)
+    done = 0
+    source = -1  # message ``done``'s source while its destination is pending
+    while done < count:
+        need = 2 * (count - done) - (source >= 0)
+        block = generator.integers(num_nodes, size=need)
+        pos = 0
+        while True:
+            if source >= 0:  # replay the scalar destination draws
+                while pos < need and block[pos] == source:
+                    pos += 1
+                if pos == need:
+                    break
+                src[done] = source
+                dst[done] = block[pos]
+                done += 1
+                pos += 1
+                source = -1
+            pairs = (need - pos) // 2
+            heads = block[pos : pos + 2 * pairs : 2]
+            tails = block[pos + 1 : pos + 2 * pairs : 2]
+            clash = np.flatnonzero(heads == tails)
+            take = int(clash[0]) if clash.size else pairs
+            src[done : done + take] = heads[:take]
+            dst[done : done + take] = tails[:take]
+            done += take
+            pos += 2 * take
+            if pos == need:
+                break
+            # a clash, or one value left over: a source whose destination
+            # draws (the clashing one included) the replay above consumes
+            source = int(block[pos])
+            pos += 1
+    return src, dst
 
 
 def permutation_pairs(

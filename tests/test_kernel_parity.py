@@ -32,9 +32,13 @@ scalar event-loop engine by ``tests/test_simulation_parity.py``, closing
 the loop: reference engine == numpy path == every kernel backend.
 """
 
+import dataclasses
+import functools
+import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -44,15 +48,29 @@ from hypothesis import strategies as st
 from repro import kernels
 from repro.graphs.apsp import batched_eccentricities, subset_distance_rows
 from repro.graphs.digraph import Digraph, RegularDigraph
+from repro.graphs.generators import (
+    de_bruijn,
+    imase_itoh,
+    kautz,
+    reddy_raghavan_kuhl,
+)
 from repro.kernels._pyimpl import PY_KERNELS
 from repro.otis.h_digraph import h_digraph
 from repro.otis.search import candidate_splits, h_diameter
+from repro.routing.routers import ClosedFormRouter, DenseTableRouter, Router
 from repro.simulation.network import (
     BatchedNetworkSimulator,
     BufferedLinkModel,
     LinkModel,
+    NetworkSimulator,
 )
-from repro.simulation.scenarios import FaultPlan, Scenario, UniformArrivals
+from repro.simulation.scenarios import (
+    BurstyArrivals,
+    DiurnalArrivals,
+    FaultPlan,
+    Scenario,
+    UniformArrivals,
+)
 from repro.simulation.workloads import uniform_random_pairs
 
 #: Compiled backends usable here, plus the interpreted reference build.
@@ -574,3 +592,402 @@ def test_queue_pop_order_matches_reference(times, limit):
             assert got_t == ref_t
             assert list(slots_out[:count]) == list(ref_slots)
         assert qstate[0] == 0
+
+
+# ------------------------------------------------- closed-form routing kernel
+
+
+def closed_form_graphs():
+    """Every closed-form family, power-of-two and other word bases alike:
+    identity codes (B, RRK), relabelled (II, H) and sorted Kautz codes."""
+    return [
+        de_bruijn(2, 3),
+        de_bruijn(3, 4),
+        de_bruijn(2, 8),
+        reddy_raghavan_kuhl(2, 16),
+        reddy_raghavan_kuhl(3, 27),
+        imase_itoh(2, 32),
+        imase_itoh(3, 81),
+        kautz(2, 4),
+        kautz(3, 3),
+        kautz(2, 8),
+        h_digraph(4, 8, 2),
+        h_digraph(9, 27, 3),
+        h_digraph(32, 64, 2),
+        h_digraph(64, 128, 2),
+        de_bruijn(2, 12),
+        kautz(3, 6),
+    ]
+
+
+def numpy_next_hops(monkeypatch, router, sources, targets):
+    """``router.next_hops`` on the numpy path (``shift_route_next_hops``)."""
+    with monkeypatch.context() as patched:
+        patched.setenv(kernels.ENV_VAR, "numpy")
+        return router.next_hops(sources, targets)
+
+
+def kernel_next_hops(back, router, sources, targets):
+    sources = np.ascontiguousarray(sources, dtype=np.int64)
+    targets = np.ascontiguousarray(targets, dtype=np.int64)
+    out = np.full(sources.size, -7, dtype=np.int64)
+    bad = kernel_namespace(back).shift_next_hops(
+        sources, targets, sources.size, *router.shift_spec(), out
+    )
+    assert bad == -1
+    return out
+
+
+def pair_block(n, sources):
+    """Every (source, target) pair for the given sources."""
+    sources = np.asarray(sources, dtype=np.int64)
+    return np.repeat(sources, n), np.tile(np.arange(n, dtype=np.int64), sources.size)
+
+
+@pytest.mark.parametrize("graph", closed_form_graphs(), ids=lambda g: g.name)
+def test_shift_next_hops_matches_numpy(graph, monkeypatch):
+    # All pairs up to n = 1024 on the compiled backends, 64 sources x all
+    # targets on the n = 4096 graphs; the interpreted build on n <= 64.
+    router = ClosedFormRouter.for_graph(graph)
+    n = graph.num_vertices
+    for back in BACKENDS:
+        if back == "pyimpl" and n > 64:
+            continue
+        rows = range(n) if n <= 1024 else np.linspace(0, n - 1, 64).astype(np.int64)
+        sources, targets = pair_block(n, rows)
+        ref = numpy_next_hops(monkeypatch, router, sources, targets)
+        got = kernel_next_hops(back, router, sources, targets)
+        assert got.tobytes() == ref.tobytes()
+
+
+@functools.lru_cache(maxsize=None)
+def large_router(family):
+    graph = {
+        "B": lambda: de_bruijn(2, 17),
+        "K": lambda: kautz(3, 9),
+        "II": lambda: imase_itoh(3, 3**9),
+        "H": lambda: h_digraph(128, 512, 2),
+    }[family]()
+    return ClosedFormRouter.for_graph(graph)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    family=st.sampled_from(["B", "K", "II", "H"]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_shift_next_hops_sampled_large(family, seed):
+    # Graphs past 4096 vertices (n up to 2^17), sampled pairs, including the
+    # diagonal and the relabelled / sorted decodes.
+    router = large_router(family)
+    n = router.num_vertices()
+    rng = np.random.default_rng(seed)
+    sources = rng.integers(n, size=512)
+    targets = np.concatenate((rng.integers(n, size=511), sources[-1:]))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        ref = numpy_next_hops(monkeypatch, router, sources, targets)
+    for back in BACKENDS:
+        size = 64 if back == "pyimpl" else sources.size
+        got = kernel_next_hops(back, router, sources[:size], targets[:size])
+        assert got.tobytes() == ref[:size].tobytes()
+
+
+def test_shift_next_hops_reports_out_of_range_pairs():
+    router = ClosedFormRouter.for_graph(h_digraph(4, 8, 2))  # 16 vertices
+    for back in BACKENDS:
+        out = np.empty(3, dtype=np.int64)
+        cur = np.array([1, 16, 2], dtype=np.int64)
+        tgt = np.array([3, 4, -1], dtype=np.int64)
+        bad = kernel_namespace(back).shift_next_hops(
+            cur, tgt, 3, *router.shift_spec(), out
+        )
+        assert bad == 1  # the first pair naming a vertex past the relabelling
+
+
+def test_closed_form_router_dispatches_on_the_backend(monkeypatch):
+    # Compiled backends route through shift_next_hops; REPRO_KERNELS=numpy
+    # through shift_route_next_hops — with the same answers and shapes.
+    router = ClosedFormRouter.for_graph(kautz(2, 5))
+    n = router.num_vertices()
+    sources, targets = pair_block(n, range(n))
+    ref = numpy_next_hops(monkeypatch, router, sources, targets)
+    got = router.next_hops(sources, targets)
+    assert got.tobytes() == ref.tobytes()
+    # broadcasting and 0-d inputs behave like the numpy path
+    np.testing.assert_array_equal(
+        router.next_hops(np.arange(n), 5),
+        numpy_next_hops(monkeypatch, router, np.arange(n), 5),
+    )
+    assert router.next_hops(3, 7) == numpy_next_hops(monkeypatch, router, 3, 7)
+    if kernels.active_backend() != "numpy":
+        with pytest.raises(IndexError):
+            router.next_hops(np.array([0, n]), np.array([1, 2]))
+
+
+# ------------------------------------------------------- fused round loop
+
+
+def result_bytes(results):
+    """Byte-level digest of ``run_many`` results: every stats field (floats
+    as hex) and every message record."""
+    rows = []
+    for stats, messages in results:
+        rows.append(
+            json.dumps(
+                {
+                    k: (v.hex() if isinstance(v, float) else v)
+                    for k, v in dataclasses.asdict(stats).items()
+                },
+                sort_keys=True,
+            )
+        )
+        for m in messages or ():
+            rows.append(
+                repr(
+                    (m.ident, m.source, m.destination, m.creation_time.hex(),
+                     m.arrival_time.hex(), m.hops, m.drop_reason)
+                )
+            )
+    return "\n".join(rows).encode()
+
+
+def fused_runs(graph, router, back, traffics, link=None, **kw):
+    """``(fused, per_round, numpy)`` results of one closed-form workload."""
+    fused = BatchedNetworkSimulator(graph, link=link, router=router, kernels=back)
+    fused_result = fused.run_many(traffics, **kw)
+    per_round = BatchedNetworkSimulator(graph, link=link, router=router, kernels=back)
+    per_round_result = per_round.run_many(traffics, trace=[], **kw)
+    reference = BatchedNetworkSimulator(
+        graph, link=link, router=router, kernels="numpy"
+    ).run_many(traffics, **kw)
+    return fused_result, per_round_result, reference
+
+
+def assert_fused_parity(graph, router, back, traffics, link=None, **kw):
+    fused, per_round, reference = fused_runs(graph, router, back, traffics, link, **kw)
+    assert result_bytes(fused) == result_bytes(reference)
+    assert result_bytes(per_round) == result_bytes(reference)
+    return reference
+
+
+def doubled_de_bruijn(d, D):
+    """``B(d, D)`` with every arc doubled: parallel optical channels that
+    the closed form still routes (its hops are arcs, twice over)."""
+    single = de_bruijn(d, D)
+    arcs = [arc for arc in single.arcs() for _ in range(2)]
+    return Digraph(single.num_vertices, arcs, name=f"2xB({d},{D})")
+
+
+def test_fused_loop_is_taken_for_closed_form_without_trace(backend, monkeypatch):
+    graph = h_digraph(4, 8, 2)
+    sim = BatchedNetworkSimulator(graph, router="closed-form", kernels=backend)
+    calls = []
+    real = sim._kernels.make_round_driver
+
+    def spy(*args):
+        driver = real(*args)
+
+        def run(*a):
+            calls.append("run")
+            return driver.run(*a)
+
+        return SimpleNamespace(
+            schedule=driver.schedule, pop=driver.pop, finish=driver.finish, run=run
+        )
+
+    monkeypatch.setattr(
+        sim, "_kernels", SimpleNamespace(**{**vars(sim._kernels), "make_round_driver": spy})
+    )
+    traffic = uniform_random_pairs(graph.num_vertices, 40, rng=2)
+    sim.run(traffic)
+    assert calls == ["run"]
+    sim.run(traffic, trace=[])  # a trace keeps the per-round loop
+    assert calls == ["run"]
+
+
+@pytest.mark.parametrize("link", PARITY_LINKS, ids=lambda l: f"T{l.transmission_time}_L{l.latency}")
+def test_fused_loop_parity(backend, link):
+    cases = [
+        (h_digraph(4, 8, 2), None),
+        (h_digraph(9, 27, 3), None),  # odd base: the divide path
+        (kautz(2, 4), None),  # sorted codes
+        (doubled_de_bruijn(2, 4), ClosedFormRouter.for_de_bruijn(2, 4)),
+    ]
+    for graph, router in cases:
+        router = router or ClosedFormRouter.for_graph(graph)
+        n = graph.num_vertices
+        traffics = [uniform_random_pairs(n, 60, rng=seed) for seed in (3, 4)]
+        stats = assert_fused_parity(graph, router, backend, traffics, link=link)
+        assert all(s.delivered == 60 for s, _ in stats)
+
+
+def test_fused_loop_truncated_runs(backend):
+    graph = h_digraph(4, 8, 2)
+    router = ClosedFormRouter.for_graph(graph)
+    traffic = uniform_random_pairs(graph.num_vertices, 60, rng=5)
+    for kw in ({"until": 3.0}, {"max_events": 37}, {"until": 2.5, "max_events": 111},
+               {"max_events": 0}, {"until": 0.0}):
+        assert_fused_parity(graph, router, backend, [traffic], **kw)
+    link = LinkModel(latency=0.0, transmission_time=0.0)  # same-instant cascades
+    assert_fused_parity(graph, router, backend, [traffic], link=link, max_events=7)
+    assert_fused_parity(graph, router, backend, [[], traffic, []])
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_fused_loop_randomised(data):
+    graph = data.draw(st.sampled_from([h_digraph(4, 8, 2), kautz(2, 3)]))
+    router = ClosedFormRouter.for_graph(graph)
+    n = graph.num_vertices
+    count = data.draw(st.integers(min_value=0, max_value=40))
+    traffic = [
+        (
+            data.draw(st.integers(min_value=0, max_value=n - 1)),
+            data.draw(st.integers(min_value=0, max_value=n - 1)),
+            data.draw(st.floats(min_value=0.0, max_value=4.0, width=32)),
+        )
+        for _ in range(count)
+    ]
+    link = data.draw(st.sampled_from(PARITY_LINKS))
+    until = data.draw(st.one_of(st.none(), st.floats(min_value=0.0, max_value=6.0)))
+    max_events = data.draw(st.one_of(st.none(), st.integers(min_value=0, max_value=80)))
+    for back in BACKENDS:
+        if back == "pyimpl":
+            continue
+        assert_fused_parity(
+            graph, router, back, [traffic], link=link, until=until, max_events=max_events
+        )
+
+
+# ----------------------------------------------------- hops over non-arcs
+
+
+class OffByOneRouter(Router):
+    """A deliberately wrong router: the dense table's hop, plus one."""
+
+    kind = "off-by-one"
+
+    def __init__(self, graph):
+        self._inner = DenseTableRouter.for_graph(graph)
+
+    def next_hop(self, source, target):
+        hop = self._inner.next_hop(source, target)
+        return hop if hop < 0 or source == target else (hop + 1) % self.num_vertices()
+
+    def next_hops(self, sources, targets):
+        return np.array(
+            [self.next_hop(s, t) for s, t in zip(sources.tolist(), targets.tolist())],
+            dtype=np.int64,
+        )
+
+    def num_vertices(self):
+        return self._inner.num_vertices()
+
+    def state_bytes(self):
+        return self._inner.state_bytes()
+
+
+NON_ARC = r"next hop from node \d+ is \d+, but \(\d+, \d+\) is not an arc"
+
+
+@pytest.mark.parametrize("messages", [8, 200], ids=["scalar-batches", "vector-batches"])
+def test_non_arc_hop_raises_on_numpy_path(messages):
+    graph = de_bruijn(2, 4)
+    router = OffByOneRouter(graph)
+    traffic = [(u % 16, (u * 7 + 3) % 16, 0.0) for u in range(messages)]
+    traffic = [(s, t, 0.0) for s, t, _ in traffic if s != t]
+    # only the injection batch runs (scalar path for 8 events, vector path
+    # for 200), so the error must come from that path — and a regression
+    # that dropped the check cannot cycle forever
+    first_batch = len(traffic)
+    with pytest.raises(ValueError, match=NON_ARC):
+        BatchedNetworkSimulator(graph, router=router, kernels="numpy").run(
+            traffic, max_events=first_batch
+        )
+    with pytest.raises(ValueError, match=NON_ARC):
+        NetworkSimulator(graph, router=router).run(traffic, max_events=first_batch)
+
+
+def test_non_arc_hop_raises_on_kernel_backends(backend):
+    graph = de_bruijn(2, 4)
+    traffic = [(u % 16, (u * 7 + 3) % 16, 0.0) for u in range(64) if u % 16 != (u * 7 + 3) % 16]
+    # the per-round loop, asking a wrong router round by round
+    with pytest.raises(ValueError, match=NON_ARC):
+        BatchedNetworkSimulator(
+            graph, router=OffByOneRouter(graph), kernels=backend
+        ).run(traffic, max_events=10_000)
+    # the fused loop, with a closed form of the wrong de Bruijn digraph:
+    # B(2,4) shift hops on the 16-vertex ring are not its arcs
+    ring16 = Digraph(16, [(u, (u + 1) % 16) for u in range(16)] * 2)
+    with pytest.raises(ValueError, match=NON_ARC):
+        BatchedNetworkSimulator(
+            ring16, router=ClosedFormRouter.for_de_bruijn(2, 4), kernels=backend
+        ).run(traffic, max_events=10_000)
+    # a relabelling shorter than the topology: refused, never read past
+    short = ClosedFormRouter(2, 3, to_code=np.arange(8), from_code=np.arange(8))
+    with pytest.raises(IndexError):
+        BatchedNetworkSimulator(graph, router=short, kernels=backend).run(traffic)
+
+
+# ------------------------------------------------- vectorised uniform traffic
+
+
+def frozen_uniform_random_pairs(num_nodes, num_messages, generator, rate=None):
+    """The scalar generator as it was before vectorisation (the reference)."""
+    times = (
+        np.cumsum(generator.exponential(1.0 / rate, size=num_messages))
+        if rate is not None
+        else np.zeros(num_messages)
+    )
+    traffic = []
+    for k in range(num_messages):
+        source = int(generator.integers(num_nodes))
+        destination = int(generator.integers(num_nodes))
+        while destination == source:
+            destination = int(generator.integers(num_nodes))
+        traffic.append((source, destination, float(times[k])))
+    return traffic
+
+
+@pytest.mark.parametrize("num_nodes", [2, 3, 4, 5, 1024, 4096, 2**33 + 1])
+@pytest.mark.parametrize("count", [0, 1, 2, 7, 500])
+@pytest.mark.parametrize("rate", [None, 3.0])
+def test_uniform_pairs_are_stream_identical(num_nodes, count, rate):
+    for seed in range(4):
+        ref_rng = np.random.default_rng(seed)
+        got_rng = np.random.default_rng(seed)
+        ref = frozen_uniform_random_pairs(num_nodes, count, ref_rng, rate)
+        got = uniform_random_pairs(num_nodes, count, got_rng, rate=rate)
+        assert got == ref
+        assert all(
+            type(s) is int and type(t) is int and type(at) is float for s, t, at in got
+        )
+        assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_arrival_processes_are_stream_identical(monkeypatch):
+    # The arrival processes draw their times after the pairs, so an extra or
+    # missing draw would shift every time: compare them and the state after.
+    from repro.simulation import scenarios
+
+    processes = [
+        UniformArrivals(300),
+        UniformArrivals(300, rate=2.5),
+        UniformArrivals(0),
+        BurstyArrivals(300, burst_size=5),
+        DiurnalArrivals(300),
+    ]
+    for num_nodes in (2, 3, 64):
+        for process in processes:
+            got_rng = np.random.default_rng(11)
+            got = process.traffic(num_nodes, got_rng)
+            with monkeypatch.context() as patched:
+                patched.setattr(
+                    scenarios,
+                    "uniform_random_pairs",
+                    lambda n, k, g: frozen_uniform_random_pairs(n, k, g),
+                )
+                ref_rng = np.random.default_rng(11)
+                ref = process.traffic(num_nodes, ref_rng)
+            assert got == ref
+            assert got_rng.bit_generator.state == ref_rng.bit_generator.state

@@ -22,6 +22,7 @@ Three contracts beyond bit-identity (which ``test_kernel_parity.py`` owns):
 import builtins
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro import kernels
@@ -181,6 +182,63 @@ class TestWarmupAndDiagnostics:
         monkeypatch.setattr(kernels, "get_kernels", spying_get)
         kernels.warmup()
         assert len(screens) == 1
+
+    def test_warmup_runs_closed_form_routing_and_the_fused_loop(self, monkeypatch):
+        if kernels.resolve_backend("auto") == "numpy":
+            pytest.skip("no compiled backend available")
+        monkeypatch.setenv(kernels.ENV_VAR, "auto")
+        seen = []
+        real_get = kernels.get_kernels
+
+        def spying_get(backend=None):
+            ns = real_get(backend)
+            spy = SimpleNamespace(**vars(ns))
+            spy.shift_next_hops = (
+                lambda *a: seen.append("shift_next_hops") or ns.shift_next_hops(*a)
+            )
+
+            def make_round_driver(*args):
+                driver = ns.make_round_driver(*args)
+                return SimpleNamespace(
+                    schedule=driver.schedule,
+                    pop=driver.pop,
+                    finish=driver.finish,
+                    run=lambda *a: seen.append("run") or driver.run(*a),
+                )
+
+            spy.make_round_driver = make_round_driver
+            return spy
+
+        monkeypatch.setattr(kernels, "get_kernels", spying_get)
+        kernels.warmup()
+        assert seen.count("shift_next_hops") == 1
+        assert seen.count("run") == 1
+
+    def test_env_var_numpy_routes_through_shift_route_next_hops(self, monkeypatch):
+        # Under REPRO_KERNELS=numpy the closed-form router runs the numpy
+        # oracle; a compiled backend replaces it with the shift_next_hops
+        # kernel.  Same hops either way.
+        from repro.routing import routers
+        from repro.routing.routers import ClosedFormRouter
+
+        calls = []
+        real = routers.shift_route_next_hops
+        monkeypatch.setattr(
+            routers,
+            "shift_route_next_hops",
+            lambda *a: calls.append(1) or real(*a),
+        )
+        router = ClosedFormRouter.for_graph(GRAPH)
+        sources = np.repeat(np.arange(16), 16)
+        targets = np.tile(np.arange(16), 16)
+        monkeypatch.setenv(kernels.ENV_VAR, "numpy")
+        oracle = router.next_hops(sources, targets)
+        assert calls == [1]
+        monkeypatch.setenv(kernels.ENV_VAR, "auto")
+        if kernels.active_backend() == "numpy":
+            pytest.skip("no compiled backend available")
+        assert router.next_hops(sources, targets).tobytes() == oracle.tobytes()
+        assert calls == [1]
 
     def test_warmup_numpy_is_a_noop(self, monkeypatch):
         monkeypatch.setenv(kernels.ENV_VAR, "numpy")

@@ -229,8 +229,35 @@ class TestSelection:
 
     def test_spot_check_catches_impostor_name(self):
         impostor = Digraph(8, arcs=[(u, (u + 1) % 8) for u in range(8)], name="B(2,3)")
-        with pytest.raises(ValueError, match="not an arc"):
+        with pytest.raises(ValueError, match="disagrees with the digraph"):
             ClosedFormRouter.for_graph(impostor)
+
+    def test_rewired_vertex_keeping_the_name_is_refused(self):
+        # B(2,10) with vertex 5's two arcs turned into self-loops: still
+        # 2-out-regular and still named B(2,10), but next_hop(5, 0) would
+        # be 10, which is no longer an arc.  A 32-vertex sample missed it.
+        graph = de_bruijn(2, 10).to_digraph()
+        for head in graph.out_neighbors(5):
+            graph.remove_arc(5, head)
+        graph.add_arc(5, 5)
+        graph.add_arc(5, 5)
+        assert graph.name == "B(2,10)"
+        with pytest.raises(ValueError, match="vertex 5 of 'B\\(2,10\\)'"):
+            ClosedFormRouter.for_graph(graph)
+        assert not ClosedFormRouter.supports(graph)
+        assert make_router(graph, "auto").kind == "dense"  # n <= 2048
+
+    def test_every_family_member_passes_the_exact_check(self):
+        for graph in CLOSED_FORM_GRAPHS:
+            ClosedFormRouter.for_graph(graph)
+        # a relabelled arc set with the right degrees is still refused
+        arcs = list(kautz(2, 4).arcs())
+        (u, v), (x, y) = arcs[0], arcs[-1]
+        swapped = Digraph(
+            kautz(2, 4).num_vertices, [(u, y), *arcs[1:-1], (x, v)], name="K(2,4)"
+        )
+        with pytest.raises(ValueError, match="disagrees with the digraph"):
+            ClosedFormRouter.for_graph(swapped)
 
     def test_resolve_rejects_ambiguous_arguments(self):
         graph = de_bruijn(2, 3)
@@ -376,3 +403,55 @@ class TestRouterThreadSafety:
         assert clone.next_hop(1, 9) == router.next_hop(1, 9)
         # The recreated lock still serialises calls (smoke: lock exists).
         assert clone._lock is not router._lock
+
+
+def layout_valid_h_splits(max_n):
+    """``(p, q, d)`` of every ``H(d^p', d^q', d)`` with a de Bruijn OTIS
+    layout (Corollary 4.2) and at most ``max_n`` vertices."""
+    from repro.core.checks import is_otis_layout_of_de_bruijn
+
+    splits = []
+    for d in range(2, 9):
+        for p_prime in range(1, 13):
+            for q_prime in range(1, 13):
+                if d ** (p_prime + q_prime - 1) > max_n:
+                    continue
+                if is_otis_layout_of_de_bruijn(d, p_prime, q_prime):
+                    splits.append((d**p_prime, d**q_prime, d))
+    return splits
+
+
+def test_closed_form_hops_lower_the_bfs_distance_by_one():
+    """Every layout-valid H(p, q, d) with n <= 4096: each closed-form hop is
+    an arc one BFS step closer to its target.
+
+    All pairs up to n = 512; above that, every target from 32 sources
+    spread over the vertex range.  (Together with the exact arc check of
+    ``for_graph`` — H is the relabelled B(d, D) arc for arc — that covers
+    the rest: the relabelling preserves distances.)
+    """
+    from repro.graphs.apsp import subset_distance_rows
+
+    splits = layout_valid_h_splits(4096)
+    assert len(splits) > 100
+    for p, q, d in splits:
+        graph = h_digraph(p, q, d)
+        router = ClosedFormRouter.for_graph(graph)
+        n = graph.num_vertices
+        succ = graph.successor_matrix()
+        sources = (
+            np.arange(n) if n <= 512 else np.unique(np.linspace(0, n - 1, 32).astype(np.int64))
+        )
+        rows_for = np.unique(np.concatenate((sources, succ[sources].ravel())))
+        dist = subset_distance_rows(graph, rows_for)
+        row_of = np.full(n, -1, dtype=np.int64)
+        row_of[rows_for] = np.arange(rows_for.size)
+        source = np.repeat(sources, n)
+        target = np.tile(np.arange(n), sources.size)
+        off = source != target
+        source, target = source[off], target[off]
+        hop = router.next_hops(source, target)
+        assert np.all((succ[source] == hop[:, None]).any(axis=1)), (p, q, d)
+        here = dist[row_of[source], target]
+        there = dist[row_of[hop], target]
+        assert np.array_equal(there, here - 1), (p, q, d)
