@@ -12,7 +12,7 @@ Markers (``table1``, ``sim``) are registered once, in the repository-root
 
 A session-scoped autouse fixture warms the active kernel backend
 (:mod:`repro.kernels`) before the first benchmark runs, so one-time
-compilation / JIT warm-up cost can never land inside a timed region and
+compilation / warm-up cost can never land inside a timed region and
 masquerade as a wall-time regression in the ``BENCH_*.json`` keys.
 
 Benchmarks record their numbers through the ``bench_json`` fixture, which
@@ -27,7 +27,7 @@ from repro.analysis.tables import merge_bench_json
 
 @pytest.fixture(scope="session", autouse=True)
 def warm_kernel_backend():
-    """Pay kernel compilation/JIT warm-up once, before anything is timed."""
+    """Pay kernel compilation and warm-up once, before anything is timed."""
     return kernels.warmup()
 
 

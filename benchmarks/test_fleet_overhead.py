@@ -1,15 +1,16 @@
-"""Benchmark — lease-driver overhead over the serial sharded sweep.
+"""Benchmark — fleet-driver overhead over the in-memory search loop.
 
-The fleet driver adds one lease claim (an ``O_EXCL`` create), a heartbeat
-thread and one lease release around every chunk.  This benchmark runs the
-same small diameter-6 manifest through :func:`repro.otis.sweep.run_sweep`
-(the serial chunk loop) and through :func:`repro.fleet.run_fleet` (claim →
-run → publish → release) and, with ``--write-bench``, records both wall
-times in ``BENCH_table1.json`` — the claim protocol is supposed to cost milliseconds
-per chunk, not to tax the search itself.
+The fleet driver adds one lease claim (a write-tmp/``os.link`` create), a
+heartbeat thread, one atomic chunk publication and one lease release around
+every chunk.  This benchmark runs the same small diameter-6 sweep through
+:func:`repro.otis.search.degree_diameter_search` (the in-memory serial chunk
+loop) and through :func:`repro.fleet.run_fleet` (claim → run → publish →
+release) and, with ``--write-bench``, records both wall times in
+``BENCH_table1.json`` — the store and claim protocol are supposed to cost
+about a millisecond per chunk, not to tax the search itself.
 
-Correctness first, as everywhere: both stores must merge to byte-identical
-rows before any timing is recorded.
+Correctness first, as everywhere: the fleet store must merge to the
+in-memory rows before any timing is recorded.
 """
 
 import time
@@ -18,7 +19,8 @@ from pathlib import Path
 import pytest
 
 from repro.fleet import SweepFleetJob, run_fleet
-from repro.otis.sweep import ChunkManifest, ChunkStore, merge_sweep, run_sweep
+from repro.otis.search import degree_diameter_search
+from repro.otis.sweep import ChunkManifest, ChunkStore, merge_sweep
 
 _BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_table1.json"
 
@@ -29,9 +31,8 @@ pytestmark = pytest.mark.table1
 def test_fleet_driver_overhead_diameter_6(benchmark, once, tmp_path, bench_json):
     manifest = ChunkManifest.build(2, 6, range(60, 71), chunk_size=2)
 
-    serial_store = ChunkStore(tmp_path / "serial")
     start = time.perf_counter()
-    run_sweep(manifest, serial_store)
+    serial = degree_diameter_search(2, 6, 60, 70, chunk_size=2)
     serial_seconds = time.perf_counter() - start
 
     fleet_store = ChunkStore(tmp_path / "fleet")
@@ -40,13 +41,11 @@ def test_fleet_driver_overhead_diameter_6(benchmark, once, tmp_path, bench_json)
     outcome = once(benchmark, run_fleet, job, ttl=30.0)
     fleet_seconds = time.perf_counter() - start
 
-    # Correctness: every chunk ran exactly once, merges are byte-identical.
+    # Correctness: every chunk ran exactly once, the merge equals the
+    # in-memory rows.
     assert outcome["complete"] and not outcome["lost"]
     assert sorted(outcome["ran"]) == sorted(c.chunk_id for c in manifest.chunks)
-    assert (
-        merge_sweep(manifest, fleet_store).rows
-        == merge_sweep(manifest, serial_store).rows
-    )
+    assert merge_sweep(manifest, fleet_store).rows == serial.rows
 
     per_chunk_ms = (
         (fleet_seconds - serial_seconds) / len(manifest.chunks) * 1000.0

@@ -1,8 +1,8 @@
 """Benchcheck smoke — kernel warm-up must never hide inside benchmark keys.
 
-The compiled backends (:mod:`repro.kernels`) pay a one-time cost on first
-use: numba JIT-compiles per process, the C backend compiles a shared object
-once per source digest (then dlopens from the on-disk cache).  If that cost
+The compiled backend (:mod:`repro.kernels`) pays a one-time cost on first
+use: the C backend compiles a shared object once per source digest (then
+dlopens from the on-disk cache).  If that cost
 ever landed inside a timed benchmark region, a wall-time key in
 ``BENCH_sim.json`` / ``BENCH_table1.json`` would swing by the warm-up
 amount and the 2x regression gate would fire (or, worse, mask a real

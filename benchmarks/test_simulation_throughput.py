@@ -332,19 +332,20 @@ def test_table_free_large_n_100k(bench_json):
     )
 
 
-def test_million_message_sharded_study_n_1e5(bench_json):
+def test_million_message_sharded_study_n_1e5(bench_json, fleet_processes):
     """10 seeds x 100k messages on H(128, 2048, 2) (n = 131072).
 
     The study the dense table made impossible: a million messages over a
-    10^5-node topology, replicas sharded over a process pool as resumable
-    chunks.  Routing state is ~2 MB (the dense table would be ~275 GB).
-    Spot-checks one replica against the in-process engine — the merge
-    contract (byte-identical stats) at full scale.
+    10^5-node topology, replicas run as resumable chunks by 4 fleet worker
+    processes on one store.  Routing state is ~2 MB (the dense table would
+    be ~275 GB).  Spot-checks one replica against the in-process engine —
+    the merge contract (byte-identical stats) at full scale.
     """
     import tempfile
 
+    from repro.fleet import SimFleetJob
     from repro.routing.routers import make_router
-    from repro.simulation.sharding import run_many_sharded
+    from repro.simulation.sharding import ReplicaChunkManifest, run_many_sharded
 
     graph = h_digraph(128, 2048, 2)
     assert graph.num_vertices == 131_072
@@ -359,6 +360,10 @@ def test_million_message_sharded_study_n_1e5(bench_json):
     ]
     with tempfile.TemporaryDirectory() as store:
         start = time.perf_counter()
+        manifest = ReplicaChunkManifest.build(
+            graph, traffics, link=link, router="closed-form", chunk_size=2
+        )
+        fleet_processes(SimFleetJob(manifest, store, graph, traffics), 4, 1800)
         merged = run_many_sharded(
             graph,
             traffics,
@@ -366,7 +371,6 @@ def test_million_message_sharded_study_n_1e5(bench_json):
             router="closed-form",
             store=store,
             chunk_size=2,
-            workers=4,
         )
         seconds = time.perf_counter() - start
     assert len(merged) == 10

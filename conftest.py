@@ -10,10 +10,10 @@ the benchmark harness agree on their meaning:
   benchmarks).  These are opt-in: they are skipped unless ``--run-sim`` is
   passed (or the marker is selected explicitly with ``-m sim``), so the
   tier-1 suite keeps running only the fast simulator parity subset.
-* ``sweep`` — slow end-to-end sharded-sweep exercises (kill/resume over a
+* ``sweep`` — slow end-to-end fleet-sweep exercises (kill/resume over a
   real Table 1 block).  Opt-in exactly like ``sim``, via ``--run-sweep`` or
   ``-m sweep``; the fast sweep unit tests (manifest determinism, cache
-  semantics, small shard-union parity) run unconditionally.
+  semantics, small fleet-worker parity) run unconditionally.
 * ``scenarios`` — throughput–latency Pareto sweeps over composed failure
   and congestion scenarios (``BENCH_scenarios.json``).  Opt-in via
   ``--run-scenarios`` or ``-m scenarios``; the fast scenario parity tests
@@ -36,6 +36,9 @@ the benchmark harness agree on their meaning:
 The benchmarks under ``benchmarks/`` write their numbers into the
 ``BENCH_*.json`` files at the repository root only when ``--write-bench`` is
 passed; a plain run checks every reproduction but leaves the tree clean.
+
+The ``fleet_processes`` fixture runs N fleet worker processes on one chunk
+store — the way a chunk store runs in parallel.
 """
 
 import pytest
@@ -43,7 +46,7 @@ import pytest
 MARKERS = [
     "table1: Table 1 reproduction benchmarks (deselect with -m 'not table1')",
     "sim: slow simulator workload sweeps (opt-in: pass --run-sim or -m sim)",
-    "sweep: slow end-to-end sharded-sweep runs (opt-in: pass --run-sweep or -m sweep)",
+    "sweep: slow end-to-end fleet-sweep runs (opt-in: pass --run-sweep or -m sweep)",
     "scenarios: scenario Pareto-curve benchmarks "
     "(opt-in: pass --run-scenarios or -m scenarios)",
     "serve: route-query service load benchmarks "
@@ -76,7 +79,7 @@ def pytest_addoption(parser):
         "--run-sweep",
         action="store_true",
         default=False,
-        help="run the slow 'sweep'-marked end-to-end sharded-sweep tests",
+        help="run the slow 'sweep'-marked end-to-end fleet-sweep tests",
     )
     parser.addoption(
         "--run-scenarios",
@@ -125,3 +128,36 @@ def pytest_collection_modifyitems(config, items):
         for item in items:
             if marker in item.keywords:
                 item.add_marker(skip)
+
+
+@pytest.fixture
+def fleet_processes():
+    """``run(job, count)``: ``count`` fleet worker processes on one store.
+
+    Spawned workers (``job`` is pickled to each) run
+    :func:`repro.fleet.run_fleet` until the store completes; ``run``
+    returns once every worker exited cleanly.
+    """
+    import multiprocessing
+
+    from repro.fleet import run_fleet
+
+    def run(job, count, timeout=120):
+        context = multiprocessing.get_context("spawn")
+        procs = [
+            context.Process(target=run_fleet, args=(job,), kwargs={"ttl": 30.0})
+            for _ in range(count)
+        ]
+        for proc in procs:
+            proc.start()
+        try:
+            for proc in procs:
+                proc.join(timeout=timeout)
+                assert proc.exitcode == 0, f"fleet worker exited with {proc.exitcode}"
+        finally:
+            for proc in procs:
+                if proc.is_alive():
+                    proc.kill()
+                    proc.join()
+
+    return run

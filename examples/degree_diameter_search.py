@@ -12,12 +12,13 @@ seconds).  Pass ``--full`` to sweep the whole range from the first printed row
 up to the Kautz order, which reproduces the table including the *absence* of
 intermediate rows (several minutes for diameter 10).
 
-The script then demonstrates the **resumable sharded path** of
-:mod:`repro.otis.sweep` on a small diameter-6 sweep: two shards run into one
-chunk store, the sweep is "killed" by deleting a completed chunk file, and a
-``--resume`` relaunch recomputes only that chunk (from the warm split-verdict
-cache) before the merge reproduces the direct search rows exactly.  This is
-the same machinery ``python -m repro sweep`` drives across hosts.
+The script then demonstrates the **resumable chunk store** of
+:mod:`repro.otis.sweep` on a small diameter-6 sweep: a fleet worker
+(:func:`repro.fleet.run_fleet`) fills one chunk store, the sweep is "killed"
+by deleting a completed chunk file, and a relaunched worker recomputes only
+that chunk (from the warm split-verdict cache) before the merge reproduces
+the direct search rows exactly.  This is the same machinery
+``python -m repro fleet sweep`` drives with any number of workers.
 
 Run with:  python examples/degree_diameter_search.py [--full] [diameters...]
 """
@@ -29,6 +30,7 @@ import time
 from pathlib import Path
 
 from repro.analysis.tables import format_table
+from repro.fleet import SweepFleetJob, run_fleet
 from repro.otis.search import (
     PAPER_TABLE1,
     compare_with_paper,
@@ -40,7 +42,6 @@ from repro.otis.sweep import (
     ChunkStore,
     SplitVerdictCache,
     merge_sweep,
-    run_sweep,
 )
 
 
@@ -70,8 +71,8 @@ def run_table1_blocks(diameters: list[int], full: bool) -> None:
 
 
 def run_resumable_demo() -> None:
-    """Run → interrupt → resume → merge, on a small diameter-6 sweep."""
-    print("\n=== Resumable sharded sweep (d=2, D=6, n=60..70) ===")
+    """Fleet run → interrupt → rerun → merge, on a small diameter-6 sweep."""
+    print("\n=== Resumable fleet sweep (d=2, D=6, n=60..70) ===")
     direct = degree_diameter_search(2, 6, 60, 70)
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -81,11 +82,10 @@ def run_resumable_demo() -> None:
         print(f"manifest: {len(manifest.chunks)} chunks "
               f"(code version {manifest.code_version})")
 
-        # Two shards — in production these run on different hosts sharing
-        # the store directory; chunk ids are their only coordination.
-        for index in range(2):
-            outcome = run_sweep(manifest, store, shard=(index, 2), cache=cache_dir)
-            print(f"shard {index}/2: ran {len(outcome['ran'])} chunks")
+        # One fleet worker fills the store.  More workers on the same store
+        # (processes or hosts) would split the chunks through lease files.
+        outcome = run_fleet(SweepFleetJob(manifest, store, cache=cache_dir))
+        print(f"fleet run: ran {len(outcome['ran'])} chunks")
 
         # "Kill" the sweep: drop one completed chunk, as if the process died
         # before publishing it.  The merge refuses to produce a partial table.
@@ -96,12 +96,12 @@ def run_resumable_demo() -> None:
         except FileNotFoundError as error:
             print(f"merge before resume correctly fails: {error}")
 
-        # Resume: completed chunks are skipped; the lost chunk is recomputed,
+        # Rerun: published chunks are skipped; the lost chunk is recomputed,
         # answered entirely from the warm split-verdict cache.
         cache = SplitVerdictCache(cache_dir, 2, 6)
-        outcome = run_sweep(manifest, store, resume=True, cache=cache)
+        outcome = run_fleet(SweepFleetJob(manifest, store, cache=cache))
         print(f"resume: ran {len(outcome['ran'])} chunk(s), "
-              f"skipped {len(outcome['skipped'])}, "
+              f"skipped {len(manifest.chunks) - len(outcome['ran'])} published, "
               f"cache hits {cache.hits}, misses {cache.misses}")
 
         merged = merge_sweep(manifest, store)

@@ -1,12 +1,12 @@
 #!/usr/bin/env python
 """Drive a degree–diameter sweep with the lease-based fleet driver.
 
-``python -m repro sweep --shard i/k`` splits work *statically*: every host
-must be told its index and a crashed host's shard never finishes.  The fleet
-driver of :mod:`repro.fleet` removes both problems — any number of workers
-point at one shared out-dir and **claim chunks dynamically** through atomic
-lease files with a TTL, so shards are auto-assigned and a dead worker's
-chunk is reclaimed the moment its lease expires.
+The fleet driver of :mod:`repro.fleet` is the one way to run a chunk store:
+any number of workers point at one shared out-dir and **claim chunks
+dynamically** through atomic lease files with a TTL, so no worker is told
+an index and a dead worker's chunk is reclaimed the moment its lease
+expires.  One worker is the serial run; N workers on one out-dir are the
+parallel run.
 
 This script demonstrates the whole cycle on a small diameter-6 sweep:
 

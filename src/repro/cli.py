@@ -11,16 +11,8 @@ Exposes the reproduction's main entry points without writing any Python:
 * ``sim``     — throughput/latency sweep of workloads on ``H(p, q, d)`` with
   the batched network simulator (optionally cross-checked against the
   event-loop reference).  ``--router`` selects the routing backend
-  (``auto``/``dense``/``closed-form``/``lru``); with ``--out-dir`` the
-  ``(workload, rate, seed)`` replicas run as resumable chunks
-  (:mod:`repro.simulation.sharding`) — ``--shard i/k`` per host,
-  ``--resume`` after an interruption, ``--merge`` to fold the chunk files
-  into the curves,
-* ``sweep``   — the resumable, shardable degree–diameter sweep
-  (:mod:`repro.otis.sweep`): run a shard with ``--shard i/k``, relaunch with
-  ``--resume`` after an interruption, fold the chunk files with ``--merge``
-  (``--partial`` for a progress report over an incomplete store), and
-  memoise split verdicts across runs with ``--cache-dir``,
+  (``auto``/``dense``/``closed-form``/``lru``); ``fleet sim`` runs the
+  same study as resumable chunks,
 * ``scenarios`` — degraded-mode scenario sweeps on ``H(p, q, d)``
   (:mod:`repro.simulation.scenarios`): compose an arrival process
   (``--arrival uniform|hotspot|permutation|bursty|diurnal``), finite link
@@ -38,15 +30,20 @@ Exposes the reproduction's main entry points without writing any Python:
   server and merges throughput + tail latency into ``BENCH_serve.json``,
   and ``serve stats`` / ``repro serve --stats`` print a running server's
   metrics snapshot,
-* ``fleet``   — the lease-based fleet driver (:mod:`repro.fleet`): workers
-  **auto-assign** sweep/sim chunks through atomic TTL leases on a shared
-  out-dir (no ``--shard i/k`` bookkeeping, crashed workers' chunks are
-  reclaimed).  ``fleet sweep ...`` / ``fleet sim ...`` start a worker,
-  ``--watch`` tails a live progress/heartbeat snapshot, ``fleet status
-  --out-dir ...`` prints a one-shot snapshot of any fleet's store
-  (``--json`` for the machine-readable schema), ``--merge`` folds the
-  completed store, and ``fleet --smoke`` runs a seconds-long end-to-end
-  claim → run → reclaim → merge exercise of both backends.
+* ``fleet``   — the one way to run a chunk store (:mod:`repro.fleet`):
+  workers **auto-assign** degree–diameter sweep chunks
+  (:mod:`repro.otis.sweep`) or replica-simulation chunks
+  (:mod:`repro.simulation.sharding`) through atomic TTL leases on a shared
+  out-dir; crashed workers' chunks are reclaimed and a relaunch skips every
+  published chunk.  ``fleet sweep ...`` / ``fleet sim ...`` start a worker
+  (start N of them on one out-dir to run in parallel), ``--watch`` tails a
+  live progress/heartbeat snapshot, ``fleet status --out-dir ...`` prints a
+  one-shot snapshot of any fleet's store (``--json`` for the
+  machine-readable schema), ``--merge`` folds the completed store
+  (``fleet sweep --merge --partial`` reports progress over an incomplete
+  one; ``--cache-dir`` memoises split verdicts across runs), and ``fleet
+  --smoke`` runs a seconds-long end-to-end claim → run → reclaim → merge
+  exercise of both backends.
 
 Each subcommand prints plain text to stdout and exits non-zero on failure, so
 the CLI can be scripted.
@@ -71,8 +68,8 @@ __all__ = ["main", "build_parser"]
 class _VersionAction(argparse.Action):
     """``--version`` with kernel-backend diagnostics.
 
-    Lazy on purpose: probing the backends may import numba or compile the C
-    kernels, which must never happen at parser-build time.
+    Lazy on purpose: probing the backends may compile the C kernels, which
+    must never happen at parser-build time.
     """
 
     def __init__(self, option_strings, dest, **kwargs):
@@ -182,36 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="merge the sweep result into a JSON file (e.g. BENCH_sim.json)",
     )
-    sim.add_argument(
-        "--out-dir",
-        help="replica chunk store: run the sweep as resumable sharded chunks",
-    )
-    sim.add_argument(
-        "--shard",
-        default="0/1",
-        metavar="I/K",
-        help="with --out-dir: run only round-robin shard I of K",
-    )
-    sim.add_argument(
-        "--resume",
-        action="store_true",
-        help="with --out-dir: skip replica chunks already published",
-    )
-    sim.add_argument(
-        "--merge",
-        action="store_true",
-        help="with --out-dir: fold the completed chunks into curves instead of running",
-    )
-    sim.add_argument(
-        "--chunk-size", type=int, default=4, help="replicas per chunk (sharded mode)"
-    )
-    sim.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="process-pool workers for this shard (sharded mode)",
-    )
-
     scenarios = sub.add_parser(
         "scenarios",
         help="degraded-mode scenario sweep on H(p, q, d): arrivals x "
@@ -316,57 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json",
         metavar="PATH",
         help="merge the sweep into a JSON file (e.g. BENCH_scenarios.json)",
-    )
-
-    sweep = sub.add_parser(
-        "sweep",
-        help="resumable/shardable degree-diameter sweep (chunk manifest + merge)",
-    )
-    sweep.add_argument("-d", type=int, default=2, help="degree")
-    sweep.add_argument("-D", "--diameter", type=int, required=True, help="target diameter")
-    sweep.add_argument("--n-min", type=int, required=True, help="smallest node count")
-    sweep.add_argument("--n-max", type=int, required=True, help="largest node count")
-    sweep.add_argument(
-        "--out-dir",
-        required=True,
-        help="chunk store directory (shared by all shards of one sweep)",
-    )
-    sweep.add_argument(
-        "--shard",
-        default="0/1",
-        metavar="I/K",
-        help="run only round-robin shard I of K (default 0/1 = everything)",
-    )
-    sweep.add_argument(
-        "--resume",
-        action="store_true",
-        help="skip chunks whose result file already exists (safe relaunch)",
-    )
-    sweep.add_argument(
-        "--merge",
-        action="store_true",
-        help="fold the completed chunk files into the final table instead of running",
-    )
-    sweep.add_argument(
-        "--partial",
-        action="store_true",
-        help="with --merge: report progress over an incomplete store "
-        "(folds only the completed chunks)",
-    )
-    sweep.add_argument(
-        "--cache-dir",
-        help="on-disk split-verdict cache shared across sweeps and CI runs",
-    )
-    sweep.add_argument(
-        "--chunk-size", type=int, default=32, help="(n, p, q) work items per chunk"
-    )
-    sweep.add_argument(
-        "--workers", type=int, default=None, help="process-pool workers for this shard"
-    )
-    sweep.add_argument(
-        "--at-most",
-        action="store_true",
-        help="accept any diameter <= D instead of exactly D",
     )
 
     serve = sub.add_parser(
@@ -673,6 +589,12 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="accept any diameter <= D instead of exactly D",
     )
+    fleet_sweep.add_argument(
+        "--partial",
+        action="store_true",
+        help="with --merge: report progress over an incomplete store "
+        "(folds only the completed chunks)",
+    )
     _add_lease_args(fleet_sweep)
 
     fleet_sim = fleet_sub.add_parser(
@@ -860,8 +782,6 @@ def _cmd_sim(args: argparse.Namespace) -> int:
         seeds=range(args.seeds),
         num_messages=args.messages,
     )
-    if args.out_dir:
-        return _cmd_sim_sharded(args, graph, rates)
     engine = "batched" if args.engine == "both" else args.engine
     sweep = run_throughput_sweep(
         graph, engine=engine, router=args.router, **sweep_kwargs
@@ -1235,165 +1155,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 2
 
 
-def _build_sim_study(args: argparse.Namespace, graph, rates):
-    """``(combos, traffics, link, manifest)`` for a sharded/fleet sim study.
-
-    Shared by ``repro sim --out-dir`` and ``repro fleet sim`` so both derive
-    the same deterministic chunk ids from the same CLI parameters.
-    """
-    from repro.simulation.network import LinkModel
-    from repro.simulation.sharding import ReplicaChunkManifest
-    from repro.simulation.workloads import sweep_combos, sweep_traffics
-
-    combos = sweep_combos(tuple(args.workloads), rates, range(args.seeds))
-    traffics = sweep_traffics(graph.num_vertices, combos, args.messages)
-    link = LinkModel()
-    manifest = ReplicaChunkManifest.build(
-        graph,
-        traffics,
-        link=link,
-        router=args.router,
-        chunk_size=args.chunk_size,
-    )
-    return combos, traffics, link, manifest
-
-
-def _cmd_sim_sharded(args: argparse.Namespace, graph, rates) -> int:
-    """``repro sim --out-dir ...``: replicas as resumable sharded chunks."""
-    import time as _time
-
-    from repro.otis.sweep import ChunkStore
-    from repro.simulation.sharding import merge_replica_stats, run_replica_shard
-    from repro.simulation.workloads import assemble_throughput_sweep
-
-    if args.engine != "batched":
-        print("sharded mode always uses the batched engine", file=sys.stderr)
-        return 2
-    combos, traffics, link, manifest = _build_sim_study(args, graph, rates)
-    store = ChunkStore(args.out_dir)
-    print(
-        f"{graph.name}: {len(combos)} replicas x {args.messages} messages in "
-        f"{len(manifest.chunks)} chunks (code version {manifest.code_version}, "
-        f"router {manifest.router})"
-    )
-    if args.merge:
-        start = _time.perf_counter()
-        try:
-            stats = merge_replica_stats(manifest, store)
-        except FileNotFoundError as error:
-            print(f"merge failed: {error}", file=sys.stderr)
-            return 1
-        sweep = assemble_throughput_sweep(
-            graph,
-            combos,
-            traffics,
-            stats,
-            engine="batched",
-            link=link,
-            wall_time_s=_time.perf_counter() - start,
-            kernel_backend=_active_kernel_backend(),
-        )
-        _print_sweep_curves(sweep)
-        if args.json:
-            key = f"sweep_H({args.p},{args.q},{args.d})_sharded"
-            entry = sweep.to_json()
-            # The merged sweep never timed the simulation (the shards did,
-            # possibly on other hosts); recording the fold time under
-            # `wall_time_s` would pollute the BENCH trajectory with a bogus
-            # near-zero "simulation" timing.
-            entry.pop("wall_time_s", None)
-            entry["merge_wall_time_s"] = round(sweep.wall_time_s, 4)
-            path = merge_bench_json(args.json, key, entry)
-            print(f"wrote {path}")
-        return 0
-    outcome = run_replica_shard(
-        manifest,
-        store,
-        graph,
-        traffics,
-        shard=_parse_shard(args.shard),
-        resume=args.resume,
-        workers=args.workers,
-    )
-    print(
-        f"shard {args.shard}: ran {len(outcome['ran'])} chunks, "
-        f"skipped {len(outcome['skipped'])} already complete"
-    )
-    done = store.completed_ids() & {chunk.chunk_id for chunk in manifest.chunks}
-    print(
-        f"store {store.directory}: {len(done)}/{len(manifest.chunks)} chunks complete"
-    )
-    return 0
-
-
-def _parse_shard(text: str) -> tuple[int, int]:
-    """Parse ``--shard I/K`` (e.g. ``0/2``) into an ``(index, count)`` pair."""
-    try:
-        index_text, count_text = text.split("/", 1)
-        index, count = int(index_text), int(count_text)
-    except ValueError:
-        raise SystemExit(f"--shard expects I/K (e.g. 0/2), got {text!r}")
-    if count < 1 or not 0 <= index < count:
-        raise SystemExit(f"--shard needs 0 <= I < K, got {text!r}")
-    return index, count
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.otis.search import PAPER_TABLE1, compare_with_paper
-    from repro.otis.sweep import ChunkManifest, ChunkStore, merge_sweep, run_sweep
-
-    if args.n_min < 1 or args.n_max < args.n_min:
-        print("need 1 <= --n-min <= --n-max", file=sys.stderr)
-        return 2
-    manifest = ChunkManifest.build(
-        args.d,
-        args.diameter,
-        range(args.n_min, args.n_max + 1),
-        require_exact=not args.at_most,
-        chunk_size=args.chunk_size,
-    )
-    store = ChunkStore(args.out_dir)
-    print(
-        f"sweep d={args.d} D={args.diameter} n={args.n_min}..{args.n_max}: "
-        f"{len(manifest.chunks)} chunks (code version {manifest.code_version})"
-    )
-    if args.partial and not args.merge:
-        print("--partial only makes sense with --merge", file=sys.stderr)
-        return 2
-    if args.merge:
-        try:
-            result = merge_sweep(manifest, store, partial=args.partial)
-        except FileNotFoundError as error:
-            print(f"merge failed: {error}", file=sys.stderr)
-            return 1
-        if args.partial:
-            done = store.completed_ids() & {c.chunk_id for c in manifest.chunks}
-            print(
-                f"PARTIAL merge: {len(done)}/{len(manifest.chunks)} chunks "
-                "complete - rows below cover only the published chunks"
-            )
-        print(result.as_table())
-        if args.diameter in PAPER_TABLE1 and not args.at_most and not args.partial:
-            report = compare_with_paper(result)
-            print(f"paper rows in range reproduced: {report['all_match']}")
-        return 0
-    outcome = run_sweep(
-        manifest,
-        store,
-        shard=_parse_shard(args.shard),
-        resume=args.resume,
-        cache=args.cache_dir,
-        workers=args.workers,
-    )
-    print(
-        f"shard {args.shard}: ran {len(outcome['ran'])} chunks, "
-        f"skipped {len(outcome['skipped'])} already complete"
-    )
-    done = store.completed_ids() & {chunk.chunk_id for chunk in manifest.chunks}
-    print(f"store {store.directory}: {len(done)}/{len(manifest.chunks)} chunks complete")
-    return 0
-
-
 def _fleet_kwargs(args: argparse.Namespace) -> dict:
     """The ``run_fleet`` keyword arguments shared by fleet sweep/sim."""
     return dict(
@@ -1493,7 +1254,7 @@ def _bench_check_after_merge(json_path: str) -> int:
 def _fleet_sweep(args: argparse.Namespace) -> int:
     from repro.fleet import SweepFleetJob, run_fleet
     from repro.otis.search import PAPER_TABLE1, compare_with_paper
-    from repro.otis.sweep import ChunkManifest, ChunkStore
+    from repro.otis.sweep import ChunkManifest, ChunkStore, merge_sweep
 
     if args.n_min < 1 or args.n_max < args.n_min:
         print("need 1 <= --n-min <= --n-max", file=sys.stderr)
@@ -1509,16 +1270,25 @@ def _fleet_sweep(args: argparse.Namespace) -> int:
         manifest, ChunkStore(args.out_dir), cache=args.cache_dir
     )
     print(job.describe())
+    if args.partial and not args.merge:
+        print("--partial only makes sense with --merge", file=sys.stderr)
+        return 2
     if args.watch:
         return _fleet_watch(job, args)
     if args.merge:
         try:
-            result = job.merge()
+            result = merge_sweep(manifest, job.store, partial=args.partial)
         except FileNotFoundError as error:
             print(f"merge failed: {error}", file=sys.stderr)
             return 1
+        if args.partial:
+            done = job.store.completed_ids() & {c.chunk_id for c in job.chunks()}
+            print(
+                f"PARTIAL merge: {len(done)}/{len(manifest.chunks)} chunks "
+                "complete - rows below cover only the published chunks"
+            )
         print(result.as_table())
-        if args.diameter in PAPER_TABLE1 and not args.at_most:
+        if args.diameter in PAPER_TABLE1 and not args.at_most and not args.partial:
             report = compare_with_paper(result)
             print(f"paper rows in range reproduced: {report['all_match']}")
         return 0
@@ -1533,11 +1303,22 @@ def _fleet_sim(args: argparse.Namespace) -> int:
     from repro.fleet import SimFleetJob, run_fleet
     from repro.otis.h_digraph import h_digraph
     from repro.otis.sweep import ChunkStore
-    from repro.simulation.workloads import assemble_throughput_sweep
+    from repro.simulation.network import LinkModel
+    from repro.simulation.sharding import ReplicaChunkManifest
+    from repro.simulation.workloads import (
+        assemble_throughput_sweep,
+        sweep_combos,
+        sweep_traffics,
+    )
 
     graph = h_digraph(args.p, args.q, args.d)
     rates = tuple(args.rates) if args.rates else (None,)
-    combos, traffics, link, manifest = _build_sim_study(args, graph, rates)
+    combos = sweep_combos(tuple(args.workloads), rates, range(args.seeds))
+    traffics = sweep_traffics(graph.num_vertices, combos, args.messages)
+    link = LinkModel()
+    manifest = ReplicaChunkManifest.build(
+        graph, traffics, link=link, router=args.router, chunk_size=args.chunk_size
+    )
     job = SimFleetJob(manifest, ChunkStore(args.out_dir), graph, traffics)
     print(job.describe())
     if args.watch:
@@ -1563,7 +1344,10 @@ def _fleet_sim(args: argparse.Namespace) -> int:
         if args.json:
             key = f"sweep_H({args.p},{args.q},{args.d})_fleet"
             entry = sweep.to_json()
-            # As in the sharded merge: the fold never timed the simulation.
+            # The fold never timed the simulation (the workers did, possibly
+            # on other hosts); recording the fold time under `wall_time_s`
+            # would pollute the BENCH trajectory with a bogus near-zero
+            # "simulation" timing.
             entry.pop("wall_time_s", None)
             entry["merge_wall_time_s"] = round(sweep.wall_time_s, 4)
             path = merge_bench_json(args.json, key, entry)
@@ -1746,7 +1530,6 @@ def main(argv: list[str] | None = None) -> int:
         "figure": _cmd_figure,
         "sim": _cmd_sim,
         "scenarios": _cmd_scenarios,
-        "sweep": _cmd_sweep,
         "fleet": _cmd_fleet,
         "serve": _cmd_serve,
         "lint": _cmd_lint,

@@ -1,12 +1,14 @@
 """Lease-based fleet driver: auto-assigned sweep/sim chunks on a shared dir.
 
-``repro sweep --shard i/k`` and ``repro sim --shard i/k`` split work
-*statically*: every host must be told its index, a crashed host's shard
-simply never finishes, and a fast host idles while a slow one grinds.  This
-package replaces the hand-rolled shard loops with **dynamic self-assignment**
-in the work-stealing spirit of the Bobpp framework (PAPERS.md): any number of
-worker processes — same host, or many hosts on a shared filesystem — point at
-one ``--out-dir`` and claim chunks through atomic lease files with a TTL.
+This is the one way to fill a chunk store.  Work is assigned
+**dynamically**, in the work-stealing spirit of the Bobpp framework
+(PAPERS.md): any number of worker processes — same host, or many hosts on a
+shared filesystem — point at one ``--out-dir`` and claim chunks through
+atomic lease files with a TTL.  No worker is told an index, a crashed
+worker's chunks are reclaimed, and a fast worker never idles while a slow
+one grinds.  One worker is the serial run; N local workers on one out-dir
+are the parallel run; relaunching a worker resumes (published chunks are
+always skipped).
 
 * :mod:`repro.fleet.leases` — the claim protocol.  A lease is a file created
   exclusively via write-tmp/fsync/``os.link`` (the NFS-safe mutual-exclusion

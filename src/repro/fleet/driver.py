@@ -1,5 +1,10 @@
 """The fleet loop: claim a chunk, run it, publish it, release, repeat.
 
+This is the one way a chunk store is filled.  A single worker is the
+serial run; parallelism is N workers (processes on one host, or hosts on a
+shared filesystem) pointed at the same store; a relaunch after an
+interruption skips every chunk already published.
+
 :class:`FleetJob` is the small protocol that makes the two chunk backends —
 the degree–diameter sweep (:mod:`repro.otis.sweep`) and the replica
 simulation (:mod:`repro.simulation.sharding`) — interchangeable under one
@@ -10,9 +15,9 @@ store-identity verification, lease claiming with TTL/heartbeat, reclaim of
 crashed workers' chunks, and termination once every chunk is published.
 
 The driver adds **no semantics** to the results: a chunk's records are the
-same bytes whether the serial path, a ``--shard i/k`` run or a fleet worker
-computed them (chunk computations are pure, publication is one atomic
-rename), so fleet merges are byte-identical to serial merges — the property
+same bytes whichever worker computed them, and however many workers shared
+the store (chunk computations are pure, publication is one atomic rename),
+so fleet merges are byte-identical to the in-memory paths — the property
 every test in ``tests/test_fleet.py`` pins down.
 """
 
@@ -35,9 +40,9 @@ from repro.otis.sweep import (
     assemble_split,
     ensure_store_identity,
     merge_sweep,
+    run_chunk,
     split_chunk,
 )
-from repro.otis.sweep import run_chunk as _run_sweep_chunk
 
 __all__ = [
     "DEFAULT_TTL",
@@ -146,14 +151,9 @@ class SweepFleetJob(FleetJob):
             self._cache = None
 
     def run_chunk(self, chunk: SweepChunk) -> list[dict]:
-        payload = (
-            self.manifest.d,
-            self.manifest.diameter,
-            chunk.items,
-            None,
-            self.manifest.code_version,
+        return run_chunk(
+            self.manifest.d, self.manifest.diameter, chunk.items, self._cache
         )
-        return _run_sweep_chunk(payload, cache=self._cache)
 
     def merge(self):
         return merge_sweep(self.manifest, self.store)
@@ -203,14 +203,13 @@ class SimFleetJob(FleetJob):
     def run_chunk(self, chunk: SweepChunk) -> list[dict]:
         from repro.simulation.sharding import run_replica_chunk
 
-        payload = (
+        return run_replica_chunk(
             self.graph,
-            self.manifest.link,
-            self.manifest.router,
-            self.manifest.scenario,
             [(index, self._arrays[index]) for index, _ in chunk.items],
+            link=self.manifest.link,
+            router=self.manifest.router,
+            scenario=self.manifest.scenario,
         )
-        return run_replica_chunk(payload)
 
     def merge(self):
         from repro.simulation.sharding import merge_replica_stats

@@ -8,19 +8,17 @@ and the same-timestamp round resolution behind
 round loop in one call when the router is closed-form) each have a
 compiled implementation here, selected at run time:
 
-``numba``
-    :func:`numba.njit` over the shared jittable source
-    (:mod:`repro.kernels._pyimpl`).  Used when numba is importable.
 ``cnative``
-    The same loops as C, compiled once with the system C compiler and
-    loaded via ctypes (:mod:`repro.kernels.native`).  Used when numba is
-    absent but a working compiler is available.
+    The loops of :mod:`repro.kernels._pyimpl` translated to C, compiled
+    once with the system C compiler and loaded via ctypes
+    (:mod:`repro.kernels.native`).  Used when a working compiler is
+    available.
 ``numpy``
     No kernels at all — the engines run their original vectorised numpy
     paths.  Always available; this is the reference the differential tests
-    compare every backend against, and results are **bit-identical** across
-    all three by contract (see ``tests/test_kernel_parity.py`` and
-    ``docs/kernels.md``).
+    compare the compiled backend against, and results are
+    **bit-identical** across both by contract (see
+    ``tests/test_kernel_parity.py`` and ``docs/kernels.md``).
 
 Selection: the ``REPRO_KERNELS`` environment variable (``auto`` — the
 default — or an explicit backend name) decides the process-wide default;
@@ -28,8 +26,8 @@ default — or an explicit backend name) decides the process-wide default;
 backend=...)`` / ``BatchedNetworkSimulator(..., kernels=...)`` override per
 call site.
 Requesting an unavailable backend explicitly warns and falls back to
-numpy; ``auto`` silently picks the best available
-(``numba`` > ``cnative`` > ``numpy``).
+numpy; ``auto`` silently picks the best available (``cnative`` >
+``numpy``).
 
 The active backend is part of result identity: it joins
 ``code_version()`` / ``sim_code_version()`` (see ``repro.otis.sweep`` and
@@ -55,7 +53,7 @@ __all__ = [
 ]
 
 #: All backend names, in ``auto`` preference order.
-KERNEL_BACKENDS = ("numba", "cnative", "numpy")
+KERNEL_BACKENDS = ("cnative", "numpy")
 
 #: The environment override: ``auto`` or one of :data:`KERNEL_BACKENDS`.
 ENV_VAR = "REPRO_KERNELS"
@@ -70,25 +68,13 @@ def _probe(backend: str) -> bool:
     cached = _probe_cache.get(backend)
     if cached is not None:
         return cached
-    ok = False
-    if backend == "numba":
-        try:
-            from repro.kernels.numba_backend import build_numba_kernels  # noqa: F401
+    from repro.kernels.native import NativeBuildError, build_native_kernels
 
-            ok = True
-        except ImportError:
-            ok = False
-    elif backend == "cnative":
-        try:
-            from repro.kernels.native import NativeBuildError, build_native_kernels
-
-            try:
-                build_native_kernels()
-                ok = True
-            except NativeBuildError:
-                ok = False
-        except ImportError:  # pragma: no cover - ctypes is stdlib
-            ok = False
+    try:
+        build_native_kernels()
+        ok = True
+    except NativeBuildError:
+        ok = False
     _probe_cache[backend] = ok
     return ok
 
@@ -146,17 +132,13 @@ def get_kernels(backend: str | None = None):
     """The kernel namespace for ``backend`` (resolved), or None for numpy.
 
     Returns an object with the kernel functions (see
-    ``repro.kernels._pyimpl.KERNEL_NAMES``) for the compiled backends, and
-    ``None`` for ``numpy`` — callers treat ``None`` as "run the original
+    ``repro.kernels._pyimpl.KERNEL_NAMES``) for ``cnative``, and ``None``
+    for ``numpy`` — callers treat ``None`` as "run the original
     vectorised path".
     """
     resolved = resolve_backend(backend)
     if resolved == "numpy":
         return None
-    if resolved == "numba":
-        from repro.kernels.numba_backend import build_numba_kernels
-
-        return build_numba_kernels()
     from repro.kernels.native import build_native_kernels
 
     return build_native_kernels()
@@ -169,8 +151,8 @@ def warmup(backend: str | None = None) -> str:
     (BFS screen, then eccentricity sweep), a 1-source subset sweep, a
     2-message simulation (the per-round loop), one closed-form
     ``next_hops`` call and a 2-message closed-form simulation on ``B(2,2)``
-    (the fused round loop).  After this returns, no JIT or C compile cost
-    can land inside a benchmark key or a first request.  A no-op (beyond
+    (the fused round loop).  After this returns, no C compile or first-call
+    cost can land inside a benchmark key or a first request.  A no-op (beyond
     resolution) for ``numpy``.
     """
     resolved = resolve_backend(backend)
@@ -207,17 +189,9 @@ def diagnostics() -> str:
     for backend in KERNEL_BACKENDS:
         status = "available" if _probe(backend) else "unavailable"
         note = ""
-        if backend == "numba":
-            try:
-                import numba
-
-                note = f" (numba {numba.__version__})"
-            except ImportError:
-                note = " (numba not installed)"
-        elif backend == "cnative":
+        if backend == "cnative" and _probe(backend):
             from repro.kernels import native
 
-            if _probe(backend):
-                note = f" ({native.library_path()})"
+            note = f" ({native.library_path()})"
         lines.append(f"  {backend}: {status}{note}")
     return "\n".join(lines)

@@ -1,11 +1,7 @@
-r"""The compiled-kernel algorithms, written once in jittable scalar-loop form.
+r"""The compiled-kernel algorithms, written once in scalar-loop form.
 
-This module is the *single source* of the kernel semantics: every backend
-executes exactly this code —
+This module is the *reference source* of the kernel semantics:
 
-* the ``numba`` backend jits each function with ``numba.njit`` (see
-  :mod:`repro.kernels.numba_backend`), via the :func:`build_kernels` factory
-  so the inter-function calls resolve to the jitted dispatchers;
 * the ``cnative`` backend (:mod:`repro.kernels.native`) is a line-for-line C
   translation of these loops, kept in the same function/argument order so
   the two can be diffed side by side;
@@ -13,9 +9,9 @@ executes exactly this code —
   interpreted.  It is far too slow to be a production fallback (that role
   belongs to the vectorised numpy paths in ``repro.graphs.apsp``,
   ``repro.graphs.traversal`` and ``repro.simulation.network``), but it is
-  invaluable as a third independent
-  executable reference for the differential tests in
-  ``tests/test_kernel_parity.py`` — it runs everywhere, numba or not.
+  invaluable as an independent executable reference for the differential
+  tests in ``tests/test_kernel_parity.py`` — it runs everywhere, compiler
+  or not.
 
 Bit-identity contract: every floating-point operation here replicates the
 reference engines op-for-op (``start = max(t, busy)``, ``finish = start +
@@ -68,18 +64,10 @@ KERNEL_NAMES = (
 )
 
 
-def build_kernels(jit):
-    """Build the kernel set, wrapping every function with ``jit``.
-
-    ``jit`` is ``numba.njit`` for the numba backend and the identity
-    function for the interpreted reference build.  Helper functions are
-    jitted first so the main kernels call the jitted dispatchers (numba
-    resolves closed-over dispatcher objects but not plain python
-    functions).
-    """
+def build_kernels():
+    """Build the interpreted kernel set (one namespace of closures)."""
 
     # ------------------------------------------------------------- apsp
-    @jit
     def ecc_sweep(succ, reach, scratch, full_row, ecc, done, upper_bound):
         """Level-synchronous uint64 bit sweep with streaming eccentricities.
 
@@ -148,7 +136,6 @@ def build_kernels(jit):
                     num_done += 1
         return 0
 
-    @jit
     def subset_rows_sweep(pred, state, scratch, rows):
         """Transposed sweep extracting per-level distance rows.
 
@@ -199,7 +186,6 @@ def build_kernels(jit):
             cur = nxt
             nxt = tmp
 
-    @jit
     def subset_ecc_sweep(pred, state, scratch, full, done, ecc, upper_bound):
         """Transposed sweep with streaming per-source eccentricities.
 
@@ -271,7 +257,6 @@ def build_kernels(jit):
         return 0
 
     # ------------------------------------------------------------ screen
-    @jit
     def bfs_screen(succ, upper_bound, work):
         """Forward and reverse queue BFS from vertex 0 in one call.
 
@@ -347,7 +332,6 @@ def build_kernels(jit):
         return 0
 
     # ----------------------------------------------------------- routing
-    @jit
     def shift_next_hops(
         cur, tgt, count, base, D, to_code, from_code, sorted_codes, out
     ):
@@ -419,7 +403,6 @@ def build_kernels(jit):
         return -1
 
     # -------------------------------------------------------- event queue
-    @jit
     def _hash_bits(fbits, ubits, t):
         """Mixed bits of ``t`` (``-0.0`` canonicalised to ``+0.0``).
 
@@ -437,7 +420,6 @@ def build_kernels(jit):
         b ^= b >> np.uint64(29)
         return b
 
-    @jit
     def _hash_locate(fbits, ubits, hash_time, hash_state, t):
         """Find ``t``'s bucket: ``(bid, index)``, or ``(-1, insert index)``."""
         mask = np.uint64(hash_state.shape[0] - 1)
@@ -456,7 +438,6 @@ def build_kernels(jit):
                 return s, np.int64(idx)
             idx = (idx + np.uint64(1)) & mask
 
-    @jit
     def _queue_push(
         heap_time,
         heap_bid,
@@ -514,7 +495,6 @@ def build_kernels(jit):
                 hash_state[idx] = heap_bid[e]
             qstate[2] = qstate[0]
 
-    @jit
     def queue_schedule(
         heap_time,
         heap_bid,
@@ -552,7 +532,6 @@ def build_kernels(jit):
                 slots[c],
             )
 
-    @jit
     def pop_round(
         heap_time,
         heap_bid,
@@ -629,7 +608,6 @@ def build_kernels(jit):
         meta[0] = count
         meta[1] = nfwd
 
-    @jit
     def finish_round(
         t,
         T,
@@ -759,7 +737,6 @@ def build_kernels(jit):
         meta[0] = nm
         return 0
 
-    @jit
     def run_rounds(
         T,
         L,
@@ -1056,4 +1033,4 @@ def build_kernels(jit):
 
 
 #: The interpreted reference build (slow; for differential tests only).
-PY_KERNELS = build_kernels(lambda f: f)
+PY_KERNELS = build_kernels()

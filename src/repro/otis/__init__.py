@@ -16,9 +16,9 @@ This package models that architecture and everything the paper builds on it:
   (Corollaries 4.4 / 4.6), plus the known ``O(n)``-lens Imase–Itoh layout,
 * :mod:`repro.otis.search` — the degree–diameter exhaustive search that
   regenerates Table 1,
-* :mod:`repro.otis.sweep` — resumable, shardable orchestration of that
-  search: deterministic chunk manifest, atomic per-chunk result store,
-  merge step and the on-disk split-verdict cache,
+* :mod:`repro.otis.sweep` — the chunk store behind that search:
+  deterministic chunk manifest, atomic per-chunk result store, merge step
+  and the on-disk split-verdict cache (filled by :mod:`repro.fleet`),
 * :mod:`repro.otis.hardware` — a parametric hardware cost / power model of
   the free-space optical system (the substitution for physical hardware
   documented in DESIGN.md).
@@ -45,7 +45,6 @@ from repro.otis.sweep import (
     ChunkStore,
     SplitVerdictCache,
     merge_sweep,
-    run_sweep,
 )
 
 __all__ = [
@@ -64,7 +63,6 @@ __all__ = [
     "ChunkManifest",
     "ChunkStore",
     "SplitVerdictCache",
-    "run_sweep",
     "merge_sweep",
     "HardwareModel",
     "OpticalTechnology",

@@ -19,18 +19,19 @@ This module re-runs that search:
   connectivity; one compiled ``bfs_screen`` kernel call under a kernel
   backend), then the batched bit-parallel eccentricity sweep of
   :mod:`repro.graphs.apsp` with early abort at the target diameter,
-* :func:`degree_diameter_search` — sweep a range of ``n`` and report every
-  ``(n, p, q)`` whose OTIS digraph has exactly the requested diameter,
-  optionally fanned out over a :class:`~concurrent.futures.ProcessPoolExecutor`,
+* :func:`degree_diameter_search` — sweep a range of ``n`` in this process
+  and report every ``(n, p, q)`` whose OTIS digraph has exactly the
+  requested diameter,
 * :func:`table1_rows` — the paper's Table 1 rows regenerated (restricted, by
   default, to the ``n`` range the paper prints).
 
 The sweep itself is orchestrated by :mod:`repro.otis.sweep`: the ``(n, p, q)``
 work list is deterministically partitioned into named chunks
 (:class:`repro.otis.sweep.ChunkManifest`), and this module's in-process search
-is "one host consuming every chunk".  The same manifest drives the multi-host
-sharded path (``python -m repro sweep --shard i/k``) with resumable per-chunk
-persistence, and both paths consult the on-disk
+is "one process consuming every chunk" in memory.  The same manifest drives
+the fleet path (``python -m repro fleet sweep``: any number of workers on one
+chunk store, with resumable per-chunk persistence), and both paths consult
+the on-disk
 :class:`repro.otis.sweep.SplitVerdictCache` of ``h_diameter`` verdicts when a
 ``cache`` is supplied — overlapping Table 1 blocks share many splits, and the
 verdicts are pure functions of ``(p, q, d, D)``.
@@ -46,7 +47,6 @@ cross-checked reference).  See ``docs/apsp.md`` for the engine's contract.
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -266,7 +266,6 @@ def degree_diameter_search(
     *,
     require_exact: bool = True,
     n_values: list[int] | None = None,
-    workers: int | None = None,
     chunk_size: int = 64,
     cache: "object | str | None" = None,
 ) -> DegreeDiameterResult:
@@ -274,14 +273,14 @@ def degree_diameter_search(
 
     The sweep always routes through the chunk manifest of
     :mod:`repro.otis.sweep`: the ``(n, p, q)`` work list is deterministically
-    partitioned into named chunks, and this function is simply "one host
-    consuming every chunk" — serially, or fanned out over a
-    :class:`~concurrent.futures.ProcessPoolExecutor`.  Because the manifest
+    partitioned into named chunks, and this function is simply "one process
+    consuming every chunk" serially, in memory.  Because the manifest
     partitioning is a pure function of the parameters (cf. the deterministic
     work-splitting of Bobpp-style exhaustive search) and the merge orders
-    records canonically, the result is identical whether the chunks ran
-    serially, on a worker pool, or sharded across hosts with
-    :func:`repro.otis.sweep.run_sweep` + :func:`repro.otis.sweep.merge_sweep`.
+    records canonically, the result is identical to a fleet run over a chunk
+    store (:func:`repro.fleet.run_fleet` on a
+    :class:`repro.fleet.SweepFleetJob`, then
+    :func:`repro.otis.sweep.merge_sweep`) with any number of workers.
 
     Parameters
     ----------
@@ -299,14 +298,9 @@ def degree_diameter_search(
         Optional explicit list of node counts to test instead of the full
         ``n_min..n_max`` sweep (used by the benchmarks to restrict the heavy
         diameter-10 block to the rows the paper prints).
-    workers:
-        When given and ``> 1``, the manifest's chunks are fanned out over a
-        :class:`~concurrent.futures.ProcessPoolExecutor`; chunk results are
-        merged in manifest order, so the result is identical to the serial
-        sweep regardless of worker scheduling.
     chunk_size:
-        ``(n, p, q)`` work items per chunk (a chunk is the unit of worker
-        dispatch and, in the sharded path, of resumable persistence).
+        ``(n, p, q)`` work items per chunk (the unit of resumable
+        persistence in the fleet path; results do not depend on it).
     cache:
         A :class:`repro.otis.sweep.SplitVerdictCache`, or a directory path
         from which one is opened keyed by ``(d, diameter, code_version)``.
@@ -333,37 +327,13 @@ def degree_diameter_search(
     manifest = ChunkManifest.build(
         d, diameter, sweep_ns, require_exact=require_exact, chunk_size=chunk_size
     )
-    if isinstance(cache, SplitVerdictCache):
-        cache_dir: str | None = str(cache.directory)
-        cache_version = cache.version
-    elif cache is not None:
-        cache_dir = str(cache)
-        cache_version = manifest.code_version
-    else:
-        cache_dir, cache_version = None, manifest.code_version
-    payloads = [
-        (d, diameter, chunk.items, cache_dir, cache_version)
-        for chunk in manifest.chunks
-    ]
+    # One shared cache view across all chunks, so a caller-supplied cache
+    # object accumulates its hit/miss ledger.
+    if cache is not None and not isinstance(cache, SplitVerdictCache):
+        cache = SplitVerdictCache(cache, d, diameter, version=manifest.code_version)
     records: list[dict] = []
-    if workers is not None and workers > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for chunk_records in pool.map(run_chunk, payloads):
-                records.extend(chunk_records)
-    else:
-        # One shared cache view across all chunks, so a caller-supplied
-        # cache object accumulates its hit/miss ledger.
-        local_cache = (
-            cache
-            if isinstance(cache, SplitVerdictCache)
-            else (
-                SplitVerdictCache(cache_dir, d, diameter, version=cache_version)
-                if cache_dir is not None
-                else None
-            )
-        )
-        for payload in payloads:
-            records.extend(run_chunk(payload, cache=local_cache))
+    for chunk in manifest.chunks:
+        records.extend(run_chunk(d, diameter, chunk.items, cache))
     return fold_records(manifest, records, n_range=(n_min, n_max))
 
 
@@ -374,7 +344,6 @@ def table1_rows(
     n_max: int | None = None,
     *,
     printed_rows_only: bool = False,
-    workers: int | None = None,
     cache: "object | str | None" = None,
 ) -> DegreeDiameterResult:
     """Regenerate one block of Table 1.
@@ -411,7 +380,7 @@ def table1_rows(
             n for n, _ in PAPER_TABLE1[diameter] if n_min <= n <= n_max
         ]
     return degree_diameter_search(
-        d, diameter, n_min, n_max, n_values=n_values, workers=workers, cache=cache
+        d, diameter, n_min, n_max, n_values=n_values, cache=cache
     )
 
 

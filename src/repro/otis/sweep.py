@@ -1,21 +1,21 @@
-"""Resumable, shardable orchestration of the degree–diameter sweep.
+"""Resumable orchestration of the degree–diameter sweep over a chunk store.
 
 The full diameter-10 block of Table 1 tests every divisor split of every
 ``n`` up to the Kautz order 1536 — hours of work that one wants to spread
-over several hosts, interrupt, and resume.  This module supplies the three
+over several workers, interrupt, and resume.  This module supplies the
 pieces that make that safe, in the deterministic-partitioning style of
 Bobpp-like exhaustive search frameworks (see PAPERS.md):
 
 * :class:`ChunkManifest` — a pure function of the search parameters that
   partitions the ``(n, p, q)`` work list into *named* chunks.  A chunk id is
   a stable hash of the chunk's work items together with the search
-  parameters and :func:`code_version`, so every host (and every re-run)
+  parameters and :func:`code_version`, so every worker (and every re-run)
   derives the identical manifest and agrees on which file holds which work.
 * :class:`ChunkStore` — a directory of per-chunk JSON-lines result files.
   A chunk file is written to a temporary name and published with one atomic
   :func:`os.replace`, so a file either holds the complete chunk or does not
   exist; an interrupted sweep resumes by skipping the chunk ids already on
-  disk (:func:`run_sweep` with ``resume=True``).
+  disk.
 * :class:`SplitVerdictCache` — an on-disk memo of
   :func:`repro.otis.search.h_diameter` verdicts keyed by
   ``(p, q, d, target_D)`` and scoped by :func:`code_version`.  ``h_diameter``
@@ -25,12 +25,14 @@ Bobpp-like exhaustive search frameworks (see PAPERS.md):
   change to the verdict-defining sources) switches to a fresh cache file, so
   stale verdicts can never leak across versions.
 
-:func:`run_sweep` executes (a shard of) a manifest into a store and
+A store is filled by the fleet loop (:func:`repro.fleet.run_fleet` over a
+:class:`repro.fleet.SweepFleetJob`: any number of workers claim chunks
+through lease files, and every run skips the chunks already published) and
 :func:`merge_sweep` folds the chunk files back into the same
 :class:`~repro.otis.search.DegreeDiameterResult` that an in-process
 :func:`~repro.otis.search.degree_diameter_search` returns — byte-identical
-rows, regardless of how the work was sharded.  The CLI front-end is
-``python -m repro sweep`` (``--shard i/k``, ``--resume``, ``--merge``,
+rows, regardless of which worker ran which chunk.  The CLI front-end is
+``python -m repro fleet sweep`` (``--merge``, ``--merge --partial``,
 ``--cache-dir``).
 
 On-disk formats (all JSON, one object per line in the ``.jsonl`` files):
@@ -46,7 +48,7 @@ On-disk formats (all JSON, one object per line in the ``.jsonl`` files):
   in transit can never fold partial data into a merge.
 * identity file ``<out_dir>/manifest.json`` — the manifest parameters the
   store was built for (:meth:`ChunkManifest.identity`), published on first
-  write and verified on every later run/resume/merge
+  write and verified on every later run/merge
   (:func:`ensure_store_identity`): relaunching an out-dir with different
   ``(d, D, n range)``/chunk-size/code fails fast instead of silently
   matching zero chunks and rerunning everything.
@@ -58,8 +60,6 @@ On-disk formats (all JSON, one object per line in the ``.jsonl`` files):
 >>> manifest = ChunkManifest.build(2, 4, [16], chunk_size=2, code_version="v1")
 >>> [chunk.items for chunk in manifest.chunks]
 [((16, 1, 32), (16, 2, 16)), ((16, 4, 8),)]
->>> manifest.shard(0, 2) == manifest.chunks[0::2]
-True
 """
 
 from __future__ import annotations
@@ -69,7 +69,6 @@ import json
 import os
 import tempfile
 import warnings
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -90,7 +89,6 @@ __all__ = [
     "ensure_store_identity",
     "SplitVerdictCache",
     "run_chunk",
-    "run_sweep",
     "merge_sweep",
     "fold_records",
 ]
@@ -101,7 +99,9 @@ WorkItem = tuple[int, int, int]
 #: Source files whose content defines what an ``h_diameter`` verdict *means*.
 #: Their hash is folded into :func:`code_version`, so editing any of them
 #: invalidates every on-disk verdict and renames every chunk — a resumed
-#: sweep can never mix results computed by different code.
+#: sweep can never mix results computed by different code.  This module is
+#: listed too: its ``_item_verdict`` makes the call whose result every chunk
+#: record stores.
 _VERDICT_SOURCES = (
     "graphs/digraph.py",
     "graphs/traversal.py",
@@ -109,10 +109,10 @@ _VERDICT_SOURCES = (
     "graphs/moore.py",
     "otis/h_digraph.py",
     "otis/search.py",
+    "otis/sweep.py",
     "kernels/__init__.py",
     "kernels/_pyimpl.py",
     "kernels/native.py",
-    "kernels/numba_backend.py",
 )
 
 
@@ -182,8 +182,8 @@ def make_chunks(items, chunk_size: int, identity: list) -> tuple[SweepChunk, ...
     ``identity`` is the JSON-serialisable context that, together with a
     chunk's items, *defines* its results (search parameters, code version,
     link timings, …): the chunk id is a SHA-256 prefix over both, so every
-    host deriving the same identity and item list agrees on which file holds
-    which work — the coordination mechanism behind ``--shard i/k``.
+    worker deriving the same identity and item list agrees on which file
+    holds which work — and on which lease names which chunk.
     """
     if chunk_size < 1:
         raise ValueError("chunk_size must be positive")
@@ -299,8 +299,8 @@ class ChunkManifest:
     Built by :meth:`build` as a pure function of ``(d, diameter,
     require_exact, n_values, chunk_size, code_version)``: every host that
     receives the same parameters derives bit-identical chunk ids, which is
-    what lets ``--shard i/k`` invocations on different machines split the
-    work with no coordination beyond the shared parameters.
+    what lets fleet workers on different machines share one store with no
+    coordination beyond the shared parameters and the lease files.
 
     ``require_exact`` is carried in the manifest (and hashed into the chunk
     ids) even though chunk files store raw verdicts — it is applied at merge
@@ -355,28 +355,14 @@ class ChunkManifest:
             chunks=tuple(chunks),
         )
 
-    def shard(self, index: int, count: int) -> tuple[SweepChunk, ...]:
-        """The chunks assigned to shard ``index`` of ``count`` (round-robin).
-
-        Round-robin (``chunks[index::count]``) rather than contiguous ranges,
-        so the expensive large-``n`` chunks at the end of a Table 1 block
-        spread evenly over the shards.  The shards partition :attr:`chunks`:
-        their union over ``index in range(count)`` is exactly the manifest.
-        """
-        if count < 1:
-            raise ValueError("shard count must be positive")
-        if not 0 <= index < count:
-            raise ValueError(f"shard index must be in [0, {count}), got {index}")
-        return self.chunks[index::count]
-
     def identity(self) -> dict:
         """The JSON identity persisted as ``manifest.json`` in a store.
 
         Every parameter that renames the chunk ids appears here (plus a
         digest over the ids themselves), so :func:`ensure_store_identity`
         can fail fast — with the *differing field named* — when a store
-        directory is relaunched, resumed or merged under parameters other
-        than the ones it was built for.
+        directory is relaunched or merged under parameters other than the
+        ones it was built for.
         """
         ids = hashlib.sha256(
             "".join(chunk.chunk_id for chunk in self.chunks).encode()
@@ -400,8 +386,8 @@ class ChunkStore:
     A chunk's results are streamed to a ``tempfile`` in the store directory
     and published under ``chunk-<id>.jsonl`` with one :func:`os.replace` —
     POSIX-atomic, so :meth:`is_complete` (existence of the final name) can
-    never observe a half-written chunk.  Killing a sweep mid-chunk leaves at
-    worst a ``.tmp-*`` orphan, which resumption ignores and overwrites.
+    never observe a half-written chunk.  Killing a worker mid-chunk leaves at
+    worst a ``.tmp-*`` orphan, which the next run ignores and overwrites.
 
     The last line of every chunk file is a **footer** naming the chunk and
     its record count.  The atomic rename already guarantees a *locally*
@@ -599,8 +585,8 @@ def ensure_store_identity(store: ChunkStore, identity: dict) -> None:
     On the first write into an out-dir the identity (every parameter that
     renames the chunk ids — see :meth:`ChunkManifest.identity` /
     :meth:`repro.simulation.sharding.ReplicaChunkManifest.identity`) is
-    published atomically as ``manifest.json``.  Every later run, resume or
-    merge against the same directory must present the same identity;  a
+    published atomically as ``manifest.json``.  Every later run or merge
+    against the same directory must present the same identity;  a
     mismatch raises :class:`StoreIdentityError` naming the differing fields
     *before* any work runs.  Concurrent fleet workers race benignly: they
     derive byte-identical identities, so whichever ``os.replace`` lands last
@@ -665,7 +651,7 @@ class SplitVerdictCache:
       anyone remembering to clear a directory;
     * records are *appended*, each as **one ``os.write`` on an ``O_APPEND``
       file descriptor**: POSIX serialises same-filesystem ``O_APPEND``
-      writes, so concurrent sweep/fleet processes sharing a ``--cache-dir``
+      writes, so concurrent fleet workers sharing a ``--cache-dir``
       interleave whole lines and can never tear each other's records (a
       buffered text-mode ``open("a")`` offers no such guarantee — its
       flush may split one line across several writes).  Duplicated entries
@@ -744,7 +730,7 @@ class SplitVerdictCache:
 
         The record goes to disk as a **single ``os.write``** on an
         ``O_APPEND`` descriptor: the kernel serialises the seek-to-end and
-        the write, so concurrent shard/fleet workers appending to one cache
+        the write, so concurrent fleet workers appending to one cache
         file emit whole, untorn lines (small writes — a verdict line is tens
         of bytes, far below any pipe/FS atomicity limit).
         """
@@ -778,22 +764,17 @@ def _item_verdict(
 
 
 def run_chunk(
-    payload: tuple[int, int, tuple[WorkItem, ...], str | None, str | None],
+    d: int,
+    diameter: int,
+    items: tuple[WorkItem, ...],
     cache: SplitVerdictCache | None = None,
 ) -> list[dict]:
-    """Compute the verdict records of one chunk.
+    """Compute the verdict records of one chunk's ``(n, p, q)`` items.
 
-    ``payload`` is ``(d, diameter, items, cache_dir, cache_version)`` — a
-    plain picklable tuple so :class:`ProcessPoolExecutor` workers can run
-    chunks; the serial path calls it with the same payload, keeping one code
-    path for both.  Each worker opens its own :class:`SplitVerdictCache`
-    view of ``cache_dir`` (appends interleave safely, see the cache's
-    docstring); a serial caller may instead pass an already-open ``cache``,
-    which takes precedence and keeps one hit/miss ledger across chunks.
+    ``cache``, when given, is consulted before every ``h_diameter`` call and
+    fed with every fresh verdict; passing one open cache across chunks keeps
+    a single hit/miss ledger.
     """
-    d, diameter, items, cache_dir, cache_version = payload
-    if cache is None and cache_dir is not None:
-        cache = SplitVerdictCache(cache_dir, d, diameter, version=cache_version)
     return [_item_verdict(n, p, q, d, diameter, cache) for n, p, q in items]
 
 
@@ -807,7 +788,7 @@ def fold_records(
 
     Applies the manifest's ``require_exact`` filter, groups by ``n`` and
     orders rows by ``n`` and splits by ``p`` — exactly the shape
-    :func:`~repro.otis.search.degree_diameter_search` produces, so sharded
+    :func:`~repro.otis.search.degree_diameter_search` produces, so fleet
     and in-process sweeps are interchangeable downstream.  ``n_range``
     defaults to the extremes of the manifest's ``n_values``; the in-process
     search passes its original ``(n_min, n_max)`` instead.
@@ -836,102 +817,6 @@ def fold_records(
     )
 
 
-def run_sweep(
-    manifest: ChunkManifest,
-    store: ChunkStore | str | Path,
-    *,
-    shard: tuple[int, int] = (0, 1),
-    resume: bool = False,
-    cache: SplitVerdictCache | str | Path | None = None,
-    workers: int | None = None,
-) -> dict:
-    """Execute (one shard of) a manifest into a chunk store.
-
-    Parameters
-    ----------
-    manifest:
-        The work partition; every cooperating host must build it with the
-        same parameters (the chunk ids are the coordination mechanism).
-    store:
-        A :class:`ChunkStore` or a directory path for one.  Chunk results
-        are published atomically, one file per chunk.
-    shard:
-        ``(index, count)`` — run only the round-robin shard ``index`` of
-        ``count`` (default: everything).  Different shards write disjoint
-        chunk files, so any number of hosts can share one store directory
-        (e.g. over NFS) without locking.
-    resume:
-        Skip chunks whose result file already exists.  This is what makes
-        an interrupted sweep safe to relaunch: completed chunks are kept,
-        the chunk that was in flight (no published file) is recomputed.
-    cache:
-        A :class:`SplitVerdictCache`, or a cache *directory* from which one
-        is opened with the manifest's parameters.  Consulted before every
-        ``h_diameter`` call and fed with every fresh verdict.
-    workers:
-        When ``> 1``, chunks of this shard fan out over a
-        :class:`ProcessPoolExecutor` (each worker opening its own cache
-        view); results are identical regardless of scheduling because every
-        chunk is an independent pure computation.
-
-    Returns
-    -------
-    dict with ``ran`` / ``skipped`` chunk-id lists and the store directory.
-    """
-    if not isinstance(store, ChunkStore):
-        store = ChunkStore(store)
-    ensure_store_identity(store, manifest.identity())
-    shard_index, shard_count = shard
-    chunks = manifest.shard(shard_index, shard_count)
-    todo = []
-    skipped = []
-    for chunk in chunks:
-        if resume and store.is_complete(chunk):
-            skipped.append(chunk.chunk_id)
-        else:
-            todo.append(chunk)
-
-    cache_dir: str | None = None
-    local_cache: SplitVerdictCache | None = None
-    if isinstance(cache, SplitVerdictCache):
-        local_cache = cache
-        cache_dir = str(cache.directory)
-        cache_version = cache.version
-    elif cache is not None:
-        cache_dir = str(cache)
-        cache_version = manifest.code_version
-        local_cache = SplitVerdictCache(
-            cache_dir, manifest.d, manifest.diameter, version=cache_version
-        )
-    else:
-        cache_version = manifest.code_version
-
-    payloads = [
-        (manifest.d, manifest.diameter, chunk.items, cache_dir, cache_version)
-        for chunk in todo
-    ]
-    if workers is not None and workers > 1 and len(todo) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            # Publish each chunk the moment its future completes (not in
-            # submission order): if the process dies while one slow chunk is
-            # still in flight, every finished chunk is already on disk and a
-            # --resume relaunch recomputes only the one that was lost.
-            futures = {
-                pool.submit(run_chunk, payload): chunk
-                for chunk, payload in zip(todo, payloads)
-            }
-            for future in as_completed(futures):
-                store.write(futures[future], future.result())
-    else:
-        for chunk, payload in zip(todo, payloads):
-            store.write(chunk, run_chunk(payload, cache=local_cache))
-    return {
-        "ran": [chunk.chunk_id for chunk in todo],
-        "skipped": skipped,
-        "store": str(store.directory),
-    }
-
-
 def merge_sweep(
     manifest: ChunkManifest,
     store: ChunkStore | str | Path,
@@ -944,9 +829,9 @@ def merge_sweep(
     of the manifest has not been published yet — a partial merge would
     silently drop table rows, which is exactly the failure mode the named
     manifest exists to prevent.  ``partial=True`` opts into exactly that
-    drop *explicitly*, for progress reports over a store other shards are
+    drop *explicitly*, for progress reports over a store fleet workers are
     still filling: the completed chunks are folded and the result carries
-    only the rows they cover (the CLI's ``--merge --partial`` prints the
+    only the rows they cover (``fleet sweep --merge --partial`` prints the
     coverage next to the table so a partial report can never masquerade as
     a finished sweep).  Raises :class:`StoreIdentityError` before anything
     else when the store's ``manifest.json`` was written for different
@@ -975,13 +860,13 @@ def merge_sweep(
     if missing:
         message = (
             f"{len(missing)} of {len(manifest.chunks)} chunks incomplete "
-            f"(e.g. {missing[:3]}); run the remaining shards (or --resume) first"
+            f"(e.g. {missing[:3]}); run fleet workers on the store first"
         )
         # Chunk files that belong to no chunk of *this* manifest usually mean
         # the manifest identity changed under the store — a code-version bump
         # (any edit to a verdict-defining source) or different parameters
         # (chunk_size, require_exact, range) rename every chunk id.  Saying
-        # "re-run the shards" alone would silently discard a completed sweep.
+        # "run the workers" alone would silently discard a completed sweep.
         known = {c.chunk_id for c in manifest.chunks}
         orphans = {
             chunk_id

@@ -114,6 +114,9 @@ class ServeMetrics:
         self.max_batch_pairs = 0
         self.shed = 0  # requests rejected by backpressure (429)
         self.deadline_exceeded = 0  # requests cancelled at their deadline
+        #: Requests refused before dispatch, by status code (see the
+        #: framing rules in :mod:`repro.serve.server`).
+        self.framing_errors = {"400": 0, "413": 0, "431": 0}
 
     def record(
         self, endpoint: str, *, queries: int, seconds: float, error: bool = False
@@ -145,6 +148,11 @@ class ServeMetrics:
         """One request cancelled because it overran its deadline."""
         with self._lock:
             self.deadline_exceeded += 1
+
+    def record_framing_error(self, status: str) -> None:
+        """One request refused for its framing (``status`` is the reply line)."""
+        with self._lock:
+            self.framing_errors[status.split()[0]] += 1
 
     def record_batch(self, *, requests: int, pairs: int) -> None:
         """One coalesced router call of the micro-batcher."""
@@ -183,4 +191,5 @@ class ServeMetrics:
                     "shed": self.shed,
                     "deadline_exceeded": self.deadline_exceeded,
                 },
+                "framing_errors": dict(self.framing_errors),
             }

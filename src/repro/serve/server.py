@@ -13,6 +13,13 @@ four routes:
   periodically), returns the changed topology names,
 * ``GET /healthz`` — liveness.
 
+**Framing.**  A request the server cannot frame is refused and its
+connection closed: a request or header line longer than the stream limit
+gets ``431``, a ``Content-Length`` that is not a decimal integer gets
+``400``, and a body above :attr:`RouteQueryServer.max_body_bytes` (derived
+from ``max_pairs``) gets ``413`` before any of it is read.  The refusals
+are counted under ``framing_errors`` in ``/stats``.
+
 **Micro-batching.**  Concurrent requests against the same
 ``(topology, version, op)`` coalesce: the first request arms a
 ``batch_window_s`` timer, later ones append to the pending bucket, and the
@@ -42,6 +49,14 @@ from repro.serve.registry import RouterEntry, RouterRegistry
 __all__ = ["RouteQueryServer"]
 
 _JSON_HEADERS = "Content-Type: application/json\r\n"
+
+
+class _FramingError(Exception):
+    """A request whose framing the server refuses (reply, then close)."""
+
+    def __init__(self, status: str, message: str):
+        super().__init__(message)
+        self.status = status
 
 
 class RouteQueryServer:
@@ -74,6 +89,10 @@ class RouteQueryServer:
         self.batch_window_s = float(batch_window_s)
         self.batch_pairs = int(batch_pairs)
         self.max_pairs = int(max_pairs)
+        #: Largest accepted request body: 64 bytes per pair covers a JSON
+        #: pair of two 19-digit ids with separators, plus 64 KiB of slack
+        #: for the rest of the query object.
+        self.max_body_bytes = 64 * self.max_pairs + 65536
         self.reload_interval_s = float(reload_interval_s)
         #: Admission cap on concurrently processed ``/v1/query`` requests.
         #: Beyond it the server sheds with ``429 + Retry-After`` instead of
@@ -168,29 +187,21 @@ class RouteQueryServer:
             self._connections.add(task)
         try:
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except _FramingError as error:
+                    self.metrics.record_framing_error(error.status)
+                    reply = {"ok": False, "error": str(error)}
+                    self._write_reply(writer, error.status, reply, {}, False)
+                    await writer.drain()
+                    break
                 if request is None:
                     break
                 method, path, headers, body = request
                 keep_alive = headers.get("connection", "").lower() != "close"
                 result = await self._dispatch(method, path, body)
-                status, reply = result[0], result[1]
                 extra = result[2] if len(result) > 2 else {}
-                extra_lines = "".join(
-                    f"{name}: {value}\r\n" for name, value in extra.items()
-                )
-                payload = (json.dumps(reply) + "\n").encode()
-                writer.write(
-                    (
-                        f"HTTP/1.1 {status}\r\n"
-                        f"{_JSON_HEADERS}"
-                        f"{extra_lines}"
-                        f"Content-Length: {len(payload)}\r\n"
-                        f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
-                        "\r\n"
-                    ).encode()
-                    + payload
-                )
+                self._write_reply(writer, result[0], result[1], extra, keep_alive)
                 await writer.drain()
                 if not keep_alive:
                     break
@@ -215,23 +226,61 @@ class RouteQueryServer:
                 self._connections.discard(task)
 
     @staticmethod
-    async def _read_request(reader):
-        """Parse one HTTP/1.1 request; None on a cleanly closed connection."""
-        line = await reader.readline()
-        if not line:
-            return None
-        parts = line.decode("latin-1").split()
-        if len(parts) < 2:
-            return None
-        method, path = parts[0].upper(), parts[1]
-        headers: dict[str, str] = {}
-        while True:
-            header = await reader.readline()
-            if header in (b"\r\n", b"\n", b""):
-                break
-            key, _, value = header.decode("latin-1").partition(":")
-            headers[key.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or 0)
+    def _write_reply(writer, status, reply, extra, keep_alive) -> None:
+        extra_lines = "".join(f"{k}: {v}\r\n" for k, v in extra.items())
+        payload = (json.dumps(reply) + "\n").encode()
+        writer.write(
+            (
+                f"HTTP/1.1 {status}\r\n"
+                f"{_JSON_HEADERS}"
+                f"{extra_lines}"
+                f"Content-Length: {len(payload)}\r\n"
+                f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
+                "\r\n"
+            ).encode()
+            + payload
+        )
+
+    async def _read_request(self, reader):
+        """Parse one HTTP/1.1 request; None on a cleanly closed connection.
+
+        Raises :class:`_FramingError` for a request the server refuses to
+        frame (see the module docstring).
+        """
+        try:
+            line = await reader.readline()
+            if not line:
+                return None
+            parts = line.decode("latin-1").split()
+            if len(parts) < 2:
+                return None
+            method, path = parts[0].upper(), parts[1]
+            headers: dict[str, str] = {}
+            while True:
+                header = await reader.readline()
+                if header in (b"\r\n", b"\n", b""):
+                    break
+                key, _, value = header.decode("latin-1").partition(":")
+                headers[key.strip().lower()] = value.strip()
+        except ValueError:  # readline: the line overran the stream limit
+            raise _FramingError(
+                "431 Request Header Fields Too Large",
+                "request line or header field exceeds the stream limit",
+            ) from None
+        text = headers.get("content-length", "") or "0"
+        if not (text.isascii() and text.isdigit()):
+            raise _FramingError(
+                "400 Bad Request", f"invalid Content-Length {text[:32]!r}"
+            )
+        # Compare digit counts first: int() refuses strings past ~4300
+        # digits, and a header line may hold far more.
+        if len(text) > 18 or int(text) > self.max_body_bytes:
+            raise _FramingError(
+                "413 Payload Too Large",
+                f"body of {text[:32]} bytes exceeds the limit of "
+                f"{self.max_body_bytes} bytes",
+            )
+        length = int(text)
         body = await reader.readexactly(length) if length else b""
         return method, path, headers, body
 

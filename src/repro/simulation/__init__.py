@@ -24,10 +24,11 @@ reproductions of printed numbers.
   (arrival processes, finite link buffers, fault plans, reroute policies),
   the :class:`Scenario` composition both engines accept, and the
   throughput–latency Pareto sweep driver :func:`run_scenario_sweep`.
-* :mod:`repro.simulation.sharding` — process-sharded ``run_many`` over the
+* :mod:`repro.simulation.sharding` — chunked ``run_many`` over the
   resumable chunk-store machinery of :mod:`repro.otis.sweep`: replica
-  blocks execute as named, atomically published chunks whose merge is
-  byte-identical to the in-process pass.
+  blocks execute as named, atomically published chunks (filled by fleet
+  workers, :mod:`repro.fleet`) whose merge is byte-identical to the
+  in-process pass.
 * :mod:`repro.simulation.protocols` — end-to-end experiments returning
   latency / throughput statistics (every engine selectable).
 """
@@ -68,7 +69,6 @@ from repro.simulation.sharding import (
     ReplicaChunkManifest,
     merge_replica_stats,
     run_many_sharded,
-    run_replica_shard,
 )
 from repro.simulation.workloads import (
     SWEEP_WORKLOADS,
@@ -109,7 +109,6 @@ __all__ = [
     "ThroughputSweep",
     "run_throughput_sweep",
     "ReplicaChunkManifest",
-    "run_replica_shard",
     "merge_replica_stats",
     "run_many_sharded",
     "ARRIVAL_KINDS",

@@ -16,10 +16,11 @@ enumerates ``(workload, injection rate, seed)`` combinations
 simulates every combination in one pooled pass over a shared router.  The
 resulting :class:`ThroughputSweep` aggregates seeds into throughput/latency
 curves and serialises to the ``BENCH_sim.json`` trajectory format.  The
-same ``(combos, traffics)`` pair feeds the process-sharded path of
-:mod:`repro.simulation.sharding` (``repro sim --out-dir ... --shard i/k``),
-which is how multi-seed million-message studies run on topologies whose
-dense routing table would not even fit in memory.
+same ``(combos, traffics)`` pair feeds the chunk-store path of
+:mod:`repro.simulation.sharding` (``repro fleet sim --out-dir ...``, one or
+more fleet workers per store), which is how multi-seed million-message
+studies run on topologies whose dense routing table would not even fit in
+memory.
 """
 
 from __future__ import annotations
@@ -406,7 +407,7 @@ def assemble_throughput_sweep(
 ) -> ThroughputSweep:
     """Package per-combination stats into a :class:`ThroughputSweep`.
 
-    Shared by the in-process driver and the sharded merge path, so both
+    Shared by the in-process driver and the fleet merge path, so both
     produce the same curves from the same stats.
     """
     points = [

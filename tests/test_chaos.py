@@ -6,7 +6,7 @@ Three layers:
   and order-independence, fault budgets, injector scoping/restoration, the
   torn-write and swallowed-heartbeat fault shapes;
 * a fast fixed-seed subset (always runs) driving the real production seams —
-  ``run_sweep``/``merge_sweep`` resume, the lease claim/heartbeat/reclaim
+  ``run_fleet``/``merge_sweep`` resume, the lease claim/heartbeat/reclaim
   cycle on an injected clock, a mid-split interruption, and the serve
   registry's degrade-to-last-good reload — under a handful of schedules;
 * the full sweeps behind ``@pytest.mark.chaos`` (``--run-chaos``): 224
@@ -24,6 +24,7 @@ it loudly rather than spinning.
 import io
 import json
 import os
+import time
 import warnings
 from pathlib import Path
 
@@ -36,6 +37,8 @@ from repro.chaos import (
     ChaosInjector,
     ChaosSchedule,
 )
+from repro.fleet import SweepFleetJob, run_fleet
+from repro.fleet.driver import LEASE_DIR_NAME
 from repro.fleet.leases import LeaseManager
 from repro.otis.sweep import (
     ChunkManifest,
@@ -43,7 +46,6 @@ from repro.otis.sweep import (
     assemble_split,
     merge_sweep,
     run_chunk,
-    run_sweep,
     split_chunk,
 )
 from repro.serve.registry import RouterRegistry
@@ -71,7 +73,7 @@ def tiny_manifest(chunk_size: int = 2) -> ChunkManifest:
 
 def chunk_records(chunk) -> list[dict]:
     """Fault-free records of one chunk (no cache, pure computation)."""
-    return run_chunk((2, 4, chunk.items, None, CODE_VERSION))
+    return run_chunk(2, 4, chunk.items)
 
 
 # ---------------------------------------------------------------------------
@@ -253,14 +255,15 @@ class TestChaosClock:
 
 
 # ---------------------------------------------------------------------------
-# Sweep-resume chaos: retry run_sweep/merge_sweep until byte-identical
+# Sweep-resume chaos: retry run_fleet/merge_sweep until byte-identical
 # ---------------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def sweep_baseline(tmp_path_factory):
     """Fault-free reference: chunk files' bytes and the merged rows."""
     manifest = tiny_manifest()
     store = ChunkStore(tmp_path_factory.mktemp("baseline") / "store")
-    run_sweep(manifest, store)
+    for chunk in manifest.chunks:
+        store.write(chunk, chunk_records(chunk))
     chunk_bytes = {
         chunk.chunk_id: store.path_for(chunk).read_bytes()
         for chunk in manifest.chunks
@@ -268,39 +271,59 @@ def sweep_baseline(tmp_path_factory):
     return chunk_bytes, merge_sweep(manifest, store).rows
 
 
+def expire_leases(lease_dir: Path) -> None:
+    """Age every lease (and reclaim guard) past the TTL.
+
+    The real-clock counterpart of ``clock.advance(LEASE_TTL + 1.0)`` in the
+    lease chaos tests below: a fault can orphan a lease (a release whose
+    ownership re-read failed leaves the file behind), and only expiry lets
+    the next worker reclaim it — exactly how a relaunched fleet recovers
+    from a crashed worker, one TTL later.
+    """
+    backdated = time.time() - 3600
+    for path in sorted(lease_dir.glob("*")):
+        os.utime(path, (backdated, backdated))
+
+
 def converge_sweep(root: Path, seed: int, *, max_faults: int = 8):
-    """One chaos schedule against run_sweep + merge_sweep, retried dry.
+    """One chaos schedule against run_fleet + merge_sweep, retried dry.
 
     Returns ``(manifest, store, merged_rows, schedule)``.  Any exception
     other than an injected :class:`ChaosFault` is a robustness bug and
-    propagates to fail the test.
+    propagates to fail the test.  Faults are injected only while a worker
+    runs; between attempts a TTL passes (:func:`expire_leases`).
     """
     manifest = tiny_manifest()
     store_dir = root / "store"
     cache_dir = root / "cache"
     schedule = ChaosSchedule(seed, max_faults=max_faults)
+    injector = ChaosInjector(schedule, roots=[root])
     merged = None
     with warnings.catch_warnings():
         # Torn cache lines are recovered with a RuntimeWarning by design.
         warnings.simplefilter("ignore", RuntimeWarning)
-        with ChaosInjector(schedule, roots=[root]):
-            for attempt in range(max_faults + 2):
-                try:
-                    run_sweep(manifest, store_dir, resume=True, cache=cache_dir)
+        for attempt in range(max_faults + 2):
+            if attempt:
+                expire_leases(store_dir / LEASE_DIR_NAME)
+            try:
+                with injector:
+                    job = SweepFleetJob(manifest, store_dir, cache=cache_dir)
+                    run_fleet(job, wait=False)
                     merged = merge_sweep(manifest, store_dir)
-                    break
-                except ChaosFault:
-                    continue
-                except FileNotFoundError:
-                    # A *lost* rename let run_sweep return with a chunk
-                    # silently unpublished; the resume pass above recomputes
-                    # it — exactly how a relaunched sweep converges.
-                    continue
-            else:  # pragma: no cover - convergence bug
-                pytest.fail(
-                    f"seed {seed}: not converged after {max_faults + 2} "
-                    f"attempts with a budget of {max_faults} faults"
-                )
+                break
+            except ChaosFault:
+                continue
+            except FileNotFoundError:
+                # A fault left a chunk unpublished (a lost rename, or a
+                # lease the worker could not reclaim yet); the next worker
+                # run recomputes it — exactly how a relaunched fleet
+                # converges.
+                continue
+        else:  # pragma: no cover - convergence bug
+            pytest.fail(
+                f"seed {seed}: not converged after {max_faults + 2} "
+                f"attempts with a budget of {max_faults} faults"
+            )
     return manifest, ChunkStore(store_dir), merged.rows, schedule
 
 

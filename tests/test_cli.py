@@ -15,6 +15,20 @@ class TestParser:
             main(["--version"])
         assert excinfo.value.code == 0
 
+    def test_sweep_subcommand_is_gone(self, capsys):
+        # Chunk stores run only through `fleet sweep` / `fleet sim`.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "-D", "6", "--n-min", "62", "--n-max", "66"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'sweep'" in capsys.readouterr().err
+
+    def test_sim_help_lists_no_chunk_store_flags(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["sim", "--help"])
+        out = capsys.readouterr().out
+        for flag in ("--out-dir", "--shard", "--resume", "--merge", "--workers"):
+            assert flag not in out
+
 
 class TestLayoutCommand:
     def test_layout_basic(self, capsys):
@@ -234,21 +248,26 @@ class TestFleetStatusCommand:
         assert "no fleet has written" in capsys.readouterr().err
 
 
+def fleet_sweep_args(tmp_path, *extra):
+    return [
+        "fleet", "sweep",
+        "-D", "6",
+        "--n-min", "62",
+        "--n-max", "66",
+        "--out-dir", str(tmp_path / "chunks"),
+        "--chunk-size", "8",
+        *extra,
+    ]
+
+
 class TestSweepCommand:
     def _args(self, tmp_path, *extra):
-        return [
-            "sweep",
-            "-D", "6",
-            "--n-min", "62",
-            "--n-max", "66",
-            "--out-dir", str(tmp_path / "chunks"),
-            "--chunk-size", "8",
-            *extra,
-        ]
+        return fleet_sweep_args(tmp_path, *extra)
 
     def test_sharded_run_then_merge(self, capsys, tmp_path):
-        assert main(self._args(tmp_path, "--shard", "0/2")) == 0
-        assert main(self._args(tmp_path, "--shard", "1/2")) == 0
+        # One worker stops after a chunk, a second one finishes the store.
+        assert main(self._args(tmp_path, "--max-chunks", "1")) == 0
+        assert main(self._args(tmp_path)) == 0
         capsys.readouterr()
         assert main(self._args(tmp_path, "--merge")) == 0
         out = capsys.readouterr().out
@@ -256,7 +275,7 @@ class TestSweepCommand:
         assert "8     16" in out
 
     def test_merge_refuses_partial_store(self, capsys, tmp_path):
-        assert main(self._args(tmp_path, "--shard", "0/2")) == 0
+        assert main(self._args(tmp_path, "--max-chunks", "1")) == 0
         capsys.readouterr()
         assert main(self._args(tmp_path, "--merge")) == 1
         assert "chunks incomplete" in capsys.readouterr().err
@@ -264,7 +283,7 @@ class TestSweepCommand:
     def test_resume_skips_completed_chunks(self, capsys, tmp_path):
         assert main(self._args(tmp_path)) == 0
         capsys.readouterr()
-        assert main(self._args(tmp_path, "--resume")) == 0
+        assert main(self._args(tmp_path)) == 0
         out = capsys.readouterr().out
         assert "ran 0 chunks" in out
 
@@ -273,17 +292,11 @@ class TestSweepCommand:
         assert main(self._args(tmp_path, "--cache-dir", str(cache_dir))) == 0
         assert list(cache_dir.glob("verdicts-d2-D6-*.jsonl"))
 
-    def test_rejects_malformed_shard(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(self._args(tmp_path, "--shard", "2/2"))
-        with pytest.raises(SystemExit):
-            main(self._args(tmp_path, "--shard", "nope"))
-
     def test_rejects_bad_range(self, capsys, tmp_path):
         assert (
             main(
                 [
-                    "sweep",
+                    "fleet", "sweep",
                     "-D", "6",
                     "--n-min", "10",
                     "--n-max", "5",
@@ -345,7 +358,7 @@ class TestSimRouterFlag:
 class TestSimShardedCommand:
     def _args(self, tmp_path, *extra):
         return [
-            "sim",
+            "fleet", "sim",
             "-p", "4", "-q", "8",
             "--messages", "25",
             "--seeds", "4",
@@ -355,8 +368,9 @@ class TestSimShardedCommand:
         ]
 
     def test_shard_run_then_merge(self, capsys, tmp_path):
-        assert main(self._args(tmp_path, "--shard", "0/2")) == 0
-        assert main(self._args(tmp_path, "--shard", "1/2")) == 0
+        # One worker stops after a chunk, a second one finishes the store.
+        assert main(self._args(tmp_path, "--max-chunks", "1")) == 0
+        assert main(self._args(tmp_path)) == 0
         capsys.readouterr()
         assert main(self._args(tmp_path, "--merge")) == 0
         out = capsys.readouterr().out
@@ -364,7 +378,7 @@ class TestSimShardedCommand:
         assert "100/100" in out  # 4 seeds x 25 messages, all delivered
 
     def test_merge_refuses_incomplete_store(self, capsys, tmp_path):
-        assert main(self._args(tmp_path, "--shard", "0/2")) == 0
+        assert main(self._args(tmp_path, "--max-chunks", "1")) == 0
         capsys.readouterr()
         assert main(self._args(tmp_path, "--merge")) == 1
         assert "incomplete" in capsys.readouterr().err
@@ -372,7 +386,7 @@ class TestSimShardedCommand:
     def test_resume_skips_completed_chunks(self, capsys, tmp_path):
         assert main(self._args(tmp_path)) == 0
         capsys.readouterr()
-        assert main(self._args(tmp_path, "--resume")) == 0
+        assert main(self._args(tmp_path)) == 0
         assert "ran 0 chunks" in capsys.readouterr().out
 
     def test_sharded_merge_matches_in_process_curves(self, capsys, tmp_path):
@@ -397,7 +411,7 @@ class TestSimShardedCommand:
         assert main(self._args(tmp_path)) == 0
         assert main(self._args(tmp_path, "--merge", "--json", str(target))) == 0
         data = json.loads(target.read_text())
-        entry = data["sweep_H(4,8,2)_sharded"]
+        entry = data["sweep_H(4,8,2)_fleet"]
         assert entry["curves"][0]["delivered"] == 100
         # the merge never timed the simulation: no bogus wall_time_s in the
         # trajectory, only the (clearly labelled) fold time
@@ -405,24 +419,22 @@ class TestSimShardedCommand:
         assert "merge_wall_time_s" in entry
 
     def test_sharded_rejects_event_engine(self, capsys, tmp_path):
-        assert main(self._args(tmp_path, "--engine", "event")) == 2
-        assert "batched engine" in capsys.readouterr().err
+        # The chunk-store mode is `fleet sim`, which always runs the batched
+        # engine: it takes no --engine, and `sim` takes no --out-dir.
+        with pytest.raises(SystemExit) as excinfo:
+            main(self._args(tmp_path, "--engine", "event"))
+        assert excinfo.value.code == 2
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sim", "-p", "4", "-q", "8", "--out-dir", str(tmp_path)])
+        assert excinfo.value.code == 2
 
 
 class TestSweepPartialMerge:
     def _args(self, tmp_path, *extra):
-        return [
-            "sweep",
-            "-D", "6",
-            "--n-min", "62",
-            "--n-max", "66",
-            "--out-dir", str(tmp_path / "chunks"),
-            "--chunk-size", "8",
-            *extra,
-        ]
+        return fleet_sweep_args(tmp_path, *extra)
 
     def test_partial_merge_reports_progress(self, capsys, tmp_path):
-        assert main(self._args(tmp_path, "--shard", "0/2")) == 0
+        assert main(self._args(tmp_path, "--max-chunks", "1")) == 0
         capsys.readouterr()
         assert main(self._args(tmp_path, "--merge", "--partial")) == 0
         out = capsys.readouterr().out

@@ -9,10 +9,11 @@ The contracts pinned down here are the ones the fleet's safety rests on:
 * **merge parity** — however chunks were claimed, crashed, reclaimed or
   reordered, the merged result is byte-identical to the serial
   ``degree_diameter_search`` / in-process ``run_many`` output;
-* **worker-process routing parity** — the pickled-graph path that fleet and
-  sharded ``run_many`` workers rely on (process-qualified routing-table
-  cache tokens stripped on pickle, ``LruRowRouter`` rows recomputed in the
-  worker) routes bit-identically to the parent process.
+* **worker-process routing parity** — the pickled-graph path that worker
+  processes rely on (process-qualified routing-table cache tokens stripped
+  on pickle, ``LruRowRouter`` rows recomputed in the worker) routes
+  bit-identically to the parent process, and fleet worker processes sharing
+  one store merge byte-identically.
 """
 
 import json
@@ -237,18 +238,23 @@ class TestFleetDriver:
             run_fleet(SweepFleetJob(other, store), ttl=10)
 
     def test_fleet_resumes_partially_filled_shard_store(self, tmp_path):
-        # A fleet can finish what a --shard i/k run started: same manifest,
-        # same store, the leases only cover what is left.
-        from repro.otis.sweep import merge_sweep, run_sweep
+        # A fleet finishes what an interrupted worker started: same
+        # manifest, same store, the leases only cover what is left.
+        from repro.otis.sweep import merge_sweep
 
         manifest = sweep_manifest()
         store = ChunkStore(tmp_path / "sweep")
-        run_sweep(manifest, store, shard=(0, 2))
+        first = run_fleet(
+            SweepFleetJob(manifest, store), ttl=10, heartbeat=2, max_chunks=2
+        )
+        assert len(first["ran"]) == 2 and not first["complete"]
         job = SweepFleetJob(manifest, store)
         outcome = run_fleet(job, ttl=10, heartbeat=2)
         assert outcome["complete"]
         assert sorted(outcome["ran"]) == sorted(
-            chunk.chunk_id for chunk in manifest.shard(1, 2)
+            chunk.chunk_id
+            for chunk in manifest.chunks
+            if chunk.chunk_id not in first["ran"]
         )
         assert merge_sweep(manifest, store).rows == degree_diameter_search(
             2, 6, 60, 70
@@ -695,10 +701,13 @@ class TestRouterWorkerParity:
             ).result()
         assert np.array_equal(parent, np.asarray(worker))
 
-    def test_sharded_run_many_with_lru_router_and_workers(self, tmp_path):
-        # The full stack the satellite asks about: pickled graphs into
-        # ProcessPoolExecutor workers, each rebuilding LRU rows, merged
-        # byte-identical to the in-process pass.
+    def test_sharded_run_many_with_lru_router_and_workers(
+        self, tmp_path, fleet_processes
+    ):
+        # The full stack: the job (graph included) pickled into two spawned
+        # fleet worker processes on one store, each rebuilding its own LRU
+        # rows, then the one-call wrapper merges the store byte-identical to
+        # the in-process pass.
         graph, link, traffics, _ = sim_inputs(replicas=4, messages=50)
         expected = [
             stats
@@ -706,13 +715,13 @@ class TestRouterWorkerParity:
                 graph, link=link, router="lru"
             ).run_many(traffics, return_messages=False)
         ]
+        manifest = ReplicaChunkManifest.build(
+            graph, traffics, link=link, router="lru", chunk_size=1
+        )
+        job = SimFleetJob(manifest, ChunkStore(tmp_path), graph, traffics)
+        fleet_processes(job, 2)
+        assert job.store.completed_ids() == {c.chunk_id for c in manifest.chunks}
         merged = run_many_sharded(
-            graph,
-            traffics,
-            link=link,
-            router="lru",
-            store=tmp_path,
-            chunk_size=1,
-            workers=2,
+            graph, traffics, link=link, router="lru", store=tmp_path, chunk_size=1
         )
         assert merged == expected

@@ -27,7 +27,6 @@ from repro.otis.sweep import (
     assemble_split,
     merge_sweep,
     run_chunk,
-    run_sweep,
     split_chunk,
 )
 
@@ -39,9 +38,7 @@ def small_manifest(chunk_size=4):
 
 
 def records_for(chunk, manifest):
-    return run_chunk(
-        (manifest.d, manifest.diameter, chunk.items, None, manifest.code_version)
-    )
+    return run_chunk(manifest.d, manifest.diameter, chunk.items)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +157,7 @@ class TestAssembleSplit:
         # the merge folds the split itself instead of reporting it missing.
         manifest = small_manifest()
         store = ChunkStore(tmp_path)
-        run_sweep(manifest, store)
+        run_fleet(SweepFleetJob(manifest, store), wait=False)
         target = manifest.chunks[0]
         store.path_for(target).unlink()
         store.request_split(target, 2)
@@ -208,7 +205,8 @@ class TestFleetStragglerSplit:
     def test_assembled_chunk_bytes_match_a_serial_sweep(self, tmp_path):
         manifest = small_manifest()
         serial = ChunkStore(tmp_path / "serial")
-        run_sweep(manifest, serial)
+        for chunk in manifest.chunks:
+            serial.write(chunk, records_for(chunk, manifest))
         fleet_store = ChunkStore(tmp_path / "fleet")
         job = SweepFleetJob(manifest, fleet_store)
         leases = LeaseManager(fleet_store.directory / "leases", ttl=600)

@@ -23,11 +23,10 @@ equal.  This suite is the proof obligation:
   :class:`repro.simulation.events.BatchEventQueue` on adversarial time
   sequences (duplicates, ``-0.0`` vs ``+0.0``, limit truncation).
 
-Backends under test: every *compiled* backend available in this
-environment (``numba`` and/or ``cnative``) plus ``pyimpl`` — the
-interpreted build of the shared jittable source (``PY_KERNELS``), which
-runs everywhere and keeps this suite meaningful even where no compiled
-backend exists.  The numpy reference itself is cross-checked against the
+Backends under test: the compiled ``cnative`` backend when it is available
+in this environment, plus ``pyimpl`` — the interpreted build of the
+reference kernel source (``PY_KERNELS``), which runs everywhere and keeps
+this suite meaningful even where no C compiler exists.  The numpy reference itself is cross-checked against the
 scalar event-loop engine by ``tests/test_simulation_parity.py``, closing
 the loop: reference engine == numpy path == every kernel backend.
 """

@@ -2,11 +2,11 @@
 
 Three contracts beyond bit-identity (which ``test_kernel_parity.py`` owns):
 
-* **Fallback** — the compiled backends are an optimisation, never a
+* **Fallback** — the compiled backend is an optimisation, never a
   dependency: ``REPRO_KERNELS=numpy`` forces the original vectorised
-  paths, a numba-less environment (simulated here by failing its import)
-  degrades silently under ``auto``, and an *explicitly* requested but
-  unavailable backend warns and falls back rather than erroring.
+  paths, a compiler-less environment (simulated here by failing the C
+  build) degrades silently under ``auto``, and an *explicitly* requested
+  but unavailable backend warns and falls back rather than erroring.
 * **Identity** — the active backend is part of ``code_version()`` /
   ``sim_code_version()``: switching backends renames every chunk and cache
   file, so on-disk results can never silently mix code paths.  Resuming a
@@ -19,7 +19,7 @@ Three contracts beyond bit-identity (which ``test_kernel_parity.py`` owns):
   resolved name (``kernel_backend``) all the way into their JSON.
 """
 
-import builtins
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -30,11 +30,8 @@ from repro.otis import search
 from repro.otis.h_digraph import h_digraph
 from repro.otis.sweep import SplitVerdictCache, StoreIdentityError, code_version
 from repro.simulation.network import BatchedNetworkSimulator, LinkModel
-from repro.simulation.sharding import (
-    ReplicaChunkManifest,
-    run_replica_shard,
-    sim_code_version,
-)
+from repro.fleet import SimFleetJob, run_fleet
+from repro.simulation.sharding import ReplicaChunkManifest, sim_code_version
 from repro.simulation.workloads import run_throughput_sweep, uniform_random_pairs
 
 GRAPH = h_digraph(4, 8, 2)
@@ -70,28 +67,25 @@ class TestResolution:
     ):
         monkeypatch.setattr(kernels, "_probe", lambda b: b == "numpy")
         with pytest.warns(RuntimeWarning, match="unavailable"):
-            assert kernels.resolve_backend("numba") == "numpy"
+            assert kernels.resolve_backend("cnative") == "numpy"
 
     def test_auto_prefers_compiled_backends(self):
         resolved = kernels.resolve_backend("auto")
         available = kernels.available_backends()
         assert resolved == available[0]
 
-    def test_numba_absent_degrades_silently(self, monkeypatch, fresh_probes):
-        real_import = builtins.__import__
+    def test_compiler_absent_degrades_silently(self, monkeypatch, fresh_probes):
+        from repro.kernels import native
 
-        def no_numba(name, *args, **kwargs):
-            if name == "numba" or name.startswith("numba."):
-                raise ImportError("No module named 'numba' (simulated)")
-            return real_import(name, *args, **kwargs)
+        def no_compiler():
+            raise native.NativeBuildError("no C compiler (simulated)")
 
-        monkeypatch.setattr(builtins, "__import__", no_numba)
-        monkeypatch.delitem(
-            __import__("sys").modules, "repro.kernels.numba_backend", raising=False
-        )
-        assert "numba" not in kernels.available_backends()
-        # auto must not raise — it falls through to cnative or numpy.
-        assert kernels.resolve_backend("auto") in ("cnative", "numpy")
+        monkeypatch.setattr(native, "build_native_kernels", no_compiler)
+        assert kernels.available_backends() == ("numpy",)
+        # auto must neither raise nor warn — it falls through to numpy.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert kernels.resolve_backend("auto") == "numpy"
 
     def test_auto_keeps_numpy_path_for_sparse_workloads(self, monkeypatch):
         # Rate-limited injection means thousands of tiny rounds; under
@@ -267,7 +261,7 @@ class TestCodeIdentity:
         sim_numpy = sim_code_version()
         # Fake a different active backend: the fingerprint must move even
         # though no source file changed.
-        monkeypatch.setattr(kernels, "active_backend", lambda: "numba")
+        monkeypatch.setattr(kernels, "active_backend", lambda: "cnative")
         assert code_version() != sweep_numpy
         assert sim_code_version() != sim_numpy
         # ... and stay stable/hex-formatted.
@@ -288,15 +282,15 @@ class TestCodeIdentity:
         manifest = ReplicaChunkManifest.build(
             GRAPH, traffics, link=link, chunk_size=2
         )
-        run_replica_shard(manifest, tmp_path, GRAPH, traffics)
+        run_fleet(SimFleetJob(manifest, tmp_path, GRAPH, traffics), wait=False)
 
-        monkeypatch.setattr(kernels, "active_backend", lambda: "numba")
+        monkeypatch.setattr(kernels, "active_backend", lambda: "cnative")
         switched = ReplicaChunkManifest.build(
             GRAPH, traffics, link=link, chunk_size=2
         )
         assert switched.code_version != manifest.code_version
         with pytest.raises(StoreIdentityError, match="code_version"):
-            run_replica_shard(switched, tmp_path, GRAPH, traffics, resume=True)
+            run_fleet(SimFleetJob(switched, tmp_path, GRAPH, traffics), wait=False)
 
     def test_split_verdict_cache_starts_cold_on_backend_switch(
         self, monkeypatch, tmp_path
@@ -306,7 +300,7 @@ class TestCodeIdentity:
         monkeypatch.setenv(kernels.ENV_VAR, "numpy")
         cache_numpy = SplitVerdictCache(tmp_path, 2, 6)
         cache_numpy.put(4, 16, 6)
-        monkeypatch.setattr(kernels, "active_backend", lambda: "numba")
+        monkeypatch.setattr(kernels, "active_backend", lambda: "cnative")
         cache_other = SplitVerdictCache(tmp_path, 2, 6)
         assert cache_other.path != cache_numpy.path
         assert cache_other.get(4, 16) is None

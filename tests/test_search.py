@@ -74,16 +74,21 @@ class TestSmallSearches:
         with pytest.raises(ValueError):
             degree_diameter_search(2, 4, 10, 5)
         with pytest.raises(ValueError):
-            degree_diameter_search(2, 4, 5, 10, workers=2, chunk_size=0)
+            degree_diameter_search(2, 4, 5, 10, chunk_size=0)
 
-    def test_worker_pool_matches_serial(self):
-        # Deterministic chunking: the parallel sweep must reproduce the
-        # serial result exactly, regardless of worker scheduling.
+    def test_worker_pool_matches_serial(self, tmp_path, fleet_processes):
+        # Deterministic chunking: fleet worker processes sharing one store
+        # must reproduce the serial result exactly, regardless of worker
+        # scheduling or chunk size.
+        from repro.fleet import SweepFleetJob
+        from repro.otis.sweep import ChunkManifest, ChunkStore, merge_sweep
+
         serial = degree_diameter_search(2, 4, 14, 26)
-        parallel = degree_diameter_search(2, 4, 14, 26, workers=2, chunk_size=3)
-        assert parallel == serial
-        uneven = degree_diameter_search(2, 4, 14, 26, workers=3, chunk_size=5)
-        assert uneven == serial
+        for workers, chunk_size in ((2, 3), (3, 5)):
+            manifest = ChunkManifest.build(2, 4, range(14, 27), chunk_size=chunk_size)
+            store = ChunkStore(tmp_path / f"chunks-{chunk_size}")
+            fleet_processes(SweepFleetJob(manifest, store), workers)
+            assert merge_sweep(manifest, store) == serial
 
     def test_no_distance_matrix_on_search_path(self, monkeypatch):
         # The acceptance criterion of the batched engine: h_diameter must

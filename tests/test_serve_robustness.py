@@ -11,6 +11,10 @@ What PR 9 added to the serve layer, pinned down end to end:
   (so load balancers pull it), finishes what it admitted, then stops;
 * **reload degrade** — a broken spec file never tears down the last good
   registry snapshot; the failure is visible in ``/stats`` and heals itself;
+* **request framing** — a malformed ``Content-Length`` gets ``400``, an
+  oversized body ``413`` (before any of it is read), an over-long header
+  line ``431``; each reply closes the connection and is counted in
+  ``/stats``;
 * **client backoff** — the bench client's jittered exponential backoff
   honours ``Retry-After``, converges under shedding, and de-correlates a
   herd of simultaneously shed clients (pure injected-clock math, no sleeps).
@@ -18,6 +22,7 @@ What PR 9 added to the serve layer, pinned down end to end:
 
 import http.client
 import json
+import socket
 import threading
 import time
 from collections import Counter
@@ -340,6 +345,110 @@ class TestBenchRetry:
         assert peak_density(arrivals[4]) < peak_density(arrivals[3])
         span = lambda xs: xs[-1] - xs[0]  # noqa: E731
         assert span(arrivals[3]) > 4 * span(arrivals[0])
+
+
+# ---------------------------------------------------------------------------
+# Request framing: malformed or oversized requests get a 4xx and a close
+# ---------------------------------------------------------------------------
+def raw_exchange(server, payload: bytes, timeout=10):
+    """Send raw bytes; ``(status, headers, body)`` of the reply.
+
+    Reads until the server closes the connection, so a server that kept
+    the connection open (or waited for a body) fails on the timeout.
+    """
+    with socket.create_connection((server.host, server.port), timeout=timeout) as sock:
+        sock.sendall(payload)
+        chunks = []
+        while True:
+            data = sock.recv(65536)
+            if not data:
+                break
+            chunks.append(data)
+    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+    lines = head.decode("latin-1").split("\r\n")
+    headers = {
+        key.strip().lower(): value.strip()
+        for key, _, value in (line.partition(":") for line in lines[1:])
+    }
+    return int(lines[0].split()[1]), headers, json.loads(body)
+
+
+def framed_post(content_length: str, body: bytes = b"") -> bytes:
+    return (
+        b"POST /v1/query HTTP/1.1\r\nHost: x\r\n"
+        + f"Content-Length: {content_length}\r\n\r\n".encode("latin-1")
+        + body
+    )
+
+
+class TestRequestFraming:
+    @pytest.mark.parametrize("length", ["abc", "-5", "1e3", "\u00b2"])
+    def test_malformed_content_length_gets_400_and_close(self, length):
+        with ServerThread(make_registry()) as server:
+            status, headers, body = raw_exchange(server, framed_post(length))
+            assert status == 400
+            assert headers["connection"] == "close"
+            assert "Content-Length" in body["error"]
+            stats = http_request(server.host, server.port, "GET", "/stats")
+            assert stats["framing_errors"] == {"400": 1, "413": 0, "431": 0}
+
+    def test_oversized_body_gets_413_without_waiting_for_it(self):
+        with ServerThread(make_registry(), max_pairs=1024) as server:
+            assert server.server.max_body_bytes == 64 * 1024 + 65536
+            start = time.perf_counter()
+            # Nothing of the announced body is ever sent: a server that
+            # tried to read it would hang until the client timeout.
+            status, headers, body = raw_exchange(server, framed_post("99999999999"))
+            assert time.perf_counter() - start < 5
+            assert status == 413
+            assert headers["connection"] == "close"
+            # One byte over the cap is refused the same way.
+            over = str(server.server.max_body_bytes + 1)
+            assert raw_exchange(server, framed_post(over))[0] == 413
+            # So is a length too long for int() to parse.
+            assert raw_exchange(server, framed_post("9" * 5000))[0] == 413
+            stats = http_request(server.host, server.port, "GET", "/stats")
+            assert stats["framing_errors"]["413"] == 3
+
+    def test_overlong_header_line_gets_431(self):
+        with ServerThread(make_registry()) as server:
+            request = (
+                b"POST /v1/query HTTP/1.1\r\nX-Padding: "
+                + b"a" * 70_000
+                + b"\r\nContent-Length: 0\r\n\r\n"
+            )
+            status, headers, body = raw_exchange(server, request)
+            assert status == 431
+            assert headers["connection"] == "close"
+            assert "stream limit" in body["error"]
+            stats = http_request(server.host, server.port, "GET", "/stats")
+            assert stats["framing_errors"]["431"] == 1
+            # The server is still healthy for well-framed requests.
+            assert raw_request(
+                server.host, server.port, "POST", "/v1/query", QUERY
+            )[0] == 200
+
+    def test_max_pairs_query_with_19_digit_ids_is_still_framed(self):
+        # The body cap must admit the largest legal query: max_pairs pairs
+        # of 19-digit ids.  It is read and decoded — and refused only by
+        # the range check of the query layer, not by the framing.
+        max_pairs = 2048
+        big = 10**18  # 19 digits, still an int64
+        query = {
+            "op": "next-hop",
+            "topology": "demo",
+            "pairs": [[big, big]] * max_pairs,
+        }
+        payload = json.dumps(query).encode()
+        with ServerThread(make_registry(), max_pairs=max_pairs) as server:
+            assert len(payload) <= server.server.max_body_bytes
+            status, _, body = raw_request(
+                server.host, server.port, "POST", "/v1/query", query
+            )
+            assert status == 400
+            assert "out of range" in body["error"]
+            stats = http_request(server.host, server.port, "GET", "/stats")
+            assert stats["framing_errors"] == {"400": 0, "413": 0, "431": 0}
 
 
 # ---------------------------------------------------------------------------

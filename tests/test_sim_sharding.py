@@ -1,11 +1,12 @@
-"""Process-sharded ``run_many``: byte-identical merge, resume, determinism.
+"""Chunked ``run_many``: byte-identical merge, resume, determinism.
 
 The contract of :mod:`repro.simulation.sharding`: per-replica
 :class:`~repro.simulation.network.NetworkStats` merged from the chunk store
 are **byte-identical** to the in-process
 :meth:`~repro.simulation.network.BatchedNetworkSimulator.run_many` pass, no
-matter how the replicas were chunked, sharded, interrupted or resumed —
-exactly the guarantee the degree–diameter sweep gives for Table 1 rows.
+matter how the replicas were chunked, split across fleet workers,
+interrupted or resumed — exactly the guarantee the degree–diameter sweep
+gives for Table 1 rows.
 """
 
 import os
@@ -13,6 +14,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.fleet import SimFleetJob, run_fleet
 from repro.otis.h_digraph import h_digraph
 from repro.otis.sweep import StoreIdentityError
 from repro.simulation.network import BatchedNetworkSimulator, LinkModel
@@ -20,7 +22,6 @@ from repro.simulation.sharding import (
     ReplicaChunkManifest,
     merge_replica_stats,
     run_many_sharded,
-    run_replica_shard,
     sim_code_version,
     stats_from_json,
     stats_to_json,
@@ -41,6 +42,12 @@ def example_traffics(count=6, messages=120):
     traffics.append(make_workload("hotspot", n, messages, rng=17))
     traffics.append(make_workload("permutation", n, 0, rng=19))
     return traffics
+
+
+def run_worker(manifest, store, traffics, *, max_chunks=None):
+    """One fleet worker over ``store``: runs until nothing is claimable."""
+    job = SimFleetJob(manifest, store, GRAPH, traffics)
+    return run_fleet(job, wait=False, max_chunks=max_chunks)
 
 
 def in_process_stats(traffics):
@@ -99,14 +106,21 @@ class TestManifest:
         changed = ReplicaChunkManifest.build(GRAPH, altered, link=LINK)
         assert base.chunks[0].chunk_id != changed.chunks[0].chunk_id
 
-    def test_shards_partition_the_chunks(self):
-        manifest = ReplicaChunkManifest.build(
-            GRAPH, example_traffics(7), link=LINK, chunk_size=1
-        )
-        union = [c for k in range(3) for c in manifest.shard(k, 3)]
-        assert sorted(c.index for c in union) == list(range(len(manifest.chunks)))
-        with pytest.raises(ValueError):
-            manifest.shard(3, 3)
+    @pytest.mark.parametrize(
+        "source",
+        [
+            # defines the replica record (run_replica_chunk, stats_to_json)
+            "simulation/sharding.py",
+            # imported lazily by ClosedFormRouter to build its relabelling
+            "core/isomorphisms.py",
+            "core/checks.py",
+            "graphs/generators.py",
+        ],
+    )
+    def test_record_defining_sources_are_fingerprinted(self, source):
+        from repro.simulation.sharding import _SIM_SOURCES
+
+        assert source in _SIM_SOURCES
 
     def test_code_version_is_source_fingerprint(self):
         assert len(sim_code_version()) == 12
@@ -132,10 +146,13 @@ class TestShardedExecution:
         manifest = ReplicaChunkManifest.build(
             GRAPH, traffics, link=LINK, chunk_size=1
         )
-        for index in range(3):
-            run_replica_shard(
-                manifest, tmp_path, GRAPH, traffics, shard=(index, 3)
-            )
+        # Three workers that each stop after a third of the chunks.
+        share = -(-len(manifest.chunks) // 3)
+        ran = [
+            run_worker(manifest, tmp_path, traffics, max_chunks=share)["ran"]
+            for _ in range(3)
+        ]
+        assert sorted(sum(ran, [])) == sorted(c.chunk_id for c in manifest.chunks)
         assert merge_replica_stats(manifest, tmp_path) == expected
 
     def test_resume_after_kill_recomputes_only_missing(self, tmp_path):
@@ -144,15 +161,14 @@ class TestShardedExecution:
         manifest = ReplicaChunkManifest.build(
             GRAPH, traffics, link=LINK, chunk_size=2
         )
-        run_replica_shard(manifest, tmp_path, GRAPH, traffics)
+        run_worker(manifest, tmp_path, traffics)
         # simulate a kill mid-chunk: one published file disappears
         victim = manifest.chunks[1]
         os.unlink(tmp_path / f"chunk-{victim.chunk_id}.jsonl")
-        outcome = run_replica_shard(
-            manifest, tmp_path, GRAPH, traffics, resume=True
-        )
+        outcome = run_worker(manifest, tmp_path, traffics)
+        # Only the lost chunk reran; every other chunk was skipped.
         assert outcome["ran"] == [victim.chunk_id]
-        assert len(outcome["skipped"]) == len(manifest.chunks) - 1
+        assert outcome["complete"]
         assert merge_replica_stats(manifest, tmp_path) == expected
 
     def test_merge_refuses_incomplete_store(self, tmp_path):
@@ -160,20 +176,21 @@ class TestShardedExecution:
         manifest = ReplicaChunkManifest.build(
             GRAPH, traffics, link=LINK, chunk_size=2
         )
-        run_replica_shard(manifest, tmp_path, GRAPH, traffics, shard=(0, 2))
+        run_worker(manifest, tmp_path, traffics, max_chunks=1)
         with pytest.raises(FileNotFoundError, match="incomplete"):
             merge_replica_stats(manifest, tmp_path)
 
-    def test_worker_pool_matches_serial(self, tmp_path):
+    def test_worker_pool_matches_serial(self, tmp_path, fleet_processes):
+        # Two fleet worker processes fill the store; the one-call wrapper
+        # then finds every chunk published and merges.
         traffics = example_traffics(4, messages=60)
         expected = in_process_stats(traffics)
+        manifest = ReplicaChunkManifest.build(
+            GRAPH, traffics, link=LINK, chunk_size=1
+        )
+        fleet_processes(SimFleetJob(manifest, tmp_path, GRAPH, traffics), 2)
         merged = run_many_sharded(
-            GRAPH,
-            traffics,
-            link=LINK,
-            store=tmp_path,
-            chunk_size=1,
-            workers=2,
+            GRAPH, traffics, link=LINK, store=tmp_path, chunk_size=1
         )
         assert merged == expected
 
@@ -183,9 +200,9 @@ class TestShardedExecution:
         tampered = list(traffics)
         tampered[0] = make_workload("uniform", GRAPH.num_vertices, 10, rng=99)
         with pytest.raises(ValueError, match="digest"):
-            run_replica_shard(manifest, tmp_path, GRAPH, tampered)
+            run_worker(manifest, tmp_path, tampered)
         with pytest.raises(ValueError, match="replicas"):
-            run_replica_shard(manifest, tmp_path, GRAPH, traffics[:2])
+            run_worker(manifest, tmp_path, traffics[:2])
 
     def test_sharded_respects_router_kind(self, tmp_path):
         # lru routing through the sharded path stays byte-identical too
@@ -206,23 +223,23 @@ class TestMergeDiagnostics:
         written = ReplicaChunkManifest.build(
             GRAPH, traffics, link=LINK, chunk_size=2
         )
-        run_replica_shard(written, tmp_path, GRAPH, traffics)
+        run_worker(written, tmp_path, traffics)
         mismatched = ReplicaChunkManifest.build(
             GRAPH, traffics, link=LINK, chunk_size=3
         )
         with pytest.raises(StoreIdentityError, match="chunk_size"):
             merge_replica_stats(mismatched, tmp_path)
         with pytest.raises(StoreIdentityError, match="chunk_size"):
-            run_replica_shard(mismatched, tmp_path, GRAPH, traffics, resume=True)
+            run_worker(mismatched, tmp_path, traffics)
 
     def test_orphan_chunks_hint_at_parameter_mismatch(self, tmp_path):
         # Pre-identity-file stores (no manifest.json) still get the orphan
-        # diagnostic instead of just "run the remaining shards".
+        # diagnostic instead of just "run the workers".
         traffics = example_traffics(4, messages=40)
         written = ReplicaChunkManifest.build(
             GRAPH, traffics, link=LINK, chunk_size=2
         )
-        run_replica_shard(written, tmp_path, GRAPH, traffics)
+        run_worker(written, tmp_path, traffics)
         os.unlink(tmp_path / "manifest.json")
         mismatched = ReplicaChunkManifest.build(
             GRAPH, traffics, link=LINK, chunk_size=3

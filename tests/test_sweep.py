@@ -1,12 +1,13 @@
-"""Tests for the resumable sharded sweep subsystem (repro.otis.sweep).
+"""Tests for the resumable sweep chunk store (repro.otis.sweep).
 
 The fast tests cover the contracts the orchestration rests on: manifest
 determinism (same parameters → same chunk ids, everywhere), atomic chunk
 publication (a store never shows a half-written chunk), resume-after-kill
 (relaunching reproduces byte-identical merged rows), cache hit/miss
-semantics and code-version invalidation, and shard-union parity with the
-in-process ``degree_diameter_search``.  The one slow end-to-end exercise
-(kill/resume over a real Table 1 block) is opt-in via ``--run-sweep``.
+semantics and code-version invalidation, and parity of stores filled by
+fleet workers with the in-process ``degree_diameter_search``.  The one
+slow end-to-end exercise (kill/resume over a real Table 1 block) is opt-in
+via ``--run-sweep``.
 """
 
 import json
@@ -14,6 +15,7 @@ import os
 
 import pytest
 
+from repro.fleet import SweepFleetJob, run_fleet
 from repro.otis.search import degree_diameter_search, table1_rows
 from repro.otis.sweep import (
     ChunkManifest,
@@ -22,10 +24,15 @@ from repro.otis.sweep import (
     StoreIdentityError,
     code_version,
     merge_sweep,
-    run_sweep,
 )
 
 D6_ARGS = dict(d=2, diameter=6, n_min=60, n_max=70)
+
+
+def run_worker(manifest, store, *, cache=None, max_chunks=None):
+    """One fleet worker over ``store``: runs until nothing is claimable."""
+    job = SweepFleetJob(manifest, store, cache=cache)
+    return run_fleet(job, wait=False, max_chunks=max_chunks)
 
 
 def d6_manifest(**overrides):
@@ -45,6 +52,13 @@ class TestCodeVersion:
 
     def test_is_hex(self):
         int(code_version(), 16)
+
+    def test_fingerprints_the_module_that_computes_the_records(self):
+        # _item_verdict makes the h_diameter call whose verdict every chunk
+        # record stores, so editing it must rename every chunk.
+        from repro.otis.sweep import _VERDICT_SOURCES
+
+        assert "otis/sweep.py" in _VERDICT_SOURCES
 
 
 class TestManifestDeterminism:
@@ -83,22 +97,6 @@ class TestManifestDeterminism:
             (n, p, q) for n in range(60, 71) for p, q in candidate_splits(n, 2)
         ]
         assert items == expected
-
-    def test_shards_partition_the_chunks(self):
-        manifest = d6_manifest(chunk_size=3)
-        for count in (1, 2, 3, 5):
-            shards = [manifest.shard(i, count) for i in range(count)]
-            collected = sorted(
-                (chunk.index for shard in shards for chunk in shard)
-            )
-            assert collected == list(range(len(manifest.chunks)))
-
-    def test_shard_validation(self):
-        manifest = d6_manifest()
-        with pytest.raises(ValueError):
-            manifest.shard(2, 2)
-        with pytest.raises(ValueError):
-            manifest.shard(0, 0)
 
     def test_chunk_size_validation(self):
         with pytest.raises(ValueError):
@@ -243,11 +241,14 @@ class TestSplitVerdictCache:
 
 class TestSweepParity:
     def test_shard_union_equals_unsharded_search(self, tmp_path):
+        # Three workers that each stop after a third of the chunks fill the
+        # store together; the merge equals the in-process search.
         direct = degree_diameter_search(2, 6, 60, 70)
         manifest = ChunkManifest.build(2, 6, range(60, 71), chunk_size=5)
         store = ChunkStore(tmp_path)
-        for index in range(3):
-            run_sweep(manifest, store, shard=(index, 3))
+        share = -(-len(manifest.chunks) // 3)
+        ran = [run_worker(manifest, store, max_chunks=share)["ran"] for _ in range(3)]
+        assert sorted(sum(ran, [])) == sorted(c.chunk_id for c in manifest.chunks)
         merged = merge_sweep(manifest, store)
         assert merged.rows == direct.rows
         assert merged.d == direct.d and merged.diameter == direct.diameter
@@ -256,7 +257,7 @@ class TestSweepParity:
         direct = degree_diameter_search(2, 6, 60, 70)
         manifest = ChunkManifest.build(2, 6, range(60, 71), chunk_size=5)
         store = ChunkStore(tmp_path)
-        run_sweep(manifest, store)
+        run_worker(manifest, store)
         # Kill simulation: delete one published chunk and plant an orphaned
         # temp file, as an interrupted writer would leave behind.
         victim = manifest.chunks[1]
@@ -264,9 +265,10 @@ class TestSweepParity:
         (tmp_path / f".tmp-{victim.chunk_id}-dead.jsonl").write_text("{}\n")
         with pytest.raises(FileNotFoundError):
             merge_sweep(manifest, store)
-        outcome = run_sweep(manifest, store, resume=True)
+        outcome = run_worker(manifest, store)
+        # Only the lost chunk reran; every other chunk was skipped.
         assert outcome["ran"] == [victim.chunk_id]
-        assert len(outcome["skipped"]) == len(manifest.chunks) - 1
+        assert outcome["complete"]
         assert merge_sweep(manifest, store).rows == direct.rows
 
     def test_merge_names_missing_chunks(self, tmp_path):
@@ -281,31 +283,32 @@ class TestSweepParity:
         # matching zero chunks and pretending the work was never done.
         store = ChunkStore(tmp_path)
         old = d6_manifest(code_version="test-v1")
-        run_sweep(old, store)
+        run_worker(old, store)
         bumped = d6_manifest(code_version="test-v2")
         with pytest.raises(StoreIdentityError, match="code_version"):
             merge_sweep(bumped, store)
         with pytest.raises(StoreIdentityError, match="code_version"):
-            run_sweep(bumped, store, resume=True)
+            run_worker(bumped, store)
 
     def test_merge_flags_manifest_mismatch_over_unidentified_store(self, tmp_path):
         # Stores written before the identity file existed carry no
         # manifest.json: the merge still refuses with the orphan-chunk
-        # diagnostic instead of "run the remaining shards".
+        # diagnostic instead of "run the workers".
         store = ChunkStore(tmp_path)
         old = d6_manifest(code_version="test-v1")
-        run_sweep(old, store)
+        run_worker(old, store)
         os.unlink(tmp_path / "manifest.json")
         bumped = d6_manifest(code_version="test-v2")
         with pytest.raises(FileNotFoundError, match="different manifest"):
             merge_sweep(bumped, store)
 
-    def test_worker_pool_sweep_matches_serial(self, tmp_path):
+    def test_worker_pool_sweep_matches_serial(self, tmp_path, fleet_processes):
+        # Two fleet worker processes on one store against one worker.
         manifest = ChunkManifest.build(2, 6, range(60, 67), chunk_size=4)
         serial_store = ChunkStore(tmp_path / "serial")
         pooled_store = ChunkStore(tmp_path / "pooled")
-        run_sweep(manifest, serial_store)
-        run_sweep(manifest, pooled_store, workers=2)
+        run_worker(manifest, serial_store)
+        fleet_processes(SweepFleetJob(manifest, pooled_store), 2)
         assert (
             merge_sweep(manifest, serial_store).rows
             == merge_sweep(manifest, pooled_store).rows
@@ -316,7 +319,7 @@ class TestSweepParity:
             2, 5, [16], require_exact=False, chunk_size=8
         )
         store = ChunkStore(tmp_path)
-        run_sweep(manifest, store)
+        run_worker(manifest, store)
         relaxed = merge_sweep(manifest, store)
         # B(2, 4) has diameter 4 <= 5: present under the at-most filter.
         assert relaxed.splits_for(16) != []
@@ -324,7 +327,7 @@ class TestSweepParity:
     def test_chunk_records_hold_raw_verdicts(self, tmp_path):
         manifest = ChunkManifest.build(2, 6, [64], chunk_size=8)
         store = ChunkStore(tmp_path)
-        run_sweep(manifest, store)
+        run_worker(manifest, store)
         records = store.read(manifest.chunks[0])
         by_split = {(r["p"], r["q"]): r["verdict"] for r in records}
         assert by_split[(2, 64)] == 6  # B(2, 6) layout, exact diameter
@@ -376,14 +379,15 @@ class TestEndToEndTable1Block:
         )
         store = ChunkStore(tmp_path / "chunks")
         cache_dir = tmp_path / "cache"
-        run_sweep(manifest, store, shard=(0, 2), cache=cache_dir)
-        run_sweep(manifest, store, shard=(1, 2), cache=cache_dir)
+        half = len(manifest.chunks) // 2
+        run_worker(manifest, store, cache=cache_dir, max_chunks=half)
+        run_worker(manifest, store, cache=cache_dir)
         # Interrupt and resume with a warm cache: the recomputed chunk is
         # answered from the verdict cache, not recomputed from scratch.
         victim = manifest.chunks[0]
         os.unlink(store.path_for(victim))
         cache = SplitVerdictCache(cache_dir, 2, 8)
-        outcome = run_sweep(manifest, store, resume=True, cache=cache)
+        outcome = run_worker(manifest, store, cache=cache)
         assert outcome["ran"] == [victim.chunk_id]
         assert cache.misses == 0  # every verdict of the redone chunk was cached
         merged = merge_sweep(manifest, store)
@@ -395,12 +399,12 @@ class TestPartialMerge:
         manifest = d6_manifest(chunk_size=4)
         assert len(manifest.chunks) > 2
         store = ChunkStore(tmp_path / "chunks")
-        run_sweep(manifest, store, shard=(0, 2))
+        run_worker(manifest, store, max_chunks=len(manifest.chunks) // 2)
         partial = merge_sweep(manifest, store, partial=True)
         with pytest.raises(FileNotFoundError):
             merge_sweep(manifest, store)  # strict mode still refuses
         # every row of the partial result is a row of the full result
-        run_sweep(manifest, store, shard=(1, 2))
+        run_worker(manifest, store)
         full = merge_sweep(manifest, store)
         full_rows = dict(full.rows)
         for n, splits in partial.rows:
@@ -411,7 +415,7 @@ class TestPartialMerge:
     def test_partial_merge_of_complete_store_equals_strict(self, tmp_path):
         manifest = d6_manifest(chunk_size=4)
         store = ChunkStore(tmp_path / "chunks")
-        run_sweep(manifest, store)
+        run_worker(manifest, store)
         assert merge_sweep(manifest, store, partial=True) == merge_sweep(
             manifest, store
         )
