@@ -192,6 +192,67 @@ def test_run_many_amortises_many_seeds(bench_json):
     assert stacked_seconds < separate_seconds
 
 
+def test_degraded_scenario_kernel_vs_python_loop(bench_json):
+    """The perfbench degrading scenario: run_scenario kernel vs python loop.
+
+    8 traffic seeds of 150 bursty messages on ``H(32, 64, 2)`` with
+    capacity-4 retry buffers, 32 links failed at t=50 and arc-disjoint
+    reroute.  Greedy deflection lets a few messages cycle up to the ``4n``
+    hop TTL, so a pass is ~84k transmissions.  Byte-identical results;
+    ``kernel_s`` / ``numpy_s`` are medians of 5 passes over the 8 traffics.
+    """
+    import statistics
+
+    from repro.simulation.network import BufferedLinkModel
+    from repro.simulation.scenarios import BurstyArrivals, FaultPlan, Scenario
+
+    graph = h_digraph(32, 64, 2)
+    scenario = Scenario(
+        arrivals=BurstyArrivals(num_messages=150),
+        link=BufferedLinkModel(capacity=4, on_full="retry"),
+        faults=FaultPlan.random_link_failures(graph, 32, at=50.0, seed=0),
+        reroute="arc-disjoint",
+    )
+    traffics = [scenario.traffic(graph.num_vertices, rng=seed) for seed in range(8)]
+    kernel_sim = BatchedNetworkSimulator(graph, scenario=scenario)
+    loop_sim = BatchedNetworkSimulator(graph, scenario=scenario, kernels="numpy")
+
+    def passes(simulator):
+        times = []
+        for _ in range(5):
+            start = time.perf_counter()
+            results = [simulator.run(traffic) for traffic in traffics]
+            times.append(time.perf_counter() - start)
+        return statistics.median(times), results
+
+    kernel_s, kernel_results = passes(kernel_sim)
+    numpy_s, loop_results = passes(loop_sim)
+    for (kernel_stats, kernel_msgs), (loop_stats, loop_msgs) in zip(
+        kernel_results, loop_results
+    ):
+        assert kernel_stats == loop_stats
+        assert _messages_equal(loop_msgs, kernel_msgs)
+        assert [m.drop_reason for m in kernel_msgs] == [m.drop_reason for m in loop_msgs]
+    speedup = numpy_s / kernel_s
+    _record(
+        bench_json,
+        "scenario_degraded_8x150_H(32,64,2)",
+        {
+            "graph": graph.name,
+            "nodes": graph.num_vertices,
+            "messages": 8 * 150,
+            "failed_links": 32,
+            "rerouted_hops": sum(stats.rerouted_hops for stats, _ in kernel_results),
+            "kernel_s": round(kernel_s, 4),
+            "numpy_s": round(numpy_s, 4),
+            "speedup": round(speedup, 2),
+            "kernel_backend": kernel_sim.kernel_backend,
+        },
+    )
+    if kernel_sim.kernel_backend != "numpy":
+        assert speedup >= 5.0, f"scenario kernel only {speedup:.1f}x faster"
+
+
 def test_router_comparison_100k_n1024(bench_json):
     """Closed-form vs dense-table routing at n = 1024: no regression.
 

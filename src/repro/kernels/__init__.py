@@ -3,10 +3,11 @@
 The uint64 bit-sweep behind :mod:`repro.graphs.apsp`, the forward/reverse
 BFS connectivity screen of :func:`repro.otis.search.h_diameter`, the
 closed-form shift routing of :class:`repro.routing.routers.ClosedFormRouter`
-and the same-timestamp round resolution behind
+the same-timestamp round resolution behind
 :class:`repro.simulation.network.BatchedNetworkSimulator` (with the whole
-round loop in one call when the router is closed-form) each have a
-compiled implementation here, selected at run time:
+round loop in one call when the router is closed-form) and its
+degrading-scenario event loop (faults, finite buffers, reroute) each have
+a compiled implementation here, selected at run time:
 
 ``cnative``
     The loops of :mod:`repro.kernels._pyimpl` translated to C, compiled
@@ -150,9 +151,11 @@ def warmup(backend: str | None = None) -> str:
     One tiny end-to-end call per engine seam: a 2-vertex ``h_diameter``
     (BFS screen, then eccentricity sweep), a 1-source subset sweep, a
     2-message simulation (the per-round loop), one closed-form
-    ``next_hops`` call and a 2-message closed-form simulation on ``B(2,2)``
-    (the fused round loop).  After this returns, no C compile or first-call
-    cost can land inside a benchmark key or a first request.  A no-op (beyond
+    ``next_hops`` call, a 2-message closed-form simulation on ``B(2,2)``
+    (the fused round loop) and a 2-message degrading scenario on ``B(2,2)``
+    — a failed link, arc-disjoint reroute, capacity-1 retry buffers (the
+    scenario kernel).  After this returns, no C compile or first-call cost
+    can land inside a benchmark key or a first request.  A no-op (beyond
     resolution) for ``numpy``.
     """
     resolved = resolve_backend(backend)
@@ -165,7 +168,8 @@ def warmup(backend: str | None = None) -> str:
     from repro.graphs.generators import de_bruijn
     from repro.otis.search import h_diameter
     from repro.routing.routers import ClosedFormRouter
-    from repro.simulation.network import BatchedNetworkSimulator
+    from repro.simulation.network import BatchedNetworkSimulator, BufferedLinkModel
+    from repro.simulation.scenarios import FaultEvent, FaultPlan, Scenario
 
     graph = Digraph(2, [(0, 1), (1, 0)])
     h_diameter(RegularDigraph([[1], [0]]), 1, backend=resolved)
@@ -177,6 +181,13 @@ def warmup(backend: str | None = None) -> str:
     router = ClosedFormRouter.for_graph(b22)
     router.next_hops(np.array([0, 3]), np.array([3, 0]))
     sim = BatchedNetworkSimulator(b22, router=router, kernels=resolved)
+    sim.run_many([[(0, 3, 0.0), (3, 0, 0.0)]], return_messages=False)
+    scenario = Scenario(
+        link=BufferedLinkModel(capacity=1, on_full="retry"),
+        faults=FaultPlan((FaultEvent(0.0, "link_down", 1),)),
+        reroute="arc-disjoint",
+    )
+    sim = BatchedNetworkSimulator(b22, scenario=scenario, kernels=resolved)
     sim.run_many([[(0, 3, 0.0), (3, 0, 0.0)]], return_messages=False)
     return resolved
 

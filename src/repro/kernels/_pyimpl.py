@@ -532,7 +532,7 @@ def build_kernels():
                 slots[c],
             )
 
-    def pop_round(
+    def _queue_pop(
         heap_time,
         heap_bid,
         bucket_head,
@@ -545,37 +545,22 @@ def build_kernels():
         fbits,
         ubits,
         limit,
-        loc,
-        dst,
         slots_out,
-        tails_out,
-        dests_out,
-        meta,
     ):
         """Drain the minimum-time bucket (up to ``limit`` events).
 
         Writes the popped slots (in insertion order = sequence order) to
-        ``slots_out`` and the forwarding subset's current node /
-        destination to ``tails_out`` / ``dests_out`` (read-only pass: no
-        simulation state is mutated yet, so the router sees exactly what
-        the reference loop's per-event calls see).  A ``limit`` hit leaves
-        the bucket's remaining events queued at the same time, exactly like
-        ``BatchEventQueue.pop_batch(limit=...)``.  ``meta[0]`` = popped
-        count, ``meta[1]`` = forwarding count.
+        ``slots_out`` and returns their count.  A ``limit`` hit leaves the
+        bucket's remaining events queued at the same time, exactly like
+        ``BatchEventQueue.pop_batch(limit=...)``.
         """
         t = heap_time[0]
         bid = heap_bid[0]
         count = 0
-        nfwd = 0
         cur = bucket_head[bid]
         while cur >= 0 and count < limit:
             slots_out[count] = cur
             count += 1
-            node = loc[cur]
-            if node != dst[cur]:
-                tails_out[nfwd] = node
-                dests_out[nfwd] = dst[cur]
-                nfwd += 1
             cur = next_slot[cur]
         if cur >= 0:
             bucket_head[bid] = cur  # limit hit: leftovers stay queued
@@ -605,6 +590,59 @@ def build_kernels():
             if size > 0:
                 heap_time[i] = mt
                 heap_bid[i] = mb
+        return count
+
+    def pop_round(
+        heap_time,
+        heap_bid,
+        bucket_head,
+        bucket_tail,
+        next_slot,
+        free_bids,
+        hash_time,
+        hash_state,
+        qstate,
+        fbits,
+        ubits,
+        limit,
+        loc,
+        dst,
+        slots_out,
+        tails_out,
+        dests_out,
+        meta,
+    ):
+        """:func:`_queue_pop`, then gather the forwarding subset.
+
+        Writes the forwarding subset's current node / destination to
+        ``tails_out`` / ``dests_out`` (read-only pass: no simulation state
+        is mutated yet, so the router sees exactly what the reference
+        loop's per-event calls see).  ``meta[0]`` = popped count,
+        ``meta[1]`` = forwarding count.
+        """
+        count = _queue_pop(
+            heap_time,
+            heap_bid,
+            bucket_head,
+            bucket_tail,
+            next_slot,
+            free_bids,
+            hash_time,
+            hash_state,
+            qstate,
+            fbits,
+            ubits,
+            limit,
+            slots_out,
+        )
+        nfwd = 0
+        for k in range(count):
+            cur = slots_out[k]
+            node = loc[cur]
+            if node != dst[cur]:
+                tails_out[nfwd] = node
+                dests_out[nfwd] = dst[cur]
+                nfwd += 1
         meta[0] = count
         meta[1] = nfwd
 
@@ -885,6 +923,276 @@ def build_kernels():
                 return status
         return 0
 
+    def _group_live(group_ptr, flat_links, link_down, g):
+        """Is some link of link group ``g`` up?"""
+        for p in range(group_ptr[g], group_ptr[g + 1]):
+            if not link_down[flat_links[p]]:
+                return True
+        return False
+
+    def run_scenario(
+        T,
+        L,
+        has_until,
+        until,
+        max_events,
+        loc,
+        dst,
+        hops,
+        arrival,
+        prev_link,
+        rep,
+        last_time,
+        busy_until,
+        queue_len,
+        max_queue,
+        tx_count,
+        group_keys,
+        group_ptr,
+        flat_links,
+        vertex_groups,
+        n,
+        m,
+        heap_time,
+        heap_bid,
+        bucket_head,
+        bucket_tail,
+        next_slot,
+        free_bids,
+        hash_time,
+        hash_state,
+        qstate,
+        fbits,
+        ubits,
+        slots_buf,
+        meta,
+        base,
+        D,
+        to_code,
+        from_code,
+        sorted_codes,
+        table,
+        num_messages,
+        fault_kind,
+        fault_target,
+        link_down,
+        node_down,
+        distance,
+        ttl,
+        capacity,
+        retry,
+        retry_delay,
+        max_retries,
+        retries,
+        drop_code,
+        counters,
+    ):
+        """A whole degrading-scenario pass: faults, buffers, TTL, reroute.
+
+        The event loop of ``repro.simulation.network.BatchedNetworkSimulator.
+        _run_many_scenario``, one event at a time in sequence order with the
+        float ops of :func:`finish_round`.  Slots ``>= num_messages`` are
+        fault events (``fault_kind`` 0 link down, 1 link up, 2 node down, 3
+        node up on ``fault_target``); they set ``last_time`` of every
+        replica.  Primary next hops come from the flat dense ``table``
+        (``table[u * n + v]``) or, when it is empty, from
+        :func:`shift_next_hops`.  An empty ``distance`` table means reroute
+        ``"none"``; otherwise a severed primary deflects to the live
+        neighbour minimising ``(distance[nb * n + target], nb)``.  ``ttl`` /
+        ``capacity`` < 0 disable the hop TTL / the buffer bound; ``retry``
+        != 0 re-offers a message finding no free buffer after
+        ``retry_delay``, at most ``max_retries`` times.  ``drop_code`` is 1
+        fault, 2 hops, 3 buffer; ``counters`` holds five int64 per replica:
+        retransmits, the three drop counts by code, rerouted hops.
+        Returns 0; 1 when a primary hop is not an arc (``meta[2]`` /
+        ``meta[3]`` = node, hop); 2 when a routed pair falls outside the
+        relabelling arrays (``meta[2]`` / ``meta[3]`` = node, destination).
+        """
+        R = last_time.shape[0]
+        pair = np.empty(3, dtype=np.int64)  # shift routing: node, target, hop
+        processed = 0
+        while qstate[0] > 0:
+            t = heap_time[0]
+            if has_until and t > until:
+                break
+            limit = max_events - processed
+            if limit <= 0:
+                break
+            count = _queue_pop(
+                heap_time,
+                heap_bid,
+                bucket_head,
+                bucket_tail,
+                next_slot,
+                free_bids,
+                hash_time,
+                hash_state,
+                qstate,
+                fbits,
+                ubits,
+                limit,
+                slots_buf,
+            )
+            processed += count
+            for k in range(count):
+                i = slots_buf[k]
+                if i >= num_messages:
+                    f = i - num_messages
+                    kind = fault_kind[f]
+                    if kind < 2:
+                        link_down[fault_target[f]] = 1 - kind
+                    else:
+                        node_down[fault_target[f]] = 3 - kind
+                    for r in range(R):
+                        last_time[r] = t  # the fault timeline is global
+                    continue
+                r = rep[i]
+                last_time[r] = t
+                il = prev_link[i]
+                if il >= 0:
+                    hops[i] += 1
+                    queue_len[il] -= 1
+                    prev_link[i] = -1
+                node = loc[i]
+                target = dst[i]
+                if node_down[node]:
+                    drop_code[i] = 1
+                    counters[5 * r + 1] += 1
+                    continue
+                if node == target:
+                    arrival[i] = t
+                    continue
+                if ttl >= 0 and hops[i] >= ttl:
+                    drop_code[i] = 2
+                    counters[5 * r + 2] += 1
+                    continue
+                if table.shape[0] > 0:
+                    primary = table[node * n + target]
+                else:
+                    pair[0] = node
+                    pair[1] = target
+                    bad = shift_next_hops(
+                        pair[0:1],
+                        pair[1:2],
+                        1,
+                        base,
+                        D,
+                        to_code,
+                        from_code,
+                        sorted_codes,
+                        pair[2:3],
+                    )
+                    if bad >= 0:
+                        meta[2] = node
+                        meta[3] = target
+                        return 2
+                    primary = pair[2]
+                if primary < 0:
+                    continue  # unreachable in the healthy topology
+                key = node * n + primary
+                g = -1
+                for q2 in range(vertex_groups[node], vertex_groups[node + 1]):
+                    if group_keys[q2] == key:
+                        g = q2
+                        break
+                if g < 0:
+                    meta[2] = node
+                    meta[3] = primary
+                    return 1  # the router named a hop that is not an arc
+                rerouted = 0
+                if node_down[primary] or not _group_live(
+                    group_ptr, flat_links, link_down, g
+                ):
+                    # greedy deflection: the usable neighbour (ascending, so
+                    # strict < keeps the lowest id) closest to the target
+                    best_g = -1
+                    best_distance = -1
+                    if distance.shape[0] > 0:
+                        for q2 in range(vertex_groups[node], vertex_groups[node + 1]):
+                            nb = group_keys[q2] - node * n
+                            if nb == primary or node_down[nb]:
+                                continue
+                            if not _group_live(group_ptr, flat_links, link_down, q2):
+                                continue
+                            dd = distance[nb * n + target]
+                            if dd < 0:
+                                continue
+                            if best_g < 0 or dd < best_distance:
+                                best_g = q2
+                                best_distance = dd
+                    if best_g < 0:
+                        drop_code[i] = 1
+                        counters[5 * r + 1] += 1
+                        continue
+                    g = best_g
+                    rerouted = 1
+                # the earliest-free live link with buffer room, lowest id on ties
+                rbase = r * m
+                best = -1
+                bb = 0.0
+                for p in range(group_ptr[g], group_ptr[g + 1]):
+                    lid = flat_links[p]
+                    if link_down[lid]:
+                        continue
+                    cand = rbase + lid
+                    if capacity >= 0 and queue_len[cand] >= capacity:
+                        continue
+                    cb = busy_until[cand]
+                    if best < 0 or cb < bb:
+                        best = cand
+                        bb = cb
+                if best < 0:
+                    if retry and retries[i] < max_retries:
+                        retries[i] += 1
+                        counters[5 * r] += 1
+                        _queue_push(
+                            heap_time,
+                            heap_bid,
+                            bucket_head,
+                            bucket_tail,
+                            next_slot,
+                            free_bids,
+                            hash_time,
+                            hash_state,
+                            qstate,
+                            fbits,
+                            ubits,
+                            t + retry_delay,
+                            i,
+                        )
+                    else:
+                        drop_code[i] = 3
+                        counters[5 * r + 3] += 1
+                    continue
+                start = t if t > bb else bb
+                finish = start + T
+                busy_until[best] = finish
+                depth = queue_len[best] + 1
+                queue_len[best] = depth
+                if depth > max_queue[r]:
+                    max_queue[r] = depth
+                tx_count[r] += 1
+                if rerouted:
+                    counters[5 * r + 4] += 1
+                prev_link[i] = best
+                loc[i] = group_keys[g] - node * n
+                _queue_push(
+                    heap_time,
+                    heap_bid,
+                    bucket_head,
+                    bucket_tail,
+                    next_slot,
+                    free_bids,
+                    hash_time,
+                    hash_state,
+                    qstate,
+                    fbits,
+                    ubits,
+                    finish + L,
+                    i,
+                )
+        return 0
+
     class RoundDriver:
         """Pre-bound per-run driver: the arrays are captured once.
 
@@ -1012,6 +1320,55 @@ def build_kernels():
                 to_code,
                 from_code,
                 sorted_codes,
+            )
+
+        def run_scenario(self, until, max_events, route, table, scenario):
+            """A whole degrading-scenario pass in one :func:`run_scenario` call.
+
+            ``route`` is a ``shift_spec()`` (unused when the flat dense
+            ``table`` is not empty); ``scenario`` is the tuple ``(
+            num_messages, fault_kind, fault_target, link_down, node_down,
+            distance, ttl, capacity, retry, retry_delay, max_retries,
+            retries, drop_code, counters)``.  Returns the kernel status.
+            """
+            loc, dst, hops, arrival, prev_link, rep = self.msg
+            busy_until, queue_len, max_queue, tx_count, last_time = self.links
+            group_keys, group_ptr, flat_links, vertex_groups, n, m = self.topo
+            slots_buf, meta = self.bufs[0], self.bufs[6]
+            base, D, to_code, from_code, sorted_codes = route
+            return run_scenario(
+                self.T,
+                self.L,
+                until is not None,
+                0.0 if until is None else until,
+                (1 << 62) if max_events is None else max_events,
+                loc,
+                dst,
+                hops,
+                arrival,
+                prev_link,
+                rep,
+                last_time,
+                busy_until,
+                queue_len,
+                max_queue,
+                tx_count,
+                group_keys,
+                group_ptr,
+                flat_links,
+                vertex_groups,
+                n,
+                m,
+                *self.queue,
+                slots_buf,
+                meta,
+                base,
+                D,
+                to_code,
+                from_code,
+                sorted_codes,
+                table,
+                *scenario,
             )
 
     def make_round_driver(queue, msg, links, topo, bufs, T, L):

@@ -438,23 +438,16 @@ EXPORT void queue_schedule(
         queue_push(QUEUE_ARGS, times[c], slots[c]);
 }
 
-EXPORT void pop_round(
-    QUEUE_PARAMS, int64_t limit, const int64_t *loc, const int64_t *dst,
-    int64_t *slots_out, int64_t *tails_out, int64_t *dests_out, int64_t *meta)
+/* Drain the minimum-time bucket (up to limit events) into slots_out and
+ * return the count; a limit hit leaves the leftovers queued at t. */
+static int64_t queue_pop(QUEUE_PARAMS, int64_t limit, int64_t *slots_out)
 {
     double t = heap_time[0];
     int64_t bid = heap_bid[0];
     int64_t count = 0;
-    int64_t nfwd = 0;
     int64_t cur = bucket_head[bid];
     while (cur >= 0 && count < limit) {
         slots_out[count++] = cur;
-        int64_t node = loc[cur];
-        if (node != dst[cur]) {
-            tails_out[nfwd] = node;
-            dests_out[nfwd] = dst[cur];
-            nfwd++;
-        }
         cur = next_slot[cur];
     }
     if (cur >= 0) {
@@ -482,6 +475,24 @@ EXPORT void pop_round(
             } else break;
         }
         if (size > 0) { heap_time[i] = mt; heap_bid[i] = mb; }
+    }
+    return count;
+}
+
+EXPORT void pop_round(
+    QUEUE_PARAMS, int64_t limit, const int64_t *loc, const int64_t *dst,
+    int64_t *slots_out, int64_t *tails_out, int64_t *dests_out, int64_t *meta)
+{
+    int64_t count = queue_pop(QUEUE_ARGS, limit, slots_out);
+    int64_t nfwd = 0;
+    for (int64_t k = 0; k < count; k++) {
+        int64_t cur = slots_out[k];
+        int64_t node = loc[cur];
+        if (node != dst[cur]) {
+            tails_out[nfwd] = node;
+            dests_out[nfwd] = dst[cur];
+            nfwd++;
+        }
     }
     meta[0] = count;
     meta[1] = nfwd;
@@ -602,6 +613,181 @@ EXPORT int64_t run_rounds(
     }
     return 0;
 }
+
+/* Is some link of link group g up? */
+static inline int group_live(
+    const int64_t *group_ptr, const int64_t *flat_links,
+    const uint8_t *link_down, int64_t g)
+{
+    for (int64_t p = group_ptr[g]; p < group_ptr[g + 1]; p++) {
+        if (!link_down[flat_links[p]]) return 1;
+    }
+    return 0;
+}
+
+/* A whole degrading-scenario pass (see _pyimpl.run_scenario): fault slots
+ * >= num_messages, node/TTL drops, table or shift primary hops, greedy
+ * deflection over the healthy distance table, live links with buffer
+ * room, retries.  n_table == 0 routes by shift; n_distance == 0 is reroute
+ * "none"; ttl / capacity < 0 disable them.  counters: five per replica
+ * (retransmits, drops by code 1 fault / 2 hops / 3 buffer, rerouted). */
+EXPORT int64_t run_scenario(
+    double T, double L, int64_t has_until, double until, int64_t max_events,
+    int64_t *loc, const int64_t *dst, int64_t *hops, double *arrival,
+    int64_t *prev_link, const int64_t *rep, double *last_time,
+    double *busy_until, int64_t *queue_len, int64_t *max_queue,
+    int64_t *tx_count,
+    const int64_t *group_keys, const int64_t *group_ptr,
+    const int64_t *flat_links, const int64_t *vertex_groups,
+    int64_t n, int64_t m,
+    QUEUE_PARAMS,
+    int64_t *slots_buf, int64_t *meta,
+    int64_t base, int64_t D, const int64_t *to_code, int64_t n_to,
+    const int64_t *from_code, int64_t n_from, int64_t sorted_codes,
+    const int64_t *table, int64_t n_table, int64_t R, int64_t num_messages,
+    const int64_t *fault_kind, const int64_t *fault_target,
+    uint8_t *link_down, uint8_t *node_down,
+    const int64_t *distance, int64_t n_distance,
+    int64_t ttl, int64_t capacity, int64_t retry, double retry_delay,
+    int64_t max_retries, int64_t *retries, int8_t *drop_code,
+    int64_t *counters)
+{
+    int64_t pair[3];  /* shift routing: node, target, hop */
+    int64_t processed = 0;
+    while (qstate[0] > 0) {
+        double t = heap_time[0];
+        if (has_until && t > until) break;
+        int64_t limit = max_events - processed;
+        if (limit <= 0) break;
+        int64_t count = queue_pop(QUEUE_ARGS, limit, slots_buf);
+        processed += count;
+        for (int64_t k = 0; k < count; k++) {
+            int64_t i = slots_buf[k];
+            if (i >= num_messages) {
+                int64_t f = i - num_messages;
+                int64_t kind = fault_kind[f];
+                if (kind < 2) link_down[fault_target[f]] = (uint8_t)(1 - kind);
+                else node_down[fault_target[f]] = (uint8_t)(3 - kind);
+                for (int64_t r = 0; r < R; r++) last_time[r] = t;  /* global */
+                continue;
+            }
+            int64_t r = rep[i];
+            last_time[r] = t;
+            int64_t il = prev_link[i];
+            if (il >= 0) {
+                hops[i]++;
+                queue_len[il]--;
+                prev_link[i] = -1;
+            }
+            int64_t node = loc[i];
+            int64_t target = dst[i];
+            if (node_down[node]) {
+                drop_code[i] = 1;
+                counters[5 * r + 1]++;
+                continue;
+            }
+            if (node == target) {
+                arrival[i] = t;
+                continue;
+            }
+            if (ttl >= 0 && hops[i] >= ttl) {
+                drop_code[i] = 2;
+                counters[5 * r + 2]++;
+                continue;
+            }
+            int64_t primary;
+            if (n_table > 0) {
+                primary = table[node * n + target];
+            } else {
+                pair[0] = node;
+                pair[1] = target;
+                int64_t bad = shift_next_hops(
+                    pair, pair + 1, 1, base, D, to_code, n_to, from_code,
+                    n_from, sorted_codes, pair + 2);
+                if (bad >= 0) {
+                    meta[2] = node;
+                    meta[3] = target;
+                    return 2;
+                }
+                primary = pair[2];
+            }
+            if (primary < 0) continue;  /* unreachable in the healthy topology */
+            int64_t key = node * n + primary;
+            int64_t g = -1;
+            for (int64_t q2 = vertex_groups[node]; q2 < vertex_groups[node + 1]; q2++) {
+                if (group_keys[q2] == key) { g = q2; break; }
+            }
+            if (g < 0) {  /* the router named a hop that is not an arc */
+                meta[2] = node;
+                meta[3] = primary;
+                return 1;
+            }
+            int rerouted = 0;
+            if (node_down[primary]
+                || !group_live(group_ptr, flat_links, link_down, g)) {
+                /* greedy deflection: the usable neighbour (ascending, so
+                   strict < keeps the lowest id) closest to the target */
+                int64_t best_g = -1;
+                int64_t best_distance = -1;
+                if (n_distance > 0) {
+                    for (int64_t q2 = vertex_groups[node]; q2 < vertex_groups[node + 1]; q2++) {
+                        int64_t nb = group_keys[q2] - node * n;
+                        if (nb == primary || node_down[nb]) continue;
+                        if (!group_live(group_ptr, flat_links, link_down, q2)) continue;
+                        int64_t dd = distance[nb * n + target];
+                        if (dd < 0) continue;
+                        if (best_g < 0 || dd < best_distance) {
+                            best_g = q2;
+                            best_distance = dd;
+                        }
+                    }
+                }
+                if (best_g < 0) {
+                    drop_code[i] = 1;
+                    counters[5 * r + 1]++;
+                    continue;
+                }
+                g = best_g;
+                rerouted = 1;
+            }
+            /* the earliest-free live link with buffer room, lowest id on ties */
+            int64_t rbase = r * m;
+            int64_t best = -1;
+            double bb = 0.0;
+            for (int64_t p = group_ptr[g]; p < group_ptr[g + 1]; p++) {
+                int64_t lid = flat_links[p];
+                if (link_down[lid]) continue;
+                int64_t cand = rbase + lid;
+                if (capacity >= 0 && queue_len[cand] >= capacity) continue;
+                double cb = busy_until[cand];
+                if (best < 0 || cb < bb) { best = cand; bb = cb; }
+            }
+            if (best < 0) {
+                if (retry && retries[i] < max_retries) {
+                    retries[i]++;
+                    counters[5 * r]++;
+                    queue_push(QUEUE_ARGS, t + retry_delay, i);
+                } else {
+                    drop_code[i] = 3;
+                    counters[5 * r + 3]++;
+                }
+                continue;
+            }
+            double start = t > bb ? t : bb;
+            double finish = start + T;
+            busy_until[best] = finish;
+            int64_t depth = queue_len[best] + 1;
+            queue_len[best] = depth;
+            if (depth > max_queue[r]) max_queue[r] = depth;
+            tx_count[r]++;
+            if (rerouted) counters[5 * r + 4]++;
+            prev_link[i] = best;
+            loc[i] = group_keys[g] - node * n;
+            queue_push(QUEUE_ARGS, finish + L, i);
+        }
+    }
+    return 0;
+}
 """
 
 SOURCE_DIGEST = hashlib.sha256(C_SOURCE.encode()).hexdigest()
@@ -612,6 +798,7 @@ _LIB_CACHE: dict[str, SimpleNamespace] = {}
 _i64 = ctypes.POINTER(ctypes.c_int64)
 _u64 = ctypes.POINTER(ctypes.c_uint64)
 _u8 = ctypes.POINTER(ctypes.c_uint8)
+_i8 = ctypes.POINTER(ctypes.c_int8)
 _f64 = ctypes.POINTER(ctypes.c_double)
 _I = ctypes.c_int64
 _D = ctypes.c_double
@@ -659,6 +846,25 @@ _SIGNATURES = {
         + [_i64, _i64, _i64, _i64,            # slots, tails, dests, nxt buffers
            _i64, _f64, _i64, _i64,            # out_links, out_starts, out_movers, meta
            _I, _I, _i64, _I, _i64, _I, _I],   # base, D, to_code, n_to, from_code, n_from, sorted
+        # fmt: on
+    ),
+    "run_scenario": (
+        _I,
+        # fmt: off
+        [_D, _D, _I, _D, _I,                  # T, L, has_until, until, max_events
+         _i64, _i64, _i64, _f64,              # loc, dst, hops, arrival
+         _i64, _i64, _f64,                    # prev_link, rep, last_time
+         _f64, _i64, _i64, _i64,              # busy_until, queue_len, max_queue, tx_count
+         _i64, _i64, _i64, _i64,              # group_keys, group_ptr, flat_links, vertex_groups
+         _I, _I]                              # n, m
+        + _QSIG
+        + [_i64, _i64,                        # slots buffer, meta
+           _I, _I, _i64, _I, _i64, _I, _I,    # base, D, to_code, n_to, from_code, n_from, sorted
+           _i64, _I, _I, _I,                  # table, n_table, R, num_messages
+           _i64, _i64, _u8, _u8,              # fault_kind, fault_target, link_down, node_down
+           _i64, _I,                          # distance, n_distance
+           _I, _I, _I, _D, _I,                # ttl, capacity, retry, retry_delay, max_retries
+           _i64, _i8, _i64],                  # retries, drop_code, counters
         # fmt: on
     ),
 }
@@ -956,6 +1162,28 @@ def build_native_kernels() -> SimpleNamespace:
                     *self._round_bufs, _ptr(nxt, _i64),
                     *self._outs,
                     *_route_args(*route),
+                )
+
+            def run_scenario(self, until, max_events, route, table, scenario):
+                (num_messages, fault_kind, fault_target, link_down, node_down,
+                 distance, ttl, capacity, retry, retry_delay, max_retries,
+                 retries, drop_code, counters) = scenario
+                return lib.run_scenario(
+                    self._T, self._L,
+                    0 if until is None else 1,
+                    0.0 if until is None else until,
+                    (1 << 62) if max_events is None else max_events,
+                    *self._state, *self._q,
+                    self._slots_p, self._outs[3],
+                    *_route_args(*route),
+                    _ptr(table, _i64), table.shape[0],
+                    counters.shape[0] // 5, num_messages,
+                    _ptr(fault_kind, _i64), _ptr(fault_target, _i64),
+                    _ptr(link_down, _u8), _ptr(node_down, _u8),
+                    _ptr(distance, _i64), distance.shape[0],
+                    ttl, capacity, retry, retry_delay, max_retries,
+                    _ptr(retries, _i64), _ptr(drop_code, _i8),
+                    _ptr(counters, _i64),
                 )
 
         def make_round_driver(queue, msg, links, topo, bufs, T, L):

@@ -62,16 +62,19 @@ Both engines accept ``scenario=`` (a :class:`repro.simulation.scenarios.
 Scenario`) composing finite link buffers (:class:`BufferedLinkModel`),
 deterministic fault timelines and a reroute policy on top of the healthy
 model.  A scenario that actually degrades the network
-(``scenario.needs_event_exact()``) is simulated with the *per-event scalar
-kernel* in both engines: the batched engine keeps its
-:class:`~repro.simulation.events.BatchEventQueue` batching for event
-selection (fault events occupy the slots past the message range) but
-resolves every link acquisition with the same scalar float ops as the
-reference loop, so the bit-identical parity contract extends to every
-layer combination — failures, finite buffers, retransmits, deflection
-rerouting (enforced by ``tests/test_scenarios.py``).  An arrival-only
-scenario (default link, no faults) runs through the unchanged vector path:
-healthy workloads pay nothing for the scenario seam.
+(``scenario.needs_event_exact()``) is simulated one event at a time in
+both engines, with the same scalar float ops as the reference loop (fault
+events occupy the queue slots past the message range), so the
+bit-identical parity contract extends to every layer combination —
+failures, finite buffers, retransmits, deflection rerouting (enforced by
+``tests/test_scenarios.py`` and ``tests/test_kernel_parity.py``).  The
+batched engine runs the whole pass in the compiled ``run_scenario`` kernel
+when the backend is compiled, the router is a dense table or has a
+``shift_spec()``, and no ``trace`` is requested; otherwise its python
+scenario loop over a :class:`~repro.simulation.events.BatchEventQueue`
+runs it.  An arrival-only scenario (default link, no faults) runs through
+the unchanged vector path: healthy workloads pay nothing for the scenario
+seam.
 """
 
 from __future__ import annotations
@@ -85,7 +88,7 @@ import numpy as np
 from repro import kernels as _kernels
 from repro.graphs.digraph import BaseDigraph
 from repro.routing.paths import RoutingTable
-from repro.routing.routers import Router, resolve_router
+from repro.routing.routers import DenseTableRouter, Router, ShiftSpec, resolve_router
 from repro.simulation.events import BatchEventQueue, Simulator
 
 __all__ = [
@@ -289,6 +292,12 @@ class _ScenarioState:
     so the float side of the parity contract is still enforced between two
     independent implementations.
 
+    The topology comes from the engine, which already owns it:
+    ``links_between(u, v)`` gives the ascending link ids of the ``(u, v)``
+    arcs (None when ``(u, v)`` is not an arc) and ``neighbors(u)`` the
+    distinct out-neighbours of ``u`` in ascending order.  Only the up/down
+    flags are built per run.
+
     The ``"arc-disjoint"`` policy is greedy deflection over the healthy
     distance table (:func:`repro.routing.paths.routing_table_for`): when the
     shortest-path next hop is severed, pick the live out-neighbour
@@ -298,16 +307,17 @@ class _ScenarioState:
     degradation the scenario suite measures.
     """
 
-    def __init__(self, graph: BaseDigraph, scenario, router: Router):
+    def __init__(
+        self, graph: BaseDigraph, scenario, router: Router, links_between, neighbors
+    ):
         self.scenario = scenario
         self.router = router
+        self.links_between = links_between
+        self.neighbors = neighbors
         n = graph.num_vertices
         m = graph.num_arcs
         self.link_down = np.zeros(m, dtype=bool)
         self.node_down = np.zeros(n, dtype=bool)
-        self.links_between: dict[tuple[int, int], list[int]] = {}
-        for index, (u, v) in enumerate(graph.arcs()):
-            self.links_between.setdefault((u, v), []).append(index)
         self.fault_events = tuple(scenario.faults.events)
         for event in self.fault_events:
             bound = m if event.kind.startswith("link") else n
@@ -316,8 +326,8 @@ class _ScenarioState:
                     f"fault event targets {event.kind.split('_')[0]} "
                     f"{event.target}, out of range for this topology"
                 )
-        self._distance = None
-        self._neighbors: dict[int, list[int]] = {}
+        #: The healthy distance table under ``"arc-disjoint"``, else None.
+        self.distance = None
         if scenario.reroute == "arc-disjoint":
             from repro.routing.paths import routing_table_for
             from repro.routing.routers import AUTO_DENSE_MAX_N
@@ -327,13 +337,7 @@ class _ScenarioState:
                     "arc-disjoint reroute needs the dense-table regime "
                     f"(n <= {AUTO_DENSE_MAX_N}, got n={n})"
                 )
-            self._distance = routing_table_for(graph).distance
-            for u, v in self.links_between:
-                self._neighbors.setdefault(u, [])
-                if v not in self._neighbors[u]:
-                    self._neighbors[u].append(v)
-            for u in self._neighbors:
-                self._neighbors[u].sort()
+            self.distance = routing_table_for(graph).distance
 
     def apply_fault(self, index: int) -> None:
         event = self.fault_events[index]
@@ -350,7 +354,7 @@ class _ScenarioState:
         """Is some live link to a live neighbour available for a new hop?"""
         if self.node_down[neighbor]:
             return False
-        for link_id in self.links_between[(node, neighbor)]:
+        for link_id in self.links_between(node, neighbor):
             if not self.link_down[link_id]:
                 return True
         return False
@@ -361,21 +365,24 @@ class _ScenarioState:
         Returns ``(next_node, rerouted)``; ``next_node`` is ``-1`` when the
         destination is unreachable in the healthy topology (plain
         undelivered, as in the base model) and ``-2`` when faults sever
-        every permitted hop (drop reason ``"fault"``).
+        every permitted hop (drop reason ``"fault"``).  A router naming a
+        hop that is not an arc raises ``ValueError``.
         """
         primary = self.router.next_hop(node, destination)
         if primary < 0:
             return -1, False
+        if self.links_between(node, primary) is None:
+            raise _not_an_arc(node, primary)
         if self.usable(node, primary):
             return primary, False
-        if self._distance is None:  # reroute == "none"
+        if self.distance is None:  # reroute == "none"
             return -2, False
         best = -2
         best_distance = -1
-        for neighbor in self._neighbors.get(node, ()):
+        for neighbor in self.neighbors(node):
             if neighbor == primary or not self.usable(node, neighbor):
                 continue
-            distance = int(self._distance[neighbor, destination])
+            distance = int(self.distance[neighbor, destination])
             if distance < 0:
                 continue
             if best == -2 or distance < best_distance:
@@ -559,7 +566,14 @@ class NetworkSimulator:
         retry_delay = getattr(link, "retry_delay", 1.0)
         max_retries = getattr(link, "max_retries", 0)
         ttl = scenario.effective_max_hops(self.graph.num_vertices)
-        state = _ScenarioState(self.graph, scenario, self.router)
+        graph = self.graph
+        state = _ScenarioState(
+            graph,
+            scenario,
+            self.router,
+            lambda u, v: self._links_between.get((u, v)),
+            lambda u: sorted(set(graph.out_neighbors(u))),
+        )
 
         sim = Simulator()
         link_free_at = np.zeros(self._num_links, dtype=float)
@@ -603,7 +617,7 @@ class NetworkSimulator:
                 return
             live = [
                 lid
-                for lid in self._links_between[(node, next_node)]
+                for lid in state.links_between(node, next_node)
                 if not state.link_down[lid]
             ]
             if capacity is not None:
@@ -703,10 +717,27 @@ class _LinkGroups:
         # scalar-path lookup: (u * n + v) -> ascending list of link ids
         ptr = self.group_ptr.tolist()
         flat = self.flat_links.tolist()
-        self.links_by_key = {
+        self._links_by_key = {
             int(key): flat[ptr[g] : ptr[g + 1]]
             for g, key in enumerate(self.group_keys.tolist())
         }
+        # per-vertex range into the sorted (u*n + v) group keys: vertex u's
+        # groups (its distinct out-neighbours, ascending) are
+        # vertex_groups[u]:vertex_groups[u + 1], at most out-degree of them
+        self.vertex_groups = np.searchsorted(
+            self.group_keys // max(n, 1), np.arange(n + 1)
+        ).astype(np.int64)
+
+    def links(self, u: int, v: int) -> list[int] | None:
+        """Ascending link ids of the ``(u, v)`` arcs (None: not an arc)."""
+        if not 0 <= v < self.num_vertices:
+            return None
+        return self._links_by_key.get(u * self.num_vertices + v)
+
+    def neighbors(self, u: int) -> list[int]:
+        """The distinct out-neighbours of ``u``, ascending."""
+        lo, hi = self.vertex_groups[u], self.vertex_groups[u + 1]
+        return (self.group_keys[lo:hi] - u * self.num_vertices).tolist()
 
     def group_of(self, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
         """Group index of each ``(tail, head)`` arc pair.
@@ -784,6 +815,103 @@ def _pool_traffics(traffics, n: int):
     return src, dst, created, counts, offsets
 
 
+#: ``drop_code`` of the scenario loops -> ``Message.drop_reason``.  Codes
+#: 1-3 are also the columns of the drop counts among each replica's five
+#: scenario counters (retransmits, fault, hops, buffer, rerouted hops).
+_DROP_REASONS = (None, "fault", "hops", "buffer")
+_FAULT, _HOPS, _BUFFER = 1, 2, 3
+
+#: The scenario kernel's fault event codes.
+_FAULT_CODES = {"link_down": 0, "link_up": 1, "node_down": 2, "node_up": 3}
+
+#: "No table": the scenario kernel routes by shift spec / never reroutes.
+_NO_TABLE = np.zeros(0, dtype=np.int64)
+#: The (unused) shift spec passed alongside a dense next-hop table.
+_UNUSED_SHIFT = ShiftSpec(2, 1, _NO_TABLE, _NO_TABLE, False)
+
+
+def _raise_kernel_status(status: int, meta: np.ndarray) -> None:
+    """Raise the error a simulator kernel reported through its status.
+
+    1: the router named a hop that is not an arc (``meta[2:4]`` = node,
+    hop); 2: a pair outside the closed-form relabelling (node, target).
+    """
+    if status == 2:
+        raise IndexError(
+            f"the router cannot route ({meta[2]}, {meta[3]}): a "
+            "vertex outside its relabelling"
+        )
+    if status:
+        raise _not_an_arc(int(meta[2]), int(meta[3]))
+
+
+def _replica_results(
+    offsets,
+    src,
+    dst,
+    created,
+    arrival,
+    hops,
+    last_time,
+    max_queue,
+    tx_count,
+    T,
+    return_messages,
+    counters=None,
+    drop_code=None,
+) -> list[tuple[NetworkStats, list[Message] | None]]:
+    """Per-replica statistics and messages, computed exactly as the
+    reference does; ``counters`` / ``drop_code`` are the scenario loops'."""
+    results: list[tuple[NetworkStats, list[Message] | None]] = []
+    for r in range(len(offsets) - 1):
+        lo, hi = int(offsets[r]), int(offsets[r + 1])
+        arrived = arrival[lo:hi]
+        delivered_mask = ~np.isnan(arrived)
+        num_delivered = int(delivered_mask.sum())
+        latencies = (arrived - created[lo:hi])[delivered_mask]
+        hop_counts = hops[lo:hi][delivered_mask].astype(float)
+        scenario_counts = {}
+        if counters is not None:
+            retransmits, fault, ttl, buffer, rerouted = counters[5 * r : 5 * r + 5].tolist()
+            scenario_counts = dict(
+                dropped_buffer=buffer,
+                dropped_fault=fault,
+                dropped_hops=ttl,
+                retransmits=retransmits,
+                rerouted_hops=rerouted,
+            )
+        stats = NetworkStats(
+            delivered=num_delivered,
+            undelivered=(hi - lo) - num_delivered,
+            makespan=float(last_time[r]),
+            mean_latency=float(latencies.mean()) if latencies.size else 0.0,
+            max_latency=float(latencies.max()) if latencies.size else 0.0,
+            mean_hops=float(hop_counts.mean()) if hop_counts.size else 0.0,
+            max_link_queue=int(max_queue[r]),
+            total_link_busy_time=_sequential_sum(int(tx_count[r]), T),
+            **scenario_counts,
+        )
+        messages: list[Message] | None = None
+        if return_messages:
+            columns = zip(
+                range(hi - lo),
+                src[lo:hi].tolist(),
+                dst[lo:hi].tolist(),
+                created[lo:hi].tolist(),
+                arrival[lo:hi].tolist(),
+                hops[lo:hi].tolist(),
+            )
+            messages = [
+                Message(ident, source, destination, creation, arrived_at, hop)
+                for ident, source, destination, creation, arrived_at, hop in columns
+            ]
+            if drop_code is not None:
+                for message, code in zip(messages, drop_code[lo:hi].tolist()):
+                    message.drop_reason = _DROP_REASONS[code]
+        results.append((stats, messages))
+    return results
+
+
 class BatchedNetworkSimulator:
     """Vectorised event-batched re-implementation of :class:`NetworkSimulator`.
 
@@ -829,9 +957,14 @@ class BatchedNetworkSimulator:
         self.routing = getattr(self.router, "table", None)
         self._groups = _LinkGroups(graph)
         resolved = _kernels.resolve_backend(kernels)
-        if scenario is not None and scenario.needs_event_exact():
-            # Degrading scenarios run the per-event scalar loop on every
-            # backend (see the module docstring) — report what actually runs.
+        if (
+            scenario is not None
+            and scenario.needs_event_exact()
+            and self._kernel_route() is None
+        ):
+            # A degrading scenario whose router the kernel cannot consult
+            # (LRU rows, wrappers) runs the Python scenario loop on every
+            # backend — report what actually runs.
             resolved = "numpy"
         self.kernel_backend = resolved
         self._kernels = _kernels.get_kernels(self.kernel_backend)
@@ -888,7 +1021,7 @@ class BatchedNetworkSimulator:
         exact only for a single workload).
 
         With a degrading ``scenario`` the pooled pass switches to the
-        scenario event loop (same pooling, scalar per-event kernel — see the
+        scenario event loop (same pooling, one event at a time — see the
         module docstring's degraded-mode contract).
         """
         if self.scenario is not None and self.scenario.needs_event_exact():
@@ -977,8 +1110,8 @@ class BatchedNetworkSimulator:
                     next_node = router.next_hop(node, target)
                     if next_node < 0:
                         continue  # unreachable: drop
-                    local_links = groups.links_by_key.get(node * n + next_node)
-                    if local_links is None or next_node >= n:
+                    local_links = groups.links(node, next_node)
+                    if local_links is None:
                         raise _not_an_arc(node, next_node)
                     base = r * m
                     if len(local_links) == 1:
@@ -1184,42 +1317,80 @@ class BatchedNetworkSimulator:
                 else:
                     np.maximum.at(max_queue, seg_links // m, seg_max)
 
-        # ---- per-replica statistics, computed exactly as the reference does
-        results: list[tuple[NetworkStats, list[Message] | None]] = []
-        for r in range(R):
-            lo, hi = int(offsets[r]), int(offsets[r + 1])
-            arrived = arrival[lo:hi]
-            delivered_mask = ~np.isnan(arrived)
-            num_delivered = int(delivered_mask.sum())
-            latencies = (arrived - created[lo:hi])[delivered_mask]
-            hop_counts = hops[lo:hi][delivered_mask].astype(float)
-            stats = NetworkStats(
-                delivered=num_delivered,
-                undelivered=(hi - lo) - num_delivered,
-                makespan=float(last_time[r]),
-                mean_latency=float(latencies.mean()) if latencies.size else 0.0,
-                max_latency=float(latencies.max()) if latencies.size else 0.0,
-                mean_hops=float(hop_counts.mean()) if hop_counts.size else 0.0,
-                max_link_queue=int(max_queue[r]),
-                total_link_busy_time=_sequential_sum(int(tx_count[r]), T),
-            )
-            messages: list[Message] | None = None
-            if return_messages:
-                messages = [
-                    Message(ident, source, destination, creation, arrived_at, hop)
-                    for ident, source, destination, creation, arrived_at, hop in zip(
-                        range(hi - lo),
-                        src[lo:hi].tolist(),
-                        dst[lo:hi].tolist(),
-                        created[lo:hi].tolist(),
-                        arrival[lo:hi].tolist(),
-                        hops[lo:hi].tolist(),
-                    )
-                ]
-            results.append((stats, messages))
-        return results
+        return _replica_results(
+            offsets, src, dst, created, arrival, hops,
+            last_time, max_queue, tx_count, T, return_messages,
+        )
 
     # -------------------------------------------------------- kernel rounds
+    def _kernel_route(self) -> tuple[np.ndarray, ShiftSpec] | None:
+        """``(table, shift spec)`` the compiled scenario kernel routes with.
+
+        A closed-form router's :meth:`~repro.routing.routers.Router.
+        shift_spec` (with an empty table), or the flat next-hop table of a
+        :class:`~repro.routing.routers.DenseTableRouter` covering this
+        topology (with an unused spec).  None for every other router (LRU
+        rows, wrappers): only python calls can ask those.
+        """
+        spec = self.router.shift_spec()
+        if spec is not None:
+            return _NO_TABLE, spec
+        n = self.graph.num_vertices
+        router = self.router
+        if isinstance(router, DenseTableRouter) and router.table.next_hop.shape == (n, n):
+            table = np.ascontiguousarray(router.table.next_hop, dtype=np.int64)
+            return table.reshape(-1), _UNUSED_SHIFT
+        return None
+
+    def _round_driver(self, num_slots: int, msg: tuple, links: tuple):
+        """A kernel round driver over fresh queue and round buffers.
+
+        ``msg`` / ``links`` are the per-message and per-link/replica array
+        tuples :meth:`_run_rounds_kernel` documents; the queue holds
+        ``num_slots`` event slots.  Returns ``(driver, queue, bufs)``.
+        """
+        groups = self._groups
+        # queue arrays (layout documented in repro.kernels._pyimpl): at most
+        # C live distinct times / buckets; hash sized power-of-two >= 2C.
+        C = max(num_slots, 1)
+        H = 2
+        while H < 2 * C:
+            H *= 2
+        fbits = np.zeros(1)
+        queue = (
+            np.empty(C),  # heap_time
+            np.empty(C, dtype=np.int64),  # heap_bid
+            np.empty(C, dtype=np.int64),  # bucket_head
+            np.empty(C, dtype=np.int64),  # bucket_tail
+            np.empty(C, dtype=np.int64),  # next_slot
+            np.arange(C, dtype=np.int64),  # free_bids
+            np.empty(H),  # hash_time
+            np.full(H, -1, dtype=np.int64),  # hash_state
+            np.array([0, C, 0, 0], dtype=np.int64),  # qstate
+            fbits,
+            fbits.view(np.uint64),  # ubits
+        )
+        bufs = (
+            np.empty(C, dtype=np.int64),  # slots
+            np.empty(C, dtype=np.int64),  # tails
+            np.empty(C, dtype=np.int64),  # dests
+            np.empty(C, dtype=np.int64),  # out_links
+            np.empty(C),  # out_starts
+            np.empty(C, dtype=np.int64),  # out_movers
+            np.zeros(4, dtype=np.int64),  # meta
+        )
+        driver = self._kernels.make_round_driver(
+            queue,
+            msg,
+            links,
+            (groups.group_keys, groups.group_ptr, groups.flat_links,
+             groups.vertex_groups, groups.num_vertices, groups.num_links),
+            bufs,
+            float(self.link.transmission_time),
+            float(self.link.latency),
+        )
+        return driver, queue, bufs
+
     def _run_rounds_kernel(
         self,
         created,
@@ -1261,84 +1432,29 @@ class BatchedNetworkSimulator:
         ``driver.run`` kernel call instead of three crossings per round.
         A hop that is not an arc raises ``ValueError`` on either path.
         """
-        kern = self._kernels
-        groups = self._groups
-        n = self.graph.num_vertices
-        m = groups.num_links
-        T = float(self.link.transmission_time)
-        L = float(self.link.latency)
         router = self.router
         N = int(loc.shape[0])
-
-        # queue arrays (layout documented in repro.kernels._pyimpl): at most
-        # N live distinct times / buckets; hash sized power-of-two >= 2N.
-        C = max(N, 1)
-        H = 2
-        while H < 2 * C:
-            H *= 2
-        fbits = np.zeros(1)
-        queue = (
-            np.empty(C),  # heap_time
-            np.empty(C, dtype=np.int64),  # heap_bid
-            np.empty(C, dtype=np.int64),  # bucket_head
-            np.empty(C, dtype=np.int64),  # bucket_tail
-            np.empty(C, dtype=np.int64),  # next_slot
-            np.arange(C, dtype=np.int64),  # free_bids
-            np.empty(H),  # hash_time
-            np.full(H, -1, dtype=np.int64),  # hash_state
-            np.array([0, C, 0, 0], dtype=np.int64),  # qstate
-            fbits,
-            fbits.view(np.uint64),  # ubits
-        )
-        qstate = queue[8]
-        heap_time = queue[0]
-
-        slots_buf = np.empty(C, dtype=np.int64)
-        tails_buf = np.empty(C, dtype=np.int64)
-        dests_buf = np.empty(C, dtype=np.int64)
-        out_links = np.empty(C, dtype=np.int64)
-        out_starts = np.empty(C)
-        out_movers = np.empty(C, dtype=np.int64)
-        meta = np.zeros(4, dtype=np.int64)
-        empty_next = np.zeros(0, dtype=np.int64)
-        no_limit = 1 << 62
-
-        # per-vertex range into the sorted (u*n + v) group keys, so the
-        # kernel can resolve a hop's link group by scanning at most
-        # out-degree entries instead of binary-searching all groups
-        vertex_groups = np.searchsorted(
-            groups.group_keys // n, np.arange(n + 1)
-        ).astype(np.int64)
-        driver = kern.make_round_driver(
-            queue,
+        driver, queue, bufs = self._round_driver(
+            N,
             (loc, dst, hops, arrival, prev_link, rep),
             (busy_until, queue_len, max_queue, tx_count, last_time),
-            (groups.group_keys, groups.group_ptr, groups.flat_links,
-             vertex_groups, n, m),
-            (slots_buf, tails_buf, dests_buf,
-             out_links, out_starts, out_movers, meta),
-            T,
-            L,
         )
         driver.schedule(
             np.arange(N, dtype=np.int64), np.ascontiguousarray(created)
         )
+        heap_time, qstate = queue[0], queue[8]
+        _, tails_buf, dests_buf, out_links, out_starts, out_movers, meta = bufs
 
         route = router.shift_spec() if trace is None else None
         # a driver offering only the per-round calls (a wrapping proxy)
         # keeps the per-round loop
         run = getattr(driver, "run", None)
         if route is not None and run is not None:
-            status = run(until, max_events, route)
-            if status == 2:
-                raise IndexError(
-                    f"the router cannot route ({meta[2]}, {meta[3]}): a "
-                    "vertex outside its relabelling"
-                )
-            if status:
-                raise _not_an_arc(int(meta[2]), int(meta[3]))
+            _raise_kernel_status(run(until, max_events, route), meta)
             return
 
+        empty_next = np.zeros(0, dtype=np.int64)
+        no_limit = 1 << 62
         processed = 0
         while qstate[0] > 0:
             t = float(heap_time[0])
@@ -1358,8 +1474,7 @@ class BatchedNetworkSimulator:
                 nxt = np.ascontiguousarray(nxt, dtype=np.int64)
             else:
                 nxt = empty_next
-            if driver.finish(t, count, nxt):
-                raise _not_an_arc(int(meta[2]), int(meta[3]))
+            _raise_kernel_status(driver.finish(t, count, nxt), meta)
             moved = int(meta[0])
             if trace is not None and moved:
                 trace.append(
@@ -1380,26 +1495,30 @@ class BatchedNetworkSimulator:
         trace: list | None = None,
         return_messages: bool = True,
     ) -> list[tuple[NetworkStats, list[Message] | None]]:
-        """Pooled scenario runs: batched event selection, scalar semantics.
+        """Pooled scenario runs: one event at a time, in sequence order.
 
-        Keeps the :class:`~repro.simulation.events.BatchEventQueue` batching
-        and the replicated link arrays of :meth:`run_many`, but resolves
-        each event with the per-event scalar kernel — the literal reference
-        algorithm, identical float ops — because finite buffers, fault
-        flips and reroute decisions are order-dependent within a batch.
-        Fault events occupy the queue slots past the message range
-        (``N .. N+F-1``) and are scheduled *first*, so at equal timestamps
-        they outrank every message event, exactly like the reference heap's
-        sequence numbers.  Fault state is global: one timeline drives all
-        replicas, which is what makes a stacked scenario run equal R solo
-        runs of the same scenario.
+        Keeps the replicated link arrays of :meth:`run_many`, but resolves
+        each event with the literal reference algorithm — identical float
+        ops — because finite buffers, fault flips and reroute decisions are
+        order-dependent within a batch.  Fault events occupy the queue
+        slots past the message range (``N .. N+F-1``) and are scheduled
+        *first*, so at equal timestamps they outrank every message event,
+        exactly like the reference heap's sequence numbers.  Fault state is
+        global: one timeline drives all replicas, which is what makes a
+        stacked scenario run equal R solo runs of the same scenario.
+
+        On a compiled backend, with a router the kernel can consult
+        (:meth:`_kernel_route`) and no ``trace``, the whole pass is one
+        ``run_scenario`` kernel call; otherwise the python loop below runs
+        it over a :class:`~repro.simulation.events.BatchEventQueue` (the
+        oracle the kernel is tested against).
         """
         scenario = self.scenario
         link = self.link
         capacity = getattr(link, "capacity", None)
-        on_full = getattr(link, "on_full", "drop")
-        retry_delay = getattr(link, "retry_delay", 1.0)
-        max_retries = getattr(link, "max_retries", 0)
+        retry = getattr(link, "on_full", "drop") == "retry"
+        retry_delay = float(getattr(link, "retry_delay", 1.0))
+        max_retries = int(getattr(link, "max_retries", 0))
         groups = self._groups
         n = self.graph.num_vertices
         m = groups.num_links
@@ -1407,8 +1526,9 @@ class BatchedNetworkSimulator:
         L = link.latency
         R = len(traffics)
         ttl = scenario.effective_max_hops(n)
-        state = _ScenarioState(self.graph, scenario, self.router)
-        links_between = state.links_between
+        state = _ScenarioState(
+            self.graph, scenario, self.router, groups.links, groups.neighbors
+        )
 
         src, dst, created, counts, offsets = _pool_traffics(traffics, n)
         N = int(offsets[-1])
@@ -1419,29 +1539,80 @@ class BatchedNetworkSimulator:
         arrival = np.full(N, np.nan)
         prev_link = np.full(N, -1, dtype=np.int64)  # global (replicated) ids
         retries = np.zeros(N, dtype=np.int64)
-        drop_reason: list[str | None] = [None] * N
-
+        drop_code = np.zeros(N, dtype=np.int8)  # index into _DROP_REASONS
         fault_times = np.array(
             [event.time for event in state.fault_events], dtype=float
         )
         F = fault_times.shape[0]
-        queue = BatchEventQueue(N + F)
-        if F:  # faults first: lower sequence at equal timestamps
-            queue.schedule(np.arange(N, N + F, dtype=np.int64), fault_times)
-        queue.schedule(np.arange(N, dtype=np.int64), created)
 
         busy_until = np.zeros(R * m)
         queue_len = np.zeros(R * m, dtype=np.int64)
         max_queue = np.zeros(R, dtype=np.int64)
         tx_count = np.zeros(R, dtype=np.int64)
         last_time = np.zeros(R)
-        dropped_buffer = np.zeros(R, dtype=np.int64)
-        dropped_fault = np.zeros(R, dtype=np.int64)
-        dropped_hops = np.zeros(R, dtype=np.int64)
-        retransmits = np.zeros(R, dtype=np.int64)
-        rerouted_hops = np.zeros(R, dtype=np.int64)
-        processed = 0
+        # per replica: retransmits, drops by code (fault, hops, buffer),
+        # rerouted hops — the kernel's flat layout
+        counters = np.zeros(5 * R, dtype=np.int64)
+        stats_args = (
+            offsets, src, dst, created, arrival, hops,
+            last_time, max_queue, tx_count, T, return_messages,
+            counters, drop_code,
+        )
 
+        kernel_route = None
+        if self._kernels is not None and trace is None:
+            kernel_route = self._kernel_route()
+        run_scenario = None
+        if kernel_route is not None:
+            driver, _, bufs = self._round_driver(
+                N + F,
+                (loc, dst, hops, arrival, prev_link, rep),
+                (busy_until, queue_len, max_queue, tx_count, last_time),
+            )
+            # a driver offering only the per-round calls (a wrapping proxy)
+            # keeps the python loop
+            run_scenario = getattr(driver, "run_scenario", None)
+        if run_scenario is not None:
+            table, spec = kernel_route
+            # faults first: lower sequence at equal timestamps
+            driver.schedule(np.arange(N, N + F, dtype=np.int64), fault_times)
+            driver.schedule(np.arange(N, dtype=np.int64), created)
+            distance = _NO_TABLE
+            if state.distance is not None:
+                distance = np.ascontiguousarray(state.distance, dtype=np.int64)
+            status = run_scenario(
+                until,
+                max_events,
+                spec,
+                table,
+                (
+                    N,
+                    np.array(
+                        [_FAULT_CODES[e.kind] for e in state.fault_events],
+                        dtype=np.int64,
+                    ),
+                    np.array([e.target for e in state.fault_events], dtype=np.int64),
+                    state.link_down.view(np.uint8),
+                    state.node_down.view(np.uint8),
+                    distance.reshape(-1),
+                    -1 if ttl is None else ttl,
+                    -1 if capacity is None else capacity,
+                    int(retry),
+                    retry_delay,
+                    max_retries,
+                    retries,
+                    drop_code,
+                    counters,
+                ),
+            )
+            _raise_kernel_status(status, bufs[6])
+            return _replica_results(*stats_args)
+
+        queue = BatchEventQueue(N + F)
+        if F:  # faults first: lower sequence at equal timestamps
+            queue.schedule(np.arange(N, N + F, dtype=np.int64), fault_times)
+        queue.schedule(np.arange(N, dtype=np.int64), created)
+        processed = 0
         while len(queue):
             t = queue.peek_time()
             if until is not None and t > until:
@@ -1468,39 +1639,39 @@ class BatchedNetworkSimulator:
                 node = int(loc[i])
                 target = int(dst[i])
                 if state.node_down[node]:
-                    drop_reason[i] = "fault"
-                    dropped_fault[r] += 1
+                    drop_code[i] = _FAULT
+                    counters[5 * r + _FAULT] += 1
                     continue
                 if node == target:
                     arrival[i] = t
                     continue
                 if ttl is not None and hops[i] >= ttl:
-                    drop_reason[i] = "hops"
-                    dropped_hops[r] += 1
+                    drop_code[i] = _HOPS
+                    counters[5 * r + _HOPS] += 1
                     continue
                 next_node, rerouted = state.choose(node, target)
                 if next_node == -1:
                     continue  # unreachable in the healthy topology
                 if next_node == -2:
-                    drop_reason[i] = "fault"
-                    dropped_fault[r] += 1
+                    drop_code[i] = _FAULT
+                    counters[5 * r + _FAULT] += 1
                     continue
                 base = r * m
                 live = [
                     base + lid
-                    for lid in links_between[(node, next_node)]
+                    for lid in state.links_between(node, next_node)
                     if not state.link_down[lid]
                 ]
                 if capacity is not None:
                     live = [lid for lid in live if queue_len[lid] < capacity]
                 if not live:
-                    if on_full == "retry" and retries[i] < max_retries:
+                    if retry and retries[i] < max_retries:
                         retries[i] += 1
-                        retransmits[r] += 1
+                        counters[5 * r] += 1
                         queue.schedule_one(i, t + retry_delay)
                     else:
-                        drop_reason[i] = "buffer"
-                        dropped_buffer[r] += 1
+                        drop_code[i] = _BUFFER
+                        counters[5 * r + _BUFFER] += 1
                     continue
                 if len(live) == 1:
                     link_id = live[0]
@@ -1517,7 +1688,7 @@ class BatchedNetworkSimulator:
                     max_queue[r] = depth
                 tx_count[r] += 1
                 if rerouted:
-                    rerouted_hops[r] += 1
+                    counters[5 * r + 4] += 1
                 prev_link[i] = link_id
                 loc[i] = next_node
                 queue.schedule_one(i, finish + L)
@@ -1529,47 +1700,7 @@ class BatchedNetworkSimulator:
                             np.array([i], dtype=np.int64),
                         )
                     )
-
-        # ---- per-replica statistics, exactly as the reference computes them
-        results: list[tuple[NetworkStats, list[Message] | None]] = []
-        for r in range(R):
-            lo, hi = int(offsets[r]), int(offsets[r + 1])
-            arrived = arrival[lo:hi]
-            delivered_mask = ~np.isnan(arrived)
-            num_delivered = int(delivered_mask.sum())
-            latencies = (arrived - created[lo:hi])[delivered_mask]
-            hop_counts = hops[lo:hi][delivered_mask].astype(float)
-            stats = NetworkStats(
-                delivered=num_delivered,
-                undelivered=(hi - lo) - num_delivered,
-                makespan=float(last_time[r]),
-                mean_latency=float(latencies.mean()) if latencies.size else 0.0,
-                max_latency=float(latencies.max()) if latencies.size else 0.0,
-                mean_hops=float(hop_counts.mean()) if hop_counts.size else 0.0,
-                max_link_queue=int(max_queue[r]),
-                total_link_busy_time=_sequential_sum(int(tx_count[r]), T),
-                dropped_buffer=int(dropped_buffer[r]),
-                dropped_fault=int(dropped_fault[r]),
-                dropped_hops=int(dropped_hops[r]),
-                retransmits=int(retransmits[r]),
-                rerouted_hops=int(rerouted_hops[r]),
-            )
-            messages: list[Message] | None = None
-            if return_messages:
-                messages = [
-                    Message(ident, source, destination, creation, arrived_at, hop, why)
-                    for ident, source, destination, creation, arrived_at, hop, why in zip(
-                        range(hi - lo),
-                        src[lo:hi].tolist(),
-                        dst[lo:hi].tolist(),
-                        created[lo:hi].tolist(),
-                        arrival[lo:hi].tolist(),
-                        hops[lo:hi].tolist(),
-                        drop_reason[lo:hi],
-                    )
-                ]
-            results.append((stats, messages))
-        return results
+        return _replica_results(*stats_args)
 
 
 #: Engine registry: name -> simulator class (used by protocols, the sweep

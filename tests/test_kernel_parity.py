@@ -19,6 +19,10 @@ equal.  This suite is the proof obligation:
   (``until`` / ``max_events``), multi-replica ``run_many`` pools, empty
   traffics, and scenario edge cases (fault at ``t=0``, ``capacity=0``) —
   checking stats, per-message records and the flattened transmission trace;
+* the degrading-scenario kernel (``run_scenario``) is compared byte for byte
+  against the python scenario loop and the reference engine on the
+  compositions of ``tests/test_scenarios.py``, hypothesis-generated
+  scenarios, truncated runs, stacked replicas and closed-form routers;
 * the kernel-side event queue is driven directly against
   :class:`repro.simulation.events.BatchEventQueue` on adversarial time
   sequences (duplicates, ``-0.0`` vs ``+0.0``, limit truncation).
@@ -56,6 +60,7 @@ from repro.graphs.generators import (
 from repro.kernels._pyimpl import PY_KERNELS
 from repro.otis.h_digraph import h_digraph
 from repro.otis.search import candidate_splits, h_diameter
+from repro.routing.paths import RoutingTable, routing_table_for
 from repro.routing.routers import ClosedFormRouter, DenseTableRouter, Router
 from repro.simulation.network import (
     BatchedNetworkSimulator,
@@ -66,11 +71,16 @@ from repro.simulation.network import (
 from repro.simulation.scenarios import (
     BurstyArrivals,
     DiurnalArrivals,
+    FaultEvent,
     FaultPlan,
     Scenario,
     UniformArrivals,
 )
 from repro.simulation.workloads import uniform_random_pairs
+# the compositions of the cross-engine scenario suite, reused as kernel inputs
+from test_scenarios import GRAPH as SCENARIO_GRAPH
+from test_scenarios import SCENARIOS
+from test_scenarios import _scenario_strategy as scenario_strategy
 
 #: Compiled backends usable here, plus the interpreted reference build.
 BACKENDS = [b for b in kernels.available_backends() if b != "numpy"] + ["pyimpl"]
@@ -479,16 +489,18 @@ def test_sim_parity_randomised(data):
 
 
 def test_scenario_fault_at_t0_runs_reference_loop(backend):
-    # A degrading scenario (fault at t=0) runs the per-event scalar loop on
-    # every backend: the kernel seam must step aside, report "numpy", and
-    # produce identical results trivially.
+    # A degrading scenario (fault at t=0) with a dense router runs the
+    # run_scenario kernel, and the simulator reports the backend that runs
+    # it.  A trace (as assert_sim_parity asks for) keeps the python
+    # scenario loop on both sides; the untraced kernel pass is compared in
+    # the run_scenario section below.
     graph = h_digraph(4, 8, 2)
     scenario = Scenario(
         arrivals=UniformArrivals(30),
         faults=FaultPlan.random_link_failures(graph, 5, at=0.0, seed=2),
     )
     sim = simulator(graph, backend, scenario=scenario)
-    assert sim.kernel_backend == "numpy"
+    assert sim.kernel_backend == backend
     traffic = scenario.traffic(graph.num_vertices, rng=0)
     assert_sim_parity(graph, [traffic], backend, scenario=scenario)
 
@@ -500,7 +512,7 @@ def test_scenario_capacity_zero_runs_reference_loop(backend):
         link=BufferedLinkModel(capacity=0),
     )
     sim = simulator(graph, backend, scenario=scenario)
-    assert sim.kernel_backend == "numpy"
+    assert sim.kernel_backend == backend
     traffic = scenario.traffic(graph.num_vertices, rng=1)
     assert_sim_parity(graph, [traffic], backend, scenario=scenario)
 
@@ -858,6 +870,198 @@ def test_fused_loop_randomised(data):
         )
 
 
+# ------------------------------------------- degrading scenarios: run_scenario
+
+
+def scenario_results(graph, scenario, back, traffics, router=None, **kw):
+    """``run_many`` results of one scenario pass on backend ``back``."""
+    sim = BatchedNetworkSimulator(graph, scenario=scenario, router=router, kernels=back)
+    return sim.run_many(traffics, **kw)
+
+
+def assert_scenario_kernel_parity(graph, scenario, back, traffics, router=None, **kw):
+    """The kernel pass equals the python scenario loop byte for byte, and,
+    for a single workload, the reference engine too."""
+    sim = BatchedNetworkSimulator(graph, scenario=scenario, router=router, kernels=back)
+    assert sim.kernel_backend == back  # the kernel, not the python loop
+    got = sim.run_many(traffics, **kw)
+    loop = scenario_results(graph, scenario, "numpy", traffics, router, **kw)
+    assert result_bytes(got) == result_bytes(loop)
+    if len(traffics) == 1:
+        reference = NetworkSimulator(graph, scenario=scenario, router=router)
+        assert result_bytes(got) == result_bytes([reference.run(traffics[0], **kw)])
+    return got
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_run_scenario_parity_every_scenario(backend, name):
+    scenario = SCENARIOS[name]
+    for seed in range(3):
+        traffic = scenario.traffic(SCENARIO_GRAPH.num_vertices, rng=seed)
+        assert_scenario_kernel_parity(SCENARIO_GRAPH, scenario, backend, [traffic])
+
+
+@settings(max_examples=40, deadline=None)
+@given(scenario=scenario_strategy(), seed=st.integers(0, 2**16))
+def test_run_scenario_randomised(scenario, seed):
+    traffic = scenario.traffic(SCENARIO_GRAPH.num_vertices, rng=seed)
+    for back in BACKENDS:
+        with pytest.MonkeyPatch.context() as patch:
+            if back == "pyimpl":
+                wire_pyimpl(patch)
+            assert_scenario_kernel_parity(SCENARIO_GRAPH, scenario, back, [traffic])
+
+
+@pytest.mark.parametrize(
+    "run_kwargs",
+    [{"max_events": 0}, {"max_events": 7}, {"max_events": 23}, {"until": 1.5}],
+    ids=["ev0", "ev7", "ev23", "until"],
+)
+def test_run_scenario_truncated_runs(backend, run_kwargs):
+    scenario = SCENARIOS["bursty-kitchen-sink"]
+    traffic = scenario.traffic(SCENARIO_GRAPH.num_vertices, rng=5)
+    assert_scenario_kernel_parity(SCENARIO_GRAPH, scenario, backend, [traffic], **run_kwargs)
+
+
+def test_run_scenario_corner_cases(backend):
+    graph = SCENARIO_GRAPH
+    n = graph.num_vertices
+    # faults at t=0 outrank the same-instant injections: nothing moves
+    blackout = Scenario(
+        arrivals=UniformArrivals(40, rate=1.0),
+        faults=FaultPlan.all_links_down(graph, at=0.0),
+    )
+    (stats, _), = assert_scenario_kernel_parity(
+        graph, blackout, backend, [blackout.traffic(n, rng=3)]
+    )
+    assert stats.dropped_fault == 40
+    node_at_t0 = Scenario(
+        arrivals=UniformArrivals(40),
+        faults=FaultPlan.node_outage(2, at=0.0, heal_at=3.0),
+        reroute="arc-disjoint",
+    )
+    assert_scenario_kernel_parity(graph, node_at_t0, backend, [node_at_t0.traffic(n, rng=4)])
+    # zero-capacity buffers with retries: every message exhausts them
+    zero = Scenario(
+        arrivals=UniformArrivals(40, rate=1.0),
+        link=BufferedLinkModel(capacity=0, on_full="retry", retry_delay=1.0, max_retries=2),
+    )
+    (stats, _), = assert_scenario_kernel_parity(graph, zero, backend, [zero.traffic(n, rng=3)])
+    assert stats.retransmits == 80 and stats.dropped_buffer == 40
+    # parallel links: a tie in free time goes to the lowest link id, which
+    # decides whether the second message finds buffer room after link 0 fails
+    twin = Digraph(2, arcs=[(0, 1), (0, 1), (1, 0)])
+    tie = Scenario(
+        link=BufferedLinkModel(capacity=1),
+        faults=FaultPlan((FaultEvent(0.5, "link_down", 0),)),
+    )
+    (stats, _), = assert_scenario_kernel_parity(
+        twin, tie, backend, [[(0, 1, 0.0), (0, 1, 0.5)]]
+    )
+    assert stats.delivered == 2
+    # the hop TTL: a message with hops >= max_hops is dropped
+    b24 = de_bruijn(2, 4)
+    short_ttl = Scenario(arrivals=UniformArrivals(60, rate=2.0), max_hops=2)
+    (stats, _), = assert_scenario_kernel_parity(
+        b24, short_ttl, backend, [short_ttl.traffic(16, rng=1)]
+    )
+    assert stats.dropped_hops > 0
+    # a destination unreachable in the healthy topology stays plain undelivered
+    sink = Digraph(3, arcs=[(0, 1), (1, 0), (1, 2)])
+    for reroute in ("none", "arc-disjoint"):
+        scenario = Scenario(max_hops=10, reroute=reroute)
+        (stats, messages), = assert_scenario_kernel_parity(
+            sink, scenario, backend, [[(2, 0, 0.0), (0, 2, 0.0), (2, 1, 0.5)]]
+        )
+        assert stats.undelivered == 2 and stats.dropped_fault == 0
+        assert messages[0].drop_reason is None
+
+
+def test_run_scenario_reroute_ties(backend):
+    # Out-degree 4: a severed primary leaves up to three candidates, often
+    # at equal healthy distance — the lowest neighbour id must win, as in
+    # the python loop's strict < over ascending neighbours.
+    graph = de_bruijn(4, 3)
+    n = graph.num_vertices
+    for seed in range(3):
+        scenario = Scenario(
+            arrivals=UniformArrivals(120, rate=4.0),
+            link=BufferedLinkModel(capacity=3, on_full="retry", retry_delay=0.5),
+            faults=FaultPlan.random_link_failures(graph, 40, at=1.0, heal_after=8.0, seed=seed),
+            reroute="arc-disjoint",
+        )
+        (stats, _), = assert_scenario_kernel_parity(
+            graph, scenario, backend, [scenario.traffic(n, rng=seed)]
+        )
+        assert stats.rerouted_hops > 0
+
+
+def test_run_scenario_stacked_equals_solo(backend):
+    scenario = SCENARIOS["bursty-kitchen-sink"]
+    n = SCENARIO_GRAPH.num_vertices
+    traffics = [scenario.traffic(n, rng=seed) for seed in range(4)]
+    traffics.insert(2, [])  # an empty replica pooled with busy ones
+    stacked = assert_scenario_kernel_parity(SCENARIO_GRAPH, scenario, backend, traffics)
+    solo = [
+        scenario_results(SCENARIO_GRAPH, scenario, backend, [traffic])[0]
+        for traffic in traffics
+    ]
+    assert result_bytes(stacked) == result_bytes(solo)
+
+
+@pytest.mark.parametrize("reroute", ["none", "arc-disjoint"])
+def test_run_scenario_closed_form_router(backend, reroute):
+    cases = [
+        (h_digraph(4, 8, 2), None),
+        (kautz(2, 4), None),  # sorted codes
+        (doubled_de_bruijn(2, 4), ClosedFormRouter.for_de_bruijn(2, 4)),
+    ]
+    for graph, router in cases:
+        router = router or ClosedFormRouter.for_graph(graph)
+        n = graph.num_vertices
+        scenario = Scenario(
+            arrivals=BurstyArrivals(60, burst_size=6, burst_rate=6.0, gap=2.0),
+            link=BufferedLinkModel(capacity=2, on_full="retry"),
+            faults=FaultPlan.random_link_failures(graph, 4, at=1.0, heal_after=4.0, seed=2),
+            reroute=reroute,
+        )
+        traffics = [scenario.traffic(n, rng=seed) for seed in (1, 2)]
+        for traffic in traffics:
+            assert_scenario_kernel_parity(graph, scenario, backend, [traffic], router=router)
+        assert_scenario_kernel_parity(graph, scenario, backend, traffics, router=router)
+
+
+def test_run_scenario_is_taken_only_without_trace(backend, monkeypatch):
+    scenario = SCENARIOS["fault-reroute"]
+    sim = BatchedNetworkSimulator(SCENARIO_GRAPH, scenario=scenario, kernels=backend)
+    calls = []
+    real = sim._kernels.make_round_driver
+
+    def spy(*args):
+        driver = real(*args)
+
+        def run_scenario(*a):
+            calls.append("run_scenario")
+            return driver.run_scenario(*a)
+
+        return SimpleNamespace(schedule=driver.schedule, run_scenario=run_scenario)
+
+    monkeypatch.setattr(
+        sim, "_kernels", SimpleNamespace(**{**vars(sim._kernels), "make_round_driver": spy})
+    )
+    traffic = scenario.traffic(SCENARIO_GRAPH.num_vertices, rng=0)
+    sim.run(traffic)
+    assert calls == ["run_scenario"]
+    sim.run(traffic, trace=[])  # a trace keeps the python scenario loop
+    assert calls == ["run_scenario"]
+    # a router only python calls can ask runs the python loop, and says so
+    lru = BatchedNetworkSimulator(
+        SCENARIO_GRAPH, scenario=scenario, router="lru", kernels=backend
+    )
+    assert lru.kernel_backend == "numpy"
+    assert result_bytes([lru.run(traffic)]) == result_bytes([sim.run(traffic)])
+
+
 # ----------------------------------------------------- hops over non-arcs
 
 
@@ -926,6 +1130,61 @@ def test_non_arc_hop_raises_on_kernel_backends(backend):
     short = ClosedFormRouter(2, 3, to_code=np.arange(8), from_code=np.arange(8))
     with pytest.raises(IndexError):
         BatchedNetworkSimulator(graph, router=short, kernels=backend).run(traffic)
+
+
+NON_ARC_TRAFFIC = [
+    (u % 16, (u * 7 + 3) % 16, 0.0) for u in range(64) if u % 16 != (u * 7 + 3) % 16
+]
+
+
+@pytest.mark.parametrize("reroute", ["none", "arc-disjoint"])
+def test_non_arc_hop_raises_under_scenarios_on_python_loops(reroute):
+    # the python scenario loop and the reference engine name (node, hop)
+    # instead of failing on a missing link lookup
+    graph = de_bruijn(2, 4)
+    scenario = Scenario(max_hops=50, reroute=reroute)
+    with pytest.raises(ValueError, match=NON_ARC):
+        BatchedNetworkSimulator(
+            graph, router=OffByOneRouter(graph), scenario=scenario, kernels="numpy"
+        ).run(NON_ARC_TRAFFIC)
+    with pytest.raises(ValueError, match=NON_ARC):
+        NetworkSimulator(graph, router=OffByOneRouter(graph), scenario=scenario).run(
+            NON_ARC_TRAFFIC
+        )
+
+
+def off_by_one_dense_router(graph):
+    """:class:`OffByOneRouter` as a dense table, which the kernel reads."""
+    table = routing_table_for(graph)
+    hop = table.next_hop
+    n = graph.num_vertices
+    keep = (hop < 0) | (hop == np.arange(n)[:, None])
+    return DenseTableRouter(RoutingTable(np.where(keep, hop, (hop + 1) % n), table.distance))
+
+
+@pytest.mark.parametrize("reroute", ["none", "arc-disjoint"])
+def test_non_arc_hop_raises_under_scenarios_on_kernel_backends(backend, reroute):
+    graph = de_bruijn(2, 4)
+    scenario = Scenario(max_hops=50, reroute=reroute)
+    # the kernel's table lookup, and the python loop a non-table router keeps
+    for router in (off_by_one_dense_router(graph), OffByOneRouter(graph)):
+        with pytest.raises(ValueError, match=NON_ARC):
+            BatchedNetworkSimulator(
+                graph, router=router, scenario=scenario, kernels=backend
+            ).run(NON_ARC_TRAFFIC)
+    # the kernel's shift routing: B(2,4) hops on the 16-vertex ring
+    ring16 = Digraph(16, [(u, (u + 1) % 16) for u in range(16)] * 2)
+    with pytest.raises(ValueError, match=NON_ARC):
+        BatchedNetworkSimulator(
+            ring16, router=ClosedFormRouter.for_de_bruijn(2, 4), scenario=scenario,
+            kernels=backend,
+        ).run(NON_ARC_TRAFFIC)
+    # a relabelling shorter than the topology: refused, never read past
+    short = ClosedFormRouter(2, 3, to_code=np.arange(8), from_code=np.arange(8))
+    with pytest.raises(IndexError):
+        BatchedNetworkSimulator(
+            graph, router=short, scenario=scenario, kernels=backend
+        ).run(NON_ARC_TRAFFIC)
 
 
 # ------------------------------------------------- vectorised uniform traffic

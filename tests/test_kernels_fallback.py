@@ -198,6 +198,9 @@ class TestWarmupAndDiagnostics:
                     pop=driver.pop,
                     finish=driver.finish,
                     run=lambda *a: seen.append("run") or driver.run(*a),
+                    run_scenario=lambda *a: (
+                        seen.append("run_scenario") or driver.run_scenario(*a)
+                    ),
                 )
 
             spy.make_round_driver = make_round_driver
@@ -207,6 +210,7 @@ class TestWarmupAndDiagnostics:
         kernels.warmup()
         assert seen.count("shift_next_hops") == 1
         assert seen.count("run") == 1
+        assert seen.count("run_scenario") == 1  # the degrading scenario kernel
 
     def test_env_var_numpy_routes_through_shift_route_next_hops(self, monkeypatch):
         # Under REPRO_KERNELS=numpy the closed-form router runs the numpy
