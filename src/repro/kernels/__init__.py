@@ -10,10 +10,9 @@ degrading-scenario event loop (faults, finite buffers, reroute) each have
 a compiled implementation here, selected at run time:
 
 ``cnative``
-    The loops of :mod:`repro.kernels._pyimpl` translated to C, compiled
-    once with the system C compiler and loaded via ctypes
-    (:mod:`repro.kernels.native`).  Used when a working compiler is
-    available.
+    The kernels as C source (:mod:`repro.kernels.native`), compiled once
+    with the system C compiler and loaded via ctypes.  Used when a working
+    compiler is available.
 ``numpy``
     No kernels at all — the engines run their original vectorised numpy
     paths.  Always available; this is the reference the differential tests
@@ -132,10 +131,9 @@ def active_backend() -> str:
 def get_kernels(backend: str | None = None):
     """The kernel namespace for ``backend`` (resolved), or None for numpy.
 
-    Returns an object with the kernel functions (see
-    ``repro.kernels._pyimpl.KERNEL_NAMES``) for ``cnative``, and ``None``
-    for ``numpy`` — callers treat ``None`` as "run the original
-    vectorised path".
+    Returns the namespace of :func:`repro.kernels.native.
+    build_native_kernels` for ``cnative``, and ``None`` for ``numpy`` —
+    callers treat ``None`` as "run the original vectorised path".
     """
     resolved = resolve_backend(backend)
     if resolved == "numpy":

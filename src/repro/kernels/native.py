@@ -1,21 +1,20 @@
 """The ``cnative`` backend: the kernels as C, compiled on demand.
 
-This is a line-for-line translation of :mod:`repro.kernels._pyimpl` (same
-functions, same argument order, same loop structure — the two files are
-meant to be read side by side).  The C source is embedded below, compiled
-once per source digest with the system C compiler into a shared library
-under the kernel cache directory (``$REPRO_KERNELS_CACHE`` or
-``~/.cache/repro-kernels``), and loaded via :mod:`ctypes`.  Builds are
-atomic (tmp + :func:`os.replace`) and keyed by the sha256 of the source, so
-concurrent processes race benignly and a source change can never pick up a
-stale binary.
+The C source below is the only implementation of the kernels.  Each one
+replicates a numpy engine path (its oracle) with the same integer and
+float operations in the same order, so results are byte-identical to
+``REPRO_KERNELS=numpy`` — ``tests/test_kernel_parity.py`` checks every
+kernel against its oracle.  The source is compiled once per source digest
+with the system C compiler into a shared library under the kernel cache
+directory (``$REPRO_KERNELS_CACHE`` or ``~/.cache/repro-kernels``), and
+loaded via :mod:`ctypes`.  Builds are atomic (tmp + :func:`os.replace`) and
+keyed by the sha256 of the source, so concurrent processes race benignly
+and a source change can never pick up a stale binary.
 
-The only structural difference from the python source: C punned the float
-bits with ``memcpy`` instead of the numpy view pair, and the round driver
-(:func:`make_round_driver` below) pre-computes every ``ctypes`` pointer
-once per run — the arrays live for the whole ``run_many`` call, and taking
-``arr.ctypes.data_as(...)`` per round costs more than the kernels
-themselves on small rounds.
+The round driver (:func:`make_round_driver` below) pre-computes every
+``ctypes`` pointer once per run — the arrays live for the whole
+``run_many`` call, and taking ``arr.ctypes.data_as(...)`` per round costs
+more than the kernels themselves on small rounds.
 
 Anything going wrong — no compiler, sandboxed filesystem, a cross-compile
 toolchain that produces unloadable objects — raises
@@ -47,7 +46,7 @@ class NativeBuildError(RuntimeError):
 
 
 C_SOURCE = r"""
-/* repro.kernels native backend — translated from _pyimpl.py (keep in sync).
+/* repro.kernels native backend.
  *
  * All arrays are C-contiguous; int64/uint64/double/uint8 match the numpy
  * dtypes the wrappers enforce.  The event queue replicates
@@ -63,6 +62,10 @@ C_SOURCE = r"""
 
 /* ------------------------------------------------------------------ apsp */
 
+/* repro.graphs.apsp._BitSweep + the batched_eccentricities loop: reach /
+ * scratch are (n, w) ping-pong buffers, reach seeded with the identity
+ * bits, ecc at -1.  Returns 1 when the upper_bound cut fired (< 0 turns
+ * it off), else 0. */
 EXPORT int64_t ecc_sweep(
     const int64_t *succ, uint64_t *reach, uint64_t *scratch,
     const uint64_t *full_row, int64_t *ecc, uint8_t *done,
@@ -115,6 +118,8 @@ EXPORT int64_t ecc_sweep(
     return 0;
 }
 
+/* Transposed sweep: bit b of state row v = "sources[b] reaches v"; a bit
+ * new at level L writes rows[b, v] = L (rows pre-filled: -1, diagonal 0). */
 EXPORT void subset_rows_sweep(
     const int64_t *pred, uint64_t *state, uint64_t *scratch,
     int64_t *rows, int64_t n, int64_t d, int64_t w)
@@ -158,6 +163,9 @@ EXPORT void subset_rows_sweep(
     }
 }
 
+/* Transposed sweep with streaming per-source eccentricities: full masks
+ * the k valid bits, done is the completed-source bitmask, ecc starts at
+ * -1.  Returns 1 when the upper_bound cut fired. */
 EXPORT int64_t subset_ecc_sweep(
     const int64_t *pred, uint64_t *state, uint64_t *scratch,
     const uint64_t *full, uint64_t *done, int64_t *ecc,
@@ -221,6 +229,10 @@ EXPORT int64_t subset_ecc_sweep(
 
 /* ---------------------------------------------------------------- screen */
 
+/* Stages 1-2 of repro.otis.search.h_diameter: forward, then reverse BFS
+ * from vertex 0.  work = dist[n] | queue[n] | indptr[n + 1] | tails[n * d].
+ * Returns -1 when a vertex is unreachable, 1 when a distance exceeds
+ * upper_bound, 0 when the digraph passed. */
 EXPORT int64_t bfs_screen(
     const int64_t *succ, int64_t *work, int64_t n, int64_t d,
     int64_t upper_bound)
@@ -340,8 +352,14 @@ EXPORT int64_t shift_next_hops(
 
 /* ------------------------------------------------------------- simulator */
 
-/* The queue arrays travel together; same order as _pyimpl's QUEUE tuple
- * (sans the python-only fbits/ubits punning pair). */
+/* The queue arrays travel together, in this order (C = event slots,
+ * H = power-of-two hash size >= 2C):
+ *   heap_time f8[C], heap_bid i64[C]   heap of distinct live times + bucket
+ *   bucket_head/bucket_tail i64[C]     per-bucket FIFO ends over the slots
+ *   next_slot i64[C]                   intrusive slot list (-1 = end)
+ *   free_bids i64[C]                   bucket-id free list
+ *   hash_time f8[H], hash_state i64[H] time -> bucket id, -1 empty, -2 dead
+ *   qstate i64[4]                      heap size, free-list top, used slots */
 #define QUEUE_PARAMS \
     double *heap_time, int64_t *heap_bid, \
     int64_t *bucket_head, int64_t *bucket_tail, int64_t *next_slot, \
@@ -479,6 +497,8 @@ static int64_t queue_pop(QUEUE_PARAMS, int64_t limit, int64_t *slots_out)
     return count;
 }
 
+/* queue_pop, then gather the forwarding subset's node / destination into
+ * tails_out / dests_out without mutating state.  meta = [popped, fwd]. */
 EXPORT void pop_round(
     QUEUE_PARAMS, int64_t limit, const int64_t *loc, const int64_t *dst,
     int64_t *slots_out, int64_t *tails_out, int64_t *dests_out, int64_t *meta)
@@ -498,6 +518,10 @@ EXPORT void pop_round(
     meta[1] = nfwd;
 }
 
+/* Resolve one popped batch in sequence order with the float ops of
+ * NetworkSimulator (start = max(t, busy), finish = start + T; earliest-free
+ * link by strict < over ascending ids); nxt holds the forwarders' next
+ * hops.  Returns 0, or 1 on a non-arc hop (meta[2] / meta[3] = node, hop). */
 EXPORT int64_t finish_round(
     double t, double T, double L, int64_t count,
     const int64_t *slots, const int64_t *nxt,
@@ -570,6 +594,9 @@ EXPORT int64_t finish_round(
     return 0;
 }
 
+/* The whole round loop with shift_next_hops as the router: pop, route,
+ * finish_round.  Returns 0, 1 on a non-arc hop, 2 on a pair outside the
+ * relabelling (meta[2] / meta[3] = node, hop or destination). */
 EXPORT int64_t run_rounds(
     double T, double L, int64_t has_until, double until, int64_t max_events,
     int64_t *loc, const int64_t *dst, int64_t *hops, double *arrival,
@@ -625,7 +652,8 @@ static inline int group_live(
     return 0;
 }
 
-/* A whole degrading-scenario pass (see _pyimpl.run_scenario): fault slots
+/* A whole degrading-scenario pass (the python loop of
+ * BatchedNetworkSimulator._run_many_scenario is its oracle): fault slots
  * >= num_messages, node/TTL drops, table or shift primary hops, greedy
  * deflection over the healthy distance table, live links with buffer
  * room, retries.  n_table == 0 routes by shift; n_distance == 0 is reroute
@@ -948,13 +976,9 @@ def _ptr(arr, ctype):
 
 
 def _queue_ptrs(queue):
-    """The QUEUE_ARGS tuple for a python-side queue-array tuple.
-
-    The trailing ``fbits``/``ubits`` punning pair is python-only (C puns
-    with ``memcpy``) and is dropped here.
-    """
+    """The QUEUE_ARGS tuple for a python-side queue-array tuple."""
     (heap_time, heap_bid, bucket_head, bucket_tail, next_slot,
-     free_bids, hash_time, hash_state, qstate, _fbits, _ubits) = queue
+     free_bids, hash_time, hash_state, qstate) = queue
     return (
         _ptr(heap_time, _f64), _ptr(heap_bid, _i64),
         _ptr(bucket_head, _i64), _ptr(bucket_tail, _i64),
@@ -981,10 +1005,9 @@ def _route_args(base, D, to_code, from_code, sorted_codes):
 def build_native_kernels() -> SimpleNamespace:
     """Compile (or reuse) the shared library and return wrapped kernels.
 
-    The wrappers take the exact argument lists of the `_pyimpl` kernels
-    (arrays plus python-int scalars) and derive the C-side shape arguments
-    from the array shapes; arrays must be C-contiguous with the documented
-    dtypes — the integration layer allocates them that way.
+    The wrappers take arrays plus python-int scalars and derive the C-side
+    shape arguments from the array shapes; arrays must be C-contiguous with
+    the documented dtypes — the integration layer allocates them that way.
 
     Raises :class:`NativeBuildError` when the backend is unavailable.
     """
@@ -1044,51 +1067,10 @@ def build_native_kernels() -> SimpleNamespace:
                 _ptr(out, _i64),
             )
 
-        # --- raw queue kernels: same python arg lists as _pyimpl (used by
-        # --- the differential tests; the engines go through the driver)
-
-        def queue_schedule(*args):
-            queue, slots, times = args[:11], args[11], args[12]
-            lib.queue_schedule(
-                *_queue_ptrs(queue),
-                _ptr(slots, _i64), _ptr(times, _f64), slots.shape[0],
-            )
-
-        def pop_round(*args):
-            queue = args[:11]
-            limit, loc, dst, slots_out, tails_out, dests_out, meta = args[11:]
-            lib.pop_round(
-                *_queue_ptrs(queue), limit,
-                _ptr(loc, _i64), _ptr(dst, _i64),
-                _ptr(slots_out, _i64), _ptr(tails_out, _i64),
-                _ptr(dests_out, _i64), _ptr(meta, _i64),
-            )
-
-        def finish_round(*args):
-            (t, T, L, count, slots, nxt, loc, dst, hops, arrival,
-             prev_link, rep, last_time, busy_until, queue_len, max_queue,
-             tx_count, group_keys, group_ptr, flat_links, vertex_groups,
-             n, m) = args[:23]
-            queue = args[23:34]
-            out_links, out_starts, out_movers, meta = args[34:]
-            return lib.finish_round(
-                t, T, L, count,
-                _ptr(slots, _i64), _ptr(nxt, _i64),
-                _ptr(loc, _i64), _ptr(dst, _i64), _ptr(hops, _i64),
-                _ptr(arrival, _f64),
-                _ptr(prev_link, _i64), _ptr(rep, _i64), _ptr(last_time, _f64),
-                _ptr(busy_until, _f64), _ptr(queue_len, _i64),
-                _ptr(max_queue, _i64), _ptr(tx_count, _i64),
-                _ptr(group_keys, _i64), _ptr(group_ptr, _i64),
-                _ptr(flat_links, _i64), _ptr(vertex_groups, _i64),
-                n, m,
-                *_queue_ptrs(queue),
-                _ptr(out_links, _i64), _ptr(out_starts, _f64),
-                _ptr(out_movers, _i64), _ptr(meta, _i64),
-            )
-
         class RoundDriver:
-            """Pre-bound per-run driver (see _pyimpl.RoundDriver).
+            """Pre-bound per-run driver over the queue, message, link,
+            topology and round-buffer array tuples of
+            ``BatchedNetworkSimulator._round_driver``.
 
             Every stable array's ctypes pointer is computed once here;
             per-round calls only convert a handful of scalars plus the
@@ -1196,10 +1178,6 @@ def build_native_kernels() -> SimpleNamespace:
             bfs_screen=bfs_screen,
             shift_next_hops=shift_next_hops,
             make_round_driver=make_round_driver,
-            # exposed for the differential tests (not used by the engines)
-            queue_schedule=queue_schedule,
-            pop_round=pop_round,
-            finish_round=finish_round,
         )
         _LIB_CACHE[SOURCE_DIGEST] = kernels
         return kernels

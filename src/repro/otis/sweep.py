@@ -111,7 +111,6 @@ _VERDICT_SOURCES = (
     "otis/search.py",
     "otis/sweep.py",
     "kernels/__init__.py",
-    "kernels/_pyimpl.py",
     "kernels/native.py",
 )
 

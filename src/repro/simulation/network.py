@@ -1350,13 +1350,12 @@ class BatchedNetworkSimulator:
         ``num_slots`` event slots.  Returns ``(driver, queue, bufs)``.
         """
         groups = self._groups
-        # queue arrays (layout documented in repro.kernels._pyimpl): at most
-        # C live distinct times / buckets; hash sized power-of-two >= 2C.
+        # queue arrays (layout at QUEUE_PARAMS in repro.kernels.native): at
+        # most C live distinct times / buckets; hash power-of-two >= 2C.
         C = max(num_slots, 1)
         H = 2
         while H < 2 * C:
             H *= 2
-        fbits = np.zeros(1)
         queue = (
             np.empty(C),  # heap_time
             np.empty(C, dtype=np.int64),  # heap_bid
@@ -1367,8 +1366,6 @@ class BatchedNetworkSimulator:
             np.empty(H),  # hash_time
             np.full(H, -1, dtype=np.int64),  # hash_state
             np.array([0, C, 0, 0], dtype=np.int64),  # qstate
-            fbits,
-            fbits.view(np.uint64),  # ubits
         )
         bufs = (
             np.empty(C, dtype=np.int64),  # slots
@@ -1416,7 +1413,7 @@ class BatchedNetworkSimulator:
         scalar/vector batch resolution with two kernel calls per round: the
         kernel-side event queue (a structural replica of the bucketed
         queue — heap of distinct times + per-time FIFO buckets, see
-        ``repro.kernels._pyimpl``) pops one same-timestamp batch
+        ``repro.kernels.native``) pops one same-timestamp batch
         read-only, python asks the router for the batch's next hops, and
         the kernel then resolves every event sequentially in sequence
         order with the literal reference float ops — so results are

@@ -91,7 +91,6 @@ _SIM_SOURCES = (
     "simulation/sharding.py",
     "simulation/workloads.py",
     "kernels/__init__.py",
-    "kernels/_pyimpl.py",
     "kernels/native.py",
 )
 

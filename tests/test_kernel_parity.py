@@ -1,4 +1,4 @@
-"""Differential test layer: every kernel backend vs. the numpy reference.
+"""Differential test layer: the compiled kernels vs. the numpy reference.
 
 The compiled kernels (:mod:`repro.kernels`) promise results **byte-identical**
 to the vectorised numpy paths — not statistically equal, not approximately
@@ -27,12 +27,12 @@ equal.  This suite is the proof obligation:
   :class:`repro.simulation.events.BatchEventQueue` on adversarial time
   sequences (duplicates, ``-0.0`` vs ``+0.0``, limit truncation).
 
-Backends under test: the compiled ``cnative`` backend when it is available
-in this environment, plus ``pyimpl`` — the interpreted build of the
-reference kernel source (``PY_KERNELS``), which runs everywhere and keeps
-this suite meaningful even where no C compiler exists.  The numpy reference itself is cross-checked against the
-scalar event-loop engine by ``tests/test_simulation_parity.py``, closing
-the loop: reference engine == numpy path == every kernel backend.
+Backend under test: ``cnative``, the only kernel implementation.  Every
+test that runs it carries :data:`requires_cnative`, so on a host without a C
+compiler those tests report *skipped* rather than passing with nothing
+compared.  The numpy reference itself is cross-checked against the scalar
+event-loop engine by ``tests/test_simulation_parity.py``, closing the loop:
+reference engine == numpy path == compiled kernels.
 """
 
 import dataclasses
@@ -57,7 +57,6 @@ from repro.graphs.generators import (
     kautz,
     reddy_raghavan_kuhl,
 )
-from repro.kernels._pyimpl import PY_KERNELS
 from repro.otis.h_digraph import h_digraph
 from repro.otis.search import candidate_splits, h_diameter
 from repro.routing.paths import RoutingTable, routing_table_for
@@ -82,41 +81,16 @@ from test_scenarios import GRAPH as SCENARIO_GRAPH
 from test_scenarios import SCENARIOS
 from test_scenarios import _scenario_strategy as scenario_strategy
 
-#: Compiled backends usable here, plus the interpreted reference build.
-BACKENDS = [b for b in kernels.available_backends() if b != "numpy"] + ["pyimpl"]
+#: Skips a test on a host where the compiled backend cannot be built.
+requires_cnative = pytest.mark.skipif(
+    "cnative" not in kernels.available_backends(), reason="no C compiler"
+)
 
 
-def wire_pyimpl(monkeypatch):
-    """Teach the dispatch layer to resolve ``"pyimpl"`` to ``PY_KERNELS``."""
-    orig_resolve = kernels.resolve_backend
-    orig_get = kernels.get_kernels
-    monkeypatch.setattr(
-        kernels,
-        "resolve_backend",
-        lambda r=None: "pyimpl" if r == "pyimpl" else orig_resolve(r),
-    )
-    monkeypatch.setattr(
-        kernels,
-        "get_kernels",
-        lambda b=None: PY_KERNELS if b == "pyimpl" else orig_get(b),
-    )
-
-
-@pytest.fixture(params=BACKENDS)
-def backend(request, monkeypatch):
-    """One kernel backend name, with ``"pyimpl"`` wired into the dispatch.
-
-    ``pyimpl`` is not a registered backend (it is far too slow for
-    production use); for the duration of a test we teach the dispatch layer
-    to resolve it to ``PY_KERNELS`` so the exact integration paths under
-    test — ``batched_eccentricities(backend=...)``,
-    ``h_diameter(backend=...)``, ``BatchedNetworkSimulator(kernels=...)`` —
-    run it end to end.
-    """
-    name = request.param
-    if name == "pyimpl":
-        wire_pyimpl(monkeypatch)
-    return name
+@pytest.fixture(params=[pytest.param("cnative", marks=requires_cnative)])
+def backend(request):
+    """The compiled kernel backend, compared against ``"numpy"``."""
+    return request.param
 
 
 # ---------------------------------------------------------------------- apsp
@@ -189,12 +163,10 @@ def digraphs(draw, max_n=40):
     return Digraph(n, arcs)
 
 
+@requires_cnative
 @settings(max_examples=30, deadline=None)
 @given(graph=digraphs(), data=st.data())
 def test_ecc_sweep_randomised(graph, data):
-    # The hypothesis pass runs the compiled backends only (pyimpl is
-    # covered exhaustively above; interpreting 40-vertex sweeps per example
-    # would dominate the tier-1 budget for no extra coverage).
     n = graph.num_vertices
     ub = data.draw(
         st.one_of(st.none(), st.integers(min_value=0, max_value=n + 1))
@@ -208,14 +180,11 @@ def test_ecc_sweep_randomised(graph, data):
             unique=True,
         )
     )
-    for back in BACKENDS:
-        if back == "pyimpl":
-            continue
-        assert_apsp_parity(graph, back, upper_bound=ub)
-        assert_apsp_parity(graph, back, upper_bound=ub, sources=sources)
-        ref = subset_distance_rows(graph, sources, backend="numpy")
-        got = subset_distance_rows(graph, sources, backend=back)
-        assert got.tobytes() == ref.tobytes()
+    assert_apsp_parity(graph, "cnative", upper_bound=ub)
+    assert_apsp_parity(graph, "cnative", upper_bound=ub, sources=sources)
+    ref = subset_distance_rows(graph, sources, backend="numpy")
+    got = subset_distance_rows(graph, sources, backend="cnative")
+    assert got.tobytes() == ref.tobytes()
 
 
 def test_h_diameter_sized_sweep(backend):
@@ -237,12 +206,11 @@ def assert_screen_parity(graph, back, upper_bound):
 
 
 def test_h_diameter_screen_every_split(backend):
-    # Every split H(p, q, d) on up to ~200 vertices (the interpreted build
-    # up to 64), under no bound, bounds that cut in stage 1, 2 or 3, and the
-    # exact diameter (the sweep completes).
-    max_n = 64 if backend == "pyimpl" else 200
+    # Every split H(p, q, d) on up to 200 vertices, under no bound, bounds
+    # that cut in stage 1, 2 or 3, and the exact diameter (the sweep
+    # completes).
     for d in (2, 3):
-        for n in range(1, max_n + 1):
+        for n in range(1, 201):
             for p, q in candidate_splits(n, d):
                 graph = h_digraph(p, q, d)
                 exact = assert_screen_parity(graph, backend, None)
@@ -266,6 +234,7 @@ def regular_digraphs(draw, max_n=40):
     return RegularDigraph(np.array(heads, dtype=np.int64).reshape(n, d))
 
 
+@requires_cnative
 @settings(max_examples=60, deadline=None)
 @given(graph=regular_digraphs(), data=st.data())
 def test_h_diameter_screen_randomised(graph, data):
@@ -274,14 +243,11 @@ def test_h_diameter_screen_randomised(graph, data):
             st.none(), st.integers(min_value=0, max_value=graph.num_vertices + 1)
         )
     )
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        wire_pyimpl(monkeypatch)
-        for back in BACKENDS:
-            assert_screen_parity(graph, back, ub)
+    assert_screen_parity(graph, "cnative", ub)
 
 
 def test_bfs_screen_kernel_corners(backend):
-    kern = PY_KERNELS if backend == "pyimpl" else kernels.get_kernels(backend)
+    kern = kernels.get_kernels(backend)
     work = np.full(64, -7, dtype=np.int64)  # stale workspace contents
     for d in (0, 1, 2):
         # n = 1: trivially strongly connected; only a negative bound cuts.
@@ -300,17 +266,14 @@ def test_bfs_screen_kernel_corners(backend):
     cycle = np.array([[1], [2], [0]], dtype=np.int64)
     assert kern.bfs_screen(cycle, 2, work) == 0
     assert kern.bfs_screen(cycle, 1, work) == 1
-    if backend == "cnative":  # C would write past a short workspace
-        with pytest.raises(ValueError, match="workspace"):
-            kern.bfs_screen(cycle, 2, work[:12])
+    with pytest.raises(ValueError, match="workspace"):  # C would write past it
+        kern.bfs_screen(cycle, 2, work[:12])
 
 
+@requires_cnative
 def test_h_diameter_screen_threads_do_not_share_workspace():
     # Compiled kernels run without the interpreter lock, so concurrent
     # h_diameter calls must each screen in their own workspace.
-    compiled = [b for b in BACKENDS if b != "pyimpl"]
-    if not compiled:
-        pytest.skip("no compiled backend available")
     graphs = [
         h_digraph(p, q, 2)
         for n in range(200, 260)
@@ -320,7 +283,7 @@ def test_h_diameter_screen_threads_do_not_share_workspace():
 
     def verdicts(offset):
         order = graphs[offset:] + graphs[:offset]
-        got = [h_diameter(g, 8, backend=compiled[0]) for g in order]
+        got = [h_diameter(g, 8, backend="cnative") for g in order]
         return got[len(graphs) - offset:] + got[: len(graphs) - offset]
 
     switch = sys.getswitchinterval()
@@ -459,6 +422,7 @@ def test_sim_parity_same_instant_cascades(backend):
     assert_sim_parity(graph, [traffic], backend, link=link, max_events=7)
 
 
+@requires_cnative
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_sim_parity_randomised(data):
@@ -479,10 +443,7 @@ def test_sim_parity_randomised(data):
     ]
     link = data.draw(st.sampled_from(PARITY_LINKS))
     until = data.draw(st.one_of(st.none(), st.floats(min_value=0.0, max_value=6.0)))
-    for back in BACKENDS:
-        if back == "pyimpl":
-            continue  # exercised by the deterministic cases above
-        assert_sim_parity(graph, [traffic], back, link=link, until=until)
+    assert_sim_parity(graph, [traffic], "cnative", link=link, until=until)
 
 
 # ------------------------------------------------------------------ scenarios
@@ -531,34 +492,24 @@ def test_scenario_arrival_only_uses_kernels(backend):
 # ------------------------------------------------------- event queue, direct
 
 
-def queue_arrays(capacity):
-    """Allocate the kernel queue exactly as ``_run_rounds_kernel`` does."""
-    C = max(capacity, 1)
-    H = 2
-    while H < 2 * C:
-        H *= 2
-    fbits = np.zeros(1)
-    return (
-        np.empty(C),
-        np.empty(C, dtype=np.int64),
-        np.empty(C, dtype=np.int64),
-        np.empty(C, dtype=np.int64),
-        np.empty(C, dtype=np.int64),
-        np.arange(C, dtype=np.int64),
-        np.empty(H),
-        np.full(H, -1, dtype=np.int64),
-        np.array([0, C, 0, 0], dtype=np.int64),
-        fbits,
-        fbits.view(np.uint64),
+def round_driver(loc, dst):
+    """The engines' round driver over a fresh queue with one slot per
+    message: ``(driver, queue, bufs)`` of ``BatchedNetworkSimulator.
+    _round_driver`` (the link arrays size one replica of ``B(2,2)``)."""
+    sim = simulator(de_bruijn(2, 2), "cnative")
+    n, m = loc.shape[0], sim._groups.num_links
+    msg = (
+        loc, dst, np.zeros(n, dtype=np.int64), np.full(n, np.nan),
+        np.full(n, -1, dtype=np.int64), np.zeros(n, dtype=np.int64),
     )
+    links = (
+        np.zeros(m), np.zeros(m, dtype=np.int64), np.zeros(1, dtype=np.int64),
+        np.zeros(1, dtype=np.int64), np.zeros(1),
+    )
+    return sim._round_driver(n, msg, links)
 
 
-def kernel_namespace(back):
-    if back == "pyimpl":
-        return PY_KERNELS
-    return kernels.get_kernels(back)
-
-
+@requires_cnative
 @settings(max_examples=25, deadline=None)
 @given(
     times=st.lists(
@@ -573,36 +524,27 @@ def test_queue_pop_order_matches_reference(times, limit):
     from repro.simulation.events import BatchEventQueue
 
     n = len(times)
-    for back in BACKENDS:
-        kern = kernel_namespace(back)
-        queue = queue_arrays(n)
-        qstate = queue[8]
-        slots = np.arange(n, dtype=np.int64)
-        tarr = np.asarray(times, dtype=np.float64)
-        kern.queue_schedule(*queue, slots, tarr)
+    # loc != dst for every slot so pop_round reports all as forwarding
+    loc = np.zeros(n, dtype=np.int64)
+    dst = np.ones(n, dtype=np.int64)
+    driver, queue, bufs = round_driver(loc, dst)
+    qstate, slots_out, meta = queue[8], bufs[0], bufs[6]
+    slots = np.arange(n, dtype=np.int64)
+    tarr = np.asarray(times, dtype=np.float64)
+    driver.schedule(slots, tarr)
 
-        ref = BatchEventQueue(n)
-        ref.schedule(slots, tarr)
+    ref = BatchEventQueue(n)
+    ref.schedule(slots, tarr)
 
-        # loc != dst for every slot so pop_round reports all as forwarding
-        loc = np.zeros(n, dtype=np.int64)
-        dst = np.ones(n, dtype=np.int64)
-        slots_out = np.empty(n, dtype=np.int64)
-        tails_out = np.empty(n, dtype=np.int64)
-        dests_out = np.empty(n, dtype=np.int64)
-        meta = np.zeros(4, dtype=np.int64)
-
-        while len(ref):
-            ref_t, ref_slots = ref.pop_batch(limit=limit)
-            assert qstate[0] > 0
-            got_t = float(queue[0][0])
-            kern.pop_round(
-                *queue, limit, loc, dst, slots_out, tails_out, dests_out, meta
-            )
-            count = int(meta[0])
-            assert got_t == ref_t
-            assert list(slots_out[:count]) == list(ref_slots)
-        assert qstate[0] == 0
+    while len(ref):
+        ref_t, ref_slots = ref.pop_batch(limit=limit)
+        assert qstate[0] > 0
+        got_t = float(queue[0][0])
+        driver.pop(limit)
+        count = int(meta[0])
+        assert got_t == ref_t
+        assert list(slots_out[:count]) == list(ref_slots)
+    assert qstate[0] == 0
 
 
 # ------------------------------------------------- closed-form routing kernel
@@ -638,11 +580,11 @@ def numpy_next_hops(monkeypatch, router, sources, targets):
         return router.next_hops(sources, targets)
 
 
-def kernel_next_hops(back, router, sources, targets):
+def kernel_next_hops(router, sources, targets):
     sources = np.ascontiguousarray(sources, dtype=np.int64)
     targets = np.ascontiguousarray(targets, dtype=np.int64)
     out = np.full(sources.size, -7, dtype=np.int64)
-    bad = kernel_namespace(back).shift_next_hops(
+    bad = kernels.get_kernels("cnative").shift_next_hops(
         sources, targets, sources.size, *router.shift_spec(), out
     )
     assert bad == -1
@@ -655,20 +597,18 @@ def pair_block(n, sources):
     return np.repeat(sources, n), np.tile(np.arange(n, dtype=np.int64), sources.size)
 
 
+@requires_cnative
 @pytest.mark.parametrize("graph", closed_form_graphs(), ids=lambda g: g.name)
 def test_shift_next_hops_matches_numpy(graph, monkeypatch):
-    # All pairs up to n = 1024 on the compiled backends, 64 sources x all
-    # targets on the n = 4096 graphs; the interpreted build on n <= 64.
+    # All pairs up to n = 1024, 64 sources x all targets on the n = 4096
+    # graphs.
     router = ClosedFormRouter.for_graph(graph)
     n = graph.num_vertices
-    for back in BACKENDS:
-        if back == "pyimpl" and n > 64:
-            continue
-        rows = range(n) if n <= 1024 else np.linspace(0, n - 1, 64).astype(np.int64)
-        sources, targets = pair_block(n, rows)
-        ref = numpy_next_hops(monkeypatch, router, sources, targets)
-        got = kernel_next_hops(back, router, sources, targets)
-        assert got.tobytes() == ref.tobytes()
+    rows = range(n) if n <= 1024 else np.linspace(0, n - 1, 64).astype(np.int64)
+    sources, targets = pair_block(n, rows)
+    ref = numpy_next_hops(monkeypatch, router, sources, targets)
+    got = kernel_next_hops(router, sources, targets)
+    assert got.tobytes() == ref.tobytes()
 
 
 @functools.lru_cache(maxsize=None)
@@ -682,6 +622,7 @@ def large_router(family):
     return ClosedFormRouter.for_graph(graph)
 
 
+@requires_cnative
 @settings(max_examples=25, deadline=None)
 @given(
     family=st.sampled_from(["B", "K", "II", "H"]),
@@ -697,22 +638,20 @@ def test_shift_next_hops_sampled_large(family, seed):
     targets = np.concatenate((rng.integers(n, size=511), sources[-1:]))
     with pytest.MonkeyPatch.context() as monkeypatch:
         ref = numpy_next_hops(monkeypatch, router, sources, targets)
-    for back in BACKENDS:
-        size = 64 if back == "pyimpl" else sources.size
-        got = kernel_next_hops(back, router, sources[:size], targets[:size])
-        assert got.tobytes() == ref[:size].tobytes()
+    got = kernel_next_hops(router, sources, targets)
+    assert got.tobytes() == ref.tobytes()
 
 
+@requires_cnative
 def test_shift_next_hops_reports_out_of_range_pairs():
     router = ClosedFormRouter.for_graph(h_digraph(4, 8, 2))  # 16 vertices
-    for back in BACKENDS:
-        out = np.empty(3, dtype=np.int64)
-        cur = np.array([1, 16, 2], dtype=np.int64)
-        tgt = np.array([3, 4, -1], dtype=np.int64)
-        bad = kernel_namespace(back).shift_next_hops(
-            cur, tgt, 3, *router.shift_spec(), out
-        )
-        assert bad == 1  # the first pair naming a vertex past the relabelling
+    out = np.empty(3, dtype=np.int64)
+    cur = np.array([1, 16, 2], dtype=np.int64)
+    tgt = np.array([3, 4, -1], dtype=np.int64)
+    bad = kernels.get_kernels("cnative").shift_next_hops(
+        cur, tgt, 3, *router.shift_spec(), out
+    )
+    assert bad == 1  # the first pair naming a vertex past the relabelling
 
 
 def test_closed_form_router_dispatches_on_the_backend(monkeypatch):
@@ -844,6 +783,7 @@ def test_fused_loop_truncated_runs(backend):
     assert_fused_parity(graph, router, backend, [[], traffic, []])
 
 
+@requires_cnative
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
 def test_fused_loop_randomised(data):
@@ -862,12 +802,9 @@ def test_fused_loop_randomised(data):
     link = data.draw(st.sampled_from(PARITY_LINKS))
     until = data.draw(st.one_of(st.none(), st.floats(min_value=0.0, max_value=6.0)))
     max_events = data.draw(st.one_of(st.none(), st.integers(min_value=0, max_value=80)))
-    for back in BACKENDS:
-        if back == "pyimpl":
-            continue
-        assert_fused_parity(
-            graph, router, back, [traffic], link=link, until=until, max_events=max_events
-        )
+    assert_fused_parity(
+        graph, router, "cnative", [traffic], link=link, until=until, max_events=max_events
+    )
 
 
 # ------------------------------------------- degrading scenarios: run_scenario
@@ -901,15 +838,12 @@ def test_run_scenario_parity_every_scenario(backend, name):
         assert_scenario_kernel_parity(SCENARIO_GRAPH, scenario, backend, [traffic])
 
 
+@requires_cnative
 @settings(max_examples=40, deadline=None)
 @given(scenario=scenario_strategy(), seed=st.integers(0, 2**16))
 def test_run_scenario_randomised(scenario, seed):
     traffic = scenario.traffic(SCENARIO_GRAPH.num_vertices, rng=seed)
-    for back in BACKENDS:
-        with pytest.MonkeyPatch.context() as patch:
-            if back == "pyimpl":
-                wire_pyimpl(patch)
-            assert_scenario_kernel_parity(SCENARIO_GRAPH, scenario, back, [traffic])
+    assert_scenario_kernel_parity(SCENARIO_GRAPH, scenario, "cnative", [traffic])
 
 
 @pytest.mark.parametrize(
