@@ -443,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint = sub.add_parser(
         "lint",
         help="AST contract checker: clock seams, atomic writes, sorted "
-        "listings, lock discipline, fingerprint coverage, private access",
+        "listings, lock discipline, private access",
     )
     lint.add_argument(
         "paths",

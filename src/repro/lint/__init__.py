@@ -1,11 +1,10 @@
 """``repro.lint`` — AST contract checkers for this repository's invariants.
 
 Nine PRs of growth accreted correctness contracts that nothing enforced
-mechanically: chunk identity depends on fingerprinting every
-verdict-defining module, the chaos harness only proves convergence for
-code that routes clocks through injectable seams, and the fleet/serve
-layers rely on atomic writes, sorted directory listings and lock-guarded
-module state.  This package turns those conventions into CI-enforced
+mechanically: the chaos harness only proves convergence for code that
+routes clocks through injectable seams, and the fleet/serve layers rely
+on atomic writes, sorted directory listings and lock-guarded module
+state.  This package turns those conventions into CI-enforced
 rules — stdlib :mod:`ast` only, no new dependencies.
 
 Rules (see docs/lint.md for the full rationale of each):
@@ -19,8 +18,6 @@ Rules (see docs/lint.md for the full rationale of each):
                           only counted) where they are produced
 ``lock-discipline``       module-level mutable state in lock-declaring
                           modules mutates only under ``with <lock>:``
-``fingerprint-coverage``  the import closure of ``_VERDICT_SOURCES`` /
-                          ``_SIM_SOURCES`` is fully declared
 ``private-access``        no cross-module ``_underscore`` imports or
                           attribute access
 ========================  ==================================================
@@ -31,7 +28,6 @@ Entry points: ``repro lint`` (CLI) or :func:`run_lint` (programmatic).
 from repro.lint.core import (
     DEFAULT_CONFIG,
     Finding,
-    FingerprintDecl,
     LintConfig,
     all_rules,
     apply_baseline,
@@ -46,7 +42,6 @@ from repro.lint.core import (
 __all__ = [
     "DEFAULT_CONFIG",
     "Finding",
-    "FingerprintDecl",
     "LintConfig",
     "all_rules",
     "apply_baseline",

@@ -1,16 +1,14 @@
 """Shared machinery for the ``repro.lint`` contract checkers.
 
-The linter is a thin orchestration layer over per-file and whole-project
-checkers built on the stdlib :mod:`ast` module — no third-party dependency,
-so it runs everywhere the library runs (including the numpy-fallback CI leg).
+The linter is a thin orchestration layer over per-file checkers built on
+the stdlib :mod:`ast` module — no third-party dependency, so it runs
+everywhere the library runs (including the numpy-fallback CI leg).
 
 Vocabulary
 ----------
 
 * A **checker module** exports ``RULE`` (the rule name used in findings,
-  suppressions and ``--rules``) and either ``check(ctx)`` (per file) or
-  ``check_project(contexts, config)`` (once per scan — used by the
-  import-graph fingerprint-coverage walk).
+  suppressions and ``--rules``) and ``check(ctx)``, run once per file.
 * A :class:`ModuleContext` bundles everything a checker needs about one
   file: the parsed tree, the raw source, and where the file sits relative
   to the ``repro`` package (``rel``/``module`` are ``None`` for files
@@ -48,7 +46,6 @@ from pathlib import Path
 
 __all__ = [
     "Finding",
-    "FingerprintDecl",
     "LintConfig",
     "DEFAULT_CONFIG",
     "ModuleContext",
@@ -94,23 +91,6 @@ class Finding:
 
 
 @dataclass(frozen=True)
-class FingerprintDecl:
-    """One fingerprint tuple the coverage walk must prove closed.
-
-    ``declaring_file`` and every entry of the tuple are package-relative
-    posix paths (``"otis/sweep.py"``).  ``exempt`` lists reachable files
-    that are deliberately *not* in the tuple; each exemption needs a
-    justification in docs/lint.md.  The default exempts ``version.py``
-    because :func:`repro.otis.sweep.fingerprint_paths` already hashes
-    ``repro.__version__`` directly — listing the file would double-count.
-    """
-
-    declaring_file: str
-    variable: str
-    exempt: tuple[str, ...] = ("version.py",)
-
-
-@dataclass(frozen=True)
 class LintConfig:
     """Repo-contract knobs; the defaults encode *this* repository's rules."""
 
@@ -140,12 +120,6 @@ class LintConfig:
         "analysis/bench_check.py",
         "serve/registry.py",
         "simulation/sharding.py",
-    )
-
-    #: fingerprint tuples whose top-level import closure must be declared.
-    fingerprint_decls: tuple[FingerprintDecl, ...] = (
-        FingerprintDecl("otis/sweep.py", "_VERDICT_SOURCES"),
-        FingerprintDecl("simulation/sharding.py", "_SIM_SOURCES"),
     )
 
 
@@ -268,28 +242,25 @@ def _suppressed(finding: Finding, source_lines: list[str]) -> bool:
     return "all" in rules or finding.rule in rules
 
 
-def _checker_modules():
+def _checkers():
+    """``{rule: check}`` for every checker module."""
     # Imported lazily so checker modules can import this one freely.
     from repro.lint import (  # noqa: F401  (registry import)
         atomic_write,
         clock_seam,
-        fingerprint,
         lock_discipline,
         private_access,
         sorted_iter,
     )
 
-    file_checkers = {
+    return {
         mod.RULE: mod.check
         for mod in (clock_seam, atomic_write, sorted_iter, lock_discipline, private_access)
     }
-    project_checkers = {fingerprint.RULE: fingerprint.check_project}
-    return file_checkers, project_checkers
 
 
 def all_rules() -> tuple[str, ...]:
-    file_checkers, project_checkers = _checker_modules()
-    return tuple(sorted({*file_checkers, *project_checkers}))
+    return tuple(sorted(_checkers()))
 
 
 def run_lint(
@@ -306,38 +277,24 @@ def run_lint(
     already applied; baseline subtraction is the caller's job
     (:func:`apply_baseline`) so ``--write-baseline`` can see raw findings.
     """
-    file_checkers, project_checkers = _checker_modules()
-    known = {*file_checkers, *project_checkers}
-    selected = known if rules is None else set(rules)
-    unknown = selected - known
+    checkers = _checkers()
+    selected = set(checkers) if rules is None else set(rules)
+    unknown = selected - set(checkers)
     if unknown:
         raise ValueError(f"unknown lint rule(s): {', '.join(sorted(unknown))}")
 
     root = Path.cwd() if root is None else root
     findings: list[Finding] = []
-    contexts: list[ModuleContext] = []
     for path in iter_python_files(paths):
-        loaded = _load_context(path, root, config)
-        if isinstance(loaded, Finding):
-            findings.append(loaded)
+        ctx = _load_context(path, root, config)
+        if isinstance(ctx, Finding):
+            findings.append(ctx)
             continue
-        contexts.append(loaded)
-
-    for ctx in contexts:
         lines = ctx.source.splitlines()
-        for rule in sorted(selected & set(file_checkers)):
-            for finding in file_checkers[rule](ctx):
+        for rule in sorted(selected):
+            for finding in checkers[rule](ctx):
                 if not _suppressed(finding, lines):
                     findings.append(finding)
-
-    sources = {ctx.rel: ctx.source.splitlines() for ctx in contexts if ctx.rel}
-    displays = {ctx.display: ctx.rel for ctx in contexts}
-    for rule in sorted(selected & set(project_checkers)):
-        for finding in project_checkers[rule](contexts, config):
-            rel = displays.get(finding.path)
-            if rel and _suppressed(finding, sources.get(rel, [])):
-                continue
-            findings.append(finding)
 
     return sorted(findings)
 

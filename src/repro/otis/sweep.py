@@ -67,16 +67,16 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import tempfile
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
-from repro.version import __version__
-
 __all__ = [
-    "fingerprint_paths",
+    "import_closure",
+    "fingerprint_closure",
     "code_version",
     "WorkItem",
     "SweepChunk",
@@ -96,65 +96,133 @@ __all__ = [
 #: ``(n, p, q)`` — one candidate split of ``n`` nodes to test.
 WorkItem = tuple[int, int, int]
 
-#: Source files whose content defines what an ``h_diameter`` verdict *means*.
-#: Their hash is folded into :func:`code_version`, so editing any of them
-#: invalidates every on-disk verdict and renames every chunk — a resumed
-#: sweep can never mix results computed by different code.  This module is
-#: listed too: its ``_item_verdict`` makes the call whose result every chunk
-#: record stores.
-_VERDICT_SOURCES = (
-    "graphs/digraph.py",
-    "graphs/traversal.py",
-    "graphs/apsp.py",
-    "graphs/moore.py",
-    "otis/h_digraph.py",
-    "otis/search.py",
-    "otis/sweep.py",
-    "kernels/__init__.py",
-    "kernels/native.py",
+#: An ``import`` statement at any indentation: ``from <module> import
+#: <names>`` (groups 1 and 2) or ``import <names>`` (group 3).
+_IMPORT_LINE = re.compile(
+    r"[ \t]*(?:from[ \t]+([\w.]+)[ \t]+import\b(.*)|import[ \t]+(.*))"
 )
 
 
-@lru_cache(maxsize=None)
-def fingerprint_paths(
-    relative_paths: tuple[str, ...], extra: tuple[str, ...] = ()
-) -> str:
-    """Stable 12-hex-digit fingerprint of package sources.
+def _imported_names(source: str) -> set[str]:
+    """Dotted names the ``import`` statements of ``source`` may load.
 
-    A SHA-256 prefix over the package version string, the bytes of the
-    given ``repro``-relative source files, and any ``extra`` identity
-    strings (e.g. the active kernel backend).  This is the generic form of
-    :func:`code_version`: any subsystem that persists results keyed by "the
-    code that computed them" (the degree–diameter sweep, the sharded
-    simulator of :mod:`repro.simulation.sharding`) derives its version from
-    the sources that define its semantics, so editing one of them renames
-    every chunk and no resumed run can mix results from different code.
+    A line scan, not a parse (parsing a closure costs ~10x more), over every
+    statement including those inside functions.  ``import a.b`` yields
+    ``a.b``; ``from a import b`` yields ``a.b``, which resolves to module
+    ``a`` when ``b`` is not a submodule.  A parenthesised name list runs to
+    its ``)``; comments are dropped first, since one may hold a ``)``.
     """
+    names: set[str] = set()
+    lines = iter(source.splitlines())
+    for line in lines:
+        match = _IMPORT_LINE.fullmatch(line) if "import" in line else None
+        if match is None:
+            continue
+        module = match.group(1)
+        listed = (match.group(2) if module else match.group(3)).partition("#")[0]
+        if listed.lstrip().startswith("("):
+            while ")" not in listed:
+                listed += "," + next(lines, ")").partition("#")[0]
+            listed = listed.replace("(", " ").replace(")", " ")
+        for alias in listed.split(","):
+            words = alias.split()
+            if words:
+                names.add(f"{module}.{words[0]}" if module else words[0])
+    return names
+
+
+def _package_dir(module: Path) -> Path:
+    """The top-level package directory holding the ``module`` file."""
+    package_dir = module.parent
+    while (package_dir.parent / "__init__.py").is_file():
+        package_dir = package_dir.parent
+    return package_dir
+
+
+def _package_modules(package_dir: Path) -> dict[str, str]:
+    """``{dotted module name: package-relative file}`` below ``package_dir``.
+
+    The root ``__init__.py`` is left out: it is the package namespace, not
+    result-defining code.
+    """
+    modules = {}
+    for directory, _, files in os.walk(package_dir):
+        parts = Path(directory).relative_to(package_dir).parts
+        for name in files:
+            if name.endswith(".py"):
+                dotted = ".".join((package_dir.name, *parts, name[:-3]))
+                modules[dotted.removesuffix(".__init__")] = "/".join((*parts, name))
+    del modules[package_dir.name]
+    return modules
+
+
+def import_closure(root: Path) -> tuple[str, ...]:
+    """Sorted files reachable from module file ``root`` through imports.
+
+    Paths are relative to the package holding ``root`` (``"otis/sweep.py"``).
+    Every ``import`` of a module of that package is followed, lazy imports
+    inside functions included, so code a result depends on cannot stay out
+    of the closure.  A name resolves to its longest prefix that is a
+    module.  A lazy import that is never run on the result path only
+    over-includes: editing that file causes a recompute, never a stale
+    merge.
+    """
+    package_dir = _package_dir(root)
+    modules = _package_modules(package_dir)
+    seen = {root.relative_to(package_dir).as_posix()}
+    pending = list(seen)
+    while pending:
+        source = (package_dir / pending.pop()).read_text(encoding="utf-8")
+        for name in _imported_names(source):
+            while name not in modules and "." in name:
+                name = name.rpartition(".")[0]
+            found = modules.get(name)
+            if found is not None and found not in seen:
+                seen.add(found)
+                pending.append(found)
+    return tuple(sorted(seen))
+
+
+@lru_cache(maxsize=None)
+def fingerprint_closure(root: Path, extra: tuple[str, ...] = ()) -> str:
+    """Stable 12-hex-digit fingerprint of module file ``root``'s import closure.
+
+    A SHA-256 prefix over each file of :func:`import_closure` in sorted
+    order (its package-relative path, its byte length, then its bytes),
+    followed by the ``extra`` identity strings (e.g. the active kernel
+    backend).  Any subsystem that persists results keyed by "the code that
+    computed them" (the degree–diameter sweep, the sharded simulator of
+    :mod:`repro.simulation.sharding`) roots it at the module that writes its
+    records, so editing any code those records depend on renames every chunk
+    and no resumed run can mix results from different code.
+    """
+    package_dir = _package_dir(root)
     digest = hashlib.sha256()
-    digest.update(__version__.encode())
-    package_root = Path(__file__).resolve().parent.parent
-    for relative in relative_paths:
-        digest.update(relative.encode())
-        digest.update((package_root / relative).read_bytes())
+    for relative in import_closure(root):
+        data = (package_dir / relative).read_bytes()
+        digest.update(f"{relative}\0{len(data)}\0".encode())
+        digest.update(data)
     for item in extra:
-        digest.update(item.encode())
+        digest.update(f"{item}\0".encode())
     return digest.hexdigest()[:12]
 
 
 def code_version() -> str:
-    """Fingerprint of the verdict-defining code (see :func:`fingerprint_paths`).
+    """Fingerprint of the verdict-defining code (see :func:`fingerprint_closure`).
 
-    Part of every chunk id and every cache file name: two processes agree on
-    a chunk or cache entry only when they run the *same* verdict code.  The
-    active kernel backend (:func:`repro.kernels.active_backend`) is folded
-    in: backends are bit-identical by contract, but on-disk results stay
-    attributable to the code path that actually produced them, and a resume
-    after a backend switch is rejected rather than silently mixed.
+    Rooted at this module: its ``_item_verdict`` makes the call whose result
+    every chunk record stores.  Part of every chunk id and every cache file
+    name: two processes agree on a chunk or cache entry only when they run
+    the *same* verdict code.  The active kernel backend
+    (:func:`repro.kernels.active_backend`) is folded in: backends are
+    bit-identical by contract, but on-disk results stay attributable to the
+    code path that actually produced them, and a resume after a backend
+    switch is rejected rather than silently mixed.
     """
     from repro import kernels
 
-    return fingerprint_paths(
-        _VERDICT_SOURCES, ("kernels=" + kernels.active_backend(),)
+    return fingerprint_closure(
+        Path(__file__), ("kernels=" + kernels.active_backend(),)
     )
 
 

@@ -14,11 +14,13 @@ four routes:
 * ``GET /healthz`` — liveness.
 
 **Framing.**  A request the server cannot frame is refused and its
-connection closed: a request or header line longer than the stream limit
-gets ``431``, a ``Content-Length`` that is not a decimal integer gets
-``400``, and a body above :attr:`RouteQueryServer.max_body_bytes` (derived
-from ``max_pairs``) gets ``413`` before any of it is read.  The refusals
-are counted under ``framing_errors`` in ``/stats``.
+connection closed: a request line without a method and a path, or a
+``Content-Length`` that is not a decimal integer, gets ``400``; a request
+or header line longer than the stream limit, or more than
+:data:`_MAX_HEADERS` header lines, gets ``431``; and a body above
+:attr:`RouteQueryServer.max_body_bytes` (derived from ``max_pairs``) gets
+``413`` before any of it is read.  The refusals are counted under
+``framing_errors`` in ``/stats``.
 
 **Micro-batching.**  Concurrent requests against the same
 ``(topology, version, op)`` coalesce: the first request arms a
@@ -49,6 +51,9 @@ from repro.serve.registry import RouterEntry, RouterRegistry
 __all__ = ["RouteQueryServer"]
 
 _JSON_HEADERS = "Content-Type: application/json\r\n"
+
+#: Most header lines one request may carry (``http.client``'s limit).
+_MAX_HEADERS = 100
 
 
 class _FramingError(Exception):
@@ -253,13 +258,22 @@ class RouteQueryServer:
                 return None
             parts = line.decode("latin-1").split()
             if len(parts) < 2:
-                return None
+                raise _FramingError(
+                    "400 Bad Request", f"malformed request line {line[:64]!r}"
+                )
             method, path = parts[0].upper(), parts[1]
             headers: dict[str, str] = {}
+            lines = 0
             while True:
                 header = await reader.readline()
                 if header in (b"\r\n", b"\n", b""):
                     break
+                lines += 1
+                if lines > _MAX_HEADERS:
+                    raise _FramingError(
+                        "431 Request Header Fields Too Large",
+                        f"more than {_MAX_HEADERS} header lines",
+                    )
                 key, _, value = header.decode("latin-1").partition(":")
                 headers[key.strip().lower()] = value.strip()
         except ValueError:  # readline: the line overran the stream limit

@@ -43,7 +43,7 @@ from repro.otis.sweep import (
     ChunkStore,
     SweepChunk,
     ensure_store_identity,
-    fingerprint_paths,
+    fingerprint_closure,
     make_chunks,
 )
 from repro.simulation.network import (
@@ -65,48 +65,21 @@ __all__ = [
     "run_many_sharded",
 ]
 
-#: Sources whose content defines what a simulated ``NetworkStats`` *means*.
-#: Hashed into every replica-chunk id (same contract as the sweep's
-#: ``_VERDICT_SOURCES``): editing any of them renames every chunk, so a
-#: resumed study recomputes instead of trusting stale results.  This module
-#: is listed too (``run_replica_chunk`` and ``stats_to_json`` define the
-#: replica record), and so are the modules ``ClosedFormRouter`` imports
-#: lazily to build its relabelling, which the import walk of the lint rule
-#: cannot see.
-_SIM_SOURCES = (
-    "words.py",
-    "permutations.py",
-    "core/alphabet_digraph.py",
-    "core/checks.py",
-    "core/isomorphisms.py",
-    "graphs/digraph.py",
-    "graphs/apsp.py",
-    "graphs/generators.py",
-    "otis/sweep.py",
-    "routing/paths.py",
-    "routing/routers.py",
-    "simulation/events.py",
-    "simulation/network.py",
-    "simulation/scenarios.py",
-    "simulation/sharding.py",
-    "simulation/workloads.py",
-    "kernels/__init__.py",
-    "kernels/native.py",
-)
-
-
 def sim_code_version() -> str:
-    """Fingerprint of the simulator-defining sources (chunk-id component).
+    """Fingerprint of the simulator-defining code (chunk-id component).
 
-    The active kernel backend is folded in (same rationale as the sweep's
+    Rooted at this module, whose ``run_replica_chunk`` and ``stats_to_json``
+    define the replica record; the import closure takes in the modules
+    ``ClosedFormRouter`` imports lazily to build its relabelling.  The
+    active kernel backend is folded in (same rationale as the sweep's
     ``code_version``): bit-identical or not, a chunk store resumed under a
     different backend is rejected with ``StoreIdentityError`` instead of
     silently mixing code paths.
     """
     from repro import kernels
 
-    return fingerprint_paths(
-        _SIM_SOURCES, ("kernels=" + kernels.active_backend(),)
+    return fingerprint_closure(
+        Path(__file__), ("kernels=" + kernels.active_backend(),)
     )
 
 

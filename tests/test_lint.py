@@ -4,24 +4,20 @@ Three layers:
 
 * **fixture snippets** — for every rule, a known-bad sample must fire and
   the repo's canonical good pattern (injected clock reference, tmp+replace
-  write, sorted listing, locked LRU insert, public import, closed
-  fingerprint set) must stay silent.  The bad fixtures are laid out so the
-  *default* config covers them, which also lets the CLI exit-code tests
-  reuse them verbatim;
+  write, sorted listing, locked LRU insert, public import) must stay
+  silent.  The bad fixtures are laid out so the *default* config covers
+  them, which also lets the CLI exit-code tests reuse them verbatim;
 * **machinery** — inline ``# lint: disable=`` suppressions, baseline
   write/load/subtract round-trip, unknown-rule rejection, parse-error
   reporting;
 * **the committed tree** — ``repro lint src/`` must exit 0 (the tree is
   lint-clean by construction: every violation the checkers surfaced was
-  fixed, not baselined), and the fingerprint-coverage walk must
-  demonstrably fail when a copy of the tree gains an import that pulls an
-  unfingerprinted module into a verdict path.
+  fixed, not baselined).
 """
 
 from __future__ import annotations
 
 import json
-import shutil
 import textwrap
 from pathlib import Path
 
@@ -30,7 +26,6 @@ import pytest
 from repro import cli
 from repro.lint import (
     DEFAULT_CONFIG,
-    FingerprintDecl,
     LintConfig,
     all_rules,
     apply_baseline,
@@ -104,18 +99,6 @@ BAD_FIXTURES: dict[str, dict[str, str]] = {
                 leases = LeaseManager(directory, ttl=60.0)
                 return leases._watch
         """
-    },
-    "fingerprint-coverage": {
-        # The default decl points at otis/sweep.py::_VERDICT_SOURCES.
-        "otis/sweep.py": """
-            _VERDICT_SOURCES = ("otis/search.py",)
-        """,
-        "otis/search.py": """
-            from repro import uncovered
-        """,
-        "uncovered.py": """
-            ANSWER = 42
-        """,
     },
 }
 
@@ -366,38 +349,6 @@ def test_private_access_allows_public_use(tmp_path):
     assert findings == []
 
 
-def test_fingerprint_coverage_accepts_closed_set(tmp_path):
-    fixture = {
-        "otis/sweep.py": '_VERDICT_SOURCES = ("otis/search.py", "uncovered.py")\n',
-        "otis/search.py": BAD_FIXTURES["fingerprint-coverage"]["otis/search.py"],
-        "uncovered.py": BAD_FIXTURES["fingerprint-coverage"]["uncovered.py"],
-    }
-    findings = lint_tree(tmp_path, fixture, rules=("fingerprint-coverage",))
-    assert findings == []
-
-
-def test_fingerprint_coverage_ignores_lazy_imports(tmp_path):
-    fixture = dict(BAD_FIXTURES["fingerprint-coverage"])
-    fixture["otis/search.py"] = """
-        def lazy():
-            from repro import uncovered
-
-            return uncovered.ANSWER
-    """
-    findings = lint_tree(tmp_path, fixture, rules=("fingerprint-coverage",))
-    assert findings == []
-
-
-def test_fingerprint_coverage_reports_missing_declared_file(tmp_path):
-    findings = lint_tree(
-        tmp_path,
-        {"otis/sweep.py": '_VERDICT_SOURCES = ("otis/ghost.py",)\n'},
-        rules=("fingerprint-coverage",),
-    )
-    assert len(findings) == 1
-    assert "does not exist" in findings[0].message
-
-
 # ---------------------------------------------------------------------------
 # machinery: suppressions, baseline, errors.
 
@@ -468,27 +419,3 @@ def test_committed_tree_is_lint_clean():
 def test_cli_lint_src_exits_zero(capsys):
     assert cli.main(["lint", str(SRC), "--baseline", "none"]) == 0
     assert "clean" in capsys.readouterr().out
-
-
-def test_fingerprint_coverage_fails_on_grown_verdict_path(tmp_path):
-    """Adding an unfingerprinted import to a verdict module must fail lint.
-
-    This is the scenario the checker exists for: a future PR adds
-    ``import repro.analysis.tables`` (no top-level repro imports of its
-    own, so exactly one module joins the closure) to ``otis/search.py`` —
-    verdict-defining code — without extending ``_VERDICT_SOURCES``.
-    """
-    copy_root = tmp_path / "src"
-    shutil.copytree(SRC / "repro", copy_root / "repro")
-    search = copy_root / "repro" / "otis" / "search.py"
-    search.write_text(
-        search.read_text(encoding="utf-8") + "\nimport repro.analysis.tables\n",
-        encoding="utf-8",
-    )
-    findings = run_lint(
-        [copy_root], rules=("fingerprint-coverage",), root=copy_root
-    )
-    assert any("analysis/tables.py" in f.message for f in findings)
-    # ... and the pristine copy minus that import is still clean.
-    baseline = run_lint([SRC], rules=("fingerprint-coverage",))
-    assert baseline == []

@@ -11,10 +11,10 @@ What PR 9 added to the serve layer, pinned down end to end:
   (so load balancers pull it), finishes what it admitted, then stops;
 * **reload degrade** — a broken spec file never tears down the last good
   registry snapshot; the failure is visible in ``/stats`` and heals itself;
-* **request framing** — a malformed ``Content-Length`` gets ``400``, an
-  oversized body ``413`` (before any of it is read), an over-long header
-  line ``431``; each reply closes the connection and is counted in
-  ``/stats``;
+* **request framing** — a malformed request line or ``Content-Length``
+  gets ``400``, an oversized body ``413`` (before any of it is read), an
+  over-long header line or more than 100 header lines ``431``; each reply
+  closes the connection and is counted in ``/stats``;
 * **client backoff** — the bench client's jittered exponential backoff
   honours ``Retry-After``, converges under shedding, and de-correlates a
   herd of simultaneously shed clients (pure injected-clock math, no sleeps).
@@ -427,6 +427,31 @@ class TestRequestFraming:
             assert raw_request(
                 server.host, server.port, "POST", "/v1/query", QUERY
             )[0] == 200
+
+    @pytest.mark.parametrize("line", [b"GARBAGE\r\n", b"\r\n", b"GET\r\n"])
+    def test_malformed_request_line_gets_400_not_a_dropped_socket(self, line):
+        with ServerThread(make_registry()) as server:
+            status, headers, body = raw_exchange(server, line)
+            assert status == 400
+            assert headers["connection"] == "close"
+            assert "request line" in body["error"]
+            stats = http_request(server.host, server.port, "GET", "/stats")
+            assert stats["framing_errors"] == {"400": 1, "413": 0, "431": 0}
+
+    def test_header_count_is_bounded_at_100(self):
+        def request(count):
+            fields = b"".join(b"X-H%d: v\r\n" % i for i in range(count))
+            return b"GET /healthz HTTP/1.1\r\n" + fields + b"Connection: close\r\n\r\n"
+
+        with ServerThread(make_registry()) as server:
+            # 99 distinct fields plus Connection: exactly the limit.
+            assert raw_exchange(server, request(99))[0] == 200
+            status, headers, body = raw_exchange(server, request(100))
+            assert status == 431
+            assert headers["connection"] == "close"
+            assert "header lines" in body["error"]
+            stats = http_request(server.host, server.port, "GET", "/stats")
+            assert stats["framing_errors"] == {"400": 0, "413": 0, "431": 1}
 
     def test_max_pairs_query_with_19_digit_ids_is_still_framed(self):
         # The body cap must admit the largest legal query: max_pairs pairs

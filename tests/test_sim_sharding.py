@@ -10,13 +10,15 @@ gives for Table 1 rows.
 """
 
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.fleet import SimFleetJob, run_fleet
 from repro.otis.h_digraph import h_digraph
-from repro.otis.sweep import StoreIdentityError
+from repro.otis.sweep import StoreIdentityError, import_closure
+from repro.simulation import sharding
 from repro.simulation.network import BatchedNetworkSimulator, LinkModel
 from repro.simulation.sharding import (
     ReplicaChunkManifest,
@@ -118,9 +120,7 @@ class TestManifest:
         ],
     )
     def test_record_defining_sources_are_fingerprinted(self, source):
-        from repro.simulation.sharding import _SIM_SOURCES
-
-        assert source in _SIM_SOURCES
+        assert source in import_closure(Path(sharding.__file__))
 
     def test_code_version_is_source_fingerprint(self):
         assert len(sim_code_version()) == 12

@@ -12,10 +12,12 @@ via ``--run-sweep``.
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
 from repro.fleet import SweepFleetJob, run_fleet
+from repro.otis import sweep
 from repro.otis.search import degree_diameter_search, table1_rows
 from repro.otis.sweep import (
     ChunkManifest,
@@ -23,6 +25,7 @@ from repro.otis.sweep import (
     SplitVerdictCache,
     StoreIdentityError,
     code_version,
+    import_closure,
     merge_sweep,
 )
 
@@ -56,9 +59,7 @@ class TestCodeVersion:
     def test_fingerprints_the_module_that_computes_the_records(self):
         # _item_verdict makes the h_diameter call whose verdict every chunk
         # record stores, so editing it must rename every chunk.
-        from repro.otis.sweep import _VERDICT_SOURCES
-
-        assert "otis/sweep.py" in _VERDICT_SOURCES
+        assert "otis/sweep.py" in import_closure(Path(sweep.__file__))
 
 
 class TestManifestDeterminism:
