@@ -2,7 +2,8 @@
 
 The uint64 bit-sweep behind :mod:`repro.graphs.apsp`, the forward/reverse
 BFS connectivity screen of :func:`repro.otis.search.h_diameter`, the
-closed-form shift routing of :class:`repro.routing.routers.ClosedFormRouter`
+closed-form shift routing of :class:`repro.routing.routers.ClosedFormRouter`,
+the hotspot traffic draws of :func:`repro.simulation.workloads.hotspot_pairs`,
 the same-timestamp round resolution behind
 :class:`repro.simulation.network.BatchedNetworkSimulator` (with the whole
 round loop in one call when the router is closed-form) and its
@@ -150,11 +151,12 @@ def warmup(backend: str | None = None) -> str:
     (BFS screen, then eccentricity sweep), a 1-source subset sweep, a
     2-message simulation (the per-round loop), one closed-form
     ``next_hops`` call, a 2-message closed-form simulation on ``B(2,2)``
-    (the fused round loop) and a 2-message degrading scenario on ``B(2,2)``
+    (the fused round loop), a 2-message degrading scenario on ``B(2,2)``
     — a failed link, arc-disjoint reroute, capacity-1 retry buffers (the
-    scenario kernel).  After this returns, no C compile or first-call cost
-    can land inside a benchmark key or a first request.  A no-op (beyond
-    resolution) for ``numpy``.
+    scenario kernel) — and 2 messages of hotspot traffic (the
+    ``hotspot_pairs`` kernel).  After this returns, no C compile or
+    first-call cost can land inside a benchmark key or a first request.  A
+    no-op (beyond resolution) for ``numpy``.
     """
     resolved = resolve_backend(backend)
     if resolved == "numpy":
@@ -168,6 +170,7 @@ def warmup(backend: str | None = None) -> str:
     from repro.routing.routers import ClosedFormRouter
     from repro.simulation.network import BatchedNetworkSimulator, BufferedLinkModel
     from repro.simulation.scenarios import FaultEvent, FaultPlan, Scenario
+    from repro.simulation.workloads import hotspot_pairs
 
     graph = Digraph(2, [(0, 1), (1, 0)])
     h_diameter(RegularDigraph([[1], [0]]), 1, backend=resolved)
@@ -187,6 +190,7 @@ def warmup(backend: str | None = None) -> str:
     )
     sim = BatchedNetworkSimulator(b22, scenario=scenario, kernels=resolved)
     sim.run_many([[(0, 3, 0.0), (3, 0, 0.0)]], return_messages=False)
+    hotspot_pairs(4, 2, rng=0)
     return resolved
 
 

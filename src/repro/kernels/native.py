@@ -816,6 +816,89 @@ EXPORT int64_t run_scenario(
     }
     return 0;
 }
+
+/* ---------------------------------------------------------------- traffic */
+
+/* A block of raw PCG64 words read the way numpy's Generator draws from
+ * it: next_uint32 hands out the buffered high half of the last word
+ * (has / buf are the bit generator's has_uint32 / uinteger) or takes the
+ * low half of the next word and buffers its high half; next_double takes
+ * the next whole word. */
+typedef struct {
+    const uint64_t *words;
+    int64_t num_words, pos;
+    int64_t has;
+    uint32_t buf;
+} raw_stream;
+
+/* 0 when the block ran out */
+static inline int raw_u32(raw_stream *s, uint32_t *out)
+{
+    if (s->has) {
+        s->has = 0;
+        *out = s->buf;
+        return 1;
+    }
+    if (s->pos == s->num_words) return 0;
+    uint64_t w = s->words[s->pos++];
+    s->has = 1;
+    s->buf = (uint32_t)(w >> 32);
+    *out = (uint32_t)w;
+    return 1;
+}
+
+/* integers(n) for 2 <= n < 2**32: Lemire's bounded draw with rejection
+ * (numpy's buffered_bounded_lemire_uint32, rng = n - 1); threshold =
+ * (2**32 - n) % n.  0 when the block ran out. */
+static inline int raw_bounded(
+    raw_stream *s, uint32_t n, uint32_t threshold, uint32_t *out)
+{
+    uint32_t x;
+    if (!raw_u32(s, &x)) return 0;
+    uint64_t m = (uint64_t)x * n;
+    if ((uint32_t)m < n) {
+        while ((uint32_t)m < threshold) {
+            if (!raw_u32(s, &x)) return 0;
+            m = (uint64_t)x * n;
+        }
+    }
+    *out = (uint32_t)(m >> 32);
+    return 1;
+}
+
+/* repro.simulation.workloads._hotspot_endpoints_scalar from a block of raw
+ * words: per message source = integers(n), then random() (a whole word
+ * >> 11, times 2**-53) < fraction and source != hotspot sends to the
+ * hotspot, else destination = integers(n) until it differs from the
+ * source.  buffer = {has_uint32, uinteger} in and out.  Returns the words
+ * consumed, or -1 when the block ran out (buffer then untouched). */
+EXPORT int64_t hotspot_pairs(
+    const uint64_t *words, int64_t num_words, int64_t count, int64_t n,
+    int64_t hotspot, double fraction, int64_t *buffer,
+    int64_t *src, int64_t *dst)
+{
+    raw_stream s = {words, num_words, 0, buffer[0], (uint32_t)buffer[1]};
+    uint32_t un = (uint32_t)n;
+    uint32_t threshold = (0u - un) % un;
+    for (int64_t i = 0; i < count; i++) {
+        uint32_t source, destination;
+        if (!raw_bounded(&s, un, threshold, &source)) return -1;
+        if (s.pos == s.num_words) return -1;
+        double u = (double)(words[s.pos++] >> 11) * (1.0 / 9007199254740992.0);
+        if (u < fraction && (int64_t)source != hotspot) {
+            destination = (uint32_t)hotspot;
+        } else {
+            do {
+                if (!raw_bounded(&s, un, threshold, &destination)) return -1;
+            } while (destination == source);
+        }
+        src[i] = source;
+        dst[i] = destination;
+    }
+    buffer[0] = s.has;
+    buffer[1] = s.buf;
+    return s.pos;
+}
 """
 
 SOURCE_DIGEST = hashlib.sha256(C_SOURCE.encode()).hexdigest()
@@ -842,6 +925,7 @@ _SIGNATURES = {
         [_i64, _u64, _u64, _u64, _u64, _i64, _I, _I, _I, _I, _I],
     ),
     "bfs_screen": (_I, [_i64, _i64, _I, _I, _I]),
+    "hotspot_pairs": (_I, [_u64, _I, _I, _I, _I, _D, _i64, _i64, _i64]),
     "shift_next_hops": (
         _I, [_i64, _i64, _I, _I, _I, _i64, _I, _i64, _I, _I, _i64]
     ),
@@ -1067,6 +1151,19 @@ def build_native_kernels() -> SimpleNamespace:
                 _ptr(out, _i64),
             )
 
+        def hotspot_pairs(words, count, n, hotspot, fraction, buffer, src, dst):
+            if not 2 <= n < 1 << 32:
+                raise ValueError(f"hotspot_pairs needs 2 <= n < 2**32, got {n}")
+            if min(src.shape[0], dst.shape[0]) < count or buffer.shape[0] != 2:
+                raise ValueError(
+                    "hotspot_pairs needs count-long src / dst and a 2-entry buffer"
+                )
+            return lib.hotspot_pairs(
+                _ptr(words, _u64), words.shape[0], int(count), int(n),
+                int(hotspot), float(fraction), _ptr(buffer, _i64),
+                _ptr(src, _i64), _ptr(dst, _i64),
+            )
+
         class RoundDriver:
             """Pre-bound per-run driver over the queue, message, link,
             topology and round-buffer array tuples of
@@ -1177,6 +1274,7 @@ def build_native_kernels() -> SimpleNamespace:
             subset_ecc_sweep=subset_ecc_sweep,
             bfs_screen=bfs_screen,
             shift_next_hops=shift_next_hops,
+            hotspot_pairs=hotspot_pairs,
             make_round_driver=make_round_driver,
         )
         _LIB_CACHE[SOURCE_DIGEST] = kernels

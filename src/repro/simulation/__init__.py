@@ -18,7 +18,8 @@ reproductions of printed numbers.
   :class:`BatchedNetworkSimulator` (bit-identical results; see the
   batched-engine contract in the module docstring).
 * :mod:`repro.simulation.workloads` — synthetic traffic generators
-  (uniform random, permutation, broadcast, all-to-all, hotspot) and the
+  (uniform random, permutation, broadcast, all-to-all, hotspot), each
+  returning a columnar :class:`Traffic`, and the
   multi-workload throughput driver :func:`run_throughput_sweep`.
 * :mod:`repro.simulation.scenarios` — the composable scenario layers
   (arrival processes, finite link buffers, fault plans, reroute policies),
@@ -40,8 +41,10 @@ from repro.simulation.network import (
     BufferedLinkModel,
     LinkModel,
     Message,
+    Messages,
     NetworkSimulator,
     NetworkStats,
+    Traffic,
 )
 from repro.simulation.scenarios import (
     ARRIVAL_KINDS,
@@ -90,6 +93,8 @@ __all__ = [
     "LinkModel",
     "BufferedLinkModel",
     "Message",
+    "Messages",
+    "Traffic",
     "NetworkSimulator",
     "BatchedNetworkSimulator",
     "NetworkStats",

@@ -95,16 +95,27 @@ def _as_rng(rng) -> np.random.Generator:
 
 
 def validate_traffic(traffic, num_nodes: int | None = None) -> Traffic:
-    """Fail fast on malformed traffic; returns the triples as a clean list.
+    """Fail fast on malformed traffic; returns it as a :class:`Traffic`.
 
     Rejects NaN/negative/infinite release times and (when ``num_nodes`` is
     given) out-of-range endpoints — at construction time, mirroring the
     :meth:`repro.simulation.network.LinkModel.from_hardware` validation of
     message sizes, instead of deep inside an engine run.  (Message *sizes*
     live in the link model: ``transmission_time`` is the size in time
-    units, validated by ``LinkModel.__post_init__``.)
+    units, validated by ``LinkModel.__post_init__``.)  The first bad
+    message is reported, its release time checked before its endpoints.
     """
-    checked: Traffic = []
+    if isinstance(traffic, Traffic):
+        bad = ~(np.isfinite(traffic.t) & (traffic.t >= 0))
+        if num_nodes is not None:
+            out_of_range = (traffic.src < 0) | (traffic.src >= num_nodes)
+            out_of_range |= (traffic.dst < 0) | (traffic.dst >= num_nodes)
+            bad |= out_of_range
+        if bad.any():
+            ident = int(np.flatnonzero(bad)[0])
+            _check_message(ident, *traffic[ident], num_nodes)
+        return traffic
+    sources, destinations, releases = [], [], []
     for ident, triple in enumerate(traffic):
         try:
             source, destination, release = triple
@@ -114,18 +125,30 @@ def validate_traffic(traffic, num_nodes: int | None = None) -> Traffic:
                 f"{triple!r}"
             ) from None
         release = float(release)
-        if math.isnan(release) or math.isinf(release) or release < 0:
-            raise ValueError(
-                f"message {ident} has invalid release time {release!r} "
-                "(must be finite and non-negative)"
-            )
         source, destination = int(source), int(destination)
-        if num_nodes is not None and not (
-            0 <= source < num_nodes and 0 <= destination < num_nodes
-        ):
-            raise ValueError(f"message {ident} has endpoints out of range")
-        checked.append((source, destination, release))
-    return checked
+        _check_message(ident, source, destination, release, num_nodes)
+        sources.append(source)
+        destinations.append(destination)
+        releases.append(release)
+    return Traffic(
+        np.array(sources, dtype=np.int64),
+        np.array(destinations, dtype=np.int64),
+        np.array(releases, dtype=float),
+    )
+
+
+def _check_message(
+    ident: int, source: int, destination: int, release: float, num_nodes
+) -> None:
+    if math.isnan(release) or math.isinf(release) or release < 0:
+        raise ValueError(
+            f"message {ident} has invalid release time {release!r} "
+            "(must be finite and non-negative)"
+        )
+    if num_nodes is not None and not (
+        0 <= source < num_nodes and 0 <= destination < num_nodes
+    ):
+        raise ValueError(f"message {ident} has endpoints out of range")
 
 
 # ---------------------------------------------------------------------------
@@ -135,11 +158,9 @@ def _overlay_rate(pairs: Traffic, rate: float | None, generator) -> Traffic:
     """The ``make_workload`` rate overlay: Poisson times over fixed pairs."""
     if rate is None:
         return pairs
-    times = poisson_arrival_times(len(pairs), rate, generator)
-    return [
-        (source, destination, float(t))
-        for (source, destination, _), t in zip(pairs, times)
-    ]
+    return Traffic.from_triples(pairs).with_times(
+        poisson_arrival_times(len(pairs), rate, generator)
+    )
 
 
 def _check_rate(rate: float | None) -> None:
@@ -277,10 +298,7 @@ class BurstyArrivals:
                 clock += float(gap)
                 times.append(clock)
             emitted += size
-        return [
-            (source, destination, t)
-            for (source, destination, _), t in zip(pairs, times)
-        ]
+        return Traffic.from_triples(pairs).with_times(times)
 
     def with_rate(self, rate: float | None) -> "BurstyArrivals":
         """Scale the within-burst rate (the load knob of the Pareto sweep)."""
@@ -340,10 +358,7 @@ class DiurnalArrivals:
             instantaneous = self.trough_rate + swing * 0.5 * (1.0 + phase)
             if generator.random() * self.peak_rate <= instantaneous:
                 times.append(clock)
-        return [
-            (source, destination, t)
-            for (source, destination, _), t in zip(pairs, times)
-        ]
+        return Traffic.from_triples(pairs).with_times(times)
 
     def with_rate(self, rate: float | None) -> "DiurnalArrivals":
         """Scale the peak rate, keeping the trough/peak ratio."""

@@ -1,12 +1,14 @@
 """Synthetic traffic generators and the multi-workload throughput driver.
 
-The generators produce lists of ``(source, destination, injection_time)``
-triples — the input format of
-:meth:`repro.simulation.network.NetworkSimulator.run`.  The workloads are the
-usual suspects of interconnection-network evaluation: uniform random traffic,
-random permutations, hotspot traffic, one-to-all broadcast and all-to-all
-exchange.  All generators take an explicit numpy ``Generator`` (or seed) so
-that every experiment in the benchmarks is reproducible.
+The generators produce a :class:`~repro.simulation.network.Traffic`: the
+``(source, destination, injection_time)`` triples of a workload as three
+read-only columns, which iterates as the list of triples and is the input
+format of :meth:`repro.simulation.network.NetworkSimulator.run`.  The
+workloads are the usual suspects of interconnection-network evaluation:
+uniform random traffic, random permutations, hotspot traffic, one-to-all
+broadcast and all-to-all exchange.  All generators take an explicit numpy
+``Generator`` (or seed) so that every experiment in the benchmarks is
+reproducible.
 
 :func:`run_throughput_sweep` is the batched multi-workload driver: it
 enumerates ``(workload, injection rate, seed)`` combinations
@@ -30,15 +32,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import kernels as _kernels
 from repro.graphs.digraph import BaseDigraph
 from repro.simulation.network import (
     SIMULATOR_ENGINES,
     BatchedNetworkSimulator,
     LinkModel,
     NetworkStats,
+    Traffic,
 )
 
 __all__ = [
+    "Traffic",
     "uniform_random_pairs",
     "permutation_pairs",
     "hotspot_pairs",
@@ -55,7 +60,10 @@ __all__ = [
     "run_throughput_sweep",
 ]
 
-Traffic = list[tuple[int, int, float]]
+
+def _check_count(num_messages: int) -> None:
+    if num_messages < 0:
+        raise ValueError("num_messages must be non-negative")
 
 
 def _rng(rng: np.random.Generator | int | None) -> np.random.Generator:
@@ -91,6 +99,7 @@ def uniform_random_pairs(
     follow a Poisson process of that rate; otherwise all messages are injected
     at time 0.
     """
+    _check_count(num_messages)
     if num_nodes < 2:
         raise ValueError("uniform random traffic needs at least 2 nodes")
     generator = _rng(rng)
@@ -100,7 +109,7 @@ def uniform_random_pairs(
         else np.zeros(num_messages)
     )
     sources, destinations = _uniform_endpoints(generator, num_nodes, num_messages)
-    return list(zip(sources.tolist(), destinations.tolist(), times.tolist()))
+    return Traffic(sources, destinations, times)
 
 
 def _uniform_endpoints(
@@ -171,7 +180,7 @@ def permutation_pairs(
                 destinations[other],
                 destinations[node],
             )
-    return [(node, int(destinations[node]), 0.0) for node in range(num_nodes)]
+    return Traffic(np.arange(num_nodes), destinations, np.zeros(num_nodes))
 
 
 def hotspot_pairs(
@@ -181,14 +190,55 @@ def hotspot_pairs(
     hotspot_fraction: float = 0.5,
     rng: np.random.Generator | int | None = None,
 ) -> Traffic:
-    """Hotspot traffic: a fraction of messages target one node, the rest are uniform."""
+    """Hotspot traffic: a fraction of messages target one node, the rest are uniform.
+
+    Per message: ``source = integers(n)``; then, when ``random() <
+    hotspot_fraction`` and the source is not the hotspot, the destination
+    is the hotspot, otherwise ``integers(n)`` re-drawn until it differs
+    from the source (:func:`_hotspot_endpoints_scalar`).  On a compiled
+    backend, with a plain ``PCG64`` generator and ``n < 2**32``, the
+    ``hotspot_pairs`` kernel replays that loop from one block of raw
+    words: the same pairs, and the generator left in the same state.
+    """
+    _check_count(num_messages)
+    if num_nodes < 2:
+        raise ValueError("hotspot traffic needs at least 2 nodes")
     if not 0 <= hotspot < num_nodes:
         raise ValueError("hotspot node out of range")
     if not 0.0 <= hotspot_fraction <= 1.0:
         raise ValueError("hotspot_fraction must be in [0, 1]")
     generator = _rng(rng)
-    traffic: Traffic = []
-    for _ in range(num_messages):
+    kernels = _kernels.get_kernels()
+    if (
+        kernels is not None
+        and type(generator.bit_generator) is np.random.PCG64
+        and num_nodes < 1 << 32
+    ):
+        endpoints = _hotspot_endpoints(
+            kernels.hotspot_pairs,
+            generator,
+            num_nodes,
+            num_messages,
+            hotspot,
+            hotspot_fraction,
+        )
+    else:
+        endpoints = _hotspot_endpoints_scalar(
+            generator, num_nodes, num_messages, hotspot, hotspot_fraction
+        )
+    return Traffic(*endpoints, np.zeros(num_messages))
+
+
+def _hotspot_endpoints_scalar(
+    generator: np.random.Generator,
+    num_nodes: int,
+    count: int,
+    hotspot: int,
+    hotspot_fraction: float,
+) -> tuple[list[int], list[int]]:
+    """The scalar hotspot loop: the oracle of the ``hotspot_pairs`` kernel."""
+    sources, destinations = [], []
+    for _ in range(count):
         source = int(generator.integers(num_nodes))
         if generator.random() < hotspot_fraction and source != hotspot:
             destination = hotspot
@@ -196,8 +246,48 @@ def hotspot_pairs(
             destination = int(generator.integers(num_nodes))
             while destination == source:
                 destination = int(generator.integers(num_nodes))
-        traffic.append((source, destination, 0.0))
-    return traffic
+        sources.append(source)
+        destinations.append(destination)
+    return sources, destinations
+
+
+def _hotspot_endpoints(
+    kernel,
+    generator: np.random.Generator,
+    num_nodes: int,
+    count: int,
+    hotspot: int,
+    hotspot_fraction: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The scalar hotspot loop, replayed by the compiled kernel.
+
+    The kernel consumes a block of raw PCG64 words the way the scalar
+    draws would (``integers(n)`` through the 32-bit half buffer,
+    ``random()`` a whole word) and reports how many words it used and the
+    buffer it left; the generator is then put in the state the scalar loop
+    leaves: the saved state advanced by that many words, plus the buffer.
+    A block that runs out is re-drawn twice as large from the saved state.
+    """
+    bit_generator = generator.bit_generator
+    saved = bit_generator.state
+    src = np.empty(count, dtype=np.int64)
+    dst = np.empty(count, dtype=np.int64)
+    size = 3 * count + 64
+    while True:
+        buffer = np.array([saved["has_uint32"], saved["uinteger"]], dtype=np.int64)
+        words = bit_generator.random_raw(size)
+        used = kernel(
+            words, count, num_nodes, hotspot, hotspot_fraction, buffer, src, dst
+        )
+        bit_generator.state = saved
+        if used >= 0:
+            break
+        size *= 2
+    bit_generator.advance(used)
+    state = bit_generator.state
+    state["has_uint32"], state["uinteger"] = int(buffer[0]), int(buffer[1])
+    bit_generator.state = state
+    return src, dst
 
 
 def broadcast_pairs(num_nodes: int, root: int = 0) -> Traffic:
@@ -209,17 +299,17 @@ def broadcast_pairs(num_nodes: int, root: int = 0) -> Traffic:
     """
     if not 0 <= root < num_nodes:
         raise ValueError("root out of range")
-    return [(root, node, 0.0) for node in range(num_nodes) if node != root]
+    others = np.delete(np.arange(num_nodes), root)
+    return Traffic(np.full(others.size, root), others, np.zeros(others.size))
 
 
 def all_to_all_pairs(num_nodes: int) -> Traffic:
     """Complete exchange: every ordered pair of distinct nodes gets one message."""
-    return [
-        (source, destination, 0.0)
-        for source in range(num_nodes)
-        for destination in range(num_nodes)
-        if source != destination
-    ]
+    nodes = np.arange(max(num_nodes, 0))
+    sources = np.repeat(nodes, nodes.size)
+    destinations = np.tile(nodes, nodes.size)
+    distinct = sources != destinations
+    return Traffic(sources[distinct], destinations[distinct], np.zeros(distinct.sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +339,7 @@ def make_workload(
     arrival times of that aggregate rate, giving the offered-load axis of the
     curves.  ``permutation`` ignores ``num_messages`` (one message per node).
     """
+    _check_count(num_messages)
     generator = _rng(rng)
     if name == "uniform":
         pairs = uniform_random_pairs(num_nodes, num_messages, generator)
@@ -273,11 +364,7 @@ def make_workload(
         )
     if rate is None:
         return pairs
-    times = poisson_arrival_times(len(pairs), rate, generator)
-    return [
-        (source, destination, float(t))
-        for (source, destination, _), t in zip(pairs, times)
-    ]
+    return pairs.with_times(poisson_arrival_times(len(pairs), rate, generator))
 
 
 @dataclass(frozen=True)

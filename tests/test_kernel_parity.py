@@ -75,7 +75,7 @@ from repro.simulation.scenarios import (
     Scenario,
     UniformArrivals,
 )
-from repro.simulation.workloads import uniform_random_pairs
+from repro.simulation.workloads import hotspot_pairs, uniform_random_pairs
 # the compositions of the cross-engine scenario suite, reused as kernel inputs
 from test_scenarios import GRAPH as SCENARIO_GRAPH
 from test_scenarios import SCENARIOS
@@ -1183,3 +1183,172 @@ def test_arrival_processes_are_stream_identical(monkeypatch):
                 ref = process.traffic(num_nodes, ref_rng)
             assert got == ref
             assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+# ---------------------------------------------------- compiled hotspot traffic
+
+
+def frozen_hotspot_pairs(num_nodes, num_messages, hotspot, fraction, generator):
+    """The scalar hotspot generator as it was before the kernel (the oracle)."""
+    traffic = []
+    for _ in range(num_messages):
+        source = int(generator.integers(num_nodes))
+        if generator.random() < fraction and source != hotspot:
+            destination = hotspot
+        else:
+            destination = int(generator.integers(num_nodes))
+            while destination == source:
+                destination = int(generator.integers(num_nodes))
+        traffic.append((source, destination, 0.0))
+    return traffic
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Counts the ``hotspot_pairs`` kernel runs behind the public generator."""
+    from repro.simulation import workloads
+
+    calls = []
+    replay = workloads._hotspot_endpoints
+
+    def spy(kernel, *args):
+        def counted(*kernel_args):
+            calls.append(kernel_args[0].shape[0])
+            return kernel(*kernel_args)
+
+        return replay(counted, *args)
+
+    monkeypatch.setattr(workloads, "_hotspot_endpoints", spy)
+    return calls
+
+
+def generator_state(generator) -> str:
+    """The bit generator's state as JSON (MT19937 keeps an array in it)."""
+    return json.dumps(
+        generator.bit_generator.state, default=lambda x: np.asarray(x).tolist()
+    )
+
+
+def assert_hotspot_matches_oracle(generator_factory, n, count, hotspot, fraction,
+                                  pending=False):
+    ref_rng = generator_factory()
+    got_rng = generator_factory()
+    if pending:  # leave a buffered 32-bit half in the bit generator
+        ref_rng.integers(7)
+        got_rng.integers(7)
+    ref = frozen_hotspot_pairs(n, count, hotspot, fraction, ref_rng)
+    got = hotspot_pairs(n, count, hotspot, fraction, got_rng)
+    assert got == ref
+    assert all(
+        type(s) is int and type(t) is int and type(at) is float for s, t, at in got
+    )
+    assert generator_state(got_rng) == generator_state(ref_rng)
+    assert got_rng.random() == ref_rng.random()
+    assert got_rng.integers(n) == ref_rng.integers(n)
+
+
+@pytest.mark.parametrize(
+    "kernel_backend", ["numpy", pytest.param("cnative", marks=requires_cnative)]
+)
+@pytest.mark.parametrize("num_nodes", [2, 3, 5, 1024, 2**32 - 1])
+@pytest.mark.parametrize("fraction", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("hotspot", ["first", "last"])
+@pytest.mark.parametrize("pending", [False, True])
+def test_hotspot_pairs_are_stream_identical(
+    kernel_backend, num_nodes, fraction, hotspot, pending, monkeypatch, kernel_calls
+):
+    monkeypatch.setenv(kernels.ENV_VAR, kernel_backend)
+    target = 0 if hotspot == "first" else num_nodes - 1
+    for seed in range(3):
+        assert_hotspot_matches_oracle(
+            lambda: np.random.default_rng(seed), num_nodes, 300, target, fraction,
+            pending,
+        )
+    assert bool(kernel_calls) == (kernel_backend == "cnative")
+
+
+@requires_cnative
+@pytest.mark.parametrize("num_nodes", [2**32, 2**33 + 1])
+def test_hotspot_pairs_wide_ranges_take_the_scalar_loop(
+    num_nodes, monkeypatch, kernel_calls
+):
+    monkeypatch.setenv(kernels.ENV_VAR, "cnative")
+    for fraction in (0.0, 0.5):
+        assert_hotspot_matches_oracle(
+            lambda: np.random.default_rng(4), num_nodes, 200, num_nodes - 1, fraction
+        )
+    assert kernel_calls == []
+
+
+@requires_cnative
+@pytest.mark.parametrize(
+    "bit_generator", [np.random.MT19937, np.random.PCG64DXSM], ids=lambda c: c.__name__
+)
+def test_hotspot_pairs_other_bit_generators_take_the_scalar_loop(
+    bit_generator, monkeypatch, kernel_calls
+):
+    monkeypatch.setenv(kernels.ENV_VAR, "cnative")
+    for pending in (False, True):
+        assert_hotspot_matches_oracle(
+            lambda: np.random.Generator(bit_generator(9)), 64, 200, 0, 0.5, pending
+        )
+    assert kernel_calls == []
+
+
+@pytest.mark.parametrize(
+    "kernel_backend", ["numpy", pytest.param("cnative", marks=requires_cnative)]
+)
+@pytest.mark.parametrize("num_nodes", [2, 5, 1024])
+def test_hotspot_fraction_equal_to_the_draw_is_not_a_hit(
+    kernel_backend, num_nodes, monkeypatch
+):
+    # ``random() < fraction`` is strict: with the fraction set to exactly the
+    # uniform the first message draws, that message is not sent to the hotspot
+    monkeypatch.setenv(kernels.ENV_VAR, kernel_backend)
+    for seed in range(5):
+        probe = np.random.default_rng(seed)
+        source = int(probe.integers(num_nodes))
+        drawn = probe.random()
+        hotspot = (source + 1) % num_nodes
+        assert_hotspot_matches_oracle(
+            lambda: np.random.default_rng(seed), num_nodes, 3, hotspot, drawn
+        )
+        first = hotspot_pairs(num_nodes, 1, hotspot, drawn, np.random.default_rng(seed))
+        assert first[0][0] == source
+
+
+@requires_cnative
+def test_hotspot_pairs_redraws_an_exhausted_block(monkeypatch, kernel_calls):
+    # n = 2**31 + 1 rejects about half of its 32-bit draws, so a message
+    # costs about 3 words: some seeds overrun the first block (3 words per
+    # message plus slack) and must re-draw a larger one from the saved state.
+    monkeypatch.setenv(kernels.ENV_VAR, "cnative")
+    for seed in range(12):
+        assert_hotspot_matches_oracle(
+            lambda: np.random.default_rng(seed), 2**31 + 1, 2000, 0, 0.0
+        )
+    runs = len(kernel_calls)
+    assert runs > 12  # at least one re-draw happened
+    assert max(kernel_calls) > min(kernel_calls)
+
+
+@requires_cnative
+@settings(max_examples=60, deadline=None)
+@given(
+    num_nodes=st.one_of(
+        st.integers(2, 40), st.integers(2, 2**32 - 1), st.integers(2**32, 2**40)
+    ),
+    count=st.integers(0, 150),
+    fraction=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+    pending=st.booleans(),
+    at_end=st.booleans(),
+)
+def test_hotspot_pairs_match_the_scalar_loop(
+    num_nodes, count, fraction, seed, pending, at_end
+):
+    hotspot = num_nodes - 1 if at_end else 0
+    assert_hotspot_matches_oracle(
+        lambda: np.random.default_rng(seed), num_nodes, count, hotspot, fraction,
+        pending,
+    )

@@ -1,5 +1,7 @@
 """Tests for the discrete-event engine and the network simulator."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -21,9 +23,11 @@ from repro.simulation.protocols import (
     run_random_traffic,
 )
 from repro.simulation.workloads import (
+    SWEEP_WORKLOADS,
     all_to_all_pairs,
     broadcast_pairs,
     hotspot_pairs,
+    make_workload,
     permutation_pairs,
     poisson_arrival_times,
     uniform_random_pairs,
@@ -147,6 +151,48 @@ class TestWorkloads:
             uniform_random_pairs(1, 5)
         with pytest.raises(ValueError):
             hotspot_pairs(8, 10, hotspot_fraction=2.0)
+
+    def test_hotspot_on_one_node_raises_instead_of_hanging(self):
+        # the destination re-draw ``while destination == source`` cannot
+        # exit on a 1-node graph; run in a thread so a hang fails the test
+        from repro.simulation.scenarios import HotspotArrivals
+
+        def one_node_errors():
+            errors = []
+            for generate in (
+                lambda: hotspot_pairs(1, 3, rng=0),
+                lambda: HotspotArrivals(3).traffic(1, rng=0),
+            ):
+                try:
+                    generate()
+                except ValueError as exc:
+                    errors.append(str(exc))
+            outcome.append(errors)
+
+        outcome = []
+        worker = threading.Thread(target=one_node_errors, daemon=True)
+        worker.start()
+        worker.join(timeout=10.0)
+        assert not worker.is_alive(), "hotspot_pairs hangs on a 1-node graph"
+        assert outcome == [["hotspot traffic needs at least 2 nodes"] * 2]
+
+    @pytest.mark.parametrize(
+        "generate",
+        [
+            lambda: uniform_random_pairs(4, -1),
+            lambda: uniform_random_pairs(4, -1, rng=0, rate=1.0),
+            lambda: hotspot_pairs(4, -1),
+            *(
+                lambda name=name: make_workload(name, 4, -1, rng=0)
+                for name in SWEEP_WORKLOADS
+            ),
+        ],
+        ids=["uniform", "uniform-rate", "hotspot"]
+        + [f"make_workload-{name}" for name in SWEEP_WORKLOADS],
+    )
+    def test_negative_message_counts_raise(self, generate):
+        with pytest.raises(ValueError, match="^num_messages must be non-negative$"):
+            generate()
 
 
 class TestNetworkSimulator:
