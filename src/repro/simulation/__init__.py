@@ -41,7 +41,6 @@ from repro.simulation.network import (
     BufferedLinkModel,
     LinkModel,
     Message,
-    Messages,
     NetworkSimulator,
     NetworkStats,
     Traffic,
@@ -93,7 +92,6 @@ __all__ = [
     "LinkModel",
     "BufferedLinkModel",
     "Message",
-    "Messages",
     "Traffic",
     "NetworkSimulator",
     "BatchedNetworkSimulator",

@@ -79,7 +79,7 @@ seam.
 
 from __future__ import annotations
 
-import operator
+import math
 import os
 from collections import deque
 from collections.abc import Sequence
@@ -97,7 +97,6 @@ __all__ = [
     "LinkModel",
     "BufferedLinkModel",
     "Message",
-    "Messages",
     "Traffic",
     "NetworkStats",
     "NetworkSimulator",
@@ -245,12 +244,12 @@ class Message:
 
 
 def _frozen(values, dtype) -> np.ndarray:
-    """A read-only 1-D view of ``values`` as a contiguous ``dtype`` array."""
-    view = np.ascontiguousarray(values, dtype=dtype).view()
-    if view.ndim != 1:
+    """A read-only 1-D copy of ``values`` as a ``dtype`` array."""
+    column = np.array(values, dtype=dtype)
+    if column.ndim != 1:
         raise ValueError("traffic columns must be one-dimensional")
-    view.flags.writeable = False
-    return view
+    column.flags.writeable = False
+    return column
 
 
 class Traffic(Sequence):
@@ -258,7 +257,8 @@ class Traffic(Sequence):
     held as three read-only columns.
 
     ``src`` and ``dst`` are int64 arrays and ``t`` a float64 array of one
-    length.  A ``Traffic`` behaves as the list of triples it stands for:
+    length, copied from what the constructor is given, so a ``Traffic``
+    (and its ``traffic_digest``) never changes.  A ``Traffic`` behaves as the list of triples it stands for:
     it iterates as ``(int, int, float)`` Python tuples, supports ``len``
     and indexing (a slice is a ``Traffic``), and compares ``==`` with any
     sequence of triples.  ``np.asarray(traffic)`` is the ``(N, 3)``
@@ -274,17 +274,6 @@ class Traffic(Sequence):
         self.t = _frozen(t, np.float64)
         if not self.src.shape == self.dst.shape == self.t.shape:
             raise ValueError("traffic columns must have one length")
-
-    @classmethod
-    def from_triples(cls, triples) -> "Traffic":
-        """``triples`` (any iterable of triples) as a ``Traffic``."""
-        if isinstance(triples, cls):
-            return triples
-        rows = list(triples)
-        if not rows:
-            return cls(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))
-        src, dst, t = zip(*rows)
-        return cls(src, dst, t)
 
     def with_times(self, t) -> "Traffic":
         """The same endpoint pairs injected at times ``t``."""
@@ -319,102 +308,11 @@ class Traffic(Sequence):
         array[:, 2] = self.t
         return array if dtype is None else array.astype(dtype, copy=False)
 
+    def __reduce__(self):
+        return Traffic, (self.src, self.dst, self.t)
+
     def __repr__(self) -> str:
         return f"Traffic({len(self)} messages)"
-
-
-class Messages(Sequence):
-    """The per-message records of one batched-engine run, held as columns.
-
-    ``src``, ``dst``, ``created``, ``arrival``, ``hops`` and ``drop_code``
-    (an index into the scenario drop reasons, ``None`` outside scenario
-    runs) are this run's slices of the engine's arrays.  Each
-    :class:`Message` is built on first access and cached, so repeated
-    access returns the same object and mutations persist.  ``len``,
-    iteration, (negative) indexing, slicing (a list) and ``==`` with a
-    list of messages behave as on the list of records it stands for.
-    """
-
-    __slots__ = (
-        "src", "dst", "created", "arrival", "hops", "drop_code", "_built", "_pending"
-    )
-    __hash__ = None
-
-    def __init__(self, src, dst, created, arrival, hops, drop_code=None):
-        self.src = src
-        self.dst = dst
-        self.created = created
-        self.arrival = arrival
-        self.hops = hops
-        self.drop_code = drop_code
-        self._built: list[Message | None] = [None] * src.shape[0]
-        self._pending = src.shape[0]  # records not built yet
-
-    def __len__(self) -> int:
-        return len(self._built)
-
-    def _build(self, i: int) -> Message:
-        code = 0 if self.drop_code is None else int(self.drop_code[i])
-        message = Message(
-            i,
-            int(self.src[i]),
-            int(self.dst[i]),
-            float(self.created[i]),
-            float(self.arrival[i]),
-            int(self.hops[i]),
-            _DROP_REASONS[code],
-        )
-        self._built[i] = message
-        self._pending -= 1
-        return message
-
-    def _all(self) -> list[Message]:
-        """Every record, building the ones not accessed yet."""
-        built = self._built
-        if self._pending:
-            codes = (
-                [None] * len(built)
-                if self.drop_code is None
-                else [_DROP_REASONS[code] for code in self.drop_code.tolist()]
-            )
-            columns = zip(
-                built,
-                range(len(built)),
-                self.src.tolist(),
-                self.dst.tolist(),
-                self.created.tolist(),
-                self.arrival.tolist(),
-                self.hops.tolist(),
-                codes,
-            )
-            built[:] = [
-                Message(i, s, d, c, a, h, r) if m is None else m
-                for m, i, s, d, c, a, h, r in columns
-            ]
-            self._pending = 0
-        return built
-
-    def __iter__(self):
-        return iter(self._all())
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        i = operator.index(index)
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError("message index out of range")
-        message = self._built[i]
-        return self._build(i) if message is None else message
-
-    def __eq__(self, other):
-        if isinstance(other, Sequence):
-            return self._all() == list(other)
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"Messages({len(self)} messages)"
 
 
 @dataclass
@@ -941,11 +839,16 @@ def _sequential_sum(count: int, term: float) -> float:
 
     Replicates the reference loop's ``busy_time += transmission_time``
     accumulation bit-for-bit (``np.cumsum`` accumulates left to right, unlike
-    pairwise ``np.sum``).
+    pairwise ``np.sum``).  While ``count`` times the odd numerator of
+    ``term`` stays below ``2**53``, every partial sum ``i * term`` is a
+    float, so each addition is exact and the fold is the one product.
     """
     if count <= 0:
         return 0.0
-    return float(np.cumsum(np.full(count, float(term)))[-1])
+    term = float(term)
+    if math.isfinite(term) and count * abs(term.as_integer_ratio()[0]) < 2**53:
+        return count * term
+    return float(np.cumsum(np.full(count, term))[-1])
 
 
 def _pool_traffics(traffics, n: int):
@@ -1042,11 +945,10 @@ def _replica_results(
     return_messages,
     counters=None,
     drop_code=None,
-) -> list[tuple[NetworkStats, Messages | None]]:
+) -> list[tuple[NetworkStats, list[Message] | None]]:
     """Per-replica statistics and messages, computed exactly as the
-    reference does; ``counters`` / ``drop_code`` are the scenario loops'.
-    The messages are columnar (:class:`Messages`, built on access)."""
-    results: list[tuple[NetworkStats, Messages | None]] = []
+    reference does; ``counters`` / ``drop_code`` are the scenario loops'."""
+    results: list[tuple[NetworkStats, list[Message] | None]] = []
     for r in range(len(offsets) - 1):
         lo, hi = int(offsets[r]), int(offsets[r + 1])
         arrived = arrival[lo:hi]
@@ -1075,16 +977,23 @@ def _replica_results(
             total_link_busy_time=_sequential_sum(int(tx_count[r]), T),
             **scenario_counts,
         )
-        messages = None
+        messages: list[Message] | None = None
         if return_messages:
-            messages = Messages(
-                src[lo:hi],
-                dst[lo:hi],
-                created[lo:hi],
-                arrival[lo:hi],
-                hops[lo:hi],
-                None if drop_code is None else drop_code[lo:hi],
+            columns = zip(
+                range(hi - lo),
+                src[lo:hi].tolist(),
+                dst[lo:hi].tolist(),
+                created[lo:hi].tolist(),
+                arrival[lo:hi].tolist(),
+                hops[lo:hi].tolist(),
             )
+            messages = [
+                Message(ident, source, destination, creation, arrived_at, hop)
+                for ident, source, destination, creation, arrived_at, hop in columns
+            ]
+            if drop_code is not None:
+                for message, code in zip(messages, drop_code[lo:hi].tolist()):
+                    message.drop_reason = _DROP_REASONS[code]
         results.append((stats, messages))
     return results
 
@@ -1163,14 +1072,13 @@ class BatchedNetworkSimulator:
         until: float | None = None,
         max_events: int | None = None,
         trace: list | None = None,
-    ) -> tuple[NetworkStats, Messages]:
+    ) -> tuple[NetworkStats, list[Message]]:
         """Simulate one workload; same signature and semantics as the reference.
 
         ``trace``, when given a list, receives one
         ``(link_ids, start_times, message_indices)`` triple per batch in
         chronological order — the property tests use it to check per-link
-        FIFO service.  The messages come back as a columnar
-        :class:`Messages` sequence, each record built on first access.
+        FIFO service.
         """
         ((stats, messages),) = self.run_many(
             [traffic], until=until, max_events=max_events, trace=trace
@@ -1185,7 +1093,7 @@ class BatchedNetworkSimulator:
         max_events: int | None = None,
         trace: list | None = None,
         return_messages: bool = True,
-    ) -> list[tuple[NetworkStats, Messages | None]]:
+    ) -> list[tuple[NetworkStats, list[Message] | None]]:
         """Simulate many independent workloads in one pooled pass.
 
         Each workload gets its own replica of the link-state arrays (no
@@ -1669,7 +1577,7 @@ class BatchedNetworkSimulator:
         max_events: int | None = None,
         trace: list | None = None,
         return_messages: bool = True,
-    ) -> list[tuple[NetworkStats, Messages | None]]:
+    ) -> list[tuple[NetworkStats, list[Message] | None]]:
         """Pooled scenario runs: one event at a time, in sequence order.
 
         Keeps the replicated link arrays of :meth:`run_many`, but resolves

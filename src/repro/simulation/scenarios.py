@@ -155,10 +155,15 @@ def _check_message(
 # Arrival processes
 # ---------------------------------------------------------------------------
 def _overlay_rate(pairs: Traffic, rate: float | None, generator) -> Traffic:
-    """The ``make_workload`` rate overlay: Poisson times over fixed pairs."""
+    """The ``make_workload`` rate overlay: Poisson times over fixed pairs.
+
+    ``pairs`` may be any sequence of triples (the stream-identity tests
+    substitute generators that return lists); ``validate_traffic`` hands a
+    ``Traffic`` back unchanged and converts anything else.
+    """
     if rate is None:
         return pairs
-    return Traffic.from_triples(pairs).with_times(
+    return validate_traffic(pairs).with_times(
         poisson_arrival_times(len(pairs), rate, generator)
     )
 
@@ -298,7 +303,7 @@ class BurstyArrivals:
                 clock += float(gap)
                 times.append(clock)
             emitted += size
-        return Traffic.from_triples(pairs).with_times(times)
+        return validate_traffic(pairs).with_times(times)
 
     def with_rate(self, rate: float | None) -> "BurstyArrivals":
         """Scale the within-burst rate (the load knob of the Pareto sweep)."""
@@ -358,7 +363,7 @@ class DiurnalArrivals:
             instantaneous = self.trough_rate + swing * 0.5 * (1.0 + phase)
             if generator.random() * self.peak_rate <= instantaneous:
                 times.append(clock)
-        return Traffic.from_triples(pairs).with_times(times)
+        return validate_traffic(pairs).with_times(times)
 
     def with_rate(self, rate: float | None) -> "DiurnalArrivals":
         """Scale the peak rate, keeping the trough/peak ratio."""

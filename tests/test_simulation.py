@@ -478,3 +478,41 @@ class TestEngineRegistry:
         simulator = BatchedNetworkSimulator(circuit(3))
         with pytest.raises(ValueError, match="non-negative"):
             simulator.run([(0, 1, -1.0)])
+
+
+def _left_fold(count, term):
+    total = 0.0
+    for _ in range(count):
+        total += term
+    return total
+
+
+@pytest.mark.parametrize(
+    "term",
+    [1.0, 0.5, 2.5, 3.0, 0.1, 1 / 3, 0.7, 1e-300, 5e-324, 2.0**600, 1e308,
+     float(2**52 - 1), float(2**53 - 1)],
+)
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 7, 1000, 123_457])
+def test_sequential_sum_is_the_left_to_right_fold(term, count):
+    """The busy-time total equals the reference's ``+=`` loop, bit for bit,
+    on both sides of the exact-product shortcut."""
+    from repro.simulation.network import _sequential_sum
+
+    assert _sequential_sum(count, term).hex() == _left_fold(count, term).hex()
+
+
+def test_sequential_sum_property():
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    from repro.simulation.network import _sequential_sum
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=5_000),
+        st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+    )
+    def check(count, term):
+        assert _sequential_sum(count, term).hex() == _left_fold(count, term).hex()
+
+    check()

@@ -1,13 +1,13 @@
-"""The columnar simulation data path: ``Traffic`` in, ``Messages`` out.
+"""The columnar traffic path: generators return ``Traffic``.
 
 Traffic generators return a :class:`~repro.simulation.network.Traffic` (three
-read-only columns) and the batched engine returns a
-:class:`~repro.simulation.network.Messages` sequence whose records are built
-on access.  Both must behave as the lists they replaced: same iteration,
-same equality, same traffic digests (pinned below), same records.
+read-only columns the batched engine reads directly).  It must behave as the
+list of triples it replaced: same iteration, same equality, same traffic
+digests (pinned below), same engine records.
 """
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -17,8 +17,6 @@ from repro.simulation.network import (
     BatchedNetworkSimulator,
     BufferedLinkModel,
     LinkModel,
-    Message,
-    Messages,
     NetworkSimulator,
     Traffic,
     _pool_traffics,
@@ -132,21 +130,40 @@ def test_traffic_indexing_slicing_and_freezing():
         hash(traffic)
 
 
+def _columns(triples) -> Traffic:
+    """A non-empty list of triples as a ``Traffic``."""
+    return Traffic(*zip(*triples))
+
+
 def test_traffic_construction():
     src = np.array([0, 1, 2])
     traffic = Traffic(src, [1, 2, 0], [0.0, 0.5, 1.0])
     assert traffic == [(0, 1, 0.0), (1, 2, 0.5), (2, 0, 1.0)]
-    src[0] = 2  # the caller keeps its own array writeable
+    digest = traffic_digest(traffic)
+    src[0] = 2  # the caller keeps its own array writeable ...
     assert src.flags.writeable
+    # ... and writing to it does not change the traffic or its digest
+    assert traffic == [(0, 1, 0.0), (1, 2, 0.5), (2, 0, 1.0)]
+    assert traffic_digest(traffic) == digest
     with pytest.raises(ValueError, match="one length"):
         Traffic([0, 1], [1], [0.0, 0.0])
     with pytest.raises(ValueError, match="one-dimensional"):
         Traffic([[0, 1]], [[1, 0]], [[0.0, 0.0]])
-    assert Traffic.from_triples([(3, 4, 2.5)]) == [(3, 4, 2.5)]
-    assert Traffic.from_triples([]) == []
-    assert Traffic.from_triples(traffic) is traffic
-    timed = traffic.with_times([1.0, 2.0, 3.0])
-    assert list(timed) == [(2, 1, 1.0), (1, 2, 2.0), (2, 0, 3.0)]
+    assert _columns([(3, 4, 2.5)]) == [(3, 4, 2.5)]
+    times = np.array([1.0, 2.0, 3.0])
+    timed = traffic.with_times(times)
+    times[0] = 9.0
+    assert list(timed) == [(0, 1, 1.0), (1, 2, 2.0), (2, 0, 3.0)]
+    assert traffic == [(0, 1, 0.0), (1, 2, 0.5), (2, 0, 1.0)]
+
+
+def test_traffic_pickles_read_only():
+    traffic = uniform_random_pairs(16, 10, rng=1, rate=2.0)
+    loaded = pickle.loads(pickle.dumps(traffic))
+    assert isinstance(loaded, Traffic) and loaded == traffic
+    for column in (loaded.src, loaded.dst, loaded.t):
+        assert not column.flags.writeable
+    assert traffic_digest(loaded) == traffic_digest(traffic)
 
 
 def test_pooling_takes_the_columns_as_lists_would():
@@ -169,7 +186,7 @@ def test_pooling_takes_the_columns_as_lists_would():
     ],
 )
 def test_columnar_checks_give_the_list_errors(traffic, message):
-    columns = Traffic.from_triples(traffic)
+    columns = _columns(traffic)
     for given in (traffic, columns):
         with pytest.raises(ValueError, match=message):
             _pool_traffics([given], 16)
@@ -189,7 +206,7 @@ def test_validate_traffic_returns_traffic():
     assert isinstance(Scenario(arrivals=arrivals).traffic(8, rng=1), Traffic)
 
 
-# ------------------------------------------------------------------- Messages
+# ------------------------------------------------------------------- records
 GRAPH = de_bruijn(2, 4)
 LINK = LinkModel(latency=1.0, transmission_time=1.0)
 
@@ -199,52 +216,7 @@ def test_messages_equal_the_reference_list():
     ref_stats, reference = NetworkSimulator(GRAPH, link=LINK).run(traffic)
     stats, messages = BatchedNetworkSimulator(GRAPH, link=LINK).run(traffic)
     assert stats == ref_stats and ref_stats.delivered == 80
-    assert isinstance(messages, Messages)
-    assert len(messages) == 80
-    assert messages == reference and reference == messages
-    assert list(messages) == reference
-    assert messages[0] == reference[0]
-    assert messages[-1] == reference[-1] and messages[-80] == reference[0]
-    assert messages[5:9] == reference[5:9]
-    assert messages[::-7] == reference[::-7]
-    assert messages != reference[:-1]
-    for index in (80, -81):
-        with pytest.raises(IndexError):
-            messages[index]
-
-
-def test_messages_are_built_once_and_cached():
-    traffic = uniform_random_pairs(GRAPH.num_vertices, 40, rng=4)
-    _, messages = BatchedNetworkSimulator(GRAPH, link=LINK).run(traffic)
-    third = messages[3]
-    assert messages[3] is third and messages[-37] is third
-    third.hops = 99  # a mutation survives re-access and iteration
-    assert messages[3].hops == 99
-    listed = list(messages)
-    assert listed[3] is third and listed[3].hops == 99
-    assert all(a is b for a, b in zip(listed, messages))
-    assert messages[7] is listed[7]
-    assert messages.hops[3] != 99  # the columns are the engine's output
-
-
-def test_messages_map_drop_codes_to_reasons():
-    messages = Messages(
-        np.array([0, 1, 2, 3]),
-        np.array([1, 2, 3, 0]),
-        np.zeros(4),
-        np.array([2.0, math.nan, math.nan, math.nan]),
-        np.array([1, 0, 3, 1]),
-        np.array([0, 1, 2, 3], dtype=np.int8),
-    )
-    reasons = [None, "fault", "hops", "buffer"]
-    assert [m.drop_reason for m in messages] == reasons
-    fresh = Messages(
-        messages.src, messages.dst, messages.created, messages.arrival,
-        messages.hops, messages.drop_code,
-    )
-    assert [fresh[i].drop_reason for i in range(4)] == reasons
-    assert fresh[0] == Message(0, 0, 1, 0.0, 2.0, 1, None)
-    assert not fresh[1].delivered and fresh[2].hops == 3
+    assert messages == reference
 
 
 def test_scenario_messages_match_the_reference():
@@ -277,10 +249,10 @@ def test_run_many_without_messages():
 def test_validate_traffic_reports_the_first_bad_message():
     # release time before endpoints within a message, earliest message first
     triples = [(0, 1, 0.0), (0, 99, -1.0), (0, 99, 0.0)]
-    for given in (triples, Traffic.from_triples(triples)):
+    for given in (triples, _columns(triples)):
         with pytest.raises(ValueError, match="message 1 has invalid release time"):
             validate_traffic(given, 16)
     triples = [(0, 1, 0.0), (0, 99, 0.0), (0, 1, -1.0)]
-    for given in (triples, Traffic.from_triples(triples)):
+    for given in (triples, _columns(triples)):
         with pytest.raises(ValueError, match="message 1 has endpoints out of range"):
             validate_traffic(given, 16)
