@@ -262,6 +262,11 @@ def test_router_comparison_100k_n1024(bench_json):
     routing state from O(n^2) to O(n) bytes.  On a compiled backend the
     closed form runs inside the fused round loop (measured ~0.87x the
     dense table's time, 2 cores, cnative), hence the 1.2 bound.
+
+    Each router is timed as its best of 3 engine passes
+    (``return_messages=False``), the way ``engine_s`` is: building 100k
+    ``Message`` records inside the timed region let one garbage collection
+    decide the ratio.
     """
     graph = h_digraph(32, 64, 2)
     traffic = uniform_random_pairs(graph.num_vertices, 100_000, rng=0)
@@ -269,17 +274,24 @@ def test_router_comparison_100k_n1024(bench_json):
 
     from repro.routing.routers import make_router
 
-    results = {}
-    for kind in ("dense", "closed-form"):
-        router = make_router(graph, kind)
-        simulator = BatchedNetworkSimulator(graph, link=link, router=router)
-        start = time.perf_counter()
-        stats, _ = simulator.run(traffic)
-        seconds = time.perf_counter() - start
-        results[kind] = (stats, seconds, router.state_bytes())
+    routers = {kind: make_router(graph, kind) for kind in ("dense", "closed-form")}
+    simulators = {
+        kind: BatchedNetworkSimulator(graph, link=link, router=router)
+        for kind, router in routers.items()
+    }
+    seconds = dict.fromkeys(routers, float("inf"))
+    stats = {}
+    for _ in range(3):
+        for kind, simulator in simulators.items():
+            start = time.perf_counter()
+            ((run_stats, _),) = simulator.run_many([traffic], return_messages=False)
+            seconds[kind] = min(seconds[kind], time.perf_counter() - start)
+            assert stats.setdefault(kind, run_stats) == run_stats
 
-    dense_stats, dense_s, dense_bytes = results["dense"]
-    closed_stats, closed_s, closed_bytes = results["closed-form"]
+    dense_stats, dense_s = stats["dense"], seconds["dense"]
+    closed_stats, closed_s = stats["closed-form"], seconds["closed-form"]
+    dense_bytes = routers["dense"].state_bytes()
+    closed_bytes = routers["closed-form"].state_bytes()
     assert closed_stats == dense_stats  # bit-identical routes => bit-identical stats
     assert closed_stats.delivered == 100_000
     assert closed_bytes * 100 < dense_bytes  # O(n) vs O(n^2) state

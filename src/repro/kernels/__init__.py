@@ -1,10 +1,11 @@
 """Compiled kernel backends for the engine hot loops.
 
 The uint64 bit-sweep behind :mod:`repro.graphs.apsp`, the forward/reverse
-BFS connectivity screen of :func:`repro.otis.search.h_diameter`, the
-closed-form shift routing of :class:`repro.routing.routers.ClosedFormRouter`,
-the hotspot traffic draws of :func:`repro.simulation.workloads.hotspot_pairs`,
-the same-timestamp round resolution behind
+BFS connectivity screen of the Table 1 sweep
+(:func:`repro.otis.sweep.run_chunk`), the closed-form shift routing of
+:class:`repro.routing.routers.ClosedFormRouter`, the hotspot traffic draws
+of :func:`repro.simulation.workloads.hotspot_pairs`, the same-timestamp
+round resolution behind
 :class:`repro.simulation.network.BatchedNetworkSimulator` (with the whole
 round loop in one call when the router is closed-form) and its
 degrading-scenario event loop (faults, finite buffers, reroute) each have
@@ -147,8 +148,9 @@ def get_kernels(backend: str | None = None):
 def warmup(backend: str | None = None) -> str:
     """Force-compile every kernel of the resolved backend; returns its name.
 
-    One tiny end-to-end call per engine seam: a 2-vertex ``h_diameter``
-    (BFS screen, then eccentricity sweep), a 1-source subset sweep, a
+    One tiny end-to-end call per engine seam: one split through the Table 1
+    sweep (``run_chunk`` on ``H(1, 2, 1)``: a ``screen_splits`` call, then
+    the eccentricity sweep of its survivor), a 1-source subset sweep, a
     2-message simulation (the per-round loop), one closed-form
     ``next_hops`` call, a 2-message closed-form simulation on ``B(2,2)``
     (the fused round loop), a 2-message degrading scenario on ``B(2,2)``
@@ -164,16 +166,16 @@ def warmup(backend: str | None = None) -> str:
     import numpy as np
 
     from repro.graphs.apsp import batched_eccentricities, subset_distance_rows
-    from repro.graphs.digraph import Digraph, RegularDigraph
+    from repro.graphs.digraph import Digraph
     from repro.graphs.generators import de_bruijn
-    from repro.otis.search import h_diameter
+    from repro.otis.sweep import run_chunk
     from repro.routing.routers import ClosedFormRouter
     from repro.simulation.network import BatchedNetworkSimulator, BufferedLinkModel
     from repro.simulation.scenarios import FaultEvent, FaultPlan, Scenario
     from repro.simulation.workloads import hotspot_pairs
 
     graph = Digraph(2, [(0, 1), (1, 0)])
-    h_diameter(RegularDigraph([[1], [0]]), 1, backend=resolved)
+    run_chunk(1, 1, ((2, 1, 2),))
     batched_eccentricities(graph, 1, sources=[0], backend=resolved)
     subset_distance_rows(graph, [0], backend=resolved)
     sim = BatchedNetworkSimulator(graph, kernels=resolved)

@@ -229,59 +229,82 @@ EXPORT int64_t subset_ecc_sweep(
 
 /* ---------------------------------------------------------------- screen */
 
-/* Stages 1-2 of repro.otis.search.h_diameter: forward, then reverse BFS
- * from vertex 0.  work = dist[n] | queue[n] | indptr[n + 1] | tails[n * d].
- * Returns -1 when a vertex is unreachable, 1 when a distance exceeds
- * upper_bound, 0 when the digraph passed. */
-EXPORT int64_t bfs_screen(
-    const int64_t *succ, int64_t *work, int64_t n, int64_t d,
-    int64_t upper_bound)
+/* One queue BFS from vertex 0 over an (n, d) int32 adjacency table: -1 when
+ * a vertex is unreachable, 1 when a distance exceeds bound, else 0.  The
+ * visit is branch-free (every head is written at queue[tail], kept only
+ * when unseen), so queue holds n + 1 entries. */
+static int64_t bfs_from_zero(
+    const int32_t *adj, int32_t *dist, int32_t *queue, int64_t n, int64_t d,
+    int64_t bound)
 {
-    int64_t *dist = work;
-    int64_t *queue = work + n;
-    int64_t *indptr = work + 2 * n;
-    int64_t *tails = work + 3 * n + 1;
     for (int64_t v = 0; v < n; v++) dist[v] = -1;
     dist[0] = 0;
     queue[0] = 0;
     int64_t head = 0, tail = 1;
     while (head < tail) {
-        int64_t u = queue[head++];
-        int64_t du = dist[u] + 1;
+        int32_t u = queue[head++];
+        int32_t du = dist[u] + 1;
+        const int32_t *row = adj + (int64_t)u * d;
         for (int64_t j = 0; j < d; j++) {
-            int64_t v = succ[u * d + j];
-            if (dist[v] < 0) { dist[v] = du; queue[tail++] = v; }
+            int32_t v = row[j];
+            int32_t dv = dist[v];
+            int64_t unseen = dv < 0;
+            dist[v] = unseen ? du : dv;
+            queue[tail] = v;
+            tail += unseen;
         }
     }
     if (tail < n) return -1;
-    if (dist[queue[n - 1]] > upper_bound) return 1;
-    for (int64_t v = 0; v <= n; v++) indptr[v] = 0;
-    for (int64_t u = 0; u < n; u++) {
-        for (int64_t j = 0; j < d; j++) indptr[succ[u * d + j] + 1]++;
-    }
-    for (int64_t v = 0; v < n; v++) indptr[v + 1] += indptr[v];
-    for (int64_t v = 0; v < n; v++) queue[v] = indptr[v];  /* fill cursor */
-    for (int64_t u = 0; u < n; u++) {
-        for (int64_t j = 0; j < d; j++) {
-            int64_t v = succ[u * d + j];
-            tails[queue[v]++] = u;
-        }
-    }
-    for (int64_t v = 0; v < n; v++) dist[v] = -1;
-    dist[0] = 0;
-    queue[0] = 0;
-    head = 0; tail = 1;
-    while (head < tail) {
-        int64_t v = queue[head++];
-        int64_t dv = dist[v] + 1;
-        for (int64_t k = indptr[v]; k < indptr[v + 1]; k++) {
-            int64_t u = tails[k];
-            if (dist[u] < 0) { dist[u] = dv; queue[tail++] = u; }
-        }
-    }
-    if (tail < n) return -1;
-    if (dist[queue[n - 1]] > upper_bound) return 1;
+    if (dist[queue[n - 1]] > bound) return 1;
     return 0;
+}
+
+/* Stages 1-2 of repro.otis.search.h_diameter for every split H(p[k], q[k], d):
+ * forward, then reverse BFS from vertex 0.  The tables come from
+ * repro.otis.h_digraph's formula by additions only: transmitter
+ * t = i*q + j lights receiver r = (q-j-1)*p + (p-i-1), so succ[t] =
+ * node_of[r] and pred[r] = node_of[t] with node_of[x] = x / d.  work holds
+ * node_of | succ | pred (m = p*q each) | dist (n = m/d) | queue (n + 1) for
+ * the largest split.  status[k] is -1 when a vertex is unreachable, 1 when a
+ * distance exceeds min(upper_bound, n), 0 when the split passed. */
+EXPORT void screen_splits(
+    const int64_t *ps, const int64_t *qs, int64_t count, int64_t d,
+    int64_t upper_bound, int32_t *work, int64_t *status)
+{
+    for (int64_t k = 0; k < count; k++) {
+        int64_t p = ps[k], q = qs[k];
+        int64_t m = p * q, n = m / d;
+        int32_t *node_of = work;
+        int32_t *succ = work + m;
+        int32_t *pred = work + 2 * m;
+        int32_t *dist = work + 3 * m;
+        int32_t *queue = dist + n;
+        int32_t node = 0;
+        int64_t slot = 0;
+        for (int64_t x = 0; x < m; x++) {
+            node_of[x] = node;
+            if (++slot == d) { slot = 0; node++; }
+        }
+        int64_t t = 0, first = m;
+        for (int64_t i = 0; i < p; i++) {
+            first--;  /* receiver of transmitter (i, 0): m - 1 - i */
+            int64_t r = first;
+            for (int64_t j = 0; j < q; j++, t++, r -= p) succ[t] = node_of[r];
+        }
+        int64_t bound = upper_bound < n ? upper_bound : n;
+        int64_t verdict = bfs_from_zero(succ, dist, queue, n, d, bound);
+        if (verdict == 0) {
+            /* most splits stop above, so the reverse table is built here */
+            t = 0; first = m;
+            for (int64_t i = 0; i < p; i++) {
+                first--;
+                int64_t r = first;
+                for (int64_t j = 0; j < q; j++, t++, r -= p) pred[r] = node_of[t];
+            }
+            verdict = bfs_from_zero(pred, dist, queue, n, d, bound);
+        }
+        status[k] = verdict;
+    }
 }
 
 /* --------------------------------------------------------------- routing */
@@ -907,6 +930,7 @@ _BUILD_LOCK = threading.Lock()
 _LIB_CACHE: dict[str, SimpleNamespace] = {}
 
 _i64 = ctypes.POINTER(ctypes.c_int64)
+_i32 = ctypes.POINTER(ctypes.c_int32)
 _u64 = ctypes.POINTER(ctypes.c_uint64)
 _u8 = ctypes.POINTER(ctypes.c_uint8)
 _i8 = ctypes.POINTER(ctypes.c_int8)
@@ -924,7 +948,7 @@ _SIGNATURES = {
         _I,
         [_i64, _u64, _u64, _u64, _u64, _i64, _I, _I, _I, _I, _I],
     ),
-    "bfs_screen": (_I, [_i64, _i64, _I, _I, _I]),
+    "screen_splits": (None, [_i64, _i64, _I, _I, _I, _i32, _i64]),
     "hotspot_pairs": (_I, [_u64, _I, _I, _I, _I, _D, _i64, _i64, _i64]),
     "shift_next_hops": (
         _I, [_i64, _i64, _I, _I, _I, _i64, _I, _i64, _I, _I, _i64]
@@ -1132,13 +1156,33 @@ def build_native_kernels() -> SimpleNamespace:
                 )
             )
 
-        def bfs_screen(succ, upper_bound, work):
-            n, d = succ.shape
-            if work.shape[0] < n * (d + 3) + 1:
-                raise ValueError("bfs_screen workspace needs n * (d + 3) + 1 entries")
-            return lib.bfs_screen(
-                _ptr(succ, _i64), _ptr(work, _i64), n, d, upper_bound
+        def screen_splits(p, q, d, upper_bound=None):
+            p = np.ascontiguousarray(p, dtype=np.int64)
+            q = np.ascontiguousarray(q, dtype=np.int64)
+            if p.ndim != 1 or p.shape != q.shape:
+                raise ValueError("screen_splits needs two 1-D arrays of equal length")
+            if d < 1 or (upper_bound is not None and upper_bound < 0):
+                raise ValueError("screen_splits needs d >= 1 and upper_bound >= 0")
+            status = np.empty(p.shape[0], dtype=np.int64)
+            if not p.shape[0]:
+                return status
+            if min(p.min(), q.min()) < 1:
+                raise ValueError("screen_splits needs p >= 1 and q >= 1")
+            m = [a * b for a, b in zip(p.tolist(), q.tolist())]
+            if any(x % d for x in m):
+                raise ValueError(f"screen_splits needs d={d} to divide every p*q")
+            m_max = max(m)
+            n_max = m_max // d
+            if n_max >= 1 << 31:
+                raise ValueError("screen_splits needs n = p*q/d < 2**31")
+            # per call, so threads never share one (the C runs without the GIL)
+            work = np.empty(3 * m_max + 2 * n_max + 1, dtype=np.int32)
+            bound = n_max if upper_bound is None else int(upper_bound)
+            lib.screen_splits(
+                _ptr(p, _i64), _ptr(q, _i64), p.shape[0], int(d), bound,
+                _ptr(work, _i32), _ptr(status, _i64),
             )
+            return status
 
         def shift_next_hops(
             cur, tgt, count, base, D, to_code, from_code, sorted_codes, out
@@ -1272,7 +1316,7 @@ def build_native_kernels() -> SimpleNamespace:
             ecc_sweep=ecc_sweep,
             subset_rows_sweep=subset_rows_sweep,
             subset_ecc_sweep=subset_ecc_sweep,
-            bfs_screen=bfs_screen,
+            screen_splits=screen_splits,
             shift_next_hops=shift_next_hops,
             hotspot_pairs=hotspot_pairs,
             make_round_driver=make_round_driver,

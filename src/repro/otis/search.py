@@ -16,9 +16,11 @@ This module re-runs that search:
   converse digraph, Section 4.2),
 * :func:`h_diameter` — staged diameter computation with early rejection: a
   forward BFS screen, a reverse BFS screen (together they decide strong
-  connectivity; one compiled ``bfs_screen`` kernel call under a kernel
-  backend), then the batched bit-parallel eccentricity sweep of
-  :mod:`repro.graphs.apsp` with early abort at the target diameter,
+  connectivity), then the batched bit-parallel eccentricity sweep of
+  :mod:`repro.graphs.apsp` with early abort at the target diameter.  It is
+  the generic, per-digraph oracle; the sweep itself screens a whole chunk
+  of splits in one compiled ``screen_splits`` call and hands only the
+  survivors to the same eccentricity stage (see :mod:`repro.otis.sweep`),
 * :func:`degree_diameter_search` — sweep a range of ``n`` in this process
   and report every ``(n, p, q)`` whose OTIS digraph has exactly the
   requested diameter,
@@ -46,12 +48,10 @@ cross-checked reference).  See ``docs/apsp.md`` for the engine's contract.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro import kernels as _kernels
 from repro.graphs.apsp import batched_eccentricities
 from repro.graphs.digraph import RegularDigraph
 from repro.graphs.moore import kautz_order
@@ -64,16 +64,12 @@ from repro.otis.h_digraph import h_digraph
 __all__ = [
     "candidate_splits",
     "h_diameter",
+    "eccentricity_verdict",
     "DegreeDiameterResult",
     "degree_diameter_search",
     "table1_rows",
     "PAPER_TABLE1",
 ]
-
-#: Per-thread workspace of the compiled BFS screen (ctypes calls release
-#: the GIL, so threads must not share one).
-_SCREEN = threading.local()
-
 
 #: The rows of Table 1 exactly as printed in the paper: for each diameter,
 #: a list of ``(n, [(p, q), ...])`` pairs (splits with ``p <= q``), annotated
@@ -127,14 +123,6 @@ def candidate_splits(n: int, d: int) -> list[tuple[int, int]]:
     return splits
 
 
-def _screen_workspace(size: int) -> np.ndarray:
-    """This thread's grow-only int64 workspace for the compiled screen."""
-    work = getattr(_SCREEN, "work", None)
-    if work is None or work.shape[0] < size:
-        work = _SCREEN.work = np.empty(size, dtype=np.int64)
-    return work
-
-
 def h_diameter(
     graph: RegularDigraph,
     upper_bound: int | None = None,
@@ -146,7 +134,9 @@ def h_diameter(
     Returns ``-1`` when the digraph is not strongly connected.  When
     ``upper_bound`` is given and a diameter lower bound already exceeds it,
     the (useless for the search) exact value is not computed and
-    ``upper_bound + 1`` is returned as a sentinel meaning "too large".
+    ``upper_bound + 1`` is returned as a sentinel meaning "too large".  A
+    negative ``upper_bound`` raises ``ValueError``: its sentinel would read
+    as a legal diameter.
 
     The screening order follows the cost ladder:
 
@@ -160,43 +150,45 @@ def h_diameter(
        moment any eccentricity is certain to exceed ``upper_bound``.  No
        ``(n, n)`` int64 matrix is allocated at any stage.
 
-    ``backend`` selects the kernel backend (see :mod:`repro.kernels`);
-    ``None`` resolves ``REPRO_KERNELS``.  A compiled backend runs stages 1-2
-    as one ``bfs_screen`` kernel call; ``numpy`` runs the vectorised BFS
-    pair of :mod:`repro.graphs.traversal`.  Verdicts are identical.
+    Stages 1-2 are the vectorised BFS pair of :mod:`repro.graphs.traversal`
+    under every backend: this function is the per-digraph oracle of the
+    compiled ``screen_splits`` kernel the sweep runs.  ``backend`` selects
+    the kernel backend of stage 3 (see :mod:`repro.kernels`); ``None``
+    resolves ``REPRO_KERNELS``.  Verdicts are identical.
     """
-    n = graph.num_vertices
-    if n <= 1:
+    if upper_bound is not None and upper_bound < 0:
+        raise ValueError(f"upper_bound must be non-negative, got {upper_bound}")
+    if graph.num_vertices <= 1:
         return 0
-    kern = _kernels.get_kernels(backend)
-    if kern is not None:
-        # Stages 1-2 in one call; a bound of n can never fire (d(u, v) < n).
-        status = kern.bfs_screen(
-            graph.successors,
-            n if upper_bound is None else min(upper_bound, n),
-            _screen_workspace(n * (graph.degree + 3) + 1),
-        )
-        if status < 0:
-            return -1
-        if status > 0:
-            return upper_bound + 1
-    else:
-        # Stage 1: forward BFS from vertex 0.
-        dist0 = bfs_distances_regular(graph, 0)
-        if np.any(dist0 < 0):
-            return -1
-        if upper_bound is not None and int(dist0.max()) > upper_bound:
-            return upper_bound + 1
-        # Stage 2: reverse BFS to vertex 0 — completes the connectivity
-        # check before the all-pairs stage is paid for.
-        rdist0 = reverse_bfs_distances_regular(graph, 0)
-        if np.any(rdist0 < 0):
-            return -1
-        if upper_bound is not None and int(rdist0.max()) > upper_bound:
-            return upper_bound + 1
-    # Stage 3: batched bit-parallel sweep over all sources at once.  The
-    # digraph is strongly connected by now, so an abort can only mean the
-    # diameter exceeds the bound.
+    # Stage 1: forward BFS from vertex 0.
+    dist0 = bfs_distances_regular(graph, 0)
+    if np.any(dist0 < 0):
+        return -1
+    if upper_bound is not None and int(dist0.max()) > upper_bound:
+        return upper_bound + 1
+    # Stage 2: reverse BFS to vertex 0 — completes the connectivity check
+    # before the all-pairs stage is paid for.
+    rdist0 = reverse_bfs_distances_regular(graph, 0)
+    if np.any(rdist0 < 0):
+        return -1
+    if upper_bound is not None and int(rdist0.max()) > upper_bound:
+        return upper_bound + 1
+    return eccentricity_verdict(graph, upper_bound, backend=backend)
+
+
+def eccentricity_verdict(
+    graph: RegularDigraph,
+    upper_bound: int | None = None,
+    *,
+    backend: str | None = None,
+) -> int:
+    """Stage 3 of :func:`h_diameter` on a strongly connected digraph.
+
+    The batched bit-parallel sweep over all sources at once.  The caller
+    has settled connectivity (stages 1-2, or the sweep's ``screen_splits``
+    call), so an abort can only mean the diameter exceeds the bound:
+    ``upper_bound + 1`` is returned, else the exact diameter.
+    """
     ecc, aborted = batched_eccentricities(
         graph, upper_bound=upper_bound, backend=backend
     )

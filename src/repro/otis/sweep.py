@@ -41,8 +41,11 @@ On-disk formats (all JSON, one object per line in the ``.jsonl`` files):
   ``{"n": n, "p": p, "q": q, "verdict": v}`` per work item, where ``v`` is
   the raw staged verdict of ``h_diameter(h_digraph(p, q, d), upper_bound=D)``
   (``-1`` not strongly connected, ``0..D`` exact diameter, ``D+1`` "too
-  large").  Storing the raw verdict keeps the merge free to apply either
-  the exact-diameter or the at-most-diameter filter.  The final line is a
+  large").  :func:`run_chunk` computes it with one compiled
+  ``screen_splits`` call per chunk and the eccentricity stage for the
+  splits that pass (per-split ``h_diameter`` under ``numpy``).  Storing
+  the raw verdict keeps the merge free to apply either the exact-diameter
+  or the at-most-diameter filter.  The final line is a
   ``{"__chunk_footer__": id, "records": count}`` footer; :meth:`ChunkStore.read`
   refuses files whose footer is missing or disagrees, so a chunk truncated
   in transit can never fold partial data into a merge.
@@ -210,8 +213,8 @@ def fingerprint_closure(root: Path, extra: tuple[str, ...] = ()) -> str:
 def code_version() -> str:
     """Fingerprint of the verdict-defining code (see :func:`fingerprint_closure`).
 
-    Rooted at this module: its ``_item_verdict`` makes the call whose result
-    every chunk record stores.  Part of every chunk id and every cache file
+    Rooted at this module: its ``run_chunk`` computes the verdict every
+    chunk record stores.  Part of every chunk id and every cache file
     name: two processes agree on a chunk or cache entry only when they run
     the *same* verdict code.  The active kernel backend
     (:func:`repro.kernels.active_backend`) is folded in: backends are
@@ -406,6 +409,8 @@ class ChunkManifest:
 
         if chunk_size < 1:
             raise ValueError("chunk_size must be positive")
+        if diameter < 0:
+            raise ValueError(f"diameter must be non-negative, got {diameter}")
         version = globals()["code_version"]() if code_version is None else code_version
         ns = tuple(sorted(set(int(n) for n in n_values)))
         items: list[WorkItem] = [
@@ -816,7 +821,13 @@ class SplitVerdictCache:
 
 
 def _item_verdict(
-    n: int, p: int, q: int, d: int, diameter: int, cache: SplitVerdictCache | None
+    n: int,
+    p: int,
+    q: int,
+    d: int,
+    diameter: int,
+    cache: SplitVerdictCache | None,
+    backend: str,
 ) -> dict:
     """Verdict record for one work item, consulting the cache when given."""
     from repro.otis.h_digraph import h_digraph
@@ -824,7 +835,7 @@ def _item_verdict(
 
     verdict = cache.get(p, q) if cache is not None else None
     if verdict is None:
-        verdict = h_diameter(h_digraph(p, q, d), upper_bound=diameter)
+        verdict = h_diameter(h_digraph(p, q, d), diameter, backend=backend)
         if cache is not None:
             cache.put(p, q, verdict)
     return {"n": n, "p": p, "q": q, "verdict": verdict}
@@ -838,11 +849,53 @@ def run_chunk(
 ) -> list[dict]:
     """Compute the verdict records of one chunk's ``(n, p, q)`` items.
 
-    ``cache``, when given, is consulted before every ``h_diameter`` call and
-    fed with every fresh verdict; passing one open cache across chunks keeps
-    a single hit/miss ledger.
+    ``cache``, when given, is read for every item first and fed with every
+    fresh verdict, both in item order; passing one open cache across chunks
+    keeps a single hit/miss ledger.
+
+    Under a compiled backend the cache misses are screened in one
+    ``screen_splits`` call (stages 1-2 of
+    :func:`~repro.otis.search.h_diameter` for every split, tables built in
+    C), and ``h_digraph`` plus the eccentricity stage run only for the
+    splits that pass.  Under ``numpy`` each item takes the per-split
+    ``h_diameter``.  The records are identical either way.
     """
-    return [_item_verdict(n, p, q, d, diameter, cache) for n, p, q in items]
+    from repro import kernels
+    from repro.otis.h_digraph import h_digraph
+    from repro.otis.search import eccentricity_verdict
+
+    backend = kernels.resolve_backend()
+    kern = kernels.get_kernels(backend)
+    if kern is None:
+        return [
+            _item_verdict(n, p, q, d, diameter, cache, backend) for n, p, q in items
+        ]
+    verdicts = [
+        None if cache is None else cache.get(p, q) for _, p, q in items
+    ]
+    misses = [k for k, verdict in enumerate(verdicts) if verdict is None]
+    if misses:
+        status = kern.screen_splits(
+            [items[k][1] for k in misses], [items[k][2] for k in misses],
+            d, diameter,
+        )
+        for k, code in zip(misses, status.tolist()):
+            _, p, q = items[k]
+            if code < 0:
+                verdict = -1
+            elif code > 0:
+                verdict = diameter + 1
+            else:
+                verdict = eccentricity_verdict(
+                    h_digraph(p, q, d), diameter, backend=backend
+                )
+            verdicts[k] = verdict
+            if cache is not None:
+                cache.put(p, q, verdict)
+    return [
+        {"n": n, "p": p, "q": q, "verdict": verdict}
+        for (n, p, q), verdict in zip(items, verdicts)
+    ]
 
 
 def fold_records(

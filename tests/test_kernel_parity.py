@@ -9,10 +9,14 @@ equal.  This suite is the proof obligation:
   tiny digraphs and on hypothesis-randomised digraphs (with parallel arcs,
   self-loops, sinks and disconnected pieces), with and without the
   ``upper_bound`` early cut;
-* the BFS connectivity screen is compared through
-  ``h_diameter(..., backend=...)`` on every small ``H(p, q, d)`` split and
-  on hypothesis-randomised regular digraphs (degree 0-3, self-loops,
-  parallel arcs, not strongly connected), under several bounds;
+* the split screen ``screen_splits`` is compared with the numpy BFS pair
+  of ``h_diameter`` (stages 1-2) on every small ``H(p, q, d)`` split, the
+  Table 1 ranges and hypothesis-drawn splits, under several bounds, and
+  ``run_chunk`` (screen, then the eccentricity stage for the survivors)
+  with the per-split ``h_diameter`` loop on every chunk of the D = 8
+  range; ``h_diameter(..., backend=...)`` itself is compared on
+  hypothesis-randomised regular digraphs (degree 0-3, self-loops,
+  parallel arcs, not strongly connected);
 * the simulator kernels are compared against the numpy vector path on
   randomised workloads over parallel-arc topologies, zero-``T`` /
   zero-``L`` link timings (same-instant event cascades), truncated runs
@@ -57,8 +61,13 @@ from repro.graphs.generators import (
     kautz,
     reddy_raghavan_kuhl,
 )
+from repro.graphs.traversal import (
+    bfs_distances_regular,
+    reverse_bfs_distances_regular,
+)
 from repro.otis.h_digraph import h_digraph
-from repro.otis.search import candidate_splits, h_diameter
+from repro.otis.search import PAPER_TABLE1, candidate_splits, h_diameter
+from repro.otis.sweep import ChunkManifest, SplitVerdictCache, run_chunk
 from repro.routing.paths import RoutingTable, routing_table_for
 from repro.routing.routers import ClosedFormRouter, DenseTableRouter, Router
 from repro.simulation.network import (
@@ -196,7 +205,32 @@ def test_h_diameter_sized_sweep(backend):
         assert_apsp_parity(graph, backend, upper_bound=3)
 
 
-# ------------------------------------------------------------ bfs screen
+# ----------------------------------------------------------- split screen
+
+
+def bfs_pair(graph):
+    """Stages 1-2 of ``h_diameter``: the numpy forward and reverse BFS."""
+    return bfs_distances_regular(graph, 0), reverse_bfs_distances_regular(graph, 0)
+
+
+def pair_status(pair, n, bound):
+    """The ``screen_splits`` status the numpy BFS pair implies, in its
+    exit order: unreachable (-1) before over the bound (1), forward first."""
+    limit = n if bound is None else min(bound, n)
+    for dist in pair:
+        if np.any(dist < 0):
+            return -1
+        if int(dist.max()) > limit:
+            return 1
+    return 0
+
+
+def screen(back, splits, d, bound):
+    status = kernels.get_kernels(back).screen_splits(
+        [p for p, _ in splits], [q for _, q in splits], d, bound
+    )
+    assert status.dtype == np.int64 and status.shape == (len(splits),)
+    return status.tolist()
 
 
 def assert_screen_parity(graph, back, upper_bound):
@@ -206,16 +240,27 @@ def assert_screen_parity(graph, back, upper_bound):
 
 
 def test_h_diameter_screen_every_split(backend):
-    # Every split H(p, q, d) on up to 200 vertices, under no bound, bounds
-    # that cut in stage 1, 2 or 3, and the exact diameter (the sweep
-    # completes).
-    for d in (2, 3):
-        for n in range(1, 201):
-            for p, q in candidate_splits(n, d):
-                graph = h_digraph(p, q, d)
-                exact = assert_screen_parity(graph, backend, None)
-                for bound in {0, 2, exact}:
-                    assert_screen_parity(graph, backend, bound)
+    # Every split H(p, q, d), d = 1..5, on up to 200 vertices: the kernel's
+    # status against the numpy BFS pair under no bound and bounds that cut
+    # in stage 1 or 2, and against the per-split numpy h_diameter under its
+    # exact diameter (every strongly connected split passes the screen).
+    for d in range(1, 6):
+        splits = [(p, q) for n in range(1, 201) for p, q in candidate_splits(n, d)]
+        graphs = [h_digraph(p, q, d) for p, q in splits]
+        pairs = [bfs_pair(graph) for graph in graphs]
+        for bound in (None, 0, 2):
+            assert screen(backend, splits, d, bound) == [
+                pair_status(pair, graph.num_vertices, bound)
+                for pair, graph in zip(pairs, graphs)
+            ], (d, bound)
+        exact = [h_diameter(graph, backend="numpy") for graph in graphs]
+        assert [h_diameter(graph, backend=backend) for graph in graphs] == exact
+        assert screen(backend, splits, d, None) == [
+            -1 if value < 0 else 0 for value in exact
+        ]
+        for value in set(exact) - {-1}:
+            chosen = [split for split, e in zip(splits, exact) if e == value]
+            assert screen(backend, chosen, d, value) == [0] * len(chosen)
 
 
 @st.composite
@@ -246,45 +291,83 @@ def test_h_diameter_screen_randomised(graph, data):
     assert_screen_parity(graph, "cnative", ub)
 
 
-def test_bfs_screen_kernel_corners(backend):
+@pytest.mark.parametrize("diameter", [8, 9, 10])
+def test_screen_splits_table1_ranges(backend, diameter):
+    # Every split of the printed Table 1 range, screened as the sweep does.
+    n_min, n_max = PAPER_TABLE1[diameter][0][0], PAPER_TABLE1[diameter][-1][0]
+    splits = [
+        (p, q) for n in range(n_min, n_max + 1) for p, q in candidate_splits(n, 2)
+    ]
+    expected = []
+    for p, q in splits:
+        graph = h_digraph(p, q, 2)
+        expected.append(pair_status(bfs_pair(graph), graph.num_vertices, diameter))
+    assert screen(backend, splits, 2, diameter) == expected
+
+
+@requires_cnative
+@settings(max_examples=80, deadline=None)
+@given(
+    p=st.integers(min_value=1, max_value=48),
+    q=st.integers(min_value=1, max_value=48),
+    data=st.data(),
+)
+def test_screen_splits_randomised(p, q, data):
+    d = data.draw(st.sampled_from([k for k in range(1, 7) if (p * q) % k == 0]))
+    graph = h_digraph(p, q, d)
+    n = graph.num_vertices
+    bound = data.draw(st.one_of(st.none(), st.integers(min_value=0, max_value=n + 1)))
+    assert screen("cnative", [(p, q)], d, bound) == [pair_status(bfs_pair(graph), n, bound)]
+
+
+def test_screen_splits_kernel_corners(backend):
+    for d in (1, 2, 3):
+        # n = 1: trivially strongly connected under every bound
+        assert screen(backend, [(1, d)], d, 0) == [0]
+        assert screen(backend, [(1, d)], d, None) == [0]
+    # H(1, 2, 1) is the 2-cycle: eccentricity 1 both ways
+    assert screen(backend, [(1, 2)], 1, 0) == [1]
+    assert screen(backend, [(1, 2)], 1, 1) == [0]
+    # H(8, 64, 2) is disconnected: unreachable wins over the bound
+    assert screen(backend, [(8, 64)], 2, 0) == [-1]
+    # H(2, 11, 2): vertex 0 reaches everything within 3 steps, but some
+    # vertex needs 4 to reach it, so only the reverse BFS rejects bound 3
+    forward, reverse = bfs_pair(h_digraph(2, 11, 2))
+    assert (int(forward.max()), int(reverse.max())) == (3, 4)
+    assert screen(backend, [(2, 11)], 2, 3) == [1]
+    assert screen(backend, [(2, 11)], 2, 4) == [0]
+    assert screen(backend, [], 2, 3) == []
     kern = kernels.get_kernels(backend)
-    work = np.full(64, -7, dtype=np.int64)  # stale workspace contents
-    for d in (0, 1, 2):
-        # n = 1: trivially strongly connected; only a negative bound cuts.
-        single = np.zeros((1, d), dtype=np.int64)
-        assert kern.bfs_screen(single, 1, work) == 0
-        assert kern.bfs_screen(single, 0, work) == 0
-        assert kern.bfs_screen(single, -1, work) == 1
-    # no arcs on two vertices: forward-unreachable before any bound check
-    assert kern.bfs_screen(np.zeros((2, 0), dtype=np.int64), 0, work) == -1
-    # 0 -> 1 -> 1: forward-connected, but 0 is unreachable in reverse
-    path = np.array([[1], [1]], dtype=np.int64)
-    assert kern.bfs_screen(path, 2, work) == -1
-    # forward too large wins over the reverse connectivity verdict
-    assert kern.bfs_screen(path, 0, work) == 1
-    # the 3-cycle: forward and reverse eccentricity of vertex 0 are both 2
-    cycle = np.array([[1], [2], [0]], dtype=np.int64)
-    assert kern.bfs_screen(cycle, 2, work) == 0
-    assert kern.bfs_screen(cycle, 1, work) == 1
-    with pytest.raises(ValueError, match="workspace"):  # C would write past it
-        kern.bfs_screen(cycle, 2, work[:12])
+    bad = [
+        (([0], [4], 2, 3), "p >= 1"),
+        (([2], [-1], 2, 3), "q >= 1"),
+        (([1], [3], 2, 3), "divide"),
+        (([4], [8], 0, 3), "d >= 1"),
+        (([4], [8], 2, -1), "upper_bound >= 0"),
+        (([4, 2], [8], 2, 3), "equal length"),
+        (([1 << 16], [1 << 15], 1, 3), "2\\*\\*31"),  # n = 2**31: int32 ids overflow
+    ]
+    for args, message in bad:
+        with pytest.raises(ValueError, match=message):
+            kern.screen_splits(*args)
 
 
 @requires_cnative
 def test_h_diameter_screen_threads_do_not_share_workspace():
     # Compiled kernels run without the interpreter lock, so concurrent
-    # h_diameter calls must each screen in their own workspace.
-    graphs = [
-        h_digraph(p, q, 2)
-        for n in range(200, 260)
-        for p, q in candidate_splits(n, 2)
-    ]
-    expected = [h_diameter(g, 8, backend="numpy") for g in graphs]
+    # screen_splits calls must each screen in their own workspace.
+    splits = [(p, q) for n in range(200, 260) for p, q in candidate_splits(n, 2)]
+    expected = []
+    for p, q in splits:
+        graph = h_digraph(p, q, 2)
+        expected.append(pair_status(bfs_pair(graph), graph.num_vertices, 8))
 
     def verdicts(offset):
-        order = graphs[offset:] + graphs[:offset]
-        got = [h_diameter(g, 8, backend="cnative") for g in order]
-        return got[len(graphs) - offset:] + got[: len(graphs) - offset]
+        order = splits[offset:] + splits[:offset]
+        got = []
+        for k in range(0, len(order), 7):  # many short calls interleave
+            got.extend(screen("cnative", order[k:k + 7], 2, 8))
+        return got[len(splits) - offset:] + got[: len(splits) - offset]
 
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -296,6 +379,39 @@ def test_h_diameter_screen_threads_do_not_share_workspace():
         sys.setswitchinterval(switch)
     for got in results:
         assert got == expected
+
+
+@pytest.mark.parametrize("shared_cache", [False, True])
+def test_run_chunk_matches_numpy_on_every_d8_chunk(
+    backend, shared_cache, monkeypatch, tmp_path
+):
+    # The sweep path (one screen per chunk, stage 3 for its survivors)
+    # against the per-split h_diameter loop, chunk by chunk, on the full
+    # D = 8 range: byte-identical records, and with a shared cache the same
+    # hit/miss ledger and the same set of cache file lines.
+    manifest = ChunkManifest.build(2, 8, range(253, 385), code_version="parity")
+    outputs = {}
+    for back in ("numpy", backend):
+        monkeypatch.setenv(kernels.ENV_VAR, back)
+        cache = (
+            SplitVerdictCache(tmp_path / back, 2, 8, version="parity")
+            if shared_cache
+            else None
+        )
+        # every chunk twice, so a shared cache is read warm as well as cold
+        records = [
+            json.dumps(run_chunk(2, 8, chunk.items, cache))
+            for _ in range(2)
+            for chunk in manifest.chunks
+        ]
+        ledger = None
+        if cache is not None:
+            ledger = (cache.hits, cache.misses, set(cache.path.read_text().splitlines()))
+        outputs[back] = (records, ledger)
+    assert outputs[backend] == outputs["numpy"]
+    if shared_cache:
+        hits, misses, lines = outputs["numpy"][1]
+        assert hits == misses == len(lines) == 705
 
 
 def test_h_diameter_n1_every_backend(backend):

@@ -28,7 +28,12 @@ import pytest
 from repro import kernels
 from repro.otis import search
 from repro.otis.h_digraph import h_digraph
-from repro.otis.sweep import SplitVerdictCache, StoreIdentityError, code_version
+from repro.otis.sweep import (
+    SplitVerdictCache,
+    StoreIdentityError,
+    code_version,
+    run_chunk,
+)
 from repro.simulation.network import BatchedNetworkSimulator, LinkModel
 from repro.fleet import SimFleetJob, run_fleet
 from repro.simulation.sharding import ReplicaChunkManifest, sim_code_version
@@ -124,9 +129,10 @@ class TestResolution:
                 assert sparse_used == 0 and dense_used == 1
 
     def test_env_var_numpy_takes_numpy_bfs_screen(self, monkeypatch):
-        # Under REPRO_KERNELS=numpy h_diameter runs the vectorised forward
-        # and reverse BFS stages; a compiled backend replaces both with one
-        # bfs_screen kernel call.  Same verdict either way.
+        # Under REPRO_KERNELS=numpy the sweep runs h_diameter per split, so
+        # the vectorised forward and reverse BFS stages; a compiled backend
+        # screens the whole chunk in one screen_splits call instead.  Same
+        # records either way.
         calls = []
         for name in ("bfs_distances_regular", "reverse_bfs_distances_regular"):
             real = getattr(search, name)
@@ -135,15 +141,31 @@ class TestResolution:
                 name,
                 lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a),
             )
+        screens = []
+        real_get = kernels.get_kernels
+
+        def spying_get(backend=None):
+            ns = real_get(backend)
+            if ns is None:
+                return None
+            spy = SimpleNamespace(**vars(ns))
+            spy.screen_splits = lambda *a: screens.append(a) or ns.screen_splits(*a)
+            return spy
+
+        monkeypatch.setattr(kernels, "get_kernels", spying_get)
+        items = ((16, 4, 8),)
         monkeypatch.setenv(kernels.ENV_VAR, "numpy")
-        assert search.h_diameter(GRAPH, 4) == 4
+        expected = [{"n": 16, "p": 4, "q": 8, "verdict": 4}]
+        assert run_chunk(2, 4, items) == expected
         assert calls == ["bfs_distances_regular", "reverse_bfs_distances_regular"]
+        assert screens == []
         monkeypatch.setenv(kernels.ENV_VAR, "auto")
         if kernels.active_backend() == "numpy":
             pytest.skip("no compiled backend available")
         calls.clear()
-        assert search.h_diameter(GRAPH, 4) == 4
+        assert run_chunk(2, 4, items) == expected
         assert calls == []
+        assert len(screens) == 1
 
     def test_numpy_forced_simulation_matches_auto(self, monkeypatch):
         # The fallback is not merely "doesn't crash": forced-numpy results
@@ -170,7 +192,7 @@ class TestWarmupAndDiagnostics:
         def spying_get(backend=None):
             ns = real_get(backend)
             spy = SimpleNamespace(**vars(ns))
-            spy.bfs_screen = lambda *a: screens.append(a) or ns.bfs_screen(*a)
+            spy.screen_splits = lambda *a: screens.append(a) or ns.screen_splits(*a)
             return spy
 
         monkeypatch.setattr(kernels, "get_kernels", spying_get)

@@ -44,6 +44,24 @@ class TestHDiameter:
     def test_trivial_graph(self):
         assert h_diameter(h_digraph(1, 2, 2)) == 0
 
+    @pytest.mark.parametrize("backend", ["numpy", "auto"])
+    def test_negative_bound_raises_instead_of_a_legal_diameter(self, backend):
+        # A bound of -1 used to return its sentinel 0: a legal-looking
+        # diameter for a digraph whose diameter is 4.
+        graph = h_digraph(4, 8, 2)
+        assert h_diameter(graph, backend=backend) == 4
+        for bound in (-1, -5):
+            with pytest.raises(ValueError, match="upper_bound"):
+                h_diameter(graph, upper_bound=bound, backend=backend)
+        with pytest.raises(ValueError, match="upper_bound"):
+            h_diameter(h_digraph(1, 2, 2), upper_bound=-1, backend=backend)
+
+    def test_negative_diameter_search_raises(self):
+        with pytest.raises(ValueError, match="diameter"):
+            degree_diameter_search(2, -1, 14, 17)
+        with pytest.raises(ValueError, match="diameter"):
+            table1_rows(-1, n_min=14, n_max=17)
+
 
 class TestSmallSearches:
     def test_debruijn_2_4_found_at_diameter_4(self):

@@ -103,6 +103,11 @@ class TestManifestDeterminism:
         with pytest.raises(ValueError):
             d6_manifest(chunk_size=0)
 
+    def test_negative_diameter_raises(self):
+        # Its verdicts would store -1 + 1 = 0 as "too large".
+        with pytest.raises(ValueError, match="diameter"):
+            d6_manifest(diameter=-1)
+
 
 class TestChunkStore:
     def test_atomic_write_and_read(self, tmp_path):
