@@ -34,7 +34,7 @@ MIN_NEXT_HOP_QPS = 100_000.0
 
 
 def _bench(registry, name, **bench_kwargs):
-    with ServerThread(registry, batch_window_s=0.001) as server:
+    with ServerThread(registry) as server:
         return run_bench(server.host, server.port, topology=name, **bench_kwargs)
 
 

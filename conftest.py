@@ -38,8 +38,13 @@ The benchmarks under ``benchmarks/`` write their numbers into the
 passed; a plain run checks every reproduction but leaves the tree clean.
 
 The ``fleet_processes`` fixture runs N fleet worker processes on one chunk
-store — the way a chunk store runs in parallel.
+store — the way a chunk store runs in parallel.  The ``router_gate`` fixture
+holds a served router's calls on an event, so the serve tests can pin
+queries in flight without timing assumptions.
 """
+
+import threading
+import time
 
 import pytest
 
@@ -161,3 +166,55 @@ def fleet_processes():
                     proc.join()
 
     return run
+
+
+class RouterGate:
+    """Holds every ``next_hops`` call of one router until :meth:`release`.
+
+    Each call counts itself, then waits on the gate for up to ``hold_s``
+    seconds — in the serve executor thread that made it — before answering
+    with the real router.
+    """
+
+    def __init__(self, router, hold_s: float):
+        self._open = threading.Event()
+        self._lock = threading.Lock()
+        self.calls = 0
+        real = router.next_hops
+
+        def next_hops(sources, targets):
+            with self._lock:
+                self.calls += 1
+            self._open.wait(hold_s)
+            return real(sources, targets)
+
+        router.next_hops = next_hops
+
+    def release(self) -> None:
+        self._open.set()
+
+    @staticmethod
+    def wait_until(predicate, timeout: float = 10.0) -> None:
+        """Poll ``predicate`` until it holds; fail after ``timeout`` seconds."""
+        deadline = time.monotonic() + timeout
+        while not predicate():
+            assert time.monotonic() < deadline, "condition never held"
+            time.sleep(0.001)
+
+
+@pytest.fixture
+def router_gate():
+    """``gate(router, hold_s=30.0)``: a :class:`RouterGate` on ``router``.
+
+    Every gate is released at teardown, so no executor thread stays blocked
+    after the test.
+    """
+    gates = []
+
+    def gate(router, hold_s=30.0):
+        gates.append(RouterGate(router, hold_s))
+        return gates[-1]
+
+    yield gate
+    for each in gates:
+        each.release()

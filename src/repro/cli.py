@@ -319,16 +319,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="JSON spec file mapping names to specs; hot-reloaded on change",
     )
     serve_run.add_argument(
-        "--batch-window",
-        type=float,
-        default=0.002,
-        help="micro-batch coalescing window, seconds (default 2ms)",
-    )
-    serve_run.add_argument(
         "--batch-pairs",
         type=int,
         default=8192,
-        help="flush a micro-batch early at this many pending pairs",
+        help="send a micro-batch to the router at once at this many pairs",
     )
     serve_run.add_argument(
         "--max-pairs",
@@ -973,7 +967,6 @@ def _serve_run(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         link=link,
-        batch_window_s=args.batch_window,
         batch_pairs=args.batch_pairs,
         max_pairs=args.max_pairs,
         reload_interval_s=args.reload_interval,

@@ -39,6 +39,7 @@ __all__ = [
     "ProtocolError",
     "BatchQuery",
     "decode_query",
+    "check_range",
     "batch_paths",
     "answer_query",
 ]
@@ -118,6 +119,16 @@ def decode_query(obj: object, *, max_pairs: int | None = None) -> BatchQuery:
     )
 
 
+def check_range(query: BatchQuery, n: int) -> None:
+    """Raise :class:`ProtocolError` unless every endpoint is below ``n``."""
+    for what, array in (("source", query.sources), ("target", query.targets)):
+        if array.size and (array.min() < 0 or array.max() >= n):
+            raise ProtocolError(
+                f"{what} index out of range for {query.topology!r} "
+                f"(topology has {n} vertices)"
+            )
+
+
 def batch_paths(
     router: Router, sources: np.ndarray, targets: np.ndarray
 ) -> list[list[int] | None]:
@@ -130,26 +141,25 @@ def batch_paths(
     """
     sources = np.asarray(sources, dtype=np.int64)
     targets = np.asarray(targets, dtype=np.int64)
-    paths: list[list[int] | None] = [[int(s)] for s in sources.tolist()]
+    # Row l holds every pair's vertex after l hops (its target once it has
+    # arrived); hops[i] is pair i's hop count, -1 once it hit a dead end.
+    levels = [sources]
+    hops = np.zeros(sources.size, dtype=np.int64)
     current = sources.copy()
     active = np.flatnonzero(current != targets)
     limit = router.num_vertices()
-    steps = 0
     while active.size:
-        if steps >= limit:  # pragma: no cover - defensive (cyclic router)
+        if len(levels) > limit:  # pragma: no cover - defensive (cyclic router)
             raise RuntimeError("routing walk exceeded the vertex count")
         nxt = router.next_hops(current[active], targets[active])
-        for position, index in enumerate(active.tolist()):
-            hop = int(nxt[position])
-            if hop < 0:
-                paths[index] = None
-            else:
-                paths[index].append(hop)
         reachable = nxt >= 0
+        hops[active[reachable]] += 1
+        hops[active[~reachable]] = -1
         current[active] = np.where(reachable, nxt, targets[active])
+        levels.append(current.copy())
         active = active[current[active] != targets[active]]
-        steps += 1
-    return paths
+    rows = zip(np.stack(levels, axis=1).tolist(), hops.tolist())
+    return [None if count < 0 else row[: count + 1] for row, count in rows]
 
 
 def answer_query(
@@ -161,13 +171,7 @@ def answer_query(
     (in a worker thread); everything in it is a router call plus array
     serialisation.
     """
-    n = router.num_vertices()
-    for what, array in (("source", query.sources), ("target", query.targets)):
-        if array.size and (array.min() < 0 or array.max() >= n):
-            raise ProtocolError(
-                f"{what} index out of range for {query.topology!r} "
-                f"(topology has {n} vertices)"
-            )
+    check_range(query, router.num_vertices())
     reply: dict = {
         "ok": True,
         "op": query.op,

@@ -22,17 +22,22 @@ or header line longer than the stream limit, or more than
 ``413`` before any of it is read.  The refusals are counted under
 ``framing_errors`` in ``/stats``.
 
-**Micro-batching.**  Concurrent requests against the same
-``(topology, version, op)`` coalesce: the first request arms a
-``batch_window_s`` timer, later ones append to the pending bucket, and the
-bucket flushes early when it accumulates ``batch_pairs`` pairs.  One flush
-concatenates every pending query into single numpy arrays and makes *one*
-router call in a worker thread, then splits the results back per request —
-so a thousand small concurrent queries cost one vectorised ``next_hops``
-dispatch, which is where the >100k queries/sec of ``BENCH_serve.json`` comes
-from.  All batching state lives on the event-loop thread (no locks); only
-the router call itself runs in the executor, which is why the router
-thread-safety contract of :class:`repro.routing.routers.Router` matters.
+**Micro-batching (group commit).**  Concurrent requests against the same
+``(topology, version, op)`` coalesce without a timer: a request whose key has
+no flush running starts one at once (requests decoded in the same event-loop
+turn still join it), and requests that arrive while the key's router call is
+in the executor collect in its bucket for the flush's next round, until the
+bucket is empty — so batches grow with load and shrink to one request at
+idle.  A bucket that reaches ``batch_pairs`` pairs goes to the executor at
+once.  One round concatenates every pending query into single numpy arrays
+and makes *one* router call in a worker thread, then splits the results back
+per request — so a thousand small concurrent queries cost one vectorised
+``next_hops`` dispatch, which is where the >100k queries/sec of
+``BENCH_serve.json`` comes from.  A router call that raises answers its whole
+batch ``500`` and leaves the connections open.  All batching state lives on
+the event-loop thread (no locks); only the router call itself runs in the
+executor, which is why the router thread-safety contract of
+:class:`repro.routing.routers.Router` matters.
 """
 
 from __future__ import annotations
@@ -45,7 +50,13 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from repro.serve.metrics import ServeMetrics
-from repro.serve.protocol import ProtocolError, answer_query, decode_query
+from repro.serve.protocol import (
+    BatchQuery,
+    ProtocolError,
+    answer_query,
+    check_range,
+    decode_query,
+)
 from repro.serve.registry import RouterEntry, RouterRegistry
 
 __all__ = ["RouteQueryServer"]
@@ -64,6 +75,12 @@ class _FramingError(Exception):
         self.status = status
 
 
+class _Bucket(list):
+    """The ``(query, future)`` entries of one key awaiting a router call."""
+
+    pairs = 0  #: total pairs of the entries
+
+
 class RouteQueryServer:
     """One server process: registry + metrics + micro-batched query loop."""
 
@@ -74,7 +91,6 @@ class RouteQueryServer:
         host: str = "127.0.0.1",
         port: int = 0,
         link=None,
-        batch_window_s: float = 0.002,
         batch_pairs: int = 8192,
         max_pairs: int = 65536,
         reload_interval_s: float = 2.0,
@@ -91,7 +107,6 @@ class RouteQueryServer:
         self.host = host
         self.port = int(port)  # 0 until started; then the bound port
         self.link = link
-        self.batch_window_s = float(batch_window_s)
         self.batch_pairs = int(batch_pairs)
         self.max_pairs = int(max_pairs)
         #: Largest accepted request body: 64 bytes per pair covers a JSON
@@ -117,10 +132,12 @@ class RouteQueryServer:
         )
         self._server: asyncio.AbstractServer | None = None
         self._reload_task: asyncio.Task | None = None
-        # Micro-batch buckets, keyed (topology, entry version, op); only the
-        # event-loop thread touches them, so no lock is needed.
-        self._pending: dict[tuple, list] = {}
-        self._timers: dict[tuple, asyncio.TimerHandle] = {}
+        # Micro-batch buckets keyed (topology, entry version, op), the keys
+        # with a flush running, and the batch tasks (the loop holds tasks
+        # weakly); only the event-loop thread touches them, so no lock.
+        self._pending: dict[tuple, _Bucket] = {}
+        self._flushing: set[tuple] = set()
+        self._batch_tasks: set[asyncio.Task] = set()
         self._connections: set[asyncio.Task] = set()
         self._inflight = 0
         self._draining = False
@@ -169,12 +186,13 @@ class RouteQueryServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        # Idle keep-alive connections sit in readline() forever; cancel them
-        # so loop teardown never destroys a pending handler task.
-        for task in list(self._connections):
+        # Idle keep-alive connections sit in readline() forever, a batch on a
+        # wedged router call in its executor; cancel both so loop teardown
+        # never destroys a pending task.
+        tasks = self._connections | self._batch_tasks
+        for task in tasks:
             task.cancel()
-        if self._connections:
-            await asyncio.gather(*self._connections, return_exceptions=True)
+        await asyncio.gather(*tasks, return_exceptions=True)
         self._executor.shutdown(wait=False)
 
     async def _reload_loop(self) -> None:
@@ -404,6 +422,13 @@ class RouteQueryServer:
     async def _handle_query(self, body: bytes):
         start = time.perf_counter()
         op = "invalid"
+
+        def refuse(status: str, message: str):
+            self.metrics.record(
+                op, queries=0, seconds=time.perf_counter() - start, error=True
+            )
+            return status, {"ok": False, "error": message}
+
         try:
             try:
                 obj = json.loads(body)
@@ -415,79 +440,70 @@ class RouteQueryServer:
                 entry = self.registry.get(query.topology)
             except KeyError:
                 known = ", ".join(self.registry.names()) or "(none)"
-                self.metrics.record(
-                    op, queries=0, seconds=time.perf_counter() - start, error=True
+                return refuse(
+                    "404 Not Found",
+                    f"unknown topology {query.topology!r} (serving: {known})",
                 )
-                return "404 Not Found", {
-                    "ok": False,
-                    "error": f"unknown topology {query.topology!r} "
-                    f"(serving: {known})",
-                }
-            n = entry.router.num_vertices()
-            for what, array in (
-                ("source", query.sources),
-                ("target", query.targets),
-            ):
-                if array.size and (array.min() < 0 or array.max() >= n):
-                    raise ProtocolError(
-                        f"{what} index out of range for {query.topology!r} "
-                        f"(topology has {n} vertices)"
-                    )
+            check_range(query, entry.router.num_vertices())
         except ProtocolError as error:
-            self.metrics.record(
-                op, queries=0, seconds=time.perf_counter() - start, error=True
-            )
-            return "400 Bad Request", {"ok": False, "error": str(error)}
-        reply = await self._submit(entry, query)
+            return refuse("400 Bad Request", str(error))
+        try:
+            reply = await self._submit(entry, query)
+        except Exception as error:  # noqa: BLE001 - its router call failed
+            return refuse("500 Internal Server Error", f"router call: {error!r}")
         self.metrics.record(
             op, queries=query.count, seconds=time.perf_counter() - start
         )
         return "200 OK", reply
 
     async def _submit(self, entry: RouterEntry, query) -> dict:
-        """Enqueue a validated query into its micro-batch; await the reply."""
+        """Add a validated query to its key's bucket; await the reply."""
         loop = asyncio.get_running_loop()
         key = (entry.name, entry.version, query.op)
         future: asyncio.Future = loop.create_future()
-        bucket = self._pending.setdefault(key, [])
+        bucket = self._pending.setdefault(key, _Bucket())
         bucket.append((query, future))
-        pending_pairs = sum(q.count for q, _ in bucket)
-        if pending_pairs >= self.batch_pairs:
-            self._cancel_timer(key)
-            loop.create_task(self._flush(key, entry))
-        elif len(bucket) == 1:
-            self._timers[key] = loop.call_later(
-                self.batch_window_s,
-                lambda: loop.create_task(self._flush(key, entry)),
-            )
+        bucket.pairs += query.count
+        if bucket.pairs >= self.batch_pairs:
+            del self._pending[key]
+            self._spawn(self._commit(entry, bucket))
+        elif key not in self._flushing:
+            self._flushing.add(key)
+            self._spawn(self._flush(key, entry))
         return await future
 
-    def _cancel_timer(self, key) -> None:
-        timer = self._timers.pop(key, None)
-        if timer is not None:
-            timer.cancel()
+    def _spawn(self, coroutine) -> None:
+        task = asyncio.get_running_loop().create_task(coroutine)
+        self._batch_tasks.add(task)
+        task.add_done_callback(self._batch_tasks.discard)
 
     async def _flush(self, key, entry: RouterEntry) -> None:
-        self._cancel_timer(key)
-        bucket = self._pending.pop(key, None)
-        if not bucket:
-            return
-        queries = [query for query, _ in bucket]
+        """Commit the key's bucket, then what arrived meanwhile, until empty."""
+        try:
+            while (bucket := self._pending.pop(key, None)) is not None:
+                await self._commit(entry, bucket)
+        finally:
+            self._flushing.discard(key)
+
+    async def _commit(self, entry: RouterEntry, bucket: _Bucket) -> None:
+        """One router call in the executor; resolves the bucket's waiters."""
         loop = asyncio.get_running_loop()
+        queries = [query for query, _ in bucket]
         try:
             replies = await loop.run_in_executor(
                 self._executor, self._run_batch, entry, queries
             )
         except Exception as error:  # noqa: BLE001 - fail every waiter
+            loop.call_exception_handler(
+                {"message": f"batch on {entry.name!r} failed", "exception": error}
+            )
             for _, future in bucket:
-                if not future.done():  # pragma: no branch
+                if not future.done():
                     future.set_exception(error)
             return
-        self.metrics.record_batch(
-            requests=len(bucket), pairs=sum(q.count for q in queries)
-        )
+        self.metrics.record_batch(requests=len(bucket), pairs=bucket.pairs)
         for (_, future), reply in zip(bucket, replies):
-            if not future.done():  # pragma: no branch
+            if not future.done():
                 future.set_result(reply)
 
     def _run_batch(self, entry: RouterEntry, queries) -> list[dict]:
@@ -499,18 +515,7 @@ class RouteQueryServer:
         bit-identical to answering each query alone — concatenation changes
         the batching, never the per-pair arithmetic.
         """
-        if len(queries) == 1:
-            return [
-                answer_query(
-                    queries[0],
-                    entry.router,
-                    link=self.link,
-                    version=entry.version,
-                )
-            ]
-        from repro.serve.protocol import BatchQuery
-
-        combined = BatchQuery(
+        combined = queries[0] if len(queries) == 1 else BatchQuery(
             op=queries[0].op,
             topology=queries[0].topology,
             sources=np.concatenate([q.sources for q in queries]),
@@ -519,22 +524,18 @@ class RouteQueryServer:
         merged = answer_query(
             combined, entry.router, link=self.link, version=entry.version
         )
+        if len(queries) == 1:
+            return [merged]
         replies = []
         offset = 0
         for query in queries:
             end = offset + query.count
-            reply = {
-                "ok": True,
-                "op": query.op,
-                "topology": query.topology,
-                "count": query.count,
-                "version": entry.version,
-            }
-            if query.id is not None:
-                reply["id"] = query.id
+            reply = dict(merged, count=query.count)
             for field in ("hops", "lengths", "etas", "paths"):
                 if field in merged:
                     reply[field] = merged[field][offset:end]
+            if query.id is not None:
+                reply["id"] = query.id
             replies.append(reply)
             offset = end
         return replies

@@ -6,7 +6,8 @@ directly.  The end-to-end classes enforce that over HTTP for all five
 families (``B``, ``K``, ``RRK``, ``II``, ``H``) and all three router kinds
 (dense table, closed form, LRU rows), for all three ops (next-hop, path,
 ETA).  The remaining classes cover the wire-format validation, the registry
-hot-reload semantics, the metrics histogram, and the CLI entry points.
+hot-reload semantics, group-commit batching, the metrics histogram, and the
+CLI entry points.
 """
 
 import json
@@ -55,14 +56,16 @@ def parity_server():
     for family, spec in FAMILY_SPECS.items():
         for kind in ROUTER_KINDS:
             registry.add(topology_name(family, kind), spec, kind)
-    # A long batch window would slow the sequential parity queries; zero
-    # windows flush immediately.
-    with ServerThread(registry, batch_window_s=0.0005) as server:
+    with ServerThread(registry) as server:
         yield server
 
 
 def query(server, body, path="/v1/query"):
     return http_request(server.host, server.port, "POST", path, body)
+
+
+def inflight(server) -> int:
+    return http_request(server.host, server.port, "GET", "/stats")["inflight"]
 
 
 class TestBuildGraph:
@@ -223,6 +226,17 @@ class TestBatchPaths:
         sources = rng.integers(graph.num_vertices, size=40)
         targets = rng.integers(graph.num_vertices, size=40)
         batched = batch_paths(router, sources, targets)
+        for s, t, path in zip(sources, targets, batched):
+            assert path == router.full_path(int(s), int(t))
+
+    def test_unreachable_pairs_are_none_on_a_disconnected_digraph(self):
+        graph = build_graph("H(4,16,2)")  # not strongly connected
+        router = make_router(graph)
+        rng = np.random.default_rng(7)
+        sources = rng.integers(graph.num_vertices, size=40)
+        targets = rng.integers(graph.num_vertices, size=40)
+        batched = batch_paths(router, sources, targets)
+        assert sum(path is None for path in batched) == 12
         for s, t, path in zip(sources, targets, batched):
             assert path == router.full_path(int(s), int(t))
 
@@ -401,15 +415,15 @@ class TestServerBehaviour:
         )
         assert reply["ok"] and reply["id"] == "req-17"
 
-    def test_concurrent_requests_coalesce_and_stay_correct(self):
+    def test_concurrent_requests_coalesce_and_stay_correct(self, router_gate):
         registry = RouterRegistry()
         registry.add("demo", "B(2,4)", "dense")
         graph = build_graph("B(2,4)")
         router = make_router(graph, "dense")
-        # A wide batch window so concurrent requests land in one bucket.
-        with ServerThread(
-            registry, batch_window_s=0.05, batch_pairs=10_000
-        ) as server:
+        # The gate holds the first router call until all 16 requests are in
+        # flight, so the rest land in one bucket behind it.
+        gate = router_gate(registry.get("demo").router)
+        with ServerThread(registry, batch_pairs=10_000) as server:
             results = {}
 
             def one(index):
@@ -431,8 +445,11 @@ class TestServerBehaviour:
             ]
             for thread in threads:
                 thread.start()
+            gate.wait_until(lambda: inflight(server) == 16)
+            gate.release()
             for thread in threads:
-                thread.join()
+                thread.join(timeout=30)
+                assert not thread.is_alive()
             stats = http_request(server.host, server.port, "GET", "/stats")
         assert len(results) == 16
         for reply, expected in results.values():
@@ -456,6 +473,70 @@ class TestServerBehaviour:
             after = http_request(server.host, server.port, "GET", "/stats")
             assert after["topologies"]["live"]["nodes"] == 16
             assert after["topologies"]["live"]["version"] == 2
+
+
+class TestGroupCommit:
+    """Batches form from load alone: no timer, one router call per round."""
+
+    def test_requests_behind_a_running_call_share_the_next_one(
+        self, router_gate
+    ):
+        registry = RouterRegistry()
+        registry.add("demo", "B(2,4)", "dense")
+        router = make_router(build_graph("B(2,4)"), "dense")
+        gate = router_gate(registry.get("demo").router)
+        results = {}
+        with ServerThread(registry, reload_interval_s=0) as server:
+
+            def one(index):
+                s, t = index % 16, (index * 7 + 3) % 16
+                reply = query(
+                    server,
+                    {"op": "next-hop", "topology": "demo", "pairs": [[s, t]]},
+                )
+                results[index] = (reply, int(router.next_hop(s, t)))
+
+            threads = [
+                threading.Thread(target=one, args=(i,)) for i in range(16)
+            ]
+            threads[0].start()
+            gate.wait_until(lambda: gate.calls == 1)  # first call is held
+            for thread in threads[1:]:
+                thread.start()
+            gate.wait_until(lambda: inflight(server) == 16)
+            gate.release()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+            stats = http_request(server.host, server.port, "GET", "/stats")
+        assert gate.calls == 2
+        assert stats["batching"]["batches"] == 2
+        assert stats["batching"]["coalesced_requests"] == 15
+        assert len(results) == 16
+        for reply, expected in results.values():
+            assert reply["ok"] and reply["hops"] == [expected]
+
+    def test_a_lone_request_is_flushed_without_a_timer(self, monkeypatch):
+        registry = RouterRegistry()
+        registry.add("demo", "B(2,4)", "dense")
+        with ServerThread(registry, reload_interval_s=0) as server:
+            loop = server._loop
+            timers = []
+            real = loop.call_later
+
+            def call_later(*args, **kwargs):
+                timers.append(args)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(loop, "call_later", call_later)
+            reply = query(
+                server,
+                {"op": "next-hop", "topology": "demo", "pairs": [[0, 5]]},
+            )
+            stats = http_request(server.host, server.port, "GET", "/stats")
+        assert reply["ok"]
+        assert timers == []
+        assert stats["batching"]["batches"] == 1
 
 
 class TestRunBench:

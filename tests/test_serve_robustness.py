@@ -7,6 +7,9 @@ What PR 9 added to the serve layer, pinned down end to end:
   the control plane (``/healthz``, ``/stats``) stays green throughout;
 * **deadlines** — a query slower than ``request_timeout_s`` is cancelled
   and answered ``503``, with the cancellation counted in ``/stats``;
+* **router failures** — a router call that raises answers each request of
+  its batch ``500``, counts as an error in ``/stats``, and keeps the
+  connection open for the next request;
 * **drain** — a draining server answers queries and health checks ``503``
   (so load balancers pull it), finishes what it admitted, then stops;
 * **reload degrade** — a broken spec file never tears down the last good
@@ -18,6 +21,9 @@ What PR 9 added to the serve layer, pinned down end to end:
 * **client backoff** — the bench client's jittered exponential backoff
   honours ``Retry-After``, converges under shedding, and de-correlates a
   herd of simultaneously shed clients (pure injected-clock math, no sleeps).
+
+Queries are held in flight with the ``router_gate`` fixture (a router whose
+``next_hops`` waits on an event in the executor), never with a timer.
 """
 
 import http.client
@@ -64,14 +70,16 @@ QUERY = {"op": "next-hop", "topology": "demo", "pairs": [[0, 1], [1, 2]]}
 # Admission control: 429 + Retry-After, healthz stays green
 # ---------------------------------------------------------------------------
 class TestShedding:
-    def test_overload_sheds_with_retry_after_and_healthz_stays_green(self):
-        # A long batch window pins every query for ~0.3 s, so 8 concurrent
-        # clients are a >4x overload of max_inflight=2.
+    def test_overload_sheds_with_retry_after_and_healthz_stays_green(
+        self, router_gate
+    ):
+        # The gate pins the admitted queries until every client has been
+        # answered or shed, so 8 concurrent clients are a 4x overload of
+        # max_inflight=2.
+        registry = make_registry()
+        gate = router_gate(registry.get("demo").router)
         with ServerThread(
-            make_registry(),
-            batch_window_s=0.3,
-            max_inflight=2,
-            retry_after_s=0.25,
+            registry, max_inflight=2, retry_after_s=0.25
         ) as server:
             results = [None] * 8
             barrier = threading.Barrier(8)
@@ -87,12 +95,15 @@ class TestShedding:
             ]
             for thread in threads:
                 thread.start()
-            # While the first wave is pinned in its batch window, the
-            # control plane must still answer instantly and healthily.
+            gate.wait_until(lambda: server.server.metrics.shed == 6)
+            # While the first wave is pinned on the gate, the control plane
+            # must still answer instantly and healthily.
             health = http_request(server.host, server.port, "GET", "/healthz")
             assert health["ok"] is True
+            gate.release()
             for thread in threads:
                 thread.join(timeout=30)
+                assert not thread.is_alive()
             statuses = Counter(status for status, _, _ in results)
             assert statuses[200] >= 1  # accepted work completed
             assert statuses[429] >= 1  # overload genuinely shed
@@ -109,16 +120,18 @@ class TestShedding:
             assert stats["max_inflight"] == 2
             assert stats["draining"] is False
 
-    def test_accepted_latency_stays_bounded_under_sustained_overload(self):
+    def test_accepted_latency_stays_bounded_under_sustained_overload(
+        self, router_gate
+    ):
         # The point of shedding: what IS accepted completes in roughly one
-        # batch window, no matter how much excess demand there is — rejected
-        # requests never form a queue behind the admitted ones.
+        # router call (held ``window`` seconds by the closed gate), no matter
+        # how much excess demand there is — rejected requests never form a
+        # queue behind the admitted ones.
         window = 0.05
+        registry = make_registry()
+        router_gate(registry.get("demo").router, hold_s=window)
         with ServerThread(
-            make_registry(),
-            batch_window_s=window,
-            max_inflight=1,
-            retry_after_s=0.01,
+            registry, max_inflight=1, retry_after_s=0.01
         ) as server:
             results = []  # (status, seconds) across all hammering threads
             lock = threading.Lock()
@@ -149,12 +162,12 @@ class TestShedding:
 # Deadlines
 # ---------------------------------------------------------------------------
 class TestDeadline:
-    def test_slow_query_is_cancelled_at_the_deadline(self):
-        # The 0.5 s batch window guarantees the query overruns a 50 ms
-        # deadline; the server must answer 503 promptly, not after 0.5 s.
-        with ServerThread(
-            make_registry(), batch_window_s=0.5, request_timeout_s=0.05
-        ) as server:
+    def test_slow_query_is_cancelled_at_the_deadline(self, router_gate):
+        # The gate holds the router call past the test, so the query
+        # overruns a 50 ms deadline; the server must answer 503 promptly.
+        registry = make_registry()
+        router_gate(registry.get("demo").router)
+        with ServerThread(registry, request_timeout_s=0.05) as server:
             start = time.perf_counter()
             status, headers, body = raw_request(
                 server.host, server.port, "POST", "/v1/query", QUERY
@@ -163,9 +176,58 @@ class TestDeadline:
             assert status == 503
             assert "deadline exceeded" in body["error"]
             assert "retry-after" in headers
-            assert elapsed < 0.4  # answered at the deadline, not the window
+            assert elapsed < 0.4  # answered at the deadline, not the router
             stats = http_request(server.host, server.port, "GET", "/stats")
             assert stats["backpressure"]["deadline_exceeded"] == 1
+
+
+# ---------------------------------------------------------------------------
+# Router failures: 500 for the batch, the connection survives
+# ---------------------------------------------------------------------------
+class TestRouterFailure:
+    def test_router_exception_answers_500_and_keeps_the_connection(
+        self, caplog
+    ):
+        registry = make_registry()
+        router = registry.get("demo").router
+        working = router.next_hops
+
+        def broken(sources, targets):
+            raise RuntimeError("router exploded")
+
+        router.next_hops = broken
+        with ServerThread(registry) as server:
+            connection = http.client.HTTPConnection(
+                server.host, server.port, timeout=10
+            )
+
+            def post():
+                connection.request(
+                    "POST",
+                    "/v1/query",
+                    body=json.dumps(QUERY).encode(),
+                    headers={"Content-Type": "application/json"},
+                )
+                response = connection.getresponse()
+                return response.status, json.loads(response.read())
+
+            try:
+                status, body = post()
+                sock = connection.sock
+                assert status == 500
+                assert body["ok"] is False
+                assert "router exploded" in body["error"]
+                router.next_hops = working
+                status, body = post()
+                assert connection.sock is sock  # same keep-alive connection
+                assert status == 200 and body["ok"] is True
+            finally:
+                connection.close()
+            stats = http_request(server.host, server.port, "GET", "/stats")
+        assert stats["endpoints"]["next-hop"]["requests"] == 2
+        assert stats["endpoints"]["next-hop"]["errors"] == 1
+        assert stats["batching"]["batches"] == 1  # only the good call
+        assert "batch on 'demo' failed" in caplog.text  # traceback recorded
 
 
 # ---------------------------------------------------------------------------
@@ -273,12 +335,12 @@ class TestReloadDegrade:
 # Bench client: Retry-After + jittered backoff convergence
 # ---------------------------------------------------------------------------
 class TestBenchRetry:
-    def test_bench_converges_against_a_shedding_server(self):
+    def test_bench_converges_against_a_shedding_server(self, router_gate):
+        # Each router call is held 10 ms, so 4 connections overrun the cap.
+        registry = make_registry()
+        router_gate(registry.get("demo").router, hold_s=0.01)
         with ServerThread(
-            make_registry(),
-            batch_window_s=0.01,
-            max_inflight=1,
-            retry_after_s=0.01,
+            registry, max_inflight=1, retry_after_s=0.01
         ) as server:
             result = run_bench(
                 server.host,
