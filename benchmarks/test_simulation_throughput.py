@@ -27,6 +27,7 @@ import pytest
 from repro import kernels
 from repro.otis.h_digraph import h_digraph
 from repro.routing.paths import routing_table_for
+from repro.routing.routers import DenseTableRouter
 from repro.simulation.network import (
     BatchedNetworkSimulator,
     LinkModel,
@@ -62,17 +63,17 @@ def test_batched_engine_parity_and_speedup_100k(bench_json):
     graph = h_digraph(32, 64, 2)
     traffic = uniform_random_pairs(graph.num_vertices, 100_000, rng=0)
     link = LinkModel(latency=1.0, transmission_time=1.0)
-    routing = routing_table_for(graph)
+    router = DenseTableRouter(routing_table_for(graph))
 
     start = time.perf_counter()
-    ref_stats, ref_messages = NetworkSimulator(graph, link=link, routing=routing).run(
+    ref_stats, ref_messages = NetworkSimulator(graph, link=link, router=router).run(
         traffic
     )
     ref_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
     bat_stats, bat_messages = BatchedNetworkSimulator(
-        graph, link=link, routing=routing
+        graph, link=link, router=router
     ).run(traffic)
     bat_seconds = time.perf_counter() - start
 
@@ -85,9 +86,9 @@ def test_batched_engine_parity_and_speedup_100k(bench_json):
     # lives here, where the work is all rounds — ``batched_s`` above also
     # pays the per-message ``Message`` materialisation, which no backend
     # touches.  Both passes must agree bit-for-bit with the full run.
-    kern_sim = BatchedNetworkSimulator(graph, link=link, routing=routing)
+    kern_sim = BatchedNetworkSimulator(graph, link=link, router=router)
     numpy_sim = BatchedNetworkSimulator(
-        graph, link=link, routing=routing, kernels="numpy"
+        graph, link=link, router=router, kernels="numpy"
     )
     engine_seconds = engine_numpy_seconds = float("inf")
     for _ in range(2):  # best-of-2: one background blip must not gate
@@ -193,7 +194,7 @@ def test_run_many_amortises_many_seeds(bench_json):
 
 
 def test_degraded_scenario_kernel_vs_python_loop(bench_json):
-    """The perfbench degrading scenario: run_scenario kernel vs python loop.
+    """The perfbench degrading scenario: run_scenario kernel vs the scalar loop.
 
     8 traffic seeds of 150 bursty messages on ``H(32, 64, 2)`` with
     capacity-4 retry buffers, 32 links failed at t=50 and arc-disjoint

@@ -675,8 +675,8 @@ static inline int group_live(
     return 0;
 }
 
-/* A whole degrading-scenario pass (the python loop of
- * BatchedNetworkSimulator._run_many_scenario is its oracle): fault slots
+/* A whole degrading-scenario pass (the scalar loop of
+ * repro.simulation.network._scenario_loop is its oracle): fault slots
  * >= num_messages, node/TTL drops, table or shift primary hops, greedy
  * deflection over the healthy distance table, live links with buffer
  * room, retries.  n_table == 0 routes by shift; n_distance == 0 is reroute

@@ -873,26 +873,10 @@ def make_router(
 
 
 def resolve_router(
-    graph: BaseDigraph,
-    *,
-    routing: RoutingTable | None = None,
-    router: "Router | str | None" = None,
+    graph: BaseDigraph, *, router: "Router | str | None" = None
 ) -> Router:
-    """Normalise the simulators' ``routing=`` / ``router=`` parameters.
-
-    ``routing`` keeps its historical meaning (a precomputed dense
-    :class:`~repro.routing.paths.RoutingTable`); ``router`` accepts a
-    :class:`Router` instance or a :data:`ROUTER_KINDS` string.  Passing both
-    is ambiguous and raises.
-    """
-    if routing is not None and router is not None:
-        raise ValueError("pass either routing= (a dense table) or router=, not both")
-    if routing is not None:
-        if not isinstance(routing, RoutingTable):
-            raise ValueError(
-                "routing= expects a RoutingTable; pass Router instances via router="
-            )
-        return DenseTableRouter(routing)
+    """Normalise the simulators' ``router=`` parameter: a :class:`Router`
+    instance, a :data:`ROUTER_KINDS` string, or None for ``"auto"``."""
     if router is None:
         return make_router(graph, "auto")
     if isinstance(router, Router):

@@ -62,19 +62,18 @@ Both engines accept ``scenario=`` (a :class:`repro.simulation.scenarios.
 Scenario`) composing finite link buffers (:class:`BufferedLinkModel`),
 deterministic fault timelines and a reroute policy on top of the healthy
 model.  A scenario that actually degrades the network
-(``scenario.needs_event_exact()``) is simulated one event at a time in
-both engines, with the same scalar float ops as the reference loop (fault
-events occupy the queue slots past the message range), so the
-bit-identical parity contract extends to every layer combination —
-failures, finite buffers, retransmits, deflection rerouting (enforced by
-``tests/test_scenarios.py`` and ``tests/test_kernel_parity.py``).  The
-batched engine runs the whole pass in the compiled ``run_scenario`` kernel
-when the backend is compiled, the router is a dense table or has a
-``shift_spec()``, and no ``trace`` is requested; otherwise its python
-scenario loop over a :class:`~repro.simulation.events.BatchEventQueue`
-runs it.  An arrival-only scenario (default link, no faults) runs through
-the unchanged vector path: healthy workloads pay nothing for the scenario
-seam.
+(``scenario.needs_event_exact()``) is simulated one event at a time by
+one scalar loop, :func:`_scenario_loop`, the oracle of the degraded-mode
+semantics.  The batched engine runs the whole pass in the compiled
+``run_scenario`` kernel, with the same scalar float ops, when the backend
+is compiled, the router is a dense table or has a ``shift_spec()``, and no
+``trace`` is requested; otherwise it runs the scalar loop once per
+workload over its own link groups.  The bit-identical parity contract
+thus extends to every layer combination — failures, finite buffers,
+retransmits, deflection rerouting (enforced by ``tests/test_scenarios.py``
+and ``tests/test_kernel_parity.py``).  An arrival-only scenario (default
+link, no faults) runs through the unchanged vector path: healthy workloads
+pay nothing for the scenario seam.
 """
 
 from __future__ import annotations
@@ -89,7 +88,6 @@ import numpy as np
 
 from repro import kernels as _kernels
 from repro.graphs.digraph import BaseDigraph
-from repro.routing.paths import RoutingTable
 from repro.routing.routers import DenseTableRouter, Router, ShiftSpec, resolve_router
 from repro.simulation.events import BatchEventQueue, Simulator
 
@@ -357,15 +355,15 @@ def _not_an_arc(node: int, hop: int) -> ValueError:
 
 
 class _ScenarioState:
-    """Mutable fault/reroute state of one scenario run, shared by both engines.
+    """Mutable fault/reroute state of a scenario run (loop or kernel).
 
     Owns the link/node up-down flags, applies :class:`~repro.simulation.
     scenarios.FaultPlan` events (fail-stop: a fault flips a flag; in-flight
     transmissions complete, only *new* acquisitions see it) and answers
     next-hop queries under the scenario's reroute policy.  It performs **no**
-    floating-point time arithmetic — transmission timing stays engine-local,
-    so the float side of the parity contract is still enforced between two
-    independent implementations.
+    floating-point time arithmetic — transmission timing stays in
+    :func:`_scenario_loop` and the kernel, so the float side of the parity
+    contract is enforced between two independent implementations.
 
     The topology comes from the engine, which already owns it:
     ``links_between(u, v)`` gives the ascending link ids of the ``(u, v)``
@@ -465,6 +463,157 @@ class _ScenarioState:
         return best, best != -2
 
 
+def _new_messages(src, dst, created) -> list[Message]:
+    """Fresh per-message records of validated traffic columns."""
+    return [
+        Message(ident, source, destination, time)
+        for ident, (source, destination, time) in enumerate(
+            zip(src.tolist(), dst.tolist(), created.tolist())
+        )
+    ]
+
+
+def _record_stats(
+    messages: list[Message], makespan: float, max_queue: int, busy_time: float, **counters
+) -> NetworkStats:
+    """The statistics of a scalar loop's finished message records."""
+    delivered = [m for m in messages if m.delivered]
+    latencies = np.array([m.latency for m in delivered], dtype=float)
+    hops = np.array([m.hops for m in delivered], dtype=float)
+    return NetworkStats(
+        delivered=len(delivered),
+        undelivered=len(messages) - len(delivered),
+        makespan=makespan,
+        mean_latency=float(latencies.mean()) if latencies.size else 0.0,
+        max_latency=float(latencies.max()) if latencies.size else 0.0,
+        mean_hops=float(hops.mean()) if hops.size else 0.0,
+        max_link_queue=max_queue,
+        total_link_busy_time=busy_time,
+        **counters,
+    )
+
+
+def _scenario_loop(
+    state: _ScenarioState,
+    link: LinkModel,
+    messages: list[Message],
+    *,
+    until: float | None = None,
+    max_events: int | None = None,
+    trace: list | None = None,
+) -> tuple[NetworkStats, list[Message]]:
+    """The scenario event loop of one workload: buffers, faults, rerouting.
+
+    The one scalar implementation of the degraded-mode semantics, run by
+    both engines and the oracle of the ``run_scenario`` kernel.  It equals
+    the healthy loop of :meth:`NetworkSimulator.run` until a scenario layer
+    bites: fault events are scheduled *before* any message injection (lower
+    sequence, so a fault at ``t`` is visible to every message event at
+    ``t`` — the fault-at-t=0 degenerate case included), full finite buffers
+    drop or re-offer, and severed primary hops consult the reroute policy.
+    The run starts from the healthy network (it clears the state's up/down
+    flags).  ``trace``, when given a list, receives one ``(link_ids,
+    start_times, message_indices)`` triple of one-element arrays per
+    transmission, in chronological order.
+    """
+    capacity = getattr(link, "capacity", None)
+    on_full = getattr(link, "on_full", "drop")
+    retry_delay = getattr(link, "retry_delay", 1.0)
+    max_retries = getattr(link, "max_retries", 0)
+    state.link_down[:] = False
+    state.node_down[:] = False
+    ttl = state.scenario.effective_max_hops(state.node_down.size)
+
+    sim = Simulator()
+    link_free_at = np.zeros(state.link_down.size)
+    link_queue_len = np.zeros(state.link_down.size, dtype=np.int64)
+    max_queue = 0
+    busy_time = 0.0
+    counters = {
+        "dropped_buffer": 0,
+        "dropped_fault": 0,
+        "dropped_hops": 0,
+        "retransmits": 0,
+        "rerouted_hops": 0,
+    }
+    retries = [0] * len(messages)
+
+    # Faults first: at equal timestamps they outrank message events.
+    for index, event in enumerate(state.fault_events):
+        sim.schedule_at(event.time, lambda k=index: state.apply_fault(k))
+
+    def drop(message: Message, reason: str) -> None:
+        message.drop_reason = reason
+        counters["dropped_" + reason] += 1
+
+    def forward(message: Message, node: int) -> None:
+        nonlocal max_queue, busy_time
+        if state.node_down[node]:
+            drop(message, "fault")
+            return
+        if node == message.destination:
+            message.arrival_time = sim.now
+            return
+        if ttl is not None and message.hops >= ttl:
+            drop(message, "hops")
+            return
+        next_node, rerouted = state.choose(node, message.destination)
+        if next_node == -1:
+            return  # unreachable in the healthy topology: plain undelivered
+        if next_node == -2:
+            drop(message, "fault")
+            return
+        live = [
+            lid
+            for lid in state.links_between(node, next_node)
+            if not state.link_down[lid]
+        ]
+        if capacity is not None:
+            live = [lid for lid in live if link_queue_len[lid] < capacity]
+        if not live:
+            if on_full == "retry" and retries[message.ident] < max_retries:
+                retries[message.ident] += 1
+                counters["retransmits"] += 1
+                sim.schedule_at(
+                    sim.now + retry_delay,
+                    lambda m=message, at=node: forward(m, at),
+                )
+            else:
+                drop(message, "buffer")
+            return
+        link_id = min(live, key=lambda lid: (float(link_free_at[lid]), lid))
+        start = max(sim.now, float(link_free_at[link_id]))
+        finish = start + link.transmission_time
+        link_free_at[link_id] = finish
+        link_queue_len[link_id] += 1
+        max_queue = max(max_queue, int(link_queue_len[link_id]))
+        busy_time += link.transmission_time
+        if rerouted:
+            counters["rerouted_hops"] += 1
+        if trace is not None:
+            trace.append(
+                (
+                    np.array([link_id], dtype=np.int64),
+                    np.array([start]),
+                    np.array([message.ident], dtype=np.int64),
+                )
+            )
+
+        def deliver(msg=message, nxt=next_node, lid=link_id) -> None:
+            link_queue_len[lid] -= 1
+            msg.hops += 1
+            forward(msg, nxt)
+
+        sim.schedule_at(finish + link.latency, deliver)
+
+    for message in messages:
+        sim.schedule_at(
+            message.creation_time, lambda m=message: forward(m, m.source)
+        )
+    makespan = sim.run(until=until, max_events=max_events)
+    return _record_stats(messages, makespan, max_queue, busy_time, **counters), messages
+
+
 class NetworkSimulator:
     """Simulate store-and-forward message delivery on a digraph.
 
@@ -475,15 +624,13 @@ class NetworkSimulator:
         links (exactly the semantics of the OTIS digraphs).
     link:
         Timing parameters applied to every link.
-    routing:
-        Optional precomputed dense routing table (kept for continuity;
-        reuse it when simulating many workloads on one topology).
     router:
         A :class:`repro.routing.routers.Router` instance or kind string
         (``"auto"``, ``"dense"``, ``"closed-form"``, ``"lru"``).  The
         default ``"auto"`` keeps the dense table for small topologies and
         goes table-free above :data:`repro.routing.routers.AUTO_DENSE_MAX_N`
-        vertices.  Mutually exclusive with ``routing``.
+        vertices.  ``DenseTableRouter(table)`` reuses a precomputed dense
+        table.
     scenario:
         Optional :class:`repro.simulation.scenarios.Scenario`.  Mutually
         exclusive with ``link`` (the scenario carries its own link model);
@@ -496,7 +643,6 @@ class NetworkSimulator:
         self,
         graph: BaseDigraph,
         link: LinkModel | None = None,
-        routing: RoutingTable | None = None,
         *,
         router: Router | str | None = None,
         scenario=None,
@@ -509,10 +655,7 @@ class NetworkSimulator:
         self.graph = graph
         self.scenario = scenario
         self.link = scenario.link if scenario is not None else (link or LinkModel())
-        self.router = resolve_router(graph, routing=routing, router=router)
-        #: The dense table when this simulator routes through one, else None
-        #: (kept for callers that share tables between engines).
-        self.routing = getattr(self.router, "table", None)
+        self.router = resolve_router(graph, router=router)
         # Every arc is its own physical link: parallel arcs (common in OTIS
         # digraphs such as H(1, 4, 2)) are distinct optical channels, so two
         # simultaneous messages between the same endpoints must not contend.
@@ -534,14 +677,25 @@ class NetworkSimulator:
         Returns the aggregate statistics and the per-message records.
         Messages whose destination is unreachable are counted as undelivered.
         """
+        src, dst, created, _, _ = _pool_traffics([traffic], self.graph.num_vertices)
+        messages = _new_messages(src, dst, created)
         if self.scenario is not None and self.scenario.needs_event_exact():
-            return self._run_scenario(traffic, until=until, max_events=max_events)
+            graph = self.graph
+            state = _ScenarioState(
+                graph,
+                self.scenario,
+                self.router,
+                lambda u, v: self._links_between.get((u, v)),
+                lambda u: sorted(set(graph.out_neighbors(u))),
+            )
+            return _scenario_loop(
+                state, self.link, messages, until=until, max_events=max_events
+            )
         sim = Simulator()
         link_free_at = np.zeros(self._num_links, dtype=float)
         link_queue_len = np.zeros(self._num_links, dtype=np.int64)
         max_queue = 0
         busy_time = 0.0
-        messages = self._build_messages(traffic)
 
         router = self.router
 
@@ -579,172 +733,7 @@ class NetworkSimulator:
             )
 
         makespan = sim.run(until=until, max_events=max_events)
-        delivered = [m for m in messages if m.delivered]
-        undelivered = len(messages) - len(delivered)
-        latencies = np.array([m.latency for m in delivered], dtype=float)
-        hops = np.array([m.hops for m in delivered], dtype=float)
-        stats = NetworkStats(
-            delivered=len(delivered),
-            undelivered=undelivered,
-            makespan=makespan,
-            mean_latency=float(latencies.mean()) if latencies.size else 0.0,
-            max_latency=float(latencies.max()) if latencies.size else 0.0,
-            mean_hops=float(hops.mean()) if hops.size else 0.0,
-            max_link_queue=max_queue,
-            total_link_busy_time=busy_time,
-        )
-        return stats, messages
-
-    def _build_messages(self, traffic) -> list[Message]:
-        """Validated per-message records (endpoints in range, sane times)."""
-        n = self.graph.num_vertices
-        messages: list[Message] = []
-        for ident, (source, destination, time) in enumerate(traffic):
-            if not (0 <= source < n and 0 <= destination < n):
-                raise ValueError(f"message {ident} has endpoints out of range")
-            time = float(time)
-            if not (np.isfinite(time) and time >= 0):
-                raise ValueError(
-                    f"message {ident} has invalid release time {time!r} "
-                    "(must be finite and non-negative)"
-                )
-            messages.append(
-                Message(
-                    ident=ident,
-                    source=source,
-                    destination=destination,
-                    creation_time=time,
-                )
-            )
-        return messages
-
-    # ------------------------------------------------------------- scenario
-    def _run_scenario(
-        self,
-        traffic,
-        *,
-        until: float | None = None,
-        max_events: int | None = None,
-    ) -> tuple[NetworkStats, list[Message]]:
-        """The scenario event loop: buffers, faults and rerouting.
-
-        Identical to :meth:`run` until a scenario layer bites: fault events
-        are scheduled *before* any message injection (lower sequence, so a
-        fault at ``t`` is visible to every message event at ``t`` — the
-        fault-at-t=0 degenerate case included), full finite buffers drop or
-        re-offer, and severed primary hops consult the reroute policy.
-        """
-        scenario = self.scenario
-        link = self.link
-        capacity = getattr(link, "capacity", None)
-        on_full = getattr(link, "on_full", "drop")
-        retry_delay = getattr(link, "retry_delay", 1.0)
-        max_retries = getattr(link, "max_retries", 0)
-        ttl = scenario.effective_max_hops(self.graph.num_vertices)
-        graph = self.graph
-        state = _ScenarioState(
-            graph,
-            scenario,
-            self.router,
-            lambda u, v: self._links_between.get((u, v)),
-            lambda u: sorted(set(graph.out_neighbors(u))),
-        )
-
-        sim = Simulator()
-        link_free_at = np.zeros(self._num_links, dtype=float)
-        link_queue_len = np.zeros(self._num_links, dtype=np.int64)
-        max_queue = 0
-        busy_time = 0.0
-        counters = {
-            "dropped_buffer": 0,
-            "dropped_fault": 0,
-            "dropped_hops": 0,
-            "retransmits": 0,
-            "rerouted_hops": 0,
-        }
-        messages = self._build_messages(traffic)
-        retries = [0] * len(messages)
-
-        # Faults first: at equal timestamps they outrank message events.
-        for index, event in enumerate(state.fault_events):
-            sim.schedule_at(event.time, lambda k=index: state.apply_fault(k))
-
-        def drop(message: Message, reason: str) -> None:
-            message.drop_reason = reason
-            counters["dropped_" + reason] += 1
-
-        def forward(message: Message, node: int) -> None:
-            nonlocal max_queue, busy_time
-            if state.node_down[node]:
-                drop(message, "fault")
-                return
-            if node == message.destination:
-                message.arrival_time = sim.now
-                return
-            if ttl is not None and message.hops >= ttl:
-                drop(message, "hops")
-                return
-            next_node, rerouted = state.choose(node, message.destination)
-            if next_node == -1:
-                return  # unreachable in the healthy topology: plain undelivered
-            if next_node == -2:
-                drop(message, "fault")
-                return
-            live = [
-                lid
-                for lid in state.links_between(node, next_node)
-                if not state.link_down[lid]
-            ]
-            if capacity is not None:
-                live = [lid for lid in live if link_queue_len[lid] < capacity]
-            if not live:
-                if on_full == "retry" and retries[message.ident] < max_retries:
-                    retries[message.ident] += 1
-                    counters["retransmits"] += 1
-                    sim.schedule_at(
-                        sim.now + retry_delay,
-                        lambda m=message, at=node: forward(m, at),
-                    )
-                else:
-                    drop(message, "buffer")
-                return
-            link_id = min(live, key=lambda lid: (float(link_free_at[lid]), lid))
-            start = max(sim.now, float(link_free_at[link_id]))
-            finish = start + link.transmission_time
-            link_free_at[link_id] = finish
-            link_queue_len[link_id] += 1
-            max_queue = max(max_queue, int(link_queue_len[link_id]))
-            busy_time += link.transmission_time
-            if rerouted:
-                counters["rerouted_hops"] += 1
-
-            def deliver(msg=message, nxt=next_node, lid=link_id) -> None:
-                link_queue_len[lid] -= 1
-                msg.hops += 1
-                forward(msg, nxt)
-
-            sim.schedule_at(finish + link.latency, deliver)
-
-        for message in messages:
-            sim.schedule_at(
-                message.creation_time, lambda m=message: forward(m, m.source)
-            )
-        makespan = sim.run(until=until, max_events=max_events)
-        delivered = [m for m in messages if m.delivered]
-        latencies = np.array([m.latency for m in delivered], dtype=float)
-        hops = np.array([m.hops for m in delivered], dtype=float)
-        stats = NetworkStats(
-            delivered=len(delivered),
-            undelivered=len(messages) - len(delivered),
-            makespan=makespan,
-            mean_latency=float(latencies.mean()) if latencies.size else 0.0,
-            max_latency=float(latencies.max()) if latencies.size else 0.0,
-            mean_hops=float(hops.mean()) if hops.size else 0.0,
-            max_link_queue=max_queue,
-            total_link_busy_time=busy_time,
-            **counters,
-        )
-        return stats, messages
+        return _record_stats(messages, makespan, max_queue, busy_time), messages
 
 
 # ---------------------------------------------------------------------------
@@ -901,11 +890,10 @@ def _pool_traffics(traffics, n: int):
     return src, dst, created, counts, offsets
 
 
-#: ``drop_code`` of the scenario loops -> ``Message.drop_reason``.  Codes
+#: The scenario kernel's ``drop_code`` -> ``Message.drop_reason``.  Codes
 #: 1-3 are also the columns of the drop counts among each replica's five
 #: scenario counters (retransmits, fault, hops, buffer, rerouted hops).
 _DROP_REASONS = (None, "fault", "hops", "buffer")
-_FAULT, _HOPS, _BUFFER = 1, 2, 3
 
 #: The scenario kernel's fault event codes.
 _FAULT_CODES = {"link_down": 0, "link_up": 1, "node_down": 2, "node_up": 3}
@@ -947,7 +935,7 @@ def _replica_results(
     drop_code=None,
 ) -> list[tuple[NetworkStats, list[Message] | None]]:
     """Per-replica statistics and messages, computed exactly as the
-    reference does; ``counters`` / ``drop_code`` are the scenario loops'."""
+    reference does; ``counters`` / ``drop_code`` are the scenario kernel's."""
     results: list[tuple[NetworkStats, list[Message] | None]] = []
     for r in range(len(offsets) - 1):
         lo, hi = int(offsets[r]), int(offsets[r + 1])
@@ -1014,18 +1002,18 @@ class BatchedNetworkSimulator:
     a kernel-backend request (see :mod:`repro.kernels`) — ``None`` resolves
     the ``REPRO_KERNELS`` environment override, ``"numpy"`` pins the
     original vectorised path.  All backends are bit-identical; the resolved
-    name is exposed as :attr:`kernel_backend`.  Under ``auto`` resolution
-    sparse workloads (fewer than 32 events per distinct creation time on
-    average) keep the numpy path — its scalar fast path beats the kernel's
-    per-round boundary crossing there; naming a backend explicitly always
-    runs it.
+    name is exposed as :attr:`kernel_backend`.  Under ``auto`` resolution,
+    with a router that has no ``shift_spec()`` or with a ``trace``, sparse
+    workloads (fewer than 32 events per distinct creation time on average)
+    keep the numpy path — its scalar fast path beats the kernel's per-round
+    boundary crossing there; a closed-form router runs the fused loop at
+    any density, and naming a backend explicitly always runs it.
     """
 
     def __init__(
         self,
         graph: BaseDigraph,
         link: LinkModel | None = None,
-        routing: RoutingTable | None = None,
         *,
         router: Router | str | None = None,
         scenario=None,
@@ -1039,8 +1027,7 @@ class BatchedNetworkSimulator:
         self.graph = graph
         self.scenario = scenario
         self.link = scenario.link if scenario is not None else (link or LinkModel())
-        self.router = resolve_router(graph, routing=routing, router=router)
-        self.routing = getattr(self.router, "table", None)
+        self.router = resolve_router(graph, router=router)
         self._groups = _LinkGroups(graph)
         resolved = _kernels.resolve_backend(kernels)
         if (
@@ -1049,7 +1036,7 @@ class BatchedNetworkSimulator:
             and self._kernel_route() is None
         ):
             # A degrading scenario whose router the kernel cannot consult
-            # (LRU rows, wrappers) runs the Python scenario loop on every
+            # (LRU rows, wrappers) runs the scalar scenario loop on every
             # backend — report what actually runs.
             resolved = "numpy"
         self.kernel_backend = resolved
@@ -1076,9 +1063,9 @@ class BatchedNetworkSimulator:
         """Simulate one workload; same signature and semantics as the reference.
 
         ``trace``, when given a list, receives one
-        ``(link_ids, start_times, message_indices)`` triple per batch in
-        chronological order — the property tests use it to check per-link
-        FIFO service.
+        ``(link_ids, start_times, message_indices)`` triple per batch (per
+        transmission in a degrading scenario) in chronological order — the
+        property tests use it to check per-link FIFO service.
         """
         ((stats, messages),) = self.run_many(
             [traffic], until=until, max_events=max_events, trace=trace
@@ -1102,13 +1089,13 @@ class BatchedNetworkSimulator:
         events of *all* replicas resolve in one vector operation, so running
         ``R`` seeds costs far less than ``R`` separate runs.  Per-replica
         results are bit-identical to what :meth:`run` returns for that
-        workload alone (``max_events``, which caps the *total* event count
-        across replicas, is the one exception — it is a global safety valve,
-        exact only for a single workload).
-
-        With a degrading ``scenario`` the pooled pass switches to the
-        scenario event loop (same pooling, one event at a time — see the
-        module docstring's degraded-mode contract).
+        workload alone.  ``max_events`` counts the events of the whole pass:
+        in a healthy run it caps the total across replicas (a global safety
+        valve); with a degrading ``scenario``, which runs one event at a
+        time (see the module docstring's degraded-mode contract),
+        ``max_events`` and ``trace`` apply to a single workload only, and
+        either one with more than one workload raises ``ValueError`` on
+        every backend.
         """
         if self.scenario is not None and self.scenario.needs_event_exact():
             return self._run_many_scenario(
@@ -1146,12 +1133,14 @@ class BatchedNetworkSimulator:
         processed = 0
 
         use_kernel = self._kernels is not None
-        if use_kernel and not self._kernels_forced:
+        per_round = trace is not None or router.shift_spec() is None
+        if use_kernel and per_round and not self._kernels_forced:
             # Sparse workloads (rate-limited injection: few events per
             # distinct timestamp) run thousands of tiny rounds, each paying
             # a Python<->kernel round-trip; the numpy path's <=32-event
             # scalar fast path wins there.  Mirror that threshold: take the
-            # kernel only when the average batch is at least 32 events.
+            # per-round kernel only when the average batch is at least 32
+            # events.  The fused loop of a closed-form router crosses once.
             use_kernel = N >= 32 * np.unique(created).size
         if use_kernel:
             queue = ()  # compiled path: the event heap lives in the kernel
@@ -1580,9 +1569,12 @@ class BatchedNetworkSimulator:
     ) -> list[tuple[NetworkStats, list[Message] | None]]:
         """Pooled scenario runs: one event at a time, in sequence order.
 
-        Keeps the replicated link arrays of :meth:`run_many`, but resolves
-        each event with the literal reference algorithm — identical float
-        ops — because finite buffers, fault flips and reroute decisions are
+        On a compiled backend, with a router the kernel can consult
+        (:meth:`_kernel_route`) and no ``trace``, the whole pass is one
+        ``run_scenario`` kernel call.  It keeps the replicated link arrays
+        of :meth:`run_many`, but resolves each event with the literal
+        algorithm of :func:`_scenario_loop` — identical float ops — because
+        finite buffers, fault flips and reroute decisions are
         order-dependent within a batch.  Fault events occupy the queue
         slots past the message range (``N .. N+F-1``) and are scheduled
         *first*, so at equal timestamps they outrank every message event,
@@ -1590,12 +1582,17 @@ class BatchedNetworkSimulator:
         global: one timeline drives all replicas, which is what makes a
         stacked scenario run equal R solo runs of the same scenario.
 
-        On a compiled backend, with a router the kernel can consult
-        (:meth:`_kernel_route`) and no ``trace``, the whole pass is one
-        ``run_scenario`` kernel call; otherwise the python loop below runs
-        it over a :class:`~repro.simulation.events.BatchEventQueue` (the
-        oracle the kernel is tested against).
+        Every other run (and a round driver without ``run_scenario``, such
+        as a wrapping proxy) is :func:`_scenario_loop` once per workload,
+        over this engine's link groups.  ``max_events`` and ``trace`` count
+        the events of one workload, so either one with several workloads
+        raises ``ValueError``.
         """
+        if len(traffics) > 1 and (max_events is not None or trace is not None):
+            raise ValueError(
+                "max_events= and trace= apply to a single workload in a "
+                f"degrading scenario run, got {len(traffics)} workloads"
+            )
         scenario = self.scenario
         link = self.link
         capacity = getattr(link, "capacity", None)
@@ -1606,7 +1603,6 @@ class BatchedNetworkSimulator:
         n = self.graph.num_vertices
         m = groups.num_links
         T = link.transmission_time
-        L = link.latency
         R = len(traffics)
         ttl = scenario.effective_max_hops(n)
         state = _ScenarioState(
@@ -1653,7 +1649,7 @@ class BatchedNetworkSimulator:
                 (busy_until, queue_len, max_queue, tx_count, last_time),
             )
             # a driver offering only the per-round calls (a wrapping proxy)
-            # keeps the python loop
+            # keeps the scalar loop
             run_scenario = getattr(driver, "run_scenario", None)
         if run_scenario is not None:
             table, spec = kernel_route
@@ -1691,99 +1687,14 @@ class BatchedNetworkSimulator:
             _raise_kernel_status(status, bufs[6])
             return _replica_results(*stats_args)
 
-        queue = BatchEventQueue(N + F)
-        if F:  # faults first: lower sequence at equal timestamps
-            queue.schedule(np.arange(N, N + F, dtype=np.int64), fault_times)
-        queue.schedule(np.arange(N, dtype=np.int64), created)
-        processed = 0
-        while len(queue):
-            t = queue.peek_time()
-            if until is not None and t > until:
-                break
-            limit = None
-            if max_events is not None:
-                limit = max_events - processed
-                if limit <= 0:
-                    break
-            t, slots = queue.pop_batch(limit=limit)
-            processed += len(slots)
-            for i in slots:
-                if i >= N:
-                    state.apply_fault(i - N)
-                    last_time[:] = t  # the fault timeline is global
-                    continue
-                r = int(rep[i]) if R > 1 else 0
-                last_time[r] = t
-                in_link = int(prev_link[i])
-                if in_link >= 0:
-                    hops[i] += 1
-                    queue_len[in_link] -= 1
-                    prev_link[i] = -1
-                node = int(loc[i])
-                target = int(dst[i])
-                if state.node_down[node]:
-                    drop_code[i] = _FAULT
-                    counters[5 * r + _FAULT] += 1
-                    continue
-                if node == target:
-                    arrival[i] = t
-                    continue
-                if ttl is not None and hops[i] >= ttl:
-                    drop_code[i] = _HOPS
-                    counters[5 * r + _HOPS] += 1
-                    continue
-                next_node, rerouted = state.choose(node, target)
-                if next_node == -1:
-                    continue  # unreachable in the healthy topology
-                if next_node == -2:
-                    drop_code[i] = _FAULT
-                    counters[5 * r + _FAULT] += 1
-                    continue
-                base = r * m
-                live = [
-                    base + lid
-                    for lid in state.links_between(node, next_node)
-                    if not state.link_down[lid]
-                ]
-                if capacity is not None:
-                    live = [lid for lid in live if queue_len[lid] < capacity]
-                if not live:
-                    if retry and retries[i] < max_retries:
-                        retries[i] += 1
-                        counters[5 * r] += 1
-                        queue.schedule_one(i, t + retry_delay)
-                    else:
-                        drop_code[i] = _BUFFER
-                        counters[5 * r + _BUFFER] += 1
-                    continue
-                if len(live) == 1:
-                    link_id = live[0]
-                else:
-                    link_id = min(
-                        live, key=lambda lid: (float(busy_until[lid]), lid)
-                    )
-                start = max(t, float(busy_until[link_id]))
-                finish = start + T
-                busy_until[link_id] = finish
-                depth = int(queue_len[link_id]) + 1
-                queue_len[link_id] = depth
-                if depth > max_queue[r]:
-                    max_queue[r] = depth
-                tx_count[r] += 1
-                if rerouted:
-                    counters[5 * r + 4] += 1
-                prev_link[i] = link_id
-                loc[i] = next_node
-                queue.schedule_one(i, finish + L)
-                if trace is not None:
-                    trace.append(
-                        (
-                            np.array([link_id], dtype=np.int64),
-                            np.array([start]),
-                            np.array([i], dtype=np.int64),
-                        )
-                    )
-        return _replica_results(*stats_args)
+        results = []
+        for lo, hi in zip(offsets[:-1].tolist(), offsets[1:].tolist()):
+            messages = _new_messages(src[lo:hi], dst[lo:hi], created[lo:hi])
+            stats, messages = _scenario_loop(
+                state, link, messages, until=until, max_events=max_events, trace=trace
+            )
+            results.append((stats, messages if return_messages else None))
+        return results
 
 
 #: Engine registry: name -> simulator class (used by protocols, the sweep

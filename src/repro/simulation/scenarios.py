@@ -701,7 +701,7 @@ class ScenarioSweep:
     #: The kernel backend the batched engine ran on (``"numpy"`` for the
     #: vectorised path, for the reference event engine, and for degrading
     #: scenarios whose router only python calls can ask — those run the
-    #: python scenario loop).  Recorded so ``wall_time_s`` is attributable
+    #: scalar scenario loop).  Recorded so ``wall_time_s`` is attributable
     #: to a backend.
     kernel_backend: str = "numpy"
 

@@ -24,9 +24,9 @@ equal.  This suite is the proof obligation:
   traffics, and scenario edge cases (fault at ``t=0``, ``capacity=0``) —
   checking stats, per-message records and the flattened transmission trace;
 * the degrading-scenario kernel (``run_scenario``) is compared byte for byte
-  against the python scenario loop and the reference engine on the
-  compositions of ``tests/test_scenarios.py``, hypothesis-generated
-  scenarios, truncated runs, stacked replicas and closed-form routers;
+  against the reference engine, workload by workload, on the compositions
+  of ``tests/test_scenarios.py``, hypothesis-generated scenarios, truncated
+  runs, stacked replicas and closed-form routers;
 * the kernel-side event queue is driven directly against
   :class:`repro.simulation.events.BatchEventQueue` on adversarial time
   sequences (duplicates, ``-0.0`` vs ``+0.0``, limit truncation).
@@ -568,7 +568,7 @@ def test_sim_parity_randomised(data):
 def test_scenario_fault_at_t0_runs_reference_loop(backend):
     # A degrading scenario (fault at t=0) with a dense router runs the
     # run_scenario kernel, and the simulator reports the backend that runs
-    # it.  A trace (as assert_sim_parity asks for) keeps the python
+    # it.  A trace (as assert_sim_parity asks for) runs the scalar
     # scenario loop on both sides; the untraced kernel pass is compared in
     # the run_scenario section below.
     graph = h_digraph(4, 8, 2)
@@ -933,16 +933,14 @@ def scenario_results(graph, scenario, back, traffics, router=None, **kw):
 
 
 def assert_scenario_kernel_parity(graph, scenario, back, traffics, router=None, **kw):
-    """The kernel pass equals the python scenario loop byte for byte, and,
-    for a single workload, the reference engine too."""
+    """The kernel pass equals the reference engine byte for byte, workload
+    by workload."""
     sim = BatchedNetworkSimulator(graph, scenario=scenario, router=router, kernels=back)
-    assert sim.kernel_backend == back  # the kernel, not the python loop
+    assert sim.kernel_backend == back  # the kernel, not the scalar loop
     got = sim.run_many(traffics, **kw)
-    loop = scenario_results(graph, scenario, "numpy", traffics, router, **kw)
-    assert result_bytes(got) == result_bytes(loop)
-    if len(traffics) == 1:
-        reference = NetworkSimulator(graph, scenario=scenario, router=router)
-        assert result_bytes(got) == result_bytes([reference.run(traffics[0], **kw)])
+    reference = NetworkSimulator(graph, scenario=scenario, router=router)
+    solo = [reference.run(traffic, **kw) for traffic in traffics]
+    assert result_bytes(got) == result_bytes(solo)
     return got
 
 
@@ -1030,7 +1028,7 @@ def test_run_scenario_corner_cases(backend):
 def test_run_scenario_reroute_ties(backend):
     # Out-degree 4: a severed primary leaves up to three candidates, often
     # at equal healthy distance — the lowest neighbour id must win, as in
-    # the python loop's strict < over ascending neighbours.
+    # the scalar loop's strict < over ascending neighbours.
     graph = de_bruijn(4, 3)
     n = graph.num_vertices
     for seed in range(3):
@@ -1100,11 +1098,14 @@ def test_run_scenario_is_taken_only_without_trace(backend, monkeypatch):
         sim, "_kernels", SimpleNamespace(**{**vars(sim._kernels), "make_round_driver": spy})
     )
     traffic = scenario.traffic(SCENARIO_GRAPH.num_vertices, rng=0)
-    sim.run(traffic)
+    untraced = sim.run(traffic)
     assert calls == ["run_scenario"]
-    sim.run(traffic, trace=[])  # a trace keeps the python scenario loop
+    trace = []
+    traced = sim.run(traffic, trace=trace)  # a trace runs the scalar loop
     assert calls == ["run_scenario"]
-    # a router only python calls can ask runs the python loop, and says so
+    assert result_bytes([traced]) == result_bytes([untraced])
+    assert len(trace) == sum(m.hops for m in traced[1])
+    # a router only python calls can ask runs the scalar loop, and says so
     lru = BatchedNetworkSimulator(
         SCENARIO_GRAPH, scenario=scenario, router="lru", kernels=backend
     )
@@ -1189,8 +1190,8 @@ NON_ARC_TRAFFIC = [
 
 @pytest.mark.parametrize("reroute", ["none", "arc-disjoint"])
 def test_non_arc_hop_raises_under_scenarios_on_python_loops(reroute):
-    # the python scenario loop and the reference engine name (node, hop)
-    # instead of failing on a missing link lookup
+    # the scalar scenario loop, over either engine's topology, names
+    # (node, hop) instead of failing on a missing link lookup
     graph = de_bruijn(2, 4)
     scenario = Scenario(max_hops=50, reroute=reroute)
     with pytest.raises(ValueError, match=NON_ARC):
@@ -1216,7 +1217,7 @@ def off_by_one_dense_router(graph):
 def test_non_arc_hop_raises_under_scenarios_on_kernel_backends(backend, reroute):
     graph = de_bruijn(2, 4)
     scenario = Scenario(max_hops=50, reroute=reroute)
-    # the kernel's table lookup, and the python loop a non-table router keeps
+    # the kernel's table lookup, and the scalar loop a non-table router keeps
     for router in (off_by_one_dense_router(graph), OffByOneRouter(graph)):
         with pytest.raises(ValueError, match=NON_ARC):
             BatchedNetworkSimulator(

@@ -94,17 +94,20 @@ class TestResolution:
 
     def test_auto_keeps_numpy_path_for_sparse_workloads(self, monkeypatch):
         # Rate-limited injection means thousands of tiny rounds; under
-        # "auto" the simulator keeps the numpy scalar fast path for those,
-        # while an explicitly named backend is always honoured.
+        # "auto" the simulator keeps the numpy scalar fast path for those
+        # when it would route round by round, while an explicitly named
+        # backend is always honoured and a closed-form router takes the
+        # fused loop, which crosses into the kernel once, at any density.
         if kernels.resolve_backend("auto") == "numpy":
             pytest.skip("no compiled backend available")
         # an outer REPRO_KERNELS (e.g. the CI numpy leg) would force both
         # simulators; this test is about genuine "auto" resolution
         monkeypatch.setenv(kernels.ENV_VAR, "auto")
         entered = []
-        for sim in (
-            BatchedNetworkSimulator(GRAPH),  # auto
-            BatchedNetworkSimulator(GRAPH, kernels=kernels.resolve_backend()),
+        for sim, sparse_expected in (
+            (BatchedNetworkSimulator(GRAPH), 0),  # auto, dense table
+            (BatchedNetworkSimulator(GRAPH, kernels=kernels.resolve_backend()), 1),
+            (BatchedNetworkSimulator(GRAPH, router="closed-form"), 1),  # auto
         ):
             assert sim._kernels is not None
             real = sim._kernels.make_round_driver
@@ -123,10 +126,7 @@ class TestResolution:
             sim.run(dense)
             dense_used = len(entered) - dense_n
             monkeypatch.undo()
-            if sim._kernels_forced:
-                assert sparse_used == 1 and dense_used == 1
-            else:
-                assert sparse_used == 0 and dense_used == 1
+            assert sparse_used == sparse_expected and dense_used == 1
 
     def test_env_var_numpy_takes_numpy_bfs_screen(self, monkeypatch):
         # Under REPRO_KERNELS=numpy the sweep runs h_diameter per split, so

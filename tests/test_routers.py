@@ -262,9 +262,7 @@ class TestSelection:
     def test_resolve_rejects_ambiguous_arguments(self):
         graph = de_bruijn(2, 3)
         table = build_routing_table(graph)
-        with pytest.raises(ValueError):
-            resolve_router(graph, routing=table, router="dense")
-        assert resolve_router(graph, routing=table).table is table
+        assert resolve_router(graph, router=DenseTableRouter(table)).table is table
         assert resolve_router(graph, router="lru").kind == "lru"
         with pytest.raises(ValueError):
             make_router(graph, "magic")

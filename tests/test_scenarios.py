@@ -409,6 +409,91 @@ def test_run_many_scenario_matches_solo():
         ]
 
 
+def _record_bytes(stats, messages):
+    """Stats and every message field, floats as hex: a byte-exact record."""
+    rows = [
+        repr(
+            [
+                (key, value.hex() if isinstance(value, float) else value)
+                for key, value in vars(stats).items()
+            ]
+        )
+    ]
+    rows += [
+        repr(
+            (m.ident, m.source, m.destination, m.creation_time.hex(),
+             m.arrival_time.hex(), m.hops, m.drop_reason)
+        )
+        for m in messages
+    ]
+    return "\n".join(rows).encode()
+
+
+@pytest.mark.parametrize(
+    "kernels, router", [("numpy", None), (None, "lru")], ids=["numpy", "lru"]
+)
+def test_traced_degrading_run_is_the_reference_loop(kernels, router):
+    # On the numpy backend, and with a router only python calls can ask,
+    # the batched engine runs the reference engine's scalar scenario loop:
+    # byte for byte its results, and one trace triple per transmission.
+    scenario = SCENARIOS["fault-reroute"]
+    for seed in range(2):
+        traffic = scenario.traffic(GRAPH.num_vertices, rng=seed)
+        reference = NetworkSimulator(GRAPH, scenario=scenario, router=router)
+        expected = _record_bytes(*reference.run(traffic))
+        simulator = BatchedNetworkSimulator(
+            GRAPH, scenario=scenario, router=router, kernels=kernels
+        )
+        assert simulator.kernel_backend == "numpy"
+        trace = []
+        stats, messages = simulator.run(traffic, trace=trace)
+        assert _record_bytes(stats, messages) == expected
+        assert _record_bytes(*simulator.run(traffic)) == expected
+        assert stats.rerouted_hops > 0
+        assert all(
+            len(links) == len(starts) == len(movers) == 1
+            for links, starts, movers in trace
+        )
+        movers = [int(movers[0]) for _, _, movers in trace]
+        assert np.bincount(movers, minlength=len(messages)).tolist() == [
+            m.hops for m in messages
+        ]
+
+
+@pytest.mark.parametrize("kernels", ["numpy", None])
+def test_run_many_scenario_starts_every_workload_healthy(kernels):
+    # The blackout never heals, so a workload that inherited the previous
+    # one's fault flags would lose every message; each must start healthy.
+    scenario = Scenario(
+        arrivals=UniformArrivals(40, rate=4.0),
+        faults=FaultPlan.all_links_down(GRAPH, at=5.0),
+    )
+    traffics = [scenario.traffic(GRAPH.num_vertices, rng=seed) for seed in range(3)]
+    stacked = BatchedNetworkSimulator(
+        GRAPH, scenario=scenario, kernels=kernels
+    ).run_many(traffics)
+    reference = NetworkSimulator(GRAPH, scenario=scenario)
+    for traffic, (stats, messages) in zip(traffics, stacked):
+        assert stats.delivered > 0
+        assert _record_bytes(stats, messages) == _record_bytes(*reference.run(traffic))
+
+
+@pytest.mark.parametrize("kernels", ["numpy", None])
+def test_degrading_run_many_takes_max_events_and_trace_for_one_workload(kernels):
+    # Both count the events of one workload, so a degrading run refuses
+    # them with several workloads, on every backend: the kernel's global
+    # event count and per-workload scalar runs would disagree.
+    scenario = SCENARIOS["bursty-kitchen-sink"]
+    simulator = BatchedNetworkSimulator(GRAPH, scenario=scenario, kernels=kernels)
+    traffics = [scenario.traffic(GRAPH.num_vertices, rng=seed) for seed in range(2)]
+    for kwargs in ({"max_events": 10}, {"trace": []}):
+        with pytest.raises(ValueError, match="single workload"):
+            simulator.run_many(traffics, **kwargs)
+        ((stats, _),) = simulator.run_many(traffics[:1], **kwargs)
+        reference = NetworkSimulator(GRAPH, scenario=scenario)
+        assert stats == reference.run(traffics[0], max_events=kwargs.get("max_events"))[0]
+
+
 # ---------------------------------------------------------------------------
 # Hypothesis: parity over random scenario compositions
 # ---------------------------------------------------------------------------

@@ -202,8 +202,8 @@ def test_both_engines_share_cached_routing_table():
     assert routing_table_for(graph) is table
     reference = NetworkSimulator(graph)
     batched = BatchedNetworkSimulator(graph)
-    assert reference.routing is table
-    assert batched.routing is table
+    assert reference.router.table is table
+    assert batched.router.table is table
 
 
 def test_routing_cache_invalidated_by_mutation():

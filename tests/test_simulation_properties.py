@@ -76,7 +76,7 @@ def test_conservation_at_drain(graph, data):
     # in-flight remainder is the unreachable drops
     assert stats.delivered + stats.undelivered == len(traffic)
     assert sum(m.delivered for m in messages) == stats.delivered
-    distance = simulator.routing.distance
+    distance = simulator.router.table.distance
     unreachable = sum(1 for s, t, _ in traffic if distance[s, t] < 0)
     assert stats.undelivered == unreachable
 
