@@ -57,7 +57,7 @@ import sys
 from repro.analysis.tables import format_table, merge_bench_json
 from repro.core.checks import enumerate_layout_splits, is_otis_layout_of_de_bruijn
 from repro.graphs.drawing import adjacency_listing, otis_wiring_dot, to_dot
-from repro.graphs.generators import de_bruijn, imase_itoh, kautz, reddy_raghavan_kuhl
+from repro.graphs.generators import de_bruijn, imase_itoh, reddy_raghavan_kuhl
 from repro.otis.layout import optimal_debruijn_layout
 from repro.otis.search import PAPER_TABLE1, compare_with_paper, table1_rows
 from repro.version import __version__

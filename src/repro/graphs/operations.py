@@ -19,7 +19,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.graphs.digraph import BaseDigraph, Digraph, RegularDigraph
+from repro.graphs.digraph import BaseDigraph, Digraph
 
 __all__ = [
     "conjunction",

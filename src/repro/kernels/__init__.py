@@ -4,10 +4,8 @@ The uint64 bit-sweep behind :mod:`repro.graphs.apsp`, the forward/reverse
 BFS connectivity screen of the Table 1 sweep
 (:func:`repro.otis.sweep.run_chunk`), the closed-form shift routing of
 :class:`repro.routing.routers.ClosedFormRouter`, the hotspot traffic draws
-of :func:`repro.simulation.workloads.hotspot_pairs`, the same-timestamp
-round resolution behind
-:class:`repro.simulation.network.BatchedNetworkSimulator` (with the whole
-round loop in one call when the router is closed-form) and its
+of :func:`repro.simulation.workloads.hotspot_pairs`, the healthy event
+loop of :class:`repro.simulation.network.BatchedNetworkSimulator` and its
 degrading-scenario event loop (faults, finite buffers, reroute) each have
 a compiled implementation here, selected at run time:
 
@@ -150,15 +148,14 @@ def warmup(backend: str | None = None) -> str:
 
     One tiny end-to-end call per engine seam: one split through the Table 1
     sweep (``run_chunk`` on ``H(1, 2, 1)``: a ``screen_splits`` call, then
-    the eccentricity sweep of its survivor), a 1-source subset sweep, a
-    2-message simulation (the per-round loop), one closed-form
-    ``next_hops`` call, a 2-message closed-form simulation on ``B(2,2)``
-    (the fused round loop), a 2-message degrading scenario on ``B(2,2)``
-    — a failed link, arc-disjoint reroute, capacity-1 retry buffers (the
-    scenario kernel) — and 2 messages of hotspot traffic (the
-    ``hotspot_pairs`` kernel).  After this returns, no C compile or
-    first-call cost can land inside a benchmark key or a first request.  A
-    no-op (beyond resolution) for ``numpy``.
+    the eccentricity sweep of its survivor), a 1-source subset sweep, one
+    closed-form ``next_hops`` call, a 2-message closed-form simulation on
+    ``B(2,2)`` (the ``run_rounds`` kernel), a 2-message degrading scenario
+    on ``B(2,2)`` with its dense table — a failed link, arc-disjoint
+    reroute, capacity-1 retry buffers (the ``run_scenario`` kernel) — and 2
+    messages of hotspot traffic (the ``hotspot_pairs`` kernel).  After this
+    returns, no C compile or first-call cost can land inside a benchmark key
+    or a first request.  A no-op (beyond resolution) for ``numpy``.
     """
     resolved = resolve_backend(backend)
     if resolved == "numpy":
@@ -178,8 +175,6 @@ def warmup(backend: str | None = None) -> str:
     run_chunk(1, 1, ((2, 1, 2),))
     batched_eccentricities(graph, 1, sources=[0], backend=resolved)
     subset_distance_rows(graph, [0], backend=resolved)
-    sim = BatchedNetworkSimulator(graph, kernels=resolved)
-    sim.run_many([[(0, 1, 0.0), (1, 0, 0.0)]], return_messages=False)
     b22 = de_bruijn(2, 2)
     router = ClosedFormRouter.for_graph(b22)
     router.next_hops(np.array([0, 3]), np.array([3, 0]))

@@ -11,11 +11,6 @@ loaded via :mod:`ctypes`.  Builds are atomic (tmp + :func:`os.replace`) and
 keyed by the sha256 of the source, so concurrent processes race benignly
 and a source change can never pick up a stale binary.
 
-The round driver (:func:`make_round_driver` below) pre-computes every
-``ctypes`` pointer once per run — the arrays live for the whole
-``run_many`` call, and taking ``arr.ctypes.data_as(...)`` per round costs
-more than the kernels themselves on small rounds.
-
 Anything going wrong — no compiler, sandboxed filesystem, a cross-compile
 toolchain that produces unloadable objects — raises
 :class:`NativeBuildError`, which the dispatch layer in
@@ -232,8 +227,9 @@ EXPORT int64_t subset_ecc_sweep(
 /* One queue BFS from vertex 0 over an (n, d) int32 adjacency table: -1 when
  * a vertex is unreachable, 1 when a distance exceeds bound, else 0.  The
  * visit is branch-free (every head is written at queue[tail], kept only
- * when unseen), so queue holds n + 1 entries. */
-static int64_t bfs_from_zero(
+ * when unseen), so queue holds n + 1 entries.  Cache-line aligned: its
+ * loop ran ~15% slower starting 32 bytes past a 64-byte boundary. */
+__attribute__((aligned(64))) static int64_t bfs_from_zero(
     const int32_t *adj, int32_t *dist, int32_t *queue, int64_t n, int64_t d,
     int64_t bound)
 {
@@ -521,45 +517,73 @@ static int64_t queue_pop(QUEUE_PARAMS, int64_t limit, int64_t *slots_out)
 }
 
 /* queue_pop, then gather the forwarding subset's node / destination into
- * tails_out / dests_out without mutating state.  meta = [popped, fwd]. */
-EXPORT void pop_round(
+ * tails_out / dests_out without mutating state; *nfwd = their number.
+ * Returns the popped count. */
+static int64_t pop_round(
     QUEUE_PARAMS, int64_t limit, const int64_t *loc, const int64_t *dst,
-    int64_t *slots_out, int64_t *tails_out, int64_t *dests_out, int64_t *meta)
+    int64_t *slots_out, int64_t *tails_out, int64_t *dests_out, int64_t *nfwd)
 {
     int64_t count = queue_pop(QUEUE_ARGS, limit, slots_out);
-    int64_t nfwd = 0;
+    int64_t f = 0;
     for (int64_t k = 0; k < count; k++) {
         int64_t cur = slots_out[k];
         int64_t node = loc[cur];
         if (node != dst[cur]) {
-            tails_out[nfwd] = node;
-            dests_out[nfwd] = dst[cur];
-            nfwd++;
+            tails_out[f] = node;
+            dests_out[f] = dst[cur];
+            f++;
         }
     }
-    meta[0] = count;
-    meta[1] = nfwd;
+    *nfwd = f;
+    return count;
+}
+
+/* The simulator state arrays run_rounds and run_scenario share. */
+#define STATE_PARAMS \
+    int64_t *loc, const int64_t *dst, int64_t *hops, double *arrival, \
+    int64_t *prev_link, const int64_t *rep, double *last_time, \
+    double *busy_until, int64_t *queue_len, int64_t *max_queue, \
+    int64_t *tx_count, \
+    const int64_t *group_keys, const int64_t *group_ptr, \
+    const int64_t *flat_links, const int64_t *vertex_groups, \
+    int64_t n, int64_t m
+#define STATE_ARGS \
+    loc, dst, hops, arrival, prev_link, rep, last_time, busy_until, \
+    queue_len, max_queue, tx_count, group_keys, group_ptr, flat_links, \
+    vertex_groups, n, m
+
+/* The routing arguments: a flat n x n next-hop table (n_table > 0), else
+ * the shift rule of shift_next_hops. */
+#define ROUTE_PARAMS \
+    int64_t base, int64_t D, const int64_t *to_code, int64_t n_to, \
+    const int64_t *from_code, int64_t n_from, int64_t sorted_codes, \
+    const int64_t *table, int64_t n_table
+#define ROUTE_ARGS \
+    base, D, to_code, n_to, from_code, n_from, sorted_codes, table, n_table
+
+/* Next hops of count (node, target) pairs by table or shift rule.
+ * Returns -1, or the first pair outside the relabelling. */
+static int64_t route_pairs(
+    const int64_t *cur, const int64_t *tgt, int64_t count, int64_t n,
+    ROUTE_PARAMS, int64_t *out)
+{
+    if (n_table == 0)
+        return shift_next_hops(cur, tgt, count, base, D, to_code, n_to,
+                               from_code, n_from, sorted_codes, out);
+    for (int64_t i = 0; i < count; i++) out[i] = table[cur[i] * n + tgt[i]];
+    return -1;
 }
 
 /* Resolve one popped batch in sequence order with the float ops of
  * NetworkSimulator (start = max(t, busy), finish = start + T; earliest-free
  * link by strict < over ascending ids); nxt holds the forwarders' next
- * hops.  Returns 0, or 1 on a non-arc hop (meta[2] / meta[3] = node, hop). */
-EXPORT int64_t finish_round(
+ * hops.  Returns 0, or 1 on a non-arc hop (meta = node, hop). */
+static int64_t finish_round(
     double t, double T, double L, int64_t count,
-    const int64_t *slots, const int64_t *nxt,
-    int64_t *loc, const int64_t *dst, int64_t *hops, double *arrival,
-    int64_t *prev_link, const int64_t *rep, double *last_time,
-    double *busy_until, int64_t *queue_len, int64_t *max_queue,
-    int64_t *tx_count,
-    const int64_t *group_keys, const int64_t *group_ptr,
-    const int64_t *flat_links, const int64_t *vertex_groups,
-    int64_t n, int64_t m,
-    QUEUE_PARAMS,
-    int64_t *out_links, double *out_starts, int64_t *out_movers, int64_t *meta)
+    const int64_t *slots, const int64_t *nxt, STATE_PARAMS, QUEUE_PARAMS,
+    int64_t *meta)
 {
     int64_t j = 0;
-    int64_t nm = 0;
     for (int64_t k2 = 0; k2 < count; k2++) {
         int64_t i = slots[k2];
         int64_t r = rep[i];
@@ -584,9 +608,8 @@ EXPORT int64_t finish_round(
             if (group_keys[q2] == key) { g = q2; break; }
         }
         if (g < 0) {  /* the router named a hop that is not an arc */
-            meta[0] = nm;
-            meta[2] = node;
-            meta[3] = nx;
+            meta[0] = node;
+            meta[1] = nx;
             return 1;
         }
         int64_t base = r * m;
@@ -608,33 +631,18 @@ EXPORT int64_t finish_round(
         prev_link[i] = best;
         loc[i] = nx;
         queue_push(QUEUE_ARGS, finish + L, i);
-        out_links[nm] = best;
-        out_starts[nm] = start;
-        out_movers[nm] = i;
-        nm++;
     }
-    meta[0] = nm;
     return 0;
 }
 
-/* The whole round loop with shift_next_hops as the router: pop, route,
+/* The healthy event loop of BatchedNetworkSimulator.run_many (its numpy
+ * vector path is the oracle): per round pop_round, route_pairs,
  * finish_round.  Returns 0, 1 on a non-arc hop, 2 on a pair outside the
- * relabelling (meta[2] / meta[3] = node, hop or destination). */
+ * relabelling (meta = node, hop or destination). */
 EXPORT int64_t run_rounds(
     double T, double L, int64_t has_until, double until, int64_t max_events,
-    int64_t *loc, const int64_t *dst, int64_t *hops, double *arrival,
-    int64_t *prev_link, const int64_t *rep, double *last_time,
-    double *busy_until, int64_t *queue_len, int64_t *max_queue,
-    int64_t *tx_count,
-    const int64_t *group_keys, const int64_t *group_ptr,
-    const int64_t *flat_links, const int64_t *vertex_groups,
-    int64_t n, int64_t m,
-    QUEUE_PARAMS,
-    int64_t *slots_buf, int64_t *tails_buf, int64_t *dests_buf,
-    int64_t *nxt_buf,
-    int64_t *out_links, double *out_starts, int64_t *out_movers, int64_t *meta,
-    int64_t base, int64_t D, const int64_t *to_code, int64_t n_to,
-    const int64_t *from_code, int64_t n_from, int64_t sorted_codes)
+    STATE_PARAMS, QUEUE_PARAMS, int64_t *slots_buf, int64_t *meta,
+    ROUTE_PARAMS, int64_t *tails_buf, int64_t *dests_buf, int64_t *nxt_buf)
 {
     int64_t processed = 0;
     while (qstate[0] > 0) {
@@ -642,23 +650,19 @@ EXPORT int64_t run_rounds(
         if (has_until && t > until) break;
         int64_t limit = max_events - processed;
         if (limit <= 0) break;
-        pop_round(QUEUE_ARGS, limit, loc, dst, slots_buf, tails_buf,
-                  dests_buf, meta);
-        int64_t count = meta[0];
+        int64_t nfwd;
+        int64_t count = pop_round(QUEUE_ARGS, limit, loc, dst, slots_buf,
+                                  tails_buf, dests_buf, &nfwd);
         processed += count;
-        int64_t bad = shift_next_hops(
-            tails_buf, dests_buf, meta[1], base, D, to_code, n_to,
-            from_code, n_from, sorted_codes, nxt_buf);
+        int64_t bad = route_pairs(tails_buf, dests_buf, nfwd, n, ROUTE_ARGS,
+                                  nxt_buf);
         if (bad >= 0) {
-            meta[2] = tails_buf[bad];
-            meta[3] = dests_buf[bad];
+            meta[0] = tails_buf[bad];
+            meta[1] = dests_buf[bad];
             return 2;
         }
-        int64_t status = finish_round(
-            t, T, L, count, slots_buf, nxt_buf, loc, dst, hops, arrival,
-            prev_link, rep, last_time, busy_until, queue_len, max_queue,
-            tx_count, group_keys, group_ptr, flat_links, vertex_groups, n, m,
-            QUEUE_ARGS, out_links, out_starts, out_movers, meta);
+        int64_t status = finish_round(t, T, L, count, slots_buf, nxt_buf,
+                                      STATE_ARGS, QUEUE_ARGS, meta);
         if (status != 0) return status;
     }
     return 0;
@@ -679,23 +683,14 @@ static inline int group_live(
  * repro.simulation.network._scenario_loop is its oracle): fault slots
  * >= num_messages, node/TTL drops, table or shift primary hops, greedy
  * deflection over the healthy distance table, live links with buffer
- * room, retries.  n_table == 0 routes by shift; n_distance == 0 is reroute
- * "none"; ttl / capacity < 0 disable them.  counters: five per replica
- * (retransmits, drops by code 1 fault / 2 hops / 3 buffer, rerouted). */
+ * room, retries.  n_distance == 0 is reroute "none"; ttl / capacity < 0
+ * disable them.  counters: five per replica (retransmits, drops by code
+ * 1 fault / 2 hops / 3 buffer, rerouted). */
 EXPORT int64_t run_scenario(
     double T, double L, int64_t has_until, double until, int64_t max_events,
-    int64_t *loc, const int64_t *dst, int64_t *hops, double *arrival,
-    int64_t *prev_link, const int64_t *rep, double *last_time,
-    double *busy_until, int64_t *queue_len, int64_t *max_queue,
-    int64_t *tx_count,
-    const int64_t *group_keys, const int64_t *group_ptr,
-    const int64_t *flat_links, const int64_t *vertex_groups,
-    int64_t n, int64_t m,
-    QUEUE_PARAMS,
-    int64_t *slots_buf, int64_t *meta,
-    int64_t base, int64_t D, const int64_t *to_code, int64_t n_to,
-    const int64_t *from_code, int64_t n_from, int64_t sorted_codes,
-    const int64_t *table, int64_t n_table, int64_t R, int64_t num_messages,
+    STATE_PARAMS, QUEUE_PARAMS, int64_t *slots_buf, int64_t *meta,
+    ROUTE_PARAMS,
+    int64_t R, int64_t num_messages,
     const int64_t *fault_kind, const int64_t *fault_target,
     uint8_t *link_down, uint8_t *node_down,
     const int64_t *distance, int64_t n_distance,
@@ -703,7 +698,6 @@ EXPORT int64_t run_scenario(
     int64_t max_retries, int64_t *retries, int8_t *drop_code,
     int64_t *counters)
 {
-    int64_t pair[3];  /* shift routing: node, target, hop */
     int64_t processed = 0;
     while (qstate[0] > 0) {
         double t = heap_time[0];
@@ -747,20 +741,10 @@ EXPORT int64_t run_scenario(
                 continue;
             }
             int64_t primary;
-            if (n_table > 0) {
-                primary = table[node * n + target];
-            } else {
-                pair[0] = node;
-                pair[1] = target;
-                int64_t bad = shift_next_hops(
-                    pair, pair + 1, 1, base, D, to_code, n_to, from_code,
-                    n_from, sorted_codes, pair + 2);
-                if (bad >= 0) {
-                    meta[2] = node;
-                    meta[3] = target;
-                    return 2;
-                }
-                primary = pair[2];
+            if (route_pairs(&node, &target, 1, n, ROUTE_ARGS, &primary) >= 0) {
+                meta[0] = node;
+                meta[1] = target;
+                return 2;
             }
             if (primary < 0) continue;  /* unreachable in the healthy topology */
             int64_t key = node * n + primary;
@@ -769,8 +753,8 @@ EXPORT int64_t run_scenario(
                 if (group_keys[q2] == key) { g = q2; break; }
             }
             if (g < 0) {  /* the router named a hop that is not an arc */
-                meta[2] = node;
-                meta[3] = primary;
+                meta[0] = node;
+                meta[1] = primary;
                 return 1;
             }
             int rerouted = 0;
@@ -941,6 +925,27 @@ _D = ctypes.c_double
 # The C-side expansion of QUEUE_PARAMS.
 _QSIG = [_f64, _i64, _i64, _i64, _i64, _i64, _f64, _i64, _i64, _I]
 
+# The C-side expansion of STATE_PARAMS, as pointer types of the arrays
+# (n and m follow as integers).
+_STATE_TYPES = (
+    _i64, _i64, _i64, _f64,                   # loc, dst, hops, arrival
+    _i64, _i64, _f64,                         # prev_link, rep, last_time
+    _f64, _i64, _i64, _i64,                   # busy_until, queue_len, max_queue, tx_count
+    _i64, _i64, _i64, _i64,                   # group_keys, group_ptr, flat_links, vertex_groups
+)
+
+# The parameters run_rounds and run_scenario share.
+_LOOP_SIG = (
+    # fmt: off
+    [_D, _D, _I, _D, _I]                      # T, L, has_until, until, max_events
+    + list(_STATE_TYPES) + [_I, _I]           # STATE_PARAMS
+    + _QSIG
+    + [_i64, _i64,                            # slots buffer, meta
+       _I, _I, _i64, _I, _i64, _I, _I,        # base, D, to_code, n_to, from_code, n_from, sorted
+       _i64, _I]                              # table, n_table
+    # fmt: on
+)
+
 _SIGNATURES = {
     "ecc_sweep": (_I, [_i64, _u64, _u64, _u64, _i64, _u8, _I, _I, _I, _I]),
     "subset_rows_sweep": (None, [_i64, _u64, _u64, _i64, _I, _I, _I]),
@@ -954,49 +959,15 @@ _SIGNATURES = {
         _I, [_i64, _i64, _I, _I, _I, _i64, _I, _i64, _I, _I, _i64]
     ),
     "queue_schedule": (None, _QSIG + [_i64, _f64, _I]),
-    "pop_round": (None, _QSIG + [_I, _i64, _i64, _i64, _i64, _i64, _i64]),
-    "finish_round": (
-        _I,
-        # fmt: off
-        [_D, _D, _D, _I,                      # t, T, L, count
-         _i64, _i64,                          # slots, nxt
-         _i64, _i64, _i64, _f64,              # loc, dst, hops, arrival
-         _i64, _i64, _f64,                    # prev_link, rep, last_time
-         _f64, _i64, _i64, _i64,              # busy_until, queue_len, max_queue, tx_count
-         _i64, _i64, _i64, _i64,              # group_keys, group_ptr, flat_links, vertex_groups
-         _I, _I]                              # n, m
-        + _QSIG
-        + [_i64, _f64, _i64, _i64],           # out_links, out_starts, out_movers, meta
-        # fmt: on
-    ),
     "run_rounds": (
         _I,
-        # fmt: off
-        [_D, _D, _I, _D, _I,                  # T, L, has_until, until, max_events
-         _i64, _i64, _i64, _f64,              # loc, dst, hops, arrival
-         _i64, _i64, _f64,                    # prev_link, rep, last_time
-         _f64, _i64, _i64, _i64,              # busy_until, queue_len, max_queue, tx_count
-         _i64, _i64, _i64, _i64,              # group_keys, group_ptr, flat_links, vertex_groups
-         _I, _I]                              # n, m
-        + _QSIG
-        + [_i64, _i64, _i64, _i64,            # slots, tails, dests, nxt buffers
-           _i64, _f64, _i64, _i64,            # out_links, out_starts, out_movers, meta
-           _I, _I, _i64, _I, _i64, _I, _I],   # base, D, to_code, n_to, from_code, n_from, sorted
-        # fmt: on
+        _LOOP_SIG + [_i64, _i64, _i64],       # tails, dests, next hops buffers
     ),
     "run_scenario": (
         _I,
         # fmt: off
-        [_D, _D, _I, _D, _I,                  # T, L, has_until, until, max_events
-         _i64, _i64, _i64, _f64,              # loc, dst, hops, arrival
-         _i64, _i64, _f64,                    # prev_link, rep, last_time
-         _f64, _i64, _i64, _i64,              # busy_until, queue_len, max_queue, tx_count
-         _i64, _i64, _i64, _i64,              # group_keys, group_ptr, flat_links, vertex_groups
-         _I, _I]                              # n, m
-        + _QSIG
-        + [_i64, _i64,                        # slots buffer, meta
-           _I, _I, _i64, _I, _i64, _I, _I,    # base, D, to_code, n_to, from_code, n_from, sorted
-           _i64, _I, _I, _I,                  # table, n_table, R, num_messages
+        _LOOP_SIG
+        + [_I, _I,                            # R, num_messages
            _i64, _i64, _u8, _u8,              # fault_kind, fault_target, link_down, node_down
            _i64, _I,                          # distance, n_distance
            _I, _I, _I, _D, _I,                # ttl, capacity, retry, retry_delay, max_retries
@@ -1083,17 +1054,26 @@ def _ptr(arr, ctype):
     return arr.ctypes.data_as(ctype)
 
 
-def _queue_ptrs(queue):
-    """The QUEUE_ARGS tuple for a python-side queue-array tuple."""
-    (heap_time, heap_bid, bucket_head, bucket_tail, next_slot,
-     free_bids, hash_time, hash_state, qstate) = queue
-    return (
-        _ptr(heap_time, _f64), _ptr(heap_bid, _i64),
-        _ptr(bucket_head, _i64), _ptr(bucket_tail, _i64),
-        _ptr(next_slot, _i64), _ptr(free_bids, _i64),
-        _ptr(hash_time, _f64), _ptr(hash_state, _i64),
-        _ptr(qstate, _i64), hash_state.shape[0],
+def _event_queue(num_slots):
+    """Fresh kernel queue arrays (layout at QUEUE_PARAMS) and their
+    QUEUE_ARGS: at most ``num_slots`` live distinct times / buckets, a
+    power-of-two hash of at least twice that."""
+    C = max(num_slots, 1)
+    H = 2
+    while H < 2 * C:
+        H *= 2
+    queue = (
+        np.empty(C),  # heap_time
+        np.empty(C, dtype=np.int64),  # heap_bid
+        np.empty(C, dtype=np.int64),  # bucket_head
+        np.empty(C, dtype=np.int64),  # bucket_tail
+        np.empty(C, dtype=np.int64),  # next_slot
+        np.arange(C, dtype=np.int64),  # free_bids
+        np.empty(H),  # hash_time
+        np.full(H, -1, dtype=np.int64),  # hash_state
+        np.array([0, C, 0, 0], dtype=np.int64),  # qstate
     )
+    return queue, (*map(_ptr, queue, _QSIG[:-1]), H)
 
 
 def _route_args(base, D, to_code, from_code, sorted_codes):
@@ -1208,109 +1188,53 @@ def build_native_kernels() -> SimpleNamespace:
                 _ptr(src, _i64), _ptr(dst, _i64),
             )
 
-        class RoundDriver:
-            """Pre-bound per-run driver over the queue, message, link,
-            topology and round-buffer array tuples of
-            ``BatchedNetworkSimulator._round_driver``.
+        def event_loop(kernel, events, state, T, L, until, max_events, route, table, *tail):
+            """Call the C event loop ``kernel`` over a fresh queue holding
+            ``events = (slots, times)``, pushed in that order (the sequence
+            order at equal times).  ``state`` is the 15 arrays of
+            STATE_PARAMS (n and m follow from their shapes), ``route`` a
+            shift spec and ``table`` a flat next-hop table (empty: shift
+            routing).  Returns ``(status, meta)``: 0, or 1 on a non-arc hop
+            and 2 on a pair outside the relabelling, ``meta`` naming it."""
+            slots, times = events
+            queue, q = _event_queue(slots.shape[0])
+            lib.queue_schedule(*q, _ptr(slots, _i64), _ptr(times, _f64), slots.shape[0])
+            slots_buf = np.empty(queue[0].shape[0], dtype=np.int64)
+            meta = np.zeros(2, dtype=np.int64)
+            status = kernel(
+                T, L,
+                0 if until is None else 1,
+                0.0 if until is None else until,
+                (1 << 62) if max_events is None else max_events,
+                *map(_ptr, state, _STATE_TYPES),
+                state[-1].shape[0] - 1, state[-2].shape[0],  # n, m
+                *q, _ptr(slots_buf, _i64), _ptr(meta, _i64),
+                *_route_args(*route), _ptr(table, _i64), table.shape[0],
+                *tail,
+            )
+            return status, meta
 
-            Every stable array's ctypes pointer is computed once here;
-            per-round calls only convert a handful of scalars plus the
-            fresh ``nxt`` array.
-            """
-
-            __slots__ = (
-                "_q", "_pop_tail", "_state", "_outs", "_fin_tail", "_slots_p",
-                "_slots", "_round_bufs", "_T", "_L",
+        def run_rounds(events, state, T, L, until, max_events, route, table):
+            # tails, dests, next hops: one row per forwarder of a round
+            bufs = np.empty((3, max(events[0].shape[0], 1)), dtype=np.int64)
+            return event_loop(
+                lib.run_rounds, events, state, T, L, until, max_events, route, table,
+                *(_ptr(row, _i64) for row in bufs),
             )
 
-            def __init__(self, queue, msg, links, topo, bufs, T, L):
-                self._q = _queue_ptrs(queue)
-                loc, dst, hops, arrival, prev_link, rep = msg
-                busy_until, queue_len, max_queue, tx_count, last_time = links
-                group_keys, group_ptr, flat_links, vertex_groups, n, m = topo
-                (slots_buf, tails_buf, dests_buf,
-                 out_links, out_starts, out_movers, meta) = bufs
-                loc_p = _ptr(loc, _i64)
-                dst_p = _ptr(dst, _i64)
-                meta_p = _ptr(meta, _i64)
-                self._slots = slots_buf
-                self._slots_p = _ptr(slots_buf, _i64)
-                self._round_bufs = (
-                    self._slots_p, _ptr(tails_buf, _i64), _ptr(dests_buf, _i64),
-                )
-                self._pop_tail = (loc_p, dst_p, *self._round_bufs, meta_p)
-                # the message, link and topology arguments shared by
-                # finish_round and run_rounds (loc ... m, same order)
-                self._state = (
-                    loc_p, dst_p, _ptr(hops, _i64), _ptr(arrival, _f64),
-                    _ptr(prev_link, _i64), _ptr(rep, _i64),
-                    _ptr(last_time, _f64),
-                    _ptr(busy_until, _f64), _ptr(queue_len, _i64),
-                    _ptr(max_queue, _i64), _ptr(tx_count, _i64),
-                    _ptr(group_keys, _i64), _ptr(group_ptr, _i64),
-                    _ptr(flat_links, _i64), _ptr(vertex_groups, _i64),
-                    n, m,
-                )
-                self._outs = (
-                    _ptr(out_links, _i64), _ptr(out_starts, _f64),
-                    _ptr(out_movers, _i64), meta_p,
-                )
-                self._fin_tail = self._state + self._q + self._outs
-                self._T = T
-                self._L = L
-
-            def schedule(self, slots, times):
-                lib.queue_schedule(
-                    *self._q, _ptr(slots, _i64), _ptr(times, _f64),
-                    slots.shape[0],
-                )
-
-            def pop(self, limit):
-                lib.pop_round(*self._q, limit, *self._pop_tail)
-
-            def finish(self, t, count, nxt):
-                return lib.finish_round(
-                    t, self._T, self._L, count,
-                    self._slots_p, _ptr(nxt, _i64), *self._fin_tail,
-                )
-
-            def run(self, until, max_events, route):
-                nxt = np.empty_like(self._slots)  # next hops, one per forwarder
-                return lib.run_rounds(
-                    self._T, self._L,
-                    0 if until is None else 1,
-                    0.0 if until is None else until,
-                    (1 << 62) if max_events is None else max_events,
-                    *self._state, *self._q,
-                    *self._round_bufs, _ptr(nxt, _i64),
-                    *self._outs,
-                    *_route_args(*route),
-                )
-
-            def run_scenario(self, until, max_events, route, table, scenario):
-                (num_messages, fault_kind, fault_target, link_down, node_down,
-                 distance, ttl, capacity, retry, retry_delay, max_retries,
-                 retries, drop_code, counters) = scenario
-                return lib.run_scenario(
-                    self._T, self._L,
-                    0 if until is None else 1,
-                    0.0 if until is None else until,
-                    (1 << 62) if max_events is None else max_events,
-                    *self._state, *self._q,
-                    self._slots_p, self._outs[3],
-                    *_route_args(*route),
-                    _ptr(table, _i64), table.shape[0],
-                    counters.shape[0] // 5, num_messages,
-                    _ptr(fault_kind, _i64), _ptr(fault_target, _i64),
-                    _ptr(link_down, _u8), _ptr(node_down, _u8),
-                    _ptr(distance, _i64), distance.shape[0],
-                    ttl, capacity, retry, retry_delay, max_retries,
-                    _ptr(retries, _i64), _ptr(drop_code, _i8),
-                    _ptr(counters, _i64),
-                )
-
-        def make_round_driver(queue, msg, links, topo, bufs, T, L):
-            return RoundDriver(queue, msg, links, topo, bufs, T, L)
+        def run_scenario(events, state, T, L, until, max_events, route, table, scenario):
+            (num_messages, fault_kind, fault_target, link_down, node_down,
+             distance, ttl, capacity, retry, retry_delay, max_retries,
+             retries, drop_code, counters) = scenario
+            return event_loop(
+                lib.run_scenario, events, state, T, L, until, max_events, route, table,
+                counters.shape[0] // 5, num_messages,
+                _ptr(fault_kind, _i64), _ptr(fault_target, _i64),
+                _ptr(link_down, _u8), _ptr(node_down, _u8),
+                _ptr(distance, _i64), distance.shape[0],
+                ttl, capacity, retry, retry_delay, max_retries,
+                _ptr(retries, _i64), _ptr(drop_code, _i8), _ptr(counters, _i64),
+            )
 
         kernels = SimpleNamespace(
             ecc_sweep=ecc_sweep,
@@ -1319,7 +1243,8 @@ def build_native_kernels() -> SimpleNamespace:
             screen_splits=screen_splits,
             shift_next_hops=shift_next_hops,
             hotspot_pairs=hotspot_pairs,
-            make_round_driver=make_round_driver,
+            run_rounds=run_rounds,
+            run_scenario=run_scenario,
         )
         _LIB_CACHE[SOURCE_DIGEST] = kernels
         return kernels

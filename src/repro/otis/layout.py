@@ -34,11 +34,10 @@ import numpy as np
 
 from repro.core.checks import (
     LensSplit,
-    enumerate_layout_splits,
     minimal_lens_split,
     otis_alphabet_spec,
 )
-from repro.core.isomorphisms import debruijn_to_alphabet_isomorphism, invert_mapping
+from repro.core.isomorphisms import debruijn_to_alphabet_isomorphism
 from repro.graphs.digraph import BaseDigraph, RegularDigraph
 from repro.graphs.generators import de_bruijn, imase_itoh, kautz
 from repro.graphs.isomorphism import find_isomorphism, is_isomorphism

@@ -59,7 +59,6 @@ from repro.graphs.traversal import (
     bfs_distances_regular,
     reverse_bfs_distances_regular,
 )
-from repro.otis.h_digraph import h_digraph
 
 __all__ = [
     "candidate_splits",

@@ -151,7 +151,8 @@ class Router:
         """The closed-form description compiled kernels can route with.
 
         None (the default) for every router whose answers only
-        :meth:`next_hops` knows; the simulator then asks it round by round.
+        :meth:`next_hops` knows; the batched simulator then runs its numpy
+        path unless the router is a dense table.
         """
         return None
 

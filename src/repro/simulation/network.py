@@ -35,6 +35,10 @@ Two engines implement the model:
   link/message index; each step pops *all* events sharing the minimum
   timestamp (:class:`repro.simulation.events.BatchEventQueue`) and resolves
   link acquisitions, queue pushes and arrivals as whole-array operations.
+  On a compiled backend, a run without ``trace`` whose router is a dense
+  table or has a ``shift_spec()`` is instead one call of the ``run_rounds``
+  kernel (this numpy path is its oracle); :attr:`BatchedNetworkSimulator.
+  kernel_backend` names the path that runs.
 
 Batched-engine contract (what is vectorised, what stays FIFO-exact):
 
@@ -72,17 +76,15 @@ workload over its own link groups.  The bit-identical parity contract
 thus extends to every layer combination — failures, finite buffers,
 retransmits, deflection rerouting (enforced by ``tests/test_scenarios.py``
 and ``tests/test_kernel_parity.py``).  An arrival-only scenario (default
-link, no faults) runs through the unchanged vector path: healthy workloads
-pay nothing for the scenario seam.
+link, no faults) runs through the healthy path: healthy workloads pay
+nothing for the scenario seam.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from collections import deque
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -898,7 +900,7 @@ _DROP_REASONS = (None, "fault", "hops", "buffer")
 #: The scenario kernel's fault event codes.
 _FAULT_CODES = {"link_down": 0, "link_up": 1, "node_down": 2, "node_up": 3}
 
-#: "No table": the scenario kernel routes by shift spec / never reroutes.
+#: "No table": the kernels route by shift spec / never reroute.
 _NO_TABLE = np.zeros(0, dtype=np.int64)
 #: The (unused) shift spec passed alongside a dense next-hop table.
 _UNUSED_SHIFT = ShiftSpec(2, 1, _NO_TABLE, _NO_TABLE, False)
@@ -907,16 +909,16 @@ _UNUSED_SHIFT = ShiftSpec(2, 1, _NO_TABLE, _NO_TABLE, False)
 def _raise_kernel_status(status: int, meta: np.ndarray) -> None:
     """Raise the error a simulator kernel reported through its status.
 
-    1: the router named a hop that is not an arc (``meta[2:4]`` = node,
-    hop); 2: a pair outside the closed-form relabelling (node, target).
+    1: the router named a hop that is not an arc (``meta`` = node, hop);
+    2: a pair outside the closed-form relabelling (node, target).
     """
     if status == 2:
         raise IndexError(
-            f"the router cannot route ({meta[2]}, {meta[3]}): a "
+            f"the router cannot route ({meta[0]}, {meta[1]}): a "
             "vertex outside its relabelling"
         )
     if status:
-        raise _not_an_arc(int(meta[2]), int(meta[3]))
+        raise _not_an_arc(int(meta[0]), int(meta[1]))
 
 
 def _replica_results(
@@ -1001,13 +1003,12 @@ class BatchedNetworkSimulator:
     Parameters are identical to :class:`NetworkSimulator`, plus ``kernels``:
     a kernel-backend request (see :mod:`repro.kernels`) — ``None`` resolves
     the ``REPRO_KERNELS`` environment override, ``"numpy"`` pins the
-    original vectorised path.  All backends are bit-identical; the resolved
-    name is exposed as :attr:`kernel_backend`.  Under ``auto`` resolution,
-    with a router that has no ``shift_spec()`` or with a ``trace``, sparse
-    workloads (fewer than 32 events per distinct creation time on average)
-    keep the numpy path — its scalar fast path beats the kernel's per-round
-    boundary crossing there; a closed-form router runs the fused loop at
-    any density, and naming a backend explicitly always runs it.
+    original vectorised path.  All backends are bit-identical.  On a
+    compiled backend, a run without ``trace`` whose router the kernels can
+    consult (a ``shift_spec()``, or a dense table covering the topology) is
+    one kernel call; every other run takes the numpy path.
+    :attr:`kernel_backend` names the backend that runs: ``"numpy"`` for a
+    router the kernels cannot consult (LRU rows, wrappers).
     """
 
     def __init__(
@@ -1030,26 +1031,12 @@ class BatchedNetworkSimulator:
         self.router = resolve_router(graph, router=router)
         self._groups = _LinkGroups(graph)
         resolved = _kernels.resolve_backend(kernels)
-        if (
-            scenario is not None
-            and scenario.needs_event_exact()
-            and self._kernel_route() is None
-        ):
-            # A degrading scenario whose router the kernel cannot consult
-            # (LRU rows, wrappers) runs the scalar scenario loop on every
-            # backend — report what actually runs.
+        if self._kernel_route() is None:
+            # A router the kernels cannot consult (LRU rows, wrappers) runs
+            # the numpy path on every backend: report what actually runs.
             resolved = "numpy"
         self.kernel_backend = resolved
-        self._kernels = _kernels.get_kernels(self.kernel_backend)
-        requested = (
-            kernels
-            if kernels is not None
-            else os.environ.get(_kernels.ENV_VAR) or "auto"
-        )
-        # An explicitly named backend (parameter or REPRO_KERNELS) is always
-        # honoured; under "auto", run_many keeps the numpy path for sparse
-        # workloads where the per-round kernel round-trip cannot win.
-        self._kernels_forced = requested.strip().lower() != "auto"
+        self._kernels = _kernels.get_kernels(resolved)
 
     # ------------------------------------------------------------------ run
     def run(
@@ -1132,22 +1119,14 @@ class BatchedNetworkSimulator:
         router = self.router
         processed = 0
 
-        use_kernel = self._kernels is not None
-        per_round = trace is not None or router.shift_spec() is None
-        if use_kernel and per_round and not self._kernels_forced:
-            # Sparse workloads (rate-limited injection: few events per
-            # distinct timestamp) run thousands of tiny rounds, each paying
-            # a Python<->kernel round-trip; the numpy path's <=32-event
-            # scalar fast path wins there.  Mirror that threshold: take the
-            # per-round kernel only when the average batch is at least 32
-            # events.  The fused loop of a closed-form router crosses once.
-            use_kernel = N >= 32 * np.unique(created).size
-        if use_kernel:
+        if self._kernels is not None and trace is None:
             queue = ()  # compiled path: the event heap lives in the kernel
-            self._run_rounds_kernel(
-                created, loc, dst, hops, arrival, prev_link, rep,
-                busy_until, queue_len, max_queue, tx_count, last_time,
-                until=until, max_events=max_events, trace=trace,
+            self._run_kernel(
+                self._kernels.run_rounds,
+                (np.arange(N, dtype=np.int64), np.ascontiguousarray(created)),
+                (loc, dst, hops, arrival, prev_link, rep, last_time,
+                 busy_until, queue_len, max_queue, tx_count),
+                until, max_events,
             )
         else:
             queue = BatchEventQueue(N)
@@ -1399,7 +1378,7 @@ class BatchedNetworkSimulator:
 
     # -------------------------------------------------------- kernel rounds
     def _kernel_route(self) -> tuple[np.ndarray, ShiftSpec] | None:
-        """``(table, shift spec)`` the compiled scenario kernel routes with.
+        """``(table, shift spec)`` the compiled event loops route with.
 
         A closed-form router's :meth:`~repro.routing.routers.Router.
         shift_spec` (with an empty table), or the flat next-hop table of a
@@ -1417,145 +1396,27 @@ class BatchedNetworkSimulator:
             return table.reshape(-1), _UNUSED_SHIFT
         return None
 
-    def _round_driver(self, num_slots: int, msg: tuple, links: tuple):
-        """A kernel round driver over fresh queue and round buffers.
-
-        ``msg`` / ``links`` are the per-message and per-link/replica array
-        tuples :meth:`_run_rounds_kernel` documents; the queue holds
-        ``num_slots`` event slots.  Returns ``(driver, queue, bufs)``.
+    def _run_kernel(self, kernel, events, state, until, max_events, *scenario):
+        """One call of the compiled event loop ``kernel`` (``run_rounds``
+        or ``run_scenario``) over ``events = (slots, times)`` and the
+        pooled per-message / per-replica arrays ``state``, mutated in
+        place.  A hop that is not an arc raises ``ValueError``.
         """
+        table, spec = self._kernel_route()
         groups = self._groups
-        # queue arrays (layout at QUEUE_PARAMS in repro.kernels.native): at
-        # most C live distinct times / buckets; hash power-of-two >= 2C.
-        C = max(num_slots, 1)
-        H = 2
-        while H < 2 * C:
-            H *= 2
-        queue = (
-            np.empty(C),  # heap_time
-            np.empty(C, dtype=np.int64),  # heap_bid
-            np.empty(C, dtype=np.int64),  # bucket_head
-            np.empty(C, dtype=np.int64),  # bucket_tail
-            np.empty(C, dtype=np.int64),  # next_slot
-            np.arange(C, dtype=np.int64),  # free_bids
-            np.empty(H),  # hash_time
-            np.full(H, -1, dtype=np.int64),  # hash_state
-            np.array([0, C, 0, 0], dtype=np.int64),  # qstate
-        )
-        bufs = (
-            np.empty(C, dtype=np.int64),  # slots
-            np.empty(C, dtype=np.int64),  # tails
-            np.empty(C, dtype=np.int64),  # dests
-            np.empty(C, dtype=np.int64),  # out_links
-            np.empty(C),  # out_starts
-            np.empty(C, dtype=np.int64),  # out_movers
-            np.zeros(4, dtype=np.int64),  # meta
-        )
-        driver = self._kernels.make_round_driver(
-            queue,
-            msg,
-            links,
-            (groups.group_keys, groups.group_ptr, groups.flat_links,
-             groups.vertex_groups, groups.num_vertices, groups.num_links),
-            bufs,
+        status, meta = kernel(
+            events,
+            (*state, groups.group_keys, groups.group_ptr, groups.flat_links,
+             groups.vertex_groups),
             float(self.link.transmission_time),
             float(self.link.latency),
+            until,
+            max_events,
+            spec,
+            table,
+            *scenario,
         )
-        return driver, queue, bufs
-
-    def _run_rounds_kernel(
-        self,
-        created,
-        loc,
-        dst,
-        hops,
-        arrival,
-        prev_link,
-        rep,
-        busy_until,
-        queue_len,
-        max_queue,
-        tx_count,
-        last_time,
-        *,
-        until,
-        max_events,
-        trace,
-    ) -> None:
-        """The event loop of :meth:`run_many`, driven by a compiled kernel.
-
-        Replaces :class:`~repro.simulation.events.BatchEventQueue` + the
-        scalar/vector batch resolution with two kernel calls per round: the
-        kernel-side event queue (a structural replica of the bucketed
-        queue — heap of distinct times + per-time FIFO buckets, see
-        ``repro.kernels.native``) pops one same-timestamp batch
-        read-only, python asks the router for the batch's next hops, and
-        the kernel then resolves every event sequentially in sequence
-        order with the literal reference float ops — so results are
-        bit-identical to both the numpy vector path and the reference
-        engine (enforced by ``tests/test_kernel_parity.py``).  Mutates the
-        pooled per-message / per-replica arrays in place;
-        :meth:`run_many` computes the statistics afterwards exactly as
-        for the numpy path.
-
-        When the router describes itself in closed form
-        (:meth:`~repro.routing.routers.Router.shift_spec`) and no ``trace``
-        is requested, the whole loop — pop, route, finish — runs in one
-        ``driver.run`` kernel call instead of three crossings per round.
-        A hop that is not an arc raises ``ValueError`` on either path.
-        """
-        router = self.router
-        N = int(loc.shape[0])
-        driver, queue, bufs = self._round_driver(
-            N,
-            (loc, dst, hops, arrival, prev_link, rep),
-            (busy_until, queue_len, max_queue, tx_count, last_time),
-        )
-        driver.schedule(
-            np.arange(N, dtype=np.int64), np.ascontiguousarray(created)
-        )
-        heap_time, qstate = queue[0], queue[8]
-        _, tails_buf, dests_buf, out_links, out_starts, out_movers, meta = bufs
-
-        route = router.shift_spec() if trace is None else None
-        # a driver offering only the per-round calls (a wrapping proxy)
-        # keeps the per-round loop
-        run = getattr(driver, "run", None)
-        if route is not None and run is not None:
-            _raise_kernel_status(run(until, max_events, route), meta)
-            return
-
-        empty_next = np.zeros(0, dtype=np.int64)
-        no_limit = 1 << 62
-        processed = 0
-        while qstate[0] > 0:
-            t = float(heap_time[0])
-            if until is not None and t > until:
-                break
-            limit = no_limit
-            if max_events is not None:
-                limit = max_events - processed
-                if limit <= 0:
-                    break
-            driver.pop(limit)
-            count = int(meta[0])
-            nfwd = int(meta[1])
-            processed += count
-            if nfwd:
-                nxt = router.next_hops(tails_buf[:nfwd], dests_buf[:nfwd])
-                nxt = np.ascontiguousarray(nxt, dtype=np.int64)
-            else:
-                nxt = empty_next
-            _raise_kernel_status(driver.finish(t, count, nxt), meta)
-            moved = int(meta[0])
-            if trace is not None and moved:
-                trace.append(
-                    (
-                        out_links[:moved].copy(),
-                        out_starts[:moved].copy(),
-                        out_movers[:moved].copy(),
-                    )
-                )
+        _raise_kernel_status(status, meta)
 
     # ------------------------------------------------------------- scenario
     def _run_many_scenario(
@@ -1582,9 +1443,8 @@ class BatchedNetworkSimulator:
         global: one timeline drives all replicas, which is what makes a
         stacked scenario run equal R solo runs of the same scenario.
 
-        Every other run (and a round driver without ``run_scenario``, such
-        as a wrapping proxy) is :func:`_scenario_loop` once per workload,
-        over this engine's link groups.  ``max_events`` and ``trace`` count
+        Every other run is :func:`_scenario_loop` once per workload, over
+        this engine's link groups.  ``max_events`` and ``trace`` count
         the events of one workload, so either one with several workloads
         raises ``ValueError``.
         """
@@ -1638,32 +1498,21 @@ class BatchedNetworkSimulator:
             counters, drop_code,
         )
 
-        kernel_route = None
         if self._kernels is not None and trace is None:
-            kernel_route = self._kernel_route()
-        run_scenario = None
-        if kernel_route is not None:
-            driver, _, bufs = self._round_driver(
-                N + F,
-                (loc, dst, hops, arrival, prev_link, rep),
-                (busy_until, queue_len, max_queue, tx_count, last_time),
-            )
-            # a driver offering only the per-round calls (a wrapping proxy)
-            # keeps the scalar loop
-            run_scenario = getattr(driver, "run_scenario", None)
-        if run_scenario is not None:
-            table, spec = kernel_route
-            # faults first: lower sequence at equal timestamps
-            driver.schedule(np.arange(N, N + F, dtype=np.int64), fault_times)
-            driver.schedule(np.arange(N, dtype=np.int64), created)
             distance = _NO_TABLE
             if state.distance is not None:
                 distance = np.ascontiguousarray(state.distance, dtype=np.int64)
-            status = run_scenario(
+            self._run_kernel(
+                self._kernels.run_scenario,
+                # faults first: lower sequence at equal timestamps
+                (
+                    np.concatenate((np.arange(N, N + F), np.arange(N))),
+                    np.concatenate((fault_times, created)),
+                ),
+                (loc, dst, hops, arrival, prev_link, rep, last_time,
+                 busy_until, queue_len, max_queue, tx_count),
                 until,
                 max_events,
-                spec,
-                table,
                 (
                     N,
                     np.array(
@@ -1684,7 +1533,6 @@ class BatchedNetworkSimulator:
                     counters,
                 ),
             )
-            _raise_kernel_status(status, bufs[6])
             return _replica_results(*stats_args)
 
         results = []

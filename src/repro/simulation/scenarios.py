@@ -699,10 +699,10 @@ class ScenarioSweep:
     points: list[ScenarioPoint]
     wall_time_s: float
     #: The kernel backend the batched engine ran on (``"numpy"`` for the
-    #: vectorised path, for the reference event engine, and for degrading
-    #: scenarios whose router only python calls can ask — those run the
-    #: scalar scenario loop).  Recorded so ``wall_time_s`` is attributable
-    #: to a backend.
+    #: vectorised path, for the reference event engine, and for a router
+    #: only python calls can ask — degrading scenarios then run the scalar
+    #: scenario loop).  Recorded so ``wall_time_s`` is attributable to a
+    #: backend.
     kernel_backend: str = "numpy"
 
     def curves(self) -> list[dict]:

@@ -395,7 +395,8 @@ class ThroughputSweep:
     points: list[SweepPoint]
     wall_time_s: float
     #: The kernel backend the batched engine ran on (``"numpy"`` for the
-    #: vectorised path and for the reference event engine) — recorded so a
+    #: vectorised path, which a router only python calls can ask takes on
+    #: every backend, and for the reference event engine) — recorded so a
     #: ``wall_time_s`` in ``BENCH_sim.json`` is attributable to a backend.
     kernel_backend: str = "numpy"
 

@@ -1,14 +1,13 @@
 """Tests for the component decomposition of non-cyclic alphabet digraphs
 (Remark 3.10, Example 3.3.2 / Figure 5)."""
 
-import pytest
 
 from repro.core.alphabet_digraph import AlphabetDigraphSpec, debruijn_spec
 from repro.core.components import component_structure, decompose_non_cyclic
 from repro.graphs.generators import circuit, de_bruijn
 from repro.graphs.isomorphism import are_isomorphic
 from repro.graphs.operations import conjunction, induced_subgraph
-from repro.permutations import Permutation, from_cycles, identity, rotation
+from repro.permutations import Permutation, from_cycles, identity
 
 
 class TestComponentStructure:

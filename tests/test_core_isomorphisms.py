@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.alphabet_digraph import (
     AlphabetDigraphSpec,
-    alphabet_digraph,
     b_sigma,
     debruijn_spec,
 )
@@ -26,7 +25,6 @@ from repro.graphs.isomorphism import is_isomorphism
 from repro.permutations import (
     Permutation,
     all_permutations,
-    complement,
     identity,
     random_cyclic_permutation,
     random_permutation,

@@ -1,6 +1,5 @@
 """Unit tests for the digraph family generators."""
 
-import numpy as np
 import pytest
 
 from repro.graphs.generators import (

@@ -1,6 +1,5 @@
 """Tests for the OTIS-induced digraph H(p, q, d) (Section 4.2, Figures 7–8)."""
 
-import numpy as np
 import pytest
 
 from repro.graphs.generators import de_bruijn, imase_itoh, kautz

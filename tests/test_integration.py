@@ -7,7 +7,6 @@ the way.
 """
 
 import numpy as np
-import pytest
 
 import repro
 from repro.analysis.tables import paper_vs_measured

@@ -22,14 +22,16 @@ equal.  This suite is the proof obligation:
   zero-``L`` link timings (same-instant event cascades), truncated runs
   (``until`` / ``max_events``), multi-replica ``run_many`` pools, empty
   traffics, and scenario edge cases (fault at ``t=0``, ``capacity=0``) —
-  checking stats, per-message records and the flattened transmission trace;
+  checking stats and per-message records (a traced run takes the numpy
+  path on every backend, so the flattened transmission trace is checked
+  between that path and the reference loops);
 * the degrading-scenario kernel (``run_scenario``) is compared byte for byte
   against the reference engine, workload by workload, on the compositions
   of ``tests/test_scenarios.py``, hypothesis-generated scenarios, truncated
   runs, stacked replicas and closed-form routers;
-* the kernel-side event queue is driven directly against
-  :class:`repro.simulation.events.BatchEventQueue` on adversarial time
-  sequences (duplicates, ``-0.0`` vs ``+0.0``, limit truncation).
+* the kernel-side event queue is checked by whole-run parity with the
+  numpy path on adversarial time sequences (duplicates, ``-0.0`` vs
+  ``+0.0``, truncation at every event count).
 
 Backend under test: ``cnative``, the only kernel implementation.  Every
 test that runs it carries :data:`requires_cnative`, so on a host without a C
@@ -457,19 +459,15 @@ def assert_sim_parity(graph, traffics, back, link=None, scenario=None, **kw):
     ref = simulator(graph, "numpy", link=link, scenario=scenario).run_many(
         traffics, trace=ref_trace, **kw
     )
-    got = simulator(graph, back, link=link, scenario=scenario).run_many(
-        traffics, trace=got_trace, **kw
-    )
-    assert len(got) == len(ref)
-    for (got_stats, got_msgs), (ref_stats, ref_msgs) in zip(got, ref):
-        assert got_stats == ref_stats
-        if ref_msgs is None:
-            assert got_msgs is None
-        else:
-            assert_messages_equal(got_msgs, ref_msgs)
-    # Batch boundaries may differ between the kernel loop (one triple per
-    # round) and the vector path (per batch); the chronological flat
-    # sequence of transmissions must not.
+    sim = simulator(graph, back, link=link, scenario=scenario)
+    for got in (sim.run_many(traffics, **kw), sim.run_many(traffics, trace=got_trace, **kw)):
+        assert len(got) == len(ref)
+        for (got_stats, got_msgs), (ref_stats, ref_msgs) in zip(got, ref):
+            assert got_stats == ref_stats
+            if ref_msgs is None:
+                assert got_msgs is None
+            else:
+                assert_messages_equal(got_msgs, ref_msgs)
     assert flat_trace(got_trace) == flat_trace(ref_trace)
     return ref
 
@@ -605,24 +603,7 @@ def test_scenario_arrival_only_uses_kernels(backend):
     assert_sim_parity(graph, [traffic], backend, scenario=scenario)
 
 
-# ------------------------------------------------------- event queue, direct
-
-
-def round_driver(loc, dst):
-    """The engines' round driver over a fresh queue with one slot per
-    message: ``(driver, queue, bufs)`` of ``BatchedNetworkSimulator.
-    _round_driver`` (the link arrays size one replica of ``B(2,2)``)."""
-    sim = simulator(de_bruijn(2, 2), "cnative")
-    n, m = loc.shape[0], sim._groups.num_links
-    msg = (
-        loc, dst, np.zeros(n, dtype=np.int64), np.full(n, np.nan),
-        np.full(n, -1, dtype=np.int64), np.zeros(n, dtype=np.int64),
-    )
-    links = (
-        np.zeros(m), np.zeros(m, dtype=np.int64), np.zeros(1, dtype=np.int64),
-        np.zeros(1, dtype=np.int64), np.zeros(1),
-    )
-    return sim._round_driver(n, msg, links)
+# ------------------------------------------------------- event queue, whole run
 
 
 @requires_cnative
@@ -633,34 +614,23 @@ def round_driver(loc, dst):
         min_size=1,
         max_size=24,
     ),
-    limit=st.integers(min_value=1, max_value=8),
 )
-def test_queue_pop_order_matches_reference(times, limit):
-    """Drain the kernel queue against BatchEventQueue, batch by batch."""
-    from repro.simulation.events import BatchEventQueue
+def test_queue_pop_order_matches_reference(times):
+    """The kernel queue pops like BatchEventQueue: runs cut after every
+    event count equal the numpy path's.
 
-    n = len(times)
-    # loc != dst for every slot so pop_round reports all as forwarding
-    loc = np.zeros(n, dtype=np.int64)
-    dst = np.ones(n, dtype=np.int64)
-    driver, queue, bufs = round_driver(loc, dst)
-    qstate, slots_out, meta = queue[8], bufs[0], bufs[6]
-    slots = np.arange(n, dtype=np.int64)
-    tarr = np.asarray(times, dtype=np.float64)
-    driver.schedule(slots, tarr)
-
-    ref = BatchEventQueue(n)
-    ref.schedule(slots, tarr)
-
-    while len(ref):
-        ref_t, ref_slots = ref.pop_batch(limit=limit)
-        assert qstate[0] > 0
-        got_t = float(queue[0][0])
-        driver.pop(limit)
-        count = int(meta[0])
-        assert got_t == ref_t
-        assert list(slots_out[:count]) == list(ref_slots)
-    assert qstate[0] == 0
+    Messages created at equal times contend for the same links, so a
+    wrong insertion order, a ``-0.0`` bucket apart from ``+0.0`` or a
+    limit that drops or repeats events changes the results.
+    """
+    graph = de_bruijn(2, 2)
+    traffic = [(i % 4, (3 * i + 1) % 4, t) for i, t in enumerate(times)]
+    for link in (LinkModel(latency=0.5, transmission_time=0.5), PARITY_LINKS[3]):
+        for max_events in range(len(times) + 1):
+            fused, reference = fused_runs(
+                graph, None, "cnative", [traffic], link, max_events=max_events
+            )
+            assert result_bytes(fused) == result_bytes(reference)
 
 
 # ------------------------------------------------- closed-form routing kernel
@@ -818,21 +788,24 @@ def result_bytes(results):
 
 
 def fused_runs(graph, router, back, traffics, link=None, **kw):
-    """``(fused, per_round, numpy)`` results of one closed-form workload."""
+    """``(fused, numpy)`` results of one workload: the ``run_rounds``
+    kernel and the numpy vector path."""
     fused = BatchedNetworkSimulator(graph, link=link, router=router, kernels=back)
-    fused_result = fused.run_many(traffics, **kw)
-    per_round = BatchedNetworkSimulator(graph, link=link, router=router, kernels=back)
-    per_round_result = per_round.run_many(traffics, trace=[], **kw)
-    reference = BatchedNetworkSimulator(
-        graph, link=link, router=router, kernels="numpy"
-    ).run_many(traffics, **kw)
-    return fused_result, per_round_result, reference
+    assert fused.kernel_backend == back  # the kernel, not the numpy path
+    reference = BatchedNetworkSimulator(graph, link=link, router=router, kernels="numpy")
+    return fused.run_many(traffics, **kw), reference.run_many(traffics, **kw)
 
 
 def assert_fused_parity(graph, router, back, traffics, link=None, **kw):
-    fused, per_round, reference = fused_runs(graph, router, back, traffics, link, **kw)
+    """The fused loop equals the numpy path byte for byte, and the
+    reference engine workload by workload (``max_events`` counts the
+    events of the whole pool, so that check needs a single workload)."""
+    fused, reference = fused_runs(graph, router, back, traffics, link, **kw)
     assert result_bytes(fused) == result_bytes(reference)
-    assert result_bytes(per_round) == result_bytes(reference)
+    if len(traffics) == 1 or kw.get("max_events") is None:
+        engine = NetworkSimulator(graph, link=link, router=router)
+        solo = [engine.run(traffic, **kw) for traffic in traffics]
+        assert result_bytes(fused) == result_bytes(solo)
     return reference
 
 
@@ -844,59 +817,71 @@ def doubled_de_bruijn(d, D):
     return Digraph(single.num_vertices, arcs, name=f"2xB({d},{D})")
 
 
+def spy_kernel(monkeypatch, sim, name):
+    """The list every call of ``sim``'s kernel ``name`` appends it to."""
+    calls = []
+    real = getattr(sim._kernels, name)
+    spied = {**vars(sim._kernels), name: lambda *a: calls.append(name) or real(*a)}
+    monkeypatch.setattr(sim, "_kernels", SimpleNamespace(**spied))
+    return calls
+
+
 def test_fused_loop_is_taken_for_closed_form_without_trace(backend, monkeypatch):
     graph = h_digraph(4, 8, 2)
     sim = BatchedNetworkSimulator(graph, router="closed-form", kernels=backend)
-    calls = []
-    real = sim._kernels.make_round_driver
-
-    def spy(*args):
-        driver = real(*args)
-
-        def run(*a):
-            calls.append("run")
-            return driver.run(*a)
-
-        return SimpleNamespace(
-            schedule=driver.schedule, pop=driver.pop, finish=driver.finish, run=run
-        )
-
-    monkeypatch.setattr(
-        sim, "_kernels", SimpleNamespace(**{**vars(sim._kernels), "make_round_driver": spy})
-    )
+    calls = spy_kernel(monkeypatch, sim, "run_rounds")
     traffic = uniform_random_pairs(graph.num_vertices, 40, rng=2)
     sim.run(traffic)
-    assert calls == ["run"]
-    sim.run(traffic, trace=[])  # a trace keeps the per-round loop
-    assert calls == ["run"]
+    assert calls == ["run_rounds"]
+    sim.run(traffic, trace=[])  # a trace runs the numpy path
+    assert calls == ["run_rounds"]
+
+
+H48 = h_digraph(4, 8, 2)
+DOUBLED_B24 = doubled_de_bruijn(2, 4)
 
 
 @pytest.mark.parametrize("link", PARITY_LINKS, ids=lambda l: f"T{l.transmission_time}_L{l.latency}")
 def test_fused_loop_parity(backend, link):
+    h927, k24 = h_digraph(9, 27, 3), kautz(2, 4)
     cases = [
-        (h_digraph(4, 8, 2), None),
-        (h_digraph(9, 27, 3), None),  # odd base: the divide path
-        (kautz(2, 4), None),  # sorted codes
-        (doubled_de_bruijn(2, 4), ClosedFormRouter.for_de_bruijn(2, 4)),
+        (H48, ClosedFormRouter.for_graph(H48)),
+        (h927, ClosedFormRouter.for_graph(h927)),  # odd base: the divide path
+        (k24, ClosedFormRouter.for_graph(k24)),  # sorted codes
+        (DOUBLED_B24, ClosedFormRouter.for_de_bruijn(2, 4)),
+        (H48, DenseTableRouter.for_graph(H48)),
+        (k24, DenseTableRouter.for_graph(k24)),
+        (DOUBLED_B24, DenseTableRouter.for_graph(DOUBLED_B24)),
     ]
     for graph, router in cases:
-        router = router or ClosedFormRouter.for_graph(graph)
         n = graph.num_vertices
         traffics = [uniform_random_pairs(n, 60, rng=seed) for seed in (3, 4)]
         stats = assert_fused_parity(graph, router, backend, traffics, link=link)
         assert all(s.delivered == 60 for s, _ in stats)
+    # -1 table entries: messages into a sink drop, on both paths alike
+    sink = Digraph(3, [(0, 1), (1, 0), (0, 2), (1, 2)])
+    traffic = [(2, 0, 0.0), (0, 2, 0.0), (1, 2, 0.5), (0, 1, 0.5), (2, 1, 1.0)]
+    ((stats, _),) = assert_fused_parity(
+        sink, DenseTableRouter.for_graph(sink), backend, [traffic], link=link
+    )
+    assert stats.delivered == 3
 
 
 def test_fused_loop_truncated_runs(backend):
-    graph = h_digraph(4, 8, 2)
-    router = ClosedFormRouter.for_graph(graph)
-    traffic = uniform_random_pairs(graph.num_vertices, 60, rng=5)
-    for kw in ({"until": 3.0}, {"max_events": 37}, {"until": 2.5, "max_events": 111},
-               {"max_events": 0}, {"until": 0.0}):
-        assert_fused_parity(graph, router, backend, [traffic], **kw)
-    link = LinkModel(latency=0.0, transmission_time=0.0)  # same-instant cascades
-    assert_fused_parity(graph, router, backend, [traffic], link=link, max_events=7)
-    assert_fused_parity(graph, router, backend, [[], traffic, []])
+    cases = [
+        (H48, ClosedFormRouter.for_graph(H48)),
+        (H48, DenseTableRouter.for_graph(H48)),
+        (DOUBLED_B24, DenseTableRouter.for_graph(DOUBLED_B24)),
+    ]
+    for graph, router in cases:
+        traffic = uniform_random_pairs(graph.num_vertices, 60, rng=5)
+        for kw in ({"until": 3.0}, {"max_events": 37}, {"until": 2.5, "max_events": 111},
+                   {"max_events": 0}, {"until": 0.0}):
+            assert_fused_parity(graph, router, backend, [traffic], **kw)
+        link = LinkModel(latency=0.0, transmission_time=0.0)  # same-instant cascades
+        assert_fused_parity(graph, router, backend, [traffic], link=link, max_events=7)
+        assert_fused_parity(graph, router, backend, [[], traffic, []])
+        assert_fused_parity(graph, router, backend, [[]])  # nothing scheduled
 
 
 @requires_cnative
@@ -1082,21 +1067,7 @@ def test_run_scenario_closed_form_router(backend, reroute):
 def test_run_scenario_is_taken_only_without_trace(backend, monkeypatch):
     scenario = SCENARIOS["fault-reroute"]
     sim = BatchedNetworkSimulator(SCENARIO_GRAPH, scenario=scenario, kernels=backend)
-    calls = []
-    real = sim._kernels.make_round_driver
-
-    def spy(*args):
-        driver = real(*args)
-
-        def run_scenario(*a):
-            calls.append("run_scenario")
-            return driver.run_scenario(*a)
-
-        return SimpleNamespace(schedule=driver.schedule, run_scenario=run_scenario)
-
-    monkeypatch.setattr(
-        sim, "_kernels", SimpleNamespace(**{**vars(sim._kernels), "make_round_driver": spy})
-    )
+    calls = spy_kernel(monkeypatch, sim, "run_scenario")
     traffic = scenario.traffic(SCENARIO_GRAPH.num_vertices, rng=0)
     untraced = sim.run(traffic)
     assert calls == ["run_scenario"]
@@ -1105,12 +1076,17 @@ def test_run_scenario_is_taken_only_without_trace(backend, monkeypatch):
     assert calls == ["run_scenario"]
     assert result_bytes([traced]) == result_bytes([untraced])
     assert len(trace) == sum(m.hops for m in traced[1])
-    # a router only python calls can ask runs the scalar loop, and says so
-    lru = BatchedNetworkSimulator(
-        SCENARIO_GRAPH, scenario=scenario, router="lru", kernels=backend
-    )
-    assert lru.kernel_backend == "numpy"
-    assert result_bytes([lru.run(traffic)]) == result_bytes([sim.run(traffic)])
+    # a router only python calls can ask runs the scalar scenario loop or
+    # the numpy path on every backend, says so, and holds no kernels
+    healthy = BatchedNetworkSimulator(SCENARIO_GRAPH, kernels=backend).run(traffic)
+    for back in ("numpy", backend):
+        for scen, expected in ((scenario, untraced), (None, healthy)):
+            lru = BatchedNetworkSimulator(
+                SCENARIO_GRAPH, scenario=scen, router="lru", kernels=back
+            )
+            assert lru.kernel_backend == "numpy"
+            assert lru._kernels is None
+            assert result_bytes([lru.run(traffic)]) == result_bytes([expected])
 
 
 # ----------------------------------------------------- hops over non-arcs
@@ -1165,11 +1141,16 @@ def test_non_arc_hop_raises_on_numpy_path(messages):
 def test_non_arc_hop_raises_on_kernel_backends(backend):
     graph = de_bruijn(2, 4)
     traffic = [(u % 16, (u * 7 + 3) % 16, 0.0) for u in range(64) if u % 16 != (u * 7 + 3) % 16]
-    # the per-round loop, asking a wrong router round by round
-    with pytest.raises(ValueError, match=NON_ARC):
-        BatchedNetworkSimulator(
-            graph, router=OffByOneRouter(graph), kernels=backend
-        ).run(traffic, max_events=10_000)
+    # a table entry naming a non-arc: the fused loop and the numpy path
+    # raise the same error
+    errors = []
+    for back in (backend, "numpy"):
+        with pytest.raises(ValueError, match=NON_ARC) as raised:
+            BatchedNetworkSimulator(
+                graph, router=off_by_one_dense_router(graph), kernels=back
+            ).run(traffic, max_events=10_000)
+        errors.append(str(raised.value))
+    assert errors[0] == errors[1]
     # the fused loop, with a closed form of the wrong de Bruijn digraph:
     # B(2,4) shift hops on the 16-vertex ring are not its arcs
     ring16 = Digraph(16, [(u, (u + 1) % 16) for u in range(16)] * 2)

@@ -93,40 +93,37 @@ class TestResolution:
             assert kernels.resolve_backend("auto") == "numpy"
 
     def test_auto_keeps_numpy_path_for_sparse_workloads(self, monkeypatch):
-        # Rate-limited injection means thousands of tiny rounds; under
-        # "auto" the simulator keeps the numpy scalar fast path for those
-        # when it would route round by round, while an explicitly named
-        # backend is always honoured and a closed-form router takes the
-        # fused loop, which crosses into the kernel once, at any density.
+        # One rule at every event density: a router the kernels can
+        # consult (a dense table, a closed form) takes the fused run_rounds
+        # loop, one kernel call per run, on sparse and saturated traffic
+        # alike; an LRU router keeps the numpy path and reports it.
         if kernels.resolve_backend("auto") == "numpy":
             pytest.skip("no compiled backend available")
         # an outer REPRO_KERNELS (e.g. the CI numpy leg) would force both
         # simulators; this test is about genuine "auto" resolution
         monkeypatch.setenv(kernels.ENV_VAR, "auto")
-        entered = []
-        for sim, sparse_expected in (
-            (BatchedNetworkSimulator(GRAPH), 0),  # auto, dense table
-            (BatchedNetworkSimulator(GRAPH, kernels=kernels.resolve_backend()), 1),
-            (BatchedNetworkSimulator(GRAPH, router="closed-form"), 1),  # auto
+        sparse = [(i % 4, (i + 1) % 4, float(i)) for i in range(64)]
+        dense = [(i % 4, (i + 1) % 4, 0.0) for i in range(64)]
+        for sim in (
+            BatchedNetworkSimulator(GRAPH),  # auto, dense table
+            BatchedNetworkSimulator(GRAPH, kernels=kernels.resolve_backend()),
+            BatchedNetworkSimulator(GRAPH, router="closed-form"),  # auto
         ):
-            assert sim._kernels is not None
-            real = sim._kernels.make_round_driver
+            assert sim.kernel_backend == kernels.resolve_backend()
+            entered = []
 
-            def spy(*args, _real=real, **kwargs):
-                entered.append(sim.kernel_backend)
-                return _real(*args, **kwargs)
+            def spied(*args, _real=sim._kernels.run_rounds):
+                entered.append(1)
+                return _real(*args)
 
-            monkeypatch.setattr(sim._kernels, "make_round_driver", spy)
-            sparse = [(i % 4, (i + 1) % 4, float(i)) for i in range(64)]
-            dense = [(i % 4, (i + 1) % 4, 0.0) for i in range(64)]
-            sparse_n = len(entered)
+            monkeypatch.setattr(
+                sim, "_kernels", SimpleNamespace(**{**vars(sim._kernels), "run_rounds": spied})
+            )
             sim.run(sparse)
-            sparse_used = len(entered) - sparse_n
-            dense_n = len(entered)
             sim.run(dense)
-            dense_used = len(entered) - dense_n
-            monkeypatch.undo()
-            assert sparse_used == sparse_expected and dense_used == 1
+            assert entered == [1, 1]
+        lru = BatchedNetworkSimulator(GRAPH, router="lru")
+        assert lru.kernel_backend == "numpy" and lru._kernels is None
 
     def test_env_var_numpy_takes_numpy_bfs_screen(self, monkeypatch):
         # Under REPRO_KERNELS=numpy the sweep runs h_diameter per split, so
@@ -209,29 +206,16 @@ class TestWarmupAndDiagnostics:
         def spying_get(backend=None):
             ns = real_get(backend)
             spy = SimpleNamespace(**vars(ns))
-            spy.shift_next_hops = (
-                lambda *a: seen.append("shift_next_hops") or ns.shift_next_hops(*a)
-            )
-
-            def make_round_driver(*args):
-                driver = ns.make_round_driver(*args)
-                return SimpleNamespace(
-                    schedule=driver.schedule,
-                    pop=driver.pop,
-                    finish=driver.finish,
-                    run=lambda *a: seen.append("run") or driver.run(*a),
-                    run_scenario=lambda *a: (
-                        seen.append("run_scenario") or driver.run_scenario(*a)
-                    ),
-                )
-
-            spy.make_round_driver = make_round_driver
+            for name in ("shift_next_hops", "run_rounds", "run_scenario"):
+                setattr(spy, name, lambda *a, _name=name: (
+                    seen.append(_name) or getattr(ns, _name)(*a)
+                ))
             return spy
 
         monkeypatch.setattr(kernels, "get_kernels", spying_get)
         kernels.warmup()
         assert seen.count("shift_next_hops") == 1
-        assert seen.count("run") == 1
+        assert seen.count("run_rounds") == 1  # the closed-form simulation
         assert seen.count("run_scenario") == 1  # the degrading scenario kernel
 
     def test_env_var_numpy_routes_through_shift_route_next_hops(self, monkeypatch):

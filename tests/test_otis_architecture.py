@@ -1,6 +1,5 @@
 """Tests for the OTIS(p, q) architecture model (Section 4.1, Figure 6)."""
 
-import numpy as np
 import pytest
 
 from repro.otis.architecture import OTISArchitecture

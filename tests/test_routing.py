@@ -20,7 +20,6 @@ from repro.routing.paths import (
     debruijn_route_words,
     kautz_route,
 )
-from repro.words import int_to_word, word_to_int
 
 
 class TestDeBruijnRouting:

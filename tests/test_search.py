@@ -7,7 +7,6 @@ from repro.graphs.properties import diameter
 from repro.otis.h_digraph import h_digraph
 from repro.otis.search import (
     PAPER_TABLE1,
-    DegreeDiameterResult,
     candidate_splits,
     compare_with_paper,
     degree_diameter_search,

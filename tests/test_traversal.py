@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.graphs.digraph import Digraph, RegularDigraph
+from repro.graphs.digraph import Digraph
 from repro.graphs.generators import circuit, de_bruijn
 from repro.graphs.traversal import (
     bfs_distances,
