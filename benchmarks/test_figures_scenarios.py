@@ -23,6 +23,7 @@ from repro.simulation import (
     BufferedLinkModel,
     FaultPlan,
     HotspotArrivals,
+    NetworkSimulator,
     Scenario,
     UniformArrivals,
     run_scenario_sweep,
@@ -96,7 +97,7 @@ def test_fault_reroute_pareto_de_bruijn_family(bench_json):
 
 
 def test_kitchen_sink_parity_at_bench_scale(bench_json):
-    """Every layer at once on H(8, 16, 2): both engines, identical curves.
+    """Every layer at once on H(8, 16, 2): both engines, identical stats.
 
     The parity contract the unit suite checks on 4-node graphs, re-asserted
     at benchmark scale with all four scenario layers composed.
@@ -109,9 +110,11 @@ def test_kitchen_sink_parity_at_bench_scale(bench_json):
         reroute="arc-disjoint",
     )
     batched = run_scenario_sweep(graph, scenario, rates=(None, 2.0), seeds=SEEDS)
-    reference = run_scenario_sweep(
-        graph, scenario, rates=(None, 2.0), seeds=SEEDS, engine="event"
-    )
-    assert batched.curves() == reference.curves()
+    reference = NetworkSimulator(graph, scenario=scenario)
+    assert [point.stats for point in batched.points] == [
+        reference.run(scenario.with_rate(rate).traffic(graph.num_vertices, rng=seed))[0]
+        for rate in (None, 2.0)
+        for seed in SEEDS
+    ]
     entry = _record(bench_json, "kitchen_sink_H(8,16,2)", batched)
     assert entry["scenario_digest"] == scenario.digest()

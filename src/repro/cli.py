@@ -9,8 +9,7 @@ Exposes the reproduction's main entry points without writing any Python:
 * ``table1``  — regenerate a block of Table 1 and compare with the paper,
 * ``figure``  — emit a DOT rendering of one of the paper's figure digraphs,
 * ``sim``     — throughput/latency sweep of workloads on ``H(p, q, d)`` with
-  the batched network simulator (optionally cross-checked against the
-  event-loop reference).  ``--router`` selects the routing backend
+  the batched network simulator.  ``--router`` selects the routing backend
   (``auto``/``dense``/``closed-form``/``lru``); ``fleet sim`` runs the
   same study as resumable chunks,
 * ``scenarios`` — degraded-mode scenario sweeps on ``H(p, q, d)``
@@ -163,12 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="Poisson injection rates (omit for inject-everything-at-time-0)",
     )
     sim.add_argument(
-        "--engine",
-        choices=["batched", "event", "both"],
-        default="batched",
-        help="'both' also runs the event-loop reference and checks parity",
-    )
-    sim.add_argument(
         "--router",
         choices=["auto", "dense", "closed-form", "lru"],
         default="auto",
@@ -267,12 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="per-message hop TTL (default: unlimited; 4n under reroute)",
-    )
-    scenarios.add_argument(
-        "--engine",
-        choices=["batched", "event", "both"],
-        default="batched",
-        help="'both' also runs the event-loop reference and checks parity",
     )
     scenarios.add_argument(
         "--router",
@@ -652,10 +639,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the machine-readable JSON snapshot instead of text",
     )
-
-    fleet_sub.add_parser(
-        "smoke", help="same as --smoke: tiny end-to-end fleet exercise"
-    )
     return parser
 
 
@@ -770,45 +753,28 @@ def _cmd_sim(args: argparse.Namespace) -> int:
 
     graph = h_digraph(args.p, args.q, args.d)
     rates = tuple(args.rates) if args.rates else (None,)
-    sweep_kwargs = dict(
+    sweep = run_throughput_sweep(
+        graph,
         workloads=tuple(args.workloads),
         rates=rates,
         seeds=range(args.seeds),
         num_messages=args.messages,
-    )
-    engine = "batched" if args.engine == "both" else args.engine
-    sweep = run_throughput_sweep(
-        graph, engine=engine, router=args.router, **sweep_kwargs
+        router=args.router,
     )
     print(
         f"{sweep.graph_name}: {sweep.num_nodes} nodes, {sweep.num_links} links, "
-        f"engine={sweep.engine}, kernels={sweep.kernel_backend}, "
-        f"wall={sweep.wall_time_s:.3f}s"
+        f"kernels={sweep.kernel_backend}, wall={sweep.wall_time_s:.3f}s"
     )
     _print_sweep_curves(sweep)
-    parity_ok = True
-    if args.engine == "both":
-        reference = run_throughput_sweep(
-            graph, engine="event", router=args.router, **sweep_kwargs
-        )
-        parity_ok = [point.stats for point in sweep.points] == [
-            point.stats for point in reference.points
-        ]
-        speedup = reference.wall_time_s / max(sweep.wall_time_s, 1e-9)
-        print(
-            f"event-loop reference: wall={reference.wall_time_s:.3f}s "
-            f"(batched speedup {speedup:.1f}x)"
-        )
-        print(f"parity with event-loop reference: {parity_ok}")
     if args.json:
-        key = f"sweep_H({args.p},{args.q},{args.d})_{sweep.engine}"
+        key = f"sweep_H({args.p},{args.q},{args.d})_batched"
         path = merge_bench_json(args.json, key, sweep.to_json())
         print(f"wrote {path}")
         # Same gate as the scenarios/fleet merges: a BENCH rewrite that
         # regressed committed wall-time keys must fail the command.
         if _bench_check_after_merge(str(path)):
             return 1
-    return 0 if parity_ok else 1
+    return 0
 
 
 def _print_scenario_curves(sweep) -> None:
@@ -874,43 +840,22 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
     graph = h_digraph(args.p, args.q, args.d)
     scenario = _build_scenario(args, graph)
     rates = tuple(args.rates) if args.rates else (None,)
-    engine = "batched" if args.engine == "both" else args.engine
     sweep = run_scenario_sweep(
-        graph,
-        scenario,
-        rates=rates,
-        seeds=range(args.seeds),
-        engine=engine,
-        router=args.router,
+        graph, scenario, rates=rates, seeds=range(args.seeds), router=args.router
     )
     print(
         f"{sweep.graph_name}: {sweep.num_nodes} nodes, {sweep.num_links} links, "
-        f"engine={sweep.engine}, kernels={sweep.kernel_backend}, "
-        f"wall={sweep.wall_time_s:.3f}s"
+        f"kernels={sweep.kernel_backend}, wall={sweep.wall_time_s:.3f}s"
     )
     print(f"scenario [{scenario.digest()}]: {scenario.describe()}")
     _print_scenario_curves(sweep)
-    parity_ok = True
-    if args.engine == "both":
-        reference = run_scenario_sweep(
-            graph,
-            scenario,
-            rates=rates,
-            seeds=range(args.seeds),
-            engine="event",
-            router=args.router,
-        )
-        parity_ok = [point.stats for point in sweep.points] == [
-            point.stats for point in reference.points
-        ]
-        print(f"parity with event-loop reference: {parity_ok}")
     if args.json:
         key = f"scenarios_H({args.p},{args.q},{args.d})_{args.arrival}"
         path = merge_bench_json(args.json, key, sweep.to_json())
         print(f"wrote {path}")
         if _bench_check_after_merge(str(path)):
             return 1
-    return 0 if parity_ok else 1
+    return 0
 
 
 def _parse_topology_arg(
@@ -1328,7 +1273,6 @@ def _fleet_sim(args: argparse.Namespace) -> int:
             combos,
             traffics,
             stats,
-            engine="batched",
             link=link,
             wall_time_s=_time.perf_counter() - start,
             kernel_backend=_active_kernel_backend(),
@@ -1445,7 +1389,7 @@ def _fleet_status(args: argparse.Namespace) -> int:
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
     command = getattr(args, "fleet_command", None)
-    if args.smoke or command == "smoke":
+    if args.smoke:
         return _fleet_smoke(args)
     if command == "sweep":
         return _fleet_sweep(args)

@@ -16,8 +16,8 @@ isomorphism machinery (:mod:`repro.core`) and the OTIS optical layouts
 * traversal and metric properties (:mod:`repro.graphs.traversal`,
   :mod:`repro.graphs.properties`): BFS, strongly/weakly connected components,
   diameter and eccentricities (batched bit-parallel sweep in
-  :mod:`repro.graphs.apsp`, with :mod:`scipy.sparse.csgraph` and pure-Python
-  reference paths), girth, Moore bounds,
+  :mod:`repro.graphs.apsp`, with a per-source BFS reference for the tests),
+  girth, Moore bounds,
 * a generic digraph isomorphism tester (:mod:`repro.graphs.isomorphism`) used
   as the *baseline* against the paper's O(D) structural checks,
 * networkx interoperability (:mod:`repro.graphs.nx_interop`).

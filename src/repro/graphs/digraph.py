@@ -26,7 +26,6 @@ from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
-from scipy import sparse
 
 __all__ = ["BaseDigraph", "Digraph", "RegularDigraph"]
 
@@ -141,18 +140,6 @@ class BaseDigraph:
         for u in self.vertices():
             matrix[u, :] = self.out_neighbors(u)
         return matrix
-
-    def adjacency_matrix(self) -> sparse.csr_matrix:
-        """Sparse adjacency matrix with arc multiplicities as entries."""
-        n = self.num_vertices
-        rows, cols = [], []
-        for u, v in self.arcs():
-            rows.append(u)
-            cols.append(v)
-        data = np.ones(len(rows), dtype=np.int64)
-        return sparse.csr_matrix(
-            (data, (rows, cols)), shape=(n, n), dtype=np.int64
-        )
 
     def to_digraph(self) -> "Digraph":
         """Copy into a mutable :class:`Digraph`."""
@@ -344,13 +331,6 @@ class RegularDigraph(BaseDigraph):
         return np.bincount(
             self._succ.ravel(), minlength=self.num_vertices
         ).astype(np.int64)
-
-    def adjacency_matrix(self) -> sparse.csr_matrix:
-        n, d = self._succ.shape
-        rows = np.repeat(np.arange(n, dtype=np.int64), d)
-        cols = self._succ.ravel()
-        data = np.ones(n * d, dtype=np.int64)
-        return sparse.csr_matrix((data, (rows, cols)), shape=(n, n), dtype=np.int64)
 
     def relabel(self, mapping: Sequence[int] | np.ndarray) -> "RegularDigraph":
         """Return the digraph with vertex ``u`` renamed ``mapping[u]``.

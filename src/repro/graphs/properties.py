@@ -4,30 +4,25 @@ The quantity that matters most for the paper's evaluation is the **diameter**:
 Table 1 reports, for degree 2 and diameters 8, 9 and 10, the largest OTIS
 digraphs ``H(p, q, 2)`` found by exhaustive search.  Regenerating that table
 requires thousands of diameter computations on digraphs with up to ~1500
-vertices, so the metric functions have three code paths:
+vertices, so every metric runs on the batched bit-parallel sweep of
+:mod:`repro.graphs.apsp`, which processes 64 BFS sources per machine word;
+only :func:`distance_matrix`, whose output *is* the full matrix,
+materialises an ``n × n`` array.
 
-* ``method="bitset"`` (the default for :func:`eccentricities`,
-  :func:`diameter`, :func:`radius` and :func:`average_distance`) — the
-  batched bit-parallel sweep of :mod:`repro.graphs.apsp`, which processes 64
-  BFS sources per machine word and never materialises an ``n × n`` distance
-  matrix;
-* ``method="scipy"`` — the sparse adjacency matrix is handed to
-  :func:`scipy.sparse.csgraph.shortest_path` with the unweighted flag, which
-  runs BFS from every source in compiled code (the default for
-  :func:`distance_matrix`, whose output *is* the full matrix);
-* ``method="python"`` — repeated :func:`repro.graphs.traversal.bfs_distances`
-  (or the vectorised frontier BFS for :class:`RegularDigraph`), used as the
-  reference implementation and as a fallback.
-
-Unit tests assert all paths produce identical results, as the HPC guide
-recommends when an optimised path shadows a straightforward one.
+:func:`_bfs_distance_matrix` (repeated per-source BFS) is the reference the
+unit tests compare every metric against, as the HPC guide recommends when
+an optimised path shadows a straightforward one.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.graphs.apsp import batched_eccentricities, pairwise_distance_sum
+from repro.graphs.apsp import (
+    batched_eccentricities,
+    bit_distance_matrix,
+    pairwise_distance_sum,
+)
 from repro.graphs.digraph import BaseDigraph, RegularDigraph
 from repro.graphs.traversal import (
     bfs_distances,
@@ -35,13 +30,6 @@ from repro.graphs.traversal import (
     is_strongly_connected,
     is_weakly_connected,
 )
-
-try:  # pragma: no cover - import guard exercised indirectly
-    from scipy.sparse import csgraph as _csgraph
-
-    _HAVE_SCIPY = True
-except ImportError:  # pragma: no cover
-    _HAVE_SCIPY = False
 
 __all__ = [
     "distance_matrix",
@@ -56,69 +44,35 @@ __all__ = [
 ]
 
 
-def distance_matrix(graph: BaseDigraph, method: str = "auto") -> np.ndarray:
+def distance_matrix(graph: BaseDigraph) -> np.ndarray:
     """All-pairs unweighted shortest-path distances.
 
     Entry ``[u, v]`` is the number of arcs on a shortest directed path from
     ``u`` to ``v``, or ``-1`` when ``v`` is unreachable from ``u``.
-
-    Parameters
-    ----------
-    graph:
-        Any digraph.
-    method:
-        ``"scipy"`` (compiled BFS via :mod:`scipy.sparse.csgraph`),
-        ``"python"`` (per-source BFS), or ``"auto"`` (scipy when available).
     """
+    return bit_distance_matrix(graph)
+
+
+def _bfs_distance_matrix(graph: BaseDigraph) -> np.ndarray:
+    """Reference :func:`distance_matrix`: one BFS per source vertex."""
     n = graph.num_vertices
-    if method not in ("auto", "scipy", "python"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "auto":
-        method = "scipy" if _HAVE_SCIPY and n > 1 else "python"
-    if method == "scipy" and not _HAVE_SCIPY:
-        raise RuntimeError("scipy is not available; use method='python'")
-
-    if n == 0:
-        return np.zeros((0, 0), dtype=np.int64)
-
-    if method == "scipy":
-        adjacency = graph.adjacency_matrix()
-        # Parallel arcs do not change distances; clip multiplicities to 1.
-        adjacency.data[:] = 1
-        dense = _csgraph.shortest_path(
-            adjacency, method="D", directed=True, unweighted=True
-        )
-        dist = np.where(np.isinf(dense), -1, dense).astype(np.int64)
-        return dist
-
+    bfs = bfs_distances_regular if isinstance(graph, RegularDigraph) else bfs_distances
     dist = np.empty((n, n), dtype=np.int64)
-    if isinstance(graph, RegularDigraph):
-        for source in range(n):
-            dist[source] = bfs_distances_regular(graph, source)
-    else:
-        for source in range(n):
-            dist[source] = bfs_distances(graph, source)
+    for source in range(n):
+        dist[source] = bfs(graph, source)
     return dist
 
 
-def eccentricities(graph: BaseDigraph, method: str = "auto") -> np.ndarray:
+def eccentricities(graph: BaseDigraph) -> np.ndarray:
     """Out-eccentricity of every vertex; ``-1`` marks vertices that cannot
-    reach the whole digraph.
-
-    ``method="auto"``/``"bitset"`` uses the batched bit-parallel sweep of
-    :mod:`repro.graphs.apsp` (no ``n × n`` matrix); ``"scipy"``/``"python"``
-    go through :func:`distance_matrix` and serve as cross-checked references.
+    reach the whole digraph (the batched bit-parallel sweep of
+    :mod:`repro.graphs.apsp`, no ``n × n`` matrix).
     """
-    if method in ("auto", "bitset"):
-        ecc, _ = batched_eccentricities(graph)
-        return ecc
-    dist = distance_matrix(graph, method=method)
-    unreachable = (dist < 0).any(axis=1)
-    ecc = np.where(unreachable, -1, dist.max(axis=1, initial=0))
-    return ecc.astype(np.int64)
+    ecc, _ = batched_eccentricities(graph)
+    return ecc
 
 
-def diameter(graph: BaseDigraph, method: str = "auto") -> int:
+def diameter(graph: BaseDigraph) -> int:
     """Directed diameter; ``-1`` when the digraph is not strongly connected.
 
     The de Bruijn digraph ``B(d, D)`` has diameter exactly ``D``; the Kautz
@@ -127,22 +81,22 @@ def diameter(graph: BaseDigraph, method: str = "auto") -> int:
     """
     if graph.num_vertices == 0:
         return -1
-    ecc = eccentricities(graph, method=method)
+    ecc = eccentricities(graph)
     if np.any(ecc < 0):
         return -1
     return int(ecc.max())
 
 
-def radius(graph: BaseDigraph, method: str = "auto") -> int:
+def radius(graph: BaseDigraph) -> int:
     """Directed radius (minimum finite out-eccentricity); ``-1`` if none."""
-    ecc = eccentricities(graph, method=method)
+    ecc = eccentricities(graph)
     finite = ecc[ecc >= 0]
     if finite.size == 0:
         return -1
     return int(finite.min())
 
 
-def average_distance(graph: BaseDigraph, method: str = "auto") -> float:
+def average_distance(graph: BaseDigraph) -> float:
     """Mean directed distance over ordered pairs of distinct vertices.
 
     Raises :class:`ValueError` if some pair is unreachable, because the mean
@@ -151,19 +105,10 @@ def average_distance(graph: BaseDigraph, method: str = "auto") -> float:
     n = graph.num_vertices
     if n < 2:
         return 0.0
-    if method in ("auto", "bitset"):
-        total, complete = pairwise_distance_sum(graph)
-        if not complete:
-            raise ValueError(
-                "average_distance requires a strongly connected digraph"
-            )
-        return total / (n * (n - 1))
-    dist = distance_matrix(graph, method=method)
-    off_diagonal = ~np.eye(n, dtype=bool)
-    values = dist[off_diagonal]
-    if np.any(values < 0):
+    total, complete = pairwise_distance_sum(graph)
+    if not complete:
         raise ValueError("average_distance requires a strongly connected digraph")
-    return float(values.mean())
+    return total / (n * (n - 1))
 
 
 def girth(graph: BaseDigraph, max_length: int | None = None) -> int:

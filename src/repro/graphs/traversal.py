@@ -8,8 +8,8 @@ twice:
   implementation used by the tests, and
 * a vectorised frontier BFS over the successor matrix
   (:func:`bfs_distances_regular`), which processes an entire frontier per
-  numpy call and is the hot path used by
-  :func:`repro.graphs.properties.distance_matrix`.
+  numpy call and backs the per-source BFS reference of
+  :mod:`repro.graphs.properties`.
 
 Both return ``-1`` for unreachable vertices.  Strongly connected components
 use Kosaraju's two-pass algorithm (iterative, so deep graphs do not hit the

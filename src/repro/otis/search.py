@@ -42,8 +42,9 @@ The expensive part is the all-pairs stage; it runs on the bit-packed
 ``(n, ceil(n/64))`` reachability matrix of
 :func:`repro.graphs.apsp.batched_eccentricities`, so no ``n × n`` int64
 distance matrix is ever materialised on the search path (the matrix-based
-:func:`repro.graphs.properties.distance_matrix` remains available as a
-cross-checked reference).  See ``docs/apsp.md`` for the engine's contract.
+:func:`repro.graphs.properties.distance_matrix`, on the same sweep, is
+checked against a per-source BFS by the tests).  See ``docs/apsp.md`` for
+the engine's contract.
 """
 
 from __future__ import annotations

@@ -13,11 +13,11 @@ The Kautz digraph admits the same shift routing with the extra "no equal
 consecutive letters" constraint automatically satisfied by its words.
 
 For arbitrary digraphs (e.g. the raw ``H(p, q, d)`` of a candidate layout)
-:func:`build_routing_table` computes all-pairs next-hop tables, by default on
-the bit-parallel frontier machinery of :mod:`repro.graphs.apsp` (the
-per-target reverse BFS survives as the cross-checked ``method="python"``
-reference); the simulator uses the table directly.  When many workloads run
-on one topology, :func:`routing_table_for` memoises the table in a small
+:func:`build_routing_table` computes all-pairs next-hop tables on the
+bit-parallel frontier machinery of :mod:`repro.graphs.apsp` (the per-target
+reverse BFS survives as the tests' reference); the simulator uses the table
+directly.  When many workloads run on one topology,
+:func:`routing_table_for` memoises the table in a small
 bounded LRU (:func:`set_routing_table_cache_limit`) so the simulators and
 the sweep driver share a single computation without dense tables piling up
 across a long multi-topology sweep.
@@ -273,23 +273,17 @@ class RoutingTable:
         return True
 
 
-def build_routing_table(graph: BaseDigraph, method: str = "auto") -> RoutingTable:
+def build_routing_table(graph: BaseDigraph) -> RoutingTable:
     """Compute the all-pairs next-hop routing table.
 
-    ``method="auto"``/``"bitset"`` extracts the distance matrix from the
-    bit-parallel frontier sweep of :mod:`repro.graphs.apsp` and then picks,
-    for every pair, the first out-arc whose head is one step closer to the
-    target — a handful of whole-array operations per out-arc slot.
-    ``method="python"`` is the original per-target reverse BFS, kept as the
-    cross-checked reference (both produce identical ``distance`` arrays; the
-    ``next_hop`` choices may differ between methods but are always heads of
-    shortest-path arcs).
+    Extracts the distance matrix from the bit-parallel frontier sweep of
+    :mod:`repro.graphs.apsp` and then picks, for every pair, the first
+    out-arc whose head is one step closer to the target — a handful of
+    whole-array operations per out-arc slot.  The per-target reverse BFS
+    :func:`_build_routing_table_python` is the tests' reference (both
+    produce identical ``distance`` arrays; the ``next_hop`` choices may
+    differ but are always heads of shortest-path arcs).
     """
-    if method not in ("auto", "bitset", "python"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "python":
-        return _build_routing_table_python(graph)
-
     n = graph.num_vertices
     distance = bit_distance_matrix(graph)
     successors = padded_successor_matrix(graph)
@@ -307,13 +301,13 @@ def build_routing_table(graph: BaseDigraph, method: str = "auto") -> RoutingTabl
     return RoutingTable(next_hop=next_hop, distance=distance)
 
 
-#: Bounded LRU of dense routing tables, keyed ``(graph token, method slot)``.
+#: Bounded LRU of dense routing tables, keyed by graph token.
 #: Dense tables are the single largest allocations a multi-topology sweep
 #: makes (``O(n^2)`` each); pinning one to every graph instance for the
 #: graph's lifetime — the previous scheme — made long sweeps accumulate
 #: them without bound.  The default limit keeps the working set of the
 #: throughput drivers (a handful of live topologies) fully cached.
-_TABLE_CACHE: OrderedDict[tuple[str, str], RoutingTable] = OrderedDict()
+_TABLE_CACHE: OrderedDict[str, RoutingTable] = OrderedDict()
 _TABLE_CACHE_LIMIT = 4
 _TABLE_CACHE_HITS = 0
 _TABLE_CACHE_MISSES = 0
@@ -371,7 +365,7 @@ def clear_routing_table_cache() -> None:
         _TABLE_CACHE_MISSES = 0
 
 
-def routing_table_for(graph: BaseDigraph, method: str = "auto") -> RoutingTable:
+def routing_table_for(graph: BaseDigraph) -> RoutingTable:
     """Memoised :func:`build_routing_table` through a bounded, evictable LRU.
 
     The all-pairs table is a pure function of the topology, and the workload
@@ -389,14 +383,8 @@ def routing_table_for(graph: BaseDigraph, method: str = "auto") -> RoutingTable:
     that bypass those mutators — a subclass that changes its arc *multiset*
     without changing ``n`` or ``m`` must call :func:`build_routing_table`
     directly.
-
-    ``method="auto"`` and ``method="bitset"`` share one cache slot (they
-    produce the same table); ``method="python"`` is cached separately.
     """
     global _TABLE_CACHE_HITS, _TABLE_CACHE_MISSES
-    if method not in ("auto", "bitset", "python"):
-        raise ValueError(f"unknown method {method!r}")
-    slot = "bitset" if method in ("auto", "bitset") else "python"
     signature = (graph.num_vertices, graph.num_arcs)
     token = getattr(graph, "_routing_table_cache", None)
     if token is None or token[0] != signature:
@@ -406,8 +394,8 @@ def routing_table_for(graph: BaseDigraph, method: str = "auto") -> RoutingTable:
         except AttributeError:  # pragma: no cover - exotic graph classes w/ slots
             with _TABLE_CACHE_LOCK:
                 _TABLE_CACHE_MISSES += 1
-            return build_routing_table(graph, method=method)
-    key = (token[1], slot)
+            return build_routing_table(graph)
+    key = token[1]
     with _TABLE_CACHE_LOCK:
         cached = _TABLE_CACHE.get(key)
         if cached is not None:
@@ -418,7 +406,7 @@ def routing_table_for(graph: BaseDigraph, method: str = "auto") -> RoutingTable:
     # Build outside the lock: tables are immutable once built, so two
     # threads missing on the same graph at worst build twice and the second
     # insert wins — the lock only has to keep the dict bookkeeping sound.
-    table = build_routing_table(graph, method=method)
+    table = build_routing_table(graph)
     with _TABLE_CACHE_LOCK:
         existing = _TABLE_CACHE.get(key)
         if existing is not None:

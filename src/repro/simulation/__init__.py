@@ -13,17 +13,18 @@ reproductions of printed numbers.
   the vectorised engine.
 * :mod:`repro.simulation.network` — a store-and-forward network built from
   any digraph, with per-hop latency taken from the OTIS hardware model and
-  single-port injection/ejection constraints.  Two engines: the reference
-  event-at-a-time :class:`NetworkSimulator` and the array-pooled
-  :class:`BatchedNetworkSimulator` (bit-identical results; see the
-  batched-engine contract in the module docstring).
+  single-port injection/ejection constraints.  Every driver runs the
+  array-pooled :class:`BatchedNetworkSimulator`; the event-at-a-time
+  :class:`NetworkSimulator` is the reference the parity suites compare it
+  against (bit-identical results; see the batched-engine contract in the
+  module docstring).
 * :mod:`repro.simulation.workloads` — synthetic traffic generators
   (uniform random, permutation, broadcast, all-to-all, hotspot), each
   returning a columnar :class:`Traffic`, and the
   multi-workload throughput driver :func:`run_throughput_sweep`.
 * :mod:`repro.simulation.scenarios` — the composable scenario layers
   (arrival processes, finite link buffers, fault plans, reroute policies),
-  the :class:`Scenario` composition both engines accept, and the
+  the :class:`Scenario` composition both simulators accept, and the
   throughput–latency Pareto sweep driver :func:`run_scenario_sweep`.
 * :mod:`repro.simulation.sharding` — chunked ``run_many`` over the
   resumable chunk-store machinery of :mod:`repro.otis.sweep`: replica
@@ -31,12 +32,11 @@ reproductions of printed numbers.
   workers, :mod:`repro.fleet`) whose merge is byte-identical to the
   in-process pass.
 * :mod:`repro.simulation.protocols` — end-to-end experiments returning
-  latency / throughput statistics (every engine selectable).
+  latency / throughput statistics.
 """
 
 from repro.simulation.events import BatchEventQueue, EventQueue, Simulator
 from repro.simulation.network import (
-    SIMULATOR_ENGINES,
     BatchedNetworkSimulator,
     BufferedLinkModel,
     LinkModel,
@@ -96,7 +96,6 @@ __all__ = [
     "NetworkSimulator",
     "BatchedNetworkSimulator",
     "NetworkStats",
-    "SIMULATOR_ENGINES",
     "run_broadcast",
     "run_point_to_point",
     "run_random_traffic",

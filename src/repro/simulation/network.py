@@ -101,7 +101,6 @@ __all__ = [
     "NetworkStats",
     "NetworkSimulator",
     "BatchedNetworkSimulator",
-    "SIMULATOR_ENGINES",
 ]
 
 
@@ -889,6 +888,10 @@ def _pool_traffics(traffics, n: int):
     src = np.concatenate(src_parts) if N else np.zeros(0, dtype=np.int64)
     dst = np.concatenate(dst_parts) if N else np.zeros(0, dtype=np.int64)
     created = np.concatenate(time_parts) if N else np.zeros(0)
+    # Release times reach every engine through here: turn ``-0.0`` into
+    # ``+0.0`` once, or the reference keeps the sign in its event times
+    # while the batched buckets (which merge +-0.0) drop it.
+    created += 0.0
     return src, dst, created, counts, offsets
 
 
@@ -1543,11 +1546,3 @@ class BatchedNetworkSimulator:
             )
             results.append((stats, messages if return_messages else None))
         return results
-
-
-#: Engine registry: name -> simulator class (used by protocols, the sweep
-#: driver and the CLI ``sim`` subcommand).
-SIMULATOR_ENGINES = {
-    "event": NetworkSimulator,
-    "batched": BatchedNetworkSimulator,
-}

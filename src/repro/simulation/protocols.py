@@ -7,10 +7,9 @@ load, broadcast (both as naive unicasts and as the tree schedules of
 plain dictionaries/dataclasses so results can be tabulated next to the
 paper-derived quantities in EXPERIMENTS.md.
 
-Every simulator-backed experiment takes ``engine="event"`` (the reference
-loop, default for continuity with the seed benchmarks) or
-``engine="batched"`` (the vectorised engine — bit-identical results, much
-faster on heavy workloads), and a ``router=`` kind
+Every simulator-backed experiment runs the vectorised
+:class:`~repro.simulation.network.BatchedNetworkSimulator` (bit-identical to
+the reference event loop) and takes a ``router=`` kind
 (:data:`repro.routing.routers.ROUTER_KINDS`) for topologies too large for
 the dense next-hop table.
 """
@@ -25,7 +24,11 @@ from repro.routing.broadcast import (
     single_port_broadcast_schedule,
 )
 from repro.routing.gossip import all_port_gossip_schedule
-from repro.simulation.network import SIMULATOR_ENGINES, LinkModel, NetworkStats
+from repro.simulation.network import (
+    BatchedNetworkSimulator,
+    LinkModel,
+    NetworkStats,
+)
 from repro.simulation.workloads import broadcast_pairs, uniform_random_pairs
 
 __all__ = [
@@ -36,32 +39,16 @@ __all__ = [
 ]
 
 
-def _simulator(
-    graph: BaseDigraph,
-    link: LinkModel | None,
-    engine: str,
-    router: str | None = None,
-):
-    try:
-        simulator_cls = SIMULATOR_ENGINES[engine]
-    except KeyError:
-        raise ValueError(
-            f"unknown engine {engine!r} (expected one of {sorted(SIMULATOR_ENGINES)})"
-        ) from None
-    return simulator_cls(graph, link=link, router=router)
-
-
 def run_point_to_point(
     graph: BaseDigraph,
     source: int,
     destination: int,
     link: LinkModel | None = None,
     *,
-    engine: str = "event",
     router: str | None = None,
 ) -> dict[str, float]:
     """Deliver a single message and report its latency and hop count."""
-    simulator = _simulator(graph, link, engine, router)
+    simulator = BatchedNetworkSimulator(graph, link=link, router=router)
     stats, messages = simulator.run([(source, destination, 0.0)])
     message = messages[0]
     return {
@@ -79,14 +66,13 @@ def run_random_traffic(
     link: LinkModel | None = None,
     rate: float | None = None,
     seed: int = 0,
-    engine: str = "event",
     router: str | None = None,
 ) -> NetworkStats:
     """Uniform random traffic experiment; returns the aggregate statistics."""
     traffic = uniform_random_pairs(
         graph.num_vertices, num_messages, rng=seed, rate=rate
     )
-    simulator = _simulator(graph, link, engine, router)
+    simulator = BatchedNetworkSimulator(graph, link=link, router=router)
     stats, _ = simulator.run(traffic)
     return stats
 
@@ -96,7 +82,6 @@ def run_broadcast(
     root: int = 0,
     *,
     link: LinkModel | None = None,
-    engine: str = "event",
     router: str | None = None,
 ) -> dict[str, float]:
     """Compare three ways of broadcasting from ``root``.
@@ -108,7 +93,7 @@ def run_broadcast(
     """
     all_port = all_port_broadcast_schedule(graph, root)
     single_port = single_port_broadcast_schedule(graph, root)
-    simulator = _simulator(graph, link, engine, router)
+    simulator = BatchedNetworkSimulator(graph, link=link, router=router)
     stats, _ = simulator.run(broadcast_pairs(graph.num_vertices, root))
     return {
         "all_port_rounds": float(all_port.num_rounds),

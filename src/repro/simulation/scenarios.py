@@ -54,7 +54,6 @@ import numpy as np
 
 from repro.graphs.digraph import BaseDigraph
 from repro.simulation.network import (
-    SIMULATOR_ENGINES,
     BatchedNetworkSimulator,
     BufferedLinkModel,
     LinkModel,
@@ -694,15 +693,13 @@ class ScenarioSweep:
     graph_name: str
     num_nodes: int
     num_links: int
-    engine: str
     scenario: Scenario
     points: list[ScenarioPoint]
     wall_time_s: float
     #: The kernel backend the batched engine ran on (``"numpy"`` for the
-    #: vectorised path, for the reference event engine, and for a router
-    #: only python calls can ask — degrading scenarios then run the scalar
-    #: scenario loop).  Recorded so ``wall_time_s`` is attributable to a
-    #: backend.
+    #: vectorised path and for a router only python calls can ask —
+    #: degrading scenarios then run the scalar scenario loop).  Recorded so
+    #: ``wall_time_s`` is attributable to a backend.
     kernel_backend: str = "numpy"
 
     def curves(self) -> list[dict]:
@@ -739,7 +736,6 @@ class ScenarioSweep:
             "graph": self.graph_name,
             "nodes": self.num_nodes,
             "links": self.num_links,
-            "engine": self.engine,
             "scenario": self.scenario.to_json(),
             "scenario_digest": self.scenario.digest(),
             "kernel_backend": self.kernel_backend,
@@ -772,7 +768,6 @@ def run_scenario_sweep(
     *,
     rates=(None,),
     seeds=range(3),
-    engine: str = "batched",
     router: str | None = None,
     until: float | None = None,
 ) -> ScenarioSweep:
@@ -781,28 +776,21 @@ def run_scenario_sweep(
     For each rate, the scenario's arrival process is re-parameterised with
     :meth:`Scenario.with_rate` and one traffic per seed is drawn
     (deterministically — the sharded/fleet paths can regenerate the same
-    traffics from the same seeds).  With ``engine="batched"`` every
-    ``(rate, seed)`` combination runs in one pooled
+    traffics from the same seeds).  Every ``(rate, seed)`` combination runs
+    in one pooled
     :meth:`~repro.simulation.network.BatchedNetworkSimulator.run_many`
-    pass; ``engine="event"`` runs the reference loop per combination — the
-    cross-check the scenario parity suite leans on.
+    pass, bit-identical to running each through the reference
+    :class:`~repro.simulation.network.NetworkSimulator`.
     """
-    if engine not in SIMULATOR_ENGINES:
-        raise ValueError(
-            f"unknown engine {engine!r} (expected one of {sorted(SIMULATOR_ENGINES)})"
-        )
     n = graph.num_vertices
     combos = [(rate, int(seed)) for rate in rates for seed in seeds]
     traffics = [
         scenario.with_rate(rate).traffic(n, rng=seed) for rate, seed in combos
     ]
-    simulator = SIMULATOR_ENGINES[engine](graph, scenario=scenario, router=router)
+    simulator = BatchedNetworkSimulator(graph, scenario=scenario, router=router)
     start = _time.perf_counter()
-    if isinstance(simulator, BatchedNetworkSimulator):
-        results = simulator.run_many(traffics, until=until, return_messages=False)
-        stats_list = [stats for stats, _ in results]
-    else:
-        stats_list = [simulator.run(traffic, until=until)[0] for traffic in traffics]
+    results = simulator.run_many(traffics, until=until, return_messages=False)
+    stats_list = [stats for stats, _ in results]
     wall = _time.perf_counter() - start
     points = [
         ScenarioPoint(rate=rate, seed=seed, num_messages=len(traffic), stats=stats)
@@ -812,9 +800,8 @@ def run_scenario_sweep(
         graph_name=graph.name or f"digraph(n={n})",
         num_nodes=n,
         num_links=graph.num_arcs,
-        engine=engine,
         scenario=scenario,
         points=points,
         wall_time_s=wall,
-        kernel_backend=getattr(simulator, "kernel_backend", "numpy"),
+        kernel_backend=simulator.kernel_backend,
     )

@@ -35,7 +35,6 @@ import numpy as np
 from repro import kernels as _kernels
 from repro.graphs.digraph import BaseDigraph
 from repro.simulation.network import (
-    SIMULATOR_ENGINES,
     BatchedNetworkSimulator,
     LinkModel,
     NetworkStats,
@@ -390,14 +389,13 @@ class ThroughputSweep:
     graph_name: str
     num_nodes: int
     num_links: int
-    engine: str
     link: LinkModel
     points: list[SweepPoint]
     wall_time_s: float
     #: The kernel backend the batched engine ran on (``"numpy"`` for the
     #: vectorised path, which a router only python calls can ask takes on
-    #: every backend, and for the reference event engine) — recorded so a
-    #: ``wall_time_s`` in ``BENCH_sim.json`` is attributable to a backend.
+    #: every backend) — recorded so a ``wall_time_s`` in ``BENCH_sim.json``
+    #: is attributable to a backend.
     kernel_backend: str = "numpy"
 
     def curves(self) -> list[dict]:
@@ -433,7 +431,6 @@ class ThroughputSweep:
             "graph": self.graph_name,
             "nodes": self.num_nodes,
             "links": self.num_links,
-            "engine": self.engine,
             "link_latency": self.link.latency,
             "link_transmission_time": self.link.transmission_time,
             "kernel_backend": self.kernel_backend,
@@ -488,7 +485,6 @@ def assemble_throughput_sweep(
     traffics,
     stats_list,
     *,
-    engine: str,
     link: LinkModel,
     wall_time_s: float,
     kernel_backend: str = "numpy",
@@ -513,7 +509,6 @@ def assemble_throughput_sweep(
         graph_name=graph.name or f"digraph(n={n})",
         num_nodes=n,
         num_links=graph.num_arcs,
-        engine=engine,
         link=link,
         points=points,
         wall_time_s=wall_time_s,
@@ -529,7 +524,6 @@ def run_throughput_sweep(
     seeds=range(3),
     num_messages: int = 1000,
     link: LinkModel | None = None,
-    engine: str = "batched",
     router: str | None = None,
     hotspot: int = 0,
     hotspot_fraction: float = 0.5,
@@ -540,37 +534,28 @@ def run_throughput_sweep(
     One router is built and shared across combinations (``router=None``
     defaults to the ``"auto"`` policy: the memoised dense table for small
     topologies, table-free routing above
-    :data:`repro.routing.routers.AUTO_DENSE_MAX_N` vertices).  With the
-    default ``engine="batched"`` all combinations are stacked into a single
+    :data:`repro.routing.routers.AUTO_DENSE_MAX_N` vertices).  All
+    combinations are stacked into a single
     :meth:`~repro.simulation.network.BatchedNetworkSimulator.run_many` pass
-    (per-combination results are bit-identical to running them one at a
-    time).  ``engine="event"`` runs the reference loop per combination — the
-    cross-check the parity suite leans on.
+    (per-combination results are bit-identical to running each through the
+    reference :class:`~repro.simulation.network.NetworkSimulator`).
     """
-    if engine not in SIMULATOR_ENGINES:
-        raise ValueError(
-            f"unknown engine {engine!r} (expected one of {sorted(SIMULATOR_ENGINES)})"
-        )
     n = graph.num_vertices
     combos = sweep_combos(workloads, rates, seeds)
     traffics = sweep_traffics(
         n, combos, num_messages, hotspot=hotspot, hotspot_fraction=hotspot_fraction
     )
-    simulator = SIMULATOR_ENGINES[engine](graph, link=link, router=router)
+    simulator = BatchedNetworkSimulator(graph, link=link, router=router)
     start = _time.perf_counter()
-    if isinstance(simulator, BatchedNetworkSimulator):
-        results = simulator.run_many(traffics, until=until, return_messages=False)
-        stats_list = [stats for stats, _ in results]
-    else:
-        stats_list = [simulator.run(traffic, until=until)[0] for traffic in traffics]
+    results = simulator.run_many(traffics, until=until, return_messages=False)
+    stats_list = [stats for stats, _ in results]
     wall = _time.perf_counter() - start
     return assemble_throughput_sweep(
         graph,
         combos,
         traffics,
         stats_list,
-        engine=engine,
         link=simulator.link,
         wall_time_s=wall,
-        kernel_backend=getattr(simulator, "kernel_backend", "numpy"),
+        kernel_backend=simulator.kernel_backend,
     )

@@ -1,8 +1,9 @@
 """Parity tests for the batched bit-parallel eccentricity/APSP engine.
 
-The engine (:mod:`repro.graphs.apsp`) shadows three reference
-implementations — per-source queue BFS, the python distance matrix and the
-scipy compiled path — so every test here pits them against each other on the
+The engine (:mod:`repro.graphs.apsp`) shadows two reference
+implementations — per-source queue BFS and the BFS distance-matrix oracle of
+:mod:`repro.graphs.properties` — so every test here pits them against each
+other on the
 adversarial digraph shapes the search actually meets: multigraphs with
 parallel arcs, disconnected digraphs, loops, and the OTIS digraphs
 ``H(p, q, d)`` themselves.
@@ -21,7 +22,11 @@ from repro.graphs.apsp import (
 )
 from repro.graphs.digraph import Digraph, RegularDigraph
 from repro.graphs.generators import circuit, de_bruijn, kautz
-from repro.graphs.properties import distance_matrix, eccentricities
+from repro.graphs.properties import (
+    _bfs_distance_matrix,
+    distance_matrix,
+    eccentricities,
+)
 from repro.graphs.traversal import (
     bfs_distances,
     reverse_bfs_distances_regular,
@@ -30,7 +35,7 @@ from repro.otis.h_digraph import h_digraph
 
 
 def reference_eccentricities(graph) -> np.ndarray:
-    dist = distance_matrix(graph, method="python")
+    dist = _bfs_distance_matrix(graph)
     n = graph.num_vertices
     ecc = np.empty(n, dtype=np.int64)
     for u in range(n):
@@ -52,11 +57,9 @@ class TestDistanceParity:
     def test_named_families(self):
         for graph in (de_bruijn(2, 4), de_bruijn(3, 3), kautz(2, 4), circuit(9)):
             assert np.array_equal(
-                bit_distance_matrix(graph), distance_matrix(graph, method="python")
+                bit_distance_matrix(graph), _bfs_distance_matrix(graph)
             )
-            assert np.array_equal(
-                bit_distance_matrix(graph), distance_matrix(graph, method="scipy")
-            )
+            assert np.array_equal(distance_matrix(graph), _bfs_distance_matrix(graph))
 
     def test_random_digraphs_including_disconnected(self):
         rng = np.random.default_rng(42)
@@ -64,7 +67,7 @@ class TestDistanceParity:
             n = int(rng.integers(1, 40))
             m = int(rng.integers(0, 3 * n))
             graph = random_digraph(rng, n, m, parallel=(trial % 2 == 0))
-            ref = distance_matrix(graph, method="python")
+            ref = _bfs_distance_matrix(graph)
             assert np.array_equal(bit_distance_matrix(graph), ref)
             # Per-source queue BFS as an extra independent reference.
             source = int(rng.integers(n))
@@ -89,7 +92,7 @@ class TestDistanceParity:
                     found += 1
                     assert np.array_equal(
                         bit_distance_matrix(graph),
-                        distance_matrix(graph, method="python"),
+                        _bfs_distance_matrix(graph),
                     )
                     ecc, aborted = batched_eccentricities(graph)
                     assert not aborted
@@ -101,13 +104,15 @@ class TestDistanceParity:
         assert np.array_equal(bit_distance_matrix(Digraph(1)), [[0]])
         loop = Digraph(1, arcs=[(0, 0)])
         assert np.array_equal(bit_distance_matrix(loop), [[0]])
+        for graph in (Digraph(0), Digraph(1), loop):
+            assert np.array_equal(distance_matrix(graph), _bfs_distance_matrix(graph))
 
     def test_word_boundary_sizes(self):
         # Exercise n below/at/above the 64-bit word boundary.
         for n in (63, 64, 65, 128, 130):
             graph = circuit(n)
             assert np.array_equal(
-                bit_distance_matrix(graph), distance_matrix(graph, method="python")
+                bit_distance_matrix(graph), _bfs_distance_matrix(graph)
             )
 
 
@@ -122,7 +127,6 @@ class TestEccentricities:
             assert np.array_equal(ecc, reference_eccentricities(graph))
             # properties.eccentricities defaults onto the engine.
             assert np.array_equal(eccentricities(graph), ecc)
-            assert np.array_equal(eccentricities(graph, method="python"), ecc)
 
     def test_early_abort_fires(self):
         graph = de_bruijn(2, 6)  # diameter 6
@@ -163,7 +167,7 @@ class TestDistanceSum:
         for graph in (de_bruijn(2, 4), kautz(2, 3), circuit(8)):
             total, complete = pairwise_distance_sum(graph)
             assert complete
-            dist = distance_matrix(graph, method="python")
+            dist = _bfs_distance_matrix(graph)
             assert total == int(dist.sum())
 
     def test_incomplete_on_disconnected(self):
@@ -177,7 +181,7 @@ class TestDistanceSum:
             n = int(rng.integers(2, 30))
             graph = random_digraph(rng, n, int(rng.integers(0, 2 * n)))
             total, complete = pairwise_distance_sum(graph)
-            dist = distance_matrix(graph, method="python")
+            dist = _bfs_distance_matrix(graph)
             assert total == int(dist[dist > 0].sum())
             assert complete == bool((dist >= 0).all())
 
@@ -194,7 +198,7 @@ class TestPaddedSuccessorMatrix:
         matrix = padded_successor_matrix(graph)
         assert matrix.shape == (4, 3)
         assert np.array_equal(
-            bit_distance_matrix(graph), distance_matrix(graph, method="python")
+            bit_distance_matrix(graph), _bfs_distance_matrix(graph)
         )
 
     def test_no_arcs(self):
@@ -207,7 +211,7 @@ class TestReverseBfs:
         for graph in (de_bruijn(2, 4), kautz(2, 3), h_digraph(4, 8, 2)):
             target = int(rng.integers(graph.num_vertices))
             rdist = reverse_bfs_distances_regular(graph, target)
-            expected = distance_matrix(graph, method="python")[:, target]
+            expected = _bfs_distance_matrix(graph)[:, target]
             assert np.array_equal(rdist, expected)
 
     def test_unreachable_marked(self):

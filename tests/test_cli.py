@@ -103,31 +103,59 @@ class TestFigureCommand:
         assert "0000" in capsys.readouterr().out
 
 
+def sim_curves(tmp_path, argv):
+    """The curve rows a ``sim`` run on ``H(4,8,2)`` writes to ``--json``."""
+    import json
+
+    target = tmp_path / "BENCH_sim.json"
+    assert main(argv + ["--json", str(target)]) == 0
+    return json.loads(target.read_text())["sweep_H(4,8,2)_batched"]["curves"]
+
+
+def reference_curves(workloads, rates, seeds, num_messages):
+    """The same sweep's curve rows from the event-loop reference engine."""
+    from repro.otis.h_digraph import h_digraph
+    from repro.simulation.network import LinkModel, NetworkSimulator
+    from repro.simulation.workloads import (
+        assemble_throughput_sweep,
+        sweep_combos,
+        sweep_traffics,
+    )
+
+    graph = h_digraph(4, 8, 2)
+    combos = sweep_combos(workloads, rates, seeds)
+    traffics = sweep_traffics(graph.num_vertices, combos, num_messages)
+    reference = NetworkSimulator(graph)
+    stats = [reference.run(traffic)[0] for traffic in traffics]
+    sweep = assemble_throughput_sweep(
+        graph, combos, traffics, stats, link=LinkModel(), wall_time_s=0.0
+    )
+    return sweep.to_json()["curves"]
+
+
 class TestSimCommand:
     def test_sim_basic_sweep(self, capsys):
         assert main(["sim", "-p", "4", "-q", "8", "--messages", "40", "--seeds", "2"]) == 0
         out = capsys.readouterr().out
         assert "H(4,8,2)" in out
         assert "throughput" in out
-        assert "engine=batched" in out
+        assert "kernels=" in out
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sim", "-p", "4", "-q", "8", "--engine", "both"])
+        assert excinfo.value.code == 2
 
-    def test_sim_both_engines_parity(self, capsys):
-        assert (
-            main(
-                [
-                    "sim",
-                    "-p", "4", "-q", "8",
-                    "--messages", "30",
-                    "--seeds", "2",
-                    "--workloads", "uniform", "hotspot",
-                    "--rates", "2.0",
-                    "--engine", "both",
-                ]
-            )
-            == 0
+    def test_sim_both_engines_parity(self, tmp_path):
+        argv = [
+            "sim",
+            "-p", "4", "-q", "8",
+            "--messages", "30",
+            "--seeds", "2",
+            "--workloads", "uniform", "hotspot",
+            "--rates", "2.0",
+        ]
+        assert sim_curves(tmp_path, argv) == reference_curves(
+            ("uniform", "hotspot"), (2.0,), range(2), 30
         )
-        out = capsys.readouterr().out
-        assert "parity with event-loop reference: True" in out
 
     def test_sim_writes_json(self, capsys, tmp_path):
         target = tmp_path / "BENCH_sim.json"
@@ -169,25 +197,34 @@ class TestScenariosCommand:
         assert "pareto" in out
 
     def test_scenarios_faults_reroute_parity(self, capsys):
-        assert (
-            main(
-                [
-                    "scenarios",
-                    "-p", "2", "-q", "8", "-d", "4",
-                    "--messages", "40",
-                    "--seeds", "2",
-                    "--rates", "0.5", "2.0",
-                    "--fail-links", "5",
-                    "--fail-at", "2.0",
-                    "--reroute", "arc-disjoint",
-                    "--engine", "both",
-                ]
-            )
-            == 0
-        )
+        from repro.cli import _build_scenario
+        from repro.otis.h_digraph import h_digraph
+        from repro.simulation.network import NetworkSimulator
+
+        argv = [
+            "scenarios",
+            "-p", "2", "-q", "8", "-d", "4",
+            "--messages", "40",
+            "--seeds", "2",
+            "--rates", "0.5", "2.0",
+            "--fail-links", "5",
+            "--fail-at", "2.0",
+            "--reroute", "arc-disjoint",
+        ]
+        assert main(argv) == 0
         out = capsys.readouterr().out
         assert "reroute=arc-disjoint" in out
-        assert "parity with event-loop reference: True" in out
+        # Every printed row's delivered count matches the reference engine.
+        graph = h_digraph(2, 8, 4)
+        scenario = _build_scenario(build_parser().parse_args(argv), graph)
+        reference = NetworkSimulator(graph, scenario=scenario)
+        for rate in (0.5, 2.0):
+            traffics = [
+                scenario.with_rate(rate).traffic(graph.num_vertices, rng=seed)
+                for seed in range(2)
+            ]
+            delivered = sum(reference.run(t)[0].delivered for t in traffics)
+            assert f"{delivered}/{sum(len(t) for t in traffics)}" in out
 
     def test_scenarios_buffered_bursty_json(self, capsys, tmp_path):
         target = tmp_path / "BENCH_scenarios.json"
@@ -309,7 +346,8 @@ class TestSweepCommand:
 
 class TestSimCommandJson:
     def test_sim_json_key_matches_recorded_engine(self, capsys, tmp_path):
-        # --engine both records the batched sweep: key and payload must agree
+        # The key keeps its `_batched` suffix so recorded trajectories keep
+        # their names; the payload carries no engine field.
         target = tmp_path / "BENCH_sim.json"
         assert (
             main(
@@ -318,7 +356,6 @@ class TestSimCommandJson:
                     "-p", "4", "-q", "8",
                     "--messages", "15",
                     "--seeds", "1",
-                    "--engine", "both",
                     "--json", str(target),
                 ]
             )
@@ -329,26 +366,16 @@ class TestSimCommandJson:
         data = json.loads(target.read_text())
         (key,) = data.keys()
         assert key == "sweep_H(4,8,2)_batched"
-        assert data[key]["engine"] == "batched"
+        assert "engine" not in data[key]
 
 
 class TestSimRouterFlag:
     @pytest.mark.parametrize("router", ["dense", "closed-form", "lru"])
-    def test_router_choices_agree(self, capsys, router):
-        assert (
-            main(
-                [
-                    "sim",
-                    "-p", "4", "-q", "8",
-                    "--messages", "30",
-                    "--seeds", "1",
-                    "--router", router,
-                    "--engine", "both",
-                ]
-            )
-            == 0
+    def test_router_choices_agree(self, capsys, tmp_path, router):
+        argv = ["sim", "-p", "4", "-q", "8", "--messages", "30", "--seeds", "1"]
+        assert sim_curves(tmp_path, argv + ["--router", router]) == reference_curves(
+            ("uniform",), (None,), range(1), 30
         )
-        assert "parity with event-loop reference: True" in capsys.readouterr().out
 
     def test_rejects_unknown_router(self):
         with pytest.raises(SystemExit):

@@ -85,13 +85,6 @@ class TestDigraph:
         with pytest.raises(ValueError):
             g.successor_matrix()
 
-    def test_adjacency_matrix(self):
-        g = Digraph(3, arcs=[(0, 1), (0, 1), (2, 0)])
-        mat = g.adjacency_matrix().toarray()
-        assert mat[0, 1] == 2
-        assert mat[2, 0] == 1
-        assert mat.sum() == 3
-
     def test_repr_contains_counts(self):
         g = Digraph(3, arcs=[(0, 1)], name="demo")
         text = repr(g)
@@ -158,9 +151,3 @@ class TestRegularDigraph:
         mutable = g.to_digraph()
         back = mutable.to_regular()
         assert back.same_arcs(g)
-
-    def test_adjacency_matrix_multiplicity(self):
-        g = RegularDigraph([[1, 1], [0, 1]])
-        mat = g.adjacency_matrix().toarray()
-        assert mat[0, 1] == 2
-        assert mat[1, 1] == 1

@@ -538,6 +538,9 @@ class TestFleetCli:
         assert "merge identical to serial search: True" in out
         assert "merge identical to in-process run_many: True" in out
         assert "fleet smoke: OK" in out
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fleet", "smoke"])
+        assert excinfo.value.code == 2
 
     def test_fleet_sweep_run_watch_merge(self, capsys, tmp_path):
         from repro.cli import main

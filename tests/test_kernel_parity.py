@@ -617,7 +617,7 @@ def test_scenario_arrival_only_uses_kernels(backend):
 )
 def test_queue_pop_order_matches_reference(times):
     """The kernel queue pops like BatchEventQueue: runs cut after every
-    event count equal the numpy path's.
+    event count equal the numpy path's and the reference engine's.
 
     Messages created at equal times contend for the same links, so a
     wrong insertion order, a ``-0.0`` bucket apart from ``+0.0`` or a
@@ -626,11 +626,14 @@ def test_queue_pop_order_matches_reference(times):
     graph = de_bruijn(2, 2)
     traffic = [(i % 4, (3 * i + 1) % 4, t) for i, t in enumerate(times)]
     for link in (LinkModel(latency=0.5, transmission_time=0.5), PARITY_LINKS[3]):
+        engine = NetworkSimulator(graph, link=link)
         for max_events in range(len(times) + 1):
             fused, reference = fused_runs(
                 graph, None, "cnative", [traffic], link, max_events=max_events
             )
             assert result_bytes(fused) == result_bytes(reference)
+            solo = [engine.run(traffic, max_events=max_events)]
+            assert result_bytes(fused) == result_bytes(solo)
 
 
 # ------------------------------------------------- closed-form routing kernel

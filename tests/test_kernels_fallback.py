@@ -34,10 +34,18 @@ from repro.otis.sweep import (
     code_version,
     run_chunk,
 )
-from repro.simulation.network import BatchedNetworkSimulator, LinkModel
+from repro.simulation.network import (
+    BatchedNetworkSimulator,
+    LinkModel,
+    NetworkSimulator,
+)
 from repro.fleet import SimFleetJob, run_fleet
 from repro.simulation.sharding import ReplicaChunkManifest, sim_code_version
-from repro.simulation.workloads import run_throughput_sweep, uniform_random_pairs
+from repro.simulation.workloads import (
+    make_workload,
+    run_throughput_sweep,
+    uniform_random_pairs,
+)
 
 GRAPH = h_digraph(4, 8, 2)
 
@@ -324,8 +332,12 @@ class TestSweepSurfacing:
         assert sweep.kernel_backend == kernels.active_backend()
         assert sweep.to_json()["kernel_backend"] == sweep.kernel_backend
 
-    def test_event_engine_records_numpy(self):
+    def test_lru_sweep_records_numpy(self):
+        # A router the kernels cannot consult runs the numpy path, and the
+        # sweep still matches the reference engine.
         sweep = run_throughput_sweep(
-            GRAPH, seeds=range(1), num_messages=30, engine="event"
+            GRAPH, seeds=range(1), num_messages=30, router="lru"
         )
         assert sweep.kernel_backend == "numpy"
+        traffic = make_workload("uniform", GRAPH.num_vertices, 30, rng=0)
+        assert sweep.points[0].stats == NetworkSimulator(GRAPH).run(traffic)[0]

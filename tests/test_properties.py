@@ -6,6 +6,7 @@ import pytest
 from repro.graphs.digraph import Digraph
 from repro.graphs.generators import circuit, de_bruijn, imase_itoh, kautz
 from repro.graphs.properties import (
+    _bfs_distance_matrix,
     average_distance,
     degree_summary,
     diameter,
@@ -17,12 +18,23 @@ from repro.graphs.properties import (
 
 
 class TestDistanceMatrix:
-    def test_scipy_and_python_agree(self):
-        # The optimised path must agree with the reference implementation.
-        for graph in (de_bruijn(2, 4), kautz(2, 3), circuit(6)):
-            fast = distance_matrix(graph, method="scipy")
-            slow = distance_matrix(graph, method="python")
-            assert np.array_equal(fast, slow)
+    def test_matches_bfs_oracle(self):
+        # Every metric on the bit sweep must agree with the per-source BFS.
+        for graph in (
+            de_bruijn(2, 4),
+            kautz(2, 3),
+            circuit(6),
+            Digraph(1),
+            Digraph(4, arcs=[(0, 0), (0, 1), (0, 1), (1, 2), (3, 3)]),
+        ):
+            dist = _bfs_distance_matrix(graph)
+            assert np.array_equal(distance_matrix(graph), dist)
+            unreachable = (dist < 0).any(axis=1)
+            expected_ecc = np.where(unreachable, -1, dist.max(axis=1, initial=0))
+            assert np.array_equal(eccentricities(graph), expected_ecc)
+            if not unreachable.any() and graph.num_vertices > 1:
+                off_diagonal = ~np.eye(graph.num_vertices, dtype=bool)
+                assert average_distance(graph) == dist[off_diagonal].mean()
 
     def test_unreachable_marked_minus_one(self):
         g = Digraph(3, arcs=[(0, 1)])
@@ -30,10 +42,6 @@ class TestDistanceMatrix:
         assert dist[0, 2] == -1
         assert dist[1, 0] == -1
         assert dist[0, 1] == 1
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            distance_matrix(circuit(3), method="magic")
 
     def test_empty_graph(self):
         assert distance_matrix(Digraph(0)).shape == (0, 0)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.graphs.digraph import Digraph
 from repro.graphs.generators import circuit, de_bruijn, kautz, ring
-from repro.graphs.properties import diameter, distance_matrix
+from repro.graphs.properties import _bfs_distance_matrix, diameter, distance_matrix
 from repro.routing.broadcast import (
     all_port_broadcast_schedule,
     breadth_first_arborescence,
@@ -13,6 +13,7 @@ from repro.routing.broadcast import (
 )
 from repro.routing.gossip import all_port_gossip_schedule
 from repro.routing.paths import (
+    _build_routing_table_python,
     bfs_route,
     build_routing_table,
     debruijn_distance,
@@ -109,15 +110,11 @@ class TestGenericRouting:
             Digraph(5, arcs=[(0, 1), (0, 1), (1, 2), (2, 0), (3, 0)]),  # vertex 4 isolated
         ]
         for graph in graphs:
-            fast = build_routing_table(graph, method="bitset")
-            slow = build_routing_table(graph, method="python")
+            fast = build_routing_table(graph)
+            slow = _build_routing_table_python(graph)
             assert np.array_equal(fast.distance, slow.distance)
             assert fast.is_consistent(graph)
             assert slow.is_consistent(graph)
-
-    def test_routing_table_unknown_method(self):
-        with pytest.raises(ValueError):
-            build_routing_table(circuit(3), method="magic")
 
     def test_routing_table_empty_graph(self):
         table = build_routing_table(Digraph(0))
@@ -126,7 +123,7 @@ class TestGenericRouting:
     def test_routing_table_distances_match_bfs(self):
         graph = de_bruijn(2, 4)
         table = build_routing_table(graph)
-        assert np.array_equal(table.distance, distance_matrix(graph))
+        assert np.array_equal(table.distance, _bfs_distance_matrix(graph))
 
     def test_routing_table_route_reconstruction(self):
         graph = kautz(2, 3)
@@ -271,16 +268,6 @@ class TestRoutingTableCache:
         graph = de_bruijn(2, 3)
         assert routing_table_for(graph) is not routing_table_for(graph)
         assert routing_table_cache_info()["entries"] == 0
-
-    def test_python_and_bitset_methods_have_separate_slots(self):
-        from repro.routing.paths import routing_table_cache_info, routing_table_for
-
-        graph = de_bruijn(2, 3)
-        bitset = routing_table_for(graph)
-        python = routing_table_for(graph, method="python")
-        assert bitset is not python
-        assert routing_table_for(graph, method="bitset") is bitset
-        assert routing_table_cache_info()["entries"] == 2
 
     def test_mutation_still_invalidates(self):
         from repro.routing.paths import routing_table_for

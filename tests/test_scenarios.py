@@ -562,14 +562,12 @@ def test_run_scenario_sweep_engines_agree_and_mark_pareto():
         arrivals=UniformArrivals(50),
         link=BufferedLinkModel(capacity=4, on_full="drop"),
     )
-    batched = run_scenario_sweep(
-        BIG, scenario, rates=(0.5, 1.5, 4.0), seeds=range(2), engine="batched"
-    )
-    reference = run_scenario_sweep(
-        BIG, scenario, rates=(0.5, 1.5, 4.0), seeds=range(2), engine="event"
-    )
+    batched = run_scenario_sweep(BIG, scenario, rates=(0.5, 1.5, 4.0), seeds=range(2))
+    reference = NetworkSimulator(BIG, scenario=scenario)
     assert [point.stats for point in batched.points] == [
-        point.stats for point in reference.points
+        reference.run(scenario.with_rate(rate).traffic(BIG.num_vertices, rng=seed))[0]
+        for rate in (0.5, 1.5, 4.0)
+        for seed in range(2)
     ]
     payload = batched.to_json()
     assert payload["scenario_digest"] == scenario.digest()

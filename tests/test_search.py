@@ -125,7 +125,7 @@ class TestSmallSearches:
         monkeypatch.setattr(search_module, "distance_matrix", forbidden, raising=False)
 
         # Belt and braces: trap square numeric allocations at the numpy
-        # layer — both the python and the scipy matrix paths create one.
+        # layer — both the bit-sweep and the BFS matrix paths create one.
         def guarded(allocate):
             def wrapped(*args, **kwargs):
                 out = allocate(*args, **kwargs)

@@ -8,7 +8,6 @@ import pytest
 from repro.graphs.generators import circuit, de_bruijn, kautz, ring
 from repro.simulation.events import BatchEventQueue, EventQueue, Simulator
 from repro.simulation.network import (
-    SIMULATOR_ENGINES,
     BatchedNetworkSimulator,
     LinkModel,
     NetworkSimulator,
@@ -30,6 +29,8 @@ from repro.simulation.workloads import (
     make_workload,
     permutation_pairs,
     poisson_arrival_times,
+    sweep_combos,
+    sweep_traffics,
     uniform_random_pairs,
 )
 
@@ -314,14 +315,21 @@ class TestProtocols:
         assert debruijn_stats.mean_hops < ring_stats.mean_hops
 
     def test_protocols_accept_engine_choice(self):
+        # The protocols run the batched engine; it must match the reference.
         graph = de_bruijn(2, 4)
-        event = run_random_traffic(graph, 100, seed=3, engine="event")
-        batched = run_random_traffic(graph, 100, seed=3, engine="batched")
-        assert event == batched
-        point = run_point_to_point(graph, 0, 9, engine="batched")
+        reference = NetworkSimulator(graph)
+        stats = run_random_traffic(graph, 100, seed=3)
+        traffic = uniform_random_pairs(graph.num_vertices, 100, rng=3)
+        assert stats == reference.run(traffic)[0]
+        point = run_point_to_point(graph, 0, 9)
         assert point["delivered"] == 1.0
-        with pytest.raises(ValueError):
-            run_random_traffic(graph, 10, engine="warp")
+        ref_stats, ref_messages = reference.run([(0, 9, 0.0)])
+        assert point["latency"] == ref_messages[0].latency
+        assert point["makespan"] == ref_stats.makespan
+        broadcast = run_broadcast(graph, root=0)
+        ref_stats = reference.run(broadcast_pairs(graph.num_vertices, 0))[0]
+        assert broadcast["unicast_makespan"] == ref_stats.makespan
+        assert broadcast["unicast_mean_latency"] == ref_stats.mean_latency
 
 
 class TestBatchEventQueue:
@@ -438,10 +446,12 @@ class TestThroughputSweepDriver:
             seeds=range(2),
             num_messages=30,
         )
-        batched = run_throughput_sweep(graph, engine="batched", **kwargs)
-        event = run_throughput_sweep(graph, engine="event", **kwargs)
-        assert [point.stats for point in batched.points] == [
-            point.stats for point in event.points
+        sweep = run_throughput_sweep(graph, **kwargs)
+        combos = sweep_combos(kwargs["workloads"], kwargs["rates"], kwargs["seeds"])
+        traffics = sweep_traffics(graph.num_vertices, combos, kwargs["num_messages"])
+        reference = NetworkSimulator(graph)
+        assert [point.stats for point in sweep.points] == [
+            reference.run(traffic)[0] for traffic in traffics
         ]
 
     def test_make_workload_validation(self):
@@ -455,19 +465,8 @@ class TestThroughputSweepDriver:
         permutation = make_workload("permutation", 8, 999, rng=1)
         assert len(permutation) == 8  # ignores num_messages
 
-    def test_sweep_rejects_unknown_engine(self):
-        from repro.otis.h_digraph import h_digraph
-        from repro.simulation.workloads import run_throughput_sweep
-
-        with pytest.raises(ValueError, match="unknown engine"):
-            run_throughput_sweep(h_digraph(4, 8, 2), engine="warp")
-
 
 class TestEngineRegistry:
-    def test_registry_names_and_classes(self):
-        assert SIMULATOR_ENGINES["event"] is NetworkSimulator
-        assert SIMULATOR_ENGINES["batched"] is BatchedNetworkSimulator
-
     @pytest.mark.parametrize("engine_cls", ENGINES, ids=ENGINE_IDS)
     def test_invalid_endpoints_both_engines(self, engine_cls):
         simulator = engine_cls(circuit(3))
