@@ -28,8 +28,8 @@ the benchmark harness agree on their meaning:
   ``--run-bench-check`` or ``-m benchcheck``; meant to run right after a
   benchmark session rewrote the BENCH files.
 * ``chaos`` — the full seeded fault-injection sweeps (hundreds of fault
-  schedules against the chunk store, the lease protocol and straggler
-  splitting; see docs/chaos.md).  Opt-in via ``--run-chaos`` or
+  schedules against the chunk store, sweep resume and the lease protocol;
+  see docs/chaos.md).  Opt-in via ``--run-chaos`` or
   ``-m chaos``; a fast fixed-seed subset in ``tests/test_chaos.py`` runs
   unconditionally.
 

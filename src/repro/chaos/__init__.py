@@ -20,7 +20,7 @@ results with zero double-claims?*  It has three pieces:
   ``time``/``monotonic`` pair (with wall-clock skew) that drives lease TTL
   machinery through simulated hours in milliseconds.
 
-``tests/test_chaos.py`` runs the store, resume, split and lease protocols
+``tests/test_chaos.py`` runs the store, resume and lease protocols
 across hundreds of seeded schedules (the bulk behind ``--run-chaos``; see
 docs/chaos.md).
 """

@@ -515,34 +515,12 @@ def build_parser() -> argparse.ArgumentParser:
             "running chunks",
         )
         p.add_argument(
-            "--split-after",
-            type=float,
-            default=None,
-            metavar="SECONDS",
-            help="straggler policy: when idle, split a chunk whose live "
-            "lease has been held longer than this into sub-chunks any "
-            "worker can claim (assembled result is byte-identical; "
-            "default: no splitting)",
-        )
-        p.add_argument(
-            "--split-parts",
-            type=int,
-            default=2,
-            help="sub-chunks per straggler split (default 2)",
-        )
-        p.add_argument(
             "--clock-skew",
             type=float,
             default=0.0,
             metavar="SECONDS",
             help="worst-case wall-clock offset between fleet hosts; widens "
             "the lease-expiry margin on shared filesystems (default 0)",
-        )
-        p.add_argument(
-            "--no-prefetch",
-            action="store_true",
-            help="disable claiming the next chunk's lease while computing "
-            "the current one",
         )
 
     fleet_sweep = fleet_sub.add_parser(
@@ -1101,9 +1079,6 @@ def _fleet_kwargs(args: argparse.Namespace) -> dict:
         heartbeat=args.heartbeat,
         wait=not args.no_wait,
         max_chunks=args.max_chunks,
-        prefetch=not args.no_prefetch,
-        split_after=args.split_after,
-        split_parts=args.split_parts,
         clock_skew=args.clock_skew,
         # CLI workers are real processes under a supervisor: convert
         # SIGTERM into a prompt lease release + clean exit.
@@ -1139,7 +1114,6 @@ def _fleet_watch(job, args: argparse.Namespace) -> int:
         # stable parts only (who holds what, how much is complete).
         fingerprint = (
             status["complete"],
-            status.get("splits", 0),
             tuple(sorted((i.chunk_id, i.worker) for i in status["running"])),
             tuple(sorted(i.chunk_id for i in status["expired"])),
         )

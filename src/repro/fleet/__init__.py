@@ -20,16 +20,13 @@ always skipped).
 * :mod:`repro.fleet.driver` — :class:`~repro.fleet.driver.FleetJob` adapts a
   chunk backend (the degree–diameter sweep of :mod:`repro.otis.sweep`, the
   replica simulation of :mod:`repro.simulation.sharding`) to one claim →
-  run → publish → release loop, :func:`~repro.fleet.driver.run_fleet`, with
-  worker-side lease prefetch and deterministic straggler splitting
-  (``split_after``): an overweight chunk is cut into deterministically named
-  sub-chunks any worker can claim, and the assembled parent file is
-  byte-identical to the unsplit run.
+  run → publish → release loop, :func:`~repro.fleet.driver.run_fleet`; a
+  worker holds at most one lease at a time.
 * :mod:`repro.fleet.status` — live progress/heartbeat snapshots over a store
   (who holds what, for how long, how much is done), the ``--watch`` view.
 
 The CLI front-end is ``python -m repro fleet sweep ...`` / ``fleet sim ...``
-(plus ``fleet smoke``, a seconds-long end-to-end exercise of the whole
+(plus ``fleet --smoke``, a seconds-long end-to-end exercise of the whole
 claim → run → reclaim → merge cycle).  Merges are byte-identical to the
 serial paths — the leases only decide *who* runs a chunk, never what it
 computes.

@@ -28,20 +28,17 @@ import signal
 import socket
 import time
 import uuid
-from dataclasses import dataclass
 from pathlib import Path
 
-from repro.fleet.leases import Heartbeat, Lease, LeaseManager
+from repro.fleet.leases import Heartbeat, LeaseManager
 from repro.otis.sweep import (
     ChunkManifest,
     ChunkStore,
     SplitVerdictCache,
     SweepChunk,
-    assemble_split,
     ensure_store_identity,
     merge_sweep,
     run_chunk,
-    split_chunk,
 )
 
 __all__ = [
@@ -233,72 +230,6 @@ class SimFleetJob(FleetJob):
         )
 
 
-@dataclass(frozen=True)
-class _Unit:
-    """One claimable piece of fleet work.
-
-    ``kind`` is ``"chunk"`` (a whole manifest chunk), ``"sub"`` (one
-    deterministically named sub-chunk of a split parent) or ``"asm"``
-    (assembling a fully published split back into its parent file).  The
-    lease id doubles as the unit's identity: ``<chunk_id>`` for chunks,
-    ``<parent>.s<i>`` for sub-chunks, ``<parent>.asm`` for assembly — all
-    distinct because chunk ids are 16 hex digits with no dots.
-    """
-
-    kind: str
-    chunk: SweepChunk  # the chunk to compute ("chunk"/"sub") or parent ("asm")
-    parent: SweepChunk | None = None
-    parts: int | None = None
-
-    @property
-    def lease_id(self) -> str:
-        if self.kind == "asm":
-            return f"{self.chunk.chunk_id}.asm"
-        return self.chunk.chunk_id
-
-    def settled(self, store: ChunkStore, published: set[str]) -> bool:
-        """Is this unit's output (or its parent's) already on disk?"""
-        if self.kind == "chunk":
-            return self.chunk.chunk_id in published
-        if self.kind == "sub":
-            assert self.parent is not None
-            return (
-                self.chunk.chunk_id in published
-                or self.parent.chunk_id in published
-            )
-        return self.chunk.chunk_id in published  # asm: parent file exists
-
-
-def _build_units(job: FleetJob, published: set[str]) -> list[_Unit]:
-    """The claimable unit list for one scan pass.
-
-    One directory listing for the split markers (like the ``published``
-    snapshot, one listing instead of a stat per chunk) — every worker that
-    sees a marker derives the identical sub-chunk set, so the unit list is
-    a pure function of (manifest, store state) and needs no coordination.
-    """
-    split_ids = {
-        path.name[len("split-") : -len(".json")]
-        for path in sorted(job.store.directory.glob("split-*.json"))
-    }
-    units: list[_Unit] = []
-    for chunk in job.chunks():
-        if chunk.chunk_id in published:
-            continue
-        parts = (
-            job.store.split_parts(chunk) if chunk.chunk_id in split_ids else None
-        )
-        if parts is None:
-            units.append(_Unit("chunk", chunk))
-            continue
-        subs = split_chunk(chunk, parts)
-        for sub in subs:
-            if sub.chunk_id not in published:
-                units.append(_Unit("sub", sub, parent=chunk, parts=parts))
-        units.append(_Unit("asm", chunk, parts=parts))
-    return units
-
-
 def run_fleet(
     job: FleetJob,
     *,
@@ -306,15 +237,16 @@ def run_fleet(
     ttl: float = DEFAULT_TTL,
     heartbeat: float | None = None,
     wait: bool = True,
-    poll: float | None = None,
     max_chunks: int | None = None,
-    prefetch: bool = True,
-    split_after: float | None = None,
-    split_parts: int = 2,
     clock_skew: float = 0.0,
     handle_sigterm: bool = False,
 ) -> dict:
     """Drive a fleet worker over a job until every chunk is published.
+
+    One loop: list the published chunks, then for each unpublished chunk
+    try to claim its lease, re-check that it is still unpublished, compute
+    it under a heartbeat, publish it if the lease is still ours, and
+    release.  A worker holds at most one lease at any time.
 
     Parameters
     ----------
@@ -327,7 +259,11 @@ def run_fleet(
         ``host-pid-nonce``).
     ttl:
         Lease expiry in seconds.  **A protocol constant of the out-dir**:
-        every cooperating worker must use the same value.
+        every cooperating worker must use the same value.  It also sets the
+        re-scan interval while waiting (``ttl / 4``, clamped to [0.05, 2.0]
+        seconds); idle passes back off exponentially up to 5 s so an idle
+        fleet does not hammer shared storage, and any progress resets the
+        backoff.
     heartbeat:
         Lease refresh interval while computing a chunk (default
         ``ttl * 0.25``).  Must be well below ``ttl``.
@@ -336,28 +272,8 @@ def run_fleet(
         leased by live peers polls until the store completes — so it also
         picks up chunks whose owners crash later.  False returns as soon as
         nothing is claimable (used by tests and one-shot helpers).
-    poll:
-        Initial re-scan interval while waiting (default ``ttl / 4``, clamped
-        to [0.05, 2.0] seconds).  Idle passes back off exponentially up to
-        ``max(poll, 5.0)`` so an idle fleet does not hammer shared storage;
-        any progress resets the backoff.
     max_chunks:
-        Stop after running this many units (smoke tests, draining).
-    prefetch:
-        Claim the next claimable unit *while computing the current one*
-        (kept alive by the same heartbeat thread), hiding the claim/scan
-        latency of shared storage between chunks.
-    split_after:
-        Straggler policy: when this worker is idle and a *live* lease has
-        been held longer than ``split_after`` seconds on an unsplit chunk
-        with at least two items, publish a split marker cutting it into
-        ``split_parts`` deterministically named sub-chunks any worker
-        (including the straggler) can claim.  The assembled parent is
-        byte-identical to the unsplit run, so racing the original owner is
-        benign.  None (default) disables splitting.
-    split_parts:
-        How many sub-chunks a straggler split produces (≥ 2, clamped to the
-        chunk's item count).
+        Stop after publishing this many chunks (smoke tests, draining).
     clock_skew:
         Worst plausible wall-clock offset between fleet hosts, widening the
         lease-expiry margin (see :class:`~repro.fleet.leases.LeaseManager`).
@@ -369,18 +285,16 @@ def run_fleet(
 
     Returns
     -------
-    dict with the worker id, ``ran`` / ``lost`` unit-id lists (``lost`` =
+    dict with the worker id, ``ran`` / ``lost`` chunk-id lists (``lost`` =
     computed but not published because the lease expired mid-run and another
-    worker reclaimed it), ``splits`` (markers this worker published),
-    ``terminated`` (stopped by SIGTERM) and ``complete`` (whether the whole
-    store finished).
+    worker reclaimed it), ``terminated`` (stopped by SIGTERM) and
+    ``complete`` (whether the whole store finished).
     """
     if heartbeat is None:
         heartbeat = ttl * DEFAULT_HEARTBEAT_FRACTION
     if not 0 < heartbeat < ttl:
         raise ValueError("need 0 < heartbeat < ttl")
-    if poll is None:
-        poll = min(2.0, max(0.05, ttl / 4.0))
+    poll = min(2.0, max(0.05, ttl / 4.0))
     worker = worker_id or default_worker_id()
     ensure_store_identity(job.store, job.identity())
     leases = LeaseManager(
@@ -388,66 +302,8 @@ def run_fleet(
     )
     ran: list[str] = []
     lost: list[str] = []
-    splits: list[str] = []
     terminated = False
     sleep_s = poll
-    prefetched: tuple[_Unit, Lease] | None = None
-
-    def _run_unit(unit: _Unit, lease: Lease, extras: list[Lease]) -> bool:
-        """Compute/assemble one claimed unit; True when it made progress."""
-        if unit.kind == "asm":
-            assert unit.parts is not None
-            if assemble_split(job.store, unit.chunk, unit.parts):
-                ran.append(unit.lease_id)
-                return True
-            return False
-        with Heartbeat(lease, interval=heartbeat, extras=extras):
-            records = job.run_chunk(unit.chunk)
-        if lease.owned():
-            job.store.write(unit.chunk, records)
-            ran.append(unit.lease_id)
-            if unit.kind == "sub":
-                # Opportunistic assembly: if ours was the last sub-chunk,
-                # fold the parent immediately rather than waiting for the
-                # ``.asm`` unit holder.  Byte-identical either way, so the
-                # race with a concurrent assembler (or the original
-                # straggler) is benign.
-                assert unit.parent is not None and unit.parts is not None
-                assemble_split(job.store, unit.parent, unit.parts)
-            return True
-        # The lease expired mid-run (this worker stalled past the TTL) and
-        # was reclaimed: the reclaimer owns publication now.  Discard our
-        # records — publishing over a fresher claim would race the
-        # reclaimer's execution of the same chunk.
-        lost.append(unit.lease_id)
-        return True
-
-    def _maybe_split_stragglers() -> bool:
-        """Idle-time straggler policy; True when a new split was published."""
-        requested = False
-        # The lease manager's clock, not time.time(): straggler age compares
-        # against lease acquisition stamps written by that same clock, and a
-        # chaos-injected frozen/skewed clock must govern both sides alike.
-        now = leases.now()
-        for chunk in job.chunks():
-            if len(chunk.items) < 2 or job.store.is_complete(chunk):
-                continue
-            if job.store.split_parts(chunk) is not None:
-                continue
-            record = leases.holder_record(chunk.chunk_id)
-            if record is None or leases.is_expired(leases.path_for(chunk.chunk_id)):
-                continue  # unheld or reclaimable — ordinary claiming handles it
-            acquired = record.get("acquired_unix")
-            if not isinstance(acquired, (int, float)):
-                continue
-            if now - acquired > split_after:
-                try:
-                    job.store.request_split(chunk, split_parts)
-                except OSError:
-                    continue
-                splits.append(chunk.chunk_id)
-                requested = True
-        return requested
 
     previous_handler = None
     if handle_sigterm:
@@ -458,89 +314,56 @@ def run_fleet(
         previous_handler = signal.signal(signal.SIGTERM, _on_sigterm)
     try:
         while True:
-            claimed_any = False
             # One directory listing per pass instead of a stat per chunk —
             # on a many-thousand-chunk store over NFS the difference is
             # thousands of round-trips every poll interval.  The snapshot
-            # may be stale by the time a unit is claimed, hence the
-            # authoritative per-unit settled() re-check under the freshly
-            # held lease below.
+            # may be stale by the time a chunk is claimed, hence the
+            # authoritative is_complete() re-check under the held lease.
             published = job.store.completed_ids()
-            units = _build_units(job, published)
-            if prefetched is not None and prefetched[0].settled(
-                job.store, published
-            ):
-                # Someone published the prefetched unit under us — drop the
-                # lease now rather than holding a claim on finished work.
-                prefetched[1].release()
-                prefetched = None
-            index = 0
-            while index < len(units):
-                unit = units[index]
-                index += 1
+            pending = [c for c in job.chunks() if c.chunk_id not in published]
+            if not pending or (max_chunks is not None and len(ran) >= max_chunks):
+                break
+            progressed = False
+            for chunk in pending:
                 if max_chunks is not None and len(ran) >= max_chunks:
                     break
-                if unit.settled(job.store, published):
-                    continue
-                if prefetched is not None and prefetched[0] == unit:
-                    lease = prefetched[1]
-                    prefetched = None
-                    if not lease.owned():
-                        lease = leases.try_acquire(unit.lease_id, worker=worker)
-                else:
-                    lease = leases.try_acquire(unit.lease_id, worker=worker)
+                lease = leases.try_acquire(chunk.chunk_id, worker=worker)
                 if lease is None:
                     continue
                 try:
-                    if unit.settled(job.store, job.store.completed_ids()):
+                    if job.store.is_complete(chunk):
                         continue  # published between our scan and claim
-                    extras: list[Lease] = []
-                    if prefetch and unit.kind != "asm":
-                        # Claim the next runnable unit now, while this one
-                        # computes; the heartbeat keeps both alive.
-                        for nxt in units[index:]:
-                            if nxt.settled(job.store, published):
-                                continue
-                            nxt_lease = leases.try_acquire(
-                                nxt.lease_id, worker=worker
-                            )
-                            if nxt_lease is not None:
-                                prefetched = (nxt, nxt_lease)
-                                extras.append(nxt_lease)
-                                break
-                    if _run_unit(unit, lease, extras):
-                        claimed_any = True
+                    with Heartbeat(lease, interval=heartbeat):
+                        records = job.run_chunk(chunk)
+                    if lease.owned():
+                        job.store.write(chunk, records)
+                        ran.append(chunk.chunk_id)
+                    else:
+                        # The lease expired mid-run (this worker stalled
+                        # past the TTL) and was reclaimed: the reclaimer
+                        # owns publication now.  Publishing over a fresher
+                        # claim would race its execution of the same chunk.
+                        lost.append(chunk.chunk_id)
+                    progressed = True
                 finally:
                     lease.release()
-            published = job.store.completed_ids()
-            if all(chunk.chunk_id in published for chunk in job.chunks()):
-                break
-            if max_chunks is not None and len(ran) >= max_chunks:
-                break
-            if claimed_any:
+            if progressed:
                 sleep_s = poll
-            else:
-                if split_after is not None and _maybe_split_stragglers():
-                    sleep_s = poll
-                    continue  # new sub-chunks are claimable right now
-                if not wait:
-                    break
-                time.sleep(sleep_s)
-                sleep_s = min(max(poll, MAX_POLL), sleep_s * 2)
+                continue
+            if not wait:
+                break
+            time.sleep(sleep_s)
+            sleep_s = min(MAX_POLL, sleep_s * 2)
     except FleetTerminated:
         terminated = True
     finally:
         if previous_handler is not None:
             signal.signal(signal.SIGTERM, previous_handler)
-        if prefetched is not None:
-            prefetched[1].release()
-            prefetched = None
     published = job.store.completed_ids()
     return {
         "worker": worker,
         "ran": ran,
         "lost": lost,
-        "splits": splits,
         "terminated": terminated,
         "complete": all(chunk.chunk_id in published for chunk in job.chunks()),
         "chunks": len(job.chunks()),

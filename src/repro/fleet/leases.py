@@ -60,7 +60,7 @@ import time
 import uuid
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable
 
 __all__ = ["LeaseInfo", "Lease", "LeaseManager", "Heartbeat"]
 
@@ -172,16 +172,6 @@ class LeaseManager:
     def path_for(self, chunk_id: str) -> Path:
         return self.directory / f"{chunk_id}.lease"
 
-    def now(self) -> float:
-        """The manager's wall-clock reading, through the injected seam.
-
-        Callers that need "what time is it?" for lease-adjacent decisions
-        (the driver's straggler-age policy) read it here rather than calling
-        ``time.time()`` themselves, so a chaos-injected frozen or skewed
-        clock governs *their* arithmetic exactly as it governs expiry.
-        """
-        return self._clock()
-
     def _age(self, path: Path) -> float | None:
         """Seconds since the file's last heartbeat, or None when gone."""
         try:
@@ -232,19 +222,6 @@ class LeaseManager:
             if attempt == 0 and path.exists() and not self.is_expired(path):
                 return None
         return None
-
-    def holder_record(self, chunk_id: str) -> dict | None:
-        """The current lease record of ``chunk_id``, or None when unheld.
-
-        The driver's straggler policy reads ``acquired_unix`` from here to
-        judge how long a *live* lease has been held (a heartbeat refreshes
-        mtime, not the record, so acquisition time survives).
-        """
-        try:
-            record = json.loads(self.path_for(chunk_id).read_text())
-        except (OSError, ValueError):
-            return None
-        return record if isinstance(record, dict) else None
 
     def _exclusive_create(self, path: Path, payload: bytes) -> bool:
         """Atomically create ``path`` with ``payload``; False when it exists.
@@ -355,7 +332,7 @@ class LeaseManager:
 
 
 class Heartbeat:
-    """Background thread refreshing leases every ``interval`` seconds.
+    """Background thread refreshing a lease every ``interval`` seconds.
 
     The driver starts one around each chunk computation: the worker's main
     thread is busy simulating/searching, the heartbeat keeps the lease's
@@ -363,37 +340,23 @@ class Heartbeat:
     a refresh reports lost ownership (the lease's ``lost`` flag then tells
     the driver not to publish).
 
-    ``extras`` are additional leases (e.g. a prefetched next chunk) kept
-    alive alongside the primary; one of them going lost drops it from the
-    refresh set without stopping the primary's heartbeat.
-
     The thread is a daemon and :meth:`stop` joins it with a bounded timeout
     — a worker crashing out of a chunk can neither hang on a wedged
     filesystem during unwind nor keep a lease looking fresh after the
     process should be dead.
     """
 
-    def __init__(
-        self,
-        lease: Lease,
-        interval: float,
-        *,
-        extras: Iterable[Lease] = (),
-    ):
+    def __init__(self, lease: Lease, interval: float):
         if interval <= 0:
             raise ValueError("heartbeat interval must be positive (seconds)")
         self.lease = lease
         self.interval = float(interval)
-        self.extras = list(extras)
         self._stop = threading.Event()
         self._thread = threading.Thread(target=self._run, daemon=True)
 
     def _run(self) -> None:
         while not self._stop.wait(self.interval):
             try:
-                for extra in list(self.extras):
-                    if not extra.refresh():
-                        self.extras.remove(extra)
                 if not self.lease.refresh():
                     return
             except Exception:

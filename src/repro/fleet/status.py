@@ -29,7 +29,6 @@ def fleet_status(job: FleetJob, *, ttl: float) -> dict:
     chunks = job.chunks()
     published = job.store.completed_ids()
     complete = published & {chunk.chunk_id for chunk in chunks}
-    splits = len(list(job.store.directory.glob("split-*.json")))
     leases = LeaseManager(job.store.directory / LEASE_DIR_NAME, ttl=ttl)
     running = []
     expired = []
@@ -40,7 +39,6 @@ def fleet_status(job: FleetJob, *, ttl: float) -> dict:
     return {
         "chunks": len(chunks),
         "complete": len(complete),
-        "splits": splits,
         "running": running,
         "expired": expired,
         "pending": max(
@@ -69,10 +67,6 @@ def store_status(directory: str | Path, *, ttl: float) -> dict:
     identity = json.loads(identity_path.read_text())
     num_chunks = int(identity["num_chunks"])
     published = store.completed_ids()
-    # Sub-chunk files (``<parent>.s<i>``) are split work in flight; only
-    # whole-chunk files count toward manifest completion.
-    complete = {chunk_id for chunk_id in published if "." not in chunk_id}
-    splits = len(list(store.directory.glob("split-*.json")))
     leases = LeaseManager(store.directory / LEASE_DIR_NAME, ttl=ttl)
     running = []
     expired = []
@@ -82,14 +76,13 @@ def store_status(directory: str | Path, *, ttl: float) -> dict:
         (expired if info.expired else running).append(info)
     return {
         "chunks": num_chunks,
-        "complete": min(len(complete), num_chunks),
-        "splits": splits,
+        "complete": min(len(published), num_chunks),
         "running": running,
         "expired": expired,
         "pending": max(
-            0, num_chunks - len(complete) - len(running) - len(expired)
+            0, num_chunks - len(published) - len(running) - len(expired)
         ),
-        "done": len(complete) >= num_chunks,
+        "done": len(published) >= num_chunks,
         "identity": identity,
     }
 
@@ -115,11 +108,6 @@ def format_status(status: dict, *, summary: str = "") -> str:
     lines = [
         f"chunks: {status['complete']}/{status['chunks']} complete, "
         f"{len(status['running'])} running, {status['pending']} unclaimed"
-        + (
-            f", {status['splits']} split into sub-chunks"
-            if status.get("splits")
-            else ""
-        )
         + (
             f", {len(status['expired'])} expired lease(s) awaiting reclaim"
             if status["expired"]

@@ -6,8 +6,8 @@ injectable seam (``LeaseManager(clock=..., monotonic=...)``,
 ``MetricsRegistry(clock=...)``).  A direct ``time.time()`` call inside
 ``fleet/``, ``serve/`` or ``chaos/`` is invisible to ``ChaosClock``: the
 test sweeps pass while the production path takes a different branch.  This
-is exactly how ``_maybe_split_stragglers`` regressed before this rule
-existed.
+is exactly how the fleet's straggler-split policy (since removed) regressed
+before this rule existed.
 
 What counts as a violation
 --------------------------

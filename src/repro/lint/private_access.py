@@ -6,7 +6,7 @@ moment another module imports or dereferences it, that freedom is gone —
 silently, because nothing fails until the refactor lands.  The concrete
 instance that motivated this rule: ``fleet/driver.py`` calling
 ``leases._expired(...)``, which pinned an internal lease-manager predicate
-into the straggler-split policy.  The fix is always the same: promote the
+into the straggler-split policy (since removed).  The fix is always the same: promote the
 name to a public method/function (keeping the old name as an alias for
 compatibility) and depend on that.
 

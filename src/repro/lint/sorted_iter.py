@@ -11,8 +11,8 @@ The rule flags calls to ``.glob(...)``/``.rglob(...)``/``.iterdir()`` and
 ``os.listdir``/``os.scandir`` anywhere in the scanned tree, unless an
 enclosing call in the same expression is ``sorted(...)`` — the canonical
 fix (see ``LeaseManager.active`` in fleet/leases.py) — or ``len(...)``,
-which is order-insensitive by construction (the ``len(list(...))`` split
-counters in fleet/status.py).  A listing bound to a variable and sorted
+which is order-insensitive by construction (a ``len(list(...))`` file
+count).  A listing bound to a variable and sorted
 *later* still fires: keeping the ordering adjacent to the listing is the
 point — reviewers should never have to chase data flow to check
 determinism.

@@ -84,8 +84,6 @@ __all__ = [
     "WorkItem",
     "SweepChunk",
     "make_chunks",
-    "split_chunk",
-    "assemble_split",
     "ChunkManifest",
     "ChunkStore",
     "StoreIdentityError",
@@ -187,14 +185,13 @@ def import_closure(root: Path) -> tuple[str, ...]:
 
 
 @lru_cache(maxsize=None)
-def fingerprint_closure(root: Path, extra: tuple[str, ...] = ()) -> str:
+def fingerprint_closure(root: Path) -> str:
     """Stable 12-hex-digit fingerprint of module file ``root``'s import closure.
 
     A SHA-256 prefix over each file of :func:`import_closure` in sorted
-    order (its package-relative path, its byte length, then its bytes),
-    followed by the ``extra`` identity strings (e.g. the active kernel
-    backend).  Any subsystem that persists results keyed by "the code that
-    computed them" (the degree–diameter sweep, the sharded simulator of
+    order (its package-relative path, its byte length, then its bytes).
+    Any subsystem that persists results keyed by "the code that computed
+    them" (the degree–diameter sweep, the sharded simulator of
     :mod:`repro.simulation.sharding`) roots it at the module that writes its
     records, so editing any code those records depend on renames every chunk
     and no resumed run can mix results from different code.
@@ -205,8 +202,6 @@ def fingerprint_closure(root: Path, extra: tuple[str, ...] = ()) -> str:
         data = (package_dir / relative).read_bytes()
         digest.update(f"{relative}\0{len(data)}\0".encode())
         digest.update(data)
-    for item in extra:
-        digest.update(f"{item}\0".encode())
     return digest.hexdigest()[:12]
 
 
@@ -216,17 +211,11 @@ def code_version() -> str:
     Rooted at this module: its ``run_chunk`` computes the verdict every
     chunk record stores.  Part of every chunk id and every cache file
     name: two processes agree on a chunk or cache entry only when they run
-    the *same* verdict code.  The active kernel backend
-    (:func:`repro.kernels.active_backend`) is folded in: backends are
-    bit-identical by contract, but on-disk results stay attributable to the
-    code path that actually produced them, and a resume after a backend
-    switch is rejected rather than silently mixed.
+    the *same* verdict code.  The active kernel backend is not part of it:
+    the parity suites prove ``cnative`` and ``numpy`` give the same
+    verdicts, so a store filled under one backend resumes under the other.
     """
-    from repro import kernels
-
-    return fingerprint_closure(
-        Path(__file__), ("kernels=" + kernels.active_backend(),)
-    )
+    return fingerprint_closure(Path(__file__))
 
 
 @dataclass(frozen=True)
@@ -265,63 +254,6 @@ def make_chunks(items, chunk_size: int, identity: list) -> tuple[SweepChunk, ...
         chunk_id = hashlib.sha256(payload.encode()).hexdigest()[:16]
         chunks.append(SweepChunk(chunk_id=chunk_id, index=index, items=chunk_items))
     return tuple(chunks)
-
-
-def split_chunk(chunk: SweepChunk, parts: int = 2) -> tuple[SweepChunk, ...]:
-    """Cut one chunk into deterministically named contiguous sub-chunks.
-
-    Sub-chunk ``i`` of ``chunk`` is always named ``<chunk_id>.s<i>`` and
-    always holds the same contiguous slice of the parent's items, so every
-    fleet worker — with no coordination beyond seeing a split marker —
-    derives the identical sub-chunk set and agrees on which lease and which
-    result file belongs to which slice (the Bobpp-style deterministic
-    partitioning contract, one level down).  Concatenating the sub-chunks'
-    records in sub-index order reproduces the parent's records exactly,
-    which is what makes :func:`assemble_split` byte-identical to running
-    the parent unsplit.
-    """
-    if parts < 2:
-        raise ValueError("a split needs parts >= 2")
-    if len(chunk.items) < 2:
-        raise ValueError(f"chunk {chunk.chunk_id} has fewer than 2 items")
-    parts = min(parts, len(chunk.items))
-    base, extra = divmod(len(chunk.items), parts)
-    subs = []
-    start = 0
-    for index in range(parts):
-        size = base + (1 if index < extra else 0)
-        subs.append(
-            SweepChunk(
-                chunk_id=f"{chunk.chunk_id}.s{index}",
-                index=index,
-                items=tuple(chunk.items[start : start + size]),
-            )
-        )
-        start += size
-    return tuple(subs)
-
-
-def assemble_split(store: "ChunkStore", chunk: SweepChunk, parts: int) -> bool:
-    """Fold a fully published split back into the parent chunk file.
-
-    Returns False when any sub-chunk is still unpublished (nothing is
-    written), True once the parent file exists.  The parent's records are
-    the sub-chunks' records concatenated in sub-index order — chunk
-    computations are pure per work item, so the assembled file is
-    **byte-identical** to the file a worker running the unsplit chunk
-    publishes; concurrent assemblers (or the original straggler finishing
-    late) all rename identical bytes into place, a benign race.
-    """
-    if store.is_complete(chunk):
-        return True
-    subs = split_chunk(chunk, parts)
-    if not all(store.is_complete(sub) for sub in subs):
-        return False
-    records: list[dict] = []
-    for sub in subs:
-        records.extend(store.read(sub))
-    store.write(chunk, records)
-    return True
 
 
 def _fsync_directory(directory: Path) -> None:
@@ -522,77 +454,6 @@ class ChunkStore:
             raise
         _fsync_directory(self.directory)
         return target
-
-    def split_path(self, chunk: SweepChunk) -> Path:
-        """The split-marker file announcing that ``chunk`` was split."""
-        return self.directory / f"split-{chunk.chunk_id}.json"
-
-    def request_split(self, chunk: SweepChunk, parts: int = 2) -> int:
-        """Announce (or observe) a split of ``chunk`` into sub-chunks.
-
-        The first caller publishes a marker file naming ``parts``; every
-        later caller — and every racing worker — reads the winner's value
-        back, so all workers agree on one sub-chunk set.  Exclusivity uses
-        the write-tmp/fsync/``os.link`` discipline (see
-        :meth:`repro.fleet.leases.LeaseManager`) rather than ``O_EXCL``,
-        which NFSv2-era servers do not implement atomically.  Returns the
-        agreed part count.
-        """
-        parts = min(max(2, parts), len(chunk.items))
-        if len(chunk.items) < 2:
-            raise ValueError(f"chunk {chunk.chunk_id} has fewer than 2 items")
-        marker = self.split_path(chunk)
-        existing = self.split_parts(chunk)
-        if existing is not None:
-            return existing
-        payload = json.dumps(
-            {"chunk": chunk.chunk_id, "parts": parts}, separators=(",", ":")
-        ).encode() + b"\n"
-        fd, tmp_name = tempfile.mkstemp(
-            prefix=f".tmp-split-{chunk.chunk_id}-", suffix=".json", dir=self.directory
-        )
-        linked = False
-        try:
-            try:
-                _write_payload(fd, payload)
-            finally:
-                os.close(fd)
-            try:
-                os.link(tmp_name, marker)
-                linked = True
-            except OSError:
-                # Either we lost the race, or the link was applied but the
-                # reply was lost (NFS retransmit) — st_nlink distinguishes.
-                try:
-                    linked = os.stat(tmp_name).st_nlink == 2
-                except OSError:
-                    linked = False
-        finally:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-        if linked:
-            _fsync_directory(self.directory)
-            return parts
-        winner = self.split_parts(chunk)
-        if winner is None:
-            raise OSError(f"could not publish or read split marker {marker.name}")
-        return winner
-
-    def split_parts(self, chunk: SweepChunk) -> int | None:
-        """The published part count of a split chunk, or None if unsplit."""
-        marker = self.split_path(chunk)
-        try:
-            data = json.loads(marker.read_text())
-        except FileNotFoundError:
-            return None
-        except (OSError, ValueError):
-            return None
-        if data.get("chunk") != chunk.chunk_id:
-            return None
-        parts = data.get("parts")
-        return parts if isinstance(parts, int) and parts >= 2 else None
 
     def read(self, chunk: SweepChunk) -> list[dict]:
         """The records of a completed chunk, validated against its footer.
@@ -960,14 +821,6 @@ def merge_sweep(
     if not isinstance(store, ChunkStore):
         store = ChunkStore(store)
     ensure_store_identity(store, manifest.identity())
-    for chunk in manifest.chunks:
-        # A straggler split whose assembler died after the last sub-chunk
-        # published is still mergeable — fold it back here rather than
-        # reporting the parent missing.
-        if not store.is_complete(chunk):
-            parts = store.split_parts(chunk)
-            if parts is not None:
-                assemble_split(store, chunk, parts)
     missing = [
         chunk.chunk_id for chunk in manifest.chunks if not store.is_complete(chunk)
     ]
@@ -988,13 +841,7 @@ def merge_sweep(
         # (chunk_size, require_exact, range) rename every chunk id.  Saying
         # "run the workers" alone would silently discard a completed sweep.
         known = {c.chunk_id for c in manifest.chunks}
-        orphans = {
-            chunk_id
-            for chunk_id in store.completed_ids() - known
-            # Sub-chunk files (``<parent>.s<i>``) of a known chunk are split
-            # work in flight, not foreign-manifest leftovers.
-            if chunk_id.partition(".")[0] not in known
-        }
+        orphans = store.completed_ids() - known
         if orphans:
             message += (
                 f"; NOTE: the store also holds {len(orphans)} chunk file(s) from "

@@ -71,16 +71,11 @@ def sim_code_version() -> str:
     Rooted at this module, whose ``run_replica_chunk`` and ``stats_to_json``
     define the replica record; the import closure takes in the modules
     ``ClosedFormRouter`` imports lazily to build its relabelling.  The
-    active kernel backend is folded in (same rationale as the sweep's
-    ``code_version``): bit-identical or not, a chunk store resumed under a
-    different backend is rejected with ``StoreIdentityError`` instead of
-    silently mixing code paths.
+    active kernel backend is not part of it (same rationale as the sweep's
+    ``code_version``): the parity suites prove both backends give the same
+    records, so a store resumes across ``cnative``/``numpy``.
     """
-    from repro import kernels
-
-    return fingerprint_closure(
-        Path(__file__), ("kernels=" + kernels.active_backend(),)
-    )
+    return fingerprint_closure(Path(__file__))
 
 
 def graph_fingerprint(graph: BaseDigraph) -> str:

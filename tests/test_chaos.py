@@ -7,11 +7,11 @@ Three layers:
   torn-write and swallowed-heartbeat fault shapes;
 * a fast fixed-seed subset (always runs) driving the real production seams —
   ``run_fleet``/``merge_sweep`` resume, the lease claim/heartbeat/reclaim
-  cycle on an injected clock, a mid-split interruption, and the serve
-  registry's degrade-to-last-good reload — under a handful of schedules;
-* the full sweeps behind ``@pytest.mark.chaos`` (``--run-chaos``): 224
-  seeded fault schedules in total (120 sweep-resume, 80 lease-protocol,
-  24 mid-split), each asserting the acceptance contract: **no double
+  cycle on an injected clock, and the serve registry's degrade-to-last-good
+  reload — under a handful of schedules;
+* the full sweeps behind ``@pytest.mark.chaos`` (``--run-chaos``): 200
+  seeded fault schedules in total (120 sweep-resume, 80 lease-protocol),
+  each asserting the acceptance contract: **no double
   claims, no corrupt merges, byte-identical convergence to the fault-free
   result** once the fault budget is spent.
 
@@ -43,10 +43,8 @@ from repro.fleet.leases import LeaseManager
 from repro.otis.sweep import (
     ChunkManifest,
     ChunkStore,
-    assemble_split,
     merge_sweep,
     run_chunk,
-    split_chunk,
 )
 from repro.serve.registry import RouterRegistry
 
@@ -56,13 +54,11 @@ from repro.serve.registry import RouterRegistry
 CODE_VERSION = "chaos-test-v1"
 
 #: Seed ranges.  The ``FAST_*`` subsets always run; the full ranges are the
-#: ``--run-chaos`` acceptance sweeps (224 schedules in total).
+#: ``--run-chaos`` acceptance sweeps (200 schedules in total).
 FAST_SWEEP_SEEDS = range(12)
 FULL_SWEEP_SEEDS = range(12, 132)  # 120 schedules
 FAST_LEASE_SEEDS = range(1000, 1006)
 FULL_LEASE_SEEDS = range(1006, 1086)  # 80 schedules
-FAST_SPLIT_SEEDS = range(5000, 5002)
-FULL_SPLIT_SEEDS = range(5002, 5026)  # 24 schedules
 
 
 def tiny_manifest(chunk_size: int = 2) -> ChunkManifest:
@@ -519,101 +515,6 @@ class TestLeaseClockSkew:
         assert manager.try_acquire("c", worker="w2") is None  # starts the watch
         clock.advance(11.0)
         assert manager.try_acquire("c", worker="w2") is not None
-
-
-# ---------------------------------------------------------------------------
-# Mid-split chaos: interrupt the split/publish/assemble pipeline anywhere
-# ---------------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def split_baseline(tmp_path_factory):
-    """Fault-free parent chunk file bytes for the 3-item single-chunk manifest."""
-    manifest = tiny_manifest(chunk_size=4)
-    (chunk,) = manifest.chunks
-    store = ChunkStore(tmp_path_factory.mktemp("split-baseline") / "store")
-    store.write(chunk, chunk_records(chunk))
-    return store.path_for(chunk).read_bytes()
-
-
-def retry_faults(action, *, attempts: int, what: str, done=None):
-    """Retry ``action`` until it returns without a fault.
-
-    With ``done``, retry until that predicate holds instead — needed where a
-    *lost* rename lets the action return cleanly without having published
-    (resume and the fleet scan absorb this by re-checking ``is_complete``,
-    so the convergence loop must judge success the same way).
-    """
-    result = None
-    for _ in range(attempts):
-        try:
-            result = action()
-        except OSError:
-            # ChaosFault, or request_split's "could not publish or read"
-            # follow-up to an injected link failure — both injected-only here.
-            continue
-        if done is None or done():
-            return result
-    pytest.fail(f"{what}: not converged in {attempts} attempts")
-
-
-def split_chaos_round(root: Path, seed: int, baseline: bytes) -> None:
-    manifest = tiny_manifest(chunk_size=4)
-    (chunk,) = manifest.chunks
-    store = ChunkStore(root / "store")
-    max_faults = 6
-    schedule = ChaosSchedule(seed, max_faults=max_faults)
-    attempts = max_faults + 2
-    with ChaosInjector(schedule, roots=[root]):
-        parts = retry_faults(
-            lambda: store.request_split(chunk, 2),
-            attempts=attempts,
-            what=f"seed {seed}: request_split",
-        )
-        # Every worker must derive the same agreed part count back.
-        assert retry_faults(
-            lambda: store.split_parts(chunk),
-            attempts=attempts,
-            what=f"seed {seed}: split_parts",
-        ) == parts
-        # "Publish until it is actually on disk": a lost rename makes
-        # store.write return without raising AND without publishing — the
-        # exact fault resume/fleet re-scans absorb by re-checking
-        # is_complete, so the convergence loop must do the same.
-        for sub in split_chunk(chunk, parts):
-            records = chunk_records(sub)
-            retry_faults(
-                lambda s=sub, r=records: store.write(s, r),
-                attempts=attempts,
-                done=lambda s=sub: store.is_complete(s),
-                what=f"seed {seed}: publish {sub.chunk_id}",
-            )
-        retry_faults(
-            lambda: assemble_split(store, chunk, parts),
-            attempts=attempts,
-            done=lambda: store.is_complete(chunk),
-            what=f"seed {seed}: assemble",
-        )
-    assert store.path_for(chunk).read_bytes() == baseline, (
-        f"seed {seed}: assembled parent diverged from the unsplit bytes "
-        f"(faults: {schedule.log})"
-    )
-    store.read(chunk)  # footer validates: the merge would accept this file
-
-
-class TestSplitChaosFast:
-    @pytest.mark.parametrize("seed", FAST_SPLIT_SEEDS)
-    def test_interrupted_split_assembles_byte_identical(
-        self, tmp_path, seed, split_baseline
-    ):
-        split_chaos_round(tmp_path, seed, split_baseline)
-
-
-@pytest.mark.chaos
-class TestSplitChaosFull:
-    @pytest.mark.parametrize("seed", FULL_SPLIT_SEEDS)
-    def test_interrupted_split_assembles_byte_identical(
-        self, tmp_path, seed, split_baseline
-    ):
-        split_chaos_round(tmp_path, seed, split_baseline)
 
 
 # ---------------------------------------------------------------------------

@@ -139,8 +139,8 @@ def test_lazy_import_joins_the_closure_and_moves_the_fingerprint(tmp_path):
     root = copy / "otis" / "sweep.py"
     assert "analysis/tables.py" not in import_closure(root)
     # The digest hashes package-relative paths: a relocated copy agrees.
-    before = fingerprint_closure(root, ("kernels=x",))
-    assert before == fingerprint_closure(SWEEP, ("kernels=x",))
+    before = fingerprint_closure(root)
+    assert before == fingerprint_closure(SWEEP)
 
     search = copy / "otis" / "search.py"
     search.write_text(
@@ -150,21 +150,21 @@ def test_lazy_import_joins_the_closure_and_moves_the_fingerprint(tmp_path):
     )
     fingerprint_closure.cache_clear()
     assert "analysis/tables.py" in import_closure(root)
-    assert fingerprint_closure(root, ("kernels=x",)) != before
+    assert fingerprint_closure(root) != before
 
 
-def test_fingerprint_moves_with_a_closure_file_and_the_extras(tmp_path):
+def test_fingerprint_moves_with_a_closure_file(tmp_path):
     copy = tmp_path / "repro"
     shutil.copytree(PACKAGE, copy, ignore=shutil.ignore_patterns("__pycache__"))
     root = copy / "simulation" / "sharding.py"
-    before = fingerprint_closure(root, ("kernels=a",))
-    assert fingerprint_closure(root, ("kernels=b",)) != before
+    before = fingerprint_closure(root)
+    assert before == fingerprint_closure(SHARDING)
     generators = copy / "graphs" / "generators.py"
     generators.write_text(
         generators.read_text(encoding="utf-8") + "\n", encoding="utf-8"
     )
     fingerprint_closure.cache_clear()
-    assert fingerprint_closure(root, ("kernels=a",)) != before
+    assert fingerprint_closure(root) != before
 
 
 def test_versions_agree_across_hash_seeds():

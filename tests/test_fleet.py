@@ -230,6 +230,43 @@ class TestFleetDriver:
         assert not outcome["complete"]
         assert len(outcome["ran"]) == len(manifest.chunks) - 1
 
+    def test_worker_holds_one_lease_at_a_time(self, tmp_path):
+        store = ChunkStore(tmp_path / "sweep")
+        held = []
+
+        class CountingJob(SweepFleetJob):
+            def run_chunk(self, chunk):
+                held.append(len(list(self.store.directory.glob("leases/*.lease"))))
+                return super().run_chunk(chunk)
+
+        manifest = sweep_manifest()
+        assert len(manifest.chunks) >= 3
+        outcome = run_fleet(CountingJob(manifest, store), ttl=30, heartbeat=5)
+        assert outcome["complete"]
+        assert held == [1] * len(manifest.chunks)
+
+    def test_claim_recheck_does_not_list_the_store(self, tmp_path, monkeypatch):
+        # One directory listing per pass, however many chunks are claimed:
+        # the re-check after a claim is a stat of that chunk's file.
+        listings = []
+        completed_ids = ChunkStore.completed_ids
+
+        def counted(store):
+            listings.append(store.directory)
+            return completed_ids(store)
+
+        monkeypatch.setattr(ChunkStore, "completed_ids", counted)
+        counts = {}
+        for chunk_size in (4, 1):
+            manifest = ChunkManifest.build(2, 6, [60], chunk_size=chunk_size)
+            store = ChunkStore(tmp_path / f"size-{chunk_size}")
+            listings.clear()
+            outcome = run_fleet(SweepFleetJob(manifest, store), ttl=30, wait=False)
+            assert outcome["complete"]
+            counts[len(manifest.chunks)] = len(listings)
+        assert set(counts) == {2, 8}
+        assert counts[2] == counts[8]
+
     def test_fleet_refuses_mismatched_store(self, tmp_path):
         store = ChunkStore(tmp_path / "sweep")
         run_fleet(SweepFleetJob(sweep_manifest(chunk_size=4), store), ttl=10)

@@ -7,13 +7,11 @@ Three contracts beyond bit-identity (which ``test_kernel_parity.py`` owns):
   paths, a compiler-less environment (simulated here by failing the C
   build) degrades silently under ``auto``, and an *explicitly* requested
   but unavailable backend warns and falls back rather than erroring.
-* **Identity** — the active backend is part of ``code_version()`` /
-  ``sim_code_version()``: switching backends renames every chunk and cache
-  file, so on-disk results can never silently mix code paths.  Resuming a
-  replica-chunk store under a different backend fails fast with
-  :class:`~repro.otis.sweep.StoreIdentityError`; a
-  :class:`~repro.otis.sweep.SplitVerdictCache` starts cold in a fresh
-  file.
+* **Identity** — the active backend is *not* part of ``code_version()`` /
+  ``sim_code_version()``: the parity suites prove both backends write the
+  same records, so a sweep store and a replica store filled under
+  ``numpy`` finish and merge under ``cnative`` without recomputing a
+  chunk.
 * **Surfacing** — ``warmup()`` compiles end to end, ``diagnostics()``
   reports every backend's availability, and the engines/sweeps expose the
   resolved name (``kernel_backend``) all the way into their JSON.
@@ -28,19 +26,14 @@ import pytest
 from repro import kernels
 from repro.otis import search
 from repro.otis.h_digraph import h_digraph
-from repro.otis.sweep import (
-    SplitVerdictCache,
-    StoreIdentityError,
-    code_version,
-    run_chunk,
-)
+from repro.otis.sweep import ChunkManifest, run_chunk
 from repro.simulation.network import (
     BatchedNetworkSimulator,
     LinkModel,
     NetworkSimulator,
 )
-from repro.fleet import SimFleetJob, run_fleet
-from repro.simulation.sharding import ReplicaChunkManifest, sim_code_version
+from repro.fleet import SimFleetJob, SweepFleetJob, run_fleet
+from repro.simulation.sharding import ReplicaChunkManifest
 from repro.simulation.workloads import (
     make_workload,
     run_throughput_sweep,
@@ -48,6 +41,11 @@ from repro.simulation.workloads import (
 )
 
 GRAPH = h_digraph(4, 8, 2)
+
+#: Skips a test on a host where the compiled backend cannot be built.
+requires_cnative = pytest.mark.skipif(
+    "cnative" not in kernels.available_backends(), reason="no C compiler"
+)
 
 
 @pytest.fixture
@@ -272,56 +270,52 @@ class TestWarmupAndDiagnostics:
         assert "kernels:" in out
 
 
-class TestCodeIdentity:
-    def test_code_versions_change_with_backend(self, monkeypatch):
-        monkeypatch.setenv(kernels.ENV_VAR, "numpy")
-        sweep_numpy = code_version()
-        sim_numpy = sim_code_version()
-        # Fake a different active backend: the fingerprint must move even
-        # though no source file changed.
-        monkeypatch.setattr(kernels, "active_backend", lambda: "cnative")
-        assert code_version() != sweep_numpy
-        assert sim_code_version() != sim_numpy
-        # ... and stay stable/hex-formatted.
-        assert code_version() == code_version()
-        assert len(code_version()) == 12
-        int(code_version(), 16)
+@requires_cnative
+def test_stores_resume_across_backends(monkeypatch, tmp_path):
+    """Half of each store under ``numpy``, the rest and the merge under ``cnative``."""
+    link = LinkModel(latency=1.0, transmission_time=1.0)
+    traffics = [
+        uniform_random_pairs(GRAPH.num_vertices, 30, rng=seed) for seed in range(4)
+    ]
 
-    def test_resume_after_backend_switch_is_rejected(self, monkeypatch, tmp_path):
-        # Fill a replica-chunk store under one backend, then relaunch/merge
-        # under another: the persisted identity must fail fast, naming
-        # code_version, before any simulation runs.
-        link = LinkModel(latency=1.0, transmission_time=1.0)
-        traffics = [
-            uniform_random_pairs(GRAPH.num_vertices, 30, rng=seed)
-            for seed in range(4)
-        ]
-        monkeypatch.setenv(kernels.ENV_VAR, "numpy")
-        manifest = ReplicaChunkManifest.build(
-            GRAPH, traffics, link=link, chunk_size=2
+    def jobs():
+        sweep = ChunkManifest.build(2, 6, range(60, 71), chunk_size=4)
+        replicas = ReplicaChunkManifest.build(GRAPH, traffics, link=link, chunk_size=2)
+        return (
+            SweepFleetJob(sweep, tmp_path / "sweep"),
+            SimFleetJob(replicas, tmp_path / "sim", GRAPH, traffics),
         )
-        run_fleet(SimFleetJob(manifest, tmp_path, GRAPH, traffics), wait=False)
 
-        monkeypatch.setattr(kernels, "active_backend", lambda: "cnative")
-        switched = ReplicaChunkManifest.build(
-            GRAPH, traffics, link=link, chunk_size=2
+    monkeypatch.setenv(kernels.ENV_VAR, "numpy")
+    first = [run_fleet(job, wait=False, max_chunks=1)["ran"] for job in jobs()]
+
+    monkeypatch.setenv(kernels.ENV_VAR, "cnative")
+    backends = []
+    for job, ran in zip(jobs(), first):
+        compute = job.run_chunk
+
+        def traced(chunk, compute=compute):
+            backends.append(kernels.active_backend())
+            return compute(chunk)
+
+        job.run_chunk = traced
+        outcome = run_fleet(job, wait=False)  # no StoreIdentityError
+        assert outcome["complete"]
+        assert len(ran) == 1
+        assert sorted(outcome["ran"]) == sorted(
+            chunk.chunk_id for chunk in job.chunks() if chunk.chunk_id not in ran
         )
-        assert switched.code_version != manifest.code_version
-        with pytest.raises(StoreIdentityError, match="code_version"):
-            run_fleet(SimFleetJob(switched, tmp_path, GRAPH, traffics), wait=False)
+    assert set(backends) == {"cnative"}
 
-    def test_split_verdict_cache_starts_cold_on_backend_switch(
-        self, monkeypatch, tmp_path
-    ):
-        # The verdict cache keys its file name by code_version: a backend
-        # switch must open a different (empty) file, never reuse verdicts.
-        monkeypatch.setenv(kernels.ENV_VAR, "numpy")
-        cache_numpy = SplitVerdictCache(tmp_path, 2, 6)
-        cache_numpy.put(4, 16, 6)
-        monkeypatch.setattr(kernels, "active_backend", lambda: "cnative")
-        cache_other = SplitVerdictCache(tmp_path, 2, 6)
-        assert cache_other.path != cache_numpy.path
-        assert cache_other.get(4, 16) is None
+    sweep_job, sim_job = jobs()
+    assert sweep_job.merge().rows == search.degree_diameter_search(2, 6, 60, 70).rows
+    expected = [
+        stats
+        for stats, _ in BatchedNetworkSimulator(GRAPH, link=link).run_many(
+            traffics, return_messages=False
+        )
+    ]
+    assert sim_job.merge() == expected
 
 
 class TestSweepSurfacing:

@@ -333,7 +333,7 @@ def test_private_access_allows_public_use(tmp_path):
                 def scan(directory):
                     leases = LeaseManager(directory, ttl=60.0)
                     if leases.is_expired(leases.path_for("c1")):
-                        return leases.now()
+                        return leases.active()
                     return run_replica_chunk(None)
 
                 class Wrapper:

@@ -129,9 +129,7 @@ class TestFleetWorkerSigterm:
             return records
 
         job.run_chunk = run_then_die
-        outcome = run_fleet(
-            job, ttl=600, heartbeat=60, handle_sigterm=True, prefetch=False
-        )
+        outcome = run_fleet(job, ttl=600, heartbeat=60, handle_sigterm=True)
         assert outcome["terminated"] is True
         assert not outcome["complete"]
         assert len(calls) == 2
@@ -151,12 +149,12 @@ class TestFleetWorkerSigterm:
             return records
 
         job.run_chunk = die_after_first
-        assert run_fleet(
-            job, ttl=600, heartbeat=60, handle_sigterm=True, prefetch=False
-        )["terminated"]
+        assert run_fleet(job, ttl=600, heartbeat=60, handle_sigterm=True)[
+            "terminated"
+        ]
         # A fresh worker picks up where the terminated one stopped.
         resumed = SweepFleetJob(manifest, store)
-        outcome = run_fleet(resumed, ttl=600, heartbeat=60, prefetch=False)
+        outcome = run_fleet(resumed, ttl=600, heartbeat=60)
         assert outcome["complete"]
         assert not outcome["terminated"]
         assert resumed.merge().rows == degree_diameter_search(2, 6, 60, 70).rows
@@ -182,9 +180,7 @@ def slow(chunk):
     return original(chunk)
 
 job.run_chunk = slow
-outcome = run_fleet(
-    job, ttl=600, heartbeat=1, handle_sigterm=True, prefetch=False
-)
+outcome = run_fleet(job, ttl=600, heartbeat=1, handle_sigterm=True)
 print("outcome " + json.dumps({"terminated": outcome["terminated"]}), flush=True)
 """
         )
