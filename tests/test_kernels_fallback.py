@@ -26,14 +26,19 @@ import pytest
 from repro import kernels
 from repro.otis import search
 from repro.otis.h_digraph import h_digraph
-from repro.otis.sweep import ChunkManifest, run_chunk
+from repro.otis.sweep import (
+    ChunkManifest,
+    SplitVerdictCache,
+    code_version,
+    run_chunk,
+)
 from repro.simulation.network import (
     BatchedNetworkSimulator,
     LinkModel,
     NetworkSimulator,
 )
 from repro.fleet import SimFleetJob, SweepFleetJob, run_fleet
-from repro.simulation.sharding import ReplicaChunkManifest
+from repro.simulation.sharding import ReplicaChunkManifest, sim_code_version
 from repro.simulation.workloads import (
     make_workload,
     run_throughput_sweep,
@@ -270,52 +275,85 @@ class TestWarmupAndDiagnostics:
         assert "kernels:" in out
 
 
-@requires_cnative
-def test_stores_resume_across_backends(monkeypatch, tmp_path):
-    """Half of each store under ``numpy``, the rest and the merge under ``cnative``."""
-    link = LinkModel(latency=1.0, transmission_time=1.0)
-    traffics = [
-        uniform_random_pairs(GRAPH.num_vertices, 30, rng=seed) for seed in range(4)
-    ]
+class TestCodeIdentity:
+    def test_code_versions_ignore_backend(self, monkeypatch):
+        monkeypatch.setenv(kernels.ENV_VAR, "numpy")
+        sweep_numpy = code_version()
+        sim_numpy = sim_code_version()
+        # Fake a different active backend: both backends write the same
+        # records, so the fingerprint must not move.
+        monkeypatch.setattr(kernels, "active_backend", lambda: "cnative")
+        assert code_version() == sweep_numpy
+        assert sim_code_version() == sim_numpy
+        # ... and stay stable/hex-formatted.
+        assert code_version() == code_version()
+        assert len(code_version()) == 12
+        int(code_version(), 16)
 
-    def jobs():
-        sweep = ChunkManifest.build(2, 6, range(60, 71), chunk_size=4)
-        replicas = ReplicaChunkManifest.build(GRAPH, traffics, link=link, chunk_size=2)
-        return (
-            SweepFleetJob(sweep, tmp_path / "sweep"),
-            SimFleetJob(replicas, tmp_path / "sim", GRAPH, traffics),
-        )
+    @requires_cnative
+    def test_resume_after_backend_switch_is_accepted(self, monkeypatch, tmp_path):
+        """Half of each store under ``numpy``, the rest and the merge under
+        ``cnative``: no chunk is recomputed and both merges are unchanged."""
+        link = LinkModel(latency=1.0, transmission_time=1.0)
+        traffics = [
+            uniform_random_pairs(GRAPH.num_vertices, 30, rng=seed)
+            for seed in range(4)
+        ]
 
-    monkeypatch.setenv(kernels.ENV_VAR, "numpy")
-    first = [run_fleet(job, wait=False, max_chunks=1)["ran"] for job in jobs()]
+        def jobs():
+            sweep = ChunkManifest.build(2, 6, range(60, 71), chunk_size=4)
+            replicas = ReplicaChunkManifest.build(
+                GRAPH, traffics, link=link, chunk_size=2
+            )
+            return (
+                SweepFleetJob(sweep, tmp_path / "sweep"),
+                SimFleetJob(replicas, tmp_path / "sim", GRAPH, traffics),
+            )
 
-    monkeypatch.setenv(kernels.ENV_VAR, "cnative")
-    backends = []
-    for job, ran in zip(jobs(), first):
-        compute = job.run_chunk
+        monkeypatch.setenv(kernels.ENV_VAR, "numpy")
+        first = [run_fleet(job, wait=False, max_chunks=1)["ran"] for job in jobs()]
 
-        def traced(chunk, compute=compute):
-            backends.append(kernels.active_backend())
-            return compute(chunk)
+        monkeypatch.setenv(kernels.ENV_VAR, "cnative")
+        backends = []
+        for job, ran in zip(jobs(), first):
+            compute = job.run_chunk
 
-        job.run_chunk = traced
-        outcome = run_fleet(job, wait=False)  # no StoreIdentityError
-        assert outcome["complete"]
-        assert len(ran) == 1
-        assert sorted(outcome["ran"]) == sorted(
-            chunk.chunk_id for chunk in job.chunks() if chunk.chunk_id not in ran
-        )
-    assert set(backends) == {"cnative"}
+            def traced(chunk, compute=compute):
+                backends.append(kernels.active_backend())
+                return compute(chunk)
 
-    sweep_job, sim_job = jobs()
-    assert sweep_job.merge().rows == search.degree_diameter_search(2, 6, 60, 70).rows
-    expected = [
-        stats
-        for stats, _ in BatchedNetworkSimulator(GRAPH, link=link).run_many(
-            traffics, return_messages=False
-        )
-    ]
-    assert sim_job.merge() == expected
+            job.run_chunk = traced
+            outcome = run_fleet(job, wait=False)  # no StoreIdentityError
+            assert outcome["complete"]
+            assert len(ran) == 1
+            assert sorted(outcome["ran"]) == sorted(
+                chunk.chunk_id for chunk in job.chunks() if chunk.chunk_id not in ran
+            )
+        assert set(backends) == {"cnative"}
+
+        sweep_job, sim_job = jobs()
+        serial = search.degree_diameter_search(2, 6, 60, 70)
+        assert sweep_job.merge().rows == serial.rows
+        expected = [
+            stats
+            for stats, _ in BatchedNetworkSimulator(GRAPH, link=link).run_many(
+                traffics, return_messages=False
+            )
+        ]
+        assert sim_job.merge() == expected
+
+    def test_split_verdict_cache_survives_backend_switch(
+        self, monkeypatch, tmp_path
+    ):
+        # The verdict cache keys its file name by code_version: a backend
+        # switch reopens the same file and reuses its verdicts.
+        monkeypatch.setenv(kernels.ENV_VAR, "numpy")
+        cache_numpy = SplitVerdictCache(tmp_path, 2, 6)
+        cache_numpy.put(4, 16, 6)
+        monkeypatch.setattr(kernels, "active_backend", lambda: "cnative")
+        cache_other = SplitVerdictCache(tmp_path, 2, 6)
+        assert cache_other.path == cache_numpy.path
+        assert cache_other.get(4, 16) == 6
 
 
 class TestSweepSurfacing:
