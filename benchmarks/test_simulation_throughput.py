@@ -26,7 +26,6 @@ import pytest
 
 from repro import kernels
 from repro.otis.h_digraph import h_digraph
-from repro.routing.paths import routing_table_for
 from repro.routing.routers import DenseTableRouter
 from repro.simulation.network import (
     BatchedNetworkSimulator,
@@ -63,7 +62,7 @@ def test_batched_engine_parity_and_speedup_100k(bench_json):
     graph = h_digraph(32, 64, 2)
     traffic = uniform_random_pairs(graph.num_vertices, 100_000, rng=0)
     link = LinkModel(latency=1.0, transmission_time=1.0)
-    router = DenseTableRouter(routing_table_for(graph))
+    router = DenseTableRouter(graph)
 
     start = time.perf_counter()
     ref_stats, ref_messages = NetworkSimulator(graph, link=link, router=router).run(

@@ -10,7 +10,7 @@ Exposes the reproduction's main entry points without writing any Python:
 * ``figure``  — emit a DOT rendering of one of the paper's figure digraphs,
 * ``sim``     — throughput/latency sweep of workloads on ``H(p, q, d)`` with
   the batched network simulator.  ``--router`` selects the routing backend
-  (``auto``/``dense``/``closed-form``/``lru``); ``fleet sim`` runs the
+  (``auto``/``dense``/``closed-form``); ``fleet sim`` runs the
   same study as resumable chunks,
 * ``scenarios`` — degraded-mode scenario sweeps on ``H(p, q, d)``
   (:mod:`repro.simulation.scenarios`): compose an arrival process
@@ -163,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sim.add_argument(
         "--router",
-        choices=["auto", "dense", "closed-form", "lru"],
+        choices=["auto", "dense", "closed-form"],
         default="auto",
         help="routing backend (auto: dense table for small n, table-free above)",
     )
@@ -263,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     scenarios.add_argument(
         "--router",
-        choices=["auto", "dense", "closed-form", "lru"],
+        choices=["auto", "dense", "closed-form"],
         default="auto",
     )
     scenarios.add_argument(
@@ -577,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
     fleet_sim.add_argument("--rates", nargs="*", type=float, default=None)
     fleet_sim.add_argument(
         "--router",
-        choices=["auto", "dense", "closed-form", "lru"],
+        choices=["auto", "dense", "closed-form"],
         default="auto",
     )
     fleet_sim.add_argument(
@@ -991,11 +991,6 @@ def _serve_stats(args: argparse.Namespace) -> int:
             "router": info["router"],
             "nodes": info["nodes"],
             "state bytes": info["state_bytes"],
-            "hit rate": (
-                "-"
-                if info.get("cache_hit_rate") is None
-                else f"{info['cache_hit_rate']:.3f}"
-            ),
             "version": info["version"],
         }
         for name, info in sorted(stats["topologies"].items())

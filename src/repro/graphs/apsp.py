@@ -36,8 +36,9 @@ the **transposed** sweep for ``k`` selected sources: the state is one bit per
 over each vertex's *predecessors* (``v`` is reached by ``s`` within ``L+1``
 levels iff some in-neighbour of ``v`` is reached within ``L``).  The same
 engine backs ``batched_eccentricities(..., sources=...)`` (sampled
-eccentricity screens) and the per-source rows of the simulator's
-:class:`repro.routing.routers.LruRowRouter`.
+eccentricity screens) and, run over the *successors* as a reverse sweep,
+the distance-to-target columns of :class:`repro.routing.routers.
+DenseTableRouter`.
 """
 
 from __future__ import annotations
@@ -241,7 +242,8 @@ def subset_distance_rows(
     per ``(vertex, source)`` pair, so screening 64 sources on a 10^5-vertex
     digraph costs one machine word per vertex per level.  Pass a precomputed
     ``predecessors`` matrix (:func:`padded_predecessor_matrix`) when calling
-    repeatedly on one topology (the simulator's LRU row router does).
+    repeatedly on one topology; passing the successor matrix instead gives
+    distances *to* the sources (the table router's columns).
 
     ``backend`` selects the kernel backend (see :mod:`repro.kernels`);
     ``None`` resolves ``REPRO_KERNELS``.  All backends are bit-identical.

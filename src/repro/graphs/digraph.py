@@ -152,17 +152,6 @@ class BaseDigraph:
         """Copy into an immutable :class:`RegularDigraph` (must be out-regular)."""
         return RegularDigraph(self.successor_matrix(), name=self.name)
 
-    # ------------------------------------------------------------ pickling
-    def __getstate__(self):
-        # The routing-table cache token (repro.routing.paths) is only
-        # meaningful inside the process that issued it: shipped to another
-        # process (e.g. a sharded-simulation worker) it could collide with a
-        # token issued there and alias a different topology's table.  Strip
-        # it, so unpickled graphs start with a fresh token.
-        state = self.__dict__.copy()
-        state.pop("_routing_table_cache", None)
-        return state
-
     # ------------------------------------------------------------- equality
     def same_arcs(self, other: "BaseDigraph") -> bool:
         """True when both digraphs have identical vertex count and arc multisets.
@@ -219,18 +208,11 @@ class Digraph(BaseDigraph):
         self._check_vertex(u)
         return list(self._succ[u])
 
-    def _invalidate_caches(self) -> None:
-        # Derived structures memoised on the instance (e.g. the routing table
-        # of repro.routing.paths.routing_table_for) must not survive a
-        # topology mutation.
-        self.__dict__.pop("_routing_table_cache", None)
-
     def add_arc(self, u: int, v: int) -> None:
         """Add an arc ``(u, v)``; parallel arcs and loops are allowed."""
         self._check_vertex(u)
         self._check_vertex(v)
         self._succ[u].append(v)
-        self._invalidate_caches()
 
     def add_arcs(self, arcs: Iterable[Arc]) -> None:
         """Add many arcs at once."""
@@ -245,13 +227,11 @@ class Digraph(BaseDigraph):
             self._succ[u].remove(v)
         except ValueError as exc:
             raise ValueError(f"arc ({u}, {v}) not present") from exc
-        self._invalidate_caches()
 
     def add_vertex(self) -> int:
         """Append a new isolated vertex and return its label."""
         self._succ.append([])
         self._n += 1
-        self._invalidate_caches()
         return self._n - 1
 
     def copy(self) -> "Digraph":

@@ -53,7 +53,9 @@ C_SOURCE = r"""
  */
 #include <stdint.h>
 
-#define EXPORT __attribute__((visibility("default")))
+/* Every exported kernel starts on a cache line, so an edit elsewhere in
+ * the source cannot shift its hot loop across one and slow it down. */
+#define EXPORT __attribute__((visibility("default"), aligned(64)))
 
 /* ------------------------------------------------------------------ apsp */
 
@@ -155,6 +157,29 @@ EXPORT void subset_rows_sweep(
             }
         }
         uint64_t *tmp = cur; cur = nxt; nxt = tmp;
+    }
+}
+
+/* The out-arc slot of every (column b, vertex u) of k distance-to-target
+ * rows (rows[b, u] = dist(u, t_b), -1 unreachable): the lowest j with
+ * rows[b, succ[u, j]] == rows[b, u] - 1, else 255 (u unreachable or u is
+ * t_b).  The numpy derivation of repro.routing.routers is the oracle. */
+EXPORT void slot_columns(
+    const int64_t *succ, const int64_t *rows, uint8_t *slot,
+    int64_t n, int64_t d, int64_t k)
+{
+    for (int64_t b = 0; b < k; b++) {
+        const int64_t *row = rows + b * n;
+        uint8_t *out = slot + b * n;
+        for (int64_t u = 0; u < n; u++) {
+            int64_t closer = row[u] - 1;
+            if (closer < 0) closer = INT64_MIN;  /* no head can match */
+            const int64_t *heads = succ + u * d;
+            int64_t s = 255;
+            for (int64_t j = d - 1; j >= 0; j--)  /* branch-free: lowest wins */
+                s = row[heads[j]] == closer ? j : s;
+            out[u] = (uint8_t)s;
+        }
     }
 }
 
@@ -552,25 +577,33 @@ static int64_t pop_round(
     queue_len, max_queue, tx_count, group_keys, group_ptr, flat_links, \
     vertex_groups, n, m
 
-/* The routing arguments: a flat n x n next-hop table (n_table > 0), else
- * the shift rule of shift_next_hops. */
+/* The routing arguments: slot columns of a table router (n_col > 0: the
+ * hop from u towards t is succ[u, slot[col[t] * n + u]], 255 unreachable),
+ * else the shift rule of shift_next_hops. */
 #define ROUTE_PARAMS \
     int64_t base, int64_t D, const int64_t *to_code, int64_t n_to, \
     const int64_t *from_code, int64_t n_from, int64_t sorted_codes, \
-    const int64_t *table, int64_t n_table
+    const int64_t *succ, int64_t d, const uint8_t *slot, \
+    const int64_t *col, int64_t n_col
 #define ROUTE_ARGS \
-    base, D, to_code, n_to, from_code, n_from, sorted_codes, table, n_table
+    base, D, to_code, n_to, from_code, n_from, sorted_codes, \
+    succ, d, slot, col, n_col
 
-/* Next hops of count (node, target) pairs by table or shift rule.
- * Returns -1, or the first pair outside the relabelling. */
+/* Next hops of count (node, target) pairs by slot columns or shift rule.
+ * Returns -1, or the first pair outside the relabelling or the columns. */
 static int64_t route_pairs(
     const int64_t *cur, const int64_t *tgt, int64_t count, int64_t n,
     ROUTE_PARAMS, int64_t *out)
 {
-    if (n_table == 0)
+    if (n_col == 0)
         return shift_next_hops(cur, tgt, count, base, D, to_code, n_to,
                                from_code, n_from, sorted_codes, out);
-    for (int64_t i = 0; i < count; i++) out[i] = table[cur[i] * n + tgt[i]];
+    for (int64_t i = 0; i < count; i++) {
+        int64_t u = cur[i], c = col[tgt[i]];
+        if (c < 0) return i;
+        uint8_t s = slot[c * n + u];
+        out[i] = s == 255 ? (u == tgt[i] ? u : -1) : succ[u * d + s];
+    }
     return -1;
 }
 
@@ -682,10 +715,11 @@ static inline int group_live(
 /* A whole degrading-scenario pass (the scalar loop of
  * repro.simulation.network._scenario_loop is its oracle): fault slots
  * >= num_messages, node/TTL drops, table or shift primary hops, greedy
- * deflection over the healthy distance table, live links with buffer
- * room, retries.  n_distance == 0 is reroute "none"; ttl / capacity < 0
- * disable them.  counters: five per replica (retransmits, drops by code
- * 1 fault / 2 hops / 3 buffer, rerouted). */
+ * deflection over healthy hop-count columns (dist(v, t) is
+ * distance[dist_col[t] * n + v]), live links with buffer room, retries.
+ * n_distance == 0 is reroute "none"; ttl / capacity < 0 disable them.
+ * counters: five per replica (retransmits, drops by code 1 fault / 2 hops
+ * / 3 buffer, rerouted). */
 EXPORT int64_t run_scenario(
     double T, double L, int64_t has_until, double until, int64_t max_events,
     STATE_PARAMS, QUEUE_PARAMS, int64_t *slots_buf, int64_t *meta,
@@ -693,7 +727,7 @@ EXPORT int64_t run_scenario(
     int64_t R, int64_t num_messages,
     const int64_t *fault_kind, const int64_t *fault_target,
     uint8_t *link_down, uint8_t *node_down,
-    const int64_t *distance, int64_t n_distance,
+    const int32_t *distance, const int64_t *dist_col, int64_t n_distance,
     int64_t ttl, int64_t capacity, int64_t retry, double retry_delay,
     int64_t max_retries, int64_t *retries, int8_t *drop_code,
     int64_t *counters)
@@ -769,7 +803,7 @@ EXPORT int64_t run_scenario(
                         int64_t nb = group_keys[q2] - node * n;
                         if (nb == primary || node_down[nb]) continue;
                         if (!group_live(group_ptr, flat_links, link_down, q2)) continue;
-                        int64_t dd = distance[nb * n + target];
+                        int64_t dd = distance[dist_col[target] * n + nb];
                         if (dd < 0) continue;
                         if (best_g < 0 || dd < best_distance) {
                             best_g = q2;
@@ -942,13 +976,14 @@ _LOOP_SIG = (
     + _QSIG
     + [_i64, _i64,                            # slots buffer, meta
        _I, _I, _i64, _I, _i64, _I, _I,        # base, D, to_code, n_to, from_code, n_from, sorted
-       _i64, _I]                              # table, n_table
+       _i64, _I, _u8, _i64, _I]               # succ, d, slot, col, n_col
     # fmt: on
 )
 
 _SIGNATURES = {
     "ecc_sweep": (_I, [_i64, _u64, _u64, _u64, _i64, _u8, _I, _I, _I, _I]),
     "subset_rows_sweep": (None, [_i64, _u64, _u64, _i64, _I, _I, _I]),
+    "slot_columns": (None, [_i64, _i64, _u8, _I, _I, _I]),
     "subset_ecc_sweep": (
         _I,
         [_i64, _u64, _u64, _u64, _u64, _i64, _I, _I, _I, _I, _I],
@@ -969,7 +1004,7 @@ _SIGNATURES = {
         _LOOP_SIG
         + [_I, _I,                            # R, num_messages
            _i64, _i64, _u8, _u8,              # fault_kind, fault_target, link_down, node_down
-           _i64, _I,                          # distance, n_distance
+           _i32, _i64, _I,                    # distance, dist_col, n_distance
            _I, _I, _I, _D, _I,                # ttl, capacity, retry, retry_delay, max_retries
            _i64, _i8, _i64],                  # retries, drop_code, counters
         # fmt: on
@@ -1090,6 +1125,17 @@ def _route_args(base, D, to_code, from_code, sorted_codes):
     )
 
 
+def _table_args(succ, slot, col, n):
+    """The C-side routing arguments of a table router's slot columns over
+    ``n`` vertices (an empty ``col``: none)."""
+    if col.shape[0] and not succ.shape[0] == slot.shape[1] == col.shape[0] == n:
+        raise ValueError(
+            f"slot columns over {col.shape[0]} vertices cannot route a "
+            f"topology of {n}"
+        )
+    return _ptr(succ, _i64), succ.shape[1], _ptr(slot, _u8), _ptr(col, _i64), col.shape[0]
+
+
 def build_native_kernels() -> SimpleNamespace:
     """Compile (or reuse) the shared library and return wrapped kernels.
 
@@ -1122,6 +1168,15 @@ def build_native_kernels() -> SimpleNamespace:
             lib.subset_rows_sweep(
                 _ptr(pred, _i64), _ptr(state, _u64), _ptr(scratch, _u64),
                 _ptr(rows, _i64), n, d, w,
+            )
+
+        def slot_columns(succ, rows, slot):
+            n, d = succ.shape
+            k = rows.shape[0]
+            if rows.shape != (k, n) or slot.shape != (k, n):
+                raise ValueError("slot_columns needs (k, n) rows and slots")
+            lib.slot_columns(
+                _ptr(succ, _i64), _ptr(rows, _i64), _ptr(slot, _u8), n, d, k,
             )
 
         def subset_ecc_sweep(pred, state, scratch, full, done, ecc, upper_bound):
@@ -1193,10 +1248,12 @@ def build_native_kernels() -> SimpleNamespace:
             ``events = (slots, times)``, pushed in that order (the sequence
             order at equal times).  ``state`` is the 15 arrays of
             STATE_PARAMS (n and m follow from their shapes), ``route`` a
-            shift spec and ``table`` a flat next-hop table (empty: shift
-            routing).  Returns ``(status, meta)``: 0, or 1 on a non-arc hop
-            and 2 on a pair outside the relabelling, ``meta`` naming it."""
+            shift spec and ``table`` the ``(succ, slot, col)`` columns of a
+            table router (an empty ``col``: shift routing).  Returns
+            ``(status, meta)``: 0, or 1 on a non-arc hop and 2 on a pair
+            outside the relabelling or the columns, ``meta`` naming it."""
             slots, times = events
+            n = state[-1].shape[0] - 1
             queue, q = _event_queue(slots.shape[0])
             lib.queue_schedule(*q, _ptr(slots, _i64), _ptr(times, _f64), slots.shape[0])
             slots_buf = np.empty(queue[0].shape[0], dtype=np.int64)
@@ -1207,9 +1264,9 @@ def build_native_kernels() -> SimpleNamespace:
                 0.0 if until is None else until,
                 (1 << 62) if max_events is None else max_events,
                 *map(_ptr, state, _STATE_TYPES),
-                state[-1].shape[0] - 1, state[-2].shape[0],  # n, m
+                n, state[-2].shape[0],  # n, m
                 *q, _ptr(slots_buf, _i64), _ptr(meta, _i64),
-                *_route_args(*route), _ptr(table, _i64), table.shape[0],
+                *_route_args(*route), *_table_args(*table, n),
                 *tail,
             )
             return status, meta
@@ -1224,14 +1281,14 @@ def build_native_kernels() -> SimpleNamespace:
 
         def run_scenario(events, state, T, L, until, max_events, route, table, scenario):
             (num_messages, fault_kind, fault_target, link_down, node_down,
-             distance, ttl, capacity, retry, retry_delay, max_retries,
-             retries, drop_code, counters) = scenario
+             distance, dist_col, ttl, capacity, retry, retry_delay,
+             max_retries, retries, drop_code, counters) = scenario
             return event_loop(
                 lib.run_scenario, events, state, T, L, until, max_events, route, table,
                 counters.shape[0] // 5, num_messages,
                 _ptr(fault_kind, _i64), _ptr(fault_target, _i64),
                 _ptr(link_down, _u8), _ptr(node_down, _u8),
-                _ptr(distance, _i64), distance.shape[0],
+                _ptr(distance, _i32), _ptr(dist_col, _i64), dist_col.shape[0],
                 ttl, capacity, retry, retry_delay, max_retries,
                 _ptr(retries, _i64), _ptr(drop_code, _i8), _ptr(counters, _i64),
             )
@@ -1239,6 +1296,7 @@ def build_native_kernels() -> SimpleNamespace:
         kernels = SimpleNamespace(
             ecc_sweep=ecc_sweep,
             subset_rows_sweep=subset_rows_sweep,
+            slot_columns=slot_columns,
             subset_ecc_sweep=subset_ecc_sweep,
             screen_splits=screen_splits,
             shift_next_hops=shift_next_hops,

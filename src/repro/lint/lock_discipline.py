@@ -5,8 +5,8 @@ routing-table LRU in ``repro.routing.paths`` was mutated from multiple
 threads without a lock, corrupting the ``OrderedDict``.  The fix
 established the repo's pattern — a module-level ``threading.Lock()`` /
 ``RLock()`` next to the state, every mutation inside ``with _LOCK:``
-(``_TABLE_CACHE``/``_TABLE_CACHE_LOCK`` in routing/paths.py,
-``_LIB_CACHE``/``_BUILD_LOCK`` in kernels/native.py).
+(``_LIB_CACHE``/``_BUILD_LOCK`` in kernels/native.py; that LRU has since
+been deleted).
 
 The rule is deliberately opt-in by shape: it only examines modules that
 define a module-level lock (no lock, no claim of thread-safety, no rule).

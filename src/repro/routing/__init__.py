@@ -10,9 +10,9 @@ event simulator (:mod:`repro.simulation`) routes messages with these tables.
   de Bruijn and Kautz digraphs (O(D) per route, no search), plus generic BFS
   routing and all-pairs next-hop tables for arbitrary digraphs.
 * :mod:`repro.routing.routers` — the pluggable :class:`Router` hierarchy the
-  simulators route through: dense table (small n), table-free closed-form
-  shift routing (de Bruijn/Kautz/``H(d^p', d^q', d)``), LRU of on-demand
-  per-source rows (arbitrary large digraphs) — all bit-identical on routes.
+  simulators route through: table-free closed-form shift routing (de
+  Bruijn/Kautz/``H(d^p', d^q', d)``) and destination-keyed table columns
+  (every other digraph) — bit-identical on routes.
 * :mod:`repro.routing.broadcast` — BFS broadcast arborescences and
   single-port / all-port broadcast schedules.
 * :mod:`repro.routing.gossip` — all-to-all (gossip) schedules and their round
@@ -33,7 +33,6 @@ from repro.routing.paths import (
     debruijn_distance,
     debruijn_route,
     kautz_route,
-    routing_table_for,
     shift_route_next_hop,
     shift_route_next_hops,
 )
@@ -41,7 +40,6 @@ from repro.routing.routers import (
     ROUTER_KINDS,
     ClosedFormRouter,
     DenseTableRouter,
-    LruRowRouter,
     Router,
     make_router,
 )
@@ -52,14 +50,12 @@ __all__ = [
     "kautz_route",
     "bfs_route",
     "build_routing_table",
-    "routing_table_for",
     "shift_route_next_hop",
     "shift_route_next_hops",
     "RoutingTable",
     "Router",
     "DenseTableRouter",
     "ClosedFormRouter",
-    "LruRowRouter",
     "make_router",
     "ROUTER_KINDS",
     "breadth_first_arborescence",

@@ -15,12 +15,9 @@ consecutive letters" constraint automatically satisfied by its words.
 For arbitrary digraphs (e.g. the raw ``H(p, q, d)`` of a candidate layout)
 :func:`build_routing_table` computes all-pairs next-hop tables on the
 bit-parallel frontier machinery of :mod:`repro.graphs.apsp` (the per-target
-reverse BFS survives as the tests' reference); the simulator uses the table
-directly.  When many workloads run on one topology,
-:func:`routing_table_for` memoises the table in a small
-bounded LRU (:func:`set_routing_table_cache_limit`) so the simulators and
-the sweep driver share a single computation without dense tables piling up
-across a long multi-topology sweep.
+reverse BFS survives as the tests' reference).  It is the int64 oracle of
+the simulator's table router, :class:`repro.routing.routers.DenseTableRouter`,
+which holds the same next hops as uint8 out-arc slots per destination.
 
 :func:`shift_route_next_hops` is the *vectorised* O(D) form of the word
 routing: given whole arrays of ``(current, target)`` pairs (words encoded as
@@ -34,10 +31,7 @@ rule (the router parity suite enforces this).
 
 from __future__ import annotations
 
-import itertools
-import os
-import threading
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,10 +50,6 @@ __all__ = [
     "bfs_route",
     "RoutingTable",
     "build_routing_table",
-    "routing_table_for",
-    "set_routing_table_cache_limit",
-    "routing_table_cache_info",
-    "clear_routing_table_cache",
 ]
 
 
@@ -299,124 +289,6 @@ def build_routing_table(graph: BaseDigraph) -> RoutingTable:
         closer = reachable & (distance[heads, :] == distance - 1)
         next_hop = np.where(closer, heads[:, None], next_hop)
     return RoutingTable(next_hop=next_hop, distance=distance)
-
-
-#: Bounded LRU of dense routing tables, keyed by graph token.
-#: Dense tables are the single largest allocations a multi-topology sweep
-#: makes (``O(n^2)`` each); pinning one to every graph instance for the
-#: graph's lifetime — the previous scheme — made long sweeps accumulate
-#: them without bound.  The default limit keeps the working set of the
-#: throughput drivers (a handful of live topologies) fully cached.
-_TABLE_CACHE: OrderedDict[str, RoutingTable] = OrderedDict()
-_TABLE_CACHE_LIMIT = 4
-_TABLE_CACHE_HITS = 0
-_TABLE_CACHE_MISSES = 0
-_table_tokens = itertools.count()
-#: Guards every mutation of the module-level LRU above.  The cache is shared
-#: by all threads of a process (the serve workers hit it from an executor),
-#: and ``OrderedDict`` eviction racing a concurrent insert can corrupt the
-#: dict or evict an entry mid-read.  Table *contents* are immutable once
-#: built, so only the dict bookkeeping needs the lock — builds run outside
-#: it (two threads missing on the same graph both build; the insert is
-#: idempotent).
-_TABLE_CACHE_LOCK = threading.RLock()
-
-
-def _fresh_token_id() -> str:
-    """A per-graph cache token unique to this process.
-
-    ``BaseDigraph.__getstate__`` strips tokens before pickling, but a
-    subclass overriding pickling could still carry one across a process
-    boundary — where a bare counter restarts at 0 and would alias another
-    graph's table.  Qualifying the token with the pid makes a foreign
-    token miss (a fresh one is then issued) instead of silently matching.
-    """
-    return f"{os.getpid()}-{next(_table_tokens)}"
-
-
-def set_routing_table_cache_limit(limit: int) -> None:
-    """Resize the shared routing-table LRU (``0`` disables caching)."""
-    global _TABLE_CACHE_LIMIT
-    if limit < 0:
-        raise ValueError("cache limit must be non-negative")
-    with _TABLE_CACHE_LOCK:
-        _TABLE_CACHE_LIMIT = int(limit)
-        while len(_TABLE_CACHE) > _TABLE_CACHE_LIMIT:
-            _TABLE_CACHE.popitem(last=False)
-
-
-def routing_table_cache_info() -> dict[str, int]:
-    """Counters and occupancy of the routing-table LRU (for tests/benches)."""
-    with _TABLE_CACHE_LOCK:
-        return {
-            "entries": len(_TABLE_CACHE),
-            "limit": _TABLE_CACHE_LIMIT,
-            "hits": _TABLE_CACHE_HITS,
-            "misses": _TABLE_CACHE_MISSES,
-        }
-
-
-def clear_routing_table_cache() -> None:
-    """Drop every cached table (and reset the hit/miss counters)."""
-    global _TABLE_CACHE_HITS, _TABLE_CACHE_MISSES
-    with _TABLE_CACHE_LOCK:
-        _TABLE_CACHE.clear()
-        _TABLE_CACHE_HITS = 0
-        _TABLE_CACHE_MISSES = 0
-
-
-def routing_table_for(graph: BaseDigraph) -> RoutingTable:
-    """Memoised :func:`build_routing_table` through a bounded, evictable LRU.
-
-    The all-pairs table is a pure function of the topology, and the workload
-    driver (:func:`repro.simulation.workloads.run_throughput_sweep`) builds
-    many simulators over one graph — recomputing the ``O(n^2)`` table per
-    workload would dwarf the simulation itself.  Tables live in a shared
-    LRU bounded by :func:`set_routing_table_cache_limit` (so a sweep over
-    many topologies recycles the memory of the ones it has moved past,
-    instead of pinning a dense table to every graph it ever touched), keyed
-    by a per-graph token stored on the instance.  Mutating a
-    :class:`~repro.graphs.digraph.Digraph` drops the token (its mutators
-    invalidate ``_routing_table_cache``), so the next request computes a
-    fresh table; a cheap ``(n, m)`` signature additionally guards against
-    mutation of exotic :class:`~repro.graphs.digraph.BaseDigraph` subclasses
-    that bypass those mutators — a subclass that changes its arc *multiset*
-    without changing ``n`` or ``m`` must call :func:`build_routing_table`
-    directly.
-    """
-    global _TABLE_CACHE_HITS, _TABLE_CACHE_MISSES
-    signature = (graph.num_vertices, graph.num_arcs)
-    token = getattr(graph, "_routing_table_cache", None)
-    if token is None or token[0] != signature:
-        token = (signature, _fresh_token_id())
-        try:
-            graph._routing_table_cache = token
-        except AttributeError:  # pragma: no cover - exotic graph classes w/ slots
-            with _TABLE_CACHE_LOCK:
-                _TABLE_CACHE_MISSES += 1
-            return build_routing_table(graph)
-    key = token[1]
-    with _TABLE_CACHE_LOCK:
-        cached = _TABLE_CACHE.get(key)
-        if cached is not None:
-            _TABLE_CACHE.move_to_end(key)
-            _TABLE_CACHE_HITS += 1
-            return cached
-        _TABLE_CACHE_MISSES += 1
-    # Build outside the lock: tables are immutable once built, so two
-    # threads missing on the same graph at worst build twice and the second
-    # insert wins — the lock only has to keep the dict bookkeeping sound.
-    table = build_routing_table(graph)
-    with _TABLE_CACHE_LOCK:
-        existing = _TABLE_CACHE.get(key)
-        if existing is not None:
-            _TABLE_CACHE.move_to_end(key)
-            return existing
-        if _TABLE_CACHE_LIMIT > 0:
-            _TABLE_CACHE[key] = table
-            while len(_TABLE_CACHE) > _TABLE_CACHE_LIMIT:
-                _TABLE_CACHE.popitem(last=False)
-    return table
 
 
 def _build_routing_table_python(graph: BaseDigraph) -> RoutingTable:

@@ -3,15 +3,11 @@
 The paper's central argument for de Bruijn/Kautz-based OTIS layouts is that
 routing is *search-free*: the next hop is computable in O(D) from the word
 labels alone, so no per-node state grows with ``n`` (Section 2, refs. [12,
-19, 30]).  Until this module, the simulator contradicted that premise — it
-materialised the dense ``(n, n)`` next-hop table of
-:func:`repro.routing.paths.build_routing_table` (~1 GB at ``n = 8192``,
-hopeless at ``n = 10^5``).  Three interchangeable :class:`Router`
-implementations now cover the whole size range, all **bit-identical on
-routes** (enforced by ``tests/test_routers.py``):
+19, 30]).  The ``H(p, q, d)`` that are not de Bruijn digraphs (Corollary
+4.5's test fails) have no closed form and need a table.  Two interchangeable
+:class:`Router` implementations cover both, **bit-identical on routes**
+(enforced by ``tests/test_routers.py``):
 
-* :class:`DenseTableRouter` — wraps the all-pairs table; O(1) lookups,
-  ``O(n^2)`` state.  The small-``n`` fast path.
 * :class:`ClosedFormRouter` — shift routing on word labels: the compiled
   ``shift_next_hops`` kernel of :mod:`repro.kernels` (inside the simulator's
   fused round loop), or :func:`repro.routing.paths.shift_route_next_hops`
@@ -22,22 +18,26 @@ routes** (enforced by ``tests/test_routers.py``):
   passes the Corollary 4.2 cyclicity test — the next hop is computed in de
   Bruijn word space and carried through the explicit isomorphism of
   Propositions 3.2/3.9/4.1.
-* :class:`LruRowRouter` — for arbitrary digraphs: per-source next-hop rows
-  computed on demand from ``d + 1`` subset-source distance sweeps
-  (:func:`repro.graphs.apsp.subset_distance_rows`) and kept in a bounded LRU
-  of rows.  ``O(max_rows * n)`` state, exact dense-table semantics.
+* :class:`DenseTableRouter` — any digraph: one column per destination ``t``
+  holding, per vertex, the uint8 out-arc slot of the next hop and the int32
+  hop count.  One reverse sweep
+  (:func:`repro.graphs.apsp.subset_distance_rows` over the successors)
+  fills 64 columns.  The whole table is filled at construction when it
+  fits :data:`TABLE_BUDGET_BYTES`; otherwise the columns a call needs are
+  filled on demand.
 
-Why the three agree bit-for-bit: the dense builder picks, for every pair,
-the *lowest out-arc slot whose head is one step closer* to the target.  On a
-de Bruijn-isomorphic digraph that neighbour is unique (appending a letter
+Why the two agree bit-for-bit: the dense builder
+:func:`repro.routing.paths.build_routing_table` picks, for every pair, the
+*lowest out-arc slot whose head is one step closer* to the target.  The
+table router applies literally that rule to the same BFS distances, and on
+a de Bruijn-isomorphic digraph that neighbour is unique (appending a letter
 grows the suffix/prefix overlap by at most one, and only the target's next
-letter achieves it), so the closed form has no choice to make; and the LRU
-rows apply literally the same lowest-slot rule to the same BFS distances.
+letter achieves it), so the closed form has no choice to make.
 
-:func:`make_router` picks a kind; ``"auto"`` keeps the dense table below
+:func:`make_router` picks a kind; ``"auto"`` keeps the table below
 :data:`AUTO_DENSE_MAX_N` vertices and switches to the closed form (falling
-back to LRU rows) above it, which is what lets ``repro sim`` run 100k
-messages on topologies whose dense table would not fit in memory.
+back to the table) above it, which is what lets ``repro sim`` run 100k
+messages on topologies whose full table would not fit in memory.
 """
 
 from __future__ import annotations
@@ -49,38 +49,32 @@ from typing import NamedTuple
 import numpy as np
 
 from repro import kernels as _kernels
-from repro.graphs.apsp import (
-    padded_predecessor_matrix,
-    padded_successor_matrix,
-    subset_distance_rows,
-)
+from repro.graphs.apsp import padded_successor_matrix, subset_distance_rows
 from repro.graphs.digraph import BaseDigraph
-from repro.routing.paths import (
-    RoutingTable,
-    routing_table_for,
-    shift_route_next_hop,
-    shift_route_next_hops,
-)
+from repro.routing.paths import shift_route_next_hop, shift_route_next_hops
 
 __all__ = [
     "Router",
     "ShiftSpec",
     "DenseTableRouter",
     "ClosedFormRouter",
-    "LruRowRouter",
     "ROUTER_KINDS",
     "AUTO_DENSE_MAX_N",
+    "TABLE_BUDGET_BYTES",
     "make_router",
     "resolve_router",
 ]
 
-#: ``make_router(..., "auto")`` keeps the dense table up to this many
-#: vertices (an ``(n, n)`` int64 table pair is ~64 MiB at the boundary) and
-#: goes table-free above it.
+#: ``make_router(..., "auto")`` keeps the table up to this many vertices
+#: and prefers the closed form above it.
 AUTO_DENSE_MAX_N = 2048
 
+#: Bytes of columns a :class:`DenseTableRouter` keeps (5 per vertex and
+#: column): the whole table up to n = 3,663, fewer columns above.
+TABLE_BUDGET_BYTES = 64 << 20
+
 #: Router kinds accepted by :func:`make_router` and the ``repro sim`` CLI.
-ROUTER_KINDS = ("auto", "dense", "closed-form", "lru")
+ROUTER_KINDS = ("auto", "dense", "closed-form")
 
 
 class ShiftSpec(NamedTuple):
@@ -111,17 +105,15 @@ class Router:
     itself on the diagonal, ``-1`` when unreachable).
 
     **Thread-safety contract.**  :meth:`next_hops` is the hot path, so the
-    base class takes no lock around it; the contract is instead:
+    base class takes no lock around it; the contract is instead that any
+    number of threads may call one router with no external lock (the serve
+    layer shares one router between executor threads):
 
-    * *Stateless* routers (:class:`DenseTableRouter`,
-      :class:`ClosedFormRouter`) never mutate after construction and are safe
-      for any number of concurrent reader threads with no synchronisation.
-    * *Stateful* routers must serialise their own cache mutation internally
-      (:class:`LruRowRouter` holds a private lock across each call), so
-      callers never need an external lock — but a stateful router's calls may
-      contend.  The simulators are single-writer by construction (one
-      simulator thread owns its router); the serve layer relies on this
-      contract to share one router between executor threads.
+    * :class:`ClosedFormRouter` never mutates after construction.
+    * :class:`DenseTableRouter` with its whole table filled never mutates
+      either.  Filling columns on demand takes a lock and never rewrites a
+      column a concurrent call may be reading: a full store is replaced, not
+      overwritten.
     """
 
     #: Kind string (matches the :data:`ROUTER_KINDS` entry that builds it).
@@ -152,7 +144,7 @@ class Router:
 
         None (the default) for every router whose answers only
         :meth:`next_hops` knows; the batched simulator then runs its numpy
-        path unless the router is a dense table.
+        path unless the router is a :class:`DenseTableRouter`.
         """
         return None
 
@@ -238,39 +230,160 @@ class Router:
         return np.where(hops < 0, -1.0, eta)
 
 
+#: The slot of a vertex with no next hop: the target itself, or unreachable.
+NO_SLOT = 255
+
+#: Serialises on-demand column fills (whole-table routers never take it).
+_FILL_LOCK = threading.Lock()
+
+
+def next_slots(successors: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The out-arc slot of every ``(column, vertex)`` of distance-to-target
+    ``rows`` (``rows[b, u] = dist(u, t_b)``, ``-1`` unreachable): the lowest
+    ``j`` whose head ``successors[u, j]`` is one step closer, else
+    :data:`NO_SLOT`.  The rule of
+    :func:`repro.routing.paths.build_routing_table`; this numpy derivation
+    is the oracle of the compiled ``slot_columns`` kernel and the path of
+    hosts without one.
+    """
+    slot = np.full(rows.shape, NO_SLOT, dtype=np.uint8)
+    reachable = rows > 0
+    # last slot first, so the lowest slot one step closer is written last
+    for j in range(successors.shape[1] - 1, -1, -1):
+        closer = reachable & (rows[:, successors[:, j]] == rows - 1)
+        slot[closer] = j
+    return slot
+
+
 class DenseTableRouter(Router):
-    """The all-pairs next-hop table as a :class:`Router` (small-``n`` path)."""
+    """Destination-keyed next-hop table for any digraph.
+
+    Column ``t`` holds, for every vertex ``u``, the out-arc slot of the next
+    hop (``next_hop = succ[u, slot]``, :data:`NO_SLOT` when ``t`` is
+    unreachable or ``u == t``) and the hop count ``dist(u, t)`` (int32,
+    ``-1`` unreachable) — 5 bytes per pair against the 16 of an int64
+    next-hop and distance pair.  One reverse sweep fills 64 columns.
+
+    The constructor fills every column when the table fits
+    :data:`TABLE_BUDGET_BYTES`.  Otherwise each call fills the columns of its
+    targets it lacks; a store that cannot take them is replaced by an empty
+    one first (sized to the call when its targets alone exceed the budget).
+    """
 
     kind = "dense"
 
-    def __init__(self, table: RoutingTable):
-        self.table = table
+    def __init__(self, graph: BaseDigraph):
+        successors = padded_successor_matrix(graph)
+        n = int(successors.shape[0])
+        if successors.shape[1] == 0:  # no arcs: a self slot, never closer
+            successors = np.arange(n, dtype=np.int64)[:, None]
+        if successors.shape[1] >= NO_SLOT:
+            raise ValueError(
+                f"the table router stores uint8 slots: out-degree "
+                f"{successors.shape[1]} is above {NO_SLOT - 1}"
+            )
+        #: The padded successor matrix the slots index (see
+        #: :func:`repro.graphs.apsp.padded_successor_matrix`).
+        self.successors = np.ascontiguousarray(successors, dtype=np.int64)
+        # the successors plus a -1 column for NO_SLOT, flat: one take per lookup
+        self._hop_of = np.hstack(
+            (self.successors, np.full((n, 1), -1, dtype=np.int64))
+        ).reshape(-1)
+        self._n = n
+        self._capacity = min(n, max(1, TABLE_BUDGET_BYTES // (5 * max(n, 1))))
+        self._store = self._empty_store(self._capacity)
+        self._used = 0
+        if self._capacity == n:
+            self._fill(np.arange(n, dtype=np.int64))
+
+    def _empty_store(self, capacity: int):
+        """``(col, slot, hops)``: the column of every target (``-1`` none)
+        and ``capacity`` slot and hop-count rows."""
+        return (
+            np.full(self._n, -1, dtype=np.int64),
+            np.empty((capacity, self._n), dtype=np.uint8),
+            np.empty((capacity, self._n), dtype=np.int32),
+        )
+
+    def _fill(self, targets: np.ndarray) -> None:
+        """Fill the columns of ``targets`` (distinct, absent, and fitting the
+        store's free rows), 64 per reverse sweep."""
+        col, slot, hops = self._store
+        kern = _kernels.get_kernels()
+        for lo in range(0, targets.shape[0], 64):
+            block = targets[lo : lo + 64]
+            rows = subset_distance_rows(self.successors, block, predecessors=self.successors)
+            at = slice(self._used, self._used + block.shape[0])
+            hops[at] = rows
+            if kern is None:
+                slot[at] = next_slots(self.successors, rows)
+            else:
+                kern.slot_columns(self.successors, rows, slot[at])
+            col[block] = np.arange(at.start, at.stop)
+            self._used = at.stop
+
+    def columns(self, targets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(col, slot, hops)`` with a column for every one of ``targets``.
+
+        ``slot[col[t], u]`` and ``hops[col[t], u]`` are the entries of the
+        pair ``(u, t)``.  The arrays are never written again where they
+        cover ``targets``, so a caller may read them after the call (the
+        simulator's compiled loops do).
+        """
+        store = self._store
+        if store[1].shape[0] == self._n:  # the whole table, never replaced
+            return store
+        targets = np.unique(np.asarray(targets, dtype=np.int64))
+        with _FILL_LOCK:
+            missing = targets[self._store[0][targets] < 0]
+            if missing.size:
+                if self._used + missing.size > self._store[1].shape[0]:
+                    self._store = self._empty_store(max(self._capacity, targets.size))
+                    self._used = 0
+                    missing = targets
+                self._fill(missing)
+            return self._store
+
+    def _entries(self, sources, targets, field: int):
+        """The slot (``field`` 1) or hop-count (2) entry of every pair."""
+        sources = np.asarray(sources, dtype=np.int64)
+        targets = np.asarray(targets, dtype=np.int64)
+        store = self.columns(targets)
+        # a store of n columns is only ever filled whole, column t for target t
+        rows = targets if store[1].shape[0] == self._n else store[0][targets]
+        return sources, targets, store[field][rows, sources]
 
     def next_hop(self, source: int, target: int) -> int:
-        return int(self.table.next_hop[source, target])
+        if source == target:
+            return source
+        col, slot, _ = self.columns([target])
+        s = int(slot[col[target], source])
+        return -1 if s == NO_SLOT else int(self.successors[source, s])
 
     def next_hops(self, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        return self.table.next_hop[sources, targets]
-
-    def num_vertices(self) -> int:
-        return self.table.num_vertices
+        sources, targets, slot = self._entries(sources, targets, 1)
+        d = self.successors.shape[1]
+        hop = self._hop_of.take(sources * (d + 1) + np.minimum(slot, d))
+        return np.where(sources == targets, sources, hop)
 
     def path_lengths(
         self, sources: np.ndarray, targets: np.ndarray
     ) -> np.ndarray:
         # O(1) per pair: the BFS distance *is* the walk length (every next
         # hop is one step closer), so this matches the generic walk exactly.
-        sources = np.asarray(sources, dtype=np.int64)
-        targets = np.asarray(targets, dtype=np.int64)
-        return self.table.distance[sources, targets]
+        return self._entries(sources, targets, 2)[2].astype(np.int64)
+
+    def num_vertices(self) -> int:
+        return self._n
 
     def state_bytes(self) -> int:
-        return int(self.table.next_hop.nbytes + self.table.distance.nbytes)
+        return int(5 * self._used * self._n + self._store[0].nbytes + self.successors.nbytes)
 
-    @classmethod
-    def for_graph(cls, graph: BaseDigraph) -> "DenseTableRouter":
-        """Build (or fetch from the shared LRU) the graph's dense table."""
-        return cls(routing_table_for(graph))
+    def describe(self) -> str:
+        return (
+            f"table router [{self._used}/{self._n} columns] "
+            f"({self.state_bytes()} bytes of state)"
+        )
 
 
 # --------------------------------------------------------------------------
@@ -486,7 +599,7 @@ class ClosedFormRouter(Router):
         ValueError
             When the split is not a power split or fails the cyclicity test
             (then ``H`` is not a de Bruijn digraph and has no closed form —
-            use :class:`LruRowRouter`).
+            use :class:`DenseTableRouter`).
         """
         from repro.core.checks import otis_alphabet_spec
         from repro.core.isomorphisms import (
@@ -647,230 +760,27 @@ def _verify_arcs(router: ClosedFormRouter, graph: BaseDigraph) -> None:
 
 
 # --------------------------------------------------------------------------
-# LRU of per-source next-hop rows
-# --------------------------------------------------------------------------
-class LruRowRouter(Router):
-    """On-demand per-source next-hop rows under a bounded LRU.
-
-    For digraphs with no word structure the dense-table semantics are kept
-    but the table is never materialised: when a source first routes, its
-    whole next-hop row is computed from ``d + 1`` subset-source distance
-    sweeps (:func:`repro.graphs.apsp.subset_distance_rows` over the source
-    and its out-neighbours — ``dist(s, ·)`` and ``dist(w_j, ·)`` are all a
-    row needs) and cached.  State is ``O(max_rows * n)``, bounded by
-    ``max_bytes`` by default; eviction is least-recently-routed, with rows
-    referenced by the in-flight batch pinned (a batch touching more sources
-    than ``max_rows`` computes the overflow rows without caching them).
-
-    Row entries are bit-identical to the dense table: the same BFS distances
-    and the same "lowest out-arc slot one step closer" tie-break.
-    """
-
-    kind = "lru"
-
-    def __init__(
-        self,
-        graph: BaseDigraph,
-        *,
-        max_rows: int | None = None,
-        max_bytes: int = 64 << 20,
-    ):
-        self.graph = graph
-        n = graph.num_vertices
-        self._n = n
-        self._successors = padded_successor_matrix(graph)
-        self._predecessors = padded_predecessor_matrix(graph)
-        if max_rows is None:
-            max_rows = max(1, min(max(n, 1), max_bytes // max(8 * n, 1)))
-        if max_rows < 1:
-            raise ValueError("max_rows must be positive")
-        self.max_rows = int(max_rows)
-        self._rows = np.empty((self.max_rows, n), dtype=np.int64)
-        self._slot_of = np.full(n, -1, dtype=np.int64) if n else np.zeros(0, np.int64)
-        self._source_of = np.full(self.max_rows, -1, dtype=np.int64)
-        self._last_used = np.zeros(self.max_rows, dtype=np.int64)
-        self._used = 0
-        self._tick = 0
-        self.hits = 0
-        self.misses = 0
-        # Serialises cache mutation (insert/evict/tick) against concurrent
-        # row reads: two threads racing next_hops could otherwise evict a
-        # slot between another batch's slot lookup and its row read,
-        # returning a different source's row.  Reentrant so next_hop can be
-        # called from code already holding the lock.
-        self._lock = threading.RLock()
-
-    # -------------------------------------------------------------- pickle
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        del state["_lock"]  # locks do not pickle; workers get a fresh one
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._lock = threading.RLock()
-
-    # ----------------------------------------------------------- row maths
-    def _compute_row(self, source: int) -> np.ndarray:
-        """The dense table's row for ``source``, without the table."""
-        heads = self._successors[source]
-        sweep_sources = np.concatenate(([source], heads))
-        dist = subset_distance_rows(
-            self.graph, sweep_sources, predecessors=self._predecessors
-        )
-        from_source = dist[0]
-        row = np.full(self._n, -1, dtype=np.int64)
-        row[source] = source
-        reachable = from_source > 0
-        # Lowest arc slot wins ties — walk slots last-to-first, matching the
-        # dense builder.  Padding heads repeat the source itself and can
-        # never be one step closer.
-        for j in range(heads.shape[0] - 1, -1, -1):
-            closer = reachable & (dist[1 + j] == from_source - 1)
-            row = np.where(closer, heads[j], row)
-        return row
-
-    def _evict_slot(self, pinned: np.ndarray | None) -> int | None:
-        """Least-recently-used unpinned slot, or None when all are pinned."""
-        age = self._last_used.copy()
-        if pinned is not None:
-            age[pinned] = np.iinfo(np.int64).max
-        slot = int(np.argmin(age))
-        if pinned is not None and pinned[slot]:
-            return None
-        return slot
-
-    def _insert(self, source: int, pinned: np.ndarray | None = None) -> int | None:
-        """Compute and cache the row of ``source``; returns its slot."""
-        if self._used < self.max_rows:
-            slot = self._used
-            self._used += 1
-        else:
-            slot = self._evict_slot(pinned)
-            if slot is None:
-                return None
-            old = int(self._source_of[slot])
-            if old >= 0:
-                self._slot_of[old] = -1
-        self._rows[slot] = self._compute_row(source)
-        self._source_of[slot] = source
-        self._slot_of[source] = slot
-        self._tick += 1
-        self._last_used[slot] = self._tick
-        return slot
-
-    # ------------------------------------------------------------- routing
-    def next_hop(self, source: int, target: int) -> int:
-        with self._lock:
-            slot = int(self._slot_of[source])
-            if slot < 0:
-                self.misses += 1
-                slot = self._insert(source)
-            else:
-                self.hits += 1
-                self._tick += 1
-                self._last_used[slot] = self._tick
-            return int(self._rows[slot, target])
-
-    def next_hops(self, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        sources = np.asarray(sources, dtype=np.int64)
-        targets = np.asarray(targets, dtype=np.int64)
-        if sources.size == 0:
-            return np.zeros(0, dtype=np.int64)
-        with self._lock:
-            return self._next_hops_locked(sources, targets)
-
-    def _next_hops_locked(
-        self, sources: np.ndarray, targets: np.ndarray
-    ) -> np.ndarray:
-        slots = self._slot_of[sources]
-        missing = np.unique(sources[slots < 0])
-        self.hits += int(np.unique(sources[slots >= 0]).size)
-        self.misses += int(missing.size)
-        overflow: dict[int, np.ndarray] = {}
-        if missing.size:
-            # Pin every slot the in-flight batch references so a miss storm
-            # cannot evict a row before it is read.
-            pinned = np.zeros(self.max_rows, dtype=bool)
-            present = self._slot_of[sources]
-            pinned[present[present >= 0]] = True
-            for source in missing.tolist():
-                slot = self._insert(source, pinned)
-                if slot is None:  # batch touches more sources than max_rows
-                    overflow[source] = self._compute_row(source)
-                else:
-                    pinned[slot] = True
-            slots = self._slot_of[sources]
-        touched = np.unique(slots[slots >= 0])
-        if touched.size:
-            self._tick += 1
-            self._last_used[touched] = self._tick
-        out = np.empty(sources.shape, dtype=np.int64)
-        cached = slots >= 0
-        out[cached] = self._rows[slots[cached], targets[cached]]
-        if overflow:
-            rest = np.flatnonzero(~cached)
-            for i in rest.tolist():
-                out[i] = overflow[int(sources[i])][targets[i]]
-        return out
-
-    # ---------------------------------------------------------------- misc
-    def num_vertices(self) -> int:
-        return self._n
-
-    def cached_rows(self) -> int:
-        """Number of rows currently cached."""
-        with self._lock:
-            return self._used
-
-    def state_bytes(self) -> int:
-        return int(
-            self._used * self._n * 8
-            + self._slot_of.nbytes
-            + self._source_of.nbytes
-            + self._last_used.nbytes
-            + self._successors.nbytes
-            + self._predecessors.nbytes
-        )
-
-    def describe(self) -> str:
-        return (
-            f"LRU row router [{self.cached_rows()}/{self.max_rows} rows] "
-            f"({self.state_bytes()} bytes of state)"
-        )
-
-
-# --------------------------------------------------------------------------
 # Selection
 # --------------------------------------------------------------------------
-def make_router(
-    graph: BaseDigraph,
-    kind: str = "auto",
-    *,
-    max_rows: int | None = None,
-) -> Router:
+def make_router(graph: BaseDigraph, kind: str = "auto") -> Router:
     """Build a router of the requested ``kind`` for ``graph``.
 
-    ``"auto"`` keeps the dense table while it is cheap (``n`` up to
+    ``"auto"`` keeps the table while it is cheap (``n`` up to
     :data:`AUTO_DENSE_MAX_N`), then prefers the closed form and falls back
-    to LRU rows — so small topologies keep their O(1) lookups and large ones
-    never allocate ``O(n^2)``.
+    to the table, whose columns then fill on demand past
+    :data:`TABLE_BUDGET_BYTES` — so small topologies keep their O(1)
+    lookups and large ones never allocate ``O(n^2)``.
     """
     if kind not in ROUTER_KINDS:
         raise ValueError(f"unknown router kind {kind!r} (expected one of {ROUTER_KINDS})")
-    if kind == "dense":
-        return DenseTableRouter.for_graph(graph)
     if kind == "closed-form":
         return ClosedFormRouter.for_graph(graph)
-    if kind == "lru":
-        return LruRowRouter(graph, max_rows=max_rows)
-    # auto
-    if graph.num_vertices <= AUTO_DENSE_MAX_N:
-        return DenseTableRouter.for_graph(graph)
-    try:
-        return ClosedFormRouter.for_graph(graph)
-    except ValueError:
-        return LruRowRouter(graph, max_rows=max_rows)
+    if kind == "auto" and graph.num_vertices > AUTO_DENSE_MAX_N:
+        try:
+            return ClosedFormRouter.for_graph(graph)
+        except ValueError:
+            pass
+    return DenseTableRouter(graph)
 
 
 def resolve_router(

@@ -169,9 +169,9 @@ def answer_query(
 
     This is the single compute kernel the server's micro-batcher executes
     (in a worker thread); everything in it is a router call plus array
-    serialisation.
+    serialisation.  The server has already refused out-of-range endpoints
+    (:func:`check_range`) when it admitted the query.
     """
-    check_range(query, router.num_vertices())
     reply: dict = {
         "ok": True,
         "op": query.op,

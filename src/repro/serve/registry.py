@@ -82,8 +82,8 @@ class RouterEntry:
     version: int  #: bumps on every rebuild of this name (hot reload marker)
 
     def snapshot(self) -> dict:
-        """JSON-able description for ``/stats`` (includes cache hit rates)."""
-        info: dict = {
+        """JSON-able description for ``/stats``."""
+        return {
             "spec": self.spec,
             "requested_router": self.router_kind,
             "router": self.router.kind,
@@ -92,14 +92,6 @@ class RouterEntry:
             "state_bytes": self.router.state_bytes(),
             "version": self.version,
         }
-        hits = getattr(self.router, "hits", None)
-        misses = getattr(self.router, "misses", None)
-        if hits is not None and misses is not None:
-            total = hits + misses
-            info["cache_hits"] = int(hits)
-            info["cache_misses"] = int(misses)
-            info["cache_hit_rate"] = round(hits / total, 6) if total else None
-        return info
 
 
 class RouterRegistry:

@@ -12,10 +12,9 @@ networks cited by the paper (ShuffleNet, GEMNET, stack-Kautz, refs. [13, 22,
   (store-and-forward, no cut-through);
 * routing is deterministic shortest-path through a pluggable
   :class:`repro.routing.routers.Router`: the dense all-pairs table for small
-  topologies, table-free O(D) shift routing on word labels for the de
-  Bruijn/Kautz/``H(d^p', d^q', d)`` families, or an LRU of on-demand
-  per-source rows for arbitrary large digraphs — all bit-identical on
-  routes, so the engine parity contract is router-independent;
+  Bruijn/Kautz/``H(d^p', d^q', d)`` families, or destination-keyed table
+  columns for every other digraph — bit-identical on routes, so the engine
+  parity contract is router-independent;
 * link contention is resolved FIFO.
 
 The per-hop latency/transmission constants default to the OTIS hardware
@@ -35,8 +34,8 @@ Two engines implement the model:
   link/message index; each step pops *all* events sharing the minimum
   timestamp (:class:`repro.simulation.events.BatchEventQueue`) and resolves
   link acquisitions, queue pushes and arrivals as whole-array operations.
-  On a compiled backend, a run without ``trace`` whose router is a dense
-  table or has a ``shift_spec()`` is instead one call of the ``run_rounds``
+  On a compiled backend, a run without ``trace`` whose router is a table
+  router or has a ``shift_spec()`` is instead one call of the ``run_rounds``
   kernel (this numpy path is its oracle); :attr:`BatchedNetworkSimulator.
   kernel_backend` names the path that runs.
 
@@ -70,7 +69,7 @@ model.  A scenario that actually degrades the network
 one scalar loop, :func:`_scenario_loop`, the oracle of the degraded-mode
 semantics.  The batched engine runs the whole pass in the compiled
 ``run_scenario`` kernel, with the same scalar float ops, when the backend
-is compiled, the router is a dense table or has a ``shift_spec()``, and no
+is compiled, the router is a table router or has a ``shift_spec()``, and no
 ``trace`` is requested; otherwise it runs the scalar loop once per
 workload over its own link groups.  The bit-identical parity contract
 thus extends to every layer combination — failures, finite buffers,
@@ -90,7 +89,13 @@ import numpy as np
 
 from repro import kernels as _kernels
 from repro.graphs.digraph import BaseDigraph
-from repro.routing.routers import DenseTableRouter, Router, ShiftSpec, resolve_router
+from repro.routing.routers import (
+    AUTO_DENSE_MAX_N,
+    DenseTableRouter,
+    Router,
+    ShiftSpec,
+    resolve_router,
+)
 from repro.simulation.events import BatchEventQueue, Simulator
 
 __all__ = [
@@ -372,9 +377,10 @@ class _ScenarioState:
     distinct out-neighbours of ``u`` in ascending order.  Only the up/down
     flags are built per run.
 
-    The ``"arc-disjoint"`` policy is greedy deflection over the healthy
-    distance table (:func:`repro.routing.paths.routing_table_for`): when the
-    shortest-path next hop is severed, pick the live out-neighbour
+    The ``"arc-disjoint"`` policy is greedy deflection over the healthy hop
+    counts of ``table``, a :class:`~repro.routing.routers.DenseTableRouter`
+    of the topology: when the shortest-path next hop is severed, pick the
+    live out-neighbour
     minimising ``(healthy distance to destination, neighbour id)``.  On the
     paper's topologies this walks one of the ``d`` arc-disjoint paths the
     de Bruijn/Kautz structure guarantees, which is exactly the graceful
@@ -382,7 +388,13 @@ class _ScenarioState:
     """
 
     def __init__(
-        self, graph: BaseDigraph, scenario, router: Router, links_between, neighbors
+        self,
+        graph: BaseDigraph,
+        scenario,
+        router: Router,
+        table: DenseTableRouter | None,
+        links_between,
+        neighbors,
     ):
         self.scenario = scenario
         self.router = router
@@ -400,18 +412,9 @@ class _ScenarioState:
                     f"fault event targets {event.kind.split('_')[0]} "
                     f"{event.target}, out of range for this topology"
                 )
-        #: The healthy distance table under ``"arc-disjoint"``, else None.
-        self.distance = None
-        if scenario.reroute == "arc-disjoint":
-            from repro.routing.paths import routing_table_for
-            from repro.routing.routers import AUTO_DENSE_MAX_N
-
-            if n > AUTO_DENSE_MAX_N:
-                raise ValueError(
-                    "arc-disjoint reroute needs the dense-table regime "
-                    f"(n <= {AUTO_DENSE_MAX_N}, got n={n})"
-                )
-            self.distance = routing_table_for(graph).distance
+        #: The table router of the healthy hop counts under
+        #: ``"arc-disjoint"``, else None.
+        self.table = table
 
     def apply_fault(self, index: int) -> None:
         event = self.fault_events[index]
@@ -449,19 +452,40 @@ class _ScenarioState:
             raise _not_an_arc(node, primary)
         if self.usable(node, primary):
             return primary, False
-        if self.distance is None:  # reroute == "none"
+        if self.table is None:  # reroute == "none"
             return -2, False
+        col, _, hops = self.table.columns([destination])
+        to_destination = hops[col[destination]]
         best = -2
         best_distance = -1
         for neighbor in self.neighbors(node):
             if neighbor == primary or not self.usable(node, neighbor):
                 continue
-            distance = int(self.distance[neighbor, destination])
+            distance = int(to_destination[neighbor])
             if distance < 0:
                 continue
             if best == -2 or distance < best_distance:
                 best, best_distance = neighbor, distance
         return best, best != -2
+
+
+def _reroute_table(
+    graph: BaseDigraph, scenario, router: Router
+) -> DenseTableRouter | None:
+    """The table router whose hop counts a degrading ``scenario``'s
+    ``"arc-disjoint"`` reroute reads: the run's own router when it is one,
+    else one built for ``graph``.  None for every other scenario."""
+    if scenario is None or scenario.reroute != "arc-disjoint":
+        return None
+    n = graph.num_vertices
+    if n > AUTO_DENSE_MAX_N:
+        raise ValueError(
+            "arc-disjoint reroute needs the dense-table regime "
+            f"(n <= {AUTO_DENSE_MAX_N}, got n={n})"
+        )
+    if isinstance(router, DenseTableRouter):
+        return router
+    return DenseTableRouter(graph)
 
 
 def _new_messages(src, dst, created) -> list[Message]:
@@ -627,11 +651,11 @@ class NetworkSimulator:
         Timing parameters applied to every link.
     router:
         A :class:`repro.routing.routers.Router` instance or kind string
-        (``"auto"``, ``"dense"``, ``"closed-form"``, ``"lru"``).  The
-        default ``"auto"`` keeps the dense table for small topologies and
-        goes table-free above :data:`repro.routing.routers.AUTO_DENSE_MAX_N`
-        vertices.  ``DenseTableRouter(table)`` reuses a precomputed dense
-        table.
+        (``"auto"``, ``"dense"``, ``"closed-form"``).  The default
+        ``"auto"`` keeps the table router for small topologies and goes
+        table-free above :data:`repro.routing.routers.AUTO_DENSE_MAX_N`
+        vertices.  Pass one router instance to several simulators to build
+        its table once.
     scenario:
         Optional :class:`repro.simulation.scenarios.Scenario`.  Mutually
         exclusive with ``link`` (the scenario carries its own link model);
@@ -657,6 +681,7 @@ class NetworkSimulator:
         self.scenario = scenario
         self.link = scenario.link if scenario is not None else (link or LinkModel())
         self.router = resolve_router(graph, router=router)
+        self._reroute = _reroute_table(graph, scenario, self.router)
         # Every arc is its own physical link: parallel arcs (common in OTIS
         # digraphs such as H(1, 4, 2)) are distinct optical channels, so two
         # simultaneous messages between the same endpoints must not contend.
@@ -686,6 +711,7 @@ class NetworkSimulator:
                 graph,
                 self.scenario,
                 self.router,
+                self._reroute,
                 lambda u, v: self._links_between.get((u, v)),
                 lambda u: sorted(set(graph.out_neighbors(u))),
             )
@@ -905,7 +931,9 @@ _FAULT_CODES = {"link_down": 0, "link_up": 1, "node_down": 2, "node_up": 3}
 
 #: "No table": the kernels route by shift spec / never reroute.
 _NO_TABLE = np.zeros(0, dtype=np.int64)
-#: The (unused) shift spec passed alongside a dense next-hop table.
+_NO_HOPS = np.zeros((0, 0), dtype=np.int32)
+_NO_COLUMNS = (np.zeros((0, 0), dtype=np.int64), np.zeros((0, 0), dtype=np.uint8), _NO_TABLE)
+#: The (unused) shift spec passed alongside table columns.
 _UNUSED_SHIFT = ShiftSpec(2, 1, _NO_TABLE, _NO_TABLE, False)
 
 
@@ -1008,10 +1036,11 @@ class BatchedNetworkSimulator:
     the ``REPRO_KERNELS`` environment override, ``"numpy"`` pins the
     original vectorised path.  All backends are bit-identical.  On a
     compiled backend, a run without ``trace`` whose router the kernels can
-    consult (a ``shift_spec()``, or a dense table covering the topology) is
-    one kernel call; every other run takes the numpy path.
+    consult (a ``shift_spec()``, or a :class:`~repro.routing.routers.
+    DenseTableRouter`, whose columns for the run's destinations the kernel
+    reads) is one kernel call; every other run takes the numpy path.
     :attr:`kernel_backend` names the backend that runs: ``"numpy"`` for a
-    router the kernels cannot consult (LRU rows, wrappers).
+    router the kernels cannot consult (a wrapper).
     """
 
     def __init__(
@@ -1032,11 +1061,14 @@ class BatchedNetworkSimulator:
         self.scenario = scenario
         self.link = scenario.link if scenario is not None else (link or LinkModel())
         self.router = resolve_router(graph, router=router)
+        self._reroute = _reroute_table(graph, scenario, self.router)
         self._groups = _LinkGroups(graph)
         resolved = _kernels.resolve_backend(kernels)
-        if self._kernel_route() is None:
-            # A router the kernels cannot consult (LRU rows, wrappers) runs
-            # the numpy path on every backend: report what actually runs.
+        if self.router.shift_spec() is None and not isinstance(
+            self.router, DenseTableRouter
+        ):
+            # A router only python calls can ask (a wrapper) runs the numpy
+            # path on every backend: report what actually runs.
             resolved = "numpy"
         self.kernel_backend = resolved
         self._kernels = _kernels.get_kernels(resolved)
@@ -1380,32 +1412,20 @@ class BatchedNetworkSimulator:
         )
 
     # -------------------------------------------------------- kernel rounds
-    def _kernel_route(self) -> tuple[np.ndarray, ShiftSpec] | None:
-        """``(table, shift spec)`` the compiled event loops route with.
-
-        A closed-form router's :meth:`~repro.routing.routers.Router.
-        shift_spec` (with an empty table), or the flat next-hop table of a
-        :class:`~repro.routing.routers.DenseTableRouter` covering this
-        topology (with an unused spec).  None for every other router (LRU
-        rows, wrappers): only python calls can ask those.
-        """
-        spec = self.router.shift_spec()
-        if spec is not None:
-            return _NO_TABLE, spec
-        n = self.graph.num_vertices
-        router = self.router
-        if isinstance(router, DenseTableRouter) and router.table.next_hop.shape == (n, n):
-            table = np.ascontiguousarray(router.table.next_hop, dtype=np.int64)
-            return table.reshape(-1), _UNUSED_SHIFT
-        return None
-
     def _run_kernel(self, kernel, events, state, until, max_events, *scenario):
         """One call of the compiled event loop ``kernel`` (``run_rounds``
         or ``run_scenario``) over ``events = (slots, times)`` and the
-        pooled per-message / per-replica arrays ``state``, mutated in
-        place.  A hop that is not an arc raises ``ValueError``.
+        pooled per-message / per-replica arrays ``state`` (its second
+        array holds every destination), mutated in place.  It routes by
+        the router's shift spec, or by the table router's columns for
+        those destinations.  A hop that is not an arc raises
+        ``ValueError``.
         """
-        table, spec = self._kernel_route()
+        spec = self.router.shift_spec()
+        table = _NO_COLUMNS
+        if spec is None:
+            col, slot, _ = self.router.columns(state[1])
+            table, spec = (self.router.successors, slot, col), _UNUSED_SHIFT
         groups = self._groups
         status, meta = kernel(
             events,
@@ -1434,7 +1454,7 @@ class BatchedNetworkSimulator:
         """Pooled scenario runs: one event at a time, in sequence order.
 
         On a compiled backend, with a router the kernel can consult
-        (:meth:`_kernel_route`) and no ``trace``, the whole pass is one
+        (see :attr:`kernel_backend`) and no ``trace``, the whole pass is one
         ``run_scenario`` kernel call.  It keeps the replicated link arrays
         of :meth:`run_many`, but resolves each event with the literal
         algorithm of :func:`_scenario_loop` — identical float ops — because
@@ -1469,7 +1489,8 @@ class BatchedNetworkSimulator:
         R = len(traffics)
         ttl = scenario.effective_max_hops(n)
         state = _ScenarioState(
-            self.graph, scenario, self.router, groups.links, groups.neighbors
+            self.graph, scenario, self.router, self._reroute, groups.links,
+            groups.neighbors,
         )
 
         src, dst, created, counts, offsets = _pool_traffics(traffics, n)
@@ -1502,9 +1523,9 @@ class BatchedNetworkSimulator:
         )
 
         if self._kernels is not None and trace is None:
-            distance = _NO_TABLE
-            if state.distance is not None:
-                distance = np.ascontiguousarray(state.distance, dtype=np.int64)
+            distance, dist_col = _NO_HOPS, _NO_TABLE
+            if state.table is not None:
+                dist_col, _, distance = state.table.columns(dst)
             self._run_kernel(
                 self._kernels.run_scenario,
                 # faults first: lower sequence at equal timestamps
@@ -1525,7 +1546,8 @@ class BatchedNetworkSimulator:
                     np.array([e.target for e in state.fault_events], dtype=np.int64),
                     state.link_down.view(np.uint8),
                     state.node_down.view(np.uint8),
-                    distance.reshape(-1),
+                    distance,
+                    dist_col,
                     -1 if ttl is None else ttl,
                     -1 if capacity is None else capacity,
                     int(retry),

@@ -23,7 +23,7 @@ pluggable layers, each an explicit, picklable, deterministic value:
   transmissions complete, new acquisitions see the flipped state).
 * **ReroutePolicy** — ``"none"`` (a severed primary hop drops the message,
   reason ``"fault"``) or ``"arc-disjoint"`` (greedy deflection over the
-  healthy distance table of :func:`repro.routing.paths.routing_table_for`,
+  healthy hop counts of a :class:`repro.routing.routers.DenseTableRouter`,
   walking one of the alternate arc-disjoint paths the topologies
   guarantee).
 

@@ -524,16 +524,17 @@ def run_throughput_sweep(
     seeds=range(3),
     num_messages: int = 1000,
     link: LinkModel | None = None,
-    router: str | None = None,
+    router=None,
     hotspot: int = 0,
     hotspot_fraction: float = 0.5,
     until: float | None = None,
 ) -> ThroughputSweep:
     """Run every ``(workload, rate, seed)`` combination on one topology.
 
-    One router is built and shared across combinations (``router=None``
-    defaults to the ``"auto"`` policy: the memoised dense table for small
-    topologies, table-free routing above
+    One router is built and shared across combinations (``router`` is a
+    :class:`~repro.routing.routers.Router` or a kind; ``None`` defaults to
+    the ``"auto"`` policy: the table router for small topologies,
+    table-free routing above
     :data:`repro.routing.routers.AUTO_DENSE_MAX_N` vertices).  All
     combinations are stacked into a single
     :meth:`~repro.simulation.network.BatchedNetworkSimulator.run_many` pass

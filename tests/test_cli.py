@@ -370,7 +370,7 @@ class TestSimCommandJson:
 
 
 class TestSimRouterFlag:
-    @pytest.mark.parametrize("router", ["dense", "closed-form", "lru"])
+    @pytest.mark.parametrize("router", ["auto", "dense", "closed-form"])
     def test_router_choices_agree(self, capsys, tmp_path, router):
         argv = ["sim", "-p", "4", "-q", "8", "--messages", "30", "--seeds", "1"]
         assert sim_curves(tmp_path, argv + ["--router", router]) == reference_curves(
@@ -378,8 +378,9 @@ class TestSimRouterFlag:
         )
 
     def test_rejects_unknown_router(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["sim", "-p", "4", "-q", "8", "--router", "magic"])
+        for router in ("magic", "lru"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["sim", "-p", "4", "-q", "8", "--router", router])
 
 
 class TestSimShardedCommand:

@@ -10,10 +10,9 @@ The contracts pinned down here are the ones the fleet's safety rests on:
   reordered, the merged result is byte-identical to the serial
   ``degree_diameter_search`` / in-process ``run_many`` output;
 * **worker-process routing parity** — the pickled-graph path that worker
-  processes rely on (process-qualified routing-table cache tokens stripped
-  on pickle, ``LruRowRouter`` rows recomputed in the worker) routes
-  bit-identically to the parent process, and fleet worker processes sharing
-  one store merge byte-identically.
+  processes rely on (table routers rebuilt in the worker, or pickled with
+  the columns they hold) routes bit-identically to the parent process, and
+  fleet worker processes sharing one store merge byte-identically.
 """
 
 import json
@@ -42,10 +41,12 @@ from repro.fleet.leases import Heartbeat
 from repro.otis.h_digraph import h_digraph
 from repro.otis.search import degree_diameter_search
 from repro.otis.sweep import ChunkManifest, ChunkStore, StoreIdentityError
-from repro.routing.routers import DenseTableRouter, LruRowRouter, make_router
+from repro.routing import routers
+from repro.routing.routers import DenseTableRouter, make_router
 from repro.simulation.network import BatchedNetworkSimulator, LinkModel
 from repro.simulation.sharding import ReplicaChunkManifest, run_many_sharded
 from repro.simulation.workloads import make_workload
+from test_scenarios import WrappingRouter
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -665,40 +666,51 @@ class TestFleetCli:
 # ---------------------------------------------------------------------------
 # Router parity inside worker processes (the fleet/sharded run_many path)
 # ---------------------------------------------------------------------------
+def on_demand(graph, columns):
+    """A table router whose budget holds ``columns`` columns of ``graph``
+    (the budget is restored after construction)."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(
+            routers, "TABLE_BUDGET_BYTES", 5 * graph.num_vertices * columns
+        )
+        return DenseTableRouter(graph)
+
+
 def _routes_in_worker(graph, kind, sources, targets):
-    """Build a router of ``kind`` from a pickled graph; return its hops."""
-    router = make_router(graph, kind)
+    """Build a router of ``kind`` from a pickled graph; return its hops.
+    ``"lru"`` is the table router with a store of three columns."""
+    router = on_demand(graph, 3) if kind == "lru" else make_router(graph, kind)
     return router.next_hops(np.asarray(sources), np.asarray(targets)).tolist()
 
 
 class TestRouterWorkerParity:
     def test_lru_eviction_stays_bit_identical_to_dense(self):
+        # the table router's on-demand store, emptied again and again
         graph = h_digraph(8, 16, 2)
         n = graph.num_vertices
-        dense = DenseTableRouter.for_graph(graph)
-        lru = LruRowRouter(graph, max_rows=3)
+        dense = DenseTableRouter(graph)
+        lru = on_demand(graph, 3)
+        empty = lru.state_bytes()
         rng = np.random.default_rng(7)
-        for _ in range(25):  # far more distinct sources than max_rows
+        for _ in range(25):  # far more distinct targets than columns
             sources = rng.integers(n, size=40)
-            targets = rng.integers(n, size=40)
+            targets = rng.choice(n, 2)[rng.integers(2, size=40)]
             assert np.array_equal(
                 lru.next_hops(sources, targets), dense.next_hops(sources, targets)
             )
-        assert lru.cached_rows() <= 3
-        assert lru.misses > 3  # evictions actually happened and were refilled
+        assert lru.state_bytes() - empty <= 3 * 5 * n
 
     def test_lru_router_pickle_round_trip_parity(self):
         graph = h_digraph(8, 16, 2)
         n = graph.num_vertices
         rng = np.random.default_rng(11)
         warm_sources = rng.integers(n, size=30)
-        warm_targets = rng.integers(n, size=30)
-        original = LruRowRouter(graph, max_rows=4)
-        original.next_hops(warm_sources, warm_targets)  # warm + evict
+        warm_targets = rng.choice(n, 3)[rng.integers(3, size=30)]
+        original = on_demand(graph, 4)
+        original.next_hops(warm_sources, warm_targets)  # fill three columns
         clone = pickle.loads(pickle.dumps(original))
-        assert clone.max_rows == original.max_rows
-        assert clone.cached_rows() == original.cached_rows()
-        dense = DenseTableRouter.for_graph(graph)
+        assert clone.state_bytes() == original.state_bytes()
+        dense = DenseTableRouter(graph)
         probe_sources = rng.integers(n, size=200)
         probe_targets = rng.integers(n, size=200)
         assert np.array_equal(
@@ -706,33 +718,16 @@ class TestRouterWorkerParity:
             dense.next_hops(probe_sources, probe_targets),
         )
 
-    def test_graph_pickle_strips_process_qualified_cache_token(self):
-        from repro.routing.paths import routing_table_for
-
-        graph = h_digraph(4, 8, 2)
-        routing_table_for(graph)  # stamps the process-local cache token
-        assert getattr(graph, "_routing_table_cache", None) is not None
-        clone = pickle.loads(pickle.dumps(graph))
-        assert getattr(clone, "_routing_table_cache", None) is None
-        # and the pid-qualified token of a foreign process can never alias a
-        # table here: a fresh table for the clone still routes identically
-        assert np.array_equal(
-            routing_table_for(clone).next_hop, routing_table_for(graph).next_hop
-        )
-
     @pytest.mark.parametrize("kind", ["dense", "lru"])
     def test_worker_process_routes_match_parent(self, kind):
         from concurrent.futures import ProcessPoolExecutor
 
-        from repro.routing.paths import routing_table_for
-
         graph = h_digraph(8, 16, 2)
-        routing_table_for(graph)  # parent holds a cached table (token set)
         n = graph.num_vertices
         rng = np.random.default_rng(3)
         sources = rng.integers(n, size=150).tolist()
         targets = rng.integers(n, size=150).tolist()
-        parent = make_router(graph, kind).next_hops(
+        parent = make_router(graph, "dense").next_hops(
             np.asarray(sources), np.asarray(targets)
         )
         with ProcessPoolExecutor(max_workers=1) as pool:
@@ -745,23 +740,23 @@ class TestRouterWorkerParity:
         self, tmp_path, fleet_processes
     ):
         # The full stack: the job (graph included) pickled into two spawned
-        # fleet worker processes on one store, each rebuilding its own LRU
-        # rows, then the one-call wrapper merges the store byte-identical to
-        # the in-process pass.
+        # fleet worker processes on one store, each rebuilding its own table
+        # router, then the one-call wrapper merges the store byte-identical
+        # to the in-process pass through a wrapping router (the numpy path).
         graph, link, traffics, _ = sim_inputs(replicas=4, messages=50)
         expected = [
             stats
             for stats, _ in BatchedNetworkSimulator(
-                graph, link=link, router="lru"
+                graph, link=link, router=WrappingRouter(graph)
             ).run_many(traffics, return_messages=False)
         ]
         manifest = ReplicaChunkManifest.build(
-            graph, traffics, link=link, router="lru", chunk_size=1
+            graph, traffics, link=link, router="dense", chunk_size=1
         )
         job = SimFleetJob(manifest, ChunkStore(tmp_path), graph, traffics)
         fleet_processes(job, 2)
         assert job.store.completed_ids() == {c.chunk_id for c in manifest.chunks}
         merged = run_many_sharded(
-            graph, traffics, link=link, router="lru", store=tmp_path, chunk_size=1
+            graph, traffics, link=link, router="dense", store=tmp_path, chunk_size=1
         )
         assert merged == expected

@@ -70,8 +70,7 @@ from repro.graphs.traversal import (
 from repro.otis.h_digraph import h_digraph
 from repro.otis.search import PAPER_TABLE1, candidate_splits, h_diameter
 from repro.otis.sweep import ChunkManifest, SplitVerdictCache, run_chunk
-from repro.routing.paths import RoutingTable, routing_table_for
-from repro.routing.routers import ClosedFormRouter, DenseTableRouter, Router
+from repro.routing.routers import ClosedFormRouter, DenseTableRouter, Router, next_slots
 from repro.simulation.network import (
     BatchedNetworkSimulator,
     BufferedLinkModel,
@@ -91,6 +90,7 @@ from repro.simulation.workloads import hotspot_pairs, uniform_random_pairs
 from test_scenarios import GRAPH as SCENARIO_GRAPH
 from test_scenarios import SCENARIOS
 from test_scenarios import _scenario_strategy as scenario_strategy
+from test_scenarios import WrappingRouter
 
 #: Skips a test on a host where the compiled backend cannot be built.
 requires_cnative = pytest.mark.skipif(
@@ -205,6 +205,31 @@ def test_h_diameter_sized_sweep(backend):
     for graph in (h_digraph(4, 8, 2), h_digraph(2, 8, 4)):
         assert_apsp_parity(graph, backend)
         assert_apsp_parity(graph, backend, upper_bound=3)
+
+
+def assert_slot_parity(graph, back):
+    """The compiled ``slot_columns`` equals the numpy derivation byte for
+    byte on every distance-to-target column of ``graph``."""
+    succ = DenseTableRouter(graph).successors
+    n = graph.num_vertices
+    rows = subset_distance_rows(succ, np.arange(n), predecessors=succ, backend="numpy")
+    slot = np.empty(rows.shape, dtype=np.uint8)
+    kernels.get_kernels(back).slot_columns(succ, rows, slot)
+    assert slot.tobytes() == next_slots(succ, rows).tobytes()
+
+
+def test_slot_columns_exhaustive_tiny(backend):
+    # every 0/1 adjacency on 1-3 vertices (sinks, loops, disconnected
+    # pieces), plus a disconnected H and parallel arcs
+    for graph in TINY_DIGRAPHS + [h_digraph(4, 16, 2), h_digraph(2, 8, 4), DOUBLED_B24]:
+        assert_slot_parity(graph, backend)
+
+
+@requires_cnative
+@settings(max_examples=30, deadline=None)
+@given(graph=digraphs())
+def test_slot_columns_randomised(graph):
+    assert_slot_parity(graph, "cnative")
 
 
 # ----------------------------------------------------------- split screen
@@ -852,9 +877,9 @@ def test_fused_loop_parity(backend, link):
         (h927, ClosedFormRouter.for_graph(h927)),  # odd base: the divide path
         (k24, ClosedFormRouter.for_graph(k24)),  # sorted codes
         (DOUBLED_B24, ClosedFormRouter.for_de_bruijn(2, 4)),
-        (H48, DenseTableRouter.for_graph(H48)),
-        (k24, DenseTableRouter.for_graph(k24)),
-        (DOUBLED_B24, DenseTableRouter.for_graph(DOUBLED_B24)),
+        (H48, DenseTableRouter(H48)),
+        (k24, DenseTableRouter(k24)),
+        (DOUBLED_B24, DenseTableRouter(DOUBLED_B24)),
     ]
     for graph, router in cases:
         n = graph.num_vertices
@@ -865,7 +890,7 @@ def test_fused_loop_parity(backend, link):
     sink = Digraph(3, [(0, 1), (1, 0), (0, 2), (1, 2)])
     traffic = [(2, 0, 0.0), (0, 2, 0.0), (1, 2, 0.5), (0, 1, 0.5), (2, 1, 1.0)]
     ((stats, _),) = assert_fused_parity(
-        sink, DenseTableRouter.for_graph(sink), backend, [traffic], link=link
+        sink, DenseTableRouter(sink), backend, [traffic], link=link
     )
     assert stats.delivered == 3
 
@@ -873,8 +898,8 @@ def test_fused_loop_parity(backend, link):
 def test_fused_loop_truncated_runs(backend):
     cases = [
         (H48, ClosedFormRouter.for_graph(H48)),
-        (H48, DenseTableRouter.for_graph(H48)),
-        (DOUBLED_B24, DenseTableRouter.for_graph(DOUBLED_B24)),
+        (H48, DenseTableRouter(H48)),
+        (DOUBLED_B24, DenseTableRouter(DOUBLED_B24)),
     ]
     for graph, router in cases:
         traffic = uniform_random_pairs(graph.num_vertices, 60, rng=5)
@@ -1084,12 +1109,25 @@ def test_run_scenario_is_taken_only_without_trace(backend, monkeypatch):
     healthy = BatchedNetworkSimulator(SCENARIO_GRAPH, kernels=backend).run(traffic)
     for back in ("numpy", backend):
         for scen, expected in ((scenario, untraced), (None, healthy)):
-            lru = BatchedNetworkSimulator(
-                SCENARIO_GRAPH, scenario=scen, router="lru", kernels=back
+            wrapped = BatchedNetworkSimulator(
+                SCENARIO_GRAPH, scenario=scen, router=WrappingRouter(SCENARIO_GRAPH),
+                kernels=back,
             )
-            assert lru.kernel_backend == "numpy"
-            assert lru._kernels is None
-            assert result_bytes([lru.run(traffic)]) == result_bytes([expected])
+            assert wrapped.kernel_backend == "numpy"
+            assert wrapped._kernels is None
+            assert result_bytes([wrapped.run(traffic)]) == result_bytes([expected])
+
+
+def test_table_routed_h_above_the_auto_threshold_runs_compiled():
+    # No closed form and n > AUTO_DENSE_MAX_N: auto picks the table router,
+    # which the compiled loop reads; its bytes equal the numpy path's.
+    graph = h_digraph(48, 96, 2)  # n = 2304
+    traffic = uniform_random_pairs(graph.num_vertices, 300, rng=4)
+    sim = BatchedNetworkSimulator(graph)
+    assert sim.router.kind == "dense"
+    assert sim.kernel_backend == kernels.active_backend()
+    reference = BatchedNetworkSimulator(graph, router=sim.router, kernels="numpy")
+    assert result_bytes([sim.run(traffic)]) == result_bytes([reference.run(traffic)])
 
 
 # ----------------------------------------------------- hops over non-arcs
@@ -1101,7 +1139,7 @@ class OffByOneRouter(Router):
     kind = "off-by-one"
 
     def __init__(self, graph):
-        self._inner = DenseTableRouter.for_graph(graph)
+        self._inner = DenseTableRouter(graph)
 
     def next_hop(self, source, target):
         hop = self._inner.next_hop(source, target)
@@ -1189,12 +1227,10 @@ def test_non_arc_hop_raises_under_scenarios_on_python_loops(reroute):
 
 
 def off_by_one_dense_router(graph):
-    """:class:`OffByOneRouter` as a dense table, which the kernel reads."""
-    table = routing_table_for(graph)
-    hop = table.next_hop
+    """A table router the kernel reads, whose hops are not ``graph``'s arcs:
+    the table of ``graph`` with every arc's head moved one vertex on."""
     n = graph.num_vertices
-    keep = (hop < 0) | (hop == np.arange(n)[:, None])
-    return DenseTableRouter(RoutingTable(np.where(keep, hop, (hop + 1) % n), table.distance))
+    return DenseTableRouter(Digraph(n, [(u, (v + 1) % n) for u, v in graph.arcs()]))
 
 
 @pytest.mark.parametrize("reroute", ["none", "arc-disjoint"])

@@ -45,6 +45,8 @@ from repro.simulation.workloads import (
     uniform_random_pairs,
 )
 
+from test_scenarios import WrappingRouter
+
 GRAPH = h_digraph(4, 8, 2)
 
 #: Skips a test on a host where the compiled backend cannot be built.
@@ -105,9 +107,9 @@ class TestResolution:
 
     def test_auto_keeps_numpy_path_for_sparse_workloads(self, monkeypatch):
         # One rule at every event density: a router the kernels can
-        # consult (a dense table, a closed form) takes the fused run_rounds
+        # consult (a table router, a closed form) takes the fused run_rounds
         # loop, one kernel call per run, on sparse and saturated traffic
-        # alike; an LRU router keeps the numpy path and reports it.
+        # alike; a wrapping router keeps the numpy path and reports it.
         if kernels.resolve_backend("auto") == "numpy":
             pytest.skip("no compiled backend available")
         # an outer REPRO_KERNELS (e.g. the CI numpy leg) would force both
@@ -133,8 +135,8 @@ class TestResolution:
             sim.run(sparse)
             sim.run(dense)
             assert entered == [1, 1]
-        lru = BatchedNetworkSimulator(GRAPH, router="lru")
-        assert lru.kernel_backend == "numpy" and lru._kernels is None
+        wrapped = BatchedNetworkSimulator(GRAPH, router=WrappingRouter(GRAPH))
+        assert wrapped.kernel_backend == "numpy" and wrapped._kernels is None
 
     def test_env_var_numpy_takes_numpy_bfs_screen(self, monkeypatch):
         # Under REPRO_KERNELS=numpy the sweep runs h_diameter per split, so
@@ -365,10 +367,10 @@ class TestSweepSurfacing:
         assert sweep.to_json()["kernel_backend"] == sweep.kernel_backend
 
     def test_lru_sweep_records_numpy(self):
-        # A router the kernels cannot consult runs the numpy path, and the
-        # sweep still matches the reference engine.
+        # A router the kernels cannot consult (a wrapping router) runs the
+        # numpy path, and the sweep still matches the reference engine.
         sweep = run_throughput_sweep(
-            GRAPH, seeds=range(1), num_messages=30, router="lru"
+            GRAPH, seeds=range(1), num_messages=30, router=WrappingRouter(GRAPH)
         )
         assert sweep.kernel_backend == "numpy"
         traffic = make_workload("uniform", GRAPH.num_vertices, 30, rng=0)

@@ -1,4 +1,4 @@
-"""Router parity suite: closed-form vs LRU rows vs dense table vs BFS.
+"""Router parity suite: closed form vs table router vs dense table vs BFS.
 
 The contract of :mod:`repro.routing.routers` is that every router returns,
 for every ``(source, target)`` pair, the *same* next hop the dense table of
@@ -7,14 +7,20 @@ routes, so the simulators' engine-parity contract is router-independent.
 This suite enforces it exhaustively on the paper's families (including
 parallel-arc ``H`` instances and the Kautz no-repeated-letter constraint),
 on hypothesis-generated ``(d, D)`` pairs, and on arbitrary/disconnected
-digraphs for the LRU rows.
+digraphs for the table router — on both kernel backends, with the whole
+table filled and in the on-demand mode (labelled ``lru`` below), whose
+store of a few columns empties mid-run.
 """
+
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import kernels
 from repro.graphs.digraph import Digraph
 from repro.graphs.generators import (
     de_bruijn,
@@ -25,15 +31,34 @@ from repro.graphs.generators import (
 )
 from repro.otis.h_digraph import h_digraph
 from repro.routing.paths import build_routing_table
+from repro.routing import routers
 from repro.routing.routers import (
     AUTO_DENSE_MAX_N,
     ClosedFormRouter,
     DenseTableRouter,
-    LruRowRouter,
     make_router,
     resolve_router,
 )
 from repro.words import word_to_int
+
+#: The kernel backends of this host: the table router fills its columns
+#: with the compiled ``slot_columns`` kernel or the numpy derivation.
+BACKENDS = kernels.available_backends()
+
+
+def on_demand(monkeypatch, graph, columns):
+    """A table router whose budget holds ``columns`` columns (fewer than
+    the vertices): calls fill the columns they need and empty a full store."""
+    monkeypatch.setattr(routers, "TABLE_BUDGET_BYTES", 5 * graph.num_vertices * columns)
+    return DenseTableRouter(graph)
+
+
+def build_router(monkeypatch, graph, kind):
+    """``make_router(graph, kind)``, or for ``"lru"`` the on-demand table
+    router with a store of three columns."""
+    if kind == "lru":
+        return on_demand(monkeypatch, graph, 3)
+    return make_router(graph, kind)
 
 
 def all_pairs(n):
@@ -42,11 +67,15 @@ def all_pairs(n):
 
 
 def assert_full_route_parity(graph, router):
-    """Every (source, target) next hop equals the dense table's."""
+    """Every (source, target) next hop and hop count equals the dense
+    table's."""
     table = build_routing_table(graph)
     source, target = all_pairs(graph.num_vertices)
     expected = table.next_hop[source, target]
     np.testing.assert_array_equal(router.next_hops(source, target), expected)
+    np.testing.assert_array_equal(
+        router.path_lengths(source, target), table.distance[source, target]
+    )
     # scalar path agrees with the vector path
     rng = np.random.default_rng(0)
     for _ in range(20):
@@ -76,16 +105,34 @@ def test_closed_form_matches_dense_table(graph):
 
 
 #: Parallel-arc ``H`` instances (non-power splits, outside the closed form's
-#: reach) plus an irregular baseline — the LRU router's home turf.
-LRU_EXTRA_GRAPHS = [ring(9), h_digraph(1, 4, 2), h_digraph(2, 8, 4)]
+#: reach) plus an irregular baseline — the table router's home turf.
+LRU_EXTRA_GRAPHS = [
+    ring(9),
+    h_digraph(1, 4, 2),
+    h_digraph(2, 8, 4),
+    h_digraph(4, 16, 2),  # not strongly connected
+    Digraph(5, [(0, 1), (1, 0), (1, 2), (3, 3)]),  # sink, loop, isolated vertex
+]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize(
+    "graph", CLOSED_FORM_GRAPHS + LRU_EXTRA_GRAPHS, ids=lambda g: g.name
+)
+def test_table_router_matches_dense_table(graph, backend, monkeypatch):
+    monkeypatch.setenv("REPRO_KERNELS", backend)
+    assert_full_route_parity(graph, DenseTableRouter(graph))
 
 
 @pytest.mark.parametrize(
     "graph", CLOSED_FORM_GRAPHS + LRU_EXTRA_GRAPHS, ids=lambda g: g.name
 )
-def test_lru_rows_match_dense_table(graph):
-    # a tiny capacity forces evictions mid-suite; parity must survive them
-    assert_full_route_parity(graph, LruRowRouter(graph, max_rows=5))
+def test_lru_rows_match_dense_table(graph, monkeypatch):
+    # the on-demand mode: a store of five columns empties mid-suite, on
+    # both backends; parity must survive it
+    for backend in BACKENDS:
+        monkeypatch.setenv("REPRO_KERNELS", backend)
+        assert_full_route_parity(graph, on_demand(monkeypatch, graph, 5))
 
 
 def test_parity_graph_set_includes_parallel_arcs():
@@ -163,42 +210,72 @@ def test_hypothesis_h_split_routing(p_prime, q_prime):
             ClosedFormRouter.for_graph(graph)
 
 
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_hypothesis_table_router_parity(data):
+    """Random digraphs: parallel arcs, self-loops, sinks and disconnected
+    pieces, whole table and on demand, on both backends."""
+    n = data.draw(st.integers(min_value=1, max_value=24))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    arcs = data.draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n))
+    graph = Digraph(n, arcs)
+    columns = data.draw(st.integers(min_value=1, max_value=n))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for backend in BACKENDS:
+            monkeypatch.setenv("REPRO_KERNELS", backend)
+            assert_full_route_parity(graph, on_demand(monkeypatch, graph, columns))
+
+
 class TestLruRouter:
-    def test_unreachable_pairs_return_minus_one(self):
+    """The table router's on-demand mode: a budget smaller than the table."""
+
+    def test_unreachable_pairs_return_minus_one(self, monkeypatch):
         graph = Digraph(4, arcs=[(0, 1), (1, 0), (1, 2)])
-        router = LruRowRouter(graph)
-        assert router.next_hop(2, 0) == -1
-        assert router.next_hops(np.array([2, 3]), np.array([0, 1])).tolist() == [-1, -1]
+        for router in (DenseTableRouter(graph), on_demand(monkeypatch, graph, 1)):
+            assert router.next_hop(2, 0) == -1
+            assert router.next_hops(np.array([2, 3]), np.array([0, 1])).tolist() == [-1, -1]
+            assert router.path_lengths(np.array([2, 0]), np.array([0, 2])).tolist() == [-1, 2]
 
-    def test_eviction_keeps_parity(self):
+    def test_eviction_keeps_parity(self, monkeypatch):
         graph = de_bruijn(2, 4)
         table = build_routing_table(graph)
-        router = LruRowRouter(graph, max_rows=2)
+        router = on_demand(monkeypatch, graph, 2)
+        empty = router.state_bytes()
         rng = np.random.default_rng(3)
-        for _ in range(200):
-            s, t = map(int, rng.integers(16, size=2))
+        pairs = rng.integers(16, size=(200, 2))
+        for s, t in pairs.tolist():
             assert router.next_hop(s, t) == int(table.next_hop[s, t])
-        assert router.cached_rows() == 2
-        assert router.misses > 2  # evictions actually happened
+        # more targets than the store holds: it emptied, and stayed in budget
+        assert np.unique(pairs[:, 1]).size > 2
+        assert router.state_bytes() - empty <= 2 * 5 * 16
 
-    def test_batch_wider_than_capacity(self):
-        # one batch touching more sources than max_rows must still be exact
+    def test_batch_wider_than_capacity(self, monkeypatch):
+        # one call with more targets than the budget holds is still exact,
+        # and the next call that does not fit empties the store again
         graph = de_bruijn(2, 4)
         table = build_routing_table(graph)
-        router = LruRowRouter(graph, max_rows=3)
+        router = on_demand(monkeypatch, graph, 3)
         source, target = all_pairs(16)
-        np.testing.assert_array_equal(
-            router.next_hops(source, target), table.next_hop[source, target]
-        )
+        for _ in range(2):
+            np.testing.assert_array_equal(
+                router.next_hops(source, target), table.next_hop[source, target]
+            )
+            assert router.next_hop(3, 9) == int(table.next_hop[3, 9])
 
-    def test_state_bytes_bounded_by_capacity(self):
+    def test_state_bytes_bounded_by_capacity(self, monkeypatch):
         graph = de_bruijn(2, 5)
-        router = LruRowRouter(graph, max_rows=4)
-        source, target = all_pairs(32)
-        router.next_hops(source, target)
-        assert router.cached_rows() <= 4
-        dense_bytes = DenseTableRouter.for_graph(graph).state_bytes()
-        assert router.state_bytes() < dense_bytes
+        full_bytes = DenseTableRouter(graph).state_bytes()
+        router = on_demand(monkeypatch, graph, 4)
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            targets = rng.choice(32, 3)[rng.integers(3, size=8)]
+            router.next_hops(rng.integers(32, size=8), targets)
+        assert router.state_bytes() < full_bytes
+
+    def test_out_degree_above_the_slot_range_is_refused(self):
+        star = Digraph(300, [(0, v) for v in range(1, 300)])
+        with pytest.raises(ValueError, match="out-degree 299"):
+            DenseTableRouter(star)
 
 
 class TestSelection:
@@ -216,10 +293,13 @@ class TestSelection:
         assert router.state_bytes() < 32 * graph.num_vertices
 
     def test_auto_falls_back_to_lru(self):
+        # no closed form above the threshold: the table router, whole table
         graph = Digraph(AUTO_DENSE_MAX_N + 1, name="big-arbitrary")
         for u in range(graph.num_vertices):
             graph.add_arc(u, (u + 1) % graph.num_vertices)
-        assert make_router(graph, "auto").kind == "lru"
+        router = make_router(graph, "auto")
+        assert router.kind == "dense"
+        assert router.next_hop(0, AUTO_DENSE_MAX_N) == 1
 
     def test_closed_form_rejects_unsupported(self):
         for graph in (ring(8), h_digraph(3, 8, 2), h_digraph(1, 4, 2)):
@@ -261,18 +341,19 @@ class TestSelection:
 
     def test_resolve_rejects_ambiguous_arguments(self):
         graph = de_bruijn(2, 3)
-        table = build_routing_table(graph)
-        assert resolve_router(graph, router=DenseTableRouter(table)).table is table
-        assert resolve_router(graph, router="lru").kind == "lru"
-        with pytest.raises(ValueError):
-            make_router(graph, "magic")
+        router = DenseTableRouter(graph)
+        assert resolve_router(graph, router=router) is router
+        assert resolve_router(graph, router="dense").kind == "dense"
+        for unknown in ("magic", "lru"):
+            with pytest.raises(ValueError, match="unknown router kind"):
+                make_router(graph, unknown)
 
 
 class TestSimulatorIntegration:
     """All routers produce identical simulations on both engines."""
 
     @pytest.mark.parametrize("router_kind", ["dense", "closed-form", "lru"])
-    def test_router_choice_does_not_change_results(self, router_kind):
+    def test_router_choice_does_not_change_results(self, router_kind, monkeypatch):
         from repro.simulation.network import (
             BatchedNetworkSimulator,
             LinkModel,
@@ -287,9 +368,8 @@ class TestSimulatorIntegration:
             graph, link=link, router="dense"
         ).run(traffic)
         for engine_cls in (NetworkSimulator, BatchedNetworkSimulator):
-            stats, messages = engine_cls(graph, link=link, router=router_kind).run(
-                traffic
-            )
+            router = build_router(monkeypatch, graph, router_kind)
+            stats, messages = engine_cls(graph, link=link, router=router).run(traffic)
             assert stats == base_stats
             assert [(m.hops, m.arrival_time) for m in messages] == [
                 (m.hops, m.arrival_time) for m in base_messages
@@ -303,8 +383,8 @@ class TestRouterHelpers:
 
     @pytest.mark.parametrize("graph", HELPER_GRAPHS, ids=lambda g: g.name)
     @pytest.mark.parametrize("kind", ["dense", "closed-form", "lru"])
-    def test_path_lengths_equal_bfs_distance(self, graph, kind):
-        router = make_router(graph, kind)
+    def test_path_lengths_equal_bfs_distance(self, graph, kind, monkeypatch):
+        router = build_router(monkeypatch, graph, kind)
         table = build_routing_table(graph)
         source, target = all_pairs(graph.num_vertices)
         np.testing.assert_array_equal(
@@ -326,9 +406,9 @@ class TestRouterHelpers:
             for u, v in zip(path, path[1:]):
                 assert (u, v) in arcs
 
-    def test_full_path_unreachable_is_none(self):
+    def test_full_path_unreachable_is_none(self, monkeypatch):
         disconnected = Digraph(4, [(0, 1), (2, 3)])
-        router = LruRowRouter(disconnected, max_rows=2)
+        router = on_demand(monkeypatch, disconnected, 2)
         assert router.full_path(0, 3) is None
         np.testing.assert_array_equal(
             router.path_lengths(np.array([0, 0]), np.array([1, 3])), [1, -1]
@@ -350,25 +430,24 @@ class TestRouterHelpers:
 
     def test_etas_unreachable_is_minus_one(self):
         disconnected = Digraph(3, [(0, 1)])
-        router = make_router(disconnected, "lru", max_rows=2)
+        router = make_router(disconnected, "dense")
         etas = router.etas(np.array([0]), np.array([2]))
         np.testing.assert_array_equal(etas, [-1.0])
 
 
 class TestRouterThreadSafety:
-    """Regression tests for the LRU router's internal locking.
+    """The on-demand table router shared between threads.
 
-    Before the lock landed, concurrent ``next_hops`` calls on a tiny
-    ``max_rows`` raced the slot/eviction bookkeeping: a row could be evicted
-    between its lookup and its use, returning hops from the *wrong source's*
-    row.  With the router serialising internally, any thread mix must stay
-    bit-identical to the dense table.
+    Concurrent calls fill columns while others read and empty the store; a
+    full store is replaced, never overwritten, so a call never reads a
+    column another call refilled for a different target.  Any thread mix
+    must stay bit-identical to the dense table.
     """
 
-    def test_threaded_lru_matches_dense_under_eviction_pressure(self):
+    def test_threaded_lru_matches_dense_under_eviction_pressure(self, monkeypatch):
         graph = h_digraph(4, 8, 2)
         table = build_routing_table(graph)
-        router = LruRowRouter(graph, max_rows=2)  # constant evictions
+        router = on_demand(monkeypatch, graph, 4)  # constant emptying
         n = graph.num_vertices
         errors = []
 
@@ -376,31 +455,37 @@ class TestRouterThreadSafety:
             rng = np.random.default_rng(seed)
             for _ in range(60):
                 sources = rng.integers(n, size=32)
-                targets = rng.integers(n, size=32)
+                targets = rng.choice(n, 3)[rng.integers(3, size=32)]
                 got = router.next_hops(sources, targets)
                 expected = table.next_hop[sources, targets]
                 if not np.array_equal(got, expected):
                     errors.append((sources, targets, got, expected))
+                s, t = int(sources[0]), int(rng.integers(n))
+                if router.next_hop(s, t) != table.next_hop[s, t]:
+                    errors.append((s, t))
 
-        import threading
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(s,)) for s in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, f"table router raced: {len(errors)} mismatching calls"
 
-        threads = [threading.Thread(target=worker, args=(s,)) for s in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert not errors, f"LRU router raced: {len(errors)} mismatching batches"
-
-    def test_lru_router_survives_pickle(self):
+    def test_lru_router_survives_pickle(self, monkeypatch):
         import pickle
 
         graph = de_bruijn(2, 4)
-        router = LruRowRouter(graph, max_rows=3)
-        router.next_hop(0, 5)  # warm a row so state round-trips
-        clone = pickle.loads(pickle.dumps(router))
-        assert clone.next_hop(1, 9) == router.next_hop(1, 9)
-        # The recreated lock still serialises calls (smoke: lock exists).
-        assert clone._lock is not router._lock
+        for router in (DenseTableRouter(graph), on_demand(monkeypatch, graph, 3)):
+            router.next_hop(0, 5)  # fill a column so state round-trips
+            clone = pickle.loads(pickle.dumps(router))
+            for s, t in ((1, 9), (0, 5), (7, 2), (3, 3)):
+                assert clone.next_hop(s, t) == router.next_hop(s, t)
 
 
 def layout_valid_h_splits(max_n):

@@ -212,163 +212,118 @@ class TestGossip:
         assert schedule.num_rounds == 0
 
 
+def on_demand(monkeypatch, graph, columns):
+    """A table router whose budget holds ``columns`` columns of ``graph``."""
+    from repro.routing import routers
+
+    monkeypatch.setattr(routers, "TABLE_BUDGET_BYTES", 5 * graph.num_vertices * columns)
+    return routers.DenseTableRouter(graph)
+
+
 class TestRoutingTableCache:
-    """The shared table LRU: bounded, evictable, mutation-safe."""
+    """The table router's column store: bounded by its budget, emptied when
+    full, refilled exactly, and built from the digraph's current arcs."""
 
-    def setup_method(self):
-        from repro.routing.paths import (
-            clear_routing_table_cache,
-            set_routing_table_cache_limit,
-        )
+    def test_hit_returns_same_instance(self, monkeypatch):
+        # present columns are read in place, never refilled
+        router = on_demand(monkeypatch, de_bruijn(2, 4), 4)
+        first = router.columns([3, 5])
+        second = router.columns([5])
+        assert all(a is b for a, b in zip(first, second))
 
-        clear_routing_table_cache()
-        set_routing_table_cache_limit(4)
+    def test_bounded_across_many_topologies(self, monkeypatch):
+        # a long multi-topology sweep holds at most a budget per router
+        for D in range(5, 9):
+            graph = de_bruijn(2, D)
+            n = graph.num_vertices
+            router = on_demand(monkeypatch, graph, 2)
+            empty = router.state_bytes()
+            rng = np.random.default_rng(D)
+            for _ in range(10):
+                router.next_hops(rng.integers(n, size=20), np.full(20, rng.integers(n)))
+            assert router.state_bytes() - empty <= 2 * 5 * n
 
-    teardown_method = setup_method
-
-    def test_hit_returns_same_instance(self):
-        from repro.routing.paths import routing_table_cache_info, routing_table_for
-
+    def test_evicted_table_is_recomputed_not_stale(self, monkeypatch):
         graph = de_bruijn(2, 4)
-        table = routing_table_for(graph)
-        assert routing_table_for(graph) is table
-        info = routing_table_cache_info()
-        assert info["hits"] == 1 and info["misses"] == 1
+        router = on_demand(monkeypatch, graph, 1)
+        col, slot, hops = router.columns([6])
+        kept = slot[col[6]].copy(), hops[col[6]].copy()
+        router.columns([9])  # empties the one-column store
+        col, slot, hops = router.columns([6])
+        assert np.array_equal(slot[col[6]], kept[0])
+        assert np.array_equal(hops[col[6]], kept[1])
 
-    def test_bounded_across_many_topologies(self):
-        # A long multi-topology sweep must not accumulate dense tables: the
-        # LRU evicts the oldest entries instead of pinning one per graph.
-        from repro.routing.paths import (
-            routing_table_cache_info,
-            routing_table_for,
-            set_routing_table_cache_limit,
-        )
+    def test_zero_limit_disables_caching(self, monkeypatch):
+        # a budget below one column still holds the column a call needs
+        from repro.routing import routers
 
-        set_routing_table_cache_limit(2)
-        graphs = [de_bruijn(2, D) for D in range(2, 7)]
-        for graph in graphs:
-            routing_table_for(graph)
-        assert routing_table_cache_info()["entries"] == 2
-
-    def test_evicted_table_is_recomputed_not_stale(self):
-        from repro.routing.paths import routing_table_for, set_routing_table_cache_limit
-
-        set_routing_table_cache_limit(1)
-        a, b = de_bruijn(2, 3), de_bruijn(2, 4)
-        table_a = routing_table_for(a)
-        routing_table_for(b)  # evicts a's table
-        fresh = routing_table_for(a)
-        assert fresh is not table_a
-        assert np.array_equal(fresh.distance, table_a.distance)
-
-    def test_zero_limit_disables_caching(self):
-        from repro.routing.paths import routing_table_cache_info, routing_table_for, set_routing_table_cache_limit
-
-        set_routing_table_cache_limit(0)
         graph = de_bruijn(2, 3)
-        assert routing_table_for(graph) is not routing_table_for(graph)
-        assert routing_table_cache_info()["entries"] == 0
+        monkeypatch.setattr(routers, "TABLE_BUDGET_BYTES", 0)
+        router = routers.DenseTableRouter(graph)
+        table = build_routing_table(graph)
+        for s in range(8):
+            for t in range(8):
+                assert router.next_hop(s, t) == table.next_hop[s, t]
 
     def test_mutation_still_invalidates(self):
-        from repro.routing.paths import routing_table_for
+        from repro.routing.routers import make_router
 
         graph = Digraph(3, arcs=[(0, 1), (1, 0), (1, 2)])
-        table = routing_table_for(graph)
+        assert make_router(graph).next_hop(0, 2) == 1
         graph.remove_arc(1, 2)
         graph.add_arc(0, 2)  # same (n, m), different topology
-        fresh = routing_table_for(graph)
-        assert fresh is not table
-        assert fresh.next_hop[0, 2] == 2
-
-    def test_cache_token_is_not_pickled(self):
-        # Regression: the per-graph token shipped inside a pickled graph
-        # could alias another graph's cache entry in a process whose token
-        # counter restarted (sharded-simulation workers unpickle graphs).
-        import pickle
-
-        from repro.routing.paths import routing_table_for
-
-        graph = de_bruijn(2, 4)
-        routing_table_for(graph)
-        assert hasattr(graph, "_routing_table_cache")
-        clone = pickle.loads(pickle.dumps(graph))
-        assert not hasattr(clone, "_routing_table_cache")
-        # the clone still routes correctly (fresh token, fresh/cached table)
-        table = routing_table_for(clone)
-        assert table.num_vertices == 16
-        assert table.is_consistent(clone)
-
-    def test_token_ids_are_process_qualified(self):
-        import os
-
-        from repro.routing.paths import routing_table_for
-
-        graph = de_bruijn(2, 3)
-        routing_table_for(graph)
-        signature, token_id = graph._routing_table_cache
-        assert token_id.startswith(f"{os.getpid()}-")
+        router = make_router(graph)
+        assert router.next_hop(0, 2) == 2
+        assert router.path_lengths(np.array([0]), np.array([2])).tolist() == [1]
 
 
 class TestRoutingTableCacheThreadSafety:
-    """Regression: the module-level table LRU is shared across simulator
-    engines and serve executor threads; concurrent lookups and evictions
-    must never corrupt the OrderedDict or hand back a half-registered
-    entry."""
+    """The column store shared by threads (serve executor threads share one
+    router): concurrent fills and emptying never hand back another target's
+    column, and the store stays within its budget."""
 
-    def setup_method(self):
-        from repro.routing.paths import (
-            clear_routing_table_cache,
-            set_routing_table_cache_limit,
-        )
-
-        clear_routing_table_cache()
-        set_routing_table_cache_limit(2)  # constant eviction pressure
-
-    teardown_method = setup_method
-
-    def test_threaded_lookups_stay_consistent(self):
+    def test_threaded_lookups_stay_consistent(self, monkeypatch):
         import threading
-
-        from repro.routing.paths import build_routing_table, routing_table_for
 
         graphs = [de_bruijn(2, D) for D in (3, 4, 5)] + [kautz(2, 3)]
         expected = [build_routing_table(g).next_hop for g in graphs]
+        routers = [on_demand(monkeypatch, g, 2) for g in graphs]
         errors = []
 
         def worker(seed):
-            order = list(range(len(graphs)))
+            rng = np.random.default_rng(seed)
             for step in range(25):
-                index = order[(seed + step) % len(order)]
-                table = routing_table_for(graphs[index])
-                if not (table.next_hop == expected[index]).all():
+                index = (seed + step) % len(graphs)
+                n = graphs[index].num_vertices
+                s, t = rng.integers(n, size=(2, 16))
+                if not (routers[index].next_hops(s, t) == expected[index][s, t]).all():
                     errors.append(index)
 
         threads = [threading.Thread(target=worker, args=(s,)) for s in range(8)]
         for thread in threads:
             thread.start()
         for thread in threads:
-            thread.join()
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
         assert not errors
 
-    def test_cache_stays_bounded_under_threads(self):
+    def test_cache_stays_bounded_under_threads(self, monkeypatch):
         import threading
 
-        from repro.routing.paths import (
-            routing_table_cache_info,
-            routing_table_for,
-        )
-
-        graphs = [de_bruijn(2, D) for D in (3, 4, 5, 6)]
+        graph = de_bruijn(2, 6)
+        router = on_demand(monkeypatch, graph, 2)
+        empty = router.state_bytes()
 
         def worker(seed):
-            for step in range(20):
-                routing_table_for(graphs[(seed + step) % len(graphs)])
+            rng = np.random.default_rng(seed)
+            for _ in range(20):
+                t = int(rng.integers(64))
+                router.next_hops(rng.integers(64, size=8), np.full(8, t))
 
         threads = [threading.Thread(target=worker, args=(s,)) for s in range(6)]
         for thread in threads:
             thread.start()
         for thread in threads:
-            thread.join()
-        info = routing_table_cache_info()
-        assert info["entries"] <= 2
-        assert info["hits"] + info["misses"] >= 120
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert router.state_bytes() - empty <= 2 * 5 * 64

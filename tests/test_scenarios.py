@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro.graphs.generators import de_bruijn
 from repro.otis.h_digraph import h_digraph
+from repro.routing.routers import DenseTableRouter, Router
 from repro.simulation.network import (
     BatchedNetworkSimulator,
     BufferedLinkModel,
@@ -43,6 +44,28 @@ from repro.simulation.scenarios import (
 
 GRAPH = h_digraph(2, 8, 4)  # 4 nodes, 16 links, parallel arcs
 BIG = de_bruijn(2, 4)  # 16 nodes, no parallel arcs
+
+
+class WrappingRouter(Router):
+    """A router only python calls can ask: it forwards to a table router,
+    so the batched engine runs its numpy path on every backend."""
+
+    kind = "wrapping"
+
+    def __init__(self, graph):
+        self.inner = DenseTableRouter(graph)
+
+    def next_hop(self, source, target):
+        return self.inner.next_hop(source, target)
+
+    def next_hops(self, sources, targets):
+        return self.inner.next_hops(sources, targets)
+
+    def num_vertices(self):
+        return self.inner.num_vertices()
+
+    def state_bytes(self):
+        return self.inner.state_bytes()
 
 
 def assert_scenario_parity(graph, scenario, seed, **run_kwargs):
@@ -430,12 +453,15 @@ def _record_bytes(stats, messages):
 
 
 @pytest.mark.parametrize(
-    "kernels, router", [("numpy", None), (None, "lru")], ids=["numpy", "lru"]
+    "kernels, router",
+    [("numpy", None), (None, WrappingRouter(GRAPH))],
+    ids=["numpy", "lru"],
 )
 def test_traced_degrading_run_is_the_reference_loop(kernels, router):
-    # On the numpy backend, and with a router only python calls can ask,
-    # the batched engine runs the reference engine's scalar scenario loop:
-    # byte for byte its results, and one trace triple per transmission.
+    # On the numpy backend, and with a router only python calls can ask
+    # (a wrapping router, id "lru"), the batched engine runs the reference
+    # engine's scalar scenario loop: byte for byte its results, and one
+    # trace triple per transmission.
     scenario = SCENARIOS["fault-reroute"]
     for seed in range(2):
         traffic = scenario.traffic(GRAPH.num_vertices, rng=seed)

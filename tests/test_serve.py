@@ -3,9 +3,9 @@
 The load-bearing contract is **serve adds transport, never arithmetic**:
 every batch reply must be bit-identical to querying the underlying router
 directly.  The end-to-end classes enforce that over HTTP for all five
-families (``B``, ``K``, ``RRK``, ``II``, ``H``) and all three router kinds
-(dense table, closed form, LRU rows), for all three ops (next-hop, path,
-ETA).  The remaining classes cover the wire-format validation, the registry
+families (``B``, ``K``, ``RRK``, ``II``, ``H``) and three routers (the
+whole table, closed form, the table filling columns on demand), for all
+three ops (next-hop, path, ETA).  The remaining classes cover the wire-format validation, the registry
 hot-reload semantics, group-commit batching, the metrics histogram, and the
 CLI entry points.
 """
@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.routing.paths import build_routing_table
+from repro.routing import routers
 from repro.routing.routers import make_router
 from repro.serve import (
     BatchQuery,
@@ -30,11 +31,11 @@ from repro.serve import (
     run_bench,
 )
 from repro.serve.bench import http_request
-from repro.serve.protocol import answer_query, batch_paths
+from repro.serve.protocol import batch_paths, check_range
 from repro.simulation.network import LinkModel
 
-#: One spec per family, sized so every router kind (dense, closed-form,
-#: LRU) can build it — the parity matrix of the end-to-end tests.
+#: One spec per family, sized so every router kind (dense, closed-form)
+#: can build it — the parity matrix of the end-to-end tests.
 FAMILY_SPECS = {
     "B": "B(2,4)",
     "K": "K(2,3)",
@@ -42,11 +43,24 @@ FAMILY_SPECS = {
     "II": "II(2,16)",
     "H": "H(4,8,2)",
 }
+#: The router kinds the parity server hosts; ``"lru"`` is the ``"dense"``
+#: table router in its on-demand mode (a store of three columns), which
+#: concurrent requests fill and empty.
 ROUTER_KINDS = ("dense", "closed-form", "lru")
 
 
 def topology_name(family: str, kind: str) -> str:
     return f"{family.lower()}-{kind}"
+
+
+def add_topology(registry, name, spec, kind):
+    """``registry.add``, with ``"lru"`` as the on-demand table router."""
+    if kind != "lru":
+        return registry.add(name, spec, kind)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        n = build_graph(spec).num_vertices
+        monkeypatch.setattr(routers, "TABLE_BUDGET_BYTES", 5 * n * 3)
+        return registry.add(name, spec, "dense")
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +69,7 @@ def parity_server():
     registry = RouterRegistry()
     for family, spec in FAMILY_SPECS.items():
         for kind in ROUTER_KINDS:
-            registry.add(topology_name(family, kind), spec, kind)
+            add_topology(registry, topology_name(family, kind), spec, kind)
     with ServerThread(registry) as server:
         yield server
 
@@ -116,14 +130,15 @@ class TestRegistry:
 
     def test_snapshot_fields(self):
         registry = RouterRegistry()
-        registry.add("demo", "B(2,3)", "lru")
+        registry.add("demo", "B(2,3)", "dense")
         info = registry.snapshot()["demo"]
         assert info["spec"] == "B(2,3)"
-        assert info["router"] == "lru"
+        assert info["router"] == "dense"
         assert info["nodes"] == 8
         assert info["version"] == 1
         assert info["state_bytes"] >= 0
-        assert "cache_hit_rate" in info
+        with pytest.raises(ValueError, match="router kind"):
+            registry.add("old", "B(2,3)", "lru")
 
     def test_spec_file_reload(self, tmp_path):
         spec_file = tmp_path / "topologies.json"
@@ -205,7 +220,7 @@ class TestProtocolDecode:
                 max_pairs=4,
             )
 
-    def test_out_of_range_rejected_by_answer(self):
+    def test_out_of_range_rejected_at_admission(self):
         graph = build_graph("B(2,3)")
         router = make_router(graph)
         q = BatchQuery(
@@ -215,7 +230,7 @@ class TestProtocolDecode:
             targets=np.array([99]),
         )
         with pytest.raises(ProtocolError, match="out of range"):
-            answer_query(q, router)
+            check_range(q, router.num_vertices())
 
 
 class TestBatchPaths:
@@ -300,7 +315,7 @@ class TestEndToEndParity:
     @pytest.mark.parametrize("kind", ROUTER_KINDS)
     def test_all_ops_match_direct_router(self, parity_server, family, kind):
         graph = build_graph(FAMILY_SPECS[family])
-        router = make_router(graph, kind)
+        router = make_router(graph, "dense" if kind == "lru" else kind)
         n = graph.num_vertices
         rng = np.random.default_rng(42)
         sources = rng.integers(n, size=64)
@@ -373,7 +388,7 @@ class TestServerBehaviour:
         assert stats["uptime_s"] > 0
         assert "next-hop" in stats["endpoints"]
         info = stats["topologies"][topology_name("B", "lru")]
-        assert info["spec"] == "B(2,4)" and info["router"] == "lru"
+        assert info["spec"] == "B(2,4)" and info["router"] == "dense"
 
     def test_unknown_topology_is_404(self, parity_server):
         reply = query(

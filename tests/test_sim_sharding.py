@@ -86,7 +86,7 @@ class TestManifest:
                 GRAPH, traffics, link=LinkModel(1.0, 1.0), chunk_size=2
             ),
             ReplicaChunkManifest.build(
-                GRAPH, traffics, link=LINK, chunk_size=2, router="lru"
+                GRAPH, traffics, link=LINK, chunk_size=2, router="dense"
             ),
             ReplicaChunkManifest.build(
                 GRAPH, traffics, link=LINK, chunk_size=2, code_version="other"
@@ -205,11 +205,11 @@ class TestShardedExecution:
             run_worker(manifest, tmp_path, traffics[:2])
 
     def test_sharded_respects_router_kind(self, tmp_path):
-        # lru routing through the sharded path stays byte-identical too
+        # closed-form routing through the sharded path stays byte-identical too
         traffics = example_traffics(3, messages=80)
         expected = in_process_stats(traffics)
         merged = run_many_sharded(
-            GRAPH, traffics, link=LINK, router="lru", store=tmp_path
+            GRAPH, traffics, link=LINK, router="closed-form", store=tmp_path
         )
         assert merged == expected
 

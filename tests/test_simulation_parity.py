@@ -199,30 +199,26 @@ def test_run_many_return_messages_flag():
 
 
 def test_both_engines_share_cached_routing_table():
-    from repro.routing.paths import routing_table_for
+    # one table router passed to both engines: its table is built once
+    from repro.routing.routers import DenseTableRouter
 
     graph = h_digraph(4, 8, 2)
-    table = routing_table_for(graph)
-    assert routing_table_for(graph) is table
-    reference = NetworkSimulator(graph)
-    batched = BatchedNetworkSimulator(graph)
-    assert reference.router.table is table
-    assert batched.router.table is table
+    router = DenseTableRouter(graph)
+    reference = NetworkSimulator(graph, router=router)
+    batched = BatchedNetworkSimulator(graph, router=router)
+    assert reference.router is router and batched.router is router
+    traffic = uniform_random_pairs(graph.num_vertices, 40, rng=1)
+    assert reference.run(traffic)[0] == batched.run(traffic)[0]
 
 
 def test_routing_cache_invalidated_by_mutation():
-    # Regression: an (n, m)-preserving rewire must not serve a stale table —
-    # Digraph mutators drop the instance cache.
-    from repro.routing.paths import routing_table_for
-
+    # Regression: an (n, m)-preserving rewire must not route over the old
+    # arcs — each engine builds its router from the current topology.
     graph = Digraph(3, arcs=[(0, 1), (1, 0), (1, 2)])
-    table = routing_table_for(graph)
-    assert table.next_hop[0, 2] == 1 and table.distance[0, 2] == 2
+    for engine_cls in (NetworkSimulator, BatchedNetworkSimulator):
+        assert engine_cls(graph).run([(0, 2, 0.0)])[1][0].hops == 2
     graph.remove_arc(1, 2)
     graph.add_arc(0, 2)  # same n, same m, different topology
-    fresh = routing_table_for(graph)
-    assert fresh is not table
-    assert fresh.next_hop[0, 2] == 2 and fresh.distance[0, 2] == 1
     for engine_cls in (NetworkSimulator, BatchedNetworkSimulator):
         stats, messages = engine_cls(graph).run([(0, 2, 0.0)])
         assert stats.delivered == 1

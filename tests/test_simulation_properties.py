@@ -76,8 +76,8 @@ def test_conservation_at_drain(graph, data):
     # in-flight remainder is the unreachable drops
     assert stats.delivered + stats.undelivered == len(traffic)
     assert sum(m.delivered for m in messages) == stats.delivered
-    distance = simulator.router.table.distance
-    unreachable = sum(1 for s, t, _ in traffic if distance[s, t] < 0)
+    sources, targets = (np.array([m[k] for m in traffic], dtype=np.int64) for k in (0, 1))
+    unreachable = int((simulator.router.path_lengths(sources, targets) < 0).sum())
     assert stats.undelivered == unreachable
 
 
