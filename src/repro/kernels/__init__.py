@@ -29,11 +29,13 @@ Requesting an unavailable backend explicitly warns and falls back to
 numpy; ``auto`` silently picks the best available (``cnative`` >
 ``numpy``).
 
-The active backend is part of result identity: it joins
-``code_version()`` / ``sim_code_version()`` (see ``repro.otis.sweep`` and
-``repro.simulation.sharding``), so on-disk caches and chunk stores can
-never silently mix backends even though the results are bit-identical —
-an intentionally conservative contract.
+The active backend is *not* part of result identity: ``code_version()`` /
+``sim_code_version()`` (see ``repro.otis.sweep`` and
+``repro.simulation.sharding``) hash the source files of the result path
+only, because the parity suites prove that both backends write the same
+record bytes.  So a chunk store or verdict cache filled under one backend
+resumes and merges under the other, recomputing nothing.  See § Identity
+in ``docs/kernels.md``.
 """
 
 from __future__ import annotations

@@ -44,6 +44,7 @@ from repro.simulation.network import (
     NetworkSimulator,
     NetworkStats,
     Traffic,
+    validate_traffic,
 )
 from repro.simulation.scenarios import (
     ARRIVAL_KINDS,
@@ -59,7 +60,6 @@ from repro.simulation.scenarios import (
     UniformArrivals,
     make_arrivals,
     run_scenario_sweep,
-    validate_traffic,
 )
 from repro.simulation.protocols import (
     run_broadcast,

@@ -25,8 +25,10 @@ the paper (Section 1).
 
 Two engines implement the model:
 
-* :class:`NetworkSimulator` — the reference event-at-a-time loop (heap of
-  callback closures).  Kept as the cross-checked oracle, exactly as
+* :class:`NetworkSimulator` — the reference: every run, healthy or
+  degraded, is one pass of the event-at-a-time loop :func:`_scenario_loop`
+  (heap of callback closures), a healthy run being a scenario with
+  nothing degrading it.  Kept as the cross-checked oracle, exactly as
   ``repro.graphs.apsp`` kept the matrix reference paths.
 * :class:`BatchedNetworkSimulator` — the vectorised hot path.  Per-link state
   (``busy_until``, FIFO queue depth) and per-message state (location, hop
@@ -64,19 +66,20 @@ Scenario runs (degraded-mode contract):
 Both engines accept ``scenario=`` (a :class:`repro.simulation.scenarios.
 Scenario`) composing finite link buffers (:class:`BufferedLinkModel`),
 deterministic fault timelines and a reroute policy on top of the healthy
-model.  A scenario that actually degrades the network
-(``scenario.needs_event_exact()``) is simulated one event at a time by
-one scalar loop, :func:`_scenario_loop`, the oracle of the degraded-mode
-semantics.  The batched engine runs the whole pass in the compiled
-``run_scenario`` kernel, with the same scalar float ops, when the backend
-is compiled, the router is a table router or has a ``shift_spec()``, and no
-``trace`` is requested; otherwise it runs the scalar loop once per
-workload over its own link groups.  The bit-identical parity contract
-thus extends to every layer combination — failures, finite buffers,
-retransmits, deflection rerouting (enforced by ``tests/test_scenarios.py``
-and ``tests/test_kernel_parity.py``).  An arrival-only scenario (default
-link, no faults) runs through the healthy path: healthy workloads pay
-nothing for the scenario seam.
+model.  The reference runs every scenario through its one loop,
+:func:`_scenario_loop`, the oracle of the degraded-mode semantics.  In the
+batched engine, a scenario that actually degrades the network
+(``scenario.needs_event_exact()``) is simulated one event at a time: the
+whole pass runs in the compiled ``run_scenario`` kernel, with the same
+scalar float ops, when the backend is compiled, the router is a table
+router or has a ``shift_spec()``, and no ``trace`` is requested;
+otherwise the engine runs :func:`_scenario_loop` once per workload over
+its own link groups.  The bit-identical parity contract thus extends to
+every layer combination — failures, finite buffers, retransmits,
+deflection rerouting (enforced by ``tests/test_scenarios.py`` and
+``tests/test_kernel_parity.py``).  An arrival-only scenario (default link,
+no faults) runs through the batched engine's healthy path: healthy
+workloads pay nothing for the scenario seam.
 """
 
 from __future__ import annotations
@@ -103,6 +106,7 @@ __all__ = [
     "BufferedLinkModel",
     "Message",
     "Traffic",
+    "validate_traffic",
     "NetworkStats",
     "NetworkSimulator",
     "BatchedNetworkSimulator",
@@ -319,6 +323,70 @@ class Traffic(Sequence):
         return f"Traffic({len(self)} messages)"
 
 
+def _columns_of_triples(triples) -> tuple[Traffic, ValueError | None]:
+    """``triples`` as a :class:`Traffic`, through one ``(N, 3)`` float array.
+
+    Input that is not such an array (ragged, or not triples) is read one
+    message at a time up to the first message that is not a triple: the
+    result then holds the messages before it, and the error names it.
+    """
+    try:
+        array = np.asarray(triples, dtype=float)
+    except (TypeError, ValueError):
+        array = None
+    if array is not None and array.shape == (0,):
+        array = array.reshape(0, 3)
+    error = None
+    if array is None or array.ndim != 2 or array.shape[1] != 3:
+        rows = []
+        for ident, triple in enumerate(triples):
+            try:
+                source, destination, release = triple
+                rows.append((float(source), float(destination), float(release)))
+            except (TypeError, ValueError):
+                error = ValueError(
+                    f"message {ident} is not a (source, destination, time) "
+                    f"triple: {triple!r}"
+                )
+                break
+        array = np.array(rows, dtype=float).reshape(-1, 3)
+    return Traffic(array[:, 0], array[:, 1], array[:, 2]), error
+
+
+def validate_traffic(traffic, num_nodes: int | None = None) -> Traffic:
+    """Fail fast on malformed traffic; returns it as a :class:`Traffic`.
+
+    The one traffic check: both engines run it on every workload, and
+    :meth:`repro.simulation.scenarios.Scenario.traffic` on every draw.  It
+    raises ``ValueError`` naming the first bad message — one that is not a
+    ``(source, destination, time)`` triple, has a NaN, negative or infinite
+    release time or (when ``num_nodes`` is given) an endpoint out of range;
+    within a message the release time is checked before the endpoints.  A
+    :class:`Traffic` comes back unchanged, checked with array operations.
+    (Message *sizes* live in the link model: ``transmission_time`` is the
+    size in time units, validated by ``LinkModel.__post_init__``.)
+    """
+    malformed = None
+    if not isinstance(traffic, Traffic):
+        traffic, malformed = _columns_of_triples(traffic)
+    bad = ~(np.isfinite(traffic.t) & (traffic.t >= 0))
+    if num_nodes is not None:
+        bad |= (traffic.src < 0) | (traffic.src >= num_nodes)
+        bad |= (traffic.dst < 0) | (traffic.dst >= num_nodes)
+    if bad.any():
+        ident = int(np.flatnonzero(bad)[0])
+        release = float(traffic.t[ident])
+        if not (math.isfinite(release) and release >= 0):
+            raise ValueError(
+                f"message {ident} has invalid release time {release!r} "
+                "(must be finite and non-negative)"
+            )
+        raise ValueError(f"message {ident} has endpoints out of range")
+    if malformed is not None:
+        raise malformed
+    return traffic
+
+
 @dataclass
 class NetworkStats:
     """Aggregate statistics of one simulation run.
@@ -360,417 +428,14 @@ def _not_an_arc(node: int, hop: int) -> ValueError:
     )
 
 
-class _ScenarioState:
-    """Mutable fault/reroute state of a scenario run (loop or kernel).
-
-    Owns the link/node up-down flags, applies :class:`~repro.simulation.
-    scenarios.FaultPlan` events (fail-stop: a fault flips a flag; in-flight
-    transmissions complete, only *new* acquisitions see it) and answers
-    next-hop queries under the scenario's reroute policy.  It performs **no**
-    floating-point time arithmetic — transmission timing stays in
-    :func:`_scenario_loop` and the kernel, so the float side of the parity
-    contract is enforced between two independent implementations.
-
-    The topology comes from the engine, which already owns it:
-    ``links_between(u, v)`` gives the ascending link ids of the ``(u, v)``
-    arcs (None when ``(u, v)`` is not an arc) and ``neighbors(u)`` the
-    distinct out-neighbours of ``u`` in ascending order.  Only the up/down
-    flags are built per run.
-
-    The ``"arc-disjoint"`` policy is greedy deflection over the healthy hop
-    counts of ``table``, a :class:`~repro.routing.routers.DenseTableRouter`
-    of the topology: when the shortest-path next hop is severed, pick the
-    live out-neighbour
-    minimising ``(healthy distance to destination, neighbour id)``.  On the
-    paper's topologies this walks one of the ``d`` arc-disjoint paths the
-    de Bruijn/Kautz structure guarantees, which is exactly the graceful
-    degradation the scenario suite measures.
-    """
-
-    def __init__(
-        self,
-        graph: BaseDigraph,
-        scenario,
-        router: Router,
-        table: DenseTableRouter | None,
-        links_between,
-        neighbors,
-    ):
-        self.scenario = scenario
-        self.router = router
-        self.links_between = links_between
-        self.neighbors = neighbors
-        n = graph.num_vertices
-        m = graph.num_arcs
-        self.link_down = np.zeros(m, dtype=bool)
-        self.node_down = np.zeros(n, dtype=bool)
-        self.fault_events = tuple(scenario.faults.events)
-        for event in self.fault_events:
-            bound = m if event.kind.startswith("link") else n
-            if not 0 <= event.target < bound:
-                raise ValueError(
-                    f"fault event targets {event.kind.split('_')[0]} "
-                    f"{event.target}, out of range for this topology"
-                )
-        #: The table router of the healthy hop counts under
-        #: ``"arc-disjoint"``, else None.
-        self.table = table
-
-    def apply_fault(self, index: int) -> None:
-        event = self.fault_events[index]
-        if event.kind == "link_down":
-            self.link_down[event.target] = True
-        elif event.kind == "link_up":
-            self.link_down[event.target] = False
-        elif event.kind == "node_down":
-            self.node_down[event.target] = True
-        else:  # node_up
-            self.node_down[event.target] = False
-
-    def usable(self, node: int, neighbor: int) -> bool:
-        """Is some live link to a live neighbour available for a new hop?"""
-        if self.node_down[neighbor]:
-            return False
-        for link_id in self.links_between(node, neighbor):
-            if not self.link_down[link_id]:
-                return True
-        return False
-
-    def choose(self, node: int, destination: int) -> tuple[int, bool]:
-        """Next hop under the reroute policy.
-
-        Returns ``(next_node, rerouted)``; ``next_node`` is ``-1`` when the
-        destination is unreachable in the healthy topology (plain
-        undelivered, as in the base model) and ``-2`` when faults sever
-        every permitted hop (drop reason ``"fault"``).  A router naming a
-        hop that is not an arc raises ``ValueError``.
-        """
-        primary = self.router.next_hop(node, destination)
-        if primary < 0:
-            return -1, False
-        if self.links_between(node, primary) is None:
-            raise _not_an_arc(node, primary)
-        if self.usable(node, primary):
-            return primary, False
-        if self.table is None:  # reroute == "none"
-            return -2, False
-        col, _, hops = self.table.columns([destination])
-        to_destination = hops[col[destination]]
-        best = -2
-        best_distance = -1
-        for neighbor in self.neighbors(node):
-            if neighbor == primary or not self.usable(node, neighbor):
-                continue
-            distance = int(to_destination[neighbor])
-            if distance < 0:
-                continue
-            if best == -2 or distance < best_distance:
-                best, best_distance = neighbor, distance
-        return best, best != -2
-
-
-def _reroute_table(
-    graph: BaseDigraph, scenario, router: Router
-) -> DenseTableRouter | None:
-    """The table router whose hop counts a degrading ``scenario``'s
-    ``"arc-disjoint"`` reroute reads: the run's own router when it is one,
-    else one built for ``graph``.  None for every other scenario."""
-    if scenario is None or scenario.reroute != "arc-disjoint":
-        return None
-    n = graph.num_vertices
-    if n > AUTO_DENSE_MAX_N:
-        raise ValueError(
-            "arc-disjoint reroute needs the dense-table regime "
-            f"(n <= {AUTO_DENSE_MAX_N}, got n={n})"
-        )
-    if isinstance(router, DenseTableRouter):
-        return router
-    return DenseTableRouter(graph)
-
-
-def _new_messages(src, dst, created) -> list[Message]:
-    """Fresh per-message records of validated traffic columns."""
-    return [
-        Message(ident, source, destination, time)
-        for ident, (source, destination, time) in enumerate(
-            zip(src.tolist(), dst.tolist(), created.tolist())
-        )
-    ]
-
-
-def _record_stats(
-    messages: list[Message], makespan: float, max_queue: int, busy_time: float, **counters
-) -> NetworkStats:
-    """The statistics of a scalar loop's finished message records."""
-    delivered = [m for m in messages if m.delivered]
-    latencies = np.array([m.latency for m in delivered], dtype=float)
-    hops = np.array([m.hops for m in delivered], dtype=float)
-    return NetworkStats(
-        delivered=len(delivered),
-        undelivered=len(messages) - len(delivered),
-        makespan=makespan,
-        mean_latency=float(latencies.mean()) if latencies.size else 0.0,
-        max_latency=float(latencies.max()) if latencies.size else 0.0,
-        mean_hops=float(hops.mean()) if hops.size else 0.0,
-        max_link_queue=max_queue,
-        total_link_busy_time=busy_time,
-        **counters,
-    )
-
-
-def _scenario_loop(
-    state: _ScenarioState,
-    link: LinkModel,
-    messages: list[Message],
-    *,
-    until: float | None = None,
-    max_events: int | None = None,
-    trace: list | None = None,
-) -> tuple[NetworkStats, list[Message]]:
-    """The scenario event loop of one workload: buffers, faults, rerouting.
-
-    The one scalar implementation of the degraded-mode semantics, run by
-    both engines and the oracle of the ``run_scenario`` kernel.  It equals
-    the healthy loop of :meth:`NetworkSimulator.run` until a scenario layer
-    bites: fault events are scheduled *before* any message injection (lower
-    sequence, so a fault at ``t`` is visible to every message event at
-    ``t`` — the fault-at-t=0 degenerate case included), full finite buffers
-    drop or re-offer, and severed primary hops consult the reroute policy.
-    The run starts from the healthy network (it clears the state's up/down
-    flags).  ``trace``, when given a list, receives one ``(link_ids,
-    start_times, message_indices)`` triple of one-element arrays per
-    transmission, in chronological order.
-    """
-    capacity = getattr(link, "capacity", None)
-    on_full = getattr(link, "on_full", "drop")
-    retry_delay = getattr(link, "retry_delay", 1.0)
-    max_retries = getattr(link, "max_retries", 0)
-    state.link_down[:] = False
-    state.node_down[:] = False
-    ttl = state.scenario.effective_max_hops(state.node_down.size)
-
-    sim = Simulator()
-    link_free_at = np.zeros(state.link_down.size)
-    link_queue_len = np.zeros(state.link_down.size, dtype=np.int64)
-    max_queue = 0
-    busy_time = 0.0
-    counters = {
-        "dropped_buffer": 0,
-        "dropped_fault": 0,
-        "dropped_hops": 0,
-        "retransmits": 0,
-        "rerouted_hops": 0,
-    }
-    retries = [0] * len(messages)
-
-    # Faults first: at equal timestamps they outrank message events.
-    for index, event in enumerate(state.fault_events):
-        sim.schedule_at(event.time, lambda k=index: state.apply_fault(k))
-
-    def drop(message: Message, reason: str) -> None:
-        message.drop_reason = reason
-        counters["dropped_" + reason] += 1
-
-    def forward(message: Message, node: int) -> None:
-        nonlocal max_queue, busy_time
-        if state.node_down[node]:
-            drop(message, "fault")
-            return
-        if node == message.destination:
-            message.arrival_time = sim.now
-            return
-        if ttl is not None and message.hops >= ttl:
-            drop(message, "hops")
-            return
-        next_node, rerouted = state.choose(node, message.destination)
-        if next_node == -1:
-            return  # unreachable in the healthy topology: plain undelivered
-        if next_node == -2:
-            drop(message, "fault")
-            return
-        live = [
-            lid
-            for lid in state.links_between(node, next_node)
-            if not state.link_down[lid]
-        ]
-        if capacity is not None:
-            live = [lid for lid in live if link_queue_len[lid] < capacity]
-        if not live:
-            if on_full == "retry" and retries[message.ident] < max_retries:
-                retries[message.ident] += 1
-                counters["retransmits"] += 1
-                sim.schedule_at(
-                    sim.now + retry_delay,
-                    lambda m=message, at=node: forward(m, at),
-                )
-            else:
-                drop(message, "buffer")
-            return
-        link_id = min(live, key=lambda lid: (float(link_free_at[lid]), lid))
-        start = max(sim.now, float(link_free_at[link_id]))
-        finish = start + link.transmission_time
-        link_free_at[link_id] = finish
-        link_queue_len[link_id] += 1
-        max_queue = max(max_queue, int(link_queue_len[link_id]))
-        busy_time += link.transmission_time
-        if rerouted:
-            counters["rerouted_hops"] += 1
-        if trace is not None:
-            trace.append(
-                (
-                    np.array([link_id], dtype=np.int64),
-                    np.array([start]),
-                    np.array([message.ident], dtype=np.int64),
-                )
-            )
-
-        def deliver(msg=message, nxt=next_node, lid=link_id) -> None:
-            link_queue_len[lid] -= 1
-            msg.hops += 1
-            forward(msg, nxt)
-
-        sim.schedule_at(finish + link.latency, deliver)
-
-    for message in messages:
-        sim.schedule_at(
-            message.creation_time, lambda m=message: forward(m, m.source)
-        )
-    makespan = sim.run(until=until, max_events=max_events)
-    return _record_stats(messages, makespan, max_queue, busy_time, **counters), messages
-
-
-class NetworkSimulator:
-    """Simulate store-and-forward message delivery on a digraph.
-
-    Parameters
-    ----------
-    graph:
-        The network topology; nodes are processors, arcs are unidirectional
-        links (exactly the semantics of the OTIS digraphs).
-    link:
-        Timing parameters applied to every link.
-    router:
-        A :class:`repro.routing.routers.Router` instance or kind string
-        (``"auto"``, ``"dense"``, ``"closed-form"``).  The default
-        ``"auto"`` keeps the table router for small topologies and goes
-        table-free above :data:`repro.routing.routers.AUTO_DENSE_MAX_N`
-        vertices.  Pass one router instance to several simulators to build
-        its table once.
-    scenario:
-        Optional :class:`repro.simulation.scenarios.Scenario`.  Mutually
-        exclusive with ``link`` (the scenario carries its own link model);
-        a scenario that degrades the network switches ``run`` to the
-        scenario event loop (buffers, faults, rerouting), an arrival-only
-        scenario behaves exactly like the base model.
-    """
-
-    def __init__(
-        self,
-        graph: BaseDigraph,
-        link: LinkModel | None = None,
-        *,
-        router: Router | str | None = None,
-        scenario=None,
-    ):
-        if scenario is not None and link is not None:
-            raise ValueError(
-                "pass link= or scenario= (the scenario carries its link model), "
-                "not both"
-            )
-        self.graph = graph
-        self.scenario = scenario
-        self.link = scenario.link if scenario is not None else (link or LinkModel())
-        self.router = resolve_router(graph, router=router)
-        self._reroute = _reroute_table(graph, scenario, self.router)
-        # Every arc is its own physical link: parallel arcs (common in OTIS
-        # digraphs such as H(1, 4, 2)) are distinct optical channels, so two
-        # simultaneous messages between the same endpoints must not contend.
-        self._links_between: dict[tuple[int, int], list[int]] = {}
-        for index, (u, v) in enumerate(graph.arcs()):
-            self._links_between.setdefault((u, v), []).append(index)
-        self._num_links = graph.num_arcs
-
-    # ------------------------------------------------------------------ run
-    def run(
-        self,
-        traffic: list[tuple[int, int, float]],
-        *,
-        until: float | None = None,
-        max_events: int | None = None,
-    ) -> tuple[NetworkStats, list[Message]]:
-        """Simulate a list of ``(source, destination, injection_time)`` messages.
-
-        Returns the aggregate statistics and the per-message records.
-        Messages whose destination is unreachable are counted as undelivered.
-        """
-        src, dst, created, _, _ = _pool_traffics([traffic], self.graph.num_vertices)
-        messages = _new_messages(src, dst, created)
-        if self.scenario is not None and self.scenario.needs_event_exact():
-            graph = self.graph
-            state = _ScenarioState(
-                graph,
-                self.scenario,
-                self.router,
-                self._reroute,
-                lambda u, v: self._links_between.get((u, v)),
-                lambda u: sorted(set(graph.out_neighbors(u))),
-            )
-            return _scenario_loop(
-                state, self.link, messages, until=until, max_events=max_events
-            )
-        sim = Simulator()
-        link_free_at = np.zeros(self._num_links, dtype=float)
-        link_queue_len = np.zeros(self._num_links, dtype=np.int64)
-        max_queue = 0
-        busy_time = 0.0
-
-        router = self.router
-
-        def forward(message: Message, node: int) -> None:
-            nonlocal max_queue, busy_time
-            if node == message.destination:
-                message.arrival_time = sim.now
-                return
-            next_node = router.next_hop(node, message.destination)
-            if next_node < 0:
-                return  # unreachable: drop (counted as undelivered)
-            # Transmit over the earliest-free parallel link between the two
-            # endpoints (ties broken by link id for determinism).
-            parallel = self._links_between.get((node, next_node))
-            if parallel is None:
-                raise _not_an_arc(node, next_node)
-            link_id = min(parallel, key=lambda lid: (float(link_free_at[lid]), lid))
-            start = max(sim.now, float(link_free_at[link_id]))
-            finish = start + self.link.transmission_time
-            link_free_at[link_id] = finish
-            link_queue_len[link_id] += 1
-            max_queue = max(max_queue, int(link_queue_len[link_id]))
-            busy_time += self.link.transmission_time
-
-            def deliver(msg=message, nxt=next_node, lid=link_id) -> None:
-                link_queue_len[lid] -= 1
-                msg.hops += 1
-                forward(msg, nxt)
-
-            sim.schedule_at(finish + self.link.latency, deliver)
-
-        for message in messages:
-            sim.schedule_at(
-                message.creation_time, lambda m=message: forward(m, m.source)
-            )
-
-        makespan = sim.run(until=until, max_events=max_events)
-        return _record_stats(messages, makespan, max_queue, busy_time), messages
-
-
-# ---------------------------------------------------------------------------
-# Batched engine
-# ---------------------------------------------------------------------------
 class _LinkGroups:
     """Array-pooled link topology: arcs grouped by ``(tail, head)``.
 
-    Links are arc indices in ``graph.arcs()`` enumeration order (the same
-    numbering the reference simulator uses).  Groups are the distinct
+    Every arc is its own physical link: parallel arcs (common in OTIS
+    digraphs such as ``H(1, 4, 2)``) are distinct optical channels, so two
+    simultaneous messages between the same endpoints do not contend.
+    Links are arc indices in ``graph.arcs()`` enumeration order, the
+    numbering both engines and fault plans use.  Groups are the distinct
     ``(u, v)`` pairs, sorted by the scalar key ``u * n + v``;
     ``flat_links[group_ptr[g]:group_ptr[g+1]]`` holds the parallel link ids of
     group ``g`` in ascending id order, so the tie-break "lowest link id wins"
@@ -844,6 +509,355 @@ class _LinkGroups:
         return gid
 
 
+class _ScenarioState:
+    """Mutable fault/reroute state of a scenario run (loop or kernel).
+
+    Owns the link/node up-down flags, applies :class:`~repro.simulation.
+    scenarios.FaultPlan` events (fail-stop: a fault flips a flag; in-flight
+    transmissions complete, only *new* acquisitions see it) and answers
+    next-hop queries under the scenario's reroute policy.  It performs **no**
+    floating-point time arithmetic — transmission timing stays in
+    :func:`_scenario_loop` and the kernel, so the float side of the parity
+    contract is enforced between two independent implementations.
+
+    The topology is the engine's :class:`_LinkGroups` (the parallel link
+    ids of every arc and the distinct out-neighbours of every vertex); only
+    the up/down flags are built per run.  ``scenario=None`` is the healthy
+    network, like the default ``Scenario()``: no fault events, no TTL.
+
+    The ``"arc-disjoint"`` policy is greedy deflection over the healthy hop
+    counts of ``table``, a :class:`~repro.routing.routers.DenseTableRouter`
+    of the topology: when the shortest-path next hop is severed, pick the
+    live out-neighbour
+    minimising ``(healthy distance to destination, neighbour id)``.  On the
+    paper's topologies this walks one of the ``d`` arc-disjoint paths the
+    de Bruijn/Kautz structure guarantees, which is exactly the graceful
+    degradation the scenario suite measures.
+    """
+
+    def __init__(
+        self,
+        scenario,
+        router: Router,
+        table: DenseTableRouter | None,
+        groups: _LinkGroups,
+    ):
+        self.router = router
+        self.groups = groups
+        n = groups.num_vertices
+        m = groups.num_links
+        self.link_down = np.zeros(m, dtype=bool)
+        self.node_down = np.zeros(n, dtype=bool)
+        healthy = scenario is None
+        self.fault_events = () if healthy else tuple(scenario.faults.events)
+        for event in self.fault_events:
+            bound = m if event.kind.startswith("link") else n
+            if not 0 <= event.target < bound:
+                raise ValueError(
+                    f"fault event targets {event.kind.split('_')[0]} "
+                    f"{event.target}, out of range for this topology"
+                )
+        #: The per-message hop TTL (None: unlimited).
+        self.ttl = None if healthy else scenario.effective_max_hops(n)
+        #: The table router of the healthy hop counts under
+        #: ``"arc-disjoint"``, else None.
+        self.table = table
+
+    def apply_fault(self, index: int) -> None:
+        event = self.fault_events[index]
+        if event.kind == "link_down":
+            self.link_down[event.target] = True
+        elif event.kind == "link_up":
+            self.link_down[event.target] = False
+        elif event.kind == "node_down":
+            self.node_down[event.target] = True
+        else:  # node_up
+            self.node_down[event.target] = False
+
+    def live_links(self, node: int, neighbor: int) -> list[int]:
+        """The live links ``node -> neighbor`` a new hop may take (none
+        when the neighbour is down), ascending."""
+        if self.node_down[neighbor]:
+            return []
+        links = self.groups.links(node, neighbor)
+        return [lid for lid in links if not self.link_down[lid]]
+
+    def choose(self, node: int, destination: int) -> tuple[int, bool, list[int]]:
+        """Next hop under the reroute policy.
+
+        Returns ``(next_node, rerouted, live_links)``; ``next_node`` is
+        ``-1`` when the destination is unreachable in the healthy topology
+        (plain undelivered, as in the base model) and ``-2`` when faults
+        sever every permitted hop (drop reason ``"fault"``).  A router
+        naming a hop that is not an arc raises ``ValueError``.
+        """
+        primary = self.router.next_hop(node, destination)
+        if primary < 0:
+            return -1, False, []
+        if self.groups.links(node, primary) is None:
+            raise _not_an_arc(node, primary)
+        live = self.live_links(node, primary)
+        if live:
+            return primary, False, live
+        if self.table is None:  # reroute == "none"
+            return -2, False, []
+        col, _, hops = self.table.columns([destination])
+        to_destination = hops[col[destination]]
+        best, best_distance, best_live = -2, -1, []
+        for neighbor in self.groups.neighbors(node):
+            if neighbor == primary:
+                continue
+            live = self.live_links(node, neighbor)
+            distance = int(to_destination[neighbor])
+            if not live or distance < 0:
+                continue
+            if best == -2 or distance < best_distance:
+                best, best_distance, best_live = neighbor, distance, live
+        return best, best != -2, best_live
+
+
+def _reroute_table(
+    graph: BaseDigraph, scenario, router: Router
+) -> DenseTableRouter | None:
+    """The table router whose hop counts a degrading ``scenario``'s
+    ``"arc-disjoint"`` reroute reads: the run's own router when it is one,
+    else one built for ``graph``.  None for every other scenario."""
+    if scenario is None or scenario.reroute != "arc-disjoint":
+        return None
+    n = graph.num_vertices
+    if n > AUTO_DENSE_MAX_N:
+        raise ValueError(
+            "arc-disjoint reroute needs the dense-table regime "
+            f"(n <= {AUTO_DENSE_MAX_N}, got n={n})"
+        )
+    if isinstance(router, DenseTableRouter):
+        return router
+    return DenseTableRouter(graph)
+
+
+def _new_messages(src, dst, created) -> list[Message]:
+    """Fresh per-message records of validated traffic columns."""
+    return [
+        Message(ident, source, destination, time)
+        for ident, (source, destination, time) in enumerate(
+            zip(src.tolist(), dst.tolist(), created.tolist())
+        )
+    ]
+
+
+def _record_stats(
+    messages: list[Message], makespan: float, max_queue: int, busy_time: float, **counters
+) -> NetworkStats:
+    """The statistics of a scalar loop's finished message records."""
+    delivered = [m for m in messages if m.delivered]
+    latencies = np.array([m.latency for m in delivered], dtype=float)
+    hops = np.array([m.hops for m in delivered], dtype=float)
+    return NetworkStats(
+        delivered=len(delivered),
+        undelivered=len(messages) - len(delivered),
+        makespan=makespan,
+        mean_latency=float(latencies.mean()) if latencies.size else 0.0,
+        max_latency=float(latencies.max()) if latencies.size else 0.0,
+        mean_hops=float(hops.mean()) if hops.size else 0.0,
+        max_link_queue=max_queue,
+        total_link_busy_time=busy_time,
+        **counters,
+    )
+
+
+def _scenario_loop(
+    state: _ScenarioState,
+    link: LinkModel,
+    messages: list[Message],
+    *,
+    until: float | None = None,
+    max_events: int | None = None,
+    trace: list | None = None,
+) -> tuple[NetworkStats, list[Message]]:
+    """The Python event loop of one workload: buffers, faults, rerouting.
+
+    The one scalar implementation of the network model, run by the
+    reference for every run and by the batched engine for a degrading
+    scenario it cannot hand to the ``run_scenario`` kernel (whose oracle
+    it is).  A healthy run (``state`` of no scenario or of one that
+    degrades nothing) is a scenario run in which no layer bites.
+    Otherwise: fault events are scheduled *before* any message injection
+    (lower sequence, so a fault at ``t`` is visible to every message event
+    at ``t`` — the fault-at-t=0 degenerate case included), full finite
+    buffers drop or re-offer, and severed primary hops consult the reroute
+    policy.  The run starts from the healthy network (it clears the
+    state's up/down flags).  ``trace``, when given a list, receives one
+    ``(link_ids, start_times, message_indices)`` triple of one-element
+    arrays per transmission, in chronological order.
+    """
+    capacity = getattr(link, "capacity", None)
+    on_full = getattr(link, "on_full", "drop")
+    retry_delay = getattr(link, "retry_delay", 1.0)
+    max_retries = getattr(link, "max_retries", 0)
+    state.link_down[:] = False
+    state.node_down[:] = False
+    ttl = state.ttl
+
+    sim = Simulator()
+    link_free_at = np.zeros(state.link_down.size)
+    link_queue_len = np.zeros(state.link_down.size, dtype=np.int64)
+    max_queue = 0
+    busy_time = 0.0
+    counters = {
+        "dropped_buffer": 0,
+        "dropped_fault": 0,
+        "dropped_hops": 0,
+        "retransmits": 0,
+        "rerouted_hops": 0,
+    }
+    retries = [0] * len(messages)
+
+    # Faults first: at equal timestamps they outrank message events.
+    for index, event in enumerate(state.fault_events):
+        sim.schedule_at(event.time, lambda k=index: state.apply_fault(k))
+
+    def drop(message: Message, reason: str) -> None:
+        message.drop_reason = reason
+        counters["dropped_" + reason] += 1
+
+    def forward(message: Message, node: int) -> None:
+        nonlocal max_queue, busy_time
+        if state.node_down[node]:
+            drop(message, "fault")
+            return
+        if node == message.destination:
+            message.arrival_time = sim.now
+            return
+        if ttl is not None and message.hops >= ttl:
+            drop(message, "hops")
+            return
+        next_node, rerouted, live = state.choose(node, message.destination)
+        if next_node == -1:
+            return  # unreachable in the healthy topology: plain undelivered
+        if next_node == -2:
+            drop(message, "fault")
+            return
+        if capacity is not None:
+            live = [lid for lid in live if link_queue_len[lid] < capacity]
+        if not live:
+            if on_full == "retry" and retries[message.ident] < max_retries:
+                retries[message.ident] += 1
+                counters["retransmits"] += 1
+                sim.schedule_at(
+                    sim.now + retry_delay,
+                    lambda m=message, at=node: forward(m, at),
+                )
+            else:
+                drop(message, "buffer")
+            return
+        link_id = min(live, key=lambda lid: (float(link_free_at[lid]), lid))
+        start = max(sim.now, float(link_free_at[link_id]))
+        finish = start + link.transmission_time
+        link_free_at[link_id] = finish
+        link_queue_len[link_id] += 1
+        max_queue = max(max_queue, int(link_queue_len[link_id]))
+        busy_time += link.transmission_time
+        if rerouted:
+            counters["rerouted_hops"] += 1
+        if trace is not None:
+            trace.append(
+                (
+                    np.array([link_id], dtype=np.int64),
+                    np.array([start]),
+                    np.array([message.ident], dtype=np.int64),
+                )
+            )
+
+        def deliver(msg=message, nxt=next_node, lid=link_id) -> None:
+            link_queue_len[lid] -= 1
+            msg.hops += 1
+            forward(msg, nxt)
+
+        sim.schedule_at(finish + link.latency, deliver)
+
+    for message in messages:
+        sim.schedule_at(
+            message.creation_time, lambda m=message: forward(m, m.source)
+        )
+    makespan = sim.run(until=until, max_events=max_events)
+    return _record_stats(messages, makespan, max_queue, busy_time, **counters), messages
+
+
+class NetworkSimulator:
+    """Simulate store-and-forward message delivery on a digraph.
+
+    The reference engine: every run is one pass of the Python event loop
+    :func:`_scenario_loop`, one event at a time, with or without a
+    scenario (a healthy run is a scenario in which nothing degrades).
+
+    Parameters
+    ----------
+    graph:
+        The network topology; nodes are processors, arcs are unidirectional
+        links (exactly the semantics of the OTIS digraphs).
+    link:
+        Timing parameters applied to every link.
+    router:
+        A :class:`repro.routing.routers.Router` instance or kind string
+        (``"auto"``, ``"dense"``, ``"closed-form"``).  The default
+        ``"auto"`` keeps the table router for small topologies and goes
+        table-free above :data:`repro.routing.routers.AUTO_DENSE_MAX_N`
+        vertices.  Pass one router instance to several simulators to build
+        its table once.
+    scenario:
+        Optional :class:`repro.simulation.scenarios.Scenario`.  Mutually
+        exclusive with ``link`` (the scenario carries its own link model);
+        its buffers, faults and reroute policy apply to every run, and an
+        arrival-only scenario behaves exactly like the base model.
+    """
+
+    def __init__(
+        self,
+        graph: BaseDigraph,
+        link: LinkModel | None = None,
+        *,
+        router: Router | str | None = None,
+        scenario=None,
+    ):
+        if scenario is not None and link is not None:
+            raise ValueError(
+                "pass link= or scenario= (the scenario carries its link model), "
+                "not both"
+            )
+        self.graph = graph
+        self.scenario = scenario
+        self.link = scenario.link if scenario is not None else (link or LinkModel())
+        self.router = resolve_router(graph, router=router)
+        self._reroute = _reroute_table(graph, scenario, self.router)
+        self._groups = _LinkGroups(graph)
+
+    # ------------------------------------------------------------------ run
+    def run(
+        self,
+        traffic: list[tuple[int, int, float]],
+        *,
+        until: float | None = None,
+        max_events: int | None = None,
+    ) -> tuple[NetworkStats, list[Message]]:
+        """Simulate a list of ``(source, destination, injection_time)`` messages.
+
+        Returns the aggregate statistics and the per-message records.
+        Messages whose destination is unreachable are counted as undelivered.
+        """
+        src, dst, created, _, _ = _pool_traffics([traffic], self.graph.num_vertices)
+        state = _ScenarioState(self.scenario, self.router, self._reroute, self._groups)
+        return _scenario_loop(
+            state,
+            self.link,
+            _new_messages(src, dst, created),
+            until=until,
+            max_events=max_events,
+        )
+
+
+# ---------------------------------------------------------------------------
+# Batched engine
+# ---------------------------------------------------------------------------
 #: Batches at or below this size run the per-event scalar path; above it the
 #: vector path wins.  Both paths are float-exact, so this is purely a tuning
 #: knob (break-even is a few dozen events per batch).
@@ -868,57 +882,51 @@ def _sequential_sum(count: int, term: float) -> float:
 
 
 def _pool_traffics(traffics, n: int):
-    """Flatten per-replica traffics into pooled arrays, validating as it goes.
-
-    Returns ``(src, dst, created, counts, offsets)``; rejects out-of-range
-    endpoints and NaN/negative/infinite release times (same checks — and the
-    same error messages — as the reference engine's message builder).  A
-    :class:`Traffic` hands over its columns; any other sequence of triples
-    goes through one ``(N, 3)`` float array.
-    """
-    R = len(traffics)
-    src_parts, dst_parts, time_parts = [], [], []
-    counts = np.zeros(R, dtype=np.int64)
-    for r, traffic in enumerate(traffics):
-        if isinstance(traffic, Traffic):
-            src, dst, injected = traffic.src, traffic.dst, traffic.t
-        else:
-            arr = np.asarray(traffic, dtype=float)
-            if arr.size == 0:
-                arr = arr.reshape(0, 3)
-            if arr.ndim != 2 or arr.shape[1] != 3:
-                raise ValueError(
-                    "traffic must be a sequence of (source, destination, time) "
-                    "triples"
-                )
-            src = arr[:, 0].astype(np.int64)
-            dst = arr[:, 1].astype(np.int64)
-            injected = arr[:, 2].astype(float)
-        bad = (src < 0) | (src >= n) | (dst < 0) | (dst >= n)
-        if bad.any():
-            ident = int(np.flatnonzero(bad)[0])
-            raise ValueError(f"message {ident} has endpoints out of range")
-        bad_time = ~(np.isfinite(injected) & (injected >= 0))
-        if bad_time.any():
-            ident = int(np.flatnonzero(bad_time)[0])
-            raise ValueError(
-                f"message {ident} has invalid release time "
-                f"{float(injected[ident])!r} (must be finite and non-negative)"
-            )
-        src_parts.append(src)
-        dst_parts.append(dst)
-        time_parts.append(injected)
-        counts[r] = src.shape[0]
+    """Flatten per-replica traffics into pooled arrays, each one checked by
+    :func:`validate_traffic`; returns ``(src, dst, created, counts,
+    offsets)``."""
+    columns = [validate_traffic(traffic, n) for traffic in traffics]
+    counts = np.array([len(traffic) for traffic in columns], dtype=np.int64)
     offsets = np.concatenate(([0], np.cumsum(counts)))
     N = int(offsets[-1])
-    src = np.concatenate(src_parts) if N else np.zeros(0, dtype=np.int64)
-    dst = np.concatenate(dst_parts) if N else np.zeros(0, dtype=np.int64)
-    created = np.concatenate(time_parts) if N else np.zeros(0)
+    src = np.concatenate([c.src for c in columns]) if N else np.zeros(0, dtype=np.int64)
+    dst = np.concatenate([c.dst for c in columns]) if N else np.zeros(0, dtype=np.int64)
+    created = np.concatenate([c.t for c in columns]) if N else np.zeros(0)
     # Release times reach every engine through here: turn ``-0.0`` into
     # ``+0.0`` once, or the reference keeps the sign in its event times
     # while the batched buckets (which merge +-0.0) drop it.
     created += 0.0
     return src, dst, created, counts, offsets
+
+
+def _pooled_state(traffics, n: int, m: int):
+    """Pool ``traffics`` and allocate the run state of every replica.
+
+    Returns ``(src, created, offsets, state)``.  ``state`` holds the arrays
+    a run updates in place, in the kernels' order: per message ``loc``
+    (current node), ``dst``, ``hops``, ``arrival`` (NaN until delivered),
+    ``prev_link`` (replicated link id, -1 before the first hop) and ``rep``
+    (replica index); ``last_time`` per replica; ``busy_until`` and
+    ``queue_len`` per replicated link (``R * m`` of them, so workloads
+    never contend); ``max_queue`` and ``tx_count`` per replica.
+    """
+    src, dst, created, counts, offsets = _pool_traffics(traffics, n)
+    R = len(traffics)
+    N = int(offsets[-1])
+    state = (
+        src.copy(),
+        dst,
+        np.zeros(N, dtype=np.int64),
+        np.full(N, np.nan),
+        np.full(N, -1, dtype=np.int64),
+        np.repeat(np.arange(R, dtype=np.int64), counts),
+        np.zeros(R),
+        np.zeros(R * m),
+        np.zeros(R * m, dtype=np.int64),
+        np.zeros(R, dtype=np.int64),
+        np.zeros(R, dtype=np.int64),
+    )
+    return src, created, offsets, state
 
 
 #: The scenario kernel's ``drop_code`` -> ``Message.drop_reason``.  Codes
@@ -953,22 +961,19 @@ def _raise_kernel_status(status: int, meta: np.ndarray) -> None:
 
 
 def _replica_results(
-    offsets,
     src,
-    dst,
     created,
-    arrival,
-    hops,
-    last_time,
-    max_queue,
-    tx_count,
+    offsets,
+    state,
     T,
     return_messages,
     counters=None,
     drop_code=None,
 ) -> list[tuple[NetworkStats, list[Message] | None]]:
-    """Per-replica statistics and messages, computed exactly as the
-    reference does; ``counters`` / ``drop_code`` are the scenario kernel's."""
+    """Per-replica statistics and messages of a finished pooled run (the
+    :func:`_pooled_state` arrays), computed exactly as the reference does;
+    ``counters`` / ``drop_code`` are the scenario kernel's."""
+    _, dst, hops, arrival, _, _, last_time, _, _, max_queue, tx_count = state
     results: list[tuple[NetworkStats, list[Message] | None]] = []
     for r in range(len(offsets) - 1):
         lo, hi = int(offsets[r]), int(offsets[r + 1])
@@ -1135,22 +1140,10 @@ class BatchedNetworkSimulator:
         L = self.link.latency
         R = len(traffics)
 
-        # ---- pool the per-message state of every replica into flat arrays
-        src, dst, created, counts, offsets = _pool_traffics(traffics, n)
+        src, created, offsets, state = _pooled_state(traffics, n, m)
+        (loc, dst, hops, arrival, prev_link, rep, last_time,
+         busy_until, queue_len, max_queue, tx_count) = state
         N = int(offsets[-1])
-
-        rep = np.repeat(np.arange(R, dtype=np.int64), counts)
-
-        loc = src.copy()
-        hops = np.zeros(N, dtype=np.int64)
-        arrival = np.full(N, np.nan)
-        prev_link = np.full(N, -1, dtype=np.int64)  # global (replicated) ids
-
-        busy_until = np.zeros(R * m)
-        queue_len = np.zeros(R * m, dtype=np.int64)
-        max_queue = np.zeros(R, dtype=np.int64)
-        tx_count = np.zeros(R, dtype=np.int64)
-        last_time = np.zeros(R)
         router = self.router
         processed = 0
 
@@ -1159,8 +1152,7 @@ class BatchedNetworkSimulator:
             self._run_kernel(
                 self._kernels.run_rounds,
                 (np.arange(N, dtype=np.int64), np.ascontiguousarray(created)),
-                (loc, dst, hops, arrival, prev_link, rep, last_time,
-                 busy_until, queue_len, max_queue, tx_count),
+                state,
                 until, max_events,
             )
         else:
@@ -1406,10 +1398,7 @@ class BatchedNetworkSimulator:
                 else:
                     np.maximum.at(max_queue, seg_links // m, seg_max)
 
-        return _replica_results(
-            offsets, src, dst, created, arrival, hops,
-            last_time, max_queue, tx_count, T, return_messages,
-        )
+        return _replica_results(src, created, offsets, state, T, return_messages)
 
     # -------------------------------------------------------- kernel rounds
     def _run_kernel(self, kernel, events, state, until, max_events, *scenario):
@@ -1476,95 +1465,68 @@ class BatchedNetworkSimulator:
                 "max_events= and trace= apply to a single workload in a "
                 f"degrading scenario run, got {len(traffics)} workloads"
             )
-        scenario = self.scenario
         link = self.link
-        capacity = getattr(link, "capacity", None)
-        retry = getattr(link, "on_full", "drop") == "retry"
-        retry_delay = float(getattr(link, "retry_delay", 1.0))
-        max_retries = int(getattr(link, "max_retries", 0))
         groups = self._groups
-        n = self.graph.num_vertices
-        m = groups.num_links
-        T = link.transmission_time
-        R = len(traffics)
-        ttl = scenario.effective_max_hops(n)
-        state = _ScenarioState(
-            self.graph, scenario, self.router, self._reroute, groups.links,
-            groups.neighbors,
+        scenario_state = _ScenarioState(
+            self.scenario, self.router, self._reroute, groups
         )
+        src, created, offsets, state = _pooled_state(
+            traffics, groups.num_vertices, groups.num_links
+        )
+        dst = state[1]
+        if self._kernels is None or trace is not None:
+            results = []
+            for lo, hi in zip(offsets[:-1].tolist(), offsets[1:].tolist()):
+                messages = _new_messages(src[lo:hi], dst[lo:hi], created[lo:hi])
+                stats, messages = _scenario_loop(
+                    scenario_state, link, messages,
+                    until=until, max_events=max_events, trace=trace,
+                )
+                results.append((stats, messages if return_messages else None))
+            return results
 
-        src, dst, created, counts, offsets = _pool_traffics(traffics, n)
         N = int(offsets[-1])
-        rep = np.repeat(np.arange(R, dtype=np.int64), counts)
-
-        loc = src.copy()
-        hops = np.zeros(N, dtype=np.int64)
-        arrival = np.full(N, np.nan)
-        prev_link = np.full(N, -1, dtype=np.int64)  # global (replicated) ids
+        fault_events = scenario_state.fault_events
+        fault_times = np.array([event.time for event in fault_events], dtype=float)
+        capacity = getattr(link, "capacity", None)
+        ttl = scenario_state.ttl
         retries = np.zeros(N, dtype=np.int64)
         drop_code = np.zeros(N, dtype=np.int8)  # index into _DROP_REASONS
-        fault_times = np.array(
-            [event.time for event in state.fault_events], dtype=float
-        )
-        F = fault_times.shape[0]
-
-        busy_until = np.zeros(R * m)
-        queue_len = np.zeros(R * m, dtype=np.int64)
-        max_queue = np.zeros(R, dtype=np.int64)
-        tx_count = np.zeros(R, dtype=np.int64)
-        last_time = np.zeros(R)
         # per replica: retransmits, drops by code (fault, hops, buffer),
         # rerouted hops — the kernel's flat layout
-        counters = np.zeros(5 * R, dtype=np.int64)
-        stats_args = (
-            offsets, src, dst, created, arrival, hops,
-            last_time, max_queue, tx_count, T, return_messages,
+        counters = np.zeros(5 * len(traffics), dtype=np.int64)
+        distance, dist_col = _NO_HOPS, _NO_TABLE
+        if scenario_state.table is not None:
+            dist_col, _, distance = scenario_state.table.columns(dst)
+        self._run_kernel(
+            self._kernels.run_scenario,
+            # faults first: lower sequence at equal timestamps
+            (
+                np.concatenate((np.arange(N, N + len(fault_events)), np.arange(N))),
+                np.concatenate((fault_times, created)),
+            ),
+            state,
+            until,
+            max_events,
+            (
+                N,
+                np.array([_FAULT_CODES[e.kind] for e in fault_events], dtype=np.int64),
+                np.array([e.target for e in fault_events], dtype=np.int64),
+                scenario_state.link_down.view(np.uint8),
+                scenario_state.node_down.view(np.uint8),
+                distance,
+                dist_col,
+                -1 if ttl is None else ttl,
+                -1 if capacity is None else capacity,
+                int(getattr(link, "on_full", "drop") == "retry"),
+                float(getattr(link, "retry_delay", 1.0)),
+                int(getattr(link, "max_retries", 0)),
+                retries,
+                drop_code,
+                counters,
+            ),
+        )
+        return _replica_results(
+            src, created, offsets, state, link.transmission_time, return_messages,
             counters, drop_code,
         )
-
-        if self._kernels is not None and trace is None:
-            distance, dist_col = _NO_HOPS, _NO_TABLE
-            if state.table is not None:
-                dist_col, _, distance = state.table.columns(dst)
-            self._run_kernel(
-                self._kernels.run_scenario,
-                # faults first: lower sequence at equal timestamps
-                (
-                    np.concatenate((np.arange(N, N + F), np.arange(N))),
-                    np.concatenate((fault_times, created)),
-                ),
-                (loc, dst, hops, arrival, prev_link, rep, last_time,
-                 busy_until, queue_len, max_queue, tx_count),
-                until,
-                max_events,
-                (
-                    N,
-                    np.array(
-                        [_FAULT_CODES[e.kind] for e in state.fault_events],
-                        dtype=np.int64,
-                    ),
-                    np.array([e.target for e in state.fault_events], dtype=np.int64),
-                    state.link_down.view(np.uint8),
-                    state.node_down.view(np.uint8),
-                    distance,
-                    dist_col,
-                    -1 if ttl is None else ttl,
-                    -1 if capacity is None else capacity,
-                    int(retry),
-                    retry_delay,
-                    max_retries,
-                    retries,
-                    drop_code,
-                    counters,
-                ),
-            )
-            return _replica_results(*stats_args)
-
-        results = []
-        for lo, hi in zip(offsets[:-1].tolist(), offsets[1:].tolist()):
-            messages = _new_messages(src[lo:hi], dst[lo:hi], created[lo:hi])
-            stats, messages = _scenario_loop(
-                state, link, messages, until=until, max_events=max_events, trace=trace
-            )
-            results.append((stats, messages if return_messages else None))
-        return results

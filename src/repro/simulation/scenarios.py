@@ -11,10 +11,11 @@ pluggable layers, each an explicit, picklable, deterministic value:
   :class:`HotspotArrivals` (the adversarial single-target pattern),
   :class:`PermutationArrivals`, :class:`BurstyArrivals` (on/off trains) and
   :class:`DiurnalArrivals` (sinusoidally modulated Poisson, thinned).  The
-  first three delegate to the generators of
-  :mod:`repro.simulation.workloads` and consume the *identical* RNG stream
-  as :func:`~repro.simulation.workloads.make_workload`, so existing traffic
-  digests (and therefore chunk-store ids) are unchanged.
+  first three draw their pairs through the generators of
+  :mod:`repro.simulation.workloads`, and
+  :func:`~repro.simulation.workloads.make_workload` draws every named
+  workload through these processes, so the two front-ends are one RNG
+  stream and one set of traffic digests (and chunk-store ids).
 * **BufferedLinkModel** — finite per-link queues with drop/retransmit
   accounting (:class:`repro.simulation.network.BufferedLinkModel`; plain
   :class:`~repro.simulation.network.LinkModel` means infinite buffers).
@@ -58,9 +59,10 @@ from repro.simulation.network import (
     BufferedLinkModel,
     LinkModel,
     NetworkStats,
+    Traffic,
+    validate_traffic,
 )
 from repro.simulation.workloads import (
-    Traffic,
     hotspot_pairs,
     permutation_pairs,
     poisson_arrival_times,
@@ -68,7 +70,6 @@ from repro.simulation.workloads import (
 )
 
 __all__ = [
-    "validate_traffic",
     "UniformArrivals",
     "HotspotArrivals",
     "PermutationArrivals",
@@ -93,68 +94,12 @@ def _as_rng(rng) -> np.random.Generator:
     return np.random.default_rng(rng)
 
 
-def validate_traffic(traffic, num_nodes: int | None = None) -> Traffic:
-    """Fail fast on malformed traffic; returns it as a :class:`Traffic`.
-
-    Rejects NaN/negative/infinite release times and (when ``num_nodes`` is
-    given) out-of-range endpoints — at construction time, mirroring the
-    :meth:`repro.simulation.network.LinkModel.from_hardware` validation of
-    message sizes, instead of deep inside an engine run.  (Message *sizes*
-    live in the link model: ``transmission_time`` is the size in time
-    units, validated by ``LinkModel.__post_init__``.)  The first bad
-    message is reported, its release time checked before its endpoints.
-    """
-    if isinstance(traffic, Traffic):
-        bad = ~(np.isfinite(traffic.t) & (traffic.t >= 0))
-        if num_nodes is not None:
-            out_of_range = (traffic.src < 0) | (traffic.src >= num_nodes)
-            out_of_range |= (traffic.dst < 0) | (traffic.dst >= num_nodes)
-            bad |= out_of_range
-        if bad.any():
-            ident = int(np.flatnonzero(bad)[0])
-            _check_message(ident, *traffic[ident], num_nodes)
-        return traffic
-    sources, destinations, releases = [], [], []
-    for ident, triple in enumerate(traffic):
-        try:
-            source, destination, release = triple
-        except (TypeError, ValueError):
-            raise ValueError(
-                f"message {ident} is not a (source, destination, time) triple: "
-                f"{triple!r}"
-            ) from None
-        release = float(release)
-        source, destination = int(source), int(destination)
-        _check_message(ident, source, destination, release, num_nodes)
-        sources.append(source)
-        destinations.append(destination)
-        releases.append(release)
-    return Traffic(
-        np.array(sources, dtype=np.int64),
-        np.array(destinations, dtype=np.int64),
-        np.array(releases, dtype=float),
-    )
-
-
-def _check_message(
-    ident: int, source: int, destination: int, release: float, num_nodes
-) -> None:
-    if math.isnan(release) or math.isinf(release) or release < 0:
-        raise ValueError(
-            f"message {ident} has invalid release time {release!r} "
-            "(must be finite and non-negative)"
-        )
-    if num_nodes is not None and not (
-        0 <= source < num_nodes and 0 <= destination < num_nodes
-    ):
-        raise ValueError(f"message {ident} has endpoints out of range")
-
-
 # ---------------------------------------------------------------------------
 # Arrival processes
 # ---------------------------------------------------------------------------
 def _overlay_rate(pairs: Traffic, rate: float | None, generator) -> Traffic:
-    """The ``make_workload`` rate overlay: Poisson times over fixed pairs.
+    """``pairs`` injected at the times of a Poisson process of ``rate``,
+    drawn after the pairs (``rate=None``: everything at time 0).
 
     ``pairs`` may be any sequence of triples (the stream-identity tests
     substitute generators that return lists); ``validate_traffic`` hands a
@@ -600,9 +545,10 @@ class Scenario:
     def needs_event_exact(self) -> bool:
         """Does this scenario degrade the network?
 
-        True switches both engines to the per-event scenario loop; False
-        (arrival-only scenarios) keeps the unchanged base-model paths —
-        including the batched engine's full vector path.
+        True switches the batched engine to its per-event scenario paths
+        (the ``run_scenario`` kernel or the Python loop); False
+        (arrival-only scenarios) keeps its healthy paths, the full vector
+        path included.  The reference runs its one loop either way.
         """
         return bool(
             self.faults

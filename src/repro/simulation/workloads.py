@@ -314,10 +314,10 @@ def all_to_all_pairs(num_nodes: int) -> Traffic:
 # ---------------------------------------------------------------------------
 # Multi-workload throughput driver
 # ---------------------------------------------------------------------------
-#: Workload names accepted by :func:`make_workload` / :func:`run_throughput_sweep`.
-#: ``bursty`` and ``diurnal`` delegate to the arrival-process layer of
-#: :mod:`repro.simulation.scenarios` (on/off trains and sinusoidally
-#: modulated Poisson); the first three are the classic inline generators.
+#: Workload names accepted by :func:`make_workload` / :func:`run_throughput_sweep`:
+#: the arrival processes of :mod:`repro.simulation.scenarios` (uniform,
+#: hotspot and permutation pairs; on/off trains; sinusoidally modulated
+#: Poisson).
 SWEEP_WORKLOADS = ("uniform", "hotspot", "permutation", "bursty", "diurnal")
 
 
@@ -331,39 +331,27 @@ def make_workload(
     hotspot: int = 0,
     hotspot_fraction: float = 0.5,
 ) -> Traffic:
-    """One named workload, optionally spread over a Poisson arrival process.
+    """One named workload: the traffic of the arrival process ``name``.
 
-    ``rate=None`` injects every message at time 0 (the saturation regime the
-    throughput curves start from); a positive ``rate`` overlays Poisson
-    arrival times of that aggregate rate, giving the offered-load axis of the
-    curves.  ``permutation`` ignores ``num_messages`` (one message per node).
+    ``rate`` is the process's load knob (``with_rate``, the axis the
+    scenario Pareto sweeps use too): for ``uniform``, ``hotspot`` and
+    ``permutation``, ``rate=None`` injects every message at time 0 (the
+    saturation regime the throughput curves start from) and a positive
+    ``rate`` overlays Poisson arrival times of that aggregate rate.
+    ``permutation`` ignores ``num_messages`` (one message per node).
     """
-    _check_count(num_messages)
-    generator = _rng(rng)
-    if name == "uniform":
-        pairs = uniform_random_pairs(num_nodes, num_messages, generator)
-    elif name == "hotspot":
-        pairs = hotspot_pairs(
-            num_nodes, num_messages, hotspot, hotspot_fraction, generator
-        )
-    elif name == "permutation":
-        pairs = permutation_pairs(num_nodes, generator)
-    elif name in ("bursty", "diurnal"):
-        # Arrival-process layer (runtime import: scenarios imports this
-        # module for the shared pair generators).  ``rate`` maps onto the
-        # process's load knob via ``with_rate`` — the same axis the
-        # scenario Pareto sweeps use.
-        from repro.simulation.scenarios import make_arrivals
+    # Runtime import: scenarios imports this module for the pair generators.
+    from repro.simulation.scenarios import make_arrivals
 
-        arrivals = make_arrivals(name, num_messages=num_messages)
-        return arrivals.with_rate(rate).traffic(num_nodes, generator)
-    else:
+    _check_count(num_messages)
+    if name not in SWEEP_WORKLOADS:
         raise ValueError(
             f"unknown workload {name!r} (expected one of {SWEEP_WORKLOADS})"
         )
-    if rate is None:
-        return pairs
-    return pairs.with_times(poisson_arrival_times(len(pairs), rate, generator))
+    params = {} if name == "permutation" else {"num_messages": num_messages}
+    if name == "hotspot":
+        params.update(hotspot=hotspot, hotspot_fraction=hotspot_fraction)
+    return make_arrivals(name, **params).with_rate(rate).traffic(num_nodes, rng)
 
 
 @dataclass(frozen=True)

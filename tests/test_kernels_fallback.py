@@ -366,7 +366,7 @@ class TestSweepSurfacing:
         assert sweep.kernel_backend == kernels.active_backend()
         assert sweep.to_json()["kernel_backend"] == sweep.kernel_backend
 
-    def test_lru_sweep_records_numpy(self):
+    def test_wrapping_router_sweep_records_numpy(self):
         # A router the kernels cannot consult (a wrapping router) runs the
         # numpy path, and the sweep still matches the reference engine.
         sweep = run_throughput_sweep(

@@ -106,7 +106,7 @@ def test_closed_form_matches_dense_table(graph):
 
 #: Parallel-arc ``H`` instances (non-power splits, outside the closed form's
 #: reach) plus an irregular baseline — the table router's home turf.
-LRU_EXTRA_GRAPHS = [
+TABLE_EXTRA_GRAPHS = [
     ring(9),
     h_digraph(1, 4, 2),
     h_digraph(2, 8, 4),
@@ -117,7 +117,7 @@ LRU_EXTRA_GRAPHS = [
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize(
-    "graph", CLOSED_FORM_GRAPHS + LRU_EXTRA_GRAPHS, ids=lambda g: g.name
+    "graph", CLOSED_FORM_GRAPHS + TABLE_EXTRA_GRAPHS, ids=lambda g: g.name
 )
 def test_table_router_matches_dense_table(graph, backend, monkeypatch):
     monkeypatch.setenv("REPRO_KERNELS", backend)
@@ -125,7 +125,7 @@ def test_table_router_matches_dense_table(graph, backend, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "graph", CLOSED_FORM_GRAPHS + LRU_EXTRA_GRAPHS, ids=lambda g: g.name
+    "graph", CLOSED_FORM_GRAPHS + TABLE_EXTRA_GRAPHS, ids=lambda g: g.name
 )
 def test_lru_rows_match_dense_table(graph, monkeypatch):
     # the on-demand mode: a store of five columns empties mid-suite, on
@@ -136,7 +136,7 @@ def test_lru_rows_match_dense_table(graph, monkeypatch):
 
 
 def test_parity_graph_set_includes_parallel_arcs():
-    multi = [g for g in LRU_EXTRA_GRAPHS if max(g.arc_multiset().values()) >= 2]
+    multi = [g for g in TABLE_EXTRA_GRAPHS if max(g.arc_multiset().values()) >= 2]
     assert multi, "the parity set must cover parallel-arc H instances"
 
 
@@ -292,7 +292,7 @@ class TestSelection:
         # O(n) state, not O(n^2)
         assert router.state_bytes() < 32 * graph.num_vertices
 
-    def test_auto_falls_back_to_lru(self):
+    def test_auto_falls_back_to_the_table_router(self):
         # no closed form above the threshold: the table router, whole table
         graph = Digraph(AUTO_DENSE_MAX_N + 1, name="big-arbitrary")
         for u in range(graph.num_vertices):
@@ -444,7 +444,9 @@ class TestRouterThreadSafety:
     must stay bit-identical to the dense table.
     """
 
-    def test_threaded_lru_matches_dense_under_eviction_pressure(self, monkeypatch):
+    def test_threaded_on_demand_table_matches_dense_under_eviction_pressure(
+        self, monkeypatch
+    ):
         graph = h_digraph(4, 8, 2)
         table = build_routing_table(graph)
         router = on_demand(monkeypatch, graph, 4)  # constant emptying
@@ -477,7 +479,7 @@ class TestRouterThreadSafety:
         assert not any(thread.is_alive() for thread in threads)
         assert not errors, f"table router raced: {len(errors)} mismatching calls"
 
-    def test_lru_router_survives_pickle(self, monkeypatch):
+    def test_table_router_survives_pickle(self, monkeypatch):
         import pickle
 
         graph = de_bruijn(2, 4)

@@ -27,6 +27,7 @@ from repro.simulation.scenarios import (
     HotspotArrivals,
     Scenario,
     UniformArrivals,
+    make_arrivals,
     validate_traffic,
 )
 from repro.simulation.sharding import traffic_digest
@@ -34,6 +35,7 @@ from repro.simulation.workloads import (
     all_to_all_pairs,
     broadcast_pairs,
     hotspot_pairs,
+    SWEEP_WORKLOADS,
     make_workload,
     permutation_pairs,
     uniform_random_pairs,
@@ -79,6 +81,36 @@ GENERATORS = {
     ),
     "empty": (lambda: uniform_random_pairs(64, 0, rng=7), "e3b0c44298fc1c14"),
 }
+
+
+#: ``make_workload(kind, 64, 200, rng=7, rate=rate, hotspot=5,
+#: hotspot_fraction=0.3)`` digests, pinned from its generator if-chain.
+WORKLOAD_DIGESTS = {
+    ("uniform", None): "e0478975fef2c1e8",
+    ("uniform", 3.0): "7ec3b0a6017a925c",
+    ("hotspot", None): "adeb948e4edb6170",
+    ("hotspot", 3.0): "d6dab8749e87babb",
+    ("permutation", None): "a591815e3ad656b2",
+    ("permutation", 3.0): "67be0aeae1404108",
+    ("bursty", None): "1949bd4b6c3df77e",
+    ("bursty", 3.0): "402dd87f192eff76",
+    ("diurnal", None): "8107b4f8537e39bd",
+    ("diurnal", 3.0): "1601fc63b86c12dc",
+}
+
+
+@pytest.mark.parametrize("kind, rate", list(WORKLOAD_DIGESTS))
+def test_make_workload_is_the_arrival_process_traffic(kind, rate):
+    workload = make_workload(
+        kind, 64, 200, rng=7, rate=rate, hotspot=5, hotspot_fraction=0.3
+    )
+    params = {} if kind == "permutation" else {"num_messages": 200}
+    if kind == "hotspot":
+        params.update(hotspot=5, hotspot_fraction=0.3)
+    arrivals = make_arrivals(kind, **params).with_rate(rate).traffic(64, rng=7)
+    assert traffic_digest(workload) == traffic_digest(arrivals)
+    assert traffic_digest(workload) == WORKLOAD_DIGESTS[kind, rate]
+    assert {kind for kind, _ in WORKLOAD_DIGESTS} == set(SWEEP_WORKLOADS)
 
 
 # -------------------------------------------------------------------- Traffic
@@ -183,6 +215,7 @@ def test_pooling_takes_the_columns_as_lists_would():
         ([(0, 1, 0.0), (0, 1, -1.0)], "message 1 has invalid release time -1.0"),
         ([(0, 1, math.nan)], "message 0 has invalid release time nan"),
         ([(0, 1, math.inf)], "message 0 has invalid release time inf"),
+        ([(0, 1, 0.0), (0, 99, -1.0)], "message 1 has invalid release time -1.0"),
     ],
 )
 def test_columnar_checks_give_the_list_errors(traffic, message):
@@ -194,6 +227,33 @@ def test_columnar_checks_give_the_list_errors(traffic, message):
             validate_traffic(given, 16)
         with pytest.raises(ValueError, match=message):
             BatchedNetworkSimulator(de_bruijn(2, 4)).run(given)
+        with pytest.raises(ValueError, match=message):
+            NetworkSimulator(de_bruijn(2, 4)).run(given)
+
+
+@pytest.mark.parametrize(
+    "traffic, message",
+    [
+        (
+            [(0, 1), (0, 1, 0.0)],
+            r"message 0 is not a \(source, destination, time\) triple",
+        ),
+        ([(0, 1, 0.0), (0, 1, 0.0, 5)], "message 1 is not a .* triple"),
+        ([(0, 1, -1.0), (0, 1)], "message 0 has invalid release time -1.0"),
+    ],
+    ids=["ragged", "four-tuple", "time-before-ragged"],
+)
+def test_engines_and_validator_name_the_first_non_triple(traffic, message):
+    # one validator behind all three front-ends: ragged input never reaches
+    # numpy's "setting an array element with a sequence" error
+    front_ends = (
+        lambda given: validate_traffic(given, 16),
+        NetworkSimulator(de_bruijn(2, 4)).run,
+        BatchedNetworkSimulator(de_bruijn(2, 4)).run,
+    )
+    for run in front_ends:
+        with pytest.raises(ValueError, match=message):
+            run(traffic)
 
 
 def test_validate_traffic_returns_traffic():
