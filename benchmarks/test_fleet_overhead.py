@@ -1,8 +1,9 @@
 """Benchmark — fleet-driver overhead over the in-memory search loop.
 
-The fleet driver adds one lease claim (a write-tmp/``os.link`` create), a
-heartbeat thread, one atomic chunk publication and one lease release around
-every chunk.  This benchmark runs the same small diameter-6 sweep through
+The fleet driver adds one lease claim (a write-tmp/``os.link`` create, no
+fsync), one atomic chunk publication and one lease release around every
+chunk; the heartbeat is one thread per worker, started once per
+``run_fleet`` call, not one per chunk.  This benchmark runs the same small diameter-6 sweep through
 :func:`repro.otis.search.degree_diameter_search` (the in-memory serial chunk
 loop) and through :func:`repro.fleet.run_fleet` (claim → run → publish →
 release) and, with ``--write-bench``, records both wall times in

@@ -11,9 +11,10 @@ are the parallel run; relaunching a worker resumes (published chunks are
 always skipped).
 
 * :mod:`repro.fleet.leases` — the claim protocol.  A lease is a file created
-  exclusively via write-tmp/fsync/``os.link`` (the NFS-safe mutual-exclusion
-  technique — see the module docstring for why not ``O_EXCL`` alone),
-  refreshed by heartbeat ``mtime`` touches, and reclaimable by any worker
+  exclusively via write-tmp/``os.link`` (the NFS-safe mutual-exclusion
+  technique — see the module docstring for why not ``O_EXCL`` alone, and
+  why a claim needs no fsync), refreshed by heartbeat ``mtime`` touches
+  from one thread per worker, and reclaimable by any worker
   once a full TTL passes without a heartbeat — judged by wall clock with a
   configurable skew margin *or* by local monotonic observation, so fleets
   spanning hosts with disagreeing clocks stay safe.

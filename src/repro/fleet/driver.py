@@ -124,9 +124,9 @@ class SweepFleetJob(FleetJob):
     """Degree–diameter sweep chunks (:mod:`repro.otis.sweep`) as a fleet job.
 
     ``cache`` is the optional :class:`~repro.otis.sweep.SplitVerdictCache`
-    directory shared by the fleet: each worker appends fresh verdicts with
-    single ``O_APPEND`` writes, so any number of workers share one cache
-    file safely.
+    directory shared by the fleet: each worker appends a chunk's fresh
+    verdicts with one ``O_APPEND`` write, so any number of workers share
+    one cache file safely.
     """
 
     def __init__(
@@ -245,8 +245,9 @@ def run_fleet(
 
     One loop: list the published chunks, then for each unpublished chunk
     try to claim its lease, re-check that it is still unpublished, compute
-    it under a heartbeat, publish it if the lease is still ours, and
-    release.  A worker holds at most one lease at any time.
+    it while the worker's one heartbeat thread refreshes its lease, publish
+    it if the lease is still ours, and release.  A worker holds at most one
+    lease at any time, and none between chunks.
 
     Parameters
     ----------
@@ -312,7 +313,9 @@ def run_fleet(
             raise FleetTerminated(f"worker {worker}: SIGTERM")
 
         previous_handler = signal.signal(signal.SIGTERM, _on_sigterm)
+    beat = Heartbeat(None, interval=heartbeat)
     try:
+        beat.start()
         while True:
             # One directory listing per pass instead of a stat per chunk —
             # on a many-thousand-chunk store over NFS the difference is
@@ -333,8 +336,9 @@ def run_fleet(
                 try:
                     if job.store.is_complete(chunk):
                         continue  # published between our scan and claim
-                    with Heartbeat(lease, interval=heartbeat):
-                        records = job.run_chunk(chunk)
+                    beat.hold(lease)
+                    records = job.run_chunk(chunk)
+                    beat.hold(None)
                     if lease.owned():
                         job.store.write(chunk, records)
                         ran.append(chunk.chunk_id)
@@ -346,6 +350,7 @@ def run_fleet(
                         lost.append(chunk.chunk_id)
                     progressed = True
                 finally:
+                    beat.hold(None)
                     lease.release()
             if progressed:
                 sleep_s = poll
@@ -357,6 +362,7 @@ def run_fleet(
     except FleetTerminated:
         terminated = True
     finally:
+        beat.stop()
         if previous_handler is not None:
             signal.signal(signal.SIGTERM, previous_handler)
     published = job.store.completed_ids()

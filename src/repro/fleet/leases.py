@@ -4,13 +4,20 @@ A lease is ownership of one chunk id, materialised as a file in the store's
 ``leases/`` directory.  The protocol rests on POSIX guarantees that hold on
 local filesystems and on NFS:
 
-* exclusive creation goes through **write-tmp / fsync / ``os.link``** — not
+* exclusive creation goes through **write-tmp / ``os.link``** — not
   ``O_CREAT | O_EXCL``, which ancient NFS servers do not implement
   atomically and which cannot distinguish "the create was applied but the
   reply was lost" (an NFS retransmit artifact) from "someone else holds it".
   After ``os.link`` raises, ``os.stat(tmp).st_nlink == 2`` proves the link
   *did* land and the caller owns the lease after all — the classic NFS
-  lockfile technique.  Exactly one worker ever owns a given lease file;
+  lockfile technique.  Exactly one worker ever owns a given lease file.
+  The temp file is **not fsynced**: a claim prevents duplicated work, not
+  wrong results.  A host that crashes after the link may leave an empty
+  or truncated lease file behind; nobody owns such a file (:meth:`Lease.owned`
+  and :meth:`LeaseManager.active` treat unreadable content as foreign), and
+  it expires on its TTL like any dead worker's lease, whatever bytes it
+  holds.  The durable step is the chunk publish, which keeps its fsync and
+  its directory fsync;
 * ``os.utime`` updates the file's mtime — **heartbeats are cheap**, one
   syscall per refresh, and any observer can judge liveness from ``stat``;
 * ``os.replace``/``os.unlink`` are atomic — releases and reclaims never
@@ -226,9 +233,11 @@ class LeaseManager:
     def _exclusive_create(self, path: Path, payload: bytes) -> bool:
         """Atomically create ``path`` with ``payload``; False when it exists.
 
-        Write-tmp / fsync / ``os.link`` instead of ``O_EXCL`` — NFS-safe,
-        and the ``st_nlink == 2`` re-check converts an applied-but-errored
-        link (lost NFS reply) into the success it actually was.
+        Write-tmp / ``os.link`` instead of ``O_EXCL`` — NFS-safe, and the
+        ``st_nlink == 2`` re-check converts an applied-but-errored link
+        (lost NFS reply) into the success it actually was.  No fsync: a
+        crash can leave the file empty or truncated, which reads as owned
+        by nobody and expires on the TTL (see the module docstring).
         """
         tmp = path.parent / f".tmp-{os.getpid()}-{uuid.uuid4().hex}"
         linked = False
@@ -238,7 +247,6 @@ class LeaseManager:
                 view = memoryview(payload)
                 while view:
                     view = view[os.write(fd, view) :]
-                os.fsync(fd)
             finally:
                 os.close(fd)
             try:
@@ -332,39 +340,56 @@ class LeaseManager:
 
 
 class Heartbeat:
-    """Background thread refreshing a lease every ``interval`` seconds.
+    """Background thread refreshing the held lease every ``interval`` seconds.
 
-    The driver starts one around each chunk computation: the worker's main
-    thread is busy simulating/searching, the heartbeat keeps the lease's
-    mtime young so other workers do not reclaim it.  Stops itself the moment
-    a refresh reports lost ownership (the lease's ``lost`` flag then tells
-    the driver not to publish).
+    The driver starts one per :func:`~repro.fleet.driver.run_fleet` call and
+    hands it each chunk's lease with :meth:`hold` while the chunk computes:
+    the worker's main thread is busy simulating/searching, the heartbeat keeps
+    the lease's mtime young so other workers do not reclaim it.  A refresh
+    that reports lost ownership drops the lease (its ``lost`` flag then
+    tells the driver not to publish); the thread keeps serving the next one.
+    :meth:`hold` and the refresh run under one lock, so once ``hold(None)``
+    returns the thread never touches the lease again — the driver may
+    verify, publish and release it.
 
     The thread is a daemon and :meth:`stop` joins it with a bounded timeout
-    — a worker crashing out of a chunk can neither hang on a wedged
-    filesystem during unwind nor keep a lease looking fresh after the
-    process should be dead.
+    — stopping never waits long on a refresh wedged in a dead filesystem,
+    and the thread cannot keep a lease looking fresh after the process
+    should be dead.  (:meth:`hold` does wait for a refresh in progress:
+    that wait is what keeps a released lease untouched.)
     """
 
-    def __init__(self, lease: Lease, interval: float):
+    def __init__(self, lease: Lease | None, interval: float):
         if interval <= 0:
             raise ValueError("heartbeat interval must be positive (seconds)")
         self.lease = lease
         self.interval = float(interval)
+        self._lock = threading.Lock()
         self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._run, daemon=True)
+        self._thread = threading.Thread(
+            target=self._run, name="fleet-heartbeat", daemon=True
+        )
+
+    def hold(self, lease: Lease | None) -> None:
+        """Refresh ``lease`` from now on (None: refresh nothing)."""
+        with self._lock:
+            self.lease = lease
 
     def _run(self) -> None:
         while not self._stop.wait(self.interval):
-            try:
-                if not self.lease.refresh():
-                    return
-            except Exception:
-                # A refresh can only fail by marking the lease lost; anything
-                # else (injected fault surfacing oddly, interpreter teardown)
-                # must not kill the thread silently mid-loop — stop cleanly
-                # and let the driver's owned() check decide.
-                return
+            with self._lock:
+                if self.lease is None:
+                    continue
+                try:
+                    alive = self.lease.refresh()
+                except Exception:
+                    # A refresh can only fail by marking the lease lost;
+                    # anything else (injected fault surfacing oddly,
+                    # interpreter teardown) stops this lease's heartbeat and
+                    # lets the driver's owned() check decide.
+                    alive = False
+                if not alive:
+                    self.lease = None
 
     def start(self) -> "Heartbeat":
         self._thread.start()

@@ -11,7 +11,8 @@ shapes are
   name (``ChunkStore.write``, ``merge_bench_json``); and
 * **single O_APPEND os.write** — one ``os.write`` on an
   ``O_CREAT | O_WRONLY | O_APPEND`` descriptor, which POSIX appends
-  atomically for reasonable record sizes (``SplitVerdictCache.put``).
+  atomically for reasonable record sizes (``SplitVerdictCache.put_many``:
+  one write per chunk, holding every fresh verdict of the chunk).
 
 This rule flags, in the covered files (``LintConfig.atomic_write_files``):
 ``open(p, "w")``-style truncating/appending builtin or ``Path.open`` calls,

@@ -56,9 +56,9 @@ On-disk formats (all JSON, one object per line in the ``.jsonl`` files):
   ``(d, D, n range)``/chunk-size/code fails fast instead of silently
   matching zero chunks and rerunning everything.
 * cache file ``<cache_dir>/verdicts-d<d>-D<D>-<code_version>.jsonl`` — one
-  record ``{"p": p, "q": q, "verdict": v}`` per memoised split, each
-  appended as a single ``O_APPEND`` write so concurrent workers never tear
-  lines.
+  record ``{"p": p, "q": q, "verdict": v}`` per memoised split; a chunk's
+  fresh records are appended as a single ``O_APPEND`` write so concurrent
+  workers never tear lines.
 
 >>> manifest = ChunkManifest.build(2, 4, [16], chunk_size=2, code_version="v1")
 >>> [chunk.items for chunk in manifest.chunks]
@@ -278,6 +278,11 @@ def _fsync_directory(directory: Path) -> None:
         os.close(fd)
 
 
+#: The one compact encoder of chunk and cache lines: ``json.dumps`` with
+#: ``separators=`` builds a fresh ``JSONEncoder`` on every call.
+_COMPACT = json.JSONEncoder(separators=(",", ":"))
+
+
 def _write_payload(fd: int, payload: bytes) -> None:
     """Write ``payload`` to ``fd`` fully, then fsync.
 
@@ -433,9 +438,9 @@ class ChunkStore:
         never a half-published ``chunk-*.jsonl``.
         """
         target = self.path_for(chunk)
-        lines = [json.dumps(record, separators=(",", ":")) for record in records]
+        lines = [_COMPACT.encode(record) for record in records]
         footer = {self.FOOTER_KEY: chunk.chunk_id, "records": len(records)}
-        lines.append(json.dumps(footer, separators=(",", ":")))
+        lines.append(_COMPACT.encode(footer))
         payload = ("\n".join(lines) + "\n").encode()
         fd, tmp_name = tempfile.mkstemp(
             prefix=f".tmp-{chunk.chunk_id}-", suffix=".jsonl", dir=self.directory
@@ -462,12 +467,22 @@ class ChunkStore:
         footer, or a record count that disagrees with the footer — any of
         which means the file is not the chunk :meth:`write` published
         (truncated in transit, tampered, or written by pre-footer code) and
-        must not be merged.
+        must not be merged.  The lines are parsed as one JSON array in one
+        ``json.loads``; only a file that is not one JSON value per line
+        takes the line-by-line parse that names the bad line.
         """
         path = self.path_for(chunk)
-        records: list[dict] = []
-        with path.open() as handle:
-            for number, line in enumerate(handle, start=1):
+        lines = path.read_text().split("\n")
+        rows = [line for line in lines if line.strip()]
+        try:
+            records = json.loads("[" + ",".join(rows) + "]")
+        except ValueError:
+            records = None
+        if records is None or len(records) != len(rows):
+            # Not one JSON value per line: parse line by line to name the
+            # first bad one.
+            records = []
+            for number, line in enumerate(lines, start=1):
                 if not line.strip():
                     continue
                 try:
@@ -582,14 +597,16 @@ class SplitVerdictCache:
       start cold in a fresh file, so a verdict computed by old code can
       never satisfy a lookup from new code — correctness does not depend on
       anyone remembering to clear a directory;
-    * records are *appended*, each as **one ``os.write`` on an ``O_APPEND``
-      file descriptor**: POSIX serialises same-filesystem ``O_APPEND``
-      writes, so concurrent fleet workers sharing a ``--cache-dir``
-      interleave whole lines and can never tear each other's records (a
-      buffered text-mode ``open("a")`` offers no such guarantee — its
-      flush may split one line across several writes).  Duplicated entries
-      are harmless (last one wins on load, and verdicts are deterministic
-      so duplicates always agree);
+    * records are *appended*, a chunk's fresh verdicts together as **one
+      ``os.write`` on an ``O_APPEND`` file descriptor** (:meth:`put_many`):
+      POSIX serialises same-filesystem ``O_APPEND`` writes, so concurrent
+      fleet workers sharing a ``--cache-dir`` interleave whole chunks of
+      lines and can never tear each other's records (a buffered text-mode
+      ``open("a")`` offers no such guarantee — its flush may split one line
+      across several writes).  A worker that dies mid-chunk has written
+      none of that chunk's verdicts; they are recomputed.  Duplicated
+      entries are harmless (last one wins on load, and verdicts are
+      deterministic so duplicates always agree);
     * a malformed line (torn write from a crashed or pre-fix writer) is
       skipped on load — but *counted*, and a :class:`RuntimeWarning` says
       how many verdicts were dropped instead of silently swallowing them.
@@ -659,47 +676,34 @@ class SplitVerdictCache:
         return verdict
 
     def put(self, p: int, q: int, verdict: int) -> None:
-        """Record a verdict (in memory and appended to the cache file).
+        """Record one verdict: the one-entry case of :meth:`put_many`."""
+        self.put_many(((p, q, verdict),))
 
-        The record goes to disk as a **single ``os.write``** on an
+    def put_many(self, entries) -> None:
+        """Record ``(p, q, verdict)`` entries in memory and in the cache file.
+
+        Entries already memoised are skipped.  The new ones go to disk in
+        their given order, one line each, as a **single ``os.write``** on an
         ``O_APPEND`` descriptor: the kernel serialises the seek-to-end and
-        the write, so concurrent fleet workers appending to one cache
-        file emit whole, untorn lines (small writes — a verdict line is tens
-        of bytes, far below any pipe/FS atomicity limit).
+        the write, so concurrent fleet workers appending to one cache file
+        emit whole, untorn lines.  :func:`run_chunk` hands over a chunk's
+        fresh verdicts in one call, so a chunk costs one open and one write
+        (a few kilobytes, far below any filesystem's atomicity limit).
         """
-        if (p, q) in self._memory:
+        lines = []
+        for p, q, verdict in entries:
+            if (p, q) not in self._memory:
+                self._memory[(p, q)] = verdict
+                lines.append(
+                    _COMPACT.encode({"p": p, "q": q, "verdict": verdict}) + "\n"
+                )
+        if not lines:
             return
-        self._memory[(p, q)] = verdict
-        line = json.dumps(
-            {"p": p, "q": q, "verdict": verdict}, separators=(",", ":")
-        )
-        payload = (line + "\n").encode()
         fd = os.open(self.path, os.O_CREAT | os.O_WRONLY | os.O_APPEND, 0o644)
         try:
-            os.write(fd, payload)
+            os.write(fd, "".join(lines).encode())
         finally:
             os.close(fd)
-
-
-def _item_verdict(
-    n: int,
-    p: int,
-    q: int,
-    d: int,
-    diameter: int,
-    cache: SplitVerdictCache | None,
-    backend: str,
-) -> dict:
-    """Verdict record for one work item, consulting the cache when given."""
-    from repro.otis.h_digraph import h_digraph
-    from repro.otis.search import h_diameter
-
-    verdict = cache.get(p, q) if cache is not None else None
-    if verdict is None:
-        verdict = h_diameter(h_digraph(p, q, d), diameter, backend=backend)
-        if cache is not None:
-            cache.put(p, q, verdict)
-    return {"n": n, "p": p, "q": q, "verdict": verdict}
 
 
 def run_chunk(
@@ -710,32 +714,33 @@ def run_chunk(
 ) -> list[dict]:
     """Compute the verdict records of one chunk's ``(n, p, q)`` items.
 
-    ``cache``, when given, is read for every item first and fed with every
-    fresh verdict, both in item order; passing one open cache across chunks
-    keeps a single hit/miss ledger.
+    ``cache``, when given, is read for every item first; the chunk's fresh
+    verdicts are then handed to :meth:`SplitVerdictCache.put_many` in one
+    call, in item order (one append per chunk).  Passing one open cache
+    across chunks keeps a single hit/miss ledger.
 
     Under a compiled backend the cache misses are screened in one
     ``screen_splits`` call (stages 1-2 of
     :func:`~repro.otis.search.h_diameter` for every split, tables built in
     C), and ``h_digraph`` plus the eccentricity stage run only for the
-    splits that pass.  Under ``numpy`` each item takes the per-split
+    splits that pass.  Under ``numpy`` each miss takes the per-split
     ``h_diameter``.  The records are identical either way.
     """
     from repro import kernels
     from repro.otis.h_digraph import h_digraph
-    from repro.otis.search import eccentricity_verdict
+    from repro.otis.search import eccentricity_verdict, h_diameter
 
     backend = kernels.resolve_backend()
     kern = kernels.get_kernels(backend)
-    if kern is None:
-        return [
-            _item_verdict(n, p, q, d, diameter, cache, backend) for n, p, q in items
-        ]
     verdicts = [
         None if cache is None else cache.get(p, q) for _, p, q in items
     ]
     misses = [k for k, verdict in enumerate(verdicts) if verdict is None]
-    if misses:
+    if misses and kern is None:
+        for k in misses:
+            _, p, q = items[k]
+            verdicts[k] = h_diameter(h_digraph(p, q, d), diameter, backend=backend)
+    elif misses:
         status = kern.screen_splits(
             [items[k][1] for k in misses], [items[k][2] for k in misses],
             d, diameter,
@@ -751,8 +756,8 @@ def run_chunk(
                     h_digraph(p, q, d), diameter, backend=backend
                 )
             verdicts[k] = verdict
-            if cache is not None:
-                cache.put(p, q, verdict)
+    if misses and cache is not None:
+        cache.put_many((items[k][1], items[k][2], verdicts[k]) for k in misses)
     return [
         {"n": n, "p": p, "q": q, "verdict": verdict}
         for (n, p, q), verdict in zip(items, verdicts)

@@ -55,10 +55,15 @@ class Event:
 
 
 class EventQueue:
-    """A priority queue of :class:`Event` objects."""
+    """A priority queue of :class:`Event` objects.
+
+    The heap holds ``(time, sequence, event)`` tuples: sequences are
+    unique, so heap comparisons stop at the first two fields and run in C
+    instead of the generated ``Event.__lt__``.
+    """
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, Event]] = []
         self._counter = itertools.count()
 
     def __len__(self) -> int:
@@ -69,18 +74,18 @@ class EventQueue:
         if time < 0:
             raise ValueError("event time must be non-negative")
         event = Event(time=float(time), sequence=next(self._counter), action=action)
-        heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap, (event.time, event.sequence, event))
         return event
 
     def pop(self) -> Event:
         """Remove and return the earliest event."""
         if not self._heap:
             raise IndexError("pop from an empty event queue")
-        return heapq.heappop(self._heap)
+        return heapq.heappop(self._heap)[2]
 
     def peek_time(self) -> float | None:
         """Time of the earliest event, or None when empty."""
-        return self._heap[0].time if self._heap else None
+        return self._heap[0][0] if self._heap else None
 
 
 class BatchEventQueue:

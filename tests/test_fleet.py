@@ -22,6 +22,7 @@ import pickle
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -36,11 +37,17 @@ from repro.fleet import (
     fleet_status,
     format_status,
     run_fleet,
+    store_status,
 )
 from repro.fleet.leases import Heartbeat
 from repro.otis.h_digraph import h_digraph
 from repro.otis.search import degree_diameter_search
-from repro.otis.sweep import ChunkManifest, ChunkStore, StoreIdentityError
+from repro.otis.sweep import (
+    ChunkManifest,
+    ChunkStore,
+    StoreIdentityError,
+    ensure_store_identity,
+)
 from repro.routing import routers
 from repro.routing.routers import DenseTableRouter, make_router
 from repro.simulation.network import BatchedNetworkSimulator, LinkModel
@@ -155,6 +162,47 @@ class TestLeases:
         with pytest.raises(ValueError):
             LeaseManager(tmp_path, ttl=0)
 
+    @pytest.mark.parametrize(
+        "content",
+        [b"", b'{"chunk": "abc123", "wor', b"\0" * 64],
+        ids=["empty", "truncated", "zeroed"],
+    )
+    def test_unreadable_lease_is_owned_by_nobody_and_expires(
+        self, tmp_path, capsys, content
+    ):
+        # A claim is not fsynced, so a host crash can leave its lease file
+        # empty, truncated or zero-filled.  Nobody owns such a file, the
+        # status readers list it, and it expires on the TTL like any dead
+        # worker's lease.
+        from repro.chaos import ChaosClock
+        from repro.cli import main
+
+        manifest = sweep_manifest()
+        store = ChunkStore(tmp_path / "sweep")
+        ensure_store_identity(store, manifest.identity())
+        clock = ChaosClock()
+        lease_dir = store.directory / "leases"
+        crashed = LeaseManager(
+            lease_dir, ttl=10, clock=clock.time, monotonic=clock.monotonic
+        )
+        chunk_id = manifest.chunks[0].chunk_id
+        lease = crashed.try_acquire(chunk_id, worker="crashed")
+        lease.path.write_bytes(content)
+        assert not lease.owned()
+        (info,) = crashed.active()
+        assert (info.chunk_id, info.worker, info.pid) == (chunk_id, "?", -1)
+        (running,) = store_status(store.directory, ttl=60)["running"]
+        assert running.chunk_id == chunk_id
+        assert main(["fleet", "status", "--out-dir", str(store.directory)]) == 0
+        assert chunk_id in capsys.readouterr().out
+        fresh = LeaseManager(
+            lease_dir, ttl=10, clock=clock.time, monotonic=clock.monotonic
+        )
+        assert fresh.try_acquire(chunk_id, worker="fresh") is None
+        clock.advance(10 + 1.0)
+        reclaimed = fresh.try_acquire(chunk_id, worker="fresh")
+        assert reclaimed is not None and reclaimed.owned()
+
 
 # ---------------------------------------------------------------------------
 # Two-process lease contention (the mutual-exclusion stress test)
@@ -245,6 +293,63 @@ class TestFleetDriver:
         outcome = run_fleet(CountingJob(manifest, store), ttl=30, heartbeat=5)
         assert outcome["complete"]
         assert held == [1] * len(manifest.chunks)
+
+    def test_one_heartbeat_thread_serves_every_chunk(self, tmp_path, monkeypatch):
+        # One thread per run_fleet call refreshes the lease of the chunk
+        # being computed: never a released lease, never during a publish,
+        # and no lease is held between chunks.
+        manifest = sweep_manifest(chunk_size=2)
+        assert len(manifest.chunks) >= 5
+        store = ChunkStore(tmp_path / "sweep")
+        started, refreshed, claims_held, released = [], [], [], set()
+        publishing = threading.Event()
+        thread_start = threading.Thread.start
+        refresh, release = Lease.refresh, Lease.release
+        try_acquire, write = LeaseManager.try_acquire, ChunkStore.write
+
+        def counting_start(thread):
+            started.append(thread.name)
+            thread_start(thread)
+
+        def tracked_refresh(lease):
+            refreshed.append(
+                (lease.chunk_id, lease.token in released, publishing.is_set())
+            )
+            return refresh(lease)
+
+        def tracked_release(lease):
+            released.add(lease.token)
+            release(lease)
+
+        def tracked_acquire(manager, chunk_id, **kwargs):
+            claims_held.append(len(list(manager.directory.glob("*.lease"))))
+            return try_acquire(manager, chunk_id, **kwargs)
+
+        def tracked_write(chunk_store, chunk, records):
+            publishing.set()
+            try:
+                return write(chunk_store, chunk, records)
+            finally:
+                publishing.clear()
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        monkeypatch.setattr(Lease, "refresh", tracked_refresh)
+        monkeypatch.setattr(Lease, "release", tracked_release)
+        monkeypatch.setattr(LeaseManager, "try_acquire", tracked_acquire)
+        monkeypatch.setattr(ChunkStore, "write", tracked_write)
+
+        class SlowJob(SweepFleetJob):
+            def run_chunk(self, chunk):
+                time.sleep(0.1)  # ten heartbeat intervals
+                return super().run_chunk(chunk)
+
+        outcome = run_fleet(SlowJob(manifest, store), ttl=30, heartbeat=0.01)
+        assert outcome["complete"] and not outcome["lost"]
+        assert started == ["fleet-heartbeat"]
+        assert claims_held == [0] * len(manifest.chunks)
+        assert list(store.directory.glob("leases/*.lease")) == []
+        assert len({chunk_id for chunk_id, _, _ in refreshed}) >= 2
+        assert not any(gone or during for _, gone, during in refreshed)
 
     def test_claim_recheck_does_not_list_the_store(self, tmp_path, monkeypatch):
         # One directory listing per pass, however many chunks are claimed:
@@ -737,7 +842,7 @@ class TestRouterWorkerParity:
             ).result()
         assert np.array_equal(parent, np.asarray(worker))
 
-    def test_sharded_run_many_with_lru_router_and_workers(
+    def test_two_table_router_workers_match_the_wrapping_router_pass(
         self, tmp_path, fleet_processes
     ):
         # The full stack: the job (graph included) pickled into two spawned

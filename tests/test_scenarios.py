@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from repro.graphs.generators import de_bruijn
 from repro.otis.h_digraph import h_digraph
 from repro.routing.routers import DenseTableRouter, Router
+from repro.simulation.events import Event
 from repro.simulation.network import (
     BatchedNetworkSimulator,
     BufferedLinkModel,
@@ -314,6 +315,17 @@ SCENARIOS = {
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_scenario_parity(name, seed):
     assert_scenario_parity(GRAPH, SCENARIOS[name], seed)
+
+
+def test_reference_event_heap_never_compares_events(monkeypatch):
+    # The reference loop's heap orders (time, sequence, event) tuples, so
+    # the C tuple comparison settles every order on the unique sequence and
+    # never falls through to the generated Event.__lt__.
+    def refuse(self, other):
+        raise AssertionError("the event heap compared two Event objects")
+
+    monkeypatch.setattr(Event, "__lt__", refuse)
+    assert_scenario_parity(GRAPH, SCENARIOS["bursty-kitchen-sink"], 0)
 
 
 @pytest.mark.parametrize("seed", range(2))

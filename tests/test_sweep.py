@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import kernels
 from repro.fleet import SweepFleetJob, run_fleet
 from repro.otis import sweep
 from repro.otis.search import degree_diameter_search, table1_rows
@@ -119,6 +120,25 @@ class TestChunkStore:
         assert store.is_complete(chunk)
         assert store.read(chunk) == records
         assert store.completed_ids() == {chunk.chunk_id}
+
+    def test_chunk_file_is_compact_json_lines(self, tmp_path):
+        # The published bytes: one compact JSON object per record, then the
+        # footer; a blank line does not stop the file from reading back.
+        chunk = d6_manifest().chunks[0]
+        store = ChunkStore(tmp_path)
+        records = [
+            {"n": 60, "p": 2, "q": 60, "verdict": 6},
+            {"n": 60, "p": 3, "q": 40, "verdict": 7},
+        ]
+        store.write(chunk, records)
+        footer = {ChunkStore.FOOTER_KEY: chunk.chunk_id, "records": 2}
+        path = store.path_for(chunk)
+        assert path.read_text() == "".join(
+            json.dumps(item, separators=(",", ":")) + "\n"
+            for item in records + [footer]
+        )
+        path.write_text("\n" + path.read_text().replace("\n", "\n\n", 1))
+        assert store.read(chunk) == records
 
     def test_no_temp_files_left_behind(self, tmp_path):
         manifest = d6_manifest()
@@ -243,6 +263,72 @@ class TestSplitVerdictCache:
         cache.put(2, 64, 6)
         cache.put(2, 64, 6)
         assert len(cache.path.read_text().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "backend",
+        [
+            "numpy",
+            pytest.param(
+                "cnative",
+                marks=pytest.mark.skipif(
+                    "cnative" not in kernels.available_backends(),
+                    reason="no C compiler",
+                ),
+            ),
+        ],
+    )
+    def test_run_chunk_appends_each_chunk_in_one_write(
+        self, tmp_path, monkeypatch, backend
+    ):
+        # A chunk's fresh verdicts reach the cache file in one os.write (an
+        # all-hit rerun writes nothing), and the file holds the same lines,
+        # in item order, as one compact line written per verdict.
+        monkeypatch.setenv(kernels.ENV_VAR, backend)
+        manifest = d6_manifest(chunk_size=4)
+        assert len(manifest.chunks) >= 3
+        cache = SplitVerdictCache(tmp_path, 2, 6, version="test-v1")
+        cache_fds: set[int] = set()
+        writes: list[int] = []
+        real_open, real_write, real_close = os.open, os.write, os.close
+
+        def tracking_open(path, flags, *args, **kwargs):
+            fd = real_open(path, flags, *args, **kwargs)
+            if Path(path) == cache.path:
+                cache_fds.add(fd)
+            return fd
+
+        def tracking_write(fd, data):
+            if fd in cache_fds:
+                writes.append(fd)
+            return real_write(fd, data)
+
+        def tracking_close(fd):
+            cache_fds.discard(fd)
+            real_close(fd)
+
+        monkeypatch.setattr(os, "open", tracking_open)
+        monkeypatch.setattr(os, "write", tracking_write)
+        monkeypatch.setattr(os, "close", tracking_close)
+        records = []
+        for chunk in manifest.chunks:
+            before = len(writes)
+            records += sweep.run_chunk(2, 6, chunk.items, cache)
+            assert len(writes) - before == 1
+        warm = SplitVerdictCache(tmp_path, 2, 6, version="test-v1")
+        for chunk in manifest.chunks:
+            assert sweep.run_chunk(2, 6, chunk.items, warm) == [
+                r for r in records if (r["n"], r["p"], r["q"]) in chunk.items
+            ]
+        assert len(writes) == len(manifest.chunks)
+        assert warm.misses == 0
+        assert cache.path.read_text() == "".join(
+            json.dumps(
+                {"p": r["p"], "q": r["q"], "verdict": r["verdict"]},
+                separators=(",", ":"),
+            )
+            + "\n"
+            for r in records
+        )
 
 
 class TestSweepParity:
