@@ -1110,25 +1110,48 @@ def _fleet_watch(job, args: argparse.Namespace) -> int:
         _time.sleep(sleep_s)
 
 
-def _print_fleet_outcome(outcome: dict, job) -> None:
-    complete = job.store.completed_ids() & {c.chunk_id for c in job.chunks()}
+def _fleet_run(job, args: argparse.Namespace, merge) -> int:
+    """The flow of ``fleet sweep`` and ``fleet sim``: describe the job, then
+    ``--watch``, ``--merge`` (``merge()`` folds and prints; an incomplete
+    store exits 1) or run one worker."""
+    from repro.fleet import run_fleet
+
+    print(job.describe())
+    if args.watch:
+        return _fleet_watch(job, args)
+    if args.merge:
+        try:
+            merge()
+        except FileNotFoundError as error:
+            print(f"merge failed: {error}", file=sys.stderr)
+            return 1
+        return 0
+    outcome = run_fleet(job, **_fleet_kwargs(args))
     line = (
         f"worker {outcome['worker']}: ran {len(outcome['ran'])} chunks; "
-        f"store {outcome['store']}: {len(complete)}/{outcome['chunks']} "
+        f"store {outcome['store']}: {_chunks_complete(job)}/{outcome['chunks']} "
         "chunks complete"
     )
     if outcome["lost"]:
         line += f"; {len(outcome['lost'])} lease(s) lost mid-run (reclaimed)"
     print(line)
+    return 0
+
+
+def _chunks_complete(job) -> int:
+    return len(job.store.completed_ids() & {c.chunk_id for c in job.chunks()})
 
 
 def _fleet_sweep(args: argparse.Namespace) -> int:
-    from repro.fleet import SweepFleetJob, run_fleet
+    from repro.fleet import SweepFleetJob
     from repro.otis.search import PAPER_TABLE1, compare_with_paper
-    from repro.otis.sweep import ChunkManifest, ChunkStore, merge_sweep
+    from repro.otis.sweep import ChunkManifest, merge_sweep
 
     if args.n_min < 1 or args.n_max < args.n_min:
         print("need 1 <= --n-min <= --n-max", file=sys.stderr)
+        return 2
+    if args.partial and not args.merge:
+        print("--partial only makes sense with --merge", file=sys.stderr)
         return 2
     manifest = ChunkManifest.build(
         args.d,
@@ -1137,43 +1160,28 @@ def _fleet_sweep(args: argparse.Namespace) -> int:
         require_exact=not args.at_most,
         chunk_size=args.chunk_size,
     )
-    job = SweepFleetJob(
-        manifest, ChunkStore(args.out_dir), cache=args.cache_dir
-    )
-    print(job.describe())
-    if args.partial and not args.merge:
-        print("--partial only makes sense with --merge", file=sys.stderr)
-        return 2
-    if args.watch:
-        return _fleet_watch(job, args)
-    if args.merge:
-        try:
-            result = merge_sweep(manifest, job.store, partial=args.partial)
-        except FileNotFoundError as error:
-            print(f"merge failed: {error}", file=sys.stderr)
-            return 1
+    job = SweepFleetJob(manifest, args.out_dir, cache=args.cache_dir)
+
+    def merge() -> None:
+        result = merge_sweep(manifest, job.store, partial=args.partial)
         if args.partial:
-            done = job.store.completed_ids() & {c.chunk_id for c in job.chunks()}
             print(
-                f"PARTIAL merge: {len(done)}/{len(manifest.chunks)} chunks "
-                "complete - rows below cover only the published chunks"
+                f"PARTIAL merge: {_chunks_complete(job)}/{len(manifest.chunks)} "
+                "chunks complete - rows below cover only the published chunks"
             )
         print(result.as_table())
         if args.diameter in PAPER_TABLE1 and not args.at_most and not args.partial:
             report = compare_with_paper(result)
             print(f"paper rows in range reproduced: {report['all_match']}")
-        return 0
-    outcome = run_fleet(job, **_fleet_kwargs(args))
-    _print_fleet_outcome(outcome, job)
-    return 0
+
+    return _fleet_run(job, args, merge)
 
 
 def _fleet_sim(args: argparse.Namespace) -> int:
     import time as _time
 
-    from repro.fleet import SimFleetJob, run_fleet
+    from repro.fleet import SimFleetJob
     from repro.otis.h_digraph import h_digraph
-    from repro.otis.sweep import ChunkStore
     from repro.simulation.network import LinkModel
     from repro.simulation.sharding import ReplicaChunkManifest
     from repro.simulation.workloads import (
@@ -1190,17 +1198,11 @@ def _fleet_sim(args: argparse.Namespace) -> int:
     manifest = ReplicaChunkManifest.build(
         graph, traffics, link=link, router=args.router, chunk_size=args.chunk_size
     )
-    job = SimFleetJob(manifest, ChunkStore(args.out_dir), graph, traffics)
-    print(job.describe())
-    if args.watch:
-        return _fleet_watch(job, args)
-    if args.merge:
+    job = SimFleetJob(manifest, args.out_dir, graph, traffics)
+
+    def merge() -> None:
         start = _time.perf_counter()
-        try:
-            stats = job.merge()
-        except FileNotFoundError as error:
-            print(f"merge failed: {error}", file=sys.stderr)
-            return 1
+        stats = job.merge()
         sweep = assemble_throughput_sweep(
             graph,
             combos,
@@ -1222,10 +1224,8 @@ def _fleet_sim(args: argparse.Namespace) -> int:
             entry["merge_wall_time_s"] = round(sweep.wall_time_s, 4)
             path = merge_bench_json(args.json, key, entry)
             print(f"wrote {path}")
-        return 0
-    outcome = run_fleet(job, **_fleet_kwargs(args))
-    _print_fleet_outcome(outcome, job)
-    return 0
+
+    return _fleet_run(job, args, merge)
 
 
 def _fleet_smoke(args: argparse.Namespace) -> int:

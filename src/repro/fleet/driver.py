@@ -38,6 +38,7 @@ from repro.otis.sweep import (
     SweepChunk,
     ensure_store_identity,
     merge_sweep,
+    read_chunks,
     run_chunk,
 )
 
@@ -156,16 +157,10 @@ class SweepFleetJob(FleetJob):
         return merge_sweep(self.manifest, self.store)
 
     def progress_summary(self) -> str:
-        # The merge_sweep(partial=True) fold, but strictly read-only (no
-        # identity write): status readers must never mutate the store.
-        from repro.otis.sweep import fold_records
-
-        complete = self.store.completed_ids()
-        records: list[dict] = []
-        for chunk in self.chunks():
-            if chunk.chunk_id in complete:
-                records.extend(self.store.read(chunk))
-        partial = fold_records(self.manifest, records)
+        # The merge_sweep(partial=True) fold without its identity write:
+        # status readers must never mutate the store.
+        records = read_chunks(self.store, self.manifest, partial=True)
+        partial = self.manifest.fold(records)
         splits = sum(len(entries) for _, entries in partial.rows)
         return (
             f"d={self.manifest.d} D={self.manifest.diameter}: "

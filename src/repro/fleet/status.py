@@ -20,6 +20,29 @@ from repro.otis.sweep import STORE_IDENTITY_NAME, ChunkStore
 __all__ = ["fleet_status", "store_status", "status_to_json", "format_status"]
 
 
+def _snapshot(
+    store: ChunkStore, num_chunks: int, complete: int, published: set[str], ttl: float
+) -> dict:
+    """Completion counts plus the store's leases, split into live and expired.
+
+    Leases of published chunks are skipped (the release-after-publish race).
+    """
+    leases = LeaseManager(store.directory / LEASE_DIR_NAME, ttl=ttl)
+    running = []
+    expired = []
+    for info in leases.active():
+        if info.chunk_id not in published:
+            (expired if info.expired else running).append(info)
+    return {
+        "chunks": num_chunks,
+        "complete": complete,
+        "running": running,
+        "expired": expired,
+        "pending": max(0, num_chunks - complete - len(running) - len(expired)),
+        "done": complete >= num_chunks,
+    }
+
+
 def fleet_status(job: FleetJob, *, ttl: float) -> dict:
     """One snapshot of a job's store: completion counts plus live leases.
 
@@ -28,24 +51,8 @@ def fleet_status(job: FleetJob, *, ttl: float) -> dict:
     """
     chunks = job.chunks()
     published = job.store.completed_ids()
-    complete = published & {chunk.chunk_id for chunk in chunks}
-    leases = LeaseManager(job.store.directory / LEASE_DIR_NAME, ttl=ttl)
-    running = []
-    expired = []
-    for info in leases.active():
-        if info.chunk_id in published:
-            continue  # released-after-publish race; ignore
-        (expired if info.expired else running).append(info)
-    return {
-        "chunks": len(chunks),
-        "complete": len(complete),
-        "running": running,
-        "expired": expired,
-        "pending": max(
-            0, len(chunks) - len(complete) - len(running) - len(expired)
-        ),
-        "done": len(complete) == len(chunks),
-    }
+    complete = len(published & {chunk.chunk_id for chunk in chunks})
+    return _snapshot(job.store, len(chunks), complete, published, ttl)
 
 
 def store_status(directory: str | Path, *, ttl: float) -> dict:
@@ -67,24 +74,11 @@ def store_status(directory: str | Path, *, ttl: float) -> dict:
     identity = json.loads(identity_path.read_text())
     num_chunks = int(identity["num_chunks"])
     published = store.completed_ids()
-    leases = LeaseManager(store.directory / LEASE_DIR_NAME, ttl=ttl)
-    running = []
-    expired = []
-    for info in leases.active():
-        if info.chunk_id in published:
-            continue  # released-after-publish race; ignore
-        (expired if info.expired else running).append(info)
-    return {
-        "chunks": num_chunks,
-        "complete": min(len(published), num_chunks),
-        "running": running,
-        "expired": expired,
-        "pending": max(
-            0, num_chunks - len(published) - len(running) - len(expired)
-        ),
-        "done": len(published) >= num_chunks,
-        "identity": identity,
-    }
+    status = _snapshot(
+        store, num_chunks, min(len(published), num_chunks), published, ttl
+    )
+    status["identity"] = identity
+    return status
 
 
 def status_to_json(status: dict) -> dict:

@@ -27,16 +27,17 @@ This module re-runs that search:
 * :func:`table1_rows` — the paper's Table 1 rows regenerated (restricted, by
   default, to the ``n`` range the paper prints).
 
-The sweep itself is orchestrated by :mod:`repro.otis.sweep`: the ``(n, p, q)``
-work list is deterministically partitioned into named chunks
-(:class:`repro.otis.sweep.ChunkManifest`), and this module's in-process search
-is "one process consuming every chunk" in memory.  The same manifest drives
-the fleet path (``python -m repro fleet sweep``: any number of workers on one
-chunk store, with resumable per-chunk persistence), and both paths consult
-the on-disk
-:class:`repro.otis.sweep.SplitVerdictCache` of ``h_diameter`` verdicts when a
-``cache`` is supplied — overlapping Table 1 blocks share many splits, and the
-verdicts are pure functions of ``(p, q, d, D)``.
+The in-process search is one serial loop: it expands each ``n`` into its
+candidate splits, cuts that ``(n, p, q)`` work list into slices of
+``chunk_size`` items and runs each slice through
+:func:`repro.otis.sweep.run_chunk`.  The partition is a pure function of
+the parameters, so nothing needs a name until it is persisted: the fleet
+path (``python -m repro fleet sweep``: any number of workers on one chunk
+store) names the same slices in its chunk manifest.  Both paths fold their
+records through :func:`repro.otis.sweep.fold_records` and consult the
+on-disk :class:`repro.otis.sweep.SplitVerdictCache` of ``h_diameter``
+verdicts when a ``cache`` is supplied — overlapping Table 1 blocks share
+many splits, and the verdicts are pure functions of ``(p, q, d, D)``.
 
 The expensive part is the all-pairs stage; it runs on the bit-packed
 ``(n, ceil(n/64))`` reachability matrix of
@@ -263,16 +264,15 @@ def degree_diameter_search(
 ) -> DegreeDiameterResult:
     """Exhaustive search over ``H(p, q, d)`` for a given diameter.
 
-    The sweep always routes through the chunk manifest of
-    :mod:`repro.otis.sweep`: the ``(n, p, q)`` work list is deterministically
-    partitioned into named chunks, and this function is simply "one process
-    consuming every chunk" serially, in memory.  Because the manifest
-    partitioning is a pure function of the parameters (cf. the deterministic
-    work-splitting of Bobpp-style exhaustive search) and the merge orders
-    records canonically, the result is identical to a fleet run over a chunk
-    store (:func:`repro.fleet.run_fleet` on a
+    One process runs the whole ``(n, p, q)`` work list serially, in memory,
+    in slices of ``chunk_size`` items.  The slices are the chunks a fleet
+    run names in its manifest, and both paths fold their verdict records
+    canonically (cf. the deterministic work-splitting of Bobpp-style
+    exhaustive search), so the result is identical to a fleet run over a
+    chunk store (:func:`repro.fleet.run_fleet` on a
     :class:`repro.fleet.SweepFleetJob`, then
-    :func:`repro.otis.sweep.merge_sweep`) with any number of workers.
+    :func:`repro.otis.sweep.merge_sweep`) with any number of workers.  No
+    result is persisted here, so no chunk is named.
 
     Parameters
     ----------
@@ -291,8 +291,9 @@ def degree_diameter_search(
         ``n_min..n_max`` sweep (used by the benchmarks to restrict the heavy
         diameter-10 block to the rows the paper prints).
     chunk_size:
-        ``(n, p, q)`` work items per chunk (the unit of resumable
-        persistence in the fleet path; results do not depend on it).
+        ``(n, p, q)`` work items per :func:`~repro.otis.sweep.run_chunk`
+        call (the unit a fleet run persists as one chunk; results do not
+        depend on it).
     cache:
         A :class:`repro.otis.sweep.SplitVerdictCache`, or a directory path
         from which one is opened keyed by ``(d, diameter, code_version)``.
@@ -305,28 +306,36 @@ def degree_diameter_search(
     DegreeDiameterResult
     """
     from repro.otis.sweep import (
-        ChunkManifest,
         SplitVerdictCache,
+        check_chunking,
         fold_records,
         run_chunk,
     )
 
     if n_min < 1 or n_max < n_min:
         raise ValueError("need 1 <= n_min <= n_max")
-    sweep_ns = (
-        list(range(n_min, n_max + 1)) if n_values is None else sorted(set(n_values))
-    )
-    manifest = ChunkManifest.build(
-        d, diameter, sweep_ns, require_exact=require_exact, chunk_size=chunk_size
-    )
-    # One shared cache view across all chunks, so a caller-supplied cache
+    check_chunking(chunk_size, diameter)
+    if n_values is None:
+        sweep_ns = range(n_min, n_max + 1)
+    else:
+        sweep_ns = sorted({int(n) for n in n_values})
+    items = [(n, p, q) for n in sweep_ns for p, q in candidate_splits(n, d)]
+    # One shared cache view across all slices, so a caller-supplied cache
     # object accumulates its hit/miss ledger.
     if cache is not None and not isinstance(cache, SplitVerdictCache):
-        cache = SplitVerdictCache(cache, d, diameter, version=manifest.code_version)
+        cache = SplitVerdictCache(cache, d, diameter)
     records: list[dict] = []
-    for chunk in manifest.chunks:
-        records.extend(run_chunk(d, diameter, chunk.items, cache))
-    return fold_records(manifest, records, n_range=(n_min, n_max))
+    for start in range(0, len(items), chunk_size):
+        records.extend(
+            run_chunk(d, diameter, tuple(items[start : start + chunk_size]), cache)
+        )
+    return fold_records(
+        records,
+        d=d,
+        diameter=diameter,
+        require_exact=require_exact,
+        n_range=(n_min, n_max),
+    )
 
 
 def table1_rows(

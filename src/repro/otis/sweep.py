@@ -11,11 +11,15 @@ Bobpp-like exhaustive search frameworks (see PAPERS.md):
   a stable hash of the chunk's work items together with the search
   parameters and :func:`code_version`, so every worker (and every re-run)
   derives the identical manifest and agrees on which file holds which work.
+  (The in-process search persists nothing and slices the list unnamed.)
 * :class:`ChunkStore` — a directory of per-chunk JSON-lines result files.
   A chunk file is written to a temporary name and published with one atomic
   :func:`os.replace`, so a file either holds the complete chunk or does not
   exist; an interrupted sweep resumes by skipping the chunk ids already on
   disk.
+* :func:`read_chunks` — the one reader of a store, for this manifest or
+  the sharded simulator's: merges and the ``--watch`` progress line read
+  through it.
 * :class:`SplitVerdictCache` — an on-disk memo of
   :func:`repro.otis.search.h_diameter` verdicts keyed by
   ``(p, q, d, target_D)`` and scoped by :func:`code_version`.  ``h_diameter``
@@ -50,11 +54,11 @@ On-disk formats (all JSON, one object per line in the ``.jsonl`` files):
   refuses files whose footer is missing or disagrees, so a chunk truncated
   in transit can never fold partial data into a merge.
 * identity file ``<out_dir>/manifest.json`` — the manifest parameters the
-  store was built for (:meth:`ChunkManifest.identity`), published on first
-  write and verified on every later run/merge
-  (:func:`ensure_store_identity`): relaunching an out-dir with different
-  ``(d, D, n range)``/chunk-size/code fails fast instead of silently
-  matching zero chunks and rerunning everything.
+  store was built for (:meth:`ChunkManifest.identity`, through
+  :func:`manifest_identity`), published on first write and verified on
+  every later run/merge (:func:`ensure_store_identity`): relaunching an
+  out-dir with different ``(d, D, n range)``/chunk-size/code fails fast
+  instead of silently matching zero chunks and rerunning everything.
 * cache file ``<cache_dir>/verdicts-d<d>-D<D>-<code_version>.jsonl`` — one
   record ``{"p": p, "q": q, "verdict": v}`` per memoised split; a chunk's
   fresh records are appended as a single ``O_APPEND`` write so concurrent
@@ -84,8 +88,11 @@ __all__ = [
     "WorkItem",
     "SweepChunk",
     "make_chunks",
+    "check_chunking",
+    "manifest_identity",
     "ChunkManifest",
     "ChunkStore",
+    "read_chunks",
     "StoreIdentityError",
     "ensure_store_identity",
     "SplitVerdictCache",
@@ -222,16 +229,14 @@ def code_version() -> str:
 class SweepChunk:
     """One named unit of chunked work.
 
-    ``chunk_id`` is the stable name (also the result file name); ``index``
-    is the chunk's position in the manifest; ``items`` the work items — for
-    the degree–diameter sweep the ``(n, p, q)`` triples in canonical (``n``
-    then ``p`` ascending) order, for other manifests whatever
-    JSON-serialisable item type they chunk over (e.g. the sharded
-    simulator's ``(replica index, traffic digest)`` pairs).
+    ``chunk_id`` is the stable name (also the result file name); ``items``
+    the work items — for the degree–diameter sweep the ``(n, p, q)``
+    triples in canonical (``n`` then ``p`` ascending) order, for other
+    manifests whatever JSON-serialisable item type they chunk over (e.g.
+    the sharded simulator's ``(replica index, traffic digest)`` pairs).
     """
 
     chunk_id: str
-    index: int
     items: tuple
 
 
@@ -248,12 +253,41 @@ def make_chunks(items, chunk_size: int, identity: list) -> tuple[SweepChunk, ...
         raise ValueError("chunk_size must be positive")
     items = list(items)
     chunks = []
-    for index, start in enumerate(range(0, len(items), chunk_size)):
+    for start in range(0, len(items), chunk_size):
         chunk_items = tuple(items[start : start + chunk_size])
         payload = json.dumps(identity + [chunk_items], separators=(",", ":"))
         chunk_id = hashlib.sha256(payload.encode()).hexdigest()[:16]
-        chunks.append(SweepChunk(chunk_id=chunk_id, index=index, items=chunk_items))
+        chunks.append(SweepChunk(chunk_id=chunk_id, items=chunk_items))
     return tuple(chunks)
+
+
+def check_chunking(chunk_size: int, diameter: int) -> None:
+    """Refuse a bad ``chunk_size``, or a negative ``diameter`` (its "too
+    large" verdict would be ``-1 + 1 = 0``)."""
+    if chunk_size < 1:
+        raise ValueError("chunk_size must be positive")
+    if diameter < 0:
+        raise ValueError(f"diameter must be non-negative, got {diameter}")
+
+
+def manifest_identity(manifest, kind: str, **fields) -> dict:
+    """The ``manifest.json`` identity of a manifest of either store kind.
+
+    ``kind`` and the kind's own ``fields``, then the keys every manifest
+    shares: ``chunk_size``, ``code_version``, ``num_chunks`` and a digest
+    over the chunk ids (which covers every parameter hashed into them).
+    """
+    ids = hashlib.sha256(
+        "".join(chunk.chunk_id for chunk in manifest.chunks).encode()
+    ).hexdigest()[:16]
+    return {
+        "kind": kind,
+        **fields,
+        "chunk_size": manifest.chunk_size,
+        "code_version": manifest.code_version,
+        "num_chunks": len(manifest.chunks),
+        "chunk_ids_digest": ids,
+    }
 
 
 def _fsync_directory(directory: Path) -> None:
@@ -344,10 +378,7 @@ class ChunkManifest:
         """
         from repro.otis.search import candidate_splits
 
-        if chunk_size < 1:
-            raise ValueError("chunk_size must be positive")
-        if diameter < 0:
-            raise ValueError(f"diameter must be non-negative, got {diameter}")
+        check_chunking(chunk_size, diameter)
         version = globals()["code_version"]() if code_version is None else code_version
         ns = tuple(sorted(set(int(n) for n in n_values)))
         items: list[WorkItem] = [
@@ -373,20 +404,25 @@ class ChunkManifest:
         directory is relaunched or merged under parameters other than the
         ones it was built for.
         """
-        ids = hashlib.sha256(
-            "".join(chunk.chunk_id for chunk in self.chunks).encode()
-        ).hexdigest()[:16]
-        return {
-            "kind": "degree-diameter-sweep",
-            "d": self.d,
-            "diameter": self.diameter,
-            "require_exact": self.require_exact,
-            "n_values": list(self.n_values),
-            "chunk_size": self.chunk_size,
-            "code_version": self.code_version,
-            "num_chunks": len(self.chunks),
-            "chunk_ids_digest": ids,
-        }
+        return manifest_identity(
+            self,
+            "degree-diameter-sweep",
+            d=self.d,
+            diameter=self.diameter,
+            require_exact=self.require_exact,
+            n_values=list(self.n_values),
+        )
+
+    def fold(self, records: list[dict]):
+        """:func:`fold_records` with this manifest's parameters and n range."""
+        ns = self.n_values
+        return fold_records(
+            records,
+            d=self.d,
+            diameter=self.diameter,
+            require_exact=self.require_exact,
+            n_range=(ns[0], ns[-1]) if ns else (0, 0),
+        )
 
 
 class ChunkStore:
@@ -512,6 +548,40 @@ class ChunkStore:
                 "delete it and re-run the chunk"
             )
         return records
+
+
+def read_chunks(store: ChunkStore, manifest, *, partial: bool = False) -> list[dict]:
+    """The records of ``manifest``'s published chunks, in chunk order.
+
+    Lists the store once and never writes to it.  Unless ``partial``, an
+    unpublished chunk raises ``FileNotFoundError``; chunk files of no chunk
+    of ``manifest`` add a note, since a changed code version or parameter
+    renames every chunk id and "run the workers" alone would redo the work.
+    """
+    published = store.completed_ids()
+    if not partial:
+        missing = [c.chunk_id for c in manifest.chunks if c.chunk_id not in published]
+        if missing:
+            message = (
+                f"{len(missing)} of {len(manifest.chunks)} chunks incomplete "
+                f"(e.g. {missing[:3]}); run fleet workers on the store first"
+            )
+            orphans = published - {c.chunk_id for c in manifest.chunks}
+            if orphans:
+                message += (
+                    f"; NOTE: the store also holds {len(orphans)} chunk "
+                    "file(s) from a different manifest — the code version or "
+                    "the parameters (chunk size among them) likely changed "
+                    "since they were written (current code version: "
+                    f"{manifest.code_version})"
+                )
+            raise FileNotFoundError(message)
+    return [
+        record
+        for chunk in manifest.chunks
+        if chunk.chunk_id in published
+        for record in store.read(chunk)
+    ]
 
 
 class StoreIdentityError(RuntimeError):
@@ -640,19 +710,26 @@ class SplitVerdictCache:
     def _load(self) -> None:
         if not self.path.exists():
             return
-        dropped = 0
-        with self.path.open() as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
+        lines = [line for line in self.path.read_text().split("\n") if line.strip()]
+        try:  # one json.loads, as ChunkStore.read
+            records = json.loads("[" + ",".join(lines) + "]")
+        except ValueError:
+            records = []
+        if len(records) != len(lines):  # some line is not one JSON value
+            records = []
+            for line in lines:
                 try:
-                    record = json.loads(line)
-                    self._memory[(int(record["p"]), int(record["q"]))] = int(
-                        record["verdict"]
-                    )
-                except (ValueError, KeyError, TypeError):
-                    dropped += 1  # torn line from a crashed writer
+                    records.append(json.loads(line))
+                except ValueError:
+                    records.append(None)
+        dropped = 0
+        for record in records:
+            try:
+                self._memory[(int(record["p"]), int(record["q"]))] = int(
+                    record["verdict"]
+                )
+            except (ValueError, KeyError, TypeError):
+                dropped += 1  # torn line from a crashed writer
         if dropped:
             warnings.warn(
                 f"{self.path.name}: dropped {dropped} unparseable cache "
@@ -765,41 +842,32 @@ def run_chunk(
 
 
 def fold_records(
-    manifest: ChunkManifest,
     records: list[dict],
     *,
-    n_range: tuple[int, int] | None = None,
+    d: int,
+    diameter: int,
+    require_exact: bool,
+    n_range: tuple[int, int],
 ):
     """Fold verdict records into a :class:`DegreeDiameterResult`.
 
-    Applies the manifest's ``require_exact`` filter, groups by ``n`` and
-    orders rows by ``n`` and splits by ``p`` — exactly the shape
-    :func:`~repro.otis.search.degree_diameter_search` produces, so fleet
-    and in-process sweeps are interchangeable downstream.  ``n_range``
-    defaults to the extremes of the manifest's ``n_values``; the in-process
-    search passes its original ``(n_min, n_max)`` instead.
+    Applies the ``require_exact`` filter (exactly ``diameter``, else at
+    most), groups by ``n`` and orders rows by ``n`` and splits by ``p`` —
+    the parameters that define the result, so the in-process search and a
+    merged store (:meth:`ChunkManifest.fold`) give the same rows.
     """
     from repro.otis.search import DegreeDiameterResult
 
     kept: dict[int, list[tuple[int, int]]] = {}
     for record in sorted(records, key=lambda r: (r["n"], r["p"], r["q"])):
         verdict = record["verdict"]
-        if verdict < 0 or verdict > manifest.diameter:
+        if verdict < 0 or verdict > diameter:
             continue
-        if manifest.require_exact and verdict != manifest.diameter:
+        if require_exact and verdict != diameter:
             continue
         kept.setdefault(record["n"], []).append((record["p"], record["q"]))
-    if n_range is None:
-        n_range = (
-            (manifest.n_values[0], manifest.n_values[-1])
-            if manifest.n_values
-            else (0, 0)
-        )
     return DegreeDiameterResult(
-        d=manifest.d,
-        diameter=manifest.diameter,
-        rows=sorted(kept.items()),
-        n_range=n_range,
+        d=d, diameter=diameter, rows=sorted(kept.items()), n_range=n_range
     )
 
 
@@ -811,51 +879,15 @@ def merge_sweep(
 ):
     """Fold a store's chunk files into a :class:`DegreeDiameterResult`.
 
-    Raises ``FileNotFoundError`` naming the missing chunk ids when any chunk
-    of the manifest has not been published yet — a partial merge would
-    silently drop table rows, which is exactly the failure mode the named
-    manifest exists to prevent.  ``partial=True`` opts into exactly that
-    drop *explicitly*, for progress reports over a store fleet workers are
-    still filling: the completed chunks are folded and the result carries
-    only the rows they cover (``fleet sweep --merge --partial`` prints the
-    coverage next to the table so a partial report can never masquerade as
-    a finished sweep).  Raises :class:`StoreIdentityError` before anything
-    else when the store's ``manifest.json`` was written for different
-    parameters.
+    Raises :class:`StoreIdentityError` before anything else when the
+    store's ``manifest.json`` was written for different parameters, then
+    reads through :func:`read_chunks`: an unpublished chunk raises
+    ``FileNotFoundError``.  ``partial=True`` folds the completed chunks
+    only, for progress reports over a store fleet workers are still
+    filling (``fleet sweep --merge --partial`` prints the coverage next to
+    the table, so a partial report can never pass for a finished sweep).
     """
     if not isinstance(store, ChunkStore):
         store = ChunkStore(store)
     ensure_store_identity(store, manifest.identity())
-    missing = [
-        chunk.chunk_id for chunk in manifest.chunks if not store.is_complete(chunk)
-    ]
-    if missing and partial:
-        records: list[dict] = []
-        for chunk in manifest.chunks:
-            if store.is_complete(chunk):
-                records.extend(store.read(chunk))
-        return fold_records(manifest, records)
-    if missing:
-        message = (
-            f"{len(missing)} of {len(manifest.chunks)} chunks incomplete "
-            f"(e.g. {missing[:3]}); run fleet workers on the store first"
-        )
-        # Chunk files that belong to no chunk of *this* manifest usually mean
-        # the manifest identity changed under the store — a code-version bump
-        # (any edit to a verdict-defining source) or different parameters
-        # (chunk_size, require_exact, range) rename every chunk id.  Saying
-        # "run the workers" alone would silently discard a completed sweep.
-        known = {c.chunk_id for c in manifest.chunks}
-        orphans = store.completed_ids() - known
-        if orphans:
-            message += (
-                f"; NOTE: the store also holds {len(orphans)} chunk file(s) from "
-                "a different manifest — the code version or sweep parameters "
-                f"(chunk_size, require_exact, n range) likely changed since "
-                f"they were written (current code version: {manifest.code_version})"
-            )
-        raise FileNotFoundError(message)
-    records: list[dict] = []
-    for chunk in manifest.chunks:
-        records.extend(store.read(chunk))
-    return fold_records(manifest, records)
+    return manifest.fold(read_chunks(store, manifest, partial=partial))

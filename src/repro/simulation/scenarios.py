@@ -99,15 +99,10 @@ def _as_rng(rng) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 def _overlay_rate(pairs: Traffic, rate: float | None, generator) -> Traffic:
     """``pairs`` injected at the times of a Poisson process of ``rate``,
-    drawn after the pairs (``rate=None``: everything at time 0).
-
-    ``pairs`` may be any sequence of triples (the stream-identity tests
-    substitute generators that return lists); ``validate_traffic`` hands a
-    ``Traffic`` back unchanged and converts anything else.
-    """
+    drawn after the pairs (``rate=None``: everything at time 0)."""
     if rate is None:
         return pairs
-    return validate_traffic(pairs).with_times(
+    return pairs.with_times(
         poisson_arrival_times(len(pairs), rate, generator)
     )
 
@@ -247,7 +242,7 @@ class BurstyArrivals:
                 clock += float(gap)
                 times.append(clock)
             emitted += size
-        return validate_traffic(pairs).with_times(times)
+        return pairs.with_times(times)
 
     def with_rate(self, rate: float | None) -> "BurstyArrivals":
         """Scale the within-burst rate (the load knob of the Pareto sweep)."""
@@ -307,7 +302,7 @@ class DiurnalArrivals:
             instantaneous = self.trough_rate + swing * 0.5 * (1.0 + phase)
             if generator.random() * self.peak_rate <= instantaneous:
                 times.append(clock)
-        return validate_traffic(pairs).with_times(times)
+        return pairs.with_times(times)
 
     def with_rate(self, rate: float | None) -> "DiurnalArrivals":
         """Scale the peak rate, keeping the trough/peak ratio."""

@@ -13,16 +13,21 @@ Bobpp-style scheme of PAPERS.md):
   result-defining sources), so every host — and every re-run — agrees on
   which file holds which replicas, and no resumed study can mix results
   computed by different simulator code.
+  Its ``manifest.json`` identity is built by the same
+  :func:`repro.otis.sweep.manifest_identity` as the sweep's.
 * chunks execute through :class:`repro.otis.sweep.ChunkStore`: each chunk's
   per-replica :class:`~repro.simulation.network.NetworkStats` are published
   as one atomic JSONL file by the fleet loop (:func:`repro.fleet.run_fleet`
   over a :class:`repro.fleet.SimFleetJob`), so an interrupted study resumes
   by skipping the chunk files already on disk and recomputing only the chunk
   that was in flight.
-* :func:`merge_replica_stats` folds the chunk files back into the per-replica
-  stats list **byte-identical** to the in-process ``run_many`` (per-replica
-  results are independent of how replicas are stacked — the engine contract —
-  and the JSON codec round-trips every float exactly).
+* :func:`merge_replica_stats` reads the store through the sweep's one
+  reader, :func:`repro.otis.sweep.read_chunks`, and folds the chunk files
+  back into the per-replica stats list **byte-identical** to the in-process
+  ``run_many`` (per-replica results are independent of how replicas are
+  stacked — the engine contract — and the JSON codec, derived from the
+  :class:`~repro.simulation.network.NetworkStats` fields, round-trips every
+  float exactly).
 
 :func:`run_many_sharded` is the one-call wrapper (build, run one fleet
 worker, merge); to run in parallel, start more fleet workers on the same
@@ -35,6 +40,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -45,6 +51,8 @@ from repro.otis.sweep import (
     ensure_store_identity,
     fingerprint_closure,
     make_chunks,
+    manifest_identity,
+    read_chunks,
 )
 from repro.simulation.network import (
     BatchedNetworkSimulator,
@@ -104,26 +112,12 @@ def traffic_digest(traffic: np.ndarray) -> str:
 # --------------------------------------------------------------------------
 # NetworkStats JSON codec (exact float round-trip)
 # --------------------------------------------------------------------------
-_STATS_FIELDS = (
-    "delivered",
-    "undelivered",
-    "makespan",
-    "mean_latency",
-    "max_latency",
-    "mean_hops",
-    "max_link_queue",
-    "total_link_busy_time",
-    # Scenario counters (all zero outside degraded-mode scenario runs).
-    "dropped_buffer",
-    "dropped_fault",
-    "dropped_hops",
-    "retransmits",
-    "rerouted_hops",
-)
+#: ``{field name: int or float}`` of :class:`NetworkStats`, in field order.
+_STATS_FIELDS = get_type_hints(NetworkStats)
 
 
 def stats_to_json(stats: NetworkStats) -> dict:
-    """One :class:`NetworkStats` as a JSON object.
+    """One :class:`NetworkStats` as a JSON object, keyed in field order.
 
     Python's ``json`` serialises floats with ``repr``, the shortest string
     that round-trips exactly — which is what lets the sharded path promise
@@ -133,21 +127,9 @@ def stats_to_json(stats: NetworkStats) -> dict:
 
 
 def stats_from_json(record: dict) -> NetworkStats:
-    """Inverse of :func:`stats_to_json`."""
+    """Inverse of :func:`stats_to_json`: every field, cast to its type."""
     return NetworkStats(
-        delivered=int(record["delivered"]),
-        undelivered=int(record["undelivered"]),
-        makespan=float(record["makespan"]),
-        mean_latency=float(record["mean_latency"]),
-        max_latency=float(record["max_latency"]),
-        mean_hops=float(record["mean_hops"]),
-        max_link_queue=int(record["max_link_queue"]),
-        total_link_busy_time=float(record["total_link_busy_time"]),
-        dropped_buffer=int(record.get("dropped_buffer", 0)),
-        dropped_fault=int(record.get("dropped_fault", 0)),
-        dropped_hops=int(record.get("dropped_hops", 0)),
-        retransmits=int(record.get("retransmits", 0)),
-        rerouted_hops=int(record.get("rerouted_hops", 0)),
+        **{name: kind(record[name]) for name, kind in _STATS_FIELDS.items()}
     )
 
 
@@ -235,24 +217,19 @@ class ReplicaChunkManifest:
         out-dir with a different topology, link timing, router, replica set
         or simulator code fails fast instead of silently matching nothing.
         """
-        ids = hashlib.sha256(
-            "".join(chunk.chunk_id for chunk in self.chunks).encode()
-        ).hexdigest()[:16]
-        identity = {
-            "kind": "run_many-replicas",
-            "graph_fingerprint": self.graph_fp,
-            "link_latency": self.link.latency,
-            "link_transmission_time": self.link.transmission_time,
-            "router": self.router,
-            "num_replicas": self.num_replicas,
-            "chunk_size": self.chunk_size,
-            "code_version": self.code_version,
-            "num_chunks": len(self.chunks),
-            "chunk_ids_digest": ids,
-        }
+        scenario = {}
         if self.scenario is not None:
-            identity["scenario_digest"] = self.scenario.digest()
-        return identity
+            scenario["scenario_digest"] = self.scenario.digest()
+        return manifest_identity(
+            self,
+            "run_many-replicas",
+            graph_fingerprint=self.graph_fp,
+            link_latency=self.link.latency,
+            link_transmission_time=self.link.transmission_time,
+            router=self.router,
+            num_replicas=self.num_replicas,
+            **scenario,
+        )
 
 
 # --------------------------------------------------------------------------
@@ -317,43 +294,18 @@ def merge_replica_stats(
 
     The result is byte-identical to
     ``[stats for stats, _ in simulator.run_many(traffics,
-    return_messages=False)]``; raises ``FileNotFoundError`` naming the
-    missing chunk ids when any chunk has not been published (run fleet
-    workers on the store first), and
+    return_messages=False)]``; raises
     :class:`~repro.otis.sweep.StoreIdentityError` before anything else when
-    the store's ``manifest.json`` was written for different parameters.
+    the store's ``manifest.json`` was written for different parameters,
+    then ``FileNotFoundError`` naming the missing chunk ids when any chunk
+    has not been published (:func:`~repro.otis.sweep.read_chunks`).
     """
     if not isinstance(store, ChunkStore):
         store = ChunkStore(store)
     ensure_store_identity(store, manifest.identity())
-    missing = [
-        chunk.chunk_id for chunk in manifest.chunks if not store.is_complete(chunk)
-    ]
-    if missing:
-        message = (
-            f"{len(missing)} of {len(manifest.chunks)} replica chunks "
-            f"incomplete (e.g. {missing[:3]}); run fleet workers on the "
-            "store first"
-        )
-        # Chunk files that belong to no chunk of *this* manifest usually mean
-        # the manifest identity changed under the store: different
-        # --chunk-size/router/link/traffic parameters, or a simulator code
-        # edit, rename every chunk id.  "Run the workers" alone would just
-        # pile a second full set of chunks into the store.
-        orphans = store.completed_ids() - {c.chunk_id for c in manifest.chunks}
-        if orphans:
-            message += (
-                f"; NOTE: the store also holds {len(orphans)} chunk file(s) "
-                "from a different manifest — the chunk size, router, link "
-                "timings, traffic parameters or simulator code version "
-                "likely changed since they were written (current code "
-                f"version: {manifest.code_version})"
-            )
-        raise FileNotFoundError(message)
     stats: list[NetworkStats | None] = [None] * manifest.num_replicas
-    for chunk in manifest.chunks:
-        for record in store.read(chunk):
-            stats[int(record["replica"])] = stats_from_json(record["stats"])
+    for record in read_chunks(store, manifest):
+        stats[int(record["replica"])] = stats_from_json(record["stats"])
     if any(entry is None for entry in stats):  # pragma: no cover - defensive
         raise ValueError("chunk files do not cover every replica")
     return stats  # type: ignore[return-value]

@@ -297,7 +297,7 @@ def fleet_sweep_args(tmp_path, *extra):
     ]
 
 
-class TestSweepCommand:
+class TestFleetSweepCommand:
     def _args(self, tmp_path, *extra):
         return fleet_sweep_args(tmp_path, *extra)
 
@@ -383,7 +383,7 @@ class TestSimRouterFlag:
                 build_parser().parse_args(["sim", "-p", "4", "-q", "8", "--router", router])
 
 
-class TestSimShardedCommand:
+class TestFleetSimCommand:
     def _args(self, tmp_path, *extra):
         return [
             "fleet", "sim",

@@ -469,6 +469,38 @@ class TestFleetDriver:
         # format_status renders the store-read snapshot too.
         assert "held by peer" in format_status(status)
 
+    def test_manifest_json_key_sets_are_pinned(self, tmp_path):
+        # `fleet status --json` prints a store's manifest.json as its
+        # "identity": its keys are part of that contract, per store kind.
+        from repro.simulation.network import BufferedLinkModel
+        from repro.simulation.scenarios import Scenario, UniformArrivals
+
+        shared = {"kind", "chunk_size", "code_version", "num_chunks", "chunk_ids_digest"}
+        sim = shared | {
+            "graph_fingerprint",
+            "link_latency",
+            "link_transmission_time",
+            "router",
+            "num_replicas",
+        }
+        graph, _, traffics, sim_manifest = sim_inputs(replicas=2, messages=5)
+        scenario = Scenario(
+            arrivals=UniformArrivals(5), link=BufferedLinkModel(capacity=2)
+        )
+        scenario_manifest = ReplicaChunkManifest.build(
+            graph, traffics, scenario=scenario
+        )
+        cases = [
+            (sweep_manifest(), shared | {"d", "diameter", "require_exact", "n_values"}),
+            (sim_manifest, sim),
+            (scenario_manifest, sim | {"scenario_digest"}),
+        ]
+        for index, (manifest, keys) in enumerate(cases):
+            store = ChunkStore(tmp_path / str(index))
+            ensure_store_identity(store, manifest.identity())
+            assert set(json.loads((store.directory / "manifest.json").read_text())) == keys
+            assert set(store_status(store.directory, ttl=10)["identity"]) == keys
+
     def test_store_status_without_manifest_fails_fast(self, tmp_path):
         from repro.fleet import store_status
 

@@ -76,6 +76,7 @@ from repro.simulation.network import (
     BufferedLinkModel,
     LinkModel,
     NetworkSimulator,
+    validate_traffic,
 )
 from repro.simulation.scenarios import (
     BurstyArrivals,
@@ -1314,7 +1315,9 @@ def test_arrival_processes_are_stream_identical(monkeypatch):
                 patched.setattr(
                     scenarios,
                     "uniform_random_pairs",
-                    lambda n, k, g: frozen_uniform_random_pairs(n, k, g),
+                    lambda n, k, g: validate_traffic(
+                        frozen_uniform_random_pairs(n, k, g)
+                    ),
                 )
                 ref_rng = np.random.default_rng(11)
                 ref = process.traffic(num_nodes, ref_rng)

@@ -1,5 +1,7 @@
 """Tests for the Table 1 degree-diameter search (Section 4.3)."""
 
+import functools
+
 import pytest
 
 from repro.graphs.generators import de_bruijn, kautz
@@ -62,6 +64,21 @@ class TestHDiameter:
             table1_rows(-1, n_min=14, n_max=17)
 
 
+@functools.lru_cache(maxsize=None)
+def per_split_rows(d, target, n_min, n_max, require_exact):
+    """Table rows from one ``h_diameter`` call per candidate split."""
+    rows = []
+    for n in range(n_min, n_max + 1):
+        splits = []
+        for p, q in candidate_splits(n, d):
+            verdict = h_diameter(h_digraph(p, q, d), target)
+            if 0 <= verdict <= target and (verdict == target or not require_exact):
+                splits.append((p, q))
+        if splits:
+            rows.append((n, splits))
+    return rows
+
+
 class TestSmallSearches:
     def test_debruijn_2_4_found_at_diameter_4(self):
         result = degree_diameter_search(2, 4, 14, 17)
@@ -92,6 +109,30 @@ class TestSmallSearches:
             degree_diameter_search(2, 4, 10, 5)
         with pytest.raises(ValueError):
             degree_diameter_search(2, 4, 5, 10, chunk_size=0)
+
+    @pytest.mark.parametrize("require_exact", [True, False])
+    @pytest.mark.parametrize("chunk_size", [1, 2, 64])
+    @pytest.mark.parametrize(
+        "target, n_min, n_max",
+        [(4, 12, 30), (5, 28, 40), (6, 56, 70), (7, 120, 130), (8, 250, 258)],
+    )
+    def test_rows_match_the_per_split_oracle_without_a_manifest(
+        self, monkeypatch, target, n_min, n_max, chunk_size, require_exact
+    ):
+        # The in-process search slices its work list itself: it names no
+        # chunk, and its rows are the per-split h_diameter verdicts filtered
+        # and grouped, whatever the slice size.
+        from repro.otis.sweep import ChunkManifest
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("ChunkManifest.build called by the search")
+
+        monkeypatch.setattr(ChunkManifest, "build", forbidden)
+        result = degree_diameter_search(
+            2, target, n_min, n_max, chunk_size=chunk_size, require_exact=require_exact
+        )
+        assert result.rows == per_split_rows(2, target, n_min, n_max, require_exact)
+        assert result.n_range == (n_min, n_max)
 
     def test_worker_pool_matches_serial(self, tmp_path, fleet_processes):
         # Deterministic chunking: fleet worker processes sharing one store

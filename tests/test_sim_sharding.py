@@ -247,6 +247,23 @@ class TestMergeDiagnostics:
         with pytest.raises(FileNotFoundError, match="different manifest"):
             merge_replica_stats(mismatched, tmp_path)
 
+    def test_missing_and_orphan_chunk_are_both_named(self, tmp_path):
+        # One chunk of the store's own manifest is missing and one foreign
+        # chunk file sits beside the others: the merge names both.
+        traffics = example_traffics(4, messages=40)
+        manifest = ReplicaChunkManifest.build(
+            GRAPH, traffics, link=LINK, chunk_size=2, code_version="test-v1"
+        )
+        run_worker(manifest, tmp_path, traffics)
+        victim = tmp_path / f"chunk-{manifest.chunks[0].chunk_id}.jsonl"
+        victim.rename(tmp_path / "chunk-0123456789abcdef.jsonl")
+        with pytest.raises(FileNotFoundError) as excinfo:
+            merge_replica_stats(manifest, tmp_path)
+        message = str(excinfo.value)
+        assert f"1 of {len(manifest.chunks)} chunks incomplete" in message
+        assert "1 chunk file(s) from a different manifest" in message
+        assert "test-v1" in message  # the current code version is named
+
 
 class TestScenarioSharding:
     """Scenario digests join the chunk identity; merges stay byte-identical."""

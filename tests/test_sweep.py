@@ -237,14 +237,17 @@ class TestSplitVerdictCache:
         assert other_D.get(2, 64) is None
 
     def test_torn_trailing_line_is_skipped_with_warning(self, tmp_path):
-        cache = SplitVerdictCache(tmp_path, 2, 6, version="test-v1")
-        cache.put(2, 64, 6)
-        with cache.path.open("a") as handle:
-            handle.write('{"p": 4, "q": 32, "verd')  # crash mid-write
-        with pytest.warns(RuntimeWarning, match="dropped 1 unparseable"):
-            reopened = SplitVerdictCache(tmp_path, 2, 6, version="test-v1")
-        assert reopened.get(2, 64) == 6
-        assert len(reopened) == 1
+        # A torn tail that is not JSON takes the line-by-line parse; one
+        # that is JSON but no verdict record is dropped by the one-pass load.
+        for name, tail in (("torn", '{"p": 4, "q": 32, "verd'), ("short", '{"p": 4}')):
+            cache = SplitVerdictCache(tmp_path / name, 2, 6, version="test-v1")
+            cache.put(2, 64, 6)
+            with cache.path.open("a") as handle:
+                handle.write(tail)  # crash mid-write
+            with pytest.warns(RuntimeWarning, match="dropped 1 unparseable"):
+                reopened = SplitVerdictCache(tmp_path / name, 2, 6, version="test-v1")
+            assert reopened.get(2, 64) == 6
+            assert len(reopened) == 1
 
     def test_put_appends_via_unbuffered_o_append(self, tmp_path):
         # Each put is one whole line on disk immediately (single O_APPEND
@@ -393,6 +396,21 @@ class TestSweepParity:
         bumped = d6_manifest(code_version="test-v2")
         with pytest.raises(FileNotFoundError, match="different manifest"):
             merge_sweep(bumped, store)
+
+    def test_missing_and_orphan_chunk_are_both_named(self, tmp_path):
+        # One chunk of the store's own manifest is missing and one foreign
+        # chunk file sits beside the others: the merge names both.
+        manifest = d6_manifest()
+        store = ChunkStore(tmp_path)
+        run_worker(manifest, store)
+        victim = store.path_for(manifest.chunks[0])
+        victim.rename(tmp_path / "chunk-0123456789abcdef.jsonl")
+        with pytest.raises(FileNotFoundError) as excinfo:
+            merge_sweep(manifest, store)
+        message = str(excinfo.value)
+        assert f"1 of {len(manifest.chunks)} chunks incomplete" in message
+        assert "1 chunk file(s) from a different manifest" in message
+        assert "test-v1" in message  # the current code version is named
 
     def test_worker_pool_sweep_matches_serial(self, tmp_path, fleet_processes):
         # Two fleet worker processes on one store against one worker.
