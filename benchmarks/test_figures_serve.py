@@ -72,8 +72,8 @@ def test_eta_throughput_otis_hotspot(bench_json):
         connections=4,
     )
     assert result.queries == 100_000
-    # The eta walk is a few vectorised hops instead of one lookup; hold it
-    # to half the next-hop floor.
+    # An eta answer is one compiled pass of closed-form hop counts, plus a
+    # float list beside the integer one; hold it to half the next-hop floor.
     assert result.qps >= MIN_NEXT_HOP_QPS / 2, result.describe()
     bench_json(
         _BENCH_PATH, "serve_eta_H(16,32,2)_hotspot", result.to_json()

@@ -173,7 +173,8 @@ class RouterGate:
 
     Each call counts itself, then waits on the gate for up to ``hold_s``
     seconds — in the serve executor thread that made it — before answering
-    with the real router.
+    with the real router.  The gated router is not lock-free, so the server
+    never answers its rounds on the event loop.
     """
 
     def __init__(self, router, hold_s: float):
@@ -189,6 +190,7 @@ class RouterGate:
             return real(sources, targets)
 
         router.next_hops = next_hops
+        router.lock_free = lambda: False
 
     def release(self) -> None:
         self._open.set()

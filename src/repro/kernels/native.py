@@ -33,7 +33,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-__all__ = ["NativeBuildError", "build_native_kernels", "library_path"]
+__all__ = ["NativeBuildError", "build_native_kernels", "library_path", "route_args"]
 
 
 class NativeBuildError(RuntimeError):
@@ -330,6 +330,60 @@ EXPORT void screen_splits(
 
 /* --------------------------------------------------------------- routing */
 
+/* pw[j] = base**j for j < D (the wrappers keep D <= 63) and *shift = the
+ * bits of base; returns 1 when base is a power of two, whose words take
+ * shifts and masks instead of % and /. */
+static inline int shift_powers(int64_t base, int64_t D, int64_t *pw, int64_t *shift)
+{
+    int64_t s = 0;
+    while (((int64_t)1 << s) < base) s++;
+    *shift = s;
+    pw[0] = 1;
+    for (int64_t j = 1; j < D; j++) pw[j] = pw[j - 1] * base;
+    return ((int64_t)1 << s) == base;
+}
+
+/* The vertex count of a shift spec: n_to, or base**D for the identity
+ * relabelling (INT64_MAX past int64). */
+static inline int64_t shift_vertices(int64_t base, int64_t D, const int64_t *pw, int64_t n_to)
+{
+    if (n_to > 0) return n_to;
+    return pw[D - 1] > INT64_MAX / base ? INT64_MAX : pw[D - 1] * base;
+}
+
+/* The longest suffix(u) / prefix(v) overlap of two word codes, longest
+ * first: the largest j < D with u mod base**j == v div base**(D-j), else 0. */
+static inline int64_t shift_overlap(
+    int64_t u, int64_t v, int64_t D, const int64_t *pw, int64_t shift, int pow2)
+{
+    if (pow2) {
+        for (int64_t j = D - 1; j > 0; j--)
+            if ((u & (pw[j] - 1)) == (v >> (shift * (D - j)))) return j;
+    } else {
+        for (int64_t j = D - 1; j > 0; j--)
+            if (u % pw[j] == v / pw[D - j]) return j;
+    }
+    return 0;
+}
+
+/* Word code -> vertex: binary search over the sorted codes, from_code, or
+ * the identity; the caller keeps code inside from_code. */
+static inline int64_t shift_decode(
+    int64_t code, const int64_t *to_code, int64_t n_to,
+    const int64_t *from_code, int64_t n_from, int64_t sorted_codes)
+{
+    if (sorted_codes) {
+        int64_t lo = 0, hi = n_to;
+        while (lo < hi) {
+            int64_t mid = (lo + hi) >> 1;
+            if (to_code[mid] < code) lo = mid + 1;
+            else hi = mid;
+        }
+        return lo;
+    }
+    return n_from > 0 ? from_code[code] : code;
+}
+
 /* Closed-form next hops; n_to / n_from = 0 means identity relabelling.
  * Returns -1, or the first pair whose vertex or code is out of range. */
 EXPORT int64_t shift_next_hops(
@@ -337,17 +391,14 @@ EXPORT int64_t shift_next_hops(
     int64_t D, const int64_t *to_code, int64_t n_to, const int64_t *from_code,
     int64_t n_from, int64_t sorted_codes, int64_t *out)
 {
-    int64_t shift = 0;
-    while (((int64_t)1 << shift) < base) shift++;
-    int pow2 = ((int64_t)1 << shift) == base;
-    int64_t pw[64];  /* pw[j] = base**j; the wrapper keeps D <= 63 */
-    pw[0] = 1;
-    for (int64_t j = 1; j < D; j++) pw[j] = pw[j - 1] * base;
+    int64_t pw[64], shift;
+    int pow2 = shift_powers(base, D, pw, &shift);
+    int64_t n = shift_vertices(base, D, pw, n_to);
     for (int64_t i = 0; i < count; i++) {
         int64_t u = cur[i];
         int64_t v = tgt[i];
+        if (u < 0 || u >= n || v < 0 || v >= n) return i;
         if (n_to > 0) {
-            if (u < 0 || u >= n_to || v < 0 || v >= n_to) return i;
             u = to_code[u];
             v = to_code[v];
         }
@@ -355,41 +406,41 @@ EXPORT int64_t shift_next_hops(
         if (u == v) {
             code = u;
         } else if (pow2) {
-            /* the longest suffix(u) / prefix(v) overlap, longest first */
-            int64_t overlap = 0;
-            for (int64_t j = D - 1; j > 0; j--) {
-                if ((u & (pw[j] - 1)) == (v >> (shift * (D - j)))) {
-                    overlap = j;
-                    break;
-                }
-            }
+            int64_t overlap = shift_overlap(u, v, D, pw, shift, 1);
             int64_t digit = (v >> (shift * (D - 1 - overlap))) & (base - 1);
             code = ((u & (pw[D - 1] - 1)) << shift) | digit;
         } else {
-            int64_t overlap = 0;
-            for (int64_t j = D - 1; j > 0; j--) {
-                if (u % pw[j] == v / pw[D - j]) {
-                    overlap = j;
-                    break;
-                }
-            }
+            int64_t overlap = shift_overlap(u, v, D, pw, shift, 0);
             int64_t digit = (v / pw[D - 1 - overlap]) % base;
             code = (u % pw[D - 1]) * base + digit;
         }
-        if (sorted_codes) {
-            int64_t lo = 0, hi = n_to;
-            while (lo < hi) {
-                int64_t mid = (lo + hi) >> 1;
-                if (to_code[mid] < code) lo = mid + 1;
-                else hi = mid;
-            }
-            out[i] = lo;
-        } else if (n_from > 0) {
-            if (code < 0 || code >= n_from) return i;
-            out[i] = from_code[code];
-        } else {
-            out[i] = code;
+        if (!sorted_codes && n_from > 0 && (code < 0 || code >= n_from)) return i;
+        out[i] = shift_decode(code, to_code, n_to, from_code, n_from, sorted_codes);
+    }
+    return -1;
+}
+
+/* Closed-form hop counts of the shift walk, which shifts in v's letters
+ * past the overlap one per hop: 0 when u == v, else D minus the longest
+ * suffix(u) / prefix(v) overlap.  Takes shift_next_hops' arguments;
+ * returns -1, or the first pair with a vertex out of range. */
+EXPORT int64_t shift_path_lengths(
+    const int64_t *cur, const int64_t *tgt, int64_t count, int64_t base,
+    int64_t D, const int64_t *to_code, int64_t n_to, const int64_t *from_code,
+    int64_t n_from, int64_t sorted_codes, int64_t *out)
+{
+    int64_t pw[64], shift;
+    int pow2 = shift_powers(base, D, pw, &shift);
+    int64_t n = shift_vertices(base, D, pw, n_to);
+    for (int64_t i = 0; i < count; i++) {
+        int64_t u = cur[i];
+        int64_t v = tgt[i];
+        if (u < 0 || u >= n || v < 0 || v >= n) return i;
+        if (n_to > 0) {
+            u = to_code[u];
+            v = to_code[v];
         }
+        out[i] = u == v ? 0 : D - shift_overlap(u, v, D, pw, shift, pow2);
     }
     return -1;
 }
@@ -603,6 +654,57 @@ static int64_t route_pairs(
         if (c < 0) return i;
         uint8_t s = slot[c * n + u];
         out[i] = s == 255 ? (u == tgt[i] ? u : -1) : succ[u * d + s];
+    }
+    return -1;
+}
+
+/* The routed paths of count (source, target) pairs, pair i's vertices at
+ * vertices[offsets[i] .. offsets[i + 1]) (none: unreachable; else its hop
+ * count plus one).  By slot columns, a walk; by the shift rule, the words
+ * in closed form: after h of L hops, the last D - h letters of u then the
+ * h letters of v past their overlap.  n is the table's vertex count (0 for
+ * a shift spec, whose own count is used).  Returns -1, or the first pair
+ * whose endpoint is outside the vertices or the columns, or whose column
+ * walk does not end at its target after its hop count. */
+EXPORT int64_t route_paths(
+    const int64_t *src, const int64_t *tgt, int64_t count, int64_t n,
+    ROUTE_PARAMS, const int64_t *offsets, int64_t *vertices)
+{
+    int64_t pw[64], shift = 0;
+    int pow2 = 0;
+    if (n_col == 0) {
+        pow2 = shift_powers(base, D, pw, &shift);
+        n = shift_vertices(base, D, pw, n_to);
+    }
+    for (int64_t i = 0; i < count; i++) {
+        int64_t at = offsets[i], hops = offsets[i + 1] - at - 1;
+        if (hops < 0) continue;  /* unreachable */
+        int64_t u = src[i], t = tgt[i];
+        if (u < 0 || u >= n || t < 0 || t >= n) return i;
+        int64_t *path = vertices + at;
+        path[0] = u;
+        if (n_col > 0) {
+            if (col[t] < 0) return i;
+            const uint8_t *column = slot + col[t] * n;
+            for (int64_t h = 1; h <= hops; h++) {
+                uint8_t s = column[u];
+                if (s == 255) return i;
+                path[h] = u = succ[u * d + s];
+            }
+            if (u != t) return i;
+            continue;
+        }
+        int64_t uc = n_to > 0 ? to_code[u] : u, vc = n_to > 0 ? to_code[t] : t;
+        if (hops > D) return i;
+        for (int64_t h = 1; h < hops; h++) {
+            int64_t code = pow2
+                ? ((uc & (pw[D - h] - 1)) << (shift * h))
+                      | ((vc >> (shift * (hops - h))) & (pw[h] - 1))
+                : (uc % pw[D - h]) * pw[h] + (vc / pw[hops - h]) % pw[h];
+            path[h] = shift_decode(code, to_code, n_to, from_code, n_from,
+                                   sorted_codes);
+        }
+        path[hops] = t;
     }
     return -1;
 }
@@ -968,15 +1070,22 @@ _STATE_TYPES = (
     _i64, _i64, _i64, _i64,                   # group_keys, group_ptr, flat_links, vertex_groups
 )
 
+# The C-side expansion of ROUTE_PARAMS: a shift spec's first seven.
+_ROUTE_SIG = [
+    # fmt: off
+    _I, _I, _i64, _I, _i64, _I, _I,           # base, D, to_code, n_to, from_code, n_from, sorted
+    _i64, _I, _u8, _i64, _I,                  # succ, d, slot, col, n_col
+    # fmt: on
+]
+
 # The parameters run_rounds and run_scenario share.
 _LOOP_SIG = (
     # fmt: off
     [_D, _D, _I, _D, _I]                      # T, L, has_until, until, max_events
     + list(_STATE_TYPES) + [_I, _I]           # STATE_PARAMS
     + _QSIG
-    + [_i64, _i64,                            # slots buffer, meta
-       _I, _I, _i64, _I, _i64, _I, _I,        # base, D, to_code, n_to, from_code, n_from, sorted
-       _i64, _I, _u8, _i64, _I]               # succ, d, slot, col, n_col
+    + [_i64, _i64]                            # slots buffer, meta
+    + _ROUTE_SIG
     # fmt: on
 )
 
@@ -990,9 +1099,9 @@ _SIGNATURES = {
     ),
     "screen_splits": (None, [_i64, _i64, _I, _I, _I, _i32, _i64]),
     "hotspot_pairs": (_I, [_u64, _I, _I, _I, _I, _D, _i64, _i64, _i64]),
-    "shift_next_hops": (
-        _I, [_i64, _i64, _I, _I, _I, _i64, _I, _i64, _I, _I, _i64]
-    ),
+    "shift_next_hops": (_I, [_i64, _i64, _I] + _ROUTE_SIG[:7] + [_i64]),
+    "shift_path_lengths": (_I, [_i64, _i64, _I] + _ROUTE_SIG[:7] + [_i64]),
+    "route_paths": (_I, [_i64, _i64, _I, _I] + _ROUTE_SIG + [_i64, _i64]),
     "queue_schedule": (None, _QSIG + [_i64, _f64, _I]),
     "run_rounds": (
         _I,
@@ -1111,8 +1220,11 @@ def _event_queue(num_slots):
     return queue, (*map(_ptr, queue, _QSIG[:-1]), H)
 
 
-def _route_args(base, D, to_code, from_code, sorted_codes):
-    """The C-side routing arguments of a closed-form description."""
+def route_args(base, D, to_code, from_code, sorted_codes):
+    """The C-side routing arguments of a closed-form description: build
+    them once per shift spec (:class:`~repro.routing.routers.
+    ClosedFormRouter` does at construction) and pass them to
+    ``shift_next_hops``, ``shift_path_lengths`` and ``route_paths``."""
     if not (1 <= D < 64 and 1 <= base < 1 << 31):
         raise ValueError(
             f"shift routing needs 1 <= D < 64 and 1 <= base < 2**31, got {base}, {D}"
@@ -1134,6 +1246,14 @@ def _table_args(succ, slot, col, n):
             f"topology of {n}"
         )
     return _ptr(succ, _i64), succ.shape[1], _ptr(slot, _u8), _ptr(col, _i64), col.shape[0]
+
+
+_EMPTY = np.zeros(0, dtype=np.int64)
+#: ``route_paths``' routing arguments for the side it does not route by.
+_NO_SHIFT = route_args(2, 1, _EMPTY, _EMPTY, False)
+_NO_TABLE = _table_args(
+    np.zeros((0, 0), dtype=np.int64), np.zeros((0, 0), dtype=np.uint8), _EMPTY, 0
+)
 
 
 def build_native_kernels() -> SimpleNamespace:
@@ -1219,15 +1339,33 @@ def build_native_kernels() -> SimpleNamespace:
             )
             return status
 
-        def shift_next_hops(
-            cur, tgt, count, base, D, to_code, from_code, sorted_codes, out
-        ):
-            if min(cur.shape[0], tgt.shape[0], out.shape[0]) < count:
-                raise ValueError("shift_next_hops arrays hold fewer than count pairs")
-            return lib.shift_next_hops(
-                _ptr(cur, _i64), _ptr(tgt, _i64), count,
-                *_route_args(base, D, to_code, from_code, sorted_codes),
-                _ptr(out, _i64),
+        def shift_pairs(kernel):
+            """A per-pair shift kernel over ``route``, the
+            :func:`route_args` of a shift spec."""
+
+            def call(cur, tgt, count, route, out):
+                if min(cur.shape[0], tgt.shape[0], out.shape[0]) < count:
+                    raise ValueError(f"{kernel.__name__} arrays hold fewer than count pairs")
+                return kernel(_ptr(cur, _i64), _ptr(tgt, _i64), count, *route, _ptr(out, _i64))
+
+            return call
+
+        def route_paths(src, tgt, offsets, vertices, route=None, table=None):
+            """Pair ``i``'s routed path into ``vertices[offsets[i]:offsets[i + 1]]``
+            by ``route`` (the :func:`route_args` of a shift spec) or
+            ``table`` (the ``(succ, slot, col)`` columns of a table router
+            covering ``tgt``); see the C source."""
+            count = src.shape[0]
+            if tgt.shape[0] != count or offsets.shape[0] != count + 1 or (
+                vertices.shape[0] != offsets[-1]
+            ):
+                raise ValueError("route_paths needs count pairs, count + 1 offsets and their vertices")
+            n = 0 if table is None else table[2].shape[0]
+            return lib.route_paths(
+                _ptr(src, _i64), _ptr(tgt, _i64), count, n,
+                *(_NO_SHIFT if route is None else route),
+                *(_NO_TABLE if table is None else _table_args(*table, n)),
+                _ptr(offsets, _i64), _ptr(vertices, _i64),
             )
 
         def hotspot_pairs(words, count, n, hotspot, fraction, buffer, src, dst):
@@ -1266,7 +1404,7 @@ def build_native_kernels() -> SimpleNamespace:
                 *map(_ptr, state, _STATE_TYPES),
                 n, state[-2].shape[0],  # n, m
                 *q, _ptr(slots_buf, _i64), _ptr(meta, _i64),
-                *_route_args(*route), *_table_args(*table, n),
+                *route_args(*route), *_table_args(*table, n),
                 *tail,
             )
             return status, meta
@@ -1299,7 +1437,9 @@ def build_native_kernels() -> SimpleNamespace:
             slot_columns=slot_columns,
             subset_ecc_sweep=subset_ecc_sweep,
             screen_splits=screen_splits,
-            shift_next_hops=shift_next_hops,
+            shift_next_hops=shift_pairs(lib.shift_next_hops),
+            shift_path_lengths=shift_pairs(lib.shift_path_lengths),
+            route_paths=route_paths,
             hotspot_pairs=hotspot_pairs,
             run_rounds=run_rounds,
             run_scenario=run_scenario,

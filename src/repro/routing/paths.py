@@ -47,6 +47,8 @@ __all__ = [
     "kautz_route",
     "shift_route_next_hops",
     "shift_route_next_hop",
+    "shift_route_lengths",
+    "shift_route_paths",
     "bfs_route",
     "RoutingTable",
     "build_routing_table",
@@ -155,6 +157,16 @@ def shift_route_next_hops(
     ``current == target`` pairs return ``current`` (matching the dense
     table's diagonal); the simulators never ask for them.
     """
+    current, target, powers, overlap = _shift_overlaps(current, target, base, D)
+    digit = (target // powers[D - 1 - overlap]) % base
+    next_code = (current % powers[D - 1]) * base + digit
+    return np.where(current == target, current, next_code)
+
+
+def _shift_overlaps(current, target, base: int, D: int):
+    """``(current, target, powers, overlap)``: the pairs as int64 arrays,
+    ``powers[j] = base**j`` for ``j <= D`` and every pair's longest
+    suffix(``current``)/prefix(``target``) overlap below ``D``."""
     current = np.asarray(current, dtype=np.int64)
     target = np.asarray(target, dtype=np.int64)
     if D < 1:
@@ -165,9 +177,47 @@ def shift_route_next_hops(
     for j in range(1, D):
         match = (current % powers[j]) == (target // powers[D - j])
         overlap = np.where(match, j, overlap)
-    digit = (target // powers[D - 1 - overlap]) % base
-    next_code = (current % powers[D - 1]) * base + digit
-    return np.where(current == target, current, next_code)
+    return current, target, powers, overlap
+
+
+def shift_route_lengths(
+    current: np.ndarray, target: np.ndarray, base: int, D: int
+) -> np.ndarray:
+    """Hop counts of the shift walk for whole arrays of word-code pairs.
+
+    Each hop of :func:`shift_route_next_hops` grows the overlap by exactly
+    one letter, so the walk takes ``D - k`` hops, ``k`` the longest
+    suffix(``current``)/prefix(``target``) overlap (0 when
+    ``current == target``) — the paper's closed-form de Bruijn distance.
+
+    >>> shift_route_lengths([0b101, 0b011], [0b011, 0b011], 2, 3).tolist()
+    [1, 0]
+    """
+    current, target, _, overlap = _shift_overlaps(current, target, base, D)
+    return np.where(current == target, 0, D - overlap)
+
+
+def shift_route_paths(
+    current: np.ndarray, target: np.ndarray, lengths: np.ndarray, base: int, D: int
+) -> np.ndarray:
+    """The word codes of the shift walks, concatenated pair by pair.
+
+    ``lengths`` are the walks' hop counts (:func:`shift_route_lengths`).
+    After ``h`` of ``L`` hops the word is the last ``D - h`` letters of
+    ``current`` followed by the ``h`` letters of ``target`` past their
+    overlap: ``(current mod base**(D-h)) * base**h + (target // base**(L-h))
+    mod base**h``, so pair ``i`` contributes ``lengths[i] + 1`` codes.
+
+    >>> shift_route_paths([0b100], [0b011], [2], 2, 3).tolist()  # overlap 0
+    [4, 1, 3]
+    """
+    current = np.asarray(current, dtype=np.int64)
+    target = np.asarray(target, dtype=np.int64)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    powers = base ** np.arange(D + 1, dtype=np.int64)
+    pair, hop = np.nonzero(np.arange(D + 1) <= lengths[:, None])
+    tail = target[pair] // powers[lengths[pair] - hop]
+    return (current[pair] % powers[D - hop]) * powers[hop] + tail % powers[hop]
 
 
 def shift_route_next_hop(current: int, target: int, base: int, D: int) -> int:

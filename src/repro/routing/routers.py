@@ -51,7 +51,13 @@ import numpy as np
 from repro import kernels as _kernels
 from repro.graphs.apsp import padded_successor_matrix, subset_distance_rows
 from repro.graphs.digraph import BaseDigraph
-from repro.routing.paths import shift_route_next_hop, shift_route_next_hops
+from repro.kernels.native import route_args
+from repro.routing.paths import (
+    shift_route_lengths,
+    shift_route_next_hop,
+    shift_route_next_hops,
+    shift_route_paths,
+)
 
 __all__ = [
     "Router",
@@ -139,6 +145,14 @@ class Router:
         """One-line human-readable summary (CLI output)."""
         return f"{self.kind} router ({self.state_bytes()} bytes of state)"
 
+    def lock_free(self) -> bool:
+        """Whether every answer takes no lock and fills no state, so a small
+        batch costs microseconds (the serve layer answers such batches on
+        its event loop).  False (the default) for a router this module does
+        not know.
+        """
+        return False
+
     def shift_spec(self) -> ShiftSpec | None:
         """The closed-form description compiled kernels can route with.
 
@@ -149,41 +163,57 @@ class Router:
         return None
 
     # ------------------------------------------------------ derived queries
-    def path_lengths(
+    def paths(
         self, sources: np.ndarray, targets: np.ndarray
-    ) -> np.ndarray:
-        """Vectorised hop counts of the routed paths (``-1`` unreachable).
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The routed paths of a batch: ``(lengths, offsets, vertices)``.
 
-        The generic implementation walks :meth:`next_hops` until every pair
-        reaches its target, so the count is *exactly* the number of hops a
-        message routed by this router takes — and because all router kinds
-        are bit-identical on next hops, all kinds return bit-identical hop
-        counts (the serve parity tests enforce this).  Routers with a
-        distance table override this with an O(1) lookup.
+        ``lengths[i]`` is pair ``i``'s hop count (``-1`` unreachable) and
+        ``vertices[offsets[i]:offsets[i + 1]]`` its path from source to
+        target (empty when unreachable), all int64.  This generic walk calls
+        :meth:`next_hops` once per level over the pairs still on their way,
+        so a batch of diameter ``D`` costs ``D`` calls; it is the oracle of
+        the compiled overrides and the path of wrapping routers.
         """
-        sources = np.asarray(sources, dtype=np.int64)
-        targets = np.asarray(targets, dtype=np.int64)
-        hops = np.zeros(sources.shape, dtype=np.int64)
+        sources = np.asarray(sources, dtype=np.int64).reshape(-1)
+        targets = np.asarray(targets, dtype=np.int64).reshape(-1)
+        # levels[l] holds every pair's vertex after l hops (its target once
+        # it has arrived or hit a dead end)
+        levels = [sources]
+        lengths = np.zeros(sources.size, dtype=np.int64)
         current = sources.copy()
         active = np.flatnonzero(current != targets)
         limit = self.num_vertices()
-        steps = 0
         while active.size:
-            if steps >= limit:  # pragma: no cover - defensive (cyclic router)
+            if len(levels) > limit:  # pragma: no cover - defensive (cyclic router)
                 raise RuntimeError(
                     "routing walk exceeded the vertex count: the router is "
                     "not converging to the target"
                 )
             nxt = self.next_hops(current[active], targets[active])
-            unreachable = nxt < 0
-            if np.any(unreachable):
-                hops[active[unreachable]] = -1
-            current[active] = np.where(unreachable, targets[active], nxt)
-            hops[active[~unreachable]] += 1
-            still = current[active] != targets[active]
-            active = active[still]
-            steps += 1
-        return hops
+            reachable = nxt >= 0
+            lengths[active[reachable]] += 1
+            lengths[active[~reachable]] = -1
+            current[active] = np.where(reachable, nxt, targets[active])
+            levels.append(current.copy())
+            active = active[current[active] != targets[active]]
+        on_path = np.arange(len(levels)) <= lengths[:, None]
+        return lengths, path_offsets(lengths), np.stack(levels, axis=1)[on_path]
+
+    def path_lengths(
+        self, sources: np.ndarray, targets: np.ndarray
+    ) -> np.ndarray:
+        """Vectorised hop counts of the routed paths (``-1`` unreachable),
+        shaped like ``sources``.
+
+        The count is *exactly* the number of hops a message routed by this
+        router takes, and because all router kinds are bit-identical on
+        next hops, all kinds return bit-identical hop counts.  The generic
+        implementation is the :meth:`paths` walk; the table router looks
+        its hop counts up and the closed form computes them from the shift
+        rule (the router parity tests compare both with this walk).
+        """
+        return self.paths(sources, targets)[0].reshape(np.shape(sources))
 
     def full_path(self, source: int, target: int) -> list[int] | None:
         """The routed path as a vertex list, or None when unreachable.
@@ -228,6 +258,44 @@ class Router:
         per_hop = float(link.latency + link.transmission_time)
         eta = hops.astype(np.float64) * per_hop
         return np.where(hops < 0, -1.0, eta)
+
+
+def path_offsets(lengths: np.ndarray) -> np.ndarray:
+    """The ``offsets`` of :meth:`Router.paths` for hop counts ``lengths``:
+    ``lengths + 1`` vertices per reachable pair, none per unreachable one."""
+    offsets = np.zeros(lengths.size + 1, dtype=np.int64)
+    np.cumsum(np.where(lengths < 0, 0, lengths + 1), out=offsets[1:])
+    return offsets
+
+
+def _routed_paths(kern, n, sources, targets, lengths, route=None, table=None):
+    """:meth:`Router.paths` by the compiled ``route_paths`` kernel over
+    ``n`` vertices, given the pairs' hop counts ``lengths`` and either the
+    shift arguments ``route`` or the slot columns ``table``."""
+    offsets = path_offsets(lengths)
+    vertices = np.empty(int(offsets[-1]), dtype=np.int64)
+    bad = kern.route_paths(sources, targets, offsets, vertices, route, table)
+    if bad >= 0:
+        pair = (int(sources[bad]), int(targets[bad]))
+        if all(0 <= v < n for v in pair):  # pragma: no cover - defensive
+            raise RuntimeError(f"the routed path of pair {pair} disagrees with its hop count")
+        raise _outside(pair, n)
+    return lengths, offsets, vertices
+
+
+def _outside(pair, n: int) -> IndexError:
+    return IndexError(f"pair {pair} is outside the {n} vertices this router routes")
+
+
+def _check_pairs(sources: np.ndarray, targets: np.ndarray, n: int) -> None:
+    """Raise :func:`_outside` for the first pair naming a vertex outside
+    ``range(n)`` (the compiled kernels' check, for the numpy paths)."""
+    for ends in (sources, targets):
+        if ends.size and not 0 <= ends.min() <= ends.max() < n:
+            sources, targets = np.broadcast_arrays(sources, targets)
+            outside = (sources < 0) | (sources >= n) | (targets < 0) | (targets >= n)
+            bad = np.flatnonzero(outside)[0]
+            raise _outside((int(sources.flat[bad]), int(targets.flat[bad])), n)
 
 
 #: The slot of a vertex with no next hop: the target itself, or unreachable.
@@ -373,8 +441,28 @@ class DenseTableRouter(Router):
         # hop is one step closer), so this matches the generic walk exactly.
         return self._entries(sources, targets, 2)[2].astype(np.int64)
 
+    def paths(self, sources, targets):
+        """The hop counts looked up, then one compiled walk of the slot
+        columns (the generic walk without a compiler).  A pair naming a
+        vertex outside the topology raises ``IndexError``."""
+        sources = np.ascontiguousarray(sources, dtype=np.int64).reshape(-1)
+        targets = np.ascontiguousarray(targets, dtype=np.int64).reshape(-1)
+        _check_pairs(sources, targets, self._n)
+        kern = _kernels.get_kernels()
+        if kern is None:
+            return super().paths(sources, targets)
+        col, slot, hops = self.columns(targets)  # one store for both reads
+        lengths = hops[col[targets], sources].astype(np.int64)
+        return _routed_paths(
+            kern, self._n, sources, targets, lengths, table=(self.successors, slot, col)
+        )
+
     def num_vertices(self) -> int:
         return self._n
+
+    def lock_free(self) -> bool:
+        """True once the whole table is filled: on demand, calls fill columns."""
+        return self._store[1].shape[0] == self._n
 
     def state_bytes(self) -> int:
         return int(5 * self._used * self._n + self._store[0].nbytes + self.successors.nbytes)
@@ -466,6 +554,16 @@ class ClosedFormRouter(Router):
             identity if self._from_code is None else np.ascontiguousarray(self._from_code),
             self._sorted_codes,
         )
+        self._args = route_args(*self._spec)
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        del state["_args"]  # pointers into this process's arrays
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._args = route_args(*self._spec)
 
     # ------------------------------------------------------------- routing
     def next_hop(self, source: int, target: int) -> int:
@@ -480,33 +578,70 @@ class ClosedFormRouter(Router):
     def next_hops(self, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """Vectorised next hops: the compiled ``shift_next_hops`` kernel on
         a compiled backend, :func:`~repro.routing.paths.shift_route_next_hops`
-        under ``REPRO_KERNELS=numpy`` (bit-identical)."""
+        under ``REPRO_KERNELS=numpy`` (bit-identical).  Here and in
+        :meth:`path_lengths` and :meth:`paths`, a pair naming a vertex
+        outside the topology raises ``IndexError`` on both backends."""
         sources = np.asarray(sources, dtype=np.int64)
         targets = np.asarray(targets, dtype=np.int64)
         kern = _kernels.get_kernels()
         if kern is None:
-            to_code = self._to_code
-            if to_code is not None:
-                sources = to_code[sources]
-                targets = to_code[targets]
             return self._decode(
-                shift_route_next_hops(sources, targets, self.base, self.D)
+                shift_route_next_hops(*self._codes(sources, targets), self.base, self.D)
             )
+        return self._per_pair(kern.shift_next_hops, sources, targets)
+
+    def path_lengths(self, sources, targets):
+        """Closed-form hop counts: ``D`` minus the longest suffix(source) /
+        prefix(target) overlap of the word codes (0 on the diagonal), by the
+        compiled ``shift_path_lengths`` kernel or
+        :func:`~repro.routing.paths.shift_route_lengths`."""
+        sources = np.asarray(sources, dtype=np.int64)
+        targets = np.asarray(targets, dtype=np.int64)
+        kern = _kernels.get_kernels()
+        if kern is None:
+            return shift_route_lengths(*self._codes(sources, targets), self.base, self.D)
+        return self._per_pair(kern.shift_path_lengths, sources, targets)
+
+    def paths(self, sources, targets):
+        """Closed-form paths: after ``h`` of ``L`` hops the word is the
+        source's last ``D - h`` letters then the target's ``h`` letters past
+        their overlap — the compiled ``route_paths`` kernel or
+        :func:`~repro.routing.paths.shift_route_paths` plus the decode."""
+        sources = np.ascontiguousarray(sources, dtype=np.int64).reshape(-1)
+        targets = np.ascontiguousarray(targets, dtype=np.int64).reshape(-1)
+        lengths = self.path_lengths(sources, targets)
+        kern = _kernels.get_kernels()
+        if kern is not None:
+            return _routed_paths(
+                kern, self.num_vertices(), sources, targets, lengths, route=self._args
+            )
+        codes = shift_route_paths(*self._codes(sources, targets), lengths, self.base, self.D)
+        return lengths, path_offsets(lengths), self._decode(codes)
+
+    def _codes(self, sources, targets):
+        """The word codes of the pairs' vertices."""
+        _check_pairs(sources, targets, self.num_vertices())
+        if self._to_code is None:
+            return sources, targets
+        return self._to_code[sources], self._to_code[targets]
+
+    def _per_pair(self, kernel, sources, targets):
+        """A compiled per-pair shift kernel over aligned index arrays."""
         if sources.shape != targets.shape:
             sources, targets = np.broadcast_arrays(sources, targets)
         cur = np.ascontiguousarray(sources).reshape(-1)
         tgt = np.ascontiguousarray(targets).reshape(-1)
         out = np.empty(cur.shape[0], dtype=np.int64)
-        bad = kern.shift_next_hops(cur, tgt, cur.shape[0], *self._spec, out)
+        bad = kernel(cur, tgt, cur.shape[0], self._args, out)
         if bad >= 0:
-            raise IndexError(
-                f"pair ({cur[bad]}, {tgt[bad]}) is outside the "
-                f"{self.num_vertices()} vertices this router relabels"
-            )
+            raise _outside((int(cur[bad]), int(tgt[bad])), self.num_vertices())
         return out.reshape(sources.shape)
 
     def shift_spec(self) -> ShiftSpec:
         return self._spec
+
+    def lock_free(self) -> bool:
+        return True
 
     def _decode(self, codes: np.ndarray) -> np.ndarray:
         if self._sorted_codes:

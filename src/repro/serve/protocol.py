@@ -5,9 +5,12 @@ One request is one JSON object (the body of a ``POST /v1/query``)::
     {"op": "next-hop", "topology": "prod", "pairs": [[0, 5], [3, 7], ...]}
 
 ``pairs`` may hold thousands of ``(source, target)`` pairs; they are decoded
-into numpy arrays once and answered with *one* router call per batch —
-``next_hops`` for ``op="next-hop"``, ``path_lengths`` (+ the uncongested ETA
-formula) for ``op="eta"``, and a vectorised next-hop walk for ``op="path"``.
+into numpy arrays once (a list of two-element lists in one ``np.fromiter``
+pass) and answered with *one* router call per batch — ``next_hops`` for
+``op="next-hop"``, ``path_lengths`` (+ the uncongested ETA formula) for
+``op="eta"`` and ``paths`` for ``op="path"``.  On closed-form and table
+routers the latter two are one compiled pass over the batch (numpy closed
+forms without a compiler); other routers walk ``next_hops`` level by level.
 ``{"sources": [...], "targets": [...]}`` is accepted as an alternative to
 ``pairs``.
 
@@ -29,6 +32,8 @@ in ``tests/test_serve.py`` enforce this for every family and router kind).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from operator import countOf
 
 import numpy as np
 
@@ -77,6 +82,36 @@ def _as_index_array(values, what: str) -> np.ndarray:
     return array
 
 
+def _decode_pairs(pairs) -> tuple[np.ndarray, np.ndarray]:
+    """``(sources, targets)`` of a query's ``pairs``.
+
+    A list of two-element lists takes one ``np.fromiter`` pass over the
+    chained pairs.  Any other shape, or a pass that raises, takes the
+    ``np.asarray`` decode, which gives the same arrays and words every
+    error.
+    """
+    try:
+        n = len(pairs)
+        if (
+            type(pairs) is list
+            and countOf(map(type, pairs), list) == n
+            and countOf(map(len, pairs), 2) == n
+        ):
+            flat = np.fromiter(chain.from_iterable(pairs), dtype=np.int64, count=2 * n)
+            return flat[0::2].copy(), flat[1::2].copy()
+    except Exception:
+        pass
+    try:
+        array = np.asarray(pairs, dtype=np.int64)
+    except (TypeError, ValueError, OverflowError) as error:
+        raise ProtocolError(f"pairs must be [[source, target], ...]: {error}")
+    if array.size == 0:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    if array.ndim != 2 or array.shape[1] != 2:
+        raise ProtocolError("pairs must be [[source, target], ...]")
+    return array[:, 0].copy(), array[:, 1].copy()
+
+
 def decode_query(obj: object, *, max_pairs: int | None = None) -> BatchQuery:
     """Validate and decode one JSON query object into numpy arrays."""
     if not isinstance(obj, dict):
@@ -88,16 +123,7 @@ def decode_query(obj: object, *, max_pairs: int | None = None) -> BatchQuery:
     if not isinstance(topology, str) or not topology:
         raise ProtocolError('query needs a "topology" name')
     if "pairs" in obj:
-        try:
-            pairs = np.asarray(obj["pairs"], dtype=np.int64)
-        except (TypeError, ValueError, OverflowError) as error:
-            raise ProtocolError(f"pairs must be [[source, target], ...]: {error}")
-        if pairs.size == 0:
-            sources = targets = np.zeros(0, dtype=np.int64)
-        elif pairs.ndim != 2 or pairs.shape[1] != 2:
-            raise ProtocolError("pairs must be [[source, target], ...]")
-        else:
-            sources, targets = pairs[:, 0].copy(), pairs[:, 1].copy()
+        sources, targets = _decode_pairs(obj["pairs"])
     elif "sources" in obj and "targets" in obj:
         sources = _as_index_array(obj["sources"], "sources")
         targets = _as_index_array(obj["targets"], "targets")
@@ -132,34 +158,14 @@ def check_range(query: BatchQuery, n: int) -> None:
 def batch_paths(
     router: Router, sources: np.ndarray, targets: np.ndarray
 ) -> list[list[int] | None]:
-    """Full routed paths for a batch, one vectorised router call per hop.
-
-    Walks :meth:`Router.next_hops` level-synchronously over the still-active
-    pairs, so a batch of ``k`` paths of diameter ``D`` costs ``D`` router
-    calls, not ``sum(len(path))`` scalar lookups.  Unreachable pairs yield
-    ``None`` (matching :meth:`Router.full_path`).
+    """Full routed paths for a batch: one :meth:`Router.paths` call, then
+    the vertex lists cut from one ``tolist()`` of its flat vertices.
+    Unreachable pairs yield ``None`` (matching :meth:`Router.full_path`).
     """
-    sources = np.asarray(sources, dtype=np.int64)
-    targets = np.asarray(targets, dtype=np.int64)
-    # Row l holds every pair's vertex after l hops (its target once it has
-    # arrived); hops[i] is pair i's hop count, -1 once it hit a dead end.
-    levels = [sources]
-    hops = np.zeros(sources.size, dtype=np.int64)
-    current = sources.copy()
-    active = np.flatnonzero(current != targets)
-    limit = router.num_vertices()
-    while active.size:
-        if len(levels) > limit:  # pragma: no cover - defensive (cyclic router)
-            raise RuntimeError("routing walk exceeded the vertex count")
-        nxt = router.next_hops(current[active], targets[active])
-        reachable = nxt >= 0
-        hops[active[reachable]] += 1
-        hops[active[~reachable]] = -1
-        current[active] = np.where(reachable, nxt, targets[active])
-        levels.append(current.copy())
-        active = active[current[active] != targets[active]]
-    rows = zip(np.stack(levels, axis=1).tolist(), hops.tolist())
-    return [None if count < 0 else row[: count + 1] for row, count in rows]
+    _, offsets, vertices = router.paths(sources, targets)
+    flat = vertices.tolist()
+    bounds = offsets.tolist()
+    return [flat[a:b] if a < b else None for a, b in zip(bounds, bounds[1:])]
 
 
 def answer_query(

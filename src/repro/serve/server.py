@@ -37,7 +37,11 @@ per request — so a thousand small concurrent queries cost one vectorised
 batch ``500`` and leaves the connections open.  All batching state lives on
 the event-loop thread (no locks); only the router call itself runs in the
 executor, which is why the router thread-safety contract of
-:class:`repro.routing.routers.Router` matters.
+:class:`repro.routing.routers.Router` matters.  The one exception is a
+round of at most :data:`INLINE_PAIRS` pairs on a lock-free router
+(:meth:`~repro.routing.routers.Router.lock_free`: the closed form, or a
+whole table): the event loop answers it itself, because it costs about as
+much as the two thread hand-offs of the executor round trip.
 """
 
 from __future__ import annotations
@@ -65,6 +69,12 @@ _JSON_HEADERS = "Content-Type: application/json\r\n"
 
 #: Most header lines one request may carry (``http.client``'s limit).
 _MAX_HEADERS = 100
+
+#: Most pairs of a round the event loop answers itself on a lock-free
+#: router.  At 64 pairs a next-hop or eta round costs at most ~35 us and a
+#: path round ~60-110 us, against ~56 us for one executor round trip
+#: (medians on 2 cores; docs/serve.md).
+INLINE_PAIRS = 64
 
 
 class _FramingError(Exception):
@@ -486,13 +496,17 @@ class RouteQueryServer:
             self._flushing.discard(key)
 
     async def _commit(self, entry: RouterEntry, bucket: _Bucket) -> None:
-        """One router call in the executor; resolves the bucket's waiters."""
+        """One router call, in the executor unless the round is small and
+        the router lock-free; resolves the bucket's waiters."""
         loop = asyncio.get_running_loop()
         queries = [query for query, _ in bucket]
         try:
-            replies = await loop.run_in_executor(
-                self._executor, self._run_batch, entry, queries
-            )
+            if bucket.pairs <= INLINE_PAIRS and entry.router.lock_free():
+                replies = self._run_batch(entry, queries)
+            else:
+                replies = await loop.run_in_executor(
+                    self._executor, self._run_batch, entry, queries
+                )
         except Exception as error:  # noqa: BLE001 - fail every waiter
             loop.call_exception_handler(
                 {"message": f"batch on {entry.name!r} failed", "exception": error}
@@ -509,7 +523,8 @@ class RouteQueryServer:
     def _run_batch(self, entry: RouterEntry, queries) -> list[dict]:
         """One coalesced router call for a bucket of same-op queries.
 
-        Runs in a worker thread.  Single-query buckets skip the concat/split
+        Runs in a worker thread, or on the event loop for a small round on a
+        lock-free router.  Single-query buckets skip the concat/split
         round-trip; multi-query buckets answer the concatenated arrays once
         and slice the results back per request.  Either way every reply is
         bit-identical to answering each query alone — concatenation changes

@@ -822,7 +822,7 @@ def _routes_in_worker(graph, kind, sources, targets):
 
 
 class TestRouterWorkerParity:
-    def test_lru_eviction_stays_bit_identical_to_dense(self):
+    def test_on_demand_eviction_stays_bit_identical_to_dense(self):
         # the table router's on-demand store, emptied again and again
         graph = h_digraph(8, 16, 2)
         n = graph.num_vertices
@@ -838,7 +838,7 @@ class TestRouterWorkerParity:
             )
         assert lru.state_bytes() - empty <= 3 * 5 * n
 
-    def test_lru_router_pickle_round_trip_parity(self):
+    def test_on_demand_router_pickle_round_trip_parity(self):
         graph = h_digraph(8, 16, 2)
         n = graph.num_vertices
         rng = np.random.default_rng(11)

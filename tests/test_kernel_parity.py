@@ -55,6 +55,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import kernels
+from repro.kernels.native import route_args
 from repro.graphs.apsp import batched_eccentricities, subset_distance_rows
 from repro.graphs.digraph import Digraph, RegularDigraph
 from repro.graphs.generators import (
@@ -700,7 +701,7 @@ def kernel_next_hops(router, sources, targets):
     targets = np.ascontiguousarray(targets, dtype=np.int64)
     out = np.full(sources.size, -7, dtype=np.int64)
     bad = kernels.get_kernels("cnative").shift_next_hops(
-        sources, targets, sources.size, *router.shift_spec(), out
+        sources, targets, sources.size, route_args(*router.shift_spec()), out
     )
     assert bad == -1
     return out
@@ -764,7 +765,7 @@ def test_shift_next_hops_reports_out_of_range_pairs():
     cur = np.array([1, 16, 2], dtype=np.int64)
     tgt = np.array([3, 4, -1], dtype=np.int64)
     bad = kernels.get_kernels("cnative").shift_next_hops(
-        cur, tgt, 3, *router.shift_spec(), out
+        cur, tgt, 3, route_args(*router.shift_spec()), out
     )
     assert bad == 1  # the first pair naming a vertex past the relabelling
 

@@ -36,6 +36,7 @@ from repro.routing.routers import (
     AUTO_DENSE_MAX_N,
     ClosedFormRouter,
     DenseTableRouter,
+    Router,
     make_router,
     resolve_router,
 )
@@ -226,7 +227,7 @@ def test_hypothesis_table_router_parity(data):
             assert_full_route_parity(graph, on_demand(monkeypatch, graph, columns))
 
 
-class TestLruRouter:
+class TestOnDemandTableRouter:
     """The table router's on-demand mode: a budget smaller than the table."""
 
     def test_unreachable_pairs_return_minus_one(self, monkeypatch):
@@ -433,6 +434,107 @@ class TestRouterHelpers:
         router = make_router(disconnected, "dense")
         etas = router.etas(np.array([0]), np.array([2]))
         np.testing.assert_array_equal(etas, [-1.0])
+
+
+#: Every router kind over every graph it routes: the closed form over its
+#: families, the whole and the on-demand (``lru``) table over all of them.
+PATH_CASES = [
+    (graph, kind)
+    for graphs, kinds in (
+        (CLOSED_FORM_GRAPHS, ("dense", "closed-form", "lru")),
+        (TABLE_EXTRA_GRAPHS, ("dense", "lru")),
+    )
+    for graph in graphs
+    for kind in kinds
+]
+
+
+def sampled_pairs(n):
+    """Every pair up to 256 vertices, else 4096 random pairs and the first
+    64 diagonal ones."""
+    if n <= 256:
+        return all_pairs(n)
+    rng = np.random.default_rng(n)
+    diagonal = np.arange(64)
+    return (
+        np.concatenate((rng.integers(n, size=4096), diagonal)),
+        np.concatenate((rng.integers(n, size=4096), diagonal)),
+    )
+
+
+class TestPathsParity:
+    """``path_lengths`` and ``paths`` of every router kind equal the
+    base-class walk over its ``next_hops``, hop count for hop count and
+    vertex for vertex, on both kernel backends — diagonal pairs
+    (zero hops) and unreachable ones (``-1``, no vertices) included."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize(
+        "graph, kind", PATH_CASES, ids=lambda c: getattr(c, "name", c) or "irregular"
+    )
+    def test_paths_and_lengths_match_the_generic_walk(
+        self, graph, kind, backend, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_KERNELS", backend)
+        router = build_router(monkeypatch, graph, kind)
+        sources, targets = sampled_pairs(graph.num_vertices)
+        expected = Router.paths(router, sources, targets)
+        got = router.paths(sources, targets)
+        for want, have in zip(expected, got):
+            assert have.dtype == np.int64
+            assert have.tobytes() == want.tobytes()
+        assert router.path_lengths(sources, targets).tobytes() == expected[0].tobytes()
+        assert np.any(sources == targets)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("kind", ["closed-form", "dense", "lru"])
+    @pytest.mark.parametrize("graph", [de_bruijn(2, 4), kautz(2, 3)], ids=["B", "K"])
+    @pytest.mark.parametrize("source, target", [(0, "n"), ("n", 1), (-1, 1), (2, -3)])
+    def test_pairs_outside_the_topology_are_refused(
+        self, graph, kind, source, target, backend, monkeypatch
+    ):
+        # the formula would count hops for any codes, and a negative index
+        # would wrap to vertex n - 1 in a lookup; B is identity-relabelled
+        monkeypatch.setenv("REPRO_KERNELS", backend)
+        router = build_router(monkeypatch, graph, kind)
+        n = router.num_vertices()
+        pair = [n if end == "n" else end for end in (source, target)]
+        sources, targets = np.array([0, pair[0]]), np.array([1, pair[1]])
+        calls = [router.paths]
+        if kind == "closed-form":
+            calls += [router.path_lengths, router.next_hops]
+        for call in calls:
+            with pytest.raises(IndexError, match=rf"pair \({pair[0]}, {pair[1]}\) is outside"):
+                call(sources, targets)
+
+    def test_generic_walk_cuts_paths_at_their_hop_counts(self, monkeypatch):
+        # the oracle itself: full_path per pair, None as no vertices
+        graph = h_digraph(4, 16, 2)  # not strongly connected
+        router = build_router(monkeypatch, graph, "dense")
+        sources, targets = all_pairs(graph.num_vertices)
+        lengths, offsets, vertices = Router.paths(router, sources, targets)
+        assert np.any(lengths < 0) and np.any(lengths == 0)
+        for i, (s, t) in enumerate(zip(sources.tolist(), targets.tolist())):
+            path = router.full_path(s, t)
+            assert vertices[offsets[i] : offsets[i + 1]].tolist() == (path or [])
+            assert lengths[i] == (-1 if path is None else len(path) - 1)
+
+    def test_closed_form_route_args_are_built_once_and_survive_pickle(self, monkeypatch):
+        import pickle
+
+        built = []
+        real = routers.route_args
+        monkeypatch.setattr(routers, "route_args", lambda *a: built.append(a) or real(*a))
+        router = ClosedFormRouter.for_graph(kautz(2, 4))
+        sources, targets = all_pairs(router.num_vertices())
+        hops = router.next_hops(sources, targets)
+        paths = router.paths(sources, targets)
+        assert len(built) == 1
+        clone = pickle.loads(pickle.dumps(router))
+        assert len(built) == 2  # the clone's own, in its own arrays
+        assert clone.next_hops(sources, targets).tobytes() == hops.tobytes()
+        for want, have in zip(paths, clone.paths(sources, targets)):
+            assert have.tobytes() == want.tobytes()
 
 
 class TestRouterThreadSafety:

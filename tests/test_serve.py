@@ -10,15 +10,24 @@ hot-reload semantics, group-commit batching, the metrics histogram, and the
 CLI entry points.
 """
 
+import asyncio
 import json
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro import kernels
 from repro.routing.paths import build_routing_table
 from repro.routing import routers
-from repro.routing.routers import make_router
+from repro.routing.routers import (
+    ClosedFormRouter,
+    DenseTableRouter,
+    Router,
+    make_router,
+)
 from repro.serve import (
     BatchQuery,
     LatencyHistogram,
@@ -31,7 +40,8 @@ from repro.serve import (
     run_bench,
 )
 from repro.serve.bench import http_request
-from repro.serve.protocol import batch_paths, check_range
+from repro.serve.protocol import answer_query, batch_paths, check_range
+from repro.serve.server import INLINE_PAIRS
 from repro.simulation.network import LinkModel
 
 #: One spec per family, sized so every router kind (dense, closed-form)
@@ -254,6 +264,152 @@ class TestBatchPaths:
         assert sum(path is None for path in batched) == 12
         for s, t, path in zip(sources, targets, batched):
             assert path == router.full_path(int(s), int(t))
+
+
+def reference_decode(obj):
+    """The ``np.asarray`` decode of a query's ``pairs`` or
+    ``sources``+``targets``: ``(sources, targets)``, or the message of the
+    :class:`ProtocolError` it raises."""
+    if "pairs" in obj:
+        try:
+            pairs = np.asarray(obj["pairs"], dtype=np.int64)
+        except (TypeError, ValueError, OverflowError) as error:
+            return f"pairs must be [[source, target], ...]: {error}"
+        if pairs.size == 0:
+            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            return "pairs must be [[source, target], ...]"
+        return pairs[:, 0].copy(), pairs[:, 1].copy()
+    columns = []
+    for what in ("sources", "targets"):
+        try:
+            array = np.asarray(obj[what], dtype=np.int64)
+        except (TypeError, ValueError, OverflowError) as error:
+            return f"{what} must be an array of integers: {error}"
+        if array.ndim != 1:
+            return f"{what} must be one-dimensional"
+        columns.append(array)
+    if columns[0].size != columns[1].size:
+        return "sources and targets must have equal length"
+    return tuple(columns)
+
+
+#: JSON scalars: ints in and far beyond int64, floats, bools, digit
+#: strings (some past int64 too), other text and None.
+SCALARS = st.one_of(
+    st.integers(-5, 40),
+    st.integers(-(2**70), 2**70),
+    st.floats(),
+    st.booleans(),
+    st.from_regex(r"\A-?[0-9]{1,21}\Z"),
+    st.text(max_size=3),
+    st.none(),
+)
+#: Any JSON value over them: nested and ragged lists, objects with digit keys.
+VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.from_regex(r"\A[0-9]{1,2}\Z"), inner, max_size=2),
+    max_leaves=10,
+)
+PAIRS = st.one_of(
+    st.lists(st.lists(st.integers(0, 99), min_size=2, max_size=2), max_size=6),
+    st.lists(st.lists(SCALARS, min_size=2, max_size=2), max_size=6),
+    st.lists(st.lists(SCALARS, min_size=1, max_size=3), max_size=4),
+    st.lists(VALUES, max_size=4),
+    VALUES,
+)
+FUZZ_QUERIES = st.one_of(
+    st.builds(lambda pairs: {"pairs": pairs}, PAIRS),
+    st.builds(
+        lambda sources, targets: {"sources": sources, "targets": targets},
+        st.one_of(st.lists(SCALARS, max_size=4), VALUES),
+        st.one_of(st.lists(SCALARS, max_size=4), VALUES),
+    ),
+)
+
+
+class TestDecodeQueryFuzz:
+    @settings(max_examples=600, deadline=None)
+    @given(FUZZ_QUERIES)
+    def test_decode_equals_the_reference_or_refuses_with_its_message(self, fields):
+        # Only ProtocolError may escape, and only with the reference's words.
+        obj = {"op": "path", "topology": "t", **fields}
+        expected = reference_decode(obj)
+        if isinstance(expected, str):
+            with pytest.raises(ProtocolError) as refused:
+                decode_query(obj)
+            assert str(refused.value) == expected
+            return
+        query = decode_query(obj)
+        for want, have in zip(expected, (query.sources, query.targets)):
+            assert have.dtype == np.int64 and have.ndim == 1
+            assert have.flags.c_contiguous
+            assert have.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            [[1, 2, 3], [4]],  # ragged with the flat length of two pairs
+            ["12", "34"],  # strings of two digits
+            [{"1": 0, "2": 0}],  # an object with two digit keys
+            [(1, 2), [3, 4]],  # a tuple is no JSON list
+            [[1, [2]]],
+            [[2**63, 0]],
+        ],
+    )
+    def test_shapes_beside_the_fast_path_get_the_reference_answer(self, pairs):
+        obj = {"op": "path", "topology": "t", "pairs": pairs}
+        expected = reference_decode(obj)
+        if isinstance(expected, str):
+            with pytest.raises(ProtocolError) as refused:
+                decode_query(obj)
+            assert str(refused.value) == expected
+        else:
+            query = decode_query(obj)
+            assert query.sources.tolist() == expected[0].tolist()
+            assert query.targets.tolist() == expected[1].tolist()
+
+
+class WalkingRouter(Router):
+    """Another router's next hops under the base-class ``paths`` walk."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def next_hops(self, sources, targets):
+        return self.inner.next_hops(sources, targets)
+
+    def num_vertices(self):
+        return self.inner.num_vertices()
+
+
+#: (spec, router kind) of the batch_paths parity: every family under every
+#: kind, and a digraph with unreachable pairs under both table kinds.
+BATCH_PATH_CASES = [
+    (spec, kind) for spec in FAMILY_SPECS.values() for kind in ROUTER_KINDS
+] + [("H(4,16,2)", "dense"), ("H(4,16,2)", "lru")]
+
+
+class TestBatchPathsParity:
+    @pytest.mark.parametrize("backend", kernels.available_backends())
+    @pytest.mark.parametrize("spec, kind", BATCH_PATH_CASES)
+    def test_batch_paths_match_the_generic_walk(self, spec, kind, backend, monkeypatch):
+        monkeypatch.setenv(kernels.ENV_VAR, backend)
+        graph = build_graph(spec)
+        n = graph.num_vertices
+        if kind == "lru":
+            monkeypatch.setattr(routers, "TABLE_BUDGET_BYTES", 5 * n * 3)
+        router = make_router(graph, "dense" if kind == "lru" else kind)
+        rng = np.random.default_rng(5)
+        sources = np.concatenate((rng.integers(n, size=300), np.arange(8)))
+        targets = np.concatenate((rng.integers(n, size=300), np.arange(8)))
+        expected = batch_paths(WalkingRouter(router), sources, targets)
+        assert batch_paths(router, sources, targets) == expected
+        assert [path is None for path in expected] == (
+            router.path_lengths(sources, targets) < 0
+        ).tolist()
+        assert expected[-1] == [7]
 
 
 class TestLatencyHistogram:
@@ -552,6 +708,93 @@ class TestGroupCommit:
         assert reply["ok"]
         assert timers == []
         assert stats["batching"]["batches"] == 1
+
+
+class TestInlineRounds:
+    """A round of at most ``INLINE_PAIRS`` pairs on a lock-free router is
+    answered on the event loop; a larger round, an on-demand table's round
+    and a router that is not lock-free go to the executor."""
+
+    @pytest.mark.parametrize(
+        "kind, pairs, locked, inline",
+        [
+            ("closed-form", 16, False, True),
+            ("dense", INLINE_PAIRS, False, True),
+            ("closed-form", INLINE_PAIRS + 1, False, False),
+            ("lru", 16, False, False),
+            ("closed-form", 16, True, False),
+        ],
+    )
+    def test_a_round_runs_where_its_cost_allows(
+        self, kind, pairs, locked, inline, monkeypatch
+    ):
+        registry = RouterRegistry()
+        add_topology(registry, "demo", "B(2,4)", kind)
+        router = registry.get("demo").router
+        cls = ClosedFormRouter if kind == "closed-form" else DenseTableRouter
+        real = cls.next_hops
+        threads = []
+
+        def next_hops(self, sources, targets):
+            threads.append(threading.current_thread().name)
+            return real(self, sources, targets)
+
+        monkeypatch.setattr(cls, "next_hops", next_hops)
+        if locked:
+            router.lock_free = lambda: False
+        body = {
+            "op": "next-hop",
+            "topology": "demo",
+            "pairs": [[i % 16, (7 * i + 3) % 16] for i in range(pairs)],
+        }
+        with ServerThread(registry, reload_interval_s=0) as server:
+            reply = query(server, body)
+        sources, targets = np.array(body["pairs"]).T
+        assert reply["hops"] == real(router, sources, targets).tolist()
+        assert len(threads) == 1
+        assert (threads[0] == "repro-serve-loop") is inline
+
+    @pytest.mark.parametrize("op", ["next-hop", "eta", "path"])
+    def test_small_requests_decoded_together_share_one_inline_round(
+        self, op, monkeypatch
+    ):
+        # group commit on the event loop: the requests decoded before the
+        # flush task runs form one round and one router call
+        registry = RouterRegistry()
+        registry.add("demo", "B(2,4)", "closed-form")
+        router = registry.get("demo").router
+        calls = []
+        name = {"next-hop": "next_hops", "eta": "path_lengths", "path": "paths"}[op]
+        real = getattr(ClosedFormRouter, name)
+
+        def recorded(self, sources, targets):
+            calls.append((threading.current_thread().name, len(sources)))
+            return real(self, sources, targets)
+
+        monkeypatch.setattr(ClosedFormRouter, name, recorded)
+        bodies = [
+            {"op": op, "topology": "demo", "pairs": [[i, (5 * i + 3) % 16], [15 - i, i]]}
+            for i in range(8)
+        ]
+        with ServerThread(registry, reload_interval_s=0) as server:
+
+            async def together():
+                return await asyncio.gather(
+                    *(server.server._handle_query(json.dumps(b).encode()) for b in bodies)
+                )
+
+            answers = asyncio.run_coroutine_threadsafe(together(), server._loop).result(30)
+            stats = http_request(server.host, server.port, "GET", "/stats")
+        assert calls == [("repro-serve-loop", 16)]
+        assert stats["batching"]["batches"] == 1
+        assert stats["batching"]["coalesced_requests"] == 8
+        monkeypatch.undo()
+        version = registry.get("demo").version
+        for body, (status, reply) in zip(bodies, answers):
+            assert status == "200 OK"
+            assert reply == answer_query(
+                decode_query(body), router, link=LinkModel(), version=version
+            )
 
 
 class TestRunBench:
