@@ -1305,10 +1305,11 @@ def _fleet_status(args: argparse.Namespace) -> int:
     import json as _json
 
     from repro.fleet import format_status, status_to_json, store_status
+    from repro.otis.sweep import StoreIdentityError
 
     try:
         status = store_status(args.out_dir, ttl=args.ttl)
-    except FileNotFoundError as error:
+    except (FileNotFoundError, StoreIdentityError) as error:
         print(f"status failed: {error}", file=sys.stderr)
         return 1
     if args.json:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from repro.fleet.driver import LEASE_DIR_NAME, FleetJob
 from repro.fleet.leases import LeaseManager
-from repro.otis.sweep import STORE_IDENTITY_NAME, ChunkStore
+from repro.otis.sweep import STORE_IDENTITY_NAME, ChunkStore, StoreIdentityError
 
 __all__ = ["fleet_status", "store_status", "status_to_json", "format_status"]
 
@@ -59,10 +59,12 @@ def store_status(directory: str | Path, *, ttl: float) -> dict:
     """A :func:`fleet_status`-shaped snapshot read from a store directory.
 
     Works without reconstructing the job (no graph, traffics or search
-    parameters needed): the chunk count comes from the ``manifest.json``
-    identity the first worker published, completion from the chunk files,
-    liveness from the lease files.  This is what ``repro fleet status``
-    uses — any machine that can see the shared out-dir can poll it.
+    parameters needed): the chunk ids come from the ``manifest.json``
+    identity the first worker published, completion from the chunk files
+    of those ids (the set a merge reads; files of another manifest do not
+    count), liveness from the lease files.  This is what ``repro fleet
+    status`` uses — any machine that can see the shared out-dir can poll
+    it.
     """
     store = ChunkStore(directory)
     identity_path = store.directory / STORE_IDENTITY_NAME
@@ -72,11 +74,14 @@ def store_status(directory: str | Path, *, ttl: float) -> dict:
             "written to this out-dir yet"
         )
     identity = json.loads(identity_path.read_text())
-    num_chunks = int(identity["num_chunks"])
+    if "chunk_ids" not in identity:
+        raise StoreIdentityError(
+            f"{identity_path} names no chunk ids: an older version wrote "
+            "this store; use a fresh --out-dir"
+        )
     published = store.completed_ids()
-    status = _snapshot(
-        store, num_chunks, min(len(published), num_chunks), published, ttl
-    )
+    complete = len(published & set(identity["chunk_ids"]))
+    status = _snapshot(store, int(identity["num_chunks"]), complete, published, ttl)
     status["identity"] = identity
     return status
 

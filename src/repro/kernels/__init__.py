@@ -140,9 +140,21 @@ def get_kernels(backend: str | None = None):
     resolved = resolve_backend(backend)
     if resolved == "numpy":
         return None
-    from repro.kernels.native import build_native_kernels
+    return (_native or _import_native()).build_native_kernels()
 
-    return build_native_kernels()
+
+#: :mod:`repro.kernels.native` once imported (an import statement costs
+#: about a microsecond per call, and the serve path resolves its kernels
+#: a few times a request).
+_native = None
+
+
+def _import_native():
+    global _native
+    from repro.kernels import native
+
+    _native = native
+    return native
 
 
 def warmup(backend: str | None = None) -> str:
@@ -154,8 +166,10 @@ def warmup(backend: str | None = None) -> str:
     closed-form ``next_hops`` call, a 2-message closed-form simulation on
     ``B(2,2)`` (the ``run_rounds`` kernel), a 2-message degrading scenario
     on ``B(2,2)`` with its dense table — a failed link, arc-disjoint
-    reroute, capacity-1 retry buffers (the ``run_scenario`` kernel) — and 2
-    messages of hotspot traffic (the ``hotspot_pairs`` kernel).  After this
+    reroute, capacity-1 retry buffers (the ``run_scenario`` kernel), 2
+    messages of hotspot traffic (the ``hotspot_pairs`` kernel), and one
+    tiny query body read and reply written (``read_query`` and
+    ``write_replies``, the serve layer's JSON kernels).  After this
     returns, no C compile or first-call cost can land inside a benchmark key
     or a first request.  A no-op (beyond resolution) for ``numpy``.
     """
@@ -190,6 +204,9 @@ def warmup(backend: str | None = None) -> str:
     sim = BatchedNetworkSimulator(b22, scenario=scenario, kernels=resolved)
     sim.run_many([[(0, 3, 0.0), (3, 0, 0.0)]], return_messages=False)
     hotspot_pairs(4, 2, rng=0)
+    kern = get_kernels(resolved)
+    kern.read_query(b'{"op": "next-hop", "topology": "t", "pairs": [[0, 3]]}')
+    kern.write_replies(0, [1], [9, 2], b'{"hops": }\n', np.array([3]))
     return resolved
 
 

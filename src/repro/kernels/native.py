@@ -24,6 +24,7 @@ import ctypes
 import hashlib
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import tempfile
@@ -52,6 +53,7 @@ C_SOURCE = r"""
  * ordering reproduce the (time, insertion-sequence) contract.
  */
 #include <stdint.h>
+#include <string.h>
 
 /* Every exported kernel starts on a cache line, so an edit elsewhere in
  * the source cannot shift its hot loop across one and slow it down. */
@@ -1042,6 +1044,257 @@ EXPORT int64_t hotspot_pairs(
     buffer[1] = s.buf;
     return s.pos;
 }
+
+/* ------------------------------------------------------------------ serve */
+
+static inline const char *json_ws(const char *p, const char *end)
+{
+    while (p < end && (*p == ' ' || *p == '\t' || *p == '\n' || *p == '\r')) p++;
+    return p;
+}
+
+/* The closing quote of a string whose opening quote is just before p, or
+ * NULL unless every byte up to it is printable ASCII other than '\\'. */
+static inline const char *json_plain_string(const char *p, const char *end)
+{
+    for (; p < end; p++) {
+        unsigned char c = (unsigned char)*p;
+        if (c == '"') return p;
+        if (c < 0x20 || c >= 0x80 || c == '\\') return 0;
+    }
+    return 0;
+}
+
+/* An integer of at most 18 digits without a leading zero (so it fits in
+ * int64) into *out; the byte after it, or NULL. */
+static inline const char *json_int(const char *p, const char *end, int64_t *out)
+{
+    int negative = p < end && *p == '-';
+    p += negative;
+    const char *first = p;
+    int64_t value = 0;
+    for (; p < end && *p >= '0' && *p <= '9'; p++) {
+        if (p - first == 18) return 0;
+        value = value * 10 + (*p - '0');
+    }
+    if (p == first || (*first == '0' && p - first > 1)) return 0;
+    *out = negative ? -value : value;
+    return p;
+}
+
+/* A [[int, int], ...] array of at most cap pairs into src / dst; the
+ * byte after it (its count in *count), or NULL. */
+static const char *json_pairs(
+    const char *p, const char *end, int64_t cap, int64_t *src, int64_t *dst,
+    int64_t *count)
+{
+    if (p == end || *p++ != '[') return 0;
+    p = json_ws(p, end);
+    int64_t k = 0;
+    if (p < end && *p == ']') {
+        *count = 0;
+        return p + 1;
+    }
+    for (;;) {
+        if (k == cap || p == end || *p++ != '[') return 0;
+        if (!(p = json_int(json_ws(p, end), end, src + k))) return 0;
+        p = json_ws(p, end);
+        if (p == end || *p++ != ',') return 0;
+        if (!(p = json_int(json_ws(p, end), end, dst + k))) return 0;
+        p = json_ws(p, end);
+        if (p == end || *p++ != ']') return 0;
+        k++;
+        p = json_ws(p, end);
+        if (p == end) return 0;
+        if (*p == ']') {
+            *count = k;
+            return p + 1;
+        }
+        if (*p++ != ',') return 0;
+        p = json_ws(p, end);
+    }
+}
+
+/* A canonical query body: one JSON object holding exactly the keys "op",
+ * "topology" (plain ASCII strings: no escape) and "pairs" ([[int, int],
+ * ...] of at most cap pairs, ints as json_int reads them), in any order,
+ * with any JSON whitespace and nothing after it.  The pairs go to src /
+ * dst and spans = {op start, op length, topology start, topology length}
+ * in body.  Returns the pair count, or -1 to decline anything else. */
+EXPORT int64_t read_query(
+    const char *body, int64_t len, int64_t cap, int64_t *spans,
+    int64_t *src, int64_t *dst)
+{
+    const char *p = json_ws(body, body + len), *end = body + len;
+    int64_t count = 0;
+    int seen = 0;
+    if (p == end || *p++ != '{') return -1;
+    for (;;) {
+        p = json_ws(p, end);
+        if (p == end || *p++ != '"') return -1;
+        const char *key = p;
+        if (!(p = json_plain_string(p, end))) return -1;
+        int64_t key_len = p++ - key;
+        int which;
+        if (key_len == 2 && !memcmp(key, "op", 2)) which = 0;
+        else if (key_len == 8 && !memcmp(key, "topology", 8)) which = 1;
+        else if (key_len == 5 && !memcmp(key, "pairs", 5)) which = 2;
+        else return -1;
+        if (seen & (1 << which)) return -1;
+        seen |= 1 << which;
+        p = json_ws(p, end);
+        if (p == end || *p++ != ':') return -1;
+        p = json_ws(p, end);
+        if (which == 2) {
+            if (!(p = json_pairs(p, end, cap, src, dst, &count))) return -1;
+        } else {
+            if (p == end || *p++ != '"') return -1;
+            const char *value = p;
+            if (!(p = json_plain_string(p, end))) return -1;
+            spans[2 * which] = value - body;
+            spans[2 * which + 1] = p++ - value;
+        }
+        p = json_ws(p, end);
+        if (p == end) return -1;
+        if (*p == '}') break;
+        if (*p++ != ',') return -1;
+    }
+    if (json_ws(p + 1, end) != end || seen != 7) return -1;
+    return count;
+}
+
+/* The decimal text of v at out; the byte after it (at most 20 bytes). */
+static inline char *put_int(char *out, int64_t v)
+{
+    char digits[20];
+    uint64_t u = v < 0 ? 0 - (uint64_t)v : (uint64_t)v;
+    int k = 0;
+    do {
+        digits[k++] = (char)('0' + u % 10);
+        u /= 10;
+    } while (u);
+    if (v < 0) *out++ = '-';
+    while (k) *out++ = digits[--k];
+    return out;
+}
+
+/* An int64 of a byte buffer that need not be aligned. */
+static inline int64_t load_i64(const char *p, int64_t i)
+{
+    int64_t x;
+    memcpy(&x, p + 8 * i, 8);
+    return x;
+}
+
+/* The JSON replies of one round, each json.dumps of its lists plus "\n".
+ * meta = 11 int64s (kind, R, the address and length of a, of v and of
+ * etas, the length of text, F, cap), then R reply pair counts, then the
+ * lengths of reply i's text pieces (its head up to its first array, for
+ * kind 1 the text between its two arrays, then its tail), which lie in
+ * text one after the other; reply i's arrays hold counts[i] pairs from
+ * where reply i - 1's end.
+ *   kind 0: a = the pairs' ints (hops);
+ *   kind 1: a = hop counts, then etas from table: F text ends, F double
+ *           values, then the F texts; slot 0 for a count < 0, else slot
+ *           count + 1, whose value etas must equal bit for bit;
+ *   kind 2: a = count + 1 path offsets per reply into the vertices v: a
+ *           list per pair, null for an empty one.
+ * Reply i goes to out[ends[i - 1]:ends[i]], ends = the R int64s at
+ * out + cap.  Returns the bytes written, or -1 when out would overflow, a
+ * count, offset or piece would read past its array or text, or a value is
+ * off its table (the caller then encodes in Python).  The scalars travel
+ * in meta because each ctypes argument costs about as much as writing a
+ * 16-pair reply. */
+EXPORT int64_t write_replies(
+    const char *meta, const char *text, const char *table, char *out)
+{
+    int64_t kind = load_i64(meta, 0), R = load_i64(meta, 1);
+    const int64_t *a = (const int64_t *)(intptr_t)load_i64(meta, 2);
+    const int64_t *v = (const int64_t *)(intptr_t)load_i64(meta, 4);
+    const double *etas = (const double *)(intptr_t)load_i64(meta, 6);
+    int64_t a_len = load_i64(meta, 3), v_len = load_i64(meta, 5);
+    int64_t etas_len = load_i64(meta, 7), text_left = load_i64(meta, 8);
+    int64_t F = load_i64(meta, 9), cap = load_i64(meta, 10);
+    char *o = out, *end = out + cap;
+    const char *floats = table + 16 * F;
+    int64_t at = 0, piece = 11 + R;
+#define ROOM(bytes) if (end - o < (bytes)) return -1
+#define PIECE() do { \
+        int64_t piece_len = load_i64(meta, piece++); \
+        if (piece_len < 0 || piece_len > text_left) return -1; \
+        ROOM(piece_len); \
+        memcpy(o, text, piece_len); \
+        o += piece_len; \
+        text += piece_len; \
+        text_left -= piece_len; \
+    } while (0)
+    for (int64_t r = 0; r < R; r++) {
+        int64_t count = load_i64(meta, 11 + r);
+        if (count < 0 || at + count + (kind == 2) > a_len) return -1;
+        if (kind == 1 && at + count > etas_len) return -1;
+        PIECE();
+        ROOM(1);
+        *o++ = '[';
+        for (int64_t i = at; i < at + count; i++) {
+            ROOM(24);
+            if (i > at) {
+                *o++ = ',';
+                *o++ = ' ';
+            }
+            if (kind != 2) {
+                o = put_int(o, a[i]);
+                continue;
+            }
+            int64_t lo = a[i], hi = a[i + 1];
+            if (lo >= hi) {
+                memcpy(o, "null", 4);
+                o += 4;
+                continue;
+            }
+            if (lo < 0 || hi > v_len) return -1;
+            *o++ = '[';
+            for (int64_t j = lo; j < hi; j++) {
+                ROOM(23);
+                if (j > lo) {
+                    *o++ = ',';
+                    *o++ = ' ';
+                }
+                o = put_int(o, v[j]);
+            }
+            *o++ = ']';
+        }
+        ROOM(1);
+        *o++ = ']';
+        if (kind == 1) {
+            PIECE();
+            ROOM(1);
+            *o++ = '[';
+            for (int64_t i = at; i < at + count; i++) {
+                if (a[i] > F - 2) return -1;
+                int64_t slot = a[i] < 0 ? 0 : a[i] + 1;
+                if (memcmp(&etas[i], table + 8 * (F + slot), 8)) return -1;
+                int64_t lo = slot ? load_i64(table, slot - 1) : 0;
+                int64_t len = load_i64(table, slot) - lo;
+                ROOM(2 + len);
+                if (i > at) {
+                    *o++ = ',';
+                    *o++ = ' ';
+                }
+                memcpy(o, floats + lo, len);
+                o += len;
+            }
+            ROOM(1);
+            *o++ = ']';
+        }
+        PIECE();
+        int64_t written = o - out;
+        memcpy(end + 8 * r, &written, 8);
+        at += count + (kind == 2);
+    }
+#undef PIECE
+#undef ROOM
+    return o - out;
+}
 """
 
 SOURCE_DIGEST = hashlib.sha256(C_SOURCE.encode()).hexdigest()
@@ -1057,6 +1310,10 @@ _i8 = ctypes.POINTER(ctypes.c_int8)
 _f64 = ctypes.POINTER(ctypes.c_double)
 _I = ctypes.c_int64
 _D = ctypes.c_double
+_V = ctypes.c_void_p  # an address from _address
+_S = ctypes.c_char_p  # a bytes object, read in place
+_INT64 = np.dtype(np.int64)
+_FLOAT64 = np.dtype(np.float64)
 
 # The C-side expansion of QUEUE_PARAMS.
 _QSIG = [_f64, _i64, _i64, _i64, _i64, _i64, _f64, _i64, _i64, _I]
@@ -1099,6 +1356,8 @@ _SIGNATURES = {
     ),
     "screen_splits": (None, [_i64, _i64, _I, _I, _I, _i32, _i64]),
     "hotspot_pairs": (_I, [_u64, _I, _I, _I, _I, _D, _i64, _i64, _i64]),
+    "read_query": (_I, [_S, _I, _I, _V, _V, _V]),
+    "write_replies": (_I, [_S, _S, _S, _V]),  # meta, text, table, out
     "shift_next_hops": (_I, [_i64, _i64, _I] + _ROUTE_SIG[:7] + [_i64]),
     "shift_path_lengths": (_I, [_i64, _i64, _I] + _ROUTE_SIG[:7] + [_i64]),
     "route_paths": (_I, [_i64, _i64, _I, _I] + _ROUTE_SIG + [_i64, _i64]),
@@ -1198,6 +1457,18 @@ def _ptr(arr, ctype):
     return arr.ctypes.data_as(ctype)
 
 
+def _address(arr) -> int:
+    """The data address of a C-contiguous array, for a ``_V`` argument;
+    a third of the cost of ``arr.ctypes`` for a writable array."""
+    if not arr.nbytes:
+        return 0
+    try:
+        return ctypes.addressof(ctypes.c_char.from_buffer(arr))
+    except TypeError:  # read-only
+        return arr.ctypes.data
+
+
+
 def _event_queue(num_slots):
     """Fresh kernel queue arrays (layout at QUEUE_PARAMS) and their
     QUEUE_ARGS: at most ``num_slots`` live distinct times / buckets, a
@@ -1265,6 +1536,9 @@ def build_native_kernels() -> SimpleNamespace:
 
     Raises :class:`NativeBuildError` when the backend is unavailable.
     """
+    cached = _LIB_CACHE.get(SOURCE_DIGEST)
+    if cached is not None:  # built: no lock needed to read it
+        return cached
     with _BUILD_LOCK:
         cached = _LIB_CACHE.get(SOURCE_DIGEST)
         if cached is not None:
@@ -1431,6 +1705,76 @@ def build_native_kernels() -> SimpleNamespace:
                 _ptr(retries, _i64), _ptr(drop_code, _i8), _ptr(counters, _i64),
             )
 
+        def read_query(body, max_pairs=None):
+            """``(op, topology, sources, targets)`` of a canonical query
+            body (see the C source) of at most ``max_pairs`` pairs, or None
+            when the C declines it.  The arrays are views of one int64
+            buffer."""
+            if type(body) is not bytes:
+                return None
+            cap = len(body) // 5 + 1  # a pair takes five bytes and a comma
+            if max_pairs is not None:
+                cap = min(cap, max_pairs)
+            out = np.empty(4 + 2 * cap, dtype=np.int64)
+            at = _address(out)
+            count = lib.read_query(body, len(body), cap, at, at + 32, at + 32 + 8 * cap)
+            if count < 0:
+                return None
+            op, op_len, topology, topology_len = out[:4].tolist()
+            return (
+                body[op : op + op_len].decode("ascii"),
+                body[topology : topology + topology_len].decode("ascii"),
+                out[4 : 4 + count],
+                out[4 + cap : 4 + cap + count],
+            )
+
+        def write_replies(kind, counts, pieces, text, a, v=None, etas=None, table=None):
+            """The replies of one round as JSON bytes, one per entry of
+            ``counts``, or None when the C declines (see the C source for
+            ``kind`` and the layout).  ``a``, ``v`` and ``etas`` are
+            one-dimensional C-contiguous int64, int64 and float64 arrays;
+            ``table`` is the :func:`eta_table` of kind 1."""
+            R = len(counts)
+            for x, dtype in ((a, _INT64), (v, _INT64), (etas, _FLOAT64)):
+                if x is not None and (
+                    x.dtype != dtype or x.ndim != 1 or not x.flags.c_contiguous
+                ):
+                    raise ValueError("write_replies needs 1-d C-contiguous arrays")
+            if (
+                (kind == 1) != (etas is not None) or (kind == 2) != (v is not None)
+                or len(pieces) != R * (3 if kind == 1 else 2)
+            ):
+                raise ValueError("write_replies needs the arrays and pieces of its kind")
+            table, F, widest = table or (b"", 0, 0)
+            width = 24 + (2 + widest if kind == 1 else 0)
+            cap = len(text) + 4 * R + width * a.shape[0] + (0 if v is None else 22 * v.shape[0])
+            cap += -cap % 8
+            out = ctypes.create_string_buffer(cap + 8 * R)
+            meta = struct.pack(
+                f"{11 + R + len(pieces)}q",
+                kind, R,
+                _address(a), a.shape[0],
+                0 if v is None else _address(v), 0 if v is None else v.shape[0],
+                0 if etas is None else _address(etas), 0 if etas is None else etas.shape[0],
+                len(text), F, cap,
+                *counts, *pieces,
+            )
+            total = lib.write_replies(meta, text, table, ctypes.addressof(out))
+            if total < 0:
+                return None
+            if R == 1:
+                return [out[:total]]
+            ends = struct.unpack_from(f"{R}q", out, cap)
+            return [out[s:e] for s, e in zip((0, *ends), ends)]
+
+        def eta_table(texts, values):
+            """``write_replies``' ETA table of the JSON ``texts`` of the
+            float ``values``, slot by slot."""
+            ends = np.cumsum([len(text) for text in texts], dtype=np.int64)
+            values = np.array(values, dtype=np.float64)
+            table = ends.tobytes() + values.tobytes() + "".join(texts).encode()
+            return table, len(texts), max(map(len, texts))
+
         kernels = SimpleNamespace(
             ecc_sweep=ecc_sweep,
             subset_rows_sweep=subset_rows_sweep,
@@ -1441,6 +1785,9 @@ def build_native_kernels() -> SimpleNamespace:
             shift_path_lengths=shift_pairs(lib.shift_path_lengths),
             route_paths=route_paths,
             hotspot_pairs=hotspot_pairs,
+            read_query=read_query,
+            write_replies=write_replies,
+            eta_table=eta_table,
             run_rounds=run_rounds,
             run_scenario=run_scenario,
         )

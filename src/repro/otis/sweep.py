@@ -274,19 +274,17 @@ def manifest_identity(manifest, kind: str, **fields) -> dict:
     """The ``manifest.json`` identity of a manifest of either store kind.
 
     ``kind`` and the kind's own ``fields``, then the keys every manifest
-    shares: ``chunk_size``, ``code_version``, ``num_chunks`` and a digest
-    over the chunk ids (which covers every parameter hashed into them).
+    shares: ``chunk_size``, ``code_version``, ``num_chunks`` and the chunk
+    ids themselves (which cover every parameter hashed into them, and tell
+    a status reader which chunk files are this manifest's).
     """
-    ids = hashlib.sha256(
-        "".join(chunk.chunk_id for chunk in manifest.chunks).encode()
-    ).hexdigest()[:16]
     return {
         "kind": kind,
         **fields,
         "chunk_size": manifest.chunk_size,
         "code_version": manifest.code_version,
         "num_chunks": len(manifest.chunks),
-        "chunk_ids_digest": ids,
+        "chunk_ids": [chunk.chunk_id for chunk in manifest.chunks],
     }
 
 
@@ -398,8 +396,8 @@ class ChunkManifest:
     def identity(self) -> dict:
         """The JSON identity persisted as ``manifest.json`` in a store.
 
-        Every parameter that renames the chunk ids appears here (plus a
-        digest over the ids themselves), so :func:`ensure_store_identity`
+        Every parameter that renames the chunk ids appears here (plus the
+        ids themselves), so :func:`ensure_store_identity`
         can fail fast — with the *differing field named* — when a store
         directory is relaunched or merged under parameters other than the
         ones it was built for.
@@ -597,6 +595,14 @@ class StoreIdentityError(RuntimeError):
 STORE_IDENTITY_NAME = "manifest.json"
 
 
+def _shown(key: str, value) -> str:
+    """An identity field's value in a mismatch message: the chunk ids by
+    their count and first id, not the whole list."""
+    if key == "chunk_ids" and isinstance(value, list) and value:
+        return f"{len(value)} ids from {value[0]}"
+    return repr(value)
+
+
 def ensure_store_identity(store: ChunkStore, identity: dict) -> None:
     """Persist or verify a store directory's manifest identity.
 
@@ -626,8 +632,8 @@ def ensure_store_identity(store: ChunkStore, identity: dict) -> None:
                 if existing.get(key) != identity.get(key)
             ]
             detail = ", ".join(
-                f"{key}: store has {existing.get(key)!r}, caller has "
-                f"{identity.get(key)!r}"
+                f"{key}: store has {_shown(key, existing.get(key))}, caller has "
+                f"{_shown(key, identity.get(key))}"
                 for key in fields
             )
             raise StoreIdentityError(

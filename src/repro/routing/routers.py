@@ -173,10 +173,13 @@ class Router:
         target (empty when unreachable), all int64.  This generic walk calls
         :meth:`next_hops` once per level over the pairs still on their way,
         so a batch of diameter ``D`` costs ``D`` calls; it is the oracle of
-        the compiled overrides and the path of wrapping routers.
+        the compiled overrides and the path of wrapping routers.  A pair
+        naming a vertex outside the topology raises ``IndexError`` (here
+        and in every router method).
         """
         sources = np.asarray(sources, dtype=np.int64).reshape(-1)
         targets = np.asarray(targets, dtype=np.int64).reshape(-1)
+        _check_pairs(sources, targets, self.num_vertices())
         # levels[l] holds every pair's vertex after l hops (its target once
         # it has arrived or hit a dead end)
         levels = [sources]
@@ -222,9 +225,10 @@ class Router:
         supported topology this is a shortest path (the next hop is always
         one BFS step closer).
         """
+        limit = self.num_vertices()
+        _check_pair(source, target, limit)
         path = [int(source)]
         current = int(source)
-        limit = self.num_vertices()
         while current != target:
             nxt = self.next_hop(current, target)
             if nxt < 0:
@@ -287,11 +291,19 @@ def _outside(pair, n: int) -> IndexError:
     return IndexError(f"pair {pair} is outside the {n} vertices this router routes")
 
 
+def _check_pair(source: int, target: int, n: int) -> None:
+    """:func:`_check_pairs` for one pair."""
+    if not (0 <= source < n and 0 <= target < n):
+        raise _outside((int(source), int(target)), n)
+
+
 def _check_pairs(sources: np.ndarray, targets: np.ndarray, n: int) -> None:
     """Raise :func:`_outside` for the first pair naming a vertex outside
-    ``range(n)`` (the compiled kernels' check, for the numpy paths)."""
+    ``range(n)`` (the compiled kernels' check, for the numpy paths).  The
+    int64 ends are read as uint64, where a negative one is above ``n``:
+    one reduction per side."""
     for ends in (sources, targets):
-        if ends.size and not 0 <= ends.min() <= ends.max() < n:
+        if ends.size and ends.view(np.uint64).max() >= n:
             sources, targets = np.broadcast_arrays(sources, targets)
             outside = (sources < 0) | (sources >= n) | (targets < 0) | (targets >= n)
             bad = np.flatnonzero(outside)[0]
@@ -413,15 +425,18 @@ class DenseTableRouter(Router):
             return self._store
 
     def _entries(self, sources, targets, field: int):
-        """The slot (``field`` 1) or hop-count (2) entry of every pair."""
+        """The slot (``field`` 1) or hop-count (2) entry of every pair; a
+        pair naming a vertex outside the topology raises ``IndexError``."""
         sources = np.asarray(sources, dtype=np.int64)
         targets = np.asarray(targets, dtype=np.int64)
+        _check_pairs(sources, targets, self._n)
         store = self.columns(targets)
         # a store of n columns is only ever filled whole, column t for target t
         rows = targets if store[1].shape[0] == self._n else store[0][targets]
         return sources, targets, store[field][rows, sources]
 
     def next_hop(self, source: int, target: int) -> int:
+        _check_pair(source, target, self._n)
         if source == target:
             return source
         col, slot, _ = self.columns([target])
@@ -567,6 +582,7 @@ class ClosedFormRouter(Router):
 
     # ------------------------------------------------------------- routing
     def next_hop(self, source: int, target: int) -> int:
+        _check_pair(source, target, self.num_vertices())
         if source == target:
             return source
         to_code = self._to_code

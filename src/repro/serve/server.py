@@ -22,6 +22,16 @@ or header line longer than the stream limit, or more than
 ``413`` before any of it is read.  The refusals are counted under
 ``framing_errors`` in ``/stats``.
 
+**One request, per thread.**  On the event-loop thread a ``/v1/query``
+body goes through the compiled reader (:func:`~repro.serve.protocol.
+read_query`); a body it declines, and every body on the numpy backend,
+takes ``json.loads`` and :func:`~repro.serve.protocol.decode_query`, whose
+messages every ``400`` reply carries.  The router call and the encoding of
+the round's replies (:func:`~repro.serve.protocol.encode_replies`: one C
+pass for them all, or ``json.dumps`` without a compiler) run in the
+executor; the loop thread then writes the bytes.  ``/stats``, errors and
+the control routes are ``json.dumps`` on the loop.
+
 **Micro-batching (group commit).**  Concurrent requests against the same
 ``(topology, version, op)`` coalesce without a timer: a request whose key has
 no flush running starts one at once (requests decoded in the same event-loop
@@ -30,18 +40,19 @@ in the executor collect in its bucket for the flush's next round, until the
 bucket is empty — so batches grow with load and shrink to one request at
 idle.  A bucket that reaches ``batch_pairs`` pairs goes to the executor at
 once.  One round concatenates every pending query into single numpy arrays
-and makes *one* router call in a worker thread, then splits the results back
-per request — so a thousand small concurrent queries cost one vectorised
+and makes *one* router call in a worker thread, then splits the result arrays
+back per request — so a thousand small concurrent queries cost one vectorised
 ``next_hops`` dispatch, which is where the >100k queries/sec of
 ``BENCH_serve.json`` comes from.  A router call that raises answers its whole
 batch ``500`` and leaves the connections open.  All batching state lives on
-the event-loop thread (no locks); only the router call itself runs in the
-executor, which is why the router thread-safety contract of
+the event-loop thread (no locks); only the router call and the encoding
+run in the executor, which is why the router thread-safety contract of
 :class:`repro.routing.routers.Router` matters.  The one exception is a
 round of at most :data:`INLINE_PAIRS` pairs on a lock-free router
 (:meth:`~repro.routing.routers.Router.lock_free`: the closed form, or a
-whole table): the event loop answers it itself, because it costs about as
-much as the two thread hand-offs of the executor round trip.
+whole table): the event loop answers and encodes it itself, because it
+costs about as much as the two thread hand-offs of the executor round
+trip.
 """
 
 from __future__ import annotations
@@ -55,11 +66,14 @@ import numpy as np
 
 from repro.serve.metrics import ServeMetrics
 from repro.serve.protocol import (
+    ARRAY_FIELDS,
     BatchQuery,
     ProtocolError,
     answer_query,
     check_range,
     decode_query,
+    encode_replies,
+    read_query,
 )
 from repro.serve.registry import RouterEntry, RouterRegistry
 
@@ -260,8 +274,13 @@ class RouteQueryServer:
 
     @staticmethod
     def _write_reply(writer, status, reply, extra, keep_alive) -> None:
+        """Write one response: ``reply`` is its encoded body (a query's), or
+        an object ``json.dumps`` encodes."""
         extra_lines = "".join(f"{k}: {v}\r\n" for k, v in extra.items())
-        payload = (json.dumps(reply) + "\n").encode()
+        if isinstance(reply, bytes):
+            payload = reply
+        else:
+            payload = (json.dumps(reply) + "\n").encode()
         writer.write(
             (
                 f"HTTP/1.1 {status}\r\n"
@@ -275,10 +294,12 @@ class RouteQueryServer:
         )
 
     async def _read_request(self, reader):
-        """Parse one HTTP/1.1 request; None on a cleanly closed connection.
+        """Parse one HTTP/1.1 request; None on a connection closed before
+        it (cleanly, or mid-body).
 
         Raises :class:`_FramingError` for a request the server refuses to
-        frame (see the module docstring).
+        frame (see the module docstring); reads no body byte past
+        :attr:`max_body_bytes`.
         """
         try:
             line = await reader.readline()
@@ -323,7 +344,10 @@ class RouteQueryServer:
                 f"{self.max_body_bytes} bytes",
             )
         length = int(text)
-        body = await reader.readexactly(length) if length else b""
+        try:
+            body = await reader.readexactly(length) if length else b""
+        except asyncio.IncompleteReadError:  # the client went away mid-body
+            return None
         return method, path, headers, body
 
     async def _dispatch(self, method: str, path: str, body: bytes):
@@ -440,11 +464,13 @@ class RouteQueryServer:
             return status, {"ok": False, "error": message}
 
         try:
-            try:
-                obj = json.loads(body)
-            except ValueError as error:
-                raise ProtocolError(f"request body is not JSON: {error}")
-            query = decode_query(obj, max_pairs=self.max_pairs)
+            query = read_query(body, max_pairs=self.max_pairs)
+            if query is None:  # declined: the Python decode, with its messages
+                try:
+                    obj = json.loads(body)
+                except ValueError as error:
+                    raise ProtocolError(f"request body is not JSON: {error}")
+                query = decode_query(obj, max_pairs=self.max_pairs)
             op = query.op
             try:
                 entry = self.registry.get(query.topology)
@@ -466,8 +492,8 @@ class RouteQueryServer:
         )
         return "200 OK", reply
 
-    async def _submit(self, entry: RouterEntry, query) -> dict:
-        """Add a validated query to its key's bucket; await the reply."""
+    async def _submit(self, entry: RouterEntry, query) -> bytes:
+        """Add a validated query to its key's bucket; await its reply's bytes."""
         loop = asyncio.get_running_loop()
         key = (entry.name, entry.version, query.op)
         future: asyncio.Future = loop.create_future()
@@ -520,15 +546,17 @@ class RouteQueryServer:
             if not future.done():
                 future.set_result(reply)
 
-    def _run_batch(self, entry: RouterEntry, queries) -> list[dict]:
-        """One coalesced router call for a bucket of same-op queries.
+    def _run_batch(self, entry: RouterEntry, queries) -> list[bytes]:
+        """One coalesced router call for a bucket of same-op queries, and
+        the encoded reply of each.
 
         Runs in a worker thread, or on the event loop for a small round on a
         lock-free router.  Single-query buckets skip the concat/split
         round-trip; multi-query buckets answer the concatenated arrays once
-        and slice the results back per request.  Either way every reply is
-        bit-identical to answering each query alone — concatenation changes
-        the batching, never the per-pair arithmetic.
+        and slice the result arrays back per request.  Either way every
+        reply is bit-identical to answering each query alone — concatenation
+        changes the batching, never the per-pair arithmetic.  One
+        :func:`encode_replies` call then writes every reply of the round.
         """
         combined = queries[0] if len(queries) == 1 else BatchQuery(
             op=queries[0].op,
@@ -540,17 +568,17 @@ class RouteQueryServer:
             combined, entry.router, link=self.link, version=entry.version
         )
         if len(queries) == 1:
-            return [merged]
+            return encode_replies([merged], link=self.link)
         replies = []
         offset = 0
         for query in queries:
             end = offset + query.count
             reply = dict(merged, count=query.count)
-            for field in ("hops", "lengths", "etas", "paths"):
+            for field in ARRAY_FIELDS:
                 if field in merged:
                     reply[field] = merged[field][offset:end]
             if query.id is not None:
                 reply["id"] = query.id
             replies.append(reply)
             offset = end
-        return replies
+        return encode_replies(replies, link=self.link)

@@ -213,7 +213,7 @@ class ReplicaChunkManifest:
 
         Same contract as :meth:`repro.otis.sweep.ChunkManifest.identity`:
         every parameter that renames the chunk ids (the traffic digests are
-        covered through the digest over the ids), so a relaunch of an
+        covered through the ids), so a relaunch of an
         out-dir with a different topology, link timing, router, replica set
         or simulator code fails fast instead of silently matching nothing.
         """

@@ -485,3 +485,37 @@ class TestSweepPartialMerge:
         strict_rows = [l for l in strict.splitlines() if l and l[0].isdigit()]
         partial_rows = [l for l in partial.splitlines() if l and l[0].isdigit()]
         assert strict_rows == partial_rows
+
+
+class TestFleetStatusAgreesWithMerge:
+    def test_chunk_files_of_another_manifest_are_not_counted(self, capsys, tmp_path):
+        # A chunk-size 8 sweep, its manifest.json removed, then one chunk of
+        # a chunk-size 4 sweep in the same out-dir: status counts only the
+        # new manifest's chunk, the one chunk --merge finds complete.
+        import json
+
+        out_dir = tmp_path / "chunks"
+        assert main(fleet_sweep_args(tmp_path)) == 0
+        (out_dir / "manifest.json").unlink()
+        smaller = [*fleet_sweep_args(tmp_path)[:-1], "4"]
+        assert main([*smaller, "--max-chunks", "1"]) == 0
+        capsys.readouterr()
+        assert main(["fleet", "status", "--out-dir", str(out_dir), "--json"]) == 0
+        status = json.loads(capsys.readouterr().out)
+        assert main([*smaller, "--merge"]) == 1
+        err = capsys.readouterr().err
+        chunks = status["chunks"]
+        assert f"{chunks - 1} of {chunks} chunks incomplete" in err
+        assert "from a different manifest" in err
+        assert status["complete"] == 1
+        assert len(list(out_dir.glob("chunk-*.jsonl"))) == 4  # 3 foreign, 1 own
+
+    def test_identity_mismatch_names_no_id_list(self, capsys, tmp_path):
+        assert main(fleet_sweep_args(tmp_path, "--max-chunks", "1")) == 0
+        capsys.readouterr()
+        smaller = [*fleet_sweep_args(tmp_path)[:-1], "4"]
+        assert main([*smaller, "--merge"]) != 0
+        err = capsys.readouterr().err
+        assert "chunk_size: store has 8, caller has 4" in err
+        assert "chunk_ids: store has 3 ids from " in err
+        assert "', '" not in err  # no list of ids

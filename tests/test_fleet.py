@@ -475,7 +475,7 @@ class TestFleetDriver:
         from repro.simulation.network import BufferedLinkModel
         from repro.simulation.scenarios import Scenario, UniformArrivals
 
-        shared = {"kind", "chunk_size", "code_version", "num_chunks", "chunk_ids_digest"}
+        shared = {"kind", "chunk_size", "code_version", "num_chunks", "chunk_ids"}
         sim = shared | {
             "graph_fingerprint",
             "link_latency",

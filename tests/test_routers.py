@@ -642,3 +642,98 @@ def test_closed_form_hops_lower_the_bfs_distance_by_one():
         here = dist[row_of[source], target]
         there = dist[row_of[hop], target]
         assert np.array_equal(there, here - 1), (p, q, d)
+
+
+class WrappingRouter(Router):
+    """A router known only by another router's scalar and vector next hops:
+    every derived query takes the base-class walks."""
+
+    kind = "wrapping"
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def next_hop(self, source, target):
+        return self.inner.next_hop(source, target)
+
+    def next_hops(self, sources, targets):
+        return self.inner.next_hops(sources, targets)
+
+    def num_vertices(self):
+        return self.inner.num_vertices()
+
+
+def range_router(graph, kind):
+    """A router of ``kind``: ``dense``, ``closed-form``, ``on-demand`` (a
+    store of three columns) or ``wrapping`` (around the whole table)."""
+    if kind == "wrapping":
+        return WrappingRouter(DenseTableRouter(graph))
+    if kind == "on-demand":
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            return on_demand(monkeypatch, graph, 3)
+    return make_router(graph, kind)
+
+
+class TestEveryMethodRefusesOutsidePairs:
+    """Every public router method, on every router kind and both backends,
+    with pairs drawn from ``[-n, 2n)``: a batch of pairs inside the
+    topology gets the answer of the :meth:`Router.paths` walk over the
+    whole table, and a batch holding a pair outside it raises
+    ``IndexError`` naming its first such pair — no negative vertex wraps."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("kind", ["dense", "closed-form", "on-demand", "wrapping"])
+    @pytest.mark.parametrize("graph", [de_bruijn(2, 4), kautz(2, 3)], ids=["B", "K"])
+    def test_answer_equals_the_walk_or_names_the_pair(self, graph, kind, backend):
+        n = graph.num_vertices
+        oracle = DenseTableRouter(graph)
+        per_hop = 1.0 + 1.0
+        from repro.simulation.network import LinkModel
+
+        link = LinkModel(latency=1.0, transmission_time=1.0)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setenv("REPRO_KERNELS", backend)
+            router = range_router(graph, kind)
+            self.check(router, oracle, n, link, per_hop)
+
+    @staticmethod
+    def check(router, oracle, n, link, per_hop):
+        @settings(max_examples=60, deadline=None)
+        @given(st.lists(st.tuples(st.integers(-n, 2 * n - 1), st.integers(-n, 2 * n - 1)), max_size=6))
+        def run(pairs):
+            sources = np.array([s for s, _ in pairs], dtype=np.int64)
+            targets = np.array([t for _, t in pairs], dtype=np.int64)
+            outside = [(s, t) for s, t in pairs if not (0 <= s < n and 0 <= t < n)]
+            if outside:
+                pattern = rf"pair \({outside[0][0]}, {outside[0][1]}\) is outside"
+                for method in (router.next_hops, router.path_lengths, router.paths):
+                    with pytest.raises(IndexError, match=pattern):
+                        method(sources, targets)
+                with pytest.raises(IndexError, match=pattern):
+                    router.etas(sources, targets, link=link)
+                for s, t in outside:
+                    pattern = rf"pair \({s}, {t}\) is outside"
+                    for method in (router.next_hop, router.full_path):
+                        with pytest.raises(IndexError, match=pattern):
+                            method(s, t)
+                return
+            lengths, offsets, vertices = Router.paths(oracle, sources, targets)
+            paths = [
+                vertices[offsets[i] : offsets[i + 1]].tolist() or None
+                for i in range(len(pairs))
+            ]
+            hops = [
+                -1 if path is None else path[min(1, len(path) - 1)] for path in paths
+            ]
+            got = router.paths(sources, targets)
+            for want, have in zip((lengths, offsets, vertices), got):
+                assert have.tobytes() == want.tobytes()
+            assert router.next_hops(sources, targets).tolist() == hops
+            assert router.path_lengths(sources, targets).tolist() == lengths.tolist()
+            etas = np.where(lengths < 0, -1.0, lengths * per_hop)
+            assert router.etas(sources, targets, link=link).tobytes() == etas.tobytes()
+            for (s, t), hop, path in zip(pairs, hops, paths):
+                assert router.next_hop(s, t) == hop
+                assert router.full_path(s, t) == path
+
+        run()

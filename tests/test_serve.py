@@ -40,7 +40,11 @@ from repro.serve import (
     run_bench,
 )
 from repro.serve.bench import http_request
-from repro.serve.protocol import answer_query, batch_paths, check_range
+from repro.serve.protocol import (
+    answer_query,
+    check_range,
+    reply_as_lists,
+)
 from repro.serve.server import INLINE_PAIRS
 from repro.simulation.network import LinkModel
 
@@ -241,6 +245,12 @@ class TestProtocolDecode:
         )
         with pytest.raises(ProtocolError, match="out of range"):
             check_range(q, router.num_vertices())
+
+
+def batch_paths(router, sources, targets):
+    """The vertex lists a path query's reply carries (None unreachable)."""
+    query = BatchQuery(op="path", topology="t", sources=sources, targets=targets)
+    return answer_query(query, router)["paths"].tolist()
 
 
 class TestBatchPaths:
@@ -792,9 +802,10 @@ class TestInlineRounds:
         version = registry.get("demo").version
         for body, (status, reply) in zip(bodies, answers):
             assert status == "200 OK"
-            assert reply == answer_query(
+            expected = answer_query(
                 decode_query(body), router, link=LinkModel(), version=version
             )
+            assert reply == (json.dumps(reply_as_lists(expected)) + "\n").encode()
 
 
 class TestRunBench:

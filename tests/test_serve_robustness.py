@@ -18,6 +18,9 @@ What PR 9 added to the serve layer, pinned down end to end:
   gets ``400``, an oversized body ``413`` (before any of it is read), an
   over-long header line or more than 100 header lines ``431``; each reply
   closes the connection and is counted in ``/stats``;
+* **request reads** — a hypothesis fuzz of ``_read_request`` over a
+  StreamReader fed in pieces: a parsed request, a 4xx or None, never
+  another exception or a body byte past the limit;
 * **client backoff** — the bench client's jittered exponential backoff
   honours ``Retry-After``, converges under shedding, and de-correlates a
   herd of simultaneously shed clients (pure injected-clock math, no sleeps).
@@ -26,6 +29,7 @@ Queries are held in flight with the ``router_gate`` fixture (a router whose
 ``next_hops`` waits on an event in the executor), never with a timer.
 """
 
+import asyncio
 import http.client
 import json
 import socket
@@ -34,10 +38,13 @@ import time
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.serve import ExponentialBackoff, RouterRegistry, ServerThread, run_bench
 from repro.serve.bench import http_request
 from repro.serve.metrics import MAX_ENDPOINTS, MAX_RECENT, ServeMetrics
+from repro.serve.server import RouteQueryServer, _FramingError
 
 
 def make_registry() -> RouterRegistry:
@@ -563,3 +570,73 @@ class TestBoundedMetrics:
             metrics.record("op", queries=1, seconds=0.001)
         assert len(metrics._recent) == MAX_RECENT
         assert metrics.queries_per_second() > 0
+
+
+# --------------------------------------------------------------- read fuzz
+#: Header lines: real ones, junk, and lines without a colon.
+HEADER_LINES = st.one_of(
+    st.sampled_from([b"Host: x", b"Connection: close", b"X-A: 1", b"nocolon", b": empty"]),
+    st.binary(max_size=40).filter(lambda line: b"\n" not in line),
+)
+LENGTHS = st.one_of(
+    st.none(),
+    st.integers(0, 1500).map(lambda n: str(n).encode()),
+    st.from_regex(rb"\A[0-9]{1,30}\Z"),
+    st.sampled_from([b"", b"-1", b"1e3", b"0x10", b" 12", "١".encode()]),
+    st.binary(max_size=12).filter(lambda text: b"\n" not in text),
+)
+
+
+class TestReadRequestFuzz:
+    """``_read_request`` over a StreamReader fed in pieces: every input ends
+    in a parsed request, a 4xx framing error or None, and no body byte past
+    ``max_body_bytes`` is ever read."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        line=st.one_of(
+            st.sampled_from([b"POST /v1/query HTTP/1.1", b"GET /stats HTTP/1.1", b"", b"GET"]),
+            st.binary(max_size=60).filter(lambda line: b"\n" not in line),
+        ),
+        headers=st.lists(HEADER_LINES, max_size=4),
+        filler=st.sampled_from([0, 1, 99, 100, 101]),
+        length=LENGTHS,
+        ended=st.booleans(),
+        body=st.binary(max_size=1500),
+        cuts=st.lists(st.integers(0, 4000), max_size=4),
+        limit=st.sampled_from([48, 1024, 2**16]),
+    )
+    def test_every_input_parses_refuses_or_closes(
+        self, line, headers, filler, length, ended, body, cuts, limit
+    ):
+        server = RouteQueryServer(RouterRegistry(), reload_interval_s=0)
+        server._executor.shutdown()
+        server.max_body_bytes = 1000
+        lines = [line, *headers, *[b"X-Filler: %d" % i for i in range(filler)]]
+        if length is not None:
+            lines.append(b"Content-Length: " + length)
+        head = b"".join(item + b"\r\n" for item in lines) + (b"\r\n" if ended else b"")
+        data = head + body
+        bounds = sorted({0, len(data), *(cut for cut in cuts if cut < len(data))})
+
+        async def scenario():
+            reader = asyncio.StreamReader(limit=limit)
+            task = asyncio.ensure_future(server._read_request(reader))
+            for start, stop in zip(bounds, bounds[1:]):
+                reader.feed_data(data[start:stop])
+                await asyncio.sleep(0)
+            reader.feed_eof()
+            try:
+                outcome = await task
+            except _FramingError as error:
+                outcome = error
+            return outcome, len(data) - len(await reader.read())
+
+        outcome, consumed = asyncio.run(scenario())
+        if isinstance(outcome, _FramingError):
+            assert outcome.status[:1] == "4" and outcome.status[:3] in {"400", "413", "431"}
+        elif outcome is not None:
+            method, path, parsed, got = outcome
+            assert isinstance(method, str) and isinstance(path, str)
+            assert len(got) == int(parsed.get("content-length") or 0)
+        assert consumed <= len(head) + server.max_body_bytes
